@@ -15,7 +15,7 @@ protocol is out of the paper's scope).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..model.region import Region
 from ..model.task import Task
@@ -26,24 +26,20 @@ from ..sim.clock import EventClock
 from ..sim.rng import RngRegistry
 from .cost import CostModel
 from .policies import SchedulingPolicy
-from .server import REACTServer
+from .server import REACTServer, RegionServer
 
 #: Builds one region server.  The default constructs a :class:`REACTServer`
 #: (simulation mode); the live gateway injects a factory producing
-#: ``repro.service.bridge.LiveRegionServer`` instead — any object with the
-#: REACTServer routing surface (``start``/``submit_task``/``adopt_task``/
-#: ``add_worker``/``remove_worker``/``task_management``/``profiling``/
-#: ``drain_and_summary``) works.  Typed ``Any`` because the platform layer
-#: must not import the service layer (KER001).
+#: ``repro.service.bridge.LiveRegionServer`` (pull delivery) instead.
 ServerFactory = Callable[
-    [EventClock, SchedulingPolicy, RngRegistry, Optional[CostModel]], Any
+    [EventClock, SchedulingPolicy, RngRegistry, Optional[CostModel]], RegionServer
 ]
 
 
 @dataclass
 class RegionEntry:
     region: Region
-    server: REACTServer
+    server: RegionServer
     #: Monotonically unique id; also the RNG fork offset for this server, so
     #: no two servers — including ones created by later splits — ever share
     #: a stream derivation.
@@ -130,7 +126,7 @@ class Coordinator:
 
     # ------------------------------------------------------------- routing
     @property
-    def servers(self) -> List[REACTServer]:
+    def servers(self) -> List[RegionServer]:
         return [entry.server for entry in self._entries]
 
     @property
@@ -163,7 +159,7 @@ class Coordinator:
             f"point ({latitude}, {longitude}) is outside every region"
         )
 
-    def server_for(self, latitude: float, longitude: float) -> REACTServer:
+    def server_for(self, latitude: float, longitude: float) -> RegionServer:
         return self._entry_for(latitude, longitude).server
 
     def add_worker(
@@ -230,19 +226,14 @@ class Coordinator:
         self._entries[idx : idx + 1] = [keep_entry, new_entry]
         self._splits += 1
 
-        # Migrate idle workers located in the new half.  Live servers keep
-        # no simulated ground truth, so the behaviour lookup is conditional:
-        # a simulation server skips profiles with no behaviour record, a
-        # live server migrates every idle profile with behavior=None.
-        behaviors = getattr(old, "_behaviors", None)
+        # Migrate idle workers located in the new half, with their simulated
+        # ground truth (None on a live server).
         for profile in list(old.profiling):
             if not profile.available or profile.current_task is not None:
                 continue
             if not half_new.contains(profile.latitude, profile.longitude):
                 continue
-            behavior = behaviors.get(profile.worker_id) if behaviors is not None else None
-            if behaviors is not None and behavior is None:
-                continue
+            behavior = old.behavior_of(profile.worker_id)
             old.remove_worker(profile.worker_id)
             # remove_worker marks the profile offline; revive it for the
             # new region it now belongs to.

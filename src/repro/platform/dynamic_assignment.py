@@ -175,8 +175,13 @@ class DynamicAssignmentComponent:
             assigned_at = task.assigned_at
             assert worker_id is not None and assigned_at is not None
             workers_l.append(worker_id)
+            try:
+                profile = get_profile(worker_id)
+            except KeyError:
+                # The worker departed after silently abandoning the task: it
+                # stays ASSIGNED to him until the running expiry returns it.
+                continue
             elapsed_i = now - assigned_at
-            profile = get_profile(worker_id)
             n_obs = len(profile.execution_times)
             entry = cache.get(task.task_id)
             if (

@@ -43,14 +43,14 @@ from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .server import REACTServer
+    from .server import RegionServer
 
 
 class InvariantViolation(AssertionError):
     """A cross-component consistency rule was broken."""
 
 
-def check_server_invariants(server: "REACTServer", strict_accounting: bool = True) -> None:
+def check_server_invariants(server: "RegionServer", strict_accounting: bool = True) -> None:
     """Audit every invariant; raise :class:`InvariantViolation` on failure."""
     tm = server.task_management
 
@@ -137,7 +137,7 @@ class InvariantMonitor:
     """Re-audits a server every ``period`` simulated seconds."""
 
     engine: Engine
-    server: "REACTServer"
+    server: "RegionServer"
     period: float = 1.0
     strict_accounting: bool = True
     audits: int = 0

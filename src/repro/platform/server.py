@@ -1,17 +1,21 @@
 """REACT region server (§III-A, Figure 1).
 
-Wires the four components — Profiling, Task Management, Scheduling, Dynamic
-Assignment — to the discrete-event engine for one region, and owns the
-simulation-side worker ground truth (:class:`WorkerBehavior`): when an
-assignment is published the server draws the worker's *actual* duration and
-schedules the completion event; the platform components never see that draw,
-only its eventual outcome, exactly as the real middleware only observes what
-human workers return.
+:class:`RegionServer` wires the four components — Profiling, Task
+Management, Scheduling, Dynamic Assignment — to an
+:class:`~repro.sim.clock.EventClock` for one region, and owns everything
+that does not depend on how work reaches a worker.  A subclass is a
+*delivery*: it implements :meth:`RegionServer._deliver` (an assignment was
+published) and :meth:`RegionServer._forget` (a worker departed), and feeds
+accepted results to :meth:`RegionServer._record_completion`.
 
-Completion/withdrawal race: a dawdling worker whose task was pulled back by
-Eq. (2) still "finishes" at his sampled time — the completion event checks
-an assignment generation stamp and, finding the task gone, merely frees the
-worker (the human walked away; no result was returned to the platform).
+:class:`REACTServer` is the push delivery of the simulation.  It owns the
+worker ground truth (:class:`WorkerBehavior`): on assignment it draws the
+worker's *actual* duration and schedules the completion event; the
+components only ever see the outcome, as the real middleware only observes
+what human workers return.  A dawdler whose task was pulled back by Eq. (2)
+still "finishes" at his sampled time — the completion event checks the
+assignment generation stamp and, finding the task gone, merely frees him.
+The pull delivery for live workers is ``repro.service.bridge.LiveRegionServer``.
 """
 
 from __future__ import annotations
@@ -55,19 +59,19 @@ class _Execution:
     completion_event: Optional[Event] = None
 
 
-class REACTServer:
-    """One region's middleware instance driven by the simulation engine."""
+class RegionServer:
+    """One region's middleware instance, independent of work delivery."""
 
     def __init__(
         self,
         engine: EventClock,
         policy: SchedulingPolicy,
         rng: RngRegistry,
-        cost_model: Optional[CostModel] = None,
+        cost_model: CostModel,
         metrics: Optional[MetricsCollector] = None,
+        observability: Optional[ObservabilityLike] = None,
         reward_ranges: Optional[Dict[int, RewardRange]] = None,
         resilience: Optional[ResilienceConfig] = None,
-        observability: Optional[ObservabilityLike] = None,
         budget: Optional[BudgetGate] = None,
     ) -> None:
         self.engine = engine
@@ -78,7 +82,6 @@ class REACTServer:
         self._tracer = self.obs.tracer
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.metrics.bind_registry(self.obs.registry)
-        cost_model = cost_model if cost_model is not None else PaperCalibratedCost()
 
         self.profiling = ProfilingComponent()
         self.task_management = TaskManagementComponent(budget=budget)
@@ -145,20 +148,8 @@ class REACTServer:
             on_withdraw=self._on_withdraw,
             observability=self.obs,
         )
-        self._behaviors: Dict[int, WorkerBehavior] = {}
-        self._behavior_rng = rng.stream(STREAM_WORKER_BEHAVIOR)
-        self._feedback = FeedbackModel(rng.stream(STREAM_FEEDBACK))
         self._batch_timer: Optional[PeriodicProcess] = None
         self._started = False
-        #: live executions keyed by (task_id, generation stamp); a task can
-        #: have two live executions at once (an abandoner's stale draw plus
-        #: the replacement worker's), hence the generation in the key
-        self._live: Dict[Tuple[int, int], _Execution] = {}
-        #: chaos hook (:class:`repro.chaos.NoShowFault`): may mutate each
-        #: freshly drawn execution before its events are scheduled
-        self.execution_hook: Optional[
-            Callable[[_Execution, Task, WorkerProfile], None]
-        ] = None
         #: budget hook (:mod:`repro.scenarios.budget`): called once per
         #: completed task with (task, worker_id) so the requester's ledger
         #: can be charged exactly when the reward is actually owed
@@ -192,13 +183,12 @@ class REACTServer:
     def add_worker(
         self, profile: WorkerProfile, behavior: Optional[WorkerBehavior] = None
     ) -> None:
-        if behavior is None:
-            raise ValueError(
-                "REACTServer simulates worker outcomes and requires a "
-                "WorkerBehavior; live workers belong on a LiveRegionServer"
-            )
+        """Register a worker; ``behavior`` is the delivery's business."""
         self.profiling.register(profile)
-        self._behaviors[profile.worker_id] = behavior
+
+    def behavior_of(self, worker_id: int) -> Optional[WorkerBehavior]:
+        """The simulated ground truth of a worker; None without one."""
+        return None
 
     def remove_worker(self, worker_id: int) -> None:
         """Worker churn: an online worker leaves the region.
@@ -222,10 +212,13 @@ class REACTServer:
                     worker_id=worker_id,
                     reason="worker_departed",
                 )
-                self._requeue_after_withdrawal(task)
-                self.scheduling.maybe_trigger()
+                self._on_withdraw(task)
         self.profiling.deregister(worker_id)
-        self._behaviors.pop(worker_id, None)
+        self._forget(worker_id)
+
+    def _forget(self, worker_id: int) -> None:
+        """Delivery hook: drop per-worker delivery state of a departed worker."""
+        raise NotImplementedError
 
     # ---------------------------------------------------------------- tasks
     def submit_task(self, task: Task) -> None:
@@ -235,10 +228,7 @@ class REACTServer:
         self._tracer.instant(
             "task.submitted", cat="task", task_id=task.task_id, deadline=task.deadline
         )
-        if not self.task_management.add_task(task):
-            self._record_budget_shed(task)
-            return
-        self.scheduling.maybe_trigger()
+        self._enqueue(task)
 
     def adopt_task(self, task: Task) -> None:
         """Take over a task migrated from another server (region split).
@@ -247,17 +237,18 @@ class REACTServer:
         received by its original server, so only the queueing happens here.
         """
         self._tracer.instant("task.adopted", cat="task", task_id=task.task_id)
-        if not self.task_management.add_task(task):
-            self._record_budget_shed(task)
-            return
-        self.scheduling.maybe_trigger()
+        self._enqueue(task)
 
-    def _record_budget_shed(self, task: Task) -> None:
-        """Load shedding: intake refused the task (requester budget dry).
+    def _enqueue(self, task: Task) -> None:
+        """Queue the task and poke the scheduler, or shed it at intake.
 
-        Books the same expired-unassigned outcome as a queue retirement so
-        ``check_conservation`` still balances (finished = completed + shed).
+        A shed task (requester budget dry) books the same expired-unassigned
+        outcome as a queue retirement so ``check_conservation`` still
+        balances (finished = completed + shed).
         """
+        if self.task_management.add_task(task):
+            self.scheduling.maybe_trigger()
+            return
         self._tracer.instant(
             "task.shed",
             cat="task",
@@ -265,6 +256,10 @@ class REACTServer:
             reason="budget_exhausted",
             requester_id=task.requester_id,
         )
+        self._record_unserved(task)
+
+    def _record_unserved(self, task: Task) -> None:
+        """Book a task that leaves the system without a result."""
         self.metrics.record_expired_unassigned(
             TaskOutcome(
                 task_id=task.task_id,
@@ -282,7 +277,7 @@ class REACTServer:
 
     # ------------------------------------------------------------ callbacks
     def _on_assign(self, task: Task, worker: WorkerProfile) -> None:
-        """Assignment published: draw the true outcome, schedule its events."""
+        """Assignment published: hand it to the delivery, arm its expiry."""
         self.metrics.record_assignment(first=task.assignments == 1)
         self._tracer.instant(
             "task.assigned",
@@ -291,24 +286,7 @@ class REACTServer:
             worker_id=worker.worker_id,
             generation=task.assignments,
         )
-        behavior = self._behaviors[worker.worker_id]
-        draw = behavior.sample_outcome(self._behavior_rng)
-        execution = _Execution(
-            task_id=task.task_id,
-            worker_id=worker.worker_id,
-            generation=task.assignments,
-            duration=draw.duration,
-            abandoned=draw.abandoned,
-        )
-        if self.execution_hook is not None:
-            self.execution_hook(execution, task, worker)
-        execution.completion_event = self.engine.schedule(
-            execution.duration,
-            EventKind.TASK_COMPLETION,
-            self._on_completion,
-            payload=execution,
-        )
-        self._live[(execution.task_id, execution.generation)] = execution
+        self._deliver(task, worker)
         # AMT expiry semantics: if the deadline passes while the task is
         # still out with this worker, the platform pulls it back.  Only
         # armed when the deadline is still ahead — a task knowingly handed
@@ -320,67 +298,35 @@ class REACTServer:
                     remaining,
                     EventKind.CALLBACK,
                     self._on_running_expiry,
-                    payload=execution,
+                    payload=(task.task_id, worker.worker_id, task.assignments),
                     transient=True,
                 )
 
-    def _on_completion(self, event: Event) -> None:
-        execution: _Execution = event.payload
-        now = self.engine.now
-        self._live.pop((execution.task_id, execution.generation), None)
-        try:
-            task = self.task_management.get(execution.task_id)
-        except KeyError:  # pragma: no cover - tasks are never deleted
-            task = None
-        stale = (
-            task is None
-            or task.phase is not TaskPhase.ASSIGNED
-            or task.assigned_worker != execution.worker_id
-            or task.assignments != execution.generation
-        )
-        if stale:
-            # The task was withdrawn (or the worker deregistered) while the
-            # human dawdled; his sampled duration just elapsed — free him.
-            self.profiling.release_after_dawdle(execution.worker_id)
-            self._tracer.instant(
-                "worker.dawdle_end",
-                cat="task",
-                task_id=execution.task_id,
-                worker_id=execution.worker_id,
-            )
-            return
-        if execution.abandoned:
-            # The worker walks away without informing the platform (§IV-B):
-            # he becomes available for other tasks, but the task stays
-            # "assigned" until Eq. 2 or the deadline-expiry pulls it back.
-            self.profiling.get(execution.worker_id).release()
-            self._tracer.instant(
-                "task.abandoned",
-                cat="task",
-                task_id=execution.task_id,
-                worker_id=execution.worker_id,
-            )
-            return
+    def _deliver(self, task: Task, worker: WorkerProfile) -> None:
+        """Delivery hook: route a published assignment to its worker."""
+        raise NotImplementedError
 
-        self.task_management.complete(task, now)
+    def _record_completion(
+        self, task: Task, worker_id: int, duration: float, positive_feedback: bool
+    ) -> None:
+        """Book a result the delivery accepted (``task`` already completed)."""
+        now = self.engine.now
+        on_time = task.met_deadline
         self._tracer.complete(
             "task.execution",
-            start=now - execution.duration,
+            start=now - duration,
             end=now,
             cat="task",
-            tid=worker_track(execution.worker_id),
+            tid=worker_track(worker_id),
             task_id=task.task_id,
-            worker_id=execution.worker_id,
-            on_time=task.met_deadline,
+            worker_id=worker_id,
+            on_time=on_time,
         )
-        on_time = task.met_deadline
-        behavior = self._behaviors[execution.worker_id]
-        outcome_fb = self._feedback.judge(behavior, on_time, category=task.category)
         self.profiling.record_completion(
-            execution.worker_id,
-            execution_time=execution.duration,
+            worker_id,
+            execution_time=duration,
             category=task.category,
-            positive_feedback=outcome_fb.positive,
+            positive_feedback=positive_feedback,
         )
         self.metrics.record_completion(
             TaskOutcome(
@@ -389,34 +335,41 @@ class REACTServer:
                 completed_at=now,
                 deadline=task.deadline,
                 met_deadline=on_time,
-                positive_feedback=outcome_fb.positive,
+                positive_feedback=positive_feedback,
                 assignments=task.assignments,
-                final_worker=execution.worker_id,
+                final_worker=worker_id,
                 worker_time=task.worker_time,
                 total_time=task.total_time,
             )
         )
         if self.completion_hook is not None:
-            self.completion_hook(task, execution.worker_id)
+            self.completion_hook(task, worker_id)
         # A completion frees a worker; queued tasks may now be matchable.
         self.scheduling.maybe_trigger()
+
+    def _end_dawdle(self, task_id: int, worker_id: int) -> None:
+        """A stale result: the task left the worker while he dawdled; free him."""
+        self.profiling.release_after_dawdle(worker_id)
+        self._tracer.instant(
+            "worker.dawdle_end", cat="task", task_id=task_id, worker_id=worker_id
+        )
 
     def _on_running_expiry(self, event: Event) -> None:
         """AMT semantics: the deadline lapsed while the task was out.
 
         The task returns to the repository as unassigned (§II).  The worker,
-        if he is still nominally on it, keeps dawdling until his sampled
-        finish time; an abandoner has already walked away.
+        if he is still registered and nominally on it, keeps dawdling until
+        he finishes; an abandoner has already walked away.
         """
-        execution: _Execution = event.payload
+        task_id, worker_id, generation = event.payload
         try:
-            task = self.task_management.get(execution.task_id)
+            task = self.task_management.get(task_id)
         except KeyError:  # pragma: no cover - tasks are never deleted
             return
         if (
             task.phase is not TaskPhase.ASSIGNED
-            or task.assigned_worker != execution.worker_id
-            or task.assignments != execution.generation
+            or task.assigned_worker != worker_id
+            or task.assignments != generation
         ):
             return
         assigned_at = task.assigned_at if task.assigned_at is not None else self.engine.now
@@ -424,24 +377,24 @@ class REACTServer:
         self.task_management.withdraw(task)
         self.metrics.expiry_returns += 1
         self._tracer.instant(
-            "task.expiry_return",
-            cat="task",
-            task_id=task.task_id,
-            worker_id=execution.worker_id,
+            "task.expiry_return", cat="task", task_id=task_id, worker_id=worker_id
         )
-        profile = self.profiling.get(execution.worker_id)
-        if profile.current_task == execution.task_id:
-            # Still nominally on it: record the censored hold time and
-            # detach (an abandoner who already walked away was released —
-            # and his hold recorded — by the completion event).
-            profile.record_censored(elapsed)
-            profile.detach_task()
-            if self.policy.release_on_reassign:
-                profile.release()
-        self._requeue_after_withdrawal(task)
-        self.scheduling.maybe_trigger()
+        # An abandoner who departed after walking away left the task
+        # ASSIGNED to an unregistered worker: nothing to detach.
+        if worker_id in self.profiling:
+            profile = self.profiling.get(worker_id)
+            if profile.current_task == task_id:
+                # Still nominally on it: record the censored hold time and
+                # detach (an abandoner who already walked away was released —
+                # and his hold recorded — by the completion event).
+                profile.record_censored(elapsed)
+                profile.detach_task()
+                if self.policy.release_on_reassign:
+                    profile.release()
+        self._on_withdraw(task)
 
     def _on_withdraw(self, task: Task) -> None:
+        """A task was pulled back from its worker and is queued again."""
         self._requeue_after_withdrawal(task)
         self.scheduling.maybe_trigger()
 
@@ -449,6 +402,11 @@ class REACTServer:
         self.metrics.record_matcher_run(record.simulated_seconds)
         if self.degraded_mode is not None:
             self.degraded_mode.observe(record)
+
+    def _on_retired(self, retired: list[Task]) -> None:
+        for task in retired:
+            self._tracer.instant("task.expired", cat="task", task_id=task.task_id)
+            self._record_unserved(task)
 
     # ----------------------------------------------------------- resilience
     def _requeue_after_withdrawal(self, task: Task) -> None:
@@ -478,20 +436,7 @@ class REACTServer:
                 reason="reassignment_budget",
                 assignments=task.assignments,
             )
-            self.metrics.record_expired_unassigned(
-                TaskOutcome(
-                    task_id=task.task_id,
-                    submitted_at=task.submitted_at,
-                    completed_at=None,
-                    deadline=task.deadline,
-                    met_deadline=False,
-                    positive_feedback=False,
-                    assignments=task.assignments,
-                    final_worker=None,
-                    worker_time=None,
-                    total_time=None,
-                )
-            )
+            self._record_unserved(task)
             return
         if config.backoff_enabled:
             delay = config.backoff_delay(task.assignments)
@@ -517,6 +462,157 @@ class REACTServer:
         task: Task = event.payload
         if self.task_management.release_deferred(task):
             self.scheduling.maybe_trigger()
+
+    def orphan_assigned_tasks(self) -> List[int]:
+        """Chaos: a blackout wipes the server's assignment state.
+
+        Every assigned task is pulled back into the unassigned pool (from
+        which recovery re-adopts it) and its worker — if he still claims it
+        — is detached and freed; his pending completion becomes a stale
+        dawdle via the usual generation/phase check.  Returns the orphaned
+        task ids.
+        """
+        now = self.engine.now
+        orphaned: List[int] = []
+        for task in self.task_management.assigned_tasks():
+            worker_id = task.assigned_worker
+            assigned_at = task.assigned_at if task.assigned_at is not None else now
+            self.task_management.withdraw(task)
+            if worker_id is not None and worker_id in self.profiling:
+                self.profiling.record_withdrawal(
+                    worker_id,
+                    elapsed=now - assigned_at,
+                    release=True,
+                    task_id=task.task_id,
+                )
+            orphaned.append(task.task_id)
+        self.metrics.blackout_orphaned += len(orphaned)
+        return orphaned
+
+    # -------------------------------------------------------------- summary
+    def drain_and_summary(self) -> Dict[str, float]:
+        """Metrics summary plus queue state (for end-of-run reporting)."""
+        summary = self.metrics.summary()
+        summary["pending_unassigned"] = self.task_management.unassigned_count
+        summary["pending_assigned"] = self.task_management.assigned_count
+        summary["pending_deferred"] = self.task_management.deferred_count
+        summary["withdrawals"] = len(self.dynamic_assignment.withdrawals)
+        summary["batches"] = len(self.scheduling.batches)
+        summary["aborted_batches"] = self.scheduling.aborted_batches
+        return summary
+
+
+class REACTServer(RegionServer):
+    """Push delivery: simulated workers, driven by the simulation engine."""
+
+    def __init__(
+        self,
+        engine: EventClock,
+        policy: SchedulingPolicy,
+        rng: RngRegistry,
+        cost_model: Optional[CostModel] = None,
+        metrics: Optional[MetricsCollector] = None,
+        reward_ranges: Optional[Dict[int, RewardRange]] = None,
+        resilience: Optional[ResilienceConfig] = None,
+        observability: Optional[ObservabilityLike] = None,
+        budget: Optional[BudgetGate] = None,
+    ) -> None:
+        cost_model = cost_model if cost_model is not None else PaperCalibratedCost()
+        super().__init__(
+            engine, policy, rng, cost_model, metrics, observability,
+            reward_ranges, resilience, budget,
+        )
+        self._behaviors: Dict[int, WorkerBehavior] = {}
+        self._behavior_rng = rng.stream(STREAM_WORKER_BEHAVIOR)
+        self._feedback = FeedbackModel(rng.stream(STREAM_FEEDBACK))
+        #: live executions keyed by (task_id, generation stamp); a task can
+        #: have two live executions at once (an abandoner's stale draw plus
+        #: the replacement worker's), hence the generation in the key
+        self._live: Dict[Tuple[int, int], _Execution] = {}
+        #: chaos hook (:class:`repro.chaos.NoShowFault`): may mutate each
+        #: freshly drawn execution before its events are scheduled
+        self.execution_hook: Optional[
+            Callable[[_Execution, Task, WorkerProfile], None]
+        ] = None
+
+    # -------------------------------------------------------------- workers
+    def add_worker(
+        self, profile: WorkerProfile, behavior: Optional[WorkerBehavior] = None
+    ) -> None:
+        if behavior is None:
+            raise ValueError(
+                "REACTServer simulates worker outcomes and requires a "
+                "WorkerBehavior; live workers belong on a LiveRegionServer"
+            )
+        super().add_worker(profile)
+        self._behaviors[profile.worker_id] = behavior
+
+    def behavior_of(self, worker_id: int) -> Optional[WorkerBehavior]:
+        return self._behaviors.get(worker_id)
+
+    def _forget(self, worker_id: int) -> None:
+        self._behaviors.pop(worker_id, None)
+
+    # ------------------------------------------------------------- delivery
+    def _deliver(self, task: Task, worker: WorkerProfile) -> None:
+        """Draw the worker's true outcome and schedule its completion."""
+        behavior = self._behaviors[worker.worker_id]
+        draw = behavior.sample_outcome(self._behavior_rng)
+        execution = _Execution(
+            task_id=task.task_id,
+            worker_id=worker.worker_id,
+            generation=task.assignments,
+            duration=draw.duration,
+            abandoned=draw.abandoned,
+        )
+        if self.execution_hook is not None:
+            self.execution_hook(execution, task, worker)
+        execution.completion_event = self.engine.schedule(
+            execution.duration,
+            EventKind.TASK_COMPLETION,
+            self._on_completion,
+            payload=execution,
+        )
+        self._live[(execution.task_id, execution.generation)] = execution
+
+    def _on_completion(self, event: Event) -> None:
+        execution: _Execution = event.payload
+        self._live.pop((execution.task_id, execution.generation), None)
+        try:
+            task = self.task_management.get(execution.task_id)
+        except KeyError:  # pragma: no cover - tasks are never deleted
+            task = None
+        if (
+            task is None
+            or task.phase is not TaskPhase.ASSIGNED
+            or task.assigned_worker != execution.worker_id
+            or task.assignments != execution.generation
+        ):
+            # The task was withdrawn (or the worker deregistered) while the
+            # human dawdled; his sampled duration just elapsed.
+            self._end_dawdle(execution.task_id, execution.worker_id)
+            return
+        if execution.abandoned:
+            # The worker walks away without informing the platform (§IV-B):
+            # he becomes available for other tasks, but the task stays
+            # "assigned" until Eq. 2 or the deadline-expiry pulls it back.
+            self.profiling.get(execution.worker_id).release()
+            self._tracer.instant(
+                "task.abandoned",
+                cat="task",
+                task_id=execution.task_id,
+                worker_id=execution.worker_id,
+            )
+            return
+        self.task_management.complete(task, self.engine.now)
+        feedback = self._feedback.judge(
+            self._behaviors[execution.worker_id],
+            task.met_deadline,
+            category=task.category,
+        )
+        self._record_completion(
+            task, execution.worker_id, execution.duration, feedback.positive
+        )
 
     # ----------------------------------------------------- chaos interface
     def live_execution(self, task_id: int, generation: int) -> Optional[_Execution]:
@@ -550,61 +646,3 @@ class REACTServer:
         )
         self.metrics.chaos_abandonments += 1
         return True
-
-    def orphan_assigned_tasks(self) -> List[int]:
-        """Chaos: a blackout wipes the server's assignment state.
-
-        Every assigned task is pulled back into the unassigned pool (from
-        which recovery re-adopts it) and its worker — if he still claims it
-        — is detached and freed; his pending completion becomes a stale
-        dawdle via the usual generation/phase check.  Returns the orphaned
-        task ids.
-        """
-        now = self.engine.now
-        orphaned: List[int] = []
-        for task in self.task_management.assigned_tasks():
-            worker_id = task.assigned_worker
-            assigned_at = task.assigned_at if task.assigned_at is not None else now
-            self.task_management.withdraw(task)
-            if worker_id is not None and worker_id in self.profiling:
-                self.profiling.record_withdrawal(
-                    worker_id,
-                    elapsed=now - assigned_at,
-                    release=True,
-                    task_id=task.task_id,
-                )
-            orphaned.append(task.task_id)
-        self.metrics.blackout_orphaned += len(orphaned)
-        return orphaned
-
-    def _on_retired(self, retired: list[Task]) -> None:
-        for task in retired:
-            self._tracer.instant(
-                "task.expired", cat="task", task_id=task.task_id
-            )
-            self.metrics.record_expired_unassigned(
-                TaskOutcome(
-                    task_id=task.task_id,
-                    submitted_at=task.submitted_at,
-                    completed_at=None,
-                    deadline=task.deadline,
-                    met_deadline=False,
-                    positive_feedback=False,
-                    assignments=task.assignments,
-                    final_worker=None,
-                    worker_time=None,
-                    total_time=None,
-                )
-            )
-
-    # -------------------------------------------------------------- summary
-    def drain_and_summary(self) -> Dict[str, float]:
-        """Metrics summary plus queue state (for end-of-run reporting)."""
-        summary = self.metrics.summary()
-        summary["pending_unassigned"] = self.task_management.unassigned_count
-        summary["pending_assigned"] = self.task_management.assigned_count
-        summary["pending_deferred"] = self.task_management.deferred_count
-        summary["withdrawals"] = len(self.dynamic_assignment.withdrawals)
-        summary["batches"] = len(self.scheduling.batches)
-        summary["aborted_batches"] = self.scheduling.aborted_batches
-        return summary

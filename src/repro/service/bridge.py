@@ -1,61 +1,44 @@
-"""Live region server: the REACT components wired for real workers.
+"""Live region server: the pull delivery of the shared REACT region server.
 
-:class:`LiveRegionServer` is the service-mode twin of
-:class:`~repro.platform.server.REACTServer`.  It wires the *same four
-component classes* — :class:`~repro.platform.profiling.ProfilingComponent`,
-:class:`~repro.platform.task_management.TaskManagementComponent`,
-:class:`~repro.platform.scheduling.SchedulingComponent`,
-:class:`~repro.platform.dynamic_assignment.DynamicAssignmentComponent` —
-to any :class:`~repro.sim.clock.EventClock`, but replaces the simulator's
-ground-truth machinery with live protocol surfaces:
+:class:`~repro.platform.server.RegionServer` owns the component wiring,
+lifecycle, departures, submit/adopt, running expiry, Eq. 2 withdrawals and
+the summary.  :class:`LiveRegionServer` adds only what pull delivery needs:
 
-* ``_on_assign`` does **not** draw a worker-behaviour outcome; it parks a
-  :class:`DispatchNotice` in the worker's inbox, delivered on the next
-  heartbeat (AMT-style pull delivery — the middleware never calls the
-  worker, the worker polls).
-* Completion arrives from outside via :meth:`submit_answer`, guarded by the
-  same (phase, worker, generation) staleness check the simulator's
-  completion event performs — a dawdler whose task was withdrawn by Eq. 2
-  gets ``stale`` back and is released, not credited.
-* Deadline expiry of a running task keeps the DES semantics verbatim:
-  withdraw, censor the hold time, detach, requeue, re-trigger.
-* Worker liveness replaces simulated churn: a worker whose last heartbeat
-  is older than ``liveness_timeout`` is deregistered exactly like
-  ``REACTServer.remove_worker`` (task withdrawn and re-queued).
+* An assignment parks a :class:`DispatchNotice` in the worker's inbox,
+  handed out on the next heartbeat only if (phase, worker, generation) still
+  match (AMT-style: the middleware never calls the worker, the worker polls).
+* A result arrives via :meth:`LiveRegionServer.submit_answer`, checked on
+  (phase, worker): a dawdler whose task was withdrawn gets ``stale`` back
+  and is released, not credited.
+* Positive feedback is ``met_deadline``: a service must not draw feedback
+  coins from the experiment RNG streams.
+* Liveness culling replaces simulated churn; a departure also drops the
+  worker's inbox slot and last-seen time.
+* Registration and a stale answer poke the scheduler (fresh supply); the
+  simulator does not, because there a trigger decides when a batch fires.
+* The default cost model is :class:`~repro.platform.cost.ZeroCost`: the
+  matcher's latency is real wall time here.
 
-Because the class is clock-agnostic, the acceptance test for "same
-components under both clocks" runs a LiveRegionServer end-to-end on the DES
-engine and on the wall-clock runtime and gets identical task lifecycles.
-
-Positive feedback in live mode is ``met_deadline`` (the requester's
-callback judges punctuality; there is no simulated feedback coin —
-OS-entropy draws would be the one thing a *service* must not take from the
-experiment streams).
+``tests/service/test_server_conformance.py`` runs this and the simulated
+delivery through one battery on the DES engine; the gateway suite runs this
+one on the wall-clock runtime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from ..core.deadline import DeadlineEstimator
-from ..graph.builders import AssignmentGraphBuilder
 from ..model.task import Task, TaskPhase
 from ..model.worker import WorkerProfile
-from ..obs.runtime import ObservabilityLike, resolve
-from ..obs.trace import worker_track
+from ..obs.runtime import ObservabilityLike
 from ..platform.cost import CostModel, ZeroCost
-from ..platform.dynamic_assignment import DynamicAssignmentComponent
 from ..platform.policies import SchedulingPolicy
-from ..platform.profiling import ProfilingComponent
-from ..platform.scheduling import BatchRecord, SchedulingComponent
-from ..platform.task_management import TaskManagementComponent
+from ..platform.server import RegionServer
 from ..sim.clock import EventClock
-from ..sim.events import Event, EventKind
 from ..sim.process import PeriodicProcess
-from ..sim.rng import STREAM_MATCHER, RngRegistry
-from ..stats.duration_models import make_family
-from ..stats.metrics import MetricsCollector, TaskOutcome
+from ..sim.rng import RngRegistry
+from ..stats.metrics import MetricsCollector
 
 
 @dataclass
@@ -87,8 +70,8 @@ class AnswerOutcome:
         return self.status == "completed"
 
 
-class LiveRegionServer:
-    """One region's middleware instance serving live (non-simulated) workers."""
+class LiveRegionServer(RegionServer):
+    """Pull delivery: live workers poll for assignments and post answers."""
 
     def __init__(
         self,
@@ -106,53 +89,10 @@ class LiveRegionServer:
             raise ValueError("liveness_timeout must be positive")
         if liveness_interval <= 0:
             raise ValueError("liveness_interval must be positive")
-        self.clock = clock
-        self.policy = policy
-        self.obs = resolve(observability)
-        self.obs.bind_engine(clock)
-        self._tracer = self.obs.tracer
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.metrics.bind_registry(self.obs.registry)
         # Live mode defaults to ZeroCost: the matcher's latency is real wall
         # time here, not a simulated charge.
         cost_model = cost_model if cost_model is not None else ZeroCost()
-
-        self.profiling = ProfilingComponent()
-        self.task_management = TaskManagementComponent()
-        self.estimator = DeadlineEstimator(
-            min_history=policy.min_history,
-            family=make_family(policy.duration_model),
-        )
-        self.profiling.add_deregister_hook(self.estimator.evict)
-        bound = policy.edge_probability_bound if policy.use_probabilistic_model else 0.0
-        builder = AssignmentGraphBuilder(
-            weight_function=policy.build_weight_function(),
-            estimator=self.estimator,
-            edge_probability_bound=bound,
-        )
-        self.scheduling = SchedulingComponent(
-            engine=clock,
-            policy=policy,
-            task_management=self.task_management,
-            profiling=self.profiling,
-            builder=builder,
-            matcher=policy.build_matcher(),
-            cost_model=cost_model,
-            matcher_rng=rng.stream(STREAM_MATCHER),
-            on_assign=self._on_assign,
-            on_retired=self._on_retired,
-            on_batch=self._on_batch,
-            observability=self.obs,
-        )
-        self.dynamic_assignment = DynamicAssignmentComponent(
-            engine=clock,
-            policy=policy,
-            task_management=self.task_management,
-            profiling=self.profiling,
-            estimator=self.estimator,
-            on_withdraw=self._on_withdraw,
-            observability=self.obs,
-        )
+        super().__init__(clock, policy, rng, cost_model, metrics, observability)
         self._liveness_timeout = liveness_timeout
         self._liveness_interval = liveness_interval
         self._on_dispatch = on_dispatch
@@ -161,84 +101,46 @@ class LiveRegionServer:
         #: worker cannot occur while the old one is live).
         self._inbox: Dict[int, DispatchNotice] = {}
         self._last_seen: Dict[int, float] = {}
-        self._batch_timer: Optional[PeriodicProcess] = None
         self._liveness_sweep: Optional[PeriodicProcess] = None
-        self._started = False
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Arm the periodic batch trigger, Eq. 2 monitor and liveness sweep."""
-        if self._started:
-            raise RuntimeError("server already started")
-        self._started = True
-        self.dynamic_assignment.start()
-        self._batch_timer = PeriodicProcess(
-            self.clock,
-            period=self.policy.batch_period,
-            action=self.scheduling.periodic_trigger,
-            kind=EventKind.BATCH_TRIGGER,
-            cohort_action=self.scheduling.periodic_trigger_cohort,
-        )
+        super().start()
         if self._liveness_timeout is not None:
             self._liveness_sweep = PeriodicProcess(
-                self.clock,
+                self.engine,
                 period=self._liveness_interval,
                 action=self._cull_dead_workers,
             )
 
     def stop(self) -> None:
-        self.dynamic_assignment.stop()
-        if self._batch_timer is not None:
-            self._batch_timer.stop()
-            self._batch_timer = None
+        super().stop()
         if self._liveness_sweep is not None:
             self._liveness_sweep.stop()
             self._liveness_sweep = None
-        self._started = False
 
     # -------------------------------------------------------------- workers
-    def register_worker(self, profile: WorkerProfile) -> None:
-        """A live worker connects (HTTP register)."""
+    def add_worker(self, profile: WorkerProfile, behavior: object = None) -> None:
+        """A live worker connects (HTTP register).
+
+        ``behavior`` is accepted and ignored: live workers have no simulated
+        ground truth.
+        """
         self.profiling.register(profile)
-        self._last_seen[profile.worker_id] = self.clock.now
-        self._tracer.instant(
-            "worker.registered", cat="service", worker_id=profile.worker_id
-        )
+        self._last_seen[profile.worker_id] = self.engine.now
+        self._tracer.instant("worker.registered", cat="service", worker_id=profile.worker_id)
         # Fresh supply may make queued work matchable right away.
         self.scheduling.maybe_trigger()
 
-    # REACTServer-compatible alias so the Coordinator can route either kind
-    # of server.  ``behavior`` is accepted and ignored: live workers have no
-    # simulated ground truth.
-    def add_worker(self, profile: WorkerProfile, behavior: object = None) -> None:
-        self.register_worker(profile)
+    register_worker = add_worker
+    #: Explicit deregister or liveness cull: an in-flight task is withdrawn
+    #: and re-queued for reassignment.
+    deregister_worker = RegionServer.remove_worker
 
-    def deregister_worker(self, worker_id: int) -> None:
-        """Worker leaves (explicit deregister or liveness cull).
-
-        Mirrors ``REACTServer.remove_worker``: an in-flight task is
-        withdrawn and re-queued for reassignment.
-        """
-        profile = self.profiling.get(worker_id)
-        profile.online = False
-        if profile.current_task is not None:
-            task = self.task_management.get(profile.current_task)
-            if task.phase is TaskPhase.ASSIGNED and task.assigned_worker == worker_id:
-                self.task_management.withdraw(task)
-                profile.detach_task()
-                self._tracer.instant(
-                    "task.withdrawn",
-                    cat="task",
-                    task_id=task.task_id,
-                    worker_id=worker_id,
-                    reason="worker_departed",
-                )
-                self.scheduling.maybe_trigger()
-        self.profiling.deregister(worker_id)
+    def _forget(self, worker_id: int) -> None:
         self._inbox.pop(worker_id, None)
         self._last_seen.pop(worker_id, None)
-
-    remove_worker = deregister_worker
 
     def heartbeat(self, worker_id: int) -> Optional[DispatchNotice]:
         """Worker keep-alive; returns a pending assignment, if any.
@@ -248,7 +150,7 @@ class LiveRegionServer:
         """
         if worker_id not in self.profiling:
             raise KeyError(worker_id)
-        self._last_seen[worker_id] = self.clock.now
+        self._last_seen[worker_id] = self.engine.now
         notice = self._inbox.pop(worker_id, None)
         if notice is None:
             return None
@@ -274,72 +176,21 @@ class LiveRegionServer:
             task = self.task_management.get(task_id)
         except KeyError:
             return AnswerOutcome(status="unknown_task")
-        now = self.clock.now
+        now = self.engine.now
         self._last_seen[worker_id] = now
         if task.phase is not TaskPhase.ASSIGNED or task.assigned_worker != worker_id:
             # Withdrawn while the worker dawdled: the answer is discarded and
             # the worker freed — the DES completion event's stale path.
-            self.profiling.release_after_dawdle(worker_id)
-            self._tracer.instant(
-                "worker.dawdle_end", cat="task", task_id=task_id, worker_id=worker_id
-            )
+            self._end_dawdle(task_id, worker_id)
             self.scheduling.maybe_trigger()
             return AnswerOutcome(status="stale")
         assigned_at = task.assigned_at if task.assigned_at is not None else now
-        duration = now - assigned_at
         self.task_management.complete(task, now)
         on_time = task.met_deadline
-        self._tracer.complete(
-            "task.execution",
-            start=assigned_at,
-            end=now,
-            cat="task",
-            tid=worker_track(worker_id),
-            task_id=task.task_id,
-            worker_id=worker_id,
-            on_time=on_time,
-        )
-        self.profiling.record_completion(
-            worker_id,
-            execution_time=duration,
-            category=task.category,
-            positive_feedback=on_time,
-        )
-        self.metrics.record_completion(
-            TaskOutcome(
-                task_id=task.task_id,
-                submitted_at=task.submitted_at,
-                completed_at=now,
-                deadline=task.deadline,
-                met_deadline=on_time,
-                positive_feedback=on_time,
-                assignments=task.assignments,
-                final_worker=worker_id,
-                worker_time=task.worker_time,
-                total_time=task.total_time,
-            )
-        )
-        # A completion frees a worker; queued tasks may now be matchable.
-        self.scheduling.maybe_trigger()
+        self._record_completion(task, worker_id, now - assigned_at, on_time)
         return AnswerOutcome(status="completed", met_deadline=on_time)
 
     # ---------------------------------------------------------------- tasks
-    def submit_task(self, task: Task) -> None:
-        """Requester entry point: register the task and poke the scheduler."""
-        task.submitted_at = self.clock.now if task.submitted_at == 0.0 else task.submitted_at
-        self.metrics.record_received()
-        self._tracer.instant(
-            "task.submitted", cat="task", task_id=task.task_id, deadline=task.deadline
-        )
-        self.task_management.add_task(task)
-        self.scheduling.maybe_trigger()
-
-    def adopt_task(self, task: Task) -> None:
-        """Take over a task migrated from another server (region split)."""
-        self._tracer.instant("task.adopted", cat="task", task_id=task.task_id)
-        self.task_management.add_task(task)
-        self.scheduling.maybe_trigger()
-
     def task_status(self, task_id: int) -> Dict[str, object]:
         """Requester-facing task state (gateway GET /tasks/{id})."""
         task = self.task_management.get(task_id)
@@ -352,17 +203,14 @@ class LiveRegionServer:
             "met_deadline": task.met_deadline if task.completed_at is not None else None,
         }
 
-    # ------------------------------------------------------------ callbacks
-    def _on_assign(self, task: Task, worker: WorkerProfile) -> None:
-        """Assignment published: park a dispatch notice for pull delivery."""
-        self.metrics.record_assignment(first=task.assignments == 1)
-        self._tracer.instant(
-            "task.assigned",
-            cat="task",
-            task_id=task.task_id,
-            worker_id=worker.worker_id,
-            generation=task.assignments,
-        )
+    @property
+    def in_flight(self) -> int:
+        """Tasks submitted and not yet finished (backpressure signal)."""
+        return self.task_management.in_flight
+
+    # ------------------------------------------------------------- delivery
+    def _deliver(self, task: Task, worker: WorkerProfile) -> None:
+        """Park a dispatch notice for the worker's next heartbeat."""
         notice = DispatchNotice(
             task_id=task.task_id,
             worker_id=worker.worker_id,
@@ -370,83 +218,11 @@ class LiveRegionServer:
             category=task.category.value,
             reward=task.reward,
             deadline_at=task.absolute_deadline,
-            assigned_at=self.clock.now,
+            assigned_at=self.engine.now,
         )
         self._inbox[worker.worker_id] = notice
         if self._on_dispatch is not None:
             self._on_dispatch(notice)
-        # AMT expiry semantics, identical to the DES server: if the deadline
-        # passes while the task is out, the platform pulls it back.
-        if self.policy.expire_running_tasks:
-            remaining = task.absolute_deadline - self.clock.now
-            if remaining > 0:
-                self.clock.schedule(
-                    remaining,
-                    EventKind.CALLBACK,
-                    self._on_running_expiry,
-                    payload=notice,
-                    transient=True,
-                )
-
-    def _on_running_expiry(self, event: Event) -> None:
-        """The deadline lapsed while the task was out with a worker."""
-        notice: DispatchNotice = event.payload
-        try:
-            task = self.task_management.get(notice.task_id)
-        except KeyError:  # pragma: no cover - tasks are never deleted
-            return
-        if (
-            task.phase is not TaskPhase.ASSIGNED
-            or task.assigned_worker != notice.worker_id
-            or task.assignments != notice.generation
-        ):
-            return
-        now = self.clock.now
-        assigned_at = task.assigned_at if task.assigned_at is not None else now
-        self.task_management.withdraw(task)
-        self.metrics.expiry_returns += 1
-        self._tracer.instant(
-            "task.expiry_return",
-            cat="task",
-            task_id=task.task_id,
-            worker_id=notice.worker_id,
-        )
-        if notice.worker_id in self.profiling:
-            profile = self.profiling.get(notice.worker_id)
-            if profile.current_task == notice.task_id:
-                profile.record_censored(now - assigned_at)
-                profile.detach_task()
-                if self.policy.release_on_reassign:
-                    profile.release()
-        # An undelivered notice for this generation is now dead.
-        if self._inbox.get(notice.worker_id) is notice:
-            del self._inbox[notice.worker_id]
-        self.scheduling.maybe_trigger()
-
-    def _on_withdraw(self, task: Task) -> None:
-        """Eq. 2 pulled a task back; it is already unassigned and queued."""
-        self.scheduling.maybe_trigger()
-
-    def _on_batch(self, record: BatchRecord) -> None:
-        self.metrics.record_matcher_run(record.simulated_seconds)
-
-    def _on_retired(self, retired: List[Task]) -> None:
-        for task in retired:
-            self._tracer.instant("task.expired", cat="task", task_id=task.task_id)
-            self.metrics.record_expired_unassigned(
-                TaskOutcome(
-                    task_id=task.task_id,
-                    submitted_at=task.submitted_at,
-                    completed_at=None,
-                    deadline=task.deadline,
-                    met_deadline=False,
-                    positive_feedback=False,
-                    assignments=task.assignments,
-                    final_worker=None,
-                    worker_time=None,
-                    total_time=None,
-                )
-            )
 
     # ------------------------------------------------------------- liveness
     def _cull_dead_workers(self, now: float) -> None:
@@ -464,20 +240,3 @@ class LiveRegionServer:
             self.deregister_worker(worker_id)
         if dead:
             self.scheduling.maybe_trigger()
-
-    # -------------------------------------------------------------- summary
-    @property
-    def in_flight(self) -> int:
-        """Tasks submitted and not yet finished (backpressure signal)."""
-        return self.task_management.in_flight
-
-    def drain_and_summary(self) -> Dict[str, float]:
-        """Metrics summary plus queue state (REACTServer-compatible)."""
-        summary = self.metrics.summary()
-        summary["pending_unassigned"] = self.task_management.unassigned_count
-        summary["pending_assigned"] = self.task_management.assigned_count
-        summary["pending_deferred"] = self.task_management.deferred_count
-        summary["withdrawals"] = len(self.dynamic_assignment.withdrawals)
-        summary["batches"] = len(self.scheduling.batches)
-        summary["aborted_batches"] = self.scheduling.aborted_batches
-        return summary

@@ -322,7 +322,7 @@ class WallClockRuntime:
                 self._floor = max(self._floor, key_time)
                 self._frozen = self._floor
                 try:
-                    self._dispatch_cohort(cohort, self._frozen, key_priority)
+                    self._dispatch_cohort(cohort, self._frozen, key_time, key_priority)
                 finally:
                     self._frozen = None
         finally:
@@ -335,14 +335,17 @@ class WallClockRuntime:
         self._arm()
 
     def _dispatch_cohort(
-        self, cohort: List[Event], now: float, key_priority: int
+        self, cohort: List[Event], now: float, key_time: float, key_priority: int
     ) -> None:
         """Walk one cohort in seq order with consecutive-callback batching.
 
         Mirrors ``Engine._dispatch_cohort``: cancellation is re-checked per
         member (an earlier member may cancel a later one), and a same-time
         *higher-priority* event scheduled mid-cohort preempts the remaining
-        members (they re-queue and fire in the next drain iteration).
+        members (they re-queue and fire in the next drain iteration).  Only
+        an event at the cohort's own ``key_time`` preempts: an outside
+        ``now`` read can lift the frozen ``now`` past a late cohort, and a
+        later event must not re-queue it forever.
         """
         heap = self._heap
         handlers = self._cohort_handlers
@@ -351,7 +354,7 @@ class WallClockRuntime:
         while index < n:
             if heap:
                 head = heap[0]
-                if head[0] <= now and head[1] < key_priority:
+                if head[0] == key_time and head[1] < key_priority:
                     break
             event = cohort[index]
             if event.cancelled:

@@ -17,7 +17,7 @@ the same profile (history intact, as a returning worker would have).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..sim.clock import EventClock
 from ..sim.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..platform.server import REACTServer
+    from ..platform.server import RegionServer
 
 
 @dataclass
@@ -39,7 +39,7 @@ class ChurnStats:
 @dataclass
 class _WorkerChurnState:
     profile: WorkerProfile
-    behavior: WorkerBehavior
+    behavior: Optional[WorkerBehavior]
     online: bool = True
 
 
@@ -57,7 +57,7 @@ class ChurnProcess:
     def __init__(
         self,
         engine: EventClock,
-        server: "REACTServer",
+        server: "RegionServer",
         rng: np.random.Generator,
         mean_session_s: float = 300.0,
         mean_absence_s: float = 120.0,
@@ -76,10 +76,9 @@ class ChurnProcess:
     def track_all_workers(self) -> None:
         """Start churn cycles for every worker currently on the server."""
         for profile in list(self._server.profiling):
-            behavior = self._server._behaviors[profile.worker_id]
-            self.track(profile, behavior)
+            self.track(profile, self._server.behavior_of(profile.worker_id))
 
-    def track(self, profile: WorkerProfile, behavior: WorkerBehavior) -> None:
+    def track(self, profile: WorkerProfile, behavior: Optional[WorkerBehavior]) -> None:
         if profile.worker_id in self._states:
             raise ValueError(f"worker {profile.worker_id} already tracked")
         state = _WorkerChurnState(profile=profile, behavior=behavior)

@@ -1,7 +1,5 @@
 """Integration-grained unit tests for the REACT region server."""
 
-import pytest
-
 from repro.model.task import TaskPhase
 from repro.platform.policies import react_policy, traditional_policy
 
@@ -23,12 +21,6 @@ class TestHappyPath:
         assert task.met_deadline
         assert server.metrics.completed_on_time == 1
         server.metrics.check_conservation()
-
-    def test_worker_released_after_completion(self):
-        engine, server = build_server(n_workers=1)
-        submit(server, engine)
-        engine.run(until=30.0)
-        assert server.profiling.get(0).available
 
     def test_profile_records_execution(self):
         engine, server = build_server(n_workers=1)
@@ -157,14 +149,30 @@ class TestWorkerChurn:
         server.remove_worker(1)
         assert len(server.profiling) == 1
 
-    def test_remove_busy_worker_requeues_task(self):
-        engine, server = build_server(n_workers=1)
+    def _abandoner_departs(self, **policy_overrides):
+        """The abandoner walks away at 30 s (released; the task stays
+        ASSIGNED to him), then departs: the task names an unregistered
+        worker through the Eq. 2 sweeps and the running expiry."""
+        engine, server = build_server(
+            n_workers=1,
+            behavior=abandoner_behavior(delay_cap=30.0),
+            policy=react_policy(batch_threshold=1, **policy_overrides),
+        )
         task = submit(server, engine, deadline=600.0)
-        engine.run(until=1.0)
-        assert task.phase is TaskPhase.ASSIGNED
+        engine.run(until=40.0)
         server.remove_worker(0)
-        assert task.phase is TaskPhase.UNASSIGNED
-        assert server.task_management.unassigned_count == 1
+        engine.run(until=700.0)
+        return server, task
+
+    def test_departed_abandoner_task_returns_at_expiry(self):
+        server, task = self._abandoner_departs()
+        assert server.metrics.expiry_returns == 1
+        assert task.phase is not TaskPhase.ASSIGNED and task.assigned_worker is None
+
+    def test_departed_abandoner_task_stays_assigned_without_expiry(self):
+        server, task = self._abandoner_departs(expire_running_tasks=False)
+        assert task.phase is TaskPhase.ASSIGNED
+        assert server.metrics.expiry_returns == 0
 
     def test_completion_of_removed_worker_is_noop(self):
         engine, server = build_server(n_workers=1)
@@ -176,11 +184,6 @@ class TestWorkerChurn:
 
 
 class TestLifecycleGuards:
-    def test_double_start_rejected(self):
-        engine, server = build_server()
-        with pytest.raises(RuntimeError, match="already started"):
-            server.start()
-
     def test_stop_then_start_again(self):
         engine, server = build_server()
         server.stop()

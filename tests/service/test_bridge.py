@@ -133,24 +133,6 @@ class TestWorkerLifecycle:
         with pytest.raises(KeyError):
             server.heartbeat(42)
 
-    def test_deregister_requeues_in_flight_task(self):
-        engine, server = build_live_server()
-        register(server)
-        task = make_task()
-        server.submit_task(task)
-        engine.run(until=1.0)
-        assert task.phase is TaskPhase.ASSIGNED
-        server.deregister_worker(1)
-        assert task.phase is TaskPhase.UNASSIGNED
-        with pytest.raises(KeyError):
-            server.heartbeat(1)
-        # A fresh worker picks the requeued task up.
-        register(server, worker_id=2)
-        engine.run(until=3.0)
-        notice = server.heartbeat(2)
-        assert notice is not None and notice.task_id == task.task_id
-        assert notice.generation == 2
-
     def test_liveness_cull_deregisters_silent_workers(self):
         engine, server = build_live_server(
             liveness_timeout=5.0, liveness_interval=1.0
@@ -204,11 +186,6 @@ class TestTaskStatus:
 
 
 class TestConstruction:
-    def test_double_start_raises(self):
-        _, server = build_live_server()
-        with pytest.raises(RuntimeError, match="started"):
-            server.start()
-
     def test_liveness_validation(self):
         engine = Engine()
         with pytest.raises(ValueError, match="liveness_timeout"):

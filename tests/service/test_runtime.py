@@ -159,6 +159,28 @@ class TestQueueIntrospection:
         run_async(main())
 
 
+class TestLateCohorts:
+    def test_late_cohort_is_not_preempted_by_a_later_event(self):
+        """Blocking the loop past both due times, then reading ``now``, lifts
+        the floor past the 1.0 cohort; the later 2.0 event must not preempt
+        it, or the cohort re-queues itself forever."""
+        import time
+
+        fired = []
+
+        async def main():
+            runtime = WallClockRuntime(time_scale=1000.0)
+            for label, at, priority in (("low", 1.0, 5), ("high", 2.0, 0)):
+                callback = (lambda lab: lambda _e: fired.append(lab))(label)
+                runtime.schedule_at(at, EventKind.CALLBACK, callback, priority=priority)
+            time.sleep(0.01)  # 10 clock seconds pass with the loop blocked
+            assert runtime.now >= 2.0
+            await asyncio.wait_for(runtime.drained(), 2.0)
+
+        run_async(main())
+        assert fired == ["low", "high"]
+
+
 class TestSlicedDraining:
     def test_backlogged_drain_does_not_starve_the_loop(self):
         """A chain that can't catch up must still let other loop work run.

@@ -30,7 +30,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from ..model.task import TaskCategory
 from ..model.worker import WorkerProfile
 from ..obs.registry import NULL_INSTRUMENT
 from ..obs.trace import NULL_TRACER
+
+if TYPE_CHECKING:
+    from ..platform.dynamic_assignment import DynamicAssignmentComponent
 
 logger = logging.getLogger(__name__)
 
@@ -170,13 +173,15 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
 
 
 # ------------------------------------------------------------------ platform
-def _trained_workers(count: int, history: int) -> List[WorkerProfile]:
+def _trained_workers(
+    count: int, history: int, floor: float = 5.0, scale: float = 20.0
+) -> List[WorkerProfile]:
     """Workers with heavy-tailed histories, as the estimator sees them."""
     rng = np.random.default_rng(BENCH_SEED)
     workers = []
     for worker_id in range(count):
         profile = WorkerProfile(worker_id=worker_id)
-        for duration in 5.0 + rng.pareto(2.5, size=history) * 20.0:
+        for duration in floor + rng.pareto(2.5, size=history) * scale:
             profile.record_completion(
                 float(duration), TaskCategory.GENERIC, positive_feedback=True
             )
@@ -280,8 +285,11 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         )
     )
 
-    # Eq. 2 sweep (Dynamic Assignment hot path): one batch call per sweep,
-    # looped because a single call is microseconds.
+    # Eq. 2 batch evaluator: one call per sweep, looped because a single
+    # call is microseconds.  This is the estimator kernel only, ~10% of a
+    # sweep's cost on the §V-C run (layer trace: dynamic.eq2_s 0.10 s vs
+    # dynamic.sweep_self_s 0.88 s before the row index); monitor_sweep
+    # below times the whole monitor.
     sweep_rng = np.random.default_rng(BENCH_SEED)
     elapsed = sweep_rng.uniform(0.0, 60.0, size=n_workers)
     windows = elapsed + sweep_rng.uniform(1.0, 120.0, size=n_workers)
@@ -306,7 +314,82 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
             commit=commit,
         )
     )
+    results.append(_monitor_sweep_bench(quick, commit))
     return results
+
+
+def _watched_rows(n_rows: int) -> "DynamicAssignmentComponent":
+    """A real Eq. 2 monitor watching ``n_rows`` tasks assigned over a minute.
+
+    Each row has its own trained worker (slow, heavy-tailed history) and a
+    300 s window, so withdrawal horizons sit around a minute or two.
+    """
+    from ..model.task import Task
+    from ..platform.dynamic_assignment import DynamicAssignmentComponent
+    from ..platform.policies import react_policy
+    from ..platform.profiling import ProfilingComponent
+    from ..platform.task_management import TaskManagementComponent
+    from ..sim.engine import Engine
+
+    policy = react_policy()
+    tasks = TaskManagementComponent()
+    profiling = ProfilingComponent()
+    monitor = DynamicAssignmentComponent(
+        Engine(),
+        policy,
+        tasks,
+        profiling,
+        DeadlineEstimator(min_history=policy.min_history),
+        on_withdraw=lambda task: None,
+    )
+    for profile in _trained_workers(n_rows, history=30, floor=30.0, scale=60.0):
+        profiling.register(profile)
+    assigned_at = np.sort(np.random.default_rng(BENCH_SEED).uniform(0.0, 60.0, n_rows))
+    for worker_id, at in enumerate(assigned_at.tolist()):
+        task = Task(latitude=0.0, longitude=0.0, deadline=300.0, submitted_at=at)
+        tasks.add_task(task)
+        tasks.checkout_batch(at, assign_expired=True)
+        tasks.commit_assignment(task, worker_id, at)
+        profiling.record_assignment(worker_id, task.task_id)
+        monitor.track(task)
+    return monitor
+
+
+def _monitor_sweep_bench(quick: bool, commit: str) -> BenchResult:
+    """The whole Eq. 2 monitor: ``ticks`` 1 Hz sweeps over ``n_rows`` rows.
+
+    A fresh monitor is built for each repeat, because sweeps withdraw rows,
+    and its first sweep (which computes every row's horizon) is untimed.
+    ``withdrawn`` counts the rows that crossed their horizon and fired
+    inside the timed window.
+    """
+    n_rows = 500 if quick else 2000
+    ticks = 30 if quick else 60
+    repeats = 3 if quick else 5
+    samples = []
+    withdrawn = 0
+    for _ in range(repeats):
+        monitor = _watched_rows(n_rows)
+        monitor.sweep(60.0)
+        armed = len(monitor.withdrawals)
+        start = time.perf_counter()
+        for tick in range(1, ticks + 1):
+            monitor.sweep(60.0 + tick)
+        samples.append(time.perf_counter() - start)
+        withdrawn = len(monitor.withdrawals) - armed
+    wall = statistics.median(samples)
+    return BenchResult(
+        bench="monitor_sweep",
+        params={
+            "n_rows": n_rows,
+            "ticks": ticks,
+            "withdrawn": withdrawn,
+            "repeats": repeats,
+        },
+        wall_seconds=wall,
+        throughput=n_rows * ticks / wall,
+        commit=commit,
+    )
 
 
 # ---------------------------------------------------------------- obs guard

@@ -1,6 +1,6 @@
 """Dynamic Assignment Component (§III-A, §IV-B).
 
-Periodically sweeps every assigned task and evaluates Eq. (2) — the
+Once per ``reassign_check_interval`` the monitor evaluates Eq. (2) — the
 probability that the current worker finishes inside the remaining window,
 given that ``t_ij`` seconds have already elapsed — against the worker's
 power-law profile.  When the probability drops below the policy threshold
@@ -11,17 +11,35 @@ Per §V-C, a worker with fewer than ``z = 3`` completed tasks is never
 reassigned (the system is still training his profile), and a task whose
 deadline has already passed is left with its worker — no other worker could
 beat the deadline either, so reassignment would only waste a second slot.
+
+The monitor is event-driven rather than a scan of every assigned task.
+Eq. (2) under a power-law fit is nonincreasing in the elapsed time, so each
+published assignment (a *row*, registered through :meth:`track`) has a
+withdrawal horizon
+(:meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizon`)
+before which it provably cannot fire.  Rows wait in a min-heap keyed by
+``assigned_at + horizon``, and a sweep looks only at the rows whose key has
+passed.  A horizon depends on the worker's duration history, the task's
+window and the threshold.  So a row is re-armed, meaning its horizon is
+recomputed at the next sweep, whenever one of those may have moved: the
+Profiling Component reports each history growth and each (re-)registration,
+and a threshold change or a sweep at an earlier instant re-arms every row.
+Rows that cannot fire until such an event are parked off the heap: an
+untrained worker (infinite horizon), a horizon past the window, a closed
+window, or a departed worker.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.deadline import DeadlineEstimator
-from ..model.task import Task
+from ..model.task import Task, TaskPhase
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import MONITOR_TRACK
 from ..sim.clock import EventClock
@@ -30,6 +48,11 @@ from ..sim.process import PeriodicProcess
 from .policies import SchedulingPolicy
 from .profiling import ProfilingComponent
 from .task_management import TaskManagementComponent
+
+#: Relative margin taken off each heap key, far above the rounding of
+#: ``assigned_at + horizon`` versus ``now - assigned_at >= horizon``: a row
+#: is popped no later than it is due, and the exact test decides.
+_KEY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,6 +64,34 @@ class Withdrawal:
     worker_id: int
     elapsed: float
     probability: float
+
+
+class _Row:
+    """One published assignment under watch."""
+
+    __slots__ = ("seq", "task", "worker_id", "generation", "assigned_at", "ttd",
+                 "horizon", "epoch", "pending")
+
+    def __init__(self, seq: int, task: Task, worker_id: int, assigned_at: float) -> None:
+        self.seq = seq
+        self.task = task
+        self.worker_id = worker_id
+        self.generation = task.assignments
+        self.assigned_at = assigned_at
+        # TimeToDeadline_ij is anchored at the assignment instant.
+        self.ttd = task.absolute_deadline - assigned_at
+        self.horizon = math.inf
+        #: bumped on every re-arm; heap entries of older epochs are stale
+        self.epoch = 0
+        self.pending = True
+
+    def live(self) -> bool:
+        """Whether the task is still out on this very assignment."""
+        task = self.task
+        return task.phase is TaskPhase.ASSIGNED and task.assignments == self.generation
+
+
+_Entry = Tuple[float, int, int, _Row]
 
 
 class DynamicAssignmentComponent:
@@ -79,15 +130,21 @@ class DynamicAssignmentComponent:
         #: while True the periodic sweep fires but evaluates nothing, so no
         #: dawdling task is rescued until the outage lifts.
         self.suspended = False
-        # Crossing-time skip cache: task_id → (worker_id, observation count,
-        # assigned_at, horizon, ttd).  While the key fields are unchanged,
-        # any sweep with elapsed < horizon provably reports Eq. 2 ≥ threshold
-        # (see DeadlineEstimator.withdrawal_skip_horizon), so the row's
-        # batch evaluation is skipped without changing any decision.  The TTD
-        # rides along because it is constant per (task, assigned_at) and its
-        # recomputation (a property chain) showed up in sweep profiles.
-        self._skip_horizon: dict[int, tuple[int, int, float, float, float]] = {}
-        self._skip_threshold: Optional[float] = None
+        # The row index.  Without the probabilistic model there is no
+        # monitor, and tracking is a no-op.
+        self._enabled = policy.use_probabilistic_model
+        #: rows whose horizon must be (re)computed at the next sweep
+        self._pending: List[_Row] = []
+        #: (key, seq, epoch, row) for rows that can fire inside their window
+        self._heap: List[_Entry] = []
+        #: every tracked row by worker, for re-arming; dead rows pruned lazily
+        self._rows_of: Dict[int, List[_Row]] = {}
+        self._n_rows = 0
+        #: the threshold the armed horizons embed, and the last sweep instant
+        self._threshold: Optional[float] = None
+        self._last_now = -math.inf
+        if self._enabled:
+            profiling.add_profile_hook(self._rearm_worker)
 
     def start(self) -> None:
         """Begin the periodic sweep (no-op when the model is disabled)."""
@@ -108,15 +165,81 @@ class DynamicAssignmentComponent:
             self._process.stop()
             self._process = None
 
+    # ---------------------------------------------------------------- rows
+    def track(self, task: Task) -> None:
+        """Watch an assignment the Task Management Component just committed."""
+        if not self._enabled:
+            return
+        worker_id = task.assigned_worker
+        assigned_at = task.assigned_at
+        assert worker_id is not None and assigned_at is not None
+        row = _Row(self._tasks.assignment_seq, task, worker_id, assigned_at)
+        self._pending.append(row)
+        rows = self._rows_of.get(worker_id)
+        if rows is None:
+            self._rows_of[worker_id] = [row]
+        else:
+            rows.append(row)
+        self._n_rows += 1
+
+    def _rearm(self, row: _Row) -> None:
+        row.epoch += 1
+        if not row.pending:
+            row.pending = True
+            self._pending.append(row)
+
+    def _rearm_worker(self, worker_id: int) -> None:
+        """The worker's history grew or he registered: re-arm his live rows."""
+        rows = self._rows_of.get(worker_id)
+        if rows is None:
+            return
+        live = [row for row in rows if row.live()]
+        self._n_rows -= len(rows) - len(live)
+        if live:
+            self._rows_of[worker_id] = live
+        else:
+            del self._rows_of[worker_id]
+        for row in live:
+            self._rearm(row)
+
+    def _arm(self, row: _Row, now: float, threshold: float) -> None:
+        """Compute a pending row's horizon and queue it, or park it."""
+        profiles = self._profiles
+        if row.worker_id not in profiles:
+            return  # departed; his return re-arms the row
+        if row.ttd <= now - row.assigned_at:
+            return  # closed window: Eq. 2 reports 0.0 untrained, never fires
+        horizon = self._estimator.withdrawal_skip_horizon(
+            profiles.get(row.worker_id), row.ttd, threshold
+        )
+        if horizon >= row.ttd:
+            return  # the window closes before the row could fire
+        row.horizon = horizon
+        assigned_at = row.assigned_at
+        key = assigned_at + horizon
+        key -= _KEY_MARGIN * (abs(assigned_at) + horizon)
+        heapq.heappush(self._heap, (key, row.seq, row.epoch, row))
+
+    def _compact(self) -> None:
+        """Drop dead rows and stale heap entries (cf. ``Engine._compact``)."""
+        self._heap = [e for e in self._heap if e[2] == e[3].epoch and e[3].live()]
+        heapq.heapify(self._heap)
+        rows_of: Dict[int, List[_Row]] = {}
+        for worker_id, rows in self._rows_of.items():
+            live = [row for row in rows if row.live()]
+            if live:
+                rows_of[worker_id] = live
+        self._rows_of = rows_of
+        self._n_rows = sum(len(rows) for rows in rows_of.values())
+
     # --------------------------------------------------------------- sweep
     def sweep_cohort(self, now: float, count: int) -> int:
         """Cohort entry point: ``count`` coincident monitor events, one call.
 
-        Each coincident monitor event still performs a full sweep pass —
-        a withdrawal inside pass *k* changes the assigned set that pass
-        *k + 1* must observe, exactly as the sequential dispatch would —
-        but the passes arrive as one batched dispatch, and every pass
-        evaluates its whole task set through the one stacked Eq. 2 call.
+        Each coincident monitor event still performs its own sweep — a
+        withdrawal inside sweep *k* changes the assigned set that sweep
+        *k + 1* must observe, exactly as the sequential dispatch would — but
+        the sweeps arrive as one batched dispatch.
         """
         pulled = 0
         for _ in range(count):
@@ -124,127 +247,134 @@ class DynamicAssignmentComponent:
         return pulled
 
     def sweep(self, now: float) -> int:
-        """Evaluate Eq. (2) for every running task; withdraw the hopeless.
+        """Evaluate Eq. (2) for the running tasks that can fire; withdraw the hopeless.
 
-        Rows that provably cannot be withdrawn yet are skipped outright via
-        the crossing-time cache (closed windows, and tasks whose elapsed
-        time sits under the conservative horizon from
-        :meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizon`);
-        the remaining rows are evaluated in one batched estimator call
-        (stacked power-law parameters, see
-        :meth:`~repro.core.deadline.DeadlineEstimator.window_probability_batch`)
-        before any withdrawal is materialized.  Withdrawals happen in the
-        same task order as the original per-task loop, and the one
-        sequential dependency is preserved explicitly: a withdrawal feeds a
-        censored observation into the worker's history, so in the rare case
-        the same worker backs *another* assigned task later in the sweep
-        (the silent-abandonment re-match race), that task is re-evaluated
-        against the updated profile — skipped or not — instead of using the
-        batch value.  The evaluation counters keep counting every assigned
-        task: a skipped row *is* an Eq. 2 decision, just one reached without
+        The sweep first arms the pending rows, then pops every row whose
+        heap key has passed.  The heap only chooses which rows to look at.
+        Each popped row goes through the exact tests of a scan over every
+        assigned task: it is skipped while its worker is deregistered,
+        while its window is closed, and while ``now - assigned_at`` is under
+        its horizon.  Every other assigned task is provably one of those
+        cases, so the rows left are the ones a full scan would evaluate.
+        They are ordered by assignment sequence (the assigned pool's
+        iteration order) and evaluated in one batched estimator call
+        (:meth:`~repro.core.deadline.DeadlineEstimator.window_probability_batch`).
+
+        Withdrawals then happen in that order.  A withdrawal feeds a
+        censored observation into the worker's history.  In the rare case
+        that the same worker backs *another* assigned task later in the
+        order (the silent-abandonment re-match race), that task is
+        re-evaluated in this sweep against the updated profile, whether or
+        not it was due, instead of using the batch value.  A row that was
+        due and not withdrawn stays due: with its profile unchanged, Eq. 2
+        only falls as time passes.
+
+        The evaluation counters keep counting every assigned task: a row
+        left out *is* an Eq. 2 decision, just one reached without
         recomputing the probability.
 
         Returns the number of withdrawals performed this sweep.
         """
         if self.suspended:
             return 0
-        tasks = self._tasks.assigned_tasks()
-        if not tasks:
+        n = self._tasks.assigned_count
+        if n == 0:
             return 0
         threshold = self._policy.reassign_threshold
         if not (0.0 <= threshold <= 1.0):
             raise ValueError(f"threshold must be in [0,1], got {threshold}")
+        if threshold != self._threshold or now < self._last_now:
+            # Horizons embed the threshold (ablation harnesses mutate it
+            # mid-run), and an earlier instant reopens parked windows.
+            self._threshold = threshold
+            self._heap.clear()
+            for rows in self._rows_of.values():
+                for row in rows:
+                    if row.live():
+                        self._rearm(row)
+        self._last_now = now
 
-        n = len(tasks)
-        get_profile = self._profiles.get
-        estimator = self._estimator
-        cache = self._skip_horizon
-        if threshold != self._skip_threshold:
-            # Cached horizons embed the threshold; a mid-run policy change
-            # (ablation harnesses mutate policies) invalidates them all.
-            cache.clear()
-            self._skip_threshold = threshold
-        workers_l: List[int] = []
-        # Row index into the batch arrays per task, -1 for skipped rows.
-        row_of = [-1] * n
-        eval_profiles = []
-        eval_elapsed: List[float] = []
-        eval_ttd: List[float] = []
-        for idx, task in enumerate(tasks):
-            worker_id = task.assigned_worker
-            assigned_at = task.assigned_at
-            assert worker_id is not None and assigned_at is not None
-            workers_l.append(worker_id)
-            try:
-                profile = get_profile(worker_id)
-            except KeyError:
-                # The worker departed after silently abandoning the task: it
-                # stays ASSIGNED to him until the running expiry returns it.
-                continue
-            elapsed_i = now - assigned_at
-            n_obs = len(profile.execution_times)
-            entry = cache.get(task.task_id)
-            if (
-                entry is not None
-                and entry[0] == worker_id
-                and entry[1] == n_obs
-                and entry[2] == assigned_at
-            ):
-                # Cached TTD is exact: the deadline is fixed per task and the
-                # anchor (assigned_at) is part of the cache key.
-                ttd_i = entry[4]
-                if elapsed_i < entry[3] or ttd_i <= elapsed_i:
-                    # Under the horizon, or window closed (Eq. 2 reports
-                    # untrained/0.0 — never a withdrawal, and the window
-                    # only closes further): skip the batch evaluation.
-                    continue
-            else:
-                # TimeToDeadline_ij is anchored at the assignment instant.
-                ttd_i = task.absolute_deadline - assigned_at
-                if ttd_i <= elapsed_i:
-                    continue
-                horizon = estimator.withdrawal_skip_horizon(profile, ttd_i, threshold)
-                cache[task.task_id] = (worker_id, n_obs, assigned_at, horizon, ttd_i)
-                if elapsed_i < horizon:
-                    continue
-            row_of[idx] = len(eval_profiles)
-            eval_profiles.append(profile)
-            eval_elapsed.append(elapsed_i)
-            eval_ttd.append(ttd_i)
+        for row in self._pending:
+            row.pending = False
+            if row.live():
+                self._arm(row, now, threshold)
+        self._pending.clear()
 
-        if eval_profiles:
-            probs, trained = estimator.window_probability_batch(
-                eval_profiles,
-                np.asarray(eval_elapsed, dtype=np.float64),
-                np.asarray(eval_ttd, dtype=np.float64),
-            )
-        else:
-            probs = trained = ()
+        heap = self._heap
+        profiles = self._profiles
+        popped: List[_Entry] = []
+        due: List[_Row] = []
+        while heap and heap[0][0] <= now:
+            entry = heapq.heappop(heap)
+            row = entry[3]
+            if entry[2] != row.epoch or not row.live():
+                continue  # stale entry
+            if row.worker_id not in profiles:
+                continue  # departed: parked until he registers again
+            elapsed = now - row.assigned_at
+            if row.ttd <= elapsed:
+                continue  # closed window: parked
+            popped.append(entry)
+            if elapsed >= row.horizon:
+                due.append(row)
 
         pulled = 0
+        if due:
+            due.sort(key=lambda row: row.seq)
+            pulled = self._evaluate(now, threshold, due)
+        for entry in popped:
+            if entry[2] == entry[3].epoch and entry[3].live():
+                heapq.heappush(self._heap, entry)
+        if len(self._heap) > 2 * n + 256 or self._n_rows > 2 * n + 256:
+            self._compact()
+
+        self._obs_sweeps.inc()
+        self._obs_evaluations.inc(n)
+        if pulled:
+            self._obs_withdrawals.inc(pulled)
+        self._tracer.instant(
+            "sweep",
+            cat="monitor",
+            tid=MONITOR_TRACK,
+            evaluated=n,
+            withdrawn=pulled,
+        )
+        return pulled
+
+    def _evaluate(self, now: float, threshold: float, due: List[_Row]) -> int:
+        """Apply the rule to the due rows (in sequence order); count withdrawals."""
+        get_profile = self._profiles.get
+        estimator = self._estimator
+        elapsed = [now - row.assigned_at for row in due]
+        probs, trained = estimator.window_probability_batch(
+            [get_profile(row.worker_id) for row in due],
+            np.asarray(elapsed, dtype=np.float64),
+            np.asarray([row.ttd for row in due], dtype=np.float64),
+        )
+        # (seq, batch index or -1, row), already in heap order.
+        order = [(row.seq, i, row) for i, row in enumerate(due)]
+        queued = {row.seq for row in due}
         withdrawn_workers: set[int] = set()
-        for idx, task in enumerate(tasks):
-            worker_id = workers_l[idx]
+        pulled = 0
+        while order:
+            seq, i, row = heapq.heappop(order)
+            task = row.task
+            worker_id = row.worker_id
             if worker_id in withdrawn_workers:
                 # This worker's history changed earlier in the sweep;
-                # re-evaluate sequentially (matches the pre-batch loop).
-                assigned_at = task.assigned_at
-                assert assigned_at is not None
-                elapsed_i = now - assigned_at
+                # re-evaluate against the updated profile.
+                elapsed_i = now - row.assigned_at
                 estimate = estimator.window_probability(
-                    get_profile(worker_id),
-                    elapsed_i,
-                    task.absolute_deadline - assigned_at,
+                    get_profile(worker_id), elapsed_i, row.ttd
                 )
                 if not estimate.trained or estimate.probability >= threshold:
                     continue
                 probability = estimate.probability
             else:
-                row = row_of[idx]
-                if row < 0 or not trained[row] or probs[row] >= threshold:
+                if not trained[i] or probs[i] >= threshold:
                     continue
-                probability = float(probs[row])
-                elapsed_i = eval_elapsed[row]
+                probability = float(probs[i])
+                elapsed_i = elapsed[i]
             self._tasks.withdraw(task)
             self._profiles.record_withdrawal(
                 worker_id,
@@ -272,20 +402,12 @@ class DynamicAssignmentComponent:
                 elapsed=round(elapsed_i, 3),
             )
             withdrawn_workers.add(worker_id)
+            # His other tasks still ahead in the order are re-evaluated
+            # too, due or not.
+            for other in self._rows_of.get(worker_id, ()):
+                if other.seq > seq and other.seq not in queued and other.live():
+                    queued.add(other.seq)
+                    heapq.heappush(order, (other.seq, -1, other))
             pulled += 1
             self._on_withdraw(task)
-        if len(cache) > 2 * n + 256:
-            live = {task.task_id for task in tasks}
-            for dead in [tid for tid in cache if tid not in live]:
-                del cache[dead]
-        self._obs_sweeps.inc()
-        self._obs_evaluations.inc(n)
-        self._obs_withdrawals.inc(pulled)
-        self._tracer.instant(
-            "sweep",
-            cat="monitor",
-            tid=MONITOR_TRACK,
-            evaluated=n,
-            withdrawn=pulled,
-        )
         return pulled

@@ -26,12 +26,28 @@ class ProfilingComponent:
         #: corrupted measurements without touching the true outcome.
         self.observation_hook: Optional[Callable[[int, float], float]] = None
         self._deregister_hooks: List[Callable[[int], None]] = []
+        self._profile_hooks: List[Callable[[int], None]] = []
 
     # ---------------------------------------------------------- membership
     def register(self, profile: WorkerProfile) -> None:
         if profile.worker_id in self._profiles:
             raise ValueError(f"worker {profile.worker_id} is already registered")
         self._profiles[profile.worker_id] = profile
+        self._changed(profile.worker_id)
+
+    def add_profile_hook(self, hook: Callable[[int], None]) -> None:
+        """Subscribe to a worker (re-)registering or his history growing.
+
+        This component is the only writer of duration observations, so the
+        hook sees every change to the input of a worker's duration fit.  The
+        Eq. 2 monitor uses it to recompute the withdrawal horizons of the
+        worker's assigned tasks (a churn worker may return with his history).
+        """
+        self._profile_hooks.append(hook)
+
+    def _changed(self, worker_id: int) -> None:
+        for hook in self._profile_hooks:
+            hook(worker_id)
 
     def add_deregister_hook(self, hook: Callable[[int], None]) -> None:
         """Subscribe to worker departures (churn / region migration).
@@ -96,6 +112,14 @@ class ProfilingComponent:
             execution_time = self.observation_hook(worker_id, execution_time)
         profile.record_completion(execution_time, category, positive_feedback)
         profile.release()
+        self._changed(worker_id)
+
+    def _censor(self, profile: WorkerProfile, elapsed: float) -> None:
+        """Fold a censored hold time into the history (a no-op for ``elapsed <= 0``)."""
+        before = len(profile.execution_times)
+        profile.record_censored(elapsed)
+        if len(profile.execution_times) != before:
+            self._changed(profile.worker_id)
 
     def record_withdrawal(
         self,
@@ -125,9 +149,28 @@ class ProfilingComponent:
         preserves the legacy unguarded behaviour for direct component use.
         """
         profile = self._profiles[worker_id]
-        profile.record_censored(elapsed)
+        self._censor(profile, elapsed)
         if task_id is not None and profile.current_task != task_id:
             return
+        profile.detach_task()
+        if release:
+            profile.release()
+
+    def record_expiry(
+        self, worker_id: int, task_id: int, elapsed: float, release: bool
+    ) -> None:
+        """The deadline lapsed while ``task_id`` was out with the worker.
+
+        Unlike :meth:`record_withdrawal`, the hold time is censored only
+        while the worker still claims that task: an abandoner who walked
+        away was already released at his walk-away time, and a worker who
+        departed is no longer registered — neither has a hold to record.
+        ``release`` follows :attr:`SchedulingPolicy.release_on_reassign`.
+        """
+        profile = self._profiles.get(worker_id)
+        if profile is None or profile.current_task != task_id:
+            return
+        self._censor(profile, elapsed)
         profile.detach_task()
         if release:
             profile.release()

@@ -277,7 +277,7 @@ class RegionServer:
 
     # ------------------------------------------------------------ callbacks
     def _on_assign(self, task: Task, worker: WorkerProfile) -> None:
-        """Assignment published: hand it to the delivery, arm its expiry."""
+        """Assignment published: watch it, hand it to the delivery, arm its expiry."""
         self.metrics.record_assignment(first=task.assignments == 1)
         self._tracer.instant(
             "task.assigned",
@@ -286,6 +286,7 @@ class RegionServer:
             worker_id=worker.worker_id,
             generation=task.assignments,
         )
+        self.dynamic_assignment.track(task)
         self._deliver(task, worker)
         # AMT expiry semantics: if the deadline passes while the task is
         # still out with this worker, the platform pulls it back.  Only
@@ -379,18 +380,9 @@ class RegionServer:
         self._tracer.instant(
             "task.expiry_return", cat="task", task_id=task_id, worker_id=worker_id
         )
-        # An abandoner who departed after walking away left the task
-        # ASSIGNED to an unregistered worker: nothing to detach.
-        if worker_id in self.profiling:
-            profile = self.profiling.get(worker_id)
-            if profile.current_task == task_id:
-                # Still nominally on it: record the censored hold time and
-                # detach (an abandoner who already walked away was released —
-                # and his hold recorded — by the completion event).
-                profile.record_censored(elapsed)
-                profile.detach_task()
-                if self.policy.release_on_reassign:
-                    profile.release()
+        self.profiling.record_expiry(
+            worker_id, task_id, elapsed, release=self.policy.release_on_reassign
+        )
         self._on_withdraw(task)
 
     def _on_withdraw(self, task: Task) -> None:

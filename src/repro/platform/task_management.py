@@ -33,6 +33,9 @@ class TaskManagementComponent:
         self._budget = budget
         #: tasks shed at intake because the requester's budget ran dry
         self.shed_by_budget = 0
+        #: sequence number of the latest committed assignment; the assigned
+        #: pool iterates in increasing order of the value each task got
+        self.assignment_seq = 0
 
     # -------------------------------------------------------------- intake
     def add_task(self, task: Task) -> bool:
@@ -152,6 +155,7 @@ class TaskManagementComponent:
         del self._in_batch[task.task_id]
         task.mark_assigned(worker_id, now)
         self._assigned[task.task_id] = task
+        self.assignment_seq += 1
 
     def return_unmatched(self, task: Task) -> None:
         """A batch result left ``task`` unmatched; it rejoins the queue."""

@@ -76,6 +76,7 @@ class TestDriver:
             "distance_weight",
             "eq3_matrix",
             "eq2_sweep",
+            "monitor_sweep",
             "endtoend_obs_overhead",
             "scalability_parallel",
         }

@@ -3,7 +3,7 @@
 The package DAG the reproduction relies on (DESIGN.md):
 
     model, graph, stats  →  core  →  platform  →  retainer  →  experiments → dist
-                 core/kernels (leaf: numpy-only numeric backends)
+                 core/kernels (leaf: numpy-only numeric kernels)
                  platform  →  service  →  experiments (wall-clock gateway)
 
 ``repro.service`` is the wall-clock deployment layer: it drives the same
@@ -12,10 +12,11 @@ below it) must never import it — the Coordinator's ``server_factory``
 callback exists precisely to keep that edge inverted.
 
 ``core/kernels`` must stay importable without the event engine or the
-platform so the numba cell and the perf harness can load backends in
-isolation, and so kernel bit-equivalence tests pin *numeric* behaviour, not
-platform behaviour.  More generally, lower layers importing upward create
-cycles that break the "refactor freely" north star.
+platform so the equivalence suite and the perf harness can load the kernels
+and their reference oracle in isolation, and so kernel bit-equivalence tests
+pin *numeric* behaviour, not platform behaviour.  More generally, lower
+layers importing upward create cycles that break the "refactor freely"
+north star.
 
 The rule resolves relative imports to absolute dotted names (purely
 syntactically) and flags any import from a forbidden layer.  The layering
@@ -111,8 +112,8 @@ class LayeringRule(Rule):
     id = "KER001"
     title = "layering: core/kernels and low layers must not import upward"
     rationale = (
-        "Kernel backends are numpy-only leaves so bit-equivalence tests and "
-        "the numba CI cell can load them without the platform; upward "
+        "Kernels are numpy-only leaves so the bit-equivalence suite and the "
+        "perf harness can load them without the platform; upward "
         "imports create cycles that make aggressive refactors unsafe."
     )
     scope = ()  # scoping handled by the layering table

@@ -41,8 +41,8 @@ class FloatEqualityRule(Rule):
     title = "no ==/!= against float literals in core/ and stats/"
     rationale = (
         "Deadline probabilities and MLE exponents are floating point; exact "
-        "equality silently depends on evaluation order and backend (reference "
-        "vs. vectorized vs. numba kernels).  Use math.isclose/np.isclose."
+        "equality silently depends on evaluation order (reference loop vs. "
+        "optimised or vectorized kernel).  Use math.isclose/np.isclose."
     )
     scope = ("repro.core", "repro.stats")
 

@@ -5,211 +5,35 @@ The reproduction's three hottest paths — the REACT/Metropolis cycle loops
 reassignment sweep — were originally written as per-item Python loops over
 NumPy arrays, so the Fig. 3/9/10 scalability benchmarks measured interpreter
 overhead (NumPy *scalar* indexing costs ~100 ns per access) rather than
-algorithmic cost.  This package holds drop-in kernels for those loops:
+algorithmic cost.  This package holds the kernels for those loops:
 
-* :mod:`~repro.core.kernels.reference` — the seed implementations, kept
-  verbatim as the behavioural anchor.  Every optimized kernel is gated by a
-  seeded bit-equivalence suite (``tests/core_matching/
-  test_kernel_equivalence.py``) against these.
-* :mod:`~repro.core.kernels.matching` — pure-Python kernels: plain-list
-  state, vectorized gathers of the picked edges and hoisted attribute
-  lookups.  No dependencies beyond the stdlib; 3-4× the reference
-  throughput (see ``BENCH_matching.json``).
-* :mod:`~repro.core.kernels.numba_backend` — optional ``@njit`` kernels,
-  auto-detected at import time and compiled lazily on first use.  Absent
-  numba (or with ``REPRO_DISABLE_NUMBA=1`` in the environment) the package
-  falls back to the pure-Python kernels with no behaviour change.
+* :mod:`~repro.core.kernels.wbgm` — one optimised kernel per matching
+  algorithm: :func:`wbgm_accept_loop` (REACT, Algorithm 1, with the dense
+  task-assignment row) and :func:`metropolis_match` (the baseline).
+  Plain-list state, vectorized gathers of the picked edges and hoisted
+  attribute lookups; no dependencies beyond NumPy and the stdlib.
+* :mod:`~repro.core.kernels.reference` — the seed loops, kept verbatim as
+  the test oracle.  The seeded bit-equivalence suite (``tests/core_matching/
+  test_kernel_equivalence.py``) pins both kernels against them.
 * :mod:`~repro.core.kernels.deadline` — broadcasted power-law CCDF
   evaluation used by the vectorized Eq. (2)/(3) paths in
   :class:`~repro.core.deadline.DeadlineEstimator`.
 
-All matching kernels consume *pre-drawn* random sequences (one edge pick and
-one uniform acceptance draw per cycle), so RNG stream consumption is
-identical across backends by construction; the equivalence suite asserts the
+Both matching kernels consume *pre-drawn* random sequences (one edge pick
+and one uniform acceptance draw per cycle), so RNG stream consumption is
+identical to the oracle's by construction; the equivalence suite asserts the
 selected edges, stats counters and post-call RNG state all match bit for
 bit.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Tuple
-
-import numpy as np
-
-from . import matching as _matching
-from . import reference as _reference
-from . import wbgm as _wbgm
 from .deadline import powerlaw_ccdf_grid, powerlaw_ccdf_values
+from .wbgm import metropolis_match, wbgm_accept_loop
 
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "available_backends",
-    "active_backend",
-    "set_backend",
-    "react_match",
     "metropolis_match",
     "wbgm_accept_loop",
     "powerlaw_ccdf_grid",
     "powerlaw_ccdf_values",
 ]
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("REPRO_DISABLE_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-#: True when the numba JIT backend can be used (numba importable and not
-#: disabled via ``REPRO_DISABLE_NUMBA``).  Detected once at import.
-NUMBA_AVAILABLE = False
-if not _numba_disabled_by_env():
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba  # noqa: F401
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-
-
-#: Backend registry: name → (react kernel, metropolis kernel).  The numba
-#: entry is registered lazily below when available.
-_BACKENDS: Dict[str, Tuple[object, object]] = {
-    "reference": (_reference.react_match, _reference.metropolis_match),
-    "python": (_matching.react_match, _matching.metropolis_match),
-}
-
-#: WBGM full-loop registry: name → wbgm_accept_loop kernel.  Kept parallel to
-#: ``_BACKENDS`` (same names, same default resolution) rather than widening
-#: its tuples, so existing two-kernel consumers keep unpacking cleanly.
-_WBGM_BACKENDS: Dict[str, object] = {
-    "reference": _wbgm.wbgm_accept_loop_reference,
-    "python": _wbgm.wbgm_accept_loop_python,
-}
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    from . import numba_backend as _numba_backend
-
-    _BACKENDS["numba"] = (
-        _numba_backend.react_match,
-        _numba_backend.metropolis_match,
-    )
-    _WBGM_BACKENDS["numba"] = _numba_backend.wbgm_accept_loop
-
-_active_backend = "numba" if NUMBA_AVAILABLE else "python"
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered kernel backend names, in registration order."""
-    return tuple(_BACKENDS)
-
-
-def active_backend() -> str:
-    """The backend used when a matcher does not request one explicitly."""
-    return _active_backend
-
-
-def set_backend(name: str) -> str:
-    """Select the default backend; returns the previous one.
-
-    Intended for tests and the perf harness; production code leaves the
-    auto-detected default in place.
-    """
-    global _active_backend
-    if name not in _BACKENDS:
-        raise KeyError(f"unknown kernel backend {name!r}; known: {sorted(_BACKENDS)}")
-    previous = _active_backend
-    _active_backend = name
-    return previous
-
-
-def _resolve(backend: str | None) -> Tuple[object, object]:
-    name = _active_backend if backend is None else backend
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown kernel backend {name!r}; known: {sorted(_BACKENDS)}"
-        ) from None
-
-
-def react_match(
-    edge_workers: np.ndarray,
-    edge_tasks: np.ndarray,
-    edge_weights: np.ndarray,
-    n_workers: int,
-    n_tasks: int,
-    picks: np.ndarray,
-    alphas: np.ndarray,
-    inv_k: float,
-    backend: str | None = None,
-) -> Tuple[np.ndarray, Dict[str, int]]:
-    """Run the REACT (Algorithm 1) cycle loop on the selected backend.
-
-    Returns ``(edge_indices, stats)`` where ``edge_indices`` is the sorted
-    ``int64`` array of selected edges and ``stats`` the acceptance counters
-    (``accepted_add`` / ``accepted_evict`` / ``accepted_remove`` /
-    ``rejected``).
-    """
-    kernel, _ = _resolve(backend)
-    return kernel(
-        edge_workers, edge_tasks, edge_weights, n_workers, n_tasks, picks, alphas, inv_k
-    )
-
-
-def metropolis_match(
-    edge_workers: np.ndarray,
-    edge_tasks: np.ndarray,
-    edge_weights: np.ndarray,
-    n_workers: int,
-    n_tasks: int,
-    picks: np.ndarray,
-    alphas: np.ndarray,
-    inv_k: float,
-    backend: str | None = None,
-) -> Tuple[np.ndarray, Dict[str, int]]:
-    """Run the Metropolis baseline cycle loop on the selected backend.
-
-    Returns ``(edge_indices, stats)`` with counters ``accepted_add`` /
-    ``accepted_remove`` / ``collapses`` / ``rejected``.
-    """
-    _, kernel = _resolve(backend)
-    return kernel(
-        edge_workers, edge_tasks, edge_weights, n_workers, n_tasks, picks, alphas, inv_k
-    )
-
-
-def wbgm_accept_loop(
-    edge_workers: np.ndarray,
-    edge_tasks: np.ndarray,
-    edge_weights: np.ndarray,
-    n_workers: int,
-    n_tasks: int,
-    picks: np.ndarray,
-    alphas: np.ndarray,
-    inv_k: float,
-    backend: str | None = None,
-) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
-    """Run the *full* WBGM step on the selected backend.
-
-    Identical cycle-loop decisions to :func:`react_match`, plus a dense
-    task-assignment extraction performed inside the kernel: returns
-    ``(edge_indices, task_assignment, stats)`` where ``task_assignment[j]``
-    is the matched worker index of task ``j`` or ``-1``, one-to-one by
-    construction of the kernel's vertex-index state (see
-    :mod:`repro.core.kernels.wbgm`).
-    """
-    name = _active_backend if backend is None else backend
-    try:
-        kernel = _WBGM_BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown kernel backend {name!r}; known: {sorted(_WBGM_BACKENDS)}"
-        ) from None
-    return kernel(  # type: ignore[operator]
-        edge_workers, edge_tasks, edge_weights, n_workers, n_tasks, picks, alphas, inv_k
-    )

@@ -3,9 +3,11 @@
 These are the inner loops exactly as the matchers shipped them before the
 kernels layer existed: per-cycle NumPy scalar indexing on the edge arrays.
 They are deliberately kept verbatim — slow, but the behavioural ground truth
-that every optimized backend must match bit for bit (same selected edges,
-same stats counters, same consumption of the pre-drawn random sequences).
-The equivalence suite and the perf-regression harness both run them.
+that the optimised kernels in :mod:`repro.core.kernels.wbgm` must match bit
+for bit (same selected edges, same stats counters, same consumption of the
+pre-drawn random sequences).  Production code never calls them: they are the
+oracle of the equivalence suite and the denominator of the perf harness's
+``speedup_vs_reference``.
 """
 
 from __future__ import annotations

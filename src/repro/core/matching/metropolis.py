@@ -47,19 +47,14 @@ class MetropolisMatcher(Matcher):
     """MCMC matcher without conflict eviction.
 
     Like :class:`~repro.core.matching.react.ReactMatcher`, the cycle loop
-    runs on a bit-equivalent kernel backend (:mod:`repro.core.kernels`);
-    ``backend`` pins one explicitly, the default is auto-detected.
+    runs in a kernel (:func:`repro.core.kernels.metropolis_match`) pinned
+    bit for bit to the seed loop in :mod:`repro.core.kernels.reference`.
     """
 
     name = "metropolis"
 
-    def __init__(
-        self,
-        params: Optional[MetropolisParameters] = None,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, params: Optional[MetropolisParameters] = None) -> None:
         self.params = params or MetropolisParameters()
-        self.backend = backend
 
     def match(
         self, graph: BipartiteGraph, rng: Optional[np.random.Generator] = None
@@ -81,7 +76,6 @@ class MetropolisMatcher(Matcher):
             picks,
             alphas,
             1.0 / params.k_constant,
-            backend=self.backend,
         )
         return MatchingResult(
             graph=graph,

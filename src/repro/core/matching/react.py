@@ -86,22 +86,15 @@ class ReactParameters:
 class ReactMatcher(Matcher):
     """Algorithm 1: randomized matching with conflict eviction.
 
-    The cycle loop runs on a kernel backend (``reference`` / ``python`` /
-    ``numba``, see :mod:`repro.core.kernels`); all backends are
-    bit-equivalent, so the choice only affects wall-clock speed.  ``backend``
-    pins one explicitly (the perf harness compares them); by default the
-    auto-detected fastest backend is used.
+    The cycle loop runs in :func:`repro.core.kernels.wbgm_accept_loop`,
+    which is pinned bit for bit to the seed loop in
+    :mod:`repro.core.kernels.reference` by the equivalence suite.
     """
 
     name = "react"
 
-    def __init__(
-        self,
-        params: Optional[ReactParameters] = None,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, params: Optional[ReactParameters] = None) -> None:
         self.params = params or ReactParameters()
-        self.backend = backend
 
     def match(
         self, graph: BipartiteGraph, rng: Optional[np.random.Generator] = None
@@ -114,12 +107,14 @@ class ReactMatcher(Matcher):
 
         # Pre-draw the random sequences in bulk: one edge choice and one
         # uniform acceptance draw per cycle (guide idiom — vectorize the RNG
-        # even when the loop itself is state-dependent).  Every kernel
-        # backend consumes exactly these two draws, so the stream position
-        # after a match is backend-independent.
+        # even when the loop itself is state-dependent).  The kernel and the
+        # reference oracle consume exactly these two draws, so the stream
+        # position after a match does not depend on the loop's decisions.
         picks = rng.integers(0, graph.n_edges, size=budget)
         alphas = rng.random(budget)
 
+        # Looked up on the module at each call, so a profiler that wraps
+        # ``kernels.wbgm_accept_loop`` sees every cycle loop.
         edge_indices, task_worker, stats = kernels.wbgm_accept_loop(
             graph.edge_workers,
             graph.edge_tasks,
@@ -129,7 +124,6 @@ class ReactMatcher(Matcher):
             picks,
             alphas,
             1.0 / params.k_constant,
-            backend=self.backend,
         )
         return MatchingResult(
             graph=graph,

@@ -33,7 +33,6 @@ from .merge import (
     merge_endtoend,
     merge_metrics,
     merge_scalability,
-    merge_scenario,
     merged_snapshot,
 )
 from .shards import (
@@ -61,7 +60,6 @@ __all__ = [
     "merge_endtoend",
     "merge_metrics",
     "merge_scalability",
-    "merge_scenario",
     "merged_snapshot",
     "register_handler",
     "run_chaos_sharded",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..chaos import FaultSchedule
 from ..experiments.chaos import ChaosConfig, ChaosRunResult, standard_schedule
@@ -35,7 +35,6 @@ from .merge import (
     merge_chaos,
     merge_endtoend,
     merge_scalability,
-    merge_scenario,
     merged_snapshot,
 )
 from .shards import MetricsSnapshot, ShardOutcome, ShardSpec, TelemetrySpec, safe_id
@@ -75,8 +74,9 @@ def _finish(results: Any, report: ExecutionReport) -> ShardedRun:
 
 def _policies(
     policies: Optional[Sequence[SchedulingPolicy]],
+    default: Callable[[], Sequence[SchedulingPolicy]] = default_policies,
 ) -> Sequence[SchedulingPolicy]:
-    chosen = policies if policies is not None else default_policies()
+    chosen = policies if policies is not None else default()
     seen: Dict[str, None] = {}
     for policy in chosen:
         if policy.name in seen:
@@ -124,12 +124,6 @@ def run_scenario_sharded(
     engine, fresh RNG registry, task-id reset), so the merged dict is
     byte-identical to the sequential driver's for any ``parallel``.
     """
-    chosen = policies if policies is not None else scenario_policies()
-    seen: Dict[str, None] = {}
-    for policy in chosen:
-        if policy.name in seen:
-            raise ValueError(f"duplicate policy name {policy.name!r}")
-        seen.setdefault(policy.name)
     specs = [
         ShardSpec(
             shard_id=safe_id("scenario", policy.name),
@@ -141,10 +135,10 @@ def run_scenario_sharded(
                 "telemetry": telemetry,
             },
         )
-        for policy in chosen
+        for policy in _policies(policies, scenario_policies)
     ]
     report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
-    results: Dict[str, ScenarioResult] = merge_scenario(report.outcomes)
+    results: Dict[str, ScenarioResult] = merge_endtoend(report.outcomes)
     return _finish(results, report)
 
 

@@ -15,31 +15,23 @@ of the same name from another.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.chaos import ChaosRunResult
 from ..experiments.config import ScalabilityConfig
-from ..experiments.endtoend import EndToEndResult
 from ..experiments.scalability import ScalabilityResult
-from ..experiments.scenario import ScenarioResult
 from ..obs.registry import Sample, merge_snapshots
 from .shards import MetricsSnapshot, ShardOutcome
 
 
-def merge_endtoend(outcomes: Sequence[ShardOutcome]) -> Dict[str, EndToEndResult]:
-    """Rebuild the ``run_comparison`` dict, keyed and ordered by policy."""
-    results: Dict[str, EndToEndResult] = {}
-    for outcome in outcomes:
-        result = outcome.result
-        if result.policy_name in results:
-            raise ValueError(f"duplicate policy name {result.policy_name!r}")
-        results[result.policy_name] = result
-    return results
+def merge_endtoend(outcomes: Sequence[ShardOutcome]) -> Dict[str, Any]:
+    """Rebuild a per-policy comparison dict, keyed and ordered by policy.
 
-
-def merge_scenario(outcomes: Sequence[ShardOutcome]) -> Dict[str, ScenarioResult]:
-    """Rebuild the ``run_scenario_comparison`` dict, ordered by policy."""
-    results: Dict[str, ScenarioResult] = {}
+    Serves both ``run_comparison`` (:class:`EndToEndResult` values) and
+    ``run_scenario_comparison`` (:class:`ScenarioResult` values): each
+    outcome's result carries its ``policy_name``.
+    """
+    results: Dict[str, Any] = {}
     for outcome in outcomes:
         result = outcome.result
         if result.policy_name in results:

@@ -30,12 +30,13 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import kernels
 from ..core.deadline import DeadlineEstimator
+from ..core.kernels import reference
+from ..core.matching.base import Matcher
 from ..core.matching.metropolis import MetropolisMatcher, MetropolisParameters
 from ..core.matching.react import ReactMatcher, ReactParameters
 from ..graph.bipartite import BipartiteGraph
@@ -92,8 +93,7 @@ def _median_wall(run: Callable[[], None], repeats: int) -> float:
     """Median wall-clock of ``repeats`` runs, after one untimed warmup.
 
     The warmup absorbs one-time costs that are not the steady-state rate we
-    want to track: numba JIT compilation, lazy adjacency-cache builds, and
-    cold CPU caches.
+    want to track: lazy adjacency-cache builds and cold CPU caches.
     """
     run()
     samples = []
@@ -112,11 +112,14 @@ def _bench_graph(n_workers: int, n_tasks: int) -> BipartiteGraph:
 
 # ------------------------------------------------------------------ matching
 def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
-    """Matcher cycles/sec per backend, on the Fig. 3/4 worst-case graph.
+    """Matcher cycles/sec on the Fig. 3/4 worst-case graph.
 
-    The "reference" backend is the seed implementation kept verbatim in
-    :mod:`repro.core.kernels.reference`; its record is the denominator for
-    the ``speedup_vs_reference`` recorded on every optimized backend.
+    Each algorithm gets two records, told apart by ``params["backend"]``:
+    ``python`` times the production matcher (pre-draws plus the optimised
+    kernel), and ``reference`` times the seed loop kept verbatim in
+    :mod:`repro.core.kernels.reference` on the same pre-draws.  The
+    reference wall is the denominator of the ``speedup_vs_reference``
+    recorded on the production record.
     """
     n = 50 if quick else 200
     cycles = 200 if quick else 1000
@@ -124,41 +127,52 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
     graph = _bench_graph(n, n)
     commit = git_commit()
 
-    backends = ["reference", "python"]
-    if "numba" in kernels.available_backends():
-        backends.append("numba")
-
-    matchers: Dict[str, Callable[[str], object]] = {
-        "react": lambda backend: ReactMatcher(
-            ReactParameters(cycles=cycles), backend=backend
+    react = ReactParameters(cycles=cycles)
+    metropolis = MetropolisParameters(cycles=cycles)
+    cases: List[Tuple[str, Matcher, Callable[..., object], float]] = [
+        ("react", ReactMatcher(react), reference.react_match, react.k_constant),
+        (
+            "metropolis",
+            MetropolisMatcher(metropolis),
+            reference.metropolis_match,
+            metropolis.k_constant,
         ),
-        "metropolis": lambda backend: MetropolisMatcher(
-            MetropolisParameters(cycles=cycles), backend=backend
-        ),
-    }
+    ]
 
     results: List[BenchResult] = []
-    for name, make in matchers.items():
-        reference_wall: Optional[float] = None
-        for backend in backends:
-            matcher = make(backend)
+    for name, matcher, oracle, k_constant in cases:
 
-            def run() -> None:
-                matcher.match(graph, np.random.default_rng(BENCH_SEED))
+        def run_reference() -> None:
+            rng = np.random.default_rng(BENCH_SEED)
+            picks = rng.integers(0, graph.n_edges, size=cycles)
+            alphas = rng.random(cycles)
+            oracle(
+                graph.edge_workers,
+                graph.edge_tasks,
+                graph.edge_weights,
+                graph.n_workers,
+                graph.n_tasks,
+                picks,
+                alphas,
+                1.0 / k_constant,
+            )
 
-            wall = _median_wall(run, repeats)
+        def run_matcher() -> None:
+            matcher.match(graph, np.random.default_rng(BENCH_SEED))
+
+        reference_wall = _median_wall(run_reference, repeats)
+        matcher_wall = _median_wall(run_matcher, repeats)
+        for label, wall in (("reference", reference_wall), ("python", matcher_wall)):
             params: Dict[str, object] = {
                 "matcher": name,
-                "backend": backend,
+                "backend": label,
                 "n_workers": n,
                 "n_tasks": n,
                 "n_edges": graph.n_edges,
                 "cycles": cycles,
                 "repeats": repeats,
             }
-            if backend == "reference":
-                reference_wall = wall
-            elif reference_wall is not None:
+            if label == "python":
                 params["speedup_vs_reference"] = reference_wall / wall
             results.append(
                 BenchResult(
@@ -650,9 +664,7 @@ def run_endtoend_throughput(
     policies = list(default_policies())
     repeats = 1 if quick else 3
     commit = git_commit()
-    backend = kernels.active_backend()
     workload: Dict[str, object] = {
-        "backend": backend,
         "n_workers": config.n_workers,
         "n_tasks": config.n_tasks,
         "repeats": repeats,
@@ -766,20 +778,19 @@ def check_endtoend_regression(
 ) -> List[str]:
     """Gate fresh end-to-end throughput against a committed baseline.
 
-    Matches sequential-variant records on (policy, backend, workload) and
+    Matches sequential-variant records on (policy, workload) and
     returns one failure string per match whose throughput fell more than
     ``tolerance`` below the committed number.  Parallel-variant records are
     informational only — their rate is a function of the measuring host's
-    core count, not of the code.  When *nothing* matches (workload or
-    backend drift between the run and the baseline) a single failure is
-    returned so the gate cannot pass vacuously.
+    core count, not of the code.  When *nothing* matches (workload drift
+    between the run and the baseline) a single failure is returned so the
+    gate cannot pass vacuously.
     """
     records = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
 
     def key(params: Dict[str, object]) -> tuple:
         return (
             params.get("policy"),
-            params.get("backend"),
             params.get("n_workers"),
             params.get("n_tasks"),
         )
@@ -812,7 +823,7 @@ def check_endtoend_regression(
     if compared == 0:
         failures.append(
             f"no records comparable to {baseline_path} "
-            "(workload or backend mismatch between run and baseline?)"
+            "(workload mismatch between run and baseline?)"
         )
     return failures
 
@@ -899,7 +910,7 @@ def format_report(results: List[BenchResult]) -> str:
     ]
     for r in results:
         # The detail column disambiguates records sharing a bench name: the
-        # kernel backend for matcher records, variant/policy for end-to-end.
+        # kernel label for matcher records, variant/policy for end-to-end.
         detail = str(r.params.get("backend", "-"))
         if "variant" in r.params:
             detail = f"{str(r.params['variant'])[:3]}:{r.params.get('policy', 'all')}"
@@ -940,10 +951,7 @@ def run_bench(
         write_bench_file(out_dir / "BENCH_service.json", service),
     ]
     report = [
-        "# Perf micro-benchmarks"
-        + (" (--quick)" if quick else "")
-        + f" [backends: {', '.join(kernels.available_backends())};"
-        + f" active: {kernels.active_backend()}]",
+        "# Perf micro-benchmarks" + (" (--quick)" if quick else ""),
         format_report(matching + platform + endtoend + service),
     ]
     report.extend(f"# wrote {p}" for p in written)

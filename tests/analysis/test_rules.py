@@ -201,7 +201,7 @@ class TestKER001:
         assert "repro.sim" in forbidden and "repro.platform" in forbidden
 
     def test_shipped_wbgm_kernel_lints_clean(self):
-        """The real wbgm backend honours the numpy-only leaf contract."""
+        """The shipped wbgm kernel module honours the numpy-only leaf contract."""
         from pathlib import Path
 
         from repro.analysis import lint_source

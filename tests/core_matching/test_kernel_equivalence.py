@@ -1,14 +1,16 @@
 """Seeded golden-equivalence suite for the optimized matching kernels.
 
 The kernels layer (:mod:`repro.core.kernels`) promises *bit-identical*
-behaviour to the seed implementations preserved in
-:mod:`repro.core.kernels.reference`: same selected edges, same acceptance
-counters, same RNG stream consumption.  These tests are the gate — any
-optimized backend that diverges on a single cycle fails here.
+behaviour to the seed loops preserved in :mod:`repro.core.kernels.reference`:
+same selected edges, same acceptance counters, same RNG stream consumption.
+These tests are the gate — an optimised kernel that diverges on a single
+cycle fails here.  Each algorithm has one optimised kernel and one oracle:
 
-The numba backend is exercised when numba is importable (one CI matrix cell
-installs it); everywhere else those tests skip and the numba-absent fallback
-path is asserted instead.
+* REACT: :func:`~repro.core.kernels.wbgm_accept_loop` against
+  ``reference.react_match`` plus the dense task → worker row the test
+  derives from the oracle's edges;
+* Metropolis: :func:`~repro.core.kernels.metropolis_match` against
+  ``reference.metropolis_match``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.deadline import DeadlineEstimator
+from repro.core.kernels import reference
 from repro.core.matching.metropolis import MetropolisMatcher, MetropolisParameters
 from repro.core.matching.react import ReactMatcher, ReactParameters
 from repro.graph.bipartite import BipartiteGraph
@@ -43,14 +46,47 @@ def _draws(seed: int, n_edges: int, cycles: int):
     return rng.integers(0, n_edges, size=cycles), rng.random(cycles)
 
 
-OPTIMIZED = [b for b in kernels.available_backends() if b != "reference"]
+def _reference_wbgm(ew, et, wt, n_workers, n_tasks, picks, alphas, inv_k):
+    """The oracle REACT loop plus the dense row derived from its edges."""
+    idx, stats = reference.react_match(
+        ew, et, wt, n_workers, n_tasks, picks, alphas, inv_k
+    )
+    row = np.full(n_tasks, reference.NO_EDGE, dtype=np.int64)
+    row[et[idx]] = ew[idx]
+    return idx, row, stats
+
+
+#: The optimised kernels, under the label the perf harness gives them in
+#: ``BENCH_matching.json`` (``params.backend``; the oracle's is ``reference``).
+OPTIMISED = [pytest.param(kernels, id="python")]
+
+
+def _algorithms(impl):
+    """Algorithm → (``impl``'s optimised kernel, oracle with the same outputs)."""
+    return {
+        "react_match": (impl.wbgm_accept_loop, _reference_wbgm),
+        "metropolis_match": (impl.metropolis_match, reference.metropolis_match),
+    }
+
+
+ALGORITHMS = list(_algorithms(kernels))
+
+
+def _assert_identical(optimised, oracle):
+    """Same arrays (int64, bit for bit) and same stats, position by position."""
+    assert len(optimised) == len(oracle)
+    for got, want in zip(optimised, oracle):
+        if isinstance(want, np.ndarray):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 class TestKernelBitEquivalence:
-    """Raw kernels: every optimized backend against the reference."""
+    """Raw kernels: each optimised kernel against its oracle."""
 
-    @pytest.mark.parametrize("backend", OPTIMIZED)
-    @pytest.mark.parametrize("kernel_name", ["react_match", "metropolis_match"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -61,20 +97,18 @@ class TestKernelBitEquivalence:
         zero_frac=st.sampled_from([0.0, 0.1]),
     )
     def test_matches_reference(
-        self, backend, kernel_name, seed, n_workers, n_tasks, cycles, k_constant, zero_frac
+        self, algorithm, seed, n_workers, n_tasks, cycles, k_constant, zero_frac
     ):
-        kernel = getattr(kernels, kernel_name)
+        """Selected edges and stats, the contract both algorithms share."""
+        kernel, oracle = _algorithms(kernels)[algorithm]
         ew, et, wt = _edge_arrays(seed, n_workers, n_tasks, zero_frac)
         picks, alphas = _draws(seed ^ 0x5EED, len(wt), cycles)
         args = (ew, et, wt, n_workers, n_tasks, picks, alphas, 1.0 / k_constant)
-        ref_idx, ref_stats = kernel(*args, backend="reference")
-        opt_idx, opt_stats = kernel(*args, backend=backend)
-        assert np.array_equal(ref_idx, opt_idx)
-        assert opt_idx.dtype == np.int64
-        assert ref_stats == opt_stats
+        got, want = kernel(*args), oracle(*args)
+        _assert_identical((got[0], got[-1]), (want[0], want[-1]))
 
-    @pytest.mark.parametrize("backend", OPTIMIZED)
-    def test_golden_seeds(self, backend):
+    @pytest.mark.parametrize("impl", OPTIMISED)
+    def test_golden_seeds(self, impl):
         """Fixed-seed anchor cases (cheap, always run, no shrinking)."""
         for seed, shape, cycles, k in [
             (7, (200, 200), 1000, 0.05),  # the perf-harness configuration
@@ -84,18 +118,15 @@ class TestKernelBitEquivalence:
         ]:
             ew, et, wt = _edge_arrays(seed, *shape, zero_frac=0.05)
             picks, alphas = _draws(seed + 1, len(wt), cycles)
-            for kernel in (kernels.react_match, kernels.metropolis_match):
-                args = (ew, et, wt, *shape, picks, alphas, 1.0 / k)
-                ref = kernel(*args, backend="reference")
-                opt = kernel(*args, backend=backend)
-                assert np.array_equal(ref[0], opt[0])
-                assert ref[1] == opt[1]
+            args = (ew, et, wt, *shape, picks, alphas, 1.0 / k)
+            for kernel, oracle in _algorithms(impl).values():
+                _assert_identical(kernel(*args), oracle(*args))
 
 
 class TestWbgmAcceptLoop:
-    """Full-loop kernel: cycle decisions AND the in-kernel assignment row."""
+    """Full REACT loop: cycle decisions AND the in-kernel assignment row."""
 
-    @pytest.mark.parametrize("backend", OPTIMIZED)
+    @pytest.mark.parametrize("impl", OPTIMISED)
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -106,57 +137,37 @@ class TestWbgmAcceptLoop:
         zero_frac=st.sampled_from([0.0, 0.1]),
     )
     def test_matches_reference(
-        self, backend, seed, n_workers, n_tasks, cycles, k_constant, zero_frac
+        self, impl, seed, n_workers, n_tasks, cycles, k_constant, zero_frac
     ):
+        """Edges, dense row, stats and int64 dtypes against the oracle."""
         ew, et, wt = _edge_arrays(seed, n_workers, n_tasks, zero_frac)
         picks, alphas = _draws(seed ^ 0x5EED, len(wt), cycles)
         args = (ew, et, wt, n_workers, n_tasks, picks, alphas, 1.0 / k_constant)
-        ref_idx, ref_row, ref_stats = kernels.wbgm_accept_loop(*args, backend="reference")
-        opt_idx, opt_row, opt_stats = kernels.wbgm_accept_loop(*args, backend=backend)
-        assert np.array_equal(ref_idx, opt_idx)
-        assert np.array_equal(ref_row, opt_row)
-        assert opt_row.dtype == np.int64
-        assert ref_stats == opt_stats
+        _assert_identical(impl.wbgm_accept_loop(*args), _reference_wbgm(*args))
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_agrees_with_react_match(self, backend):
-        """Same backend, same draws: the full loop IS react_match + row."""
+    @pytest.mark.parametrize("impl", OPTIMISED)
+    def test_agrees_with_react_match(self, impl):
+        """Same draws: the full loop IS the oracle's react_match + its own row."""
         ew, et, wt = _edge_arrays(7, 200, 200, zero_frac=0.05)
         picks, alphas = _draws(8, len(wt), 1000)
         args = (ew, et, wt, 200, 200, picks, alphas, 1.0 / 0.05)
-        plain_idx, plain_stats = kernels.react_match(*args, backend=backend)
-        idx, row, stats = kernels.wbgm_accept_loop(*args, backend=backend)
+        plain_idx, plain_stats = reference.react_match(*args)
+        idx, row, stats = impl.wbgm_accept_loop(*args)
         assert np.array_equal(plain_idx, idx)
         assert plain_stats == stats
-        # The row must be exactly the dense form of the selected edges.
+        # The row must be exactly the dense form of the kernel's own edges.
         expected = np.full(200, -1, dtype=np.int64)
         expected[et[idx]] = ew[idx]
         assert np.array_equal(row, expected)
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_assignment_one_to_one(self, backend):
+    @pytest.mark.parametrize("impl", OPTIMISED)
+    def test_assignment_one_to_one(self, impl):
         ew, et, wt = _edge_arrays(13, 40, 25, zero_frac=0.1)
         picks, alphas = _draws(14, len(wt), 2000)
-        _, row, _ = kernels.wbgm_accept_loop(
-            ew, et, wt, 40, 25, picks, alphas, 20.0, backend=backend
-        )
+        _, row, _ = impl.wbgm_accept_loop(ew, et, wt, 40, 25, picks, alphas, 20.0)
         matched = row[row >= 0]
         assert len(np.unique(matched)) == len(matched)  # workers distinct
         assert row.shape == (25,)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="fortran"):
-            kernels.wbgm_accept_loop(
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0),
-                1,
-                1,
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0),
-                20.0,
-                backend="fortran",
-            )
 
     def test_matcher_result_carries_dense_row(self, rng):
         graph = BipartiteGraph.full(np.random.default_rng(3).random((25, 18)))
@@ -172,64 +183,43 @@ class TestWbgmAcceptLoop:
 class TestMatcherEquivalence:
     """Matcher level: same result AND same RNG stream consumption."""
 
-    @pytest.mark.parametrize("backend", OPTIMIZED)
     @pytest.mark.parametrize(
-        "make",
+        "matcher, oracle",
         [
-            lambda b: ReactMatcher(ReactParameters(cycles=800), backend=b),
-            lambda b: MetropolisMatcher(MetropolisParameters(cycles=800), backend=b),
+            (ReactMatcher(ReactParameters(cycles=800)), reference.react_match),
+            (
+                MetropolisMatcher(MetropolisParameters(cycles=800)),
+                reference.metropolis_match,
+            ),
         ],
         ids=["react", "metropolis"],
     )
-    def test_same_result_and_rng_state(self, backend, make):
+    def test_same_result_and_rng_state(self, matcher, oracle):
         graph = BipartiteGraph.full(np.random.default_rng(3).random((25, 18)))
-        rng_ref = np.random.default_rng(42)
-        rng_opt = np.random.default_rng(42)
-        ref = make("reference").match(graph, rng_ref)
-        opt = make(backend).match(graph, rng_opt)
-        assert np.array_equal(ref.edge_indices, opt.edge_indices)
-        assert ref.stats == opt.stats
-        assert ref.cycles_used == opt.cycles_used
-        # Both backends pre-draw the same bulk sequences, so the generators
-        # must land in the exact same state — interleaving matcher calls
-        # with other consumers of the stream stays reproducible.
-        assert rng_ref.bit_generator.state == rng_opt.bit_generator.state
-
-    def test_unknown_backend_rejected(self, small_graph, rng):
-        matcher = ReactMatcher(ReactParameters(cycles=10), backend="fortran")
-        with pytest.raises(KeyError, match="fortran"):
-            matcher.match(small_graph, rng)
-
-
-class TestBackendSelection:
-    def test_reference_and_python_always_registered(self):
-        assert {"reference", "python"} <= set(kernels.available_backends())
-
-    def test_set_backend_round_trip(self):
-        previous = kernels.set_backend("reference")
-        try:
-            assert kernels.active_backend() == "reference"
-        finally:
-            kernels.set_backend(previous)
-        assert kernels.active_backend() == previous
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(KeyError):
-            kernels.set_backend("cuda")
-
-    @pytest.mark.skipif(
-        kernels.NUMBA_AVAILABLE, reason="numba installed: fallback not in effect"
-    )
-    def test_numba_absent_falls_back_to_python(self):
-        assert "numba" not in kernels.available_backends()
-        assert kernels.active_backend() == "python"
-
-    @pytest.mark.skipif(
-        not kernels.NUMBA_AVAILABLE, reason="numba backend needs numba installed"
-    )
-    def test_numba_is_default_when_available(self):  # pragma: no cover
-        assert "numba" in kernels.available_backends()
-        assert kernels.active_backend() == "numba"
+        rng_matcher = np.random.default_rng(42)
+        rng_oracle = np.random.default_rng(42)
+        result = matcher.match(graph, rng_matcher)
+        # The oracle is fed the twin generator's identical pre-draws.
+        cycles = matcher.params.cycles
+        picks = rng_oracle.integers(0, graph.n_edges, size=cycles)
+        alphas = rng_oracle.random(cycles)
+        ref_idx, ref_stats = oracle(
+            graph.edge_workers,
+            graph.edge_tasks,
+            graph.edge_weights,
+            graph.n_workers,
+            graph.n_tasks,
+            picks,
+            alphas,
+            1.0 / matcher.params.k_constant,
+        )
+        assert np.array_equal(result.edge_indices, ref_idx)
+        assert result.stats == ref_stats
+        assert result.cycles_used == cycles
+        # The matcher draws exactly the two bulk sequences and nothing
+        # else, so interleaving matcher calls with other consumers of the
+        # stream stays reproducible.
+        assert rng_matcher.bit_generator.state == rng_oracle.bit_generator.state
 
 
 def _trained_worker(worker_id: int, history, seed: int = 0) -> WorkerProfile:

@@ -43,11 +43,10 @@ from .shards import (
     fingerprint,
     safe_id,
 )
-from .worker import HANDLERS, register_handler, run_shard
+from .worker import run_shard
 
 __all__ = [
     "ExecutionReport",
-    "HANDLERS",
     "MetricsSnapshot",
     "ShardOutcome",
     "ShardSpec",
@@ -61,7 +60,6 @@ __all__ = [
     "merge_metrics",
     "merge_scalability",
     "merged_snapshot",
-    "register_handler",
     "run_chaos_sharded",
     "run_comparison_sharded",
     "run_endtoend_repetitions",

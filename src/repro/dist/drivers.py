@@ -18,25 +18,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chaos import FaultSchedule
-from ..experiments.chaos import ChaosConfig, ChaosRunResult, standard_schedule
+from ..experiments.chaos import ChaosConfig, run_chaos, standard_schedule
 from ..experiments.config import EndToEndConfig, ScalabilityConfig
-from ..experiments.endtoend import EndToEndResult, default_policies
-from ..experiments.scalability import ScalabilityResult
-from ..experiments.scenario import ScenarioConfig, ScenarioResult
+from ..experiments.endtoend import default_policies, run_endtoend
+from ..experiments.scalability import evaluate_point
+from ..experiments.scenario import ScenarioConfig, run_scenario
 from ..platform.policies import SchedulingPolicy
 from ..scenarios.baselines import scenario_policies
 from ..sim.rng import spawn_seeds
-from .executor import ExecutionReport, execute_shards
-from .merge import (
-    merge_chaos,
-    merge_endtoend,
-    merge_scalability,
-    merged_snapshot,
-)
+from .executor import execute_shards
+from .merge import merge_chaos, merge_endtoend, merge_scalability, merged_snapshot
 from .shards import MetricsSnapshot, ShardOutcome, ShardSpec, TelemetrySpec, safe_id
 
 PathLike = Union[str, Path]
@@ -58,12 +54,19 @@ class ShardedRun:
         return len(self.outcomes)
 
 
-def _finish(results: Any, report: ExecutionReport) -> ShardedRun:
+def _execute(
+    specs: List[ShardSpec],
+    merge: Callable[[List[ShardOutcome]], Any],
+    parallel: int,
+    checkpoint_dir: Optional[PathLike],
+) -> ShardedRun:
+    """Run ``specs`` and fold their outcomes (in spec order) with ``merge``."""
+    report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
     written: List[str] = []
     for outcome in report.outcomes:
         written.extend(outcome.written)
     return ShardedRun(
-        results=results,
+        results=merge(report.outcomes),
         outcomes=report.outcomes,
         snapshot=merged_snapshot(report.outcomes),
         written=written,
@@ -85,6 +88,41 @@ def _policies(
     return chosen
 
 
+#: A shard variant within one policy: (name, extra runner kwargs).  The
+#: unnamed default variant gives one shard per policy.
+Variant = Tuple[str, Dict[str, Any]]
+
+
+def _policy_specs(
+    tag: str,
+    runner: Callable[..., Any],
+    policies: Sequence[SchedulingPolicy],
+    kwargs: Dict[str, Any],
+    telemetry: Optional[TelemetrySpec] = None,
+    variants: Sequence[Variant] = (("", {}),),
+) -> List[ShardSpec]:
+    """One ``runner(policy=..., **kwargs, **extra)`` shard per policy and
+    variant, in policy-major order (the sequential drivers' order).
+
+    A named variant suffixes the shard id and the telemetry label
+    (``"<policy>.<variant>"``); the unnamed one labels by policy name.
+    """
+    specs: List[ShardSpec] = []
+    for policy in policies:
+        for variant, extra in variants:
+            parts = (policy.name, variant) if variant else (policy.name,)
+            specs.append(
+                ShardSpec(
+                    shard_id=safe_id(tag, *parts),
+                    runner=runner,
+                    kwargs={"policy": policy, **kwargs, **extra},
+                    label=".".join(parts),
+                    telemetry=telemetry,
+                )
+            )
+    return specs
+
+
 def run_comparison_sharded(
     config: EndToEndConfig,
     policies: Optional[Sequence[SchedulingPolicy]] = None,
@@ -93,22 +131,10 @@ def run_comparison_sharded(
     telemetry: Optional[TelemetrySpec] = None,
 ) -> ShardedRun:
     """Sharded ``run_comparison``: one shard per policy, same seed each."""
-    specs = [
-        ShardSpec(
-            shard_id=safe_id("endtoend", policy.name),
-            kind="endtoend",
-            payload={
-                "policy": policy,
-                "config": config,
-                "label": policy.name,
-                "telemetry": telemetry,
-            },
-        )
-        for policy in _policies(policies)
-    ]
-    report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
-    results: Dict[str, EndToEndResult] = merge_endtoend(report.outcomes)
-    return _finish(results, report)
+    specs = _policy_specs(
+        "endtoend", run_endtoend, _policies(policies), {"config": config}, telemetry
+    )
+    return _execute(specs, merge_endtoend, parallel, checkpoint_dir)
 
 
 def run_scenario_sharded(
@@ -124,22 +150,14 @@ def run_scenario_sharded(
     engine, fresh RNG registry, task-id reset), so the merged dict is
     byte-identical to the sequential driver's for any ``parallel``.
     """
-    specs = [
-        ShardSpec(
-            shard_id=safe_id("scenario", policy.name),
-            kind="scenario",
-            payload={
-                "policy": policy,
-                "config": config,
-                "label": policy.name,
-                "telemetry": telemetry,
-            },
-        )
-        for policy in _policies(policies, scenario_policies)
-    ]
-    report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
-    results: Dict[str, ScenarioResult] = merge_endtoend(report.outcomes)
-    return _finish(results, report)
+    specs = _policy_specs(
+        "scenario",
+        run_scenario,
+        _policies(policies, scenario_policies),
+        {"config": config},
+        telemetry,
+    )
+    return _execute(specs, merge_endtoend, parallel, checkpoint_dir)
 
 
 def run_chaos_sharded(
@@ -158,25 +176,15 @@ def run_chaos_sharded(
     """
     if schedule is None:
         schedule = standard_schedule(config)
-    specs: List[ShardSpec] = []
-    for policy in _policies(policies):
-        for variant, shard_schedule in (("clean", None), ("faulted", schedule)):
-            specs.append(
-                ShardSpec(
-                    shard_id=safe_id("chaos", policy.name, variant),
-                    kind="chaos",
-                    payload={
-                        "policy": policy,
-                        "config": config,
-                        "schedule": shard_schedule,
-                        "label": f"{policy.name}.{variant}",
-                        "telemetry": telemetry,
-                    },
-                )
-            )
-    report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
-    results: Dict[str, Dict[str, ChaosRunResult]] = merge_chaos(report.outcomes)
-    return _finish(results, report)
+    specs = _policy_specs(
+        "chaos",
+        run_chaos,
+        _policies(policies),
+        {"config": config},
+        telemetry,
+        variants=(("clean", {"schedule": None}), ("faulted", {"schedule": schedule})),
+    )
+    return _execute(specs, merge_chaos, parallel, checkpoint_dir)
 
 
 def run_scalability_sharded(
@@ -193,8 +201,8 @@ def run_scalability_sharded(
             specs.append(
                 ShardSpec(
                     shard_id=safe_id("scal", workers, rate, n_tasks, policy.name),
-                    kind="scalability",
-                    payload={
+                    runner=evaluate_point,
+                    kwargs={
                         "config": config,
                         "workers": workers,
                         "rate": rate,
@@ -203,9 +211,9 @@ def run_scalability_sharded(
                     },
                 )
             )
-    report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
-    results: ScalabilityResult = merge_scalability(config, report.outcomes)
-    return _finish(results, report)
+    return _execute(
+        specs, partial(merge_scalability, config), parallel, checkpoint_dir
+    )
 
 
 def run_endtoend_repetitions(
@@ -224,19 +232,16 @@ def run_endtoend_repetitions(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     seeds = spawn_seeds(config.seed, repetitions)
-    specs = [
-        ShardSpec(
-            shard_id=safe_id("rep", index, policy.name),
-            kind="endtoend",
-            payload={
-                "policy": policy,
-                "config": dataclasses.replace(config, seed=seed),
-                "label": f"{policy.name}.rep{index}",
-                "telemetry": None,
-            },
-        )
-        for index, seed in enumerate(seeds)
-    ]
-    report = execute_shards(specs, parallel=parallel, checkpoint_dir=checkpoint_dir)
-    results: List[EndToEndResult] = [outcome.result for outcome in report.outcomes]
-    return _finish(results, report)
+    specs = _policy_specs(
+        "endtoend",
+        run_endtoend,
+        [policy],
+        {},
+        variants=[
+            (f"rep{index}", {"config": dataclasses.replace(config, seed=seed)})
+            for index, seed in enumerate(seeds)
+        ],
+    )
+    return _execute(
+        specs, lambda outcomes: [o.result for o in outcomes], parallel, checkpoint_dir
+    )

@@ -14,8 +14,14 @@ mid-write never leaves a truncated checkpoint behind.  A later run over
 the same directory reloads each checkpoint whose fingerprint still matches
 its spec and only computes the remainder — the kill-and-resume workflow
 the chaos subsystem's blackout drills assume.  A checkpoint whose
-fingerprint does not match (config changed, code moved the spec) is
-ignored and recomputed; stale results are never merged.
+fingerprint does not match (config changed, code moved the spec), whose
+format version is old, or whose pickle names a module or class that no
+longer exists is ignored and recomputed; stale results are never merged.
+
+Failure: when a shard raises, the executor still checkpoints every shard
+that completes, cancels the shards no worker has started, and then
+re-raises the first error — so a resume recomputes only the failed and
+cancelled shards.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .worker import run_shard
 logger = logging.getLogger(__name__)
 
 #: Checkpoint payload format version; bump on incompatible layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -75,7 +81,9 @@ def load_checkpoint(checkpoint_dir: Path, spec: ShardSpec) -> Optional[ShardOutc
     try:
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except (
+        OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError
+    ) as exc:
         logger.warning("checkpoint %s unreadable (%s); recomputing", path, exc)
         return None
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -122,32 +130,38 @@ def execute_shards(
         else:
             pending.append(spec)
 
-    if pending:
-        if parallel == 1:
-            for spec in pending:
-                outcome = run_shard(spec)
-                if ckpt_dir is not None:
-                    write_checkpoint(ckpt_dir, spec, outcome)
-                done[spec.shard_id] = outcome
-                report.computed += 1
-        else:
-            by_id = {spec.shard_id: spec for spec in pending}
-            with ProcessPoolExecutor(
-                max_workers=min(parallel, len(pending)),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                futures = {
-                    pool.submit(run_shard, spec): spec.shard_id for spec in pending
-                }
+    def finish(spec: ShardSpec, outcome: ShardOutcome) -> None:
+        if ckpt_dir is not None:
+            write_checkpoint(ckpt_dir, spec, outcome)
+        done[spec.shard_id] = outcome
+        report.computed += 1
+
+    if pending and parallel == 1:
+        for spec in pending:
+            finish(spec, run_shard(spec))
+    elif pending:
+        with ProcessPoolExecutor(
+            max_workers=min(parallel, len(pending)),
+            mp_context=get_context("spawn"),
+        ) as pool:
+            futures = {pool.submit(run_shard, spec): spec for spec in pending}
+            try:
                 # Checkpoint each shard the moment it completes, so a kill
                 # mid-run preserves every finished shard, not just a batch.
                 for future in as_completed(futures):
-                    outcome = future.result()
-                    spec = by_id[outcome.shard_id]
-                    if ckpt_dir is not None:
-                        write_checkpoint(ckpt_dir, spec, outcome)
-                    done[spec.shard_id] = outcome
-                    report.computed += 1
+                    finish(futures[future], future.result())
+            except Exception:
+                # Drop the shards no worker has started, let the running
+                # ones finish, and keep their results for the resume.
+                pool.shutdown(wait=True, cancel_futures=True)
+                for future, spec in futures.items():
+                    if (
+                        spec.shard_id not in done
+                        and not future.cancelled()
+                        and future.exception() is None
+                    ):
+                        finish(spec, future.result())
+                raise
 
     report.outcomes = [done[spec.shard_id] for spec in specs]
     logger.info(

@@ -2,7 +2,8 @@
 
 A :class:`ShardSpec` is a picklable, self-contained description of one
 hermetic simulation — an end-to-end policy run, one chaos twin, one
-scalability sweep cell, or one seeded repetition.  Every driver in
+scalability sweep cell, or one seeded repetition: a module-level runner
+plus the keyword arguments to call it with.  Every driver in
 :mod:`repro.dist.drivers` compiles its workload down to a list of specs;
 :mod:`repro.dist.executor` runs them (in-process or across a process
 pool) and :mod:`repro.dist.merge` folds the outcomes back together in
@@ -18,24 +19,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.registry import Sample
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One unit of parallel work.
-
-    ``kind`` selects the handler in :mod:`repro.dist.worker`; ``payload``
-    holds that handler's keyword arguments (configs, policies, seeds — all
-    frozen dataclasses or primitives, so the spec pickles across a spawn
-    boundary and reprs deterministically for fingerprinting).
-    """
-
-    shard_id: str
-    kind: str
-    payload: Dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -57,6 +43,26 @@ class TelemetrySpec:
         return self.trace_dir is not None or self.metrics_dir is not None
 
 
+@dataclass(frozen=True)
+class ShardSpec:
+    """One unit of parallel work: ``runner(**kwargs)``.
+
+    ``runner`` is a module-level experiment entry point (``run_endtoend``,
+    ``run_chaos``, ``run_scenario``, ``evaluate_point``); pickle ships it
+    by reference, so a spawn worker imports the same function.  ``kwargs``
+    are configs, policies, seeds — frozen dataclasses or primitives, so
+    the spec pickles across a spawn boundary and reprs deterministically
+    for fingerprinting.  With an enabled ``telemetry`` the runner also
+    gets ``observability=`` and its exports are named after ``label``.
+    """
+
+    shard_id: str
+    runner: Callable[..., Any]
+    kwargs: Dict[str, Any]
+    label: str = ""
+    telemetry: Optional[TelemetrySpec] = None
+
+
 @dataclass
 class MetricsSnapshot:
     """A shard's metrics registry, frozen into plain samples for transport."""
@@ -73,7 +79,6 @@ class ShardOutcome:
     """What one shard sends back: the result plus optional telemetry."""
 
     shard_id: str
-    kind: str
     result: Any
     snapshot: Optional[MetricsSnapshot] = None
     #: exporter files written by the worker (absolute path strings).
@@ -97,8 +102,15 @@ def _canonical(value: Any) -> str:
 
 
 def fingerprint(spec: ShardSpec) -> str:
-    """Content hash of a spec; gates checkpoint reuse on resume."""
-    text = _canonical((spec.kind, spec.shard_id, spec.payload))
+    """Content hash of a spec; gates checkpoint reuse on resume.
+
+    The runner enters by ``module.qualname``: a function's repr carries
+    its memory address, which differs between processes.
+    """
+    runner = f"{spec.runner.__module__}.{spec.runner.__qualname__}"
+    text = _canonical(
+        (runner, spec.shard_id, spec.kwargs, spec.label, spec.telemetry)
+    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -2,156 +2,50 @@
 
 :func:`run_shard` is a module-level function so it pickles across the
 ``spawn`` boundary of a :class:`concurrent.futures.ProcessPoolExecutor`.
-Each handler re-creates the same hermetic simulation the sequential driver
-would have run — fresh engine, fresh ``RngRegistry`` seeded from the
-shard's config, task-id counter reset inside the experiment entry point —
-so a shard's result is bit-identical whether it runs inline, in a pool, or
-on a different day.
+It calls the spec's runner — an experiment entry point that re-creates
+the same hermetic simulation the sequential driver would have run: fresh
+engine, fresh ``RngRegistry`` seeded from the shard's config, task-id
+counter reset inside the entry point — so a shard's result is
+bit-identical whether it runs inline, in a pool, or on a different day.
 
 Telemetry is worker-owned: when the spec carries an enabled
 :class:`~repro.dist.shards.TelemetrySpec`, the worker builds its own
-``Observability``, binds it to the run, exports the trace/metrics files
-itself (the exporters are deterministic in the run), and ships the
+``Observability``, passes it to the runner, exports the trace/metrics
+files itself (the exporters are deterministic in the run), and ships the
 registry back as a plain-sample :class:`~repro.dist.shards.MetricsSnapshot`
 for the merge stage.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
-
-from ..experiments.chaos import run_chaos
-from ..experiments.endtoend import run_endtoend
-from ..experiments.scalability import evaluate_point
-from ..experiments.scenario import run_scenario
 from ..obs.runtime import Observability
-from .shards import MetricsSnapshot, ShardOutcome, ShardSpec, TelemetrySpec
-
-
-def _make_observability(
-    telemetry: Optional[TelemetrySpec],
-) -> Optional[Observability]:
-    if telemetry is None or not telemetry.enabled:
-        return None
-    return Observability()
-
-
-def _finish_telemetry(
-    obs: Optional[Observability],
-    telemetry: Optional[TelemetrySpec],
-    label: str,
-) -> Tuple[Optional[MetricsSnapshot], list]:
-    if obs is None or telemetry is None:
-        return None, []
-    written = obs.export(
-        f"{telemetry.prefix}_{label}",
-        trace_dir=telemetry.trace_dir,
-        metrics_dir=telemetry.metrics_dir,
-    )
-    snapshot = MetricsSnapshot(
-        label=label,
-        samples=obs.registry.snapshot(),
-        kinds={inst.name: inst.kind for inst in obs.registry.instruments()},
-    )
-    return snapshot, [str(path) for path in written]
-
-
-def _run_endtoend_shard(spec: ShardSpec) -> ShardOutcome:
-    payload = spec.payload
-    telemetry: Optional[TelemetrySpec] = payload.get("telemetry")
-    obs = _make_observability(telemetry)
-    result = run_endtoend(payload["policy"], payload["config"], observability=obs)
-    snapshot, written = _finish_telemetry(obs, telemetry, payload["label"])
-    return ShardOutcome(
-        shard_id=spec.shard_id,
-        kind=spec.kind,
-        result=result,
-        snapshot=snapshot,
-        written=written,
-    )
-
-
-def _run_chaos_shard(spec: ShardSpec) -> ShardOutcome:
-    payload = spec.payload
-    telemetry: Optional[TelemetrySpec] = payload.get("telemetry")
-    obs = _make_observability(telemetry)
-    result = run_chaos(
-        payload["policy"],
-        payload["config"],
-        schedule=payload.get("schedule"),
-        observability=obs,
-    )
-    snapshot, written = _finish_telemetry(obs, telemetry, payload["label"])
-    return ShardOutcome(
-        shard_id=spec.shard_id,
-        kind=spec.kind,
-        result=result,
-        snapshot=snapshot,
-        written=written,
-    )
-
-
-def _run_scenario_shard(spec: ShardSpec) -> ShardOutcome:
-    payload = spec.payload
-    telemetry: Optional[TelemetrySpec] = payload.get("telemetry")
-    obs = _make_observability(telemetry)
-    result = run_scenario(payload["policy"], payload["config"], observability=obs)
-    snapshot, written = _finish_telemetry(obs, telemetry, payload["label"])
-    return ShardOutcome(
-        shard_id=spec.shard_id,
-        kind=spec.kind,
-        result=result,
-        snapshot=snapshot,
-        written=written,
-    )
-
-
-def _run_scalability_shard(spec: ShardSpec) -> ShardOutcome:
-    payload = spec.payload
-    point = evaluate_point(
-        payload["config"],
-        payload["workers"],
-        payload["rate"],
-        payload["n_tasks"],
-        payload["policy"],
-    )
-    return ShardOutcome(shard_id=spec.shard_id, kind=spec.kind, result=point)
-
-
-ShardHandler = Callable[[ShardSpec], ShardOutcome]
-
-#: kind → handler.  Registered at import time so spawn workers (which
-#: import this module fresh) see the same table as the parent process.
-HANDLERS: Dict[str, ShardHandler] = {
-    "endtoend": _run_endtoend_shard,
-    "chaos": _run_chaos_shard,
-    "scalability": _run_scalability_shard,
-    "scenario": _run_scenario_shard,
-}
-
-
-def register_handler(kind: str, handler: ShardHandler) -> None:
-    """Register a shard kind (tests and future drivers).
-
-    Note: a handler registered at runtime exists only in the registering
-    process; pool workers import this module fresh and will not see it.
-    Custom kinds therefore only run with ``parallel=1`` unless they are
-    registered at module import time.
-    """
-    HANDLERS[kind] = handler
+from .shards import MetricsSnapshot, ShardOutcome, ShardSpec
 
 
 def run_shard(spec: ShardSpec) -> ShardOutcome:
     """Execute one shard (the pool's entry point; must stay module-level)."""
-    handler = HANDLERS.get(spec.kind)
-    if handler is None:
-        raise ValueError(f"unknown shard kind {spec.kind!r}")
-    return handler(spec)
+    telemetry = spec.telemetry
+    if telemetry is None or not telemetry.enabled:
+        return ShardOutcome(shard_id=spec.shard_id, result=spec.runner(**spec.kwargs))
+
+    obs = Observability()
+    result = spec.runner(**spec.kwargs, observability=obs)
+    written = [
+        str(path)
+        for path in obs.export(
+            f"{telemetry.prefix}_{spec.label}",
+            trace_dir=telemetry.trace_dir,
+            metrics_dir=telemetry.metrics_dir,
+        )
+    ]
+    snapshot = MetricsSnapshot(
+        label=spec.label,
+        samples=obs.registry.snapshot(),
+        kinds={inst.name: inst.kind for inst in obs.registry.instruments()},
+    )
+    return ShardOutcome(
+        shard_id=spec.shard_id, result=result, snapshot=snapshot, written=written
+    )
 
 
-__all__ = [
-    "HANDLERS",
-    "ShardHandler",
-    "register_handler",
-    "run_shard",
-]
+__all__ = ["run_shard"]

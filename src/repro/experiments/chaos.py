@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..chaos import FaultInjector, FaultLogEntry, FaultSchedule
 from ..model.task import reset_task_ids
@@ -186,14 +186,12 @@ def run_chaos_comparison(
     config: ChaosConfig,
     schedule: Optional[FaultSchedule] = None,
     policies: Optional[Sequence[SchedulingPolicy]] = None,
-    observability_factory: Optional[Callable[[str], ObservabilityLike]] = None,
 ) -> Dict[str, Dict[str, ChaosRunResult]]:
     """Faulted + fault-free twin runs for every policy, same seed.
 
-    Returns ``{policy: {"faulted": ..., "clean": ...}}``.
-    ``observability_factory`` maps a run label (``"<policy>.faulted"`` /
-    ``"<policy>.clean"``) to a fresh Observability; only the faulted twin
-    is traced when the factory chooses to (each run needs its own registry).
+    Returns ``{policy: {"faulted": ..., "clean": ...}}``.  The sequential
+    reference for :func:`repro.dist.run_chaos_sharded`, which the CLI runs
+    (and which adds per-run telemetry).
     """
     if schedule is None:
         schedule = standard_schedule(config)
@@ -201,19 +199,9 @@ def run_chaos_comparison(
     for policy in policies if policies is not None else default_policies():
         if policy.name in results:
             raise ValueError(f"duplicate policy name {policy.name!r}")
-
-        def _obs(label: str) -> Optional[ObservabilityLike]:
-            return observability_factory(label) if observability_factory else None
-
         results[policy.name] = {
-            "clean": run_chaos(
-                policy, config, schedule=None,
-                observability=_obs(f"{policy.name}.clean"),
-            ),
-            "faulted": run_chaos(
-                policy, config, schedule=schedule,
-                observability=_obs(f"{policy.name}.faulted"),
-            ),
+            "clean": run_chaos(policy, config, schedule=None),
+            "faulted": run_chaos(policy, config, schedule=schedule),
         }
     return results
 

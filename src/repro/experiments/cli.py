@@ -30,10 +30,9 @@ from ..dist import (
     run_scalability_sharded,
     run_scenario_sharded,
 )
-from ..obs.runtime import Observability
 from ..workload.crowdflower import analyze_case_study, generate_case_study
 from .ablations import ablate_cycles, ablate_k_constant, ablate_threshold, ablate_training_z
-from .chaos import ChaosConfig, report_chaos, run_chaos_comparison, standard_schedule
+from .chaos import ChaosConfig, report_chaos, standard_schedule
 from ..platform.policies import RetainerSpec
 from .config import EndToEndConfig, MatchingSweepConfig, ScalabilityConfig
 from .endtoend import retainer_policies, run_comparison
@@ -60,12 +59,7 @@ from .reporting import (
     report_fig9,
     report_fig10,
 )
-from .scalability import run_scalability
-from .scenario import (
-    ScenarioConfig,
-    report_scenario,
-    run_scenario_comparison,
-)
+from .scenario import ScenarioConfig, report_scenario
 
 
 def _matching_config(quick: bool) -> MatchingSweepConfig:
@@ -184,16 +178,11 @@ def _run_scalability_report(
     parallel: Optional[int],
     resume: Optional[str],
 ) -> str:
-    config = _scalability_config(quick)
-    if parallel is None and resume is None:
-        result = run_scalability(config)
-        notes: List[str] = []
-    else:
-        run = run_scalability_sharded(
-            config, parallel=parallel or 1, checkpoint_dir=resume
-        )
-        result = run.results
-        notes = _sharded_notes(run)
+    run = run_scalability_sharded(
+        _scalability_config(quick), parallel=parallel or 1, checkpoint_dir=resume
+    )
+    result = run.results
+    notes = _sharded_notes(run)
     note = _maybe_export(out, export_scalability, result, f"{out}/fig9_10.csv" if out else "")
     if note:
         notes.insert(0, note)
@@ -244,36 +233,6 @@ def _run_voting(quick: bool, out: Optional[str] = None) -> str:
     return report_voting(run_voting_comparison(config))
 
 
-def _obs_factory(
-    prefix: str, trace_out: Optional[str], metrics_out: Optional[str]
-):
-    """Build (factory, exporter) when telemetry output was requested.
-
-    The factory hands each run its own :class:`Observability`; calling the
-    returned ``flush`` after the runs writes every recorded context to the
-    requested directories and returns '# wrote ...' note lines.
-    """
-    if trace_out is None and metrics_out is None:
-        return None, lambda: []
-    observers: Dict[str, Observability] = {}
-
-    def factory(label: str) -> Observability:
-        obs = Observability()
-        observers[label] = obs
-        return obs
-
-    def flush() -> List[str]:
-        notes = []
-        for label, obs in observers.items():
-            for path in obs.export(
-                f"{prefix}_{label}", trace_dir=trace_out, metrics_dir=metrics_out
-            ):
-                notes.append(f"# wrote {path}")
-        return notes
-
-    return factory, flush
-
-
 def _run_endtoend(
     quick: bool,
     out: Optional[str] = None,
@@ -308,30 +267,21 @@ def _run_endtoend(
         config = _endtoend_config(quick)
         policies = None
         reporter, exporter = report_endtoend, export_endtoend
-    if parallel is None and resume is None:
-        factory, flush = _obs_factory("endtoend", trace_out, metrics_out)
-        results = run_comparison(
-            config, policies=policies, observability_factory=factory
-        )
-        notes = flush()
-    else:
-        telemetry = TelemetrySpec(
+    run = run_comparison_sharded(
+        config,
+        policies=policies,
+        parallel=parallel or 1,
+        checkpoint_dir=resume,
+        telemetry=TelemetrySpec(
             prefix="endtoend", trace_dir=trace_out, metrics_dir=metrics_out
-        )
-        run = run_comparison_sharded(
-            config,
-            policies=policies,
-            parallel=parallel or 1,
-            checkpoint_dir=resume,
-            telemetry=telemetry if telemetry.enabled else None,
-        )
-        results = run.results
-        notes = _sharded_notes(run)
+        ),
+    )
+    results = run.results
     lines = [reporter(results)]
     note = _maybe_export(out, exporter, results, out or "")
     if note:
         lines.append(note)
-    lines.extend(notes)
+    lines.extend(_sharded_notes(run))
     return "\n".join(lines)
 
 
@@ -348,28 +298,17 @@ def _run_chaos(
         if quick
         else ChaosConfig()
     )
-    schedule = standard_schedule(config)
-    if parallel is None and resume is None:
-        factory, flush = _obs_factory("chaos", trace_out, metrics_out)
-        results = run_chaos_comparison(
-            config, schedule=schedule, observability_factory=factory
-        )
-        notes = flush()
-    else:
-        telemetry = TelemetrySpec(
+    run = run_chaos_sharded(
+        config,
+        schedule=standard_schedule(config),
+        parallel=parallel or 1,
+        checkpoint_dir=resume,
+        telemetry=TelemetrySpec(
             prefix="chaos", trace_dir=trace_out, metrics_dir=metrics_out
-        )
-        run = run_chaos_sharded(
-            config,
-            schedule=schedule,
-            parallel=parallel or 1,
-            checkpoint_dir=resume,
-            telemetry=telemetry if telemetry.enabled else None,
-        )
-        results = run.results
-        notes = _sharded_notes(run)
-    report = report_chaos(results)
-    return report + ("\n" + "\n".join(notes) if notes else "")
+        ),
+    )
+    notes = _sharded_notes(run)
+    return report_chaos(run.results) + ("\n" + "\n".join(notes) if notes else "")
 
 
 def _run_scenario(
@@ -380,18 +319,11 @@ def _run_scenario(
 ) -> str:
     # Budgets x hot-region skew x heterogeneous tasks against the
     # related-work baselines (docs/EXPERIMENTS.md, "Scenario pack").
-    config = _scenario_config(quick)
-    if parallel is None and resume is None:
-        results = run_scenario_comparison(config)
-        notes: List[str] = []
-    else:
-        run = run_scenario_sharded(
-            config, parallel=parallel or 1, checkpoint_dir=resume
-        )
-        results = run.results
-        notes = _sharded_notes(run)
-    report = report_scenario(results)
-    return report + ("\n" + "\n".join(notes) if notes else "")
+    run = run_scenario_sharded(
+        _scenario_config(quick), parallel=parallel or 1, checkpoint_dir=resume
+    )
+    notes = _sharded_notes(run)
+    return report_scenario(run.results) + ("\n" + "\n".join(notes) if notes else "")
 
 
 def _run_loadtest(quick: bool, out: Optional[str] = None) -> str:
@@ -442,8 +374,9 @@ COMMANDS: Dict[str, Callable[..., str]] = {
 #: the flags so a typo doesn't silently record nothing).
 TRACEABLE = ("endtoend", "chaos")
 
-#: Commands with a sharded execution path (--parallel / --resume; see
-#: docs/SCALING.md).  fig9/fig10 are the scalability sweep.
+#: Commands that run as repro.dist shards: inline by default, over a process
+#: pool with --parallel N, checkpointed with --resume (docs/SCALING.md).
+#: fig9/fig10 are the scalability sweep.
 PARALLEL_COMMANDS = ("endtoend", "chaos", "fig9", "fig10", "scenario")
 
 #: Commands that understand --retainer-size / --retainer-cost

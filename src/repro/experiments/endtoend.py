@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..model.task import reset_task_ids
 from ..obs.runtime import ObservabilityLike
@@ -322,39 +322,18 @@ def retainer_policies(spec: Optional[RetainerSpec] = None) -> Sequence[Schedulin
     return (react_policy(cycles=1000), react_retainer_policy(retainer=spec))
 
 
-def run_retainer_comparison(
-    config: EndToEndConfig,
-    spec: Optional[RetainerSpec] = None,
-    observability_factory: Optional[Callable[[str], ObservabilityLike]] = None,
-) -> Dict[str, EndToEndResult]:
-    """REACT with and without a retainer pool under one marketplace workload."""
-    if config.worker_arrival_rate is None:
-        raise ValueError(
-            "retainer comparison needs marketplace mode; "
-            "set EndToEndConfig.worker_arrival_rate"
-        )
-    return run_comparison(
-        config,
-        policies=retainer_policies(spec),
-        observability_factory=observability_factory,
-    )
-
-
 def run_comparison(
     config: EndToEndConfig,
     policies: Optional[Sequence[SchedulingPolicy]] = None,
-    observability_factory: Optional[Callable[[str], ObservabilityLike]] = None,
 ) -> Dict[str, EndToEndResult]:
     """Run every policy on the same seeded workload; keyed by policy name.
 
-    ``observability_factory`` maps a policy name to the
-    :class:`~repro.obs.runtime.Observability` for that run — each policy
-    needs its own registry/tracer, so a shared instance cannot be reused.
+    The sequential reference for :func:`repro.dist.run_comparison_sharded`,
+    which the CLI runs (and which adds per-run telemetry).
     """
     results: Dict[str, EndToEndResult] = {}
     for policy in policies if policies is not None else default_policies():
         if policy.name in results:
             raise ValueError(f"duplicate policy name {policy.name!r}")
-        obs = observability_factory(policy.name) if observability_factory else None
-        results[policy.name] = run_endtoend(policy, config, observability=obs)
+        results[policy.name] = run_endtoend(policy, config)
     return results

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..model.task import reset_task_ids
 from ..obs.runtime import ObservabilityLike
@@ -232,15 +232,17 @@ def run_scenario(
 def run_scenario_comparison(
     config: ScenarioConfig,
     policies: Optional[Sequence[SchedulingPolicy]] = None,
-    observability_factory: Optional[Callable[[str], ObservabilityLike]] = None,
 ) -> Dict[str, ScenarioResult]:
-    """Run every policy on the same seeded scenario; keyed by policy name."""
+    """Run every policy on the same seeded scenario; keyed by policy name.
+
+    The sequential reference for :func:`repro.dist.run_scenario_sharded`,
+    which the CLI runs.
+    """
     results: Dict[str, ScenarioResult] = {}
     for policy in policies if policies is not None else scenario_policies():
         if policy.name in results:
             raise ValueError(f"duplicate policy name {policy.name!r}")
-        obs = observability_factory(policy.name) if observability_factory else None
-        results[policy.name] = run_scenario(policy, config, observability=obs)
+        results[policy.name] = run_scenario(policy, config)
     return results
 
 

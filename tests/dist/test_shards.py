@@ -1,15 +1,19 @@
 """Unit tests for shard specs, fingerprints, and id hygiene."""
 
+import types
+
 import pytest
 
 from repro.dist import ShardSpec, TelemetrySpec, fingerprint, safe_id
 from repro.dist.shards import check_unique_ids
 from repro.experiments.config import EndToEndConfig
+from repro.experiments.endtoend import run_endtoend
+from repro.experiments.scenario import run_scenario
 from repro.platform.policies import greedy_policy
 
 
-def _spec(**payload):
-    return ShardSpec(shard_id="s1", kind="endtoend", payload=payload)
+def _spec(**kwargs):
+    return ShardSpec(shard_id="s1", runner=run_endtoend, kwargs=kwargs)
 
 
 class TestFingerprint:
@@ -24,16 +28,35 @@ class TestFingerprint:
         assert fingerprint(a) != fingerprint(b)
 
     def test_dict_order_insensitive(self):
-        a = ShardSpec("s1", "k", {"x": 1, "y": 2})
-        b = ShardSpec("s1", "k", {"y": 2, "x": 1})
+        a = ShardSpec("s1", run_endtoend, {"x": 1, "y": 2})
+        b = ShardSpec("s1", run_endtoend, {"y": 2, "x": 1})
         assert fingerprint(a) == fingerprint(b)
 
-    def test_kind_and_id_participate(self):
-        assert fingerprint(ShardSpec("s1", "a", {})) != fingerprint(
-            ShardSpec("s1", "b", {})
+    def test_runner_and_id_participate(self):
+        assert fingerprint(ShardSpec("s1", run_endtoend, {})) != fingerprint(
+            ShardSpec("s1", run_scenario, {})
         )
-        assert fingerprint(ShardSpec("s1", "a", {})) != fingerprint(
-            ShardSpec("s2", "a", {})
+        assert fingerprint(ShardSpec("s1", run_endtoend, {})) != fingerprint(
+            ShardSpec("s2", run_endtoend, {})
+        )
+
+    def test_label_and_telemetry_participate(self):
+        base = ShardSpec("s1", run_endtoend, {})
+        assert fingerprint(base) != fingerprint(
+            ShardSpec("s1", run_endtoend, {}, label="greedy")
+        )
+        assert fingerprint(base) != fingerprint(
+            ShardSpec("s1", run_endtoend, {}, telemetry=TelemetrySpec(prefix="x"))
+        )
+
+    def test_runner_keyed_by_name_not_address(self):
+        """A function's repr carries its memory address, which differs
+        between processes; the fingerprint keys the runner by name."""
+        twin = types.FunctionType(run_endtoend.__code__, run_endtoend.__globals__)
+        twin.__qualname__ = run_endtoend.__qualname__
+        assert repr(twin) != repr(run_endtoend)
+        assert fingerprint(ShardSpec("s1", twin, {})) == fingerprint(
+            ShardSpec("s1", run_endtoend, {})
         )
 
 
@@ -42,7 +65,7 @@ class TestIds:
         assert safe_id("scal", 100, 1.5, "react/fast") == "scal-100-1.5-react_fast"
 
     def test_duplicate_ids_rejected(self):
-        specs = [ShardSpec("dup", "k", {}), ShardSpec("dup", "k", {})]
+        specs = [ShardSpec("dup", run_endtoend, {}), ShardSpec("dup", run_endtoend, {})]
         with pytest.raises(ValueError, match="duplicate shard id"):
             check_unique_ids(specs)
 

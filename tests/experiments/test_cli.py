@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.cli import COMMANDS, main
+from repro.experiments.cli import COMMANDS, _endtoend_config, main
+from repro.experiments.endtoend import run_comparison
+from repro.experiments.export import export_endtoend
 
 
 class TestDispatch:
@@ -50,3 +52,39 @@ class TestExport:
         out = capsys.readouterr().out
         assert "# wrote" in out
         assert (tmp_path / "fig3_4.csv").exists()
+
+
+def _file_map(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestDefaultPathIsSequentialReference:
+    """The default (no ``--parallel``) run writes exactly what a pooled run
+    and, for ``endtoend``, the sequential ``run_comparison`` driver write."""
+
+    @pytest.mark.parametrize("cmd", ["endtoend", "chaos"])
+    def test_default_equals_parallel_and_sequential(self, cmd, tmp_path, capsys):
+        def run(tag, *extra):
+            out = tmp_path / tag
+            args = [cmd, "--quick", "--out", str(out)]
+            args += ["--trace-out", str(out), "--metrics-out", str(out)]
+            assert main(args + list(extra)) == 0
+            return out, capsys.readouterr().out.replace(str(out), "<out>")
+
+        default_dir, default_stdout = run("default")
+        pooled_dir, pooled_stdout = run("pooled", "--parallel", "2")
+        files = _file_map(default_dir)
+        assert files, "telemetry files were not written"
+        assert files == _file_map(pooled_dir)
+        assert default_stdout == pooled_stdout
+
+        if cmd == "endtoend":
+            reference = tmp_path / "reference"
+            export_endtoend(run_comparison(_endtoend_config(True)), reference)
+            exported = _file_map(reference)
+            assert exported
+            assert exported == {name: files[name] for name in exported}

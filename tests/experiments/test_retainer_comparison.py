@@ -8,13 +8,13 @@ paper's real-time constraints care about, at a bounded wage premium.
 
 import pytest
 
+from repro.dist import TelemetrySpec, run_comparison_sharded
 from repro.experiments.config import EndToEndConfig
 from repro.experiments.endtoend import (
     retainer_policies,
+    run_comparison,
     run_endtoend,
-    run_retainer_comparison,
 )
-from repro.obs.runtime import Observability
 from repro.platform.policies import RetainerSpec, react_retainer_policy
 
 MARKETPLACE = EndToEndConfig(
@@ -31,7 +31,7 @@ MARKETPLACE = EndToEndConfig(
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_retainer_comparison(MARKETPLACE)
+    return run_comparison(MARKETPLACE, retainer_policies())
 
 
 class TestComparison:
@@ -89,26 +89,32 @@ class TestComparison:
         assert stats.repooled > 0
 
     def test_deterministic_under_seed(self):
-        a = run_retainer_comparison(MARKETPLACE)
-        b = run_retainer_comparison(MARKETPLACE)
+        a = run_comparison(MARKETPLACE, retainer_policies())
+        b = run_comparison(MARKETPLACE, retainer_policies())
         for name in a:
             assert a[name].summary == b[name].summary
             assert a[name].p95_total_time == b[name].p95_total_time
 
 
 class TestObservability:
-    def test_pool_instruments_populated(self):
-        obs_by_policy = {}
+    def test_pool_instruments_populated(self, tmp_path):
+        run = run_comparison_sharded(
+            MARKETPLACE,
+            retainer_policies(),
+            telemetry=TelemetrySpec(prefix="retainer", metrics_dir=str(tmp_path)),
+        )
+        (outcome,) = [
+            o for o in run.outcomes if o.result.policy_name == "react_retainer"
+        ]
+        snapshot = outcome.snapshot
+        assert snapshot is not None
 
-        def factory(name):
-            obs_by_policy[name] = Observability()
-            return obs_by_policy[name]
+        def value(name: str) -> float:
+            return sum(s.value for s in snapshot.samples if s.name == name)
 
-        run_retainer_comparison(MARKETPLACE, observability_factory=factory)
-        registry = obs_by_policy["react_retainer"].registry
-        assert registry.value("retainer_releases_total") > 0
-        assert registry.value("retainer_wage_cost_total") > 0
-        assert registry.get("retainer_release_latency_seconds") is not None
+        assert value("retainer_releases_total") > 0
+        assert value("retainer_wage_cost_total") > 0
+        assert "retainer_release_latency_seconds" in snapshot.kinds
 
 
 class TestModeValidation:
@@ -124,7 +130,7 @@ class TestModeValidation:
             n_workers=30, arrival_rate=0.5, n_tasks=50, drain_time=100, seed=1
         )
         with pytest.raises(ValueError, match="marketplace"):
-            run_retainer_comparison(closed)
+            run_comparison(closed, retainer_policies())
 
     def test_marketplace_excludes_churn(self):
         with pytest.raises(ValueError, match="churn"):

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..model.worker import WorkerProfile
+from ..model.worker_table import WorkerRows, Workers, as_rows
 from ..stats.duration_models import DurationModel, DurationModelFamily, PowerLawFamily
 from ..stats.powerlaw import FitMethod, PowerLawFit
 from .kernels.deadline import powerlaw_ccdf_grid, powerlaw_ccdf_values
@@ -82,17 +83,13 @@ class DeadlineEstimator:
         self.family = family if family is not None else PowerLawFamily(fit_method)
         # Fit cache keyed by worker id; worker histories are append-only, so
         # a cached fit stays valid until the completed-task count changes.
-        # This matters: graph construction re-fits every worker every batch.
+        # The batch paths read the power-law parameters from the worker
+        # table's fit columns instead, refilled from here when stale.
         self._fit_cache: dict[int, tuple[int, DurationModel]] = {}
-        # Slim power-law parameter cache for the batch paths: worker id →
-        # (observation count, alpha, k_min).  The batch methods run every
-        # sweep and every graph build over mostly-unchanged workers; reading
-        # two floats from this dict skips the fit-object round trip
-        # (property access + isinstance + attribute loads) per worker.
-        self._param_cache: dict[int, tuple[int, float, float]] = {}
         # Cache effectiveness tallies, exported by the observability layer
         # (plain ints here — core must not depend on repro.obs).  A miss is
-        # any trained fit_worker call that had to run the MLE.
+        # any trained fit_worker call that had to run the MLE; a batch row
+        # whose table fit is current counts as a hit.
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -109,11 +106,49 @@ class DeadlineEstimator:
         self.cache_misses += 1
         fit = self.family.fit(worker.execution_times)
         self._fit_cache[worker.worker_id] = (n_obs, fit)
-        if isinstance(fit, PowerLawFit):
-            self._param_cache[worker.worker_id] = (n_obs, fit.alpha, fit.k_min)
-        else:
-            self._param_cache.pop(worker.worker_id, None)
         return fit
+
+    def _current_fit(self, worker: WorkerProfile) -> DurationModel:
+        """A trained worker's fit, already refreshed by :meth:`_fitted_rows`."""
+        entry = self._fit_cache.get(worker.worker_id)
+        if entry is not None and entry[0] == len(worker.execution_times):
+            return entry[1]
+        fit = self.fit_worker(worker)
+        assert fit is not None
+        return fit
+
+    def _fitted_rows(
+        self, rows: WorkerRows, wanted: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(trained, alpha, k_min)`` of the rows, refitting stale rows first.
+
+        ``trained`` marks the rows (among ``wanted``, default all) with
+        enough history for a fit.  Only those rows are brought up to date:
+        a row whose table fit predates its latest observation is refitted
+        through :meth:`fit_worker`, in row order — the same fits at the same
+        points as a per-worker walk.  On trained rows ``alpha``/``k_min``
+        are the current power-law parameters, NaN when the fit is not a
+        power law; on other rows they are meaningless.
+        """
+        table = rows.table
+        slots = rows.slots
+        table.claim_fits(self)
+        n_obs = table.n_obs[slots]
+        trained = n_obs >= max(self.min_history, 1)
+        if wanted is not None:
+            trained &= wanted
+        stale = trained & (table.fit_n_obs[slots] != n_obs)
+        n_stale = int(np.count_nonzero(stale))
+        self.cache_hits += int(np.count_nonzero(trained)) - n_stale
+        if n_stale:
+            profiles = table.profile
+            for slot in slots[stale].tolist():
+                fit = self.fit_worker(profiles[slot])
+                if isinstance(fit, PowerLawFit):
+                    table.set_fit(slot, fit.alpha, fit.k_min)
+                else:
+                    table.set_fit(slot, math.nan, math.nan)
+        return trained, table.alpha[slots], table.k_min[slots]
 
     def evict(self, worker_id: int) -> None:
         """Drop a worker's cached fit (called when he leaves the region).
@@ -124,24 +159,6 @@ class DeadlineEstimator:
         invokes this from its deregister hook.
         """
         self._fit_cache.pop(worker_id, None)
-        self._param_cache.pop(worker_id, None)
-
-    def _powerlaw_params(self, worker: WorkerProfile) -> Optional[tuple[float, float]]:
-        """(alpha, k_min) of the worker's current power-law fit, or None.
-
-        Batch-path fast lane: a parameter-cache hit reads two floats and
-        never touches the fit object.  Returns None for untrained workers
-        *and* for non-power-law fits — callers fall back to
-        :meth:`fit_worker` to disambiguate.
-        """
-        n_obs = len(worker.execution_times)
-        if n_obs < self.min_history or n_obs == 0:
-            return None
-        entry = self._param_cache.get(worker.worker_id)
-        if entry is not None and entry[0] == n_obs:
-            self.cache_hits += 1
-            return (entry[1], entry[2])
-        return None
 
     # ------------------------------------------------------------- Eq. (3)
     def completion_probability(
@@ -160,57 +177,30 @@ class DeadlineEstimator:
 
     def completion_probability_matrix(
         self,
-        workers: Sequence[WorkerProfile],
+        workers: Workers,
         time_to_deadline: np.ndarray,
     ) -> np.ndarray:
         """Vectorized Eq. (3): (len(workers), len(ttd)) probabilities.
 
-        This is the graph-construction hot path.  Power-law fits (the
-        paper's model, and the overwhelmingly common case) are stacked into
-        per-worker ``alpha`` / ``k_min`` arrays and evaluated as a single
+        This is the graph-construction hot path.  ``workers`` are worker
+        table rows (a profile list is tabulated first).  The power-law rows'
+        ``alpha`` / ``k_min`` columns are gathered and evaluated as a single
         broadcasted power over the worker × TTD grid; any other fitted
         family falls back to one vectorized ``ccdf`` call per worker.  Both
         paths are bit-identical to the scalar :meth:`completion_probability`
         (NumPy applies the same elementwise ``pow`` either way).
         """
+        rows = as_rows(workers)
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
-        out = np.empty((len(workers), len(ttd)), dtype=np.float64)
-        powerlaw_rows: list[int] = []
-        powerlaw_alpha: list[float] = []
-        powerlaw_kmin: list[float] = []
-        # The gather loop below is the per-batch hot path (every available
-        # worker, every batch): the parameter-cache lookup is inlined rather
-        # than routed through _powerlaw_params so a hit costs one dict read,
-        # and untrained workers short-circuit without a fit_worker call.
-        min_history = self.min_history
-        param_cache = self._param_cache
-        hits = 0
-        for i, worker in enumerate(workers):
-            n_obs = len(worker.execution_times)
-            if n_obs < min_history or n_obs == 0:
-                out[i, :] = 1.0
-                continue
-            entry = param_cache.get(worker.worker_id)
-            if entry is not None and entry[0] == n_obs:
-                hits += 1
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(entry[1])
-                powerlaw_kmin.append(entry[2])
-                continue
-            fit = self.fit_worker(worker)
-            if fit is None:
-                out[i, :] = 1.0
-            elif isinstance(fit, PowerLawFit):
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(fit.alpha)
-                powerlaw_kmin.append(fit.k_min)
-            else:
-                out[i, :] = 1.0 - fit.ccdf(ttd)
-        self.cache_hits += hits
-        if powerlaw_rows:
-            alpha = np.asarray(powerlaw_alpha, dtype=np.float64)
-            k_min = np.asarray(powerlaw_kmin, dtype=np.float64)
-            out[powerlaw_rows, :] = 1.0 - powerlaw_ccdf_grid(alpha, k_min, ttd)
+        out = np.ones((len(rows), len(ttd)), dtype=np.float64)
+        trained, alpha, k_min = self._fitted_rows(rows)
+        powerlaw = np.flatnonzero(trained & ~np.isnan(alpha))
+        if len(powerlaw):
+            out[powerlaw, :] = 1.0 - powerlaw_ccdf_grid(alpha[powerlaw], k_min[powerlaw], ttd)
+        if len(powerlaw) != np.count_nonzero(trained):
+            profiles = rows.profiles
+            for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
+                out[i, :] = 1.0 - self._current_fit(profiles[i]).ccdf(ttd)
         # Expired deadlines can never be met, trained or not.
         out[:, ttd <= 0] = 0.0
         return np.clip(out, 0.0, 1.0)
@@ -243,7 +233,7 @@ class DeadlineEstimator:
 
     def window_probability_batch(
         self,
-        workers: Sequence[WorkerProfile],
+        workers: Workers,
         elapsed: np.ndarray,
         time_to_deadline: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -251,17 +241,20 @@ class DeadlineEstimator:
 
         ``workers[i]`` has been executing for ``elapsed[i]`` seconds against
         window ``time_to_deadline[i]``; this is the Dynamic Assignment sweep
-        shape — all assigned tasks evaluated in one batch call.
+        shape — the due assigned tasks evaluated in one batch call.
+        ``workers`` are worker table rows (a profile list is tabulated).
 
         Returns ``(probabilities, trained)``.  Rows with ``trained`` False
         (untrained worker, or window already closed) carry the same
         probability the scalar :meth:`window_probability` reports (1.0 and
-        0.0 respectively); power-law rows are evaluated with stacked
-        ``alpha`` / ``k_min`` arrays, bit-identically to the scalar path.
+        0.0 respectively); power-law rows are evaluated with the gathered
+        ``alpha`` / ``k_min`` columns, bit-identically to the scalar path.
+        Closed windows need no fit, so their rows are never refitted.
         """
+        rows = as_rows(workers)
         elapsed = np.asarray(elapsed, dtype=np.float64)
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
-        n = len(workers)
+        n = len(rows)
         if elapsed.shape != (n,) or ttd.shape != (n,):
             raise ValueError(
                 f"elapsed/time_to_deadline must be ({n},) arrays, "
@@ -271,113 +264,65 @@ class DeadlineEstimator:
             raise ValueError(f"elapsed must be non-negative, got {elapsed.min()}")
 
         probs = np.ones(n, dtype=np.float64)
-        trained = np.zeros(n, dtype=bool)
         closed = ttd <= elapsed
         probs[closed] = 0.0
-
-        powerlaw_rows: list[int] = []
-        powerlaw_alpha: list[float] = []
-        powerlaw_kmin: list[float] = []
-        closed_list = closed.tolist()
-        # Same inlined parameter-cache gather as completion_probability_matrix
-        # (this is the per-sweep hot path).
-        min_history = self.min_history
-        param_cache = self._param_cache
-        hits = 0
-        for i, worker in enumerate(workers):
-            if closed_list[i]:
-                continue
-            n_obs = len(worker.execution_times)
-            if n_obs < min_history or n_obs == 0:
-                continue
-            entry = param_cache.get(worker.worker_id)
-            if entry is not None and entry[0] == n_obs:
-                hits += 1
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(entry[1])
-                powerlaw_kmin.append(entry[2])
-                continue
-            fit = self.fit_worker(worker)
-            if fit is None:
-                continue
-            if isinstance(fit, PowerLawFit):
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(fit.alpha)
-                powerlaw_kmin.append(fit.k_min)
-            else:
+        trained, alpha, k_min = self._fitted_rows(rows, ~closed)
+        powerlaw = np.flatnonzero(trained & ~np.isnan(alpha))
+        if len(powerlaw):
+            a = alpha[powerlaw]
+            k = k_min[powerlaw]
+            p = powerlaw_ccdf_values(a, k, elapsed[powerlaw]) - powerlaw_ccdf_values(
+                a, k, ttd[powerlaw]
+            )
+            probs[powerlaw] = np.clip(p, 0.0, 1.0)
+        if len(powerlaw) != np.count_nonzero(trained):
+            profiles = rows.profiles
+            for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
+                fit = self._current_fit(profiles[i])
                 p = float(fit.ccdf(elapsed[i])) - float(fit.ccdf(ttd[i]))
                 probs[i] = min(max(p, 0.0), 1.0)
-                trained[i] = True
-        self.cache_hits += hits
-        if powerlaw_rows:
-            rows = np.asarray(powerlaw_rows, dtype=np.int64)
-            alpha = np.asarray(powerlaw_alpha, dtype=np.float64)
-            k_min = np.asarray(powerlaw_kmin, dtype=np.float64)
-            p = powerlaw_ccdf_values(alpha, k_min, elapsed[rows]) - powerlaw_ccdf_values(
-                alpha, k_min, ttd[rows]
-            )
-            probs[rows] = np.clip(p, 0.0, 1.0)
-            trained[rows] = True
         return probs, trained
 
-    def withdrawal_skip_horizon(
+    def withdrawal_skip_horizons(
         self,
-        worker: WorkerProfile,
-        time_to_deadline: float,
+        workers: Workers,
+        time_to_deadline: Sequence[float],
         threshold: float,
-    ) -> float:
-        """Conservative elapsed-time horizon below which Eq. (2) stays ≥ threshold.
+    ) -> List[float]:
+        """Conservative elapsed-time horizons below which Eq. (2) stays ≥ threshold.
 
-        For a power-law fit the Eq. (2) probability ``P(t) − P(TTD)`` is
-        nonincreasing in the elapsed time ``t``, so there is a crossing time
-        before which the withdrawal rule *cannot* fire.  Solving
-        ``(t/k_min)^{1−α} = threshold + P(TTD)`` for ``t`` and keeping 0.1%
-        of safety margin (many orders of magnitude above ``pow`` rounding)
-        gives a horizon with the guarantee: while the worker's observation
-        count is unchanged, any sweep with ``elapsed < horizon`` would
-        evaluate a probability ≥ threshold — i.e. no withdrawal.  The sweep
-        uses this to skip the batch evaluation of provably-safe rows without
-        changing a single withdrawal decision.
+        One horizon per row: ``workers[i]`` against window
+        ``time_to_deadline[i]``.  For a power-law fit the Eq. (2)
+        probability ``P(t) − P(TTD)`` is nonincreasing in the elapsed time
+        ``t``, so there is a crossing time before which the withdrawal rule
+        *cannot* fire.  Solving ``(t/k_min)^{1−α} = threshold + P(TTD)`` for
+        ``t`` and keeping 0.1% of safety margin (many orders of magnitude
+        above ``pow`` rounding) gives a horizon with the guarantee: while
+        the worker's observation count is unchanged, any sweep with
+        ``elapsed < horizon`` would evaluate a probability ≥ threshold —
+        i.e. no withdrawal.  The sweep uses this to skip the batch
+        evaluation of provably-safe rows without changing a single
+        withdrawal decision.
 
-        Returns ``inf`` for untrained workers (never withdrawn until their
-        fit activates, which changes the observation count and invalidates
-        the caller's cache) and ``0.0`` (never skip) for non-power-law
-        duration families, whose CCDF shape this closed form does not cover.
+        A row's horizon is ``inf`` for an untrained worker (never withdrawn
+        until his fit activates, which changes the observation count and
+        invalidates the caller's cache) and ``0.0`` (never skip) for a
+        non-power-law duration family, whose CCDF shape this closed form
+        does not cover.  The fit parameters come from the gathered table
+        columns; the arithmetic is scalar, row by row.
         """
-        n_obs = len(worker.execution_times)
-        if n_obs < self.min_history or n_obs == 0:
-            return math.inf
-        entry = self._param_cache.get(worker.worker_id)
-        if entry is not None and entry[0] == n_obs:
-            self.cache_hits += 1
-            alpha = entry[1]
-            k_min = entry[2]
-        else:
-            fit = self.fit_worker(worker)
-            if not isinstance(fit, PowerLawFit):
-                return 0.0
-            alpha = fit.alpha
-            k_min = fit.k_min
-        if time_to_deadline <= k_min:
-            p_ttd = 1.0
-        else:
-            p_ttd = min(max((time_to_deadline / k_min) ** (1.0 - alpha), 0.0), 1.0)
-        target = threshold + p_ttd
-        if target <= 0.0:
-            # threshold 0 against a fully-decayed window: probability can
-            # never go strictly below 0, so the rule never fires.
-            return math.inf
-        if target > 1.0:
-            # Even an instant evaluation (P(t) = 1) sits under threshold:
-            # the task is withdrawn at the very next sweep, never skip.
-            return 0.0
-        if alpha <= 1.0:
-            # Degenerate fit: the CCDF head clamp keeps P(t) = 1 everywhere.
-            return math.inf
-        log_ratio = -math.log(target) / (alpha - 1.0)
-        if log_ratio > 700.0:  # exp would overflow; the horizon is unreachable
-            return math.inf
-        return 0.999 * k_min * math.exp(log_ratio)
+        trained, alpha_col, k_min_col = self._fitted_rows(as_rows(workers))
+        horizons: List[float] = []
+        for ttd, is_trained, alpha, k_min in zip(
+            time_to_deadline, trained.tolist(), alpha_col.tolist(), k_min_col.tolist()
+        ):
+            if not is_trained:
+                horizons.append(math.inf)
+            elif math.isnan(alpha):
+                horizons.append(0.0)
+            else:
+                horizons.append(_skip_horizon(alpha, k_min, ttd, threshold))
+        return horizons
 
     def should_reassign(
         self,
@@ -398,3 +343,27 @@ class DeadlineEstimator:
         if not estimate.trained:
             return False
         return estimate.probability < threshold
+
+
+def _skip_horizon(alpha: float, k_min: float, time_to_deadline: float, threshold: float) -> float:
+    """One power-law row of :meth:`DeadlineEstimator.withdrawal_skip_horizons`."""
+    if time_to_deadline <= k_min:
+        p_ttd = 1.0
+    else:
+        p_ttd = min(max((time_to_deadline / k_min) ** (1.0 - alpha), 0.0), 1.0)
+    target = threshold + p_ttd
+    if target <= 0.0:
+        # threshold 0 against a fully-decayed window: probability can
+        # never go strictly below 0, so the rule never fires.
+        return math.inf
+    if target > 1.0:
+        # Even an instant evaluation (P(t) = 1) sits under threshold:
+        # the task is withdrawn at the very next sweep, never skip.
+        return 0.0
+    if alpha <= 1.0:
+        # Degenerate fit: the CCDF head clamp keeps P(t) = 1 everywhere.
+        return math.inf
+    log_ratio = -math.log(target) / (alpha - 1.0)
+    if log_ratio > 700.0:  # exp would overflow; the horizon is unreachable
+        return math.inf
+    return 0.999 * k_min * math.exp(log_ratio)

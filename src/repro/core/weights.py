@@ -22,14 +22,14 @@ import numpy as np
 from ..model.region import haversine_km, haversine_km_matrix
 from ..model.task import Task
 from ..model.worker import WorkerProfile
+from ..model.worker_table import Workers, as_rows
 
 
-def _pairwise_km(
-    workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-) -> np.ndarray:
+def _pairwise_km(workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
     """(workers × tasks) great-circle distance matrix, one broadcast call."""
-    wlat = np.array([w.latitude for w in workers], dtype=np.float64)
-    wlon = np.array([w.longitude for w in workers], dtype=np.float64)
+    rows = as_rows(workers)
+    wlat = rows.latitude
+    wlon = rows.longitude
     tlat = np.array([t.latitude for t in tasks], dtype=np.float64)
     tlon = np.array([t.longitude for t in tasks], dtype=np.float64)
     return haversine_km_matrix(
@@ -41,16 +41,15 @@ class WeightFunction(abc.ABC):
     """Computes ``w_ij`` for worker/task pairs.
 
     ``matrix`` is the vectorized entry point used during graph construction
-    (one call per batch instead of one per edge); ``single`` exists for
-    tests and ad-hoc inspection and must agree with ``matrix``.
+    (one call per batch instead of one per edge) and reads the worker
+    table's columns; ``single`` exists for tests and ad-hoc inspection and
+    must agree with ``matrix``.
     """
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def matrix(
-        self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-    ) -> np.ndarray:
+    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
         """(len(workers), len(tasks)) array of weights in [0, 1]."""
 
     def single(self, worker: WorkerProfile, task: Task) -> float:
@@ -68,25 +67,9 @@ class AccuracyWeight(WeightFunction):
 
     name = "accuracy"
 
-    def matrix(
-        self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-    ) -> np.ndarray:
-        out = np.empty((len(workers), len(tasks)), dtype=np.float64)
-        # Group the per-worker accuracy lookups by the distinct categories in
-        # the batch: one pass per category instead of one per (i, j) cell.
-        categories = {}
-        for j, task in enumerate(tasks):
-            categories.setdefault(task.category, []).append(j)
-        for category, cols in categories.items():
-            # Read the profile's pushed accuracy mirror directly: one dict
-            # lookup per worker in this per-batch loop (see
-            # WorkerProfile.accuracy_by_category).
-            col_accuracy = np.array(
-                [w.accuracy_by_category.get(category, 0.0) for w in workers],
-                dtype=np.float64,
-            )
-            out[:, cols] = col_accuracy[:, None]
-        return out
+    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+        # One gather of the table's accuracy column per task category.
+        return as_rows(workers).accuracy([task.category for task in tasks])
 
 
 class DistanceWeight(WeightFunction):
@@ -105,9 +88,7 @@ class DistanceWeight(WeightFunction):
             raise ValueError(f"max_km must be positive, got {max_km}")
         self.max_km = max_km
 
-    def matrix(
-        self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-    ) -> np.ndarray:
+    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
         km = _pairwise_km(workers, tasks)
         return np.maximum(0.0, 1.0 - km / self.max_km)
 
@@ -150,9 +131,7 @@ class TravelTimeWeight(WeightFunction):
         self.speed_kmh = speed_kmh
         self.horizon_s = horizon_s
 
-    def matrix(
-        self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-    ) -> np.ndarray:
+    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
         km = _pairwise_km(workers, tasks)
         travel_s = km / self.speed_kmh * 3600.0
         return np.clip(1.0 - travel_s / self.horizon_s, 0.0, 1.0)
@@ -170,12 +149,11 @@ class HybridWeight(WeightFunction):
         self._accuracy = AccuracyWeight()
         self._distance = DistanceWeight(max_km=max_km)
 
-    def matrix(
-        self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-    ) -> np.ndarray:
-        return self.beta * self._accuracy.matrix(workers, tasks) + (
+    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+        rows = as_rows(workers)
+        return self.beta * self._accuracy.matrix(rows, tasks) + (
             1.0 - self.beta
-        ) * self._distance.matrix(workers, tasks)
+        ) * self._distance.matrix(rows, tasks)
 
 
 class ConstantWeight(WeightFunction):
@@ -188,9 +166,7 @@ class ConstantWeight(WeightFunction):
             raise ValueError(f"value must be in [0,1], got {value}")
         self.value = value
 
-    def matrix(
-        self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
-    ) -> np.ndarray:
+    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
         return np.full((len(workers), len(tasks)), self.value, dtype=np.float64)
 
 

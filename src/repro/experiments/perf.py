@@ -47,6 +47,7 @@ from ..obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:
     from ..platform.dynamic_assignment import DynamicAssignmentComponent
+    from ..platform.profiling import ProfilingComponent
 
 logger = logging.getLogger(__name__)
 
@@ -274,10 +275,12 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         )
     )
 
-    # Eq. 3 matrix (graph-construction hot path).  Fits are warmed first so
-    # the record tracks evaluation throughput, not one-off fitting cost.
+    # Eq. 3 matrix (graph-construction hot path) over worker table rows, as
+    # the builder calls it.  Fits are warmed first so the record tracks
+    # evaluation throughput, not one-off fitting cost.
     estimator = DeadlineEstimator(min_history=3)
-    workers = _trained_workers(n_workers, history)
+    profiling = _registered(_trained_workers(n_workers, history))
+    workers = profiling.table.rows(profiling.available_workers())
     ttd = np.linspace(1.0, 300.0, n_ttd)
 
     def eq3() -> None:
@@ -329,7 +332,77 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         )
     )
     results.append(_monitor_sweep_bench(quick, commit))
+    results.append(_graph_build_bench(quick, commit))
     return results
+
+
+def _registered(workers: List[WorkerProfile]) -> "ProfilingComponent":
+    """A Profiling Component with ``workers`` registered, all available."""
+    from ..platform.profiling import ProfilingComponent
+
+    profiling = ProfilingComponent()
+    for profile in workers:
+        profiling.register(profile)
+    return profiling
+
+
+def _graph_build_bench(quick: bool, commit: str) -> BenchResult:
+    """One Scheduling Component batch build at the §V-C shape.
+
+    750 registered workers (histories of 0-30 durations, heavy-tailed, with
+    Eq. 1 feedback), about 350 of them busy, and 9 tasks with 60-120 s
+    deadlines: the batch shape of the §V-C REACT run (~400 available
+    workers × 9 tasks).  One iteration is what ``_start_batch`` does before
+    matching: gather the available slots, build the Eq. 3-pruned, Eq. 1
+    weighted graph, and resolve the rows' profiles.  The untimed warmup run
+    makes the fits.
+    """
+    from ..core.weights import AccuracyWeight
+    from ..graph.builders import AssignmentGraphBuilder
+    from ..model.task import Task
+
+    rng = np.random.default_rng(BENCH_SEED)
+    registered = 750
+    workers = []
+    for worker_id in range(registered):
+        profile = WorkerProfile(worker_id=worker_id)
+        for duration in 2.0 + rng.pareto(2.0, size=int(rng.integers(0, 31))) * 5.0:
+            positive = bool(rng.random() < 0.7)
+            profile.record_completion(float(duration), TaskCategory.GENERIC, positive)
+        profile.assignment_count = len(profile.execution_times)
+        workers.append(profile)
+    profiling = _registered(workers)
+    for worker_id in rng.choice(registered, size=350, replace=False).tolist():
+        profiling.record_assignment(worker_id, task_id=-1 - worker_id)
+    tasks = [
+        Task(latitude=0.0, longitude=0.0, deadline=float(deadline), submitted_at=0.0)
+        for deadline in rng.uniform(60.0, 120.0, size=9)
+    ]
+    builder = AssignmentGraphBuilder(AccuracyWeight(), DeadlineEstimator(min_history=3), 0.1)
+    iters = 100 if quick else 500
+    repeats = 3 if quick else 5
+
+    def build() -> None:
+        for _ in range(iters):
+            rows = profiling.table.rows(profiling.available_workers())
+            builder.build(rows, tasks, now=5.0)
+            rows.profiles
+
+    wall = _median_wall(build, repeats) / iters
+    return BenchResult(
+        bench="graph_build",
+        params={
+            "registered": registered,
+            "available": profiling.available_count,
+            "n_tasks": len(tasks),
+            "iters": iters,
+            "repeats": repeats,
+            "cpu_count": os.cpu_count(),
+        },
+        wall_seconds=wall,
+        throughput=profiling.available_count * len(tasks) / wall,
+        commit=commit,
+    )
 
 
 def _watched_rows(n_rows: int) -> "DynamicAssignmentComponent":

@@ -16,8 +16,9 @@ between the region's available workers and its unassigned tasks:
    acceptable range.
 5. **Optional low-weight pruning** (§IV-A suggestion) to shrink the graph.
 
-The whole construction is vectorized: one weight-matrix call, one Eq. (3)
-probability-matrix call, boolean masks, then a single ``from_dense``.
+The whole construction is vectorized over the worker table's columns: one
+weight-matrix call, one Eq. (3) probability-matrix call, boolean masks, then
+a single ``from_dense``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from ..core.deadline import DeadlineEstimator
 from ..core.weights import WeightFunction
 from ..model.task import Task
-from ..model.worker import WorkerProfile
+from ..model.worker_table import Workers, as_rows
 from .bipartite import BipartiteGraph
 
 #: Weight granted to cold-start (untrained) workers' edges.
@@ -127,16 +128,18 @@ class AssignmentGraphBuilder:
 
     def build(
         self,
-        workers: Sequence[WorkerProfile],
+        workers: Workers,
         tasks: Sequence[Task],
         now: float,
     ) -> Tuple[BipartiteGraph, GraphBuildReport]:
         """Construct the pruned, weighted graph at simulated time ``now``.
 
-        Worker index ``i`` in the returned graph corresponds to
+        ``workers`` are worker table rows (a profile list is tabulated
+        first).  Worker index ``i`` in the returned graph corresponds to
         ``workers[i]``, task index ``j`` to ``tasks[j]``.
         """
         report = GraphBuildReport()
+        workers = as_rows(workers)
         n_w, n_t = len(workers), len(tasks)
         if n_w == 0 or n_t == 0:
             return BipartiteGraph.empty(n_w, n_t), report
@@ -149,10 +152,7 @@ class AssignmentGraphBuilder:
         # available tasks and we assign the maximum value"), while the Eq. 3
         # probability model activates once the profile holds enough duration
         # observations (handled inside the estimator).
-        cold_start = np.array(
-            [w.assignment_count < self.estimator.min_history for w in workers],
-            dtype=bool,
-        )
+        cold_start = workers.assignment_count < self.estimator.min_history
         report.cold_start_workers = int(cold_start.sum())
 
         if self.edge_probability_bound > 0.0:
@@ -184,14 +184,12 @@ class AssignmentGraphBuilder:
         # Reward-range filtering (edges "not instantiated" per §III-C).
         if self.reward_ranges:
             rewards = np.array([task.reward for task in tasks], dtype=np.float64)
-            for i, worker in enumerate(workers):
-                rng = self.reward_ranges.get(worker.worker_id)
-                if rng is None:
-                    continue
-                ok = (rewards >= rng.low) & (rewards <= rng.high)
-                dropped = int((keep[i] & ~ok).sum())
-                report.pruned_by_reward += dropped
-                keep[i] &= ok
+            ranges = [self.reward_ranges.get(w) for w in workers.worker_ids.tolist()]
+            low = np.array([-np.inf if r is None else r.low for r in ranges])
+            high = np.array([np.inf if r is None else r.high for r in ranges])
+            ok = (rewards[None, :] >= low[:, None]) & (rewards[None, :] <= high[:, None])
+            report.pruned_by_reward = int((keep & ~ok).sum())
+            keep &= ok
 
         # Budget gate: a task whose requester cannot fund its reward gets
         # its whole column cleared — no matcher, randomized or greedy, can

@@ -195,18 +195,6 @@ class WorkerProfile:
     assignment_count: int = 0
     #: how many of ``execution_times`` are censored withdrawal observations
     censored_observations: int = 0
-    #: Eq. 1 accuracy per category, pushed on every feedback record so the
-    #: per-batch weight matrix reads one float per worker instead of walking
-    #: the tally objects (graph-construction hot path).  ``category_stats``
-    #: stays the source of truth; this mirror is rebuilt from it on
-    #: construction and updated in lock-step by :meth:`record_completion`.
-    accuracy_by_category: Dict[TaskCategory, float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        for category, stats in self.category_stats.items():
-            self.accuracy_by_category[category] = stats.accuracy
 
     # ------------------------------------------------------------ history
     @property
@@ -223,7 +211,6 @@ class WorkerProfile:
         self.execution_times.append(float(execution_time))
         stats = self.category_stats.setdefault(category, CategoryStats())
         stats.record(positive_feedback)
-        self.accuracy_by_category[category] = stats.positive / stats.finished
 
     def record_censored(self, elapsed: float) -> None:
         """Record a withdrawal as a censored duration observation.
@@ -240,7 +227,8 @@ class WorkerProfile:
 
     def accuracy(self, category: TaskCategory) -> float:
         """Observed accuracy for ``category`` (Eq. 1 numerator/denominator)."""
-        return self.accuracy_by_category.get(category, 0.0)
+        stats = self.category_stats.get(category)
+        return 0.0 if stats is None else stats.accuracy
 
     def overall_accuracy(self) -> float:
         """Accuracy pooled over all categories."""

@@ -16,7 +16,7 @@ The monitor is event-driven rather than a scan of every assigned task.
 Eq. (2) under a power-law fit is nonincreasing in the elapsed time, so each
 published assignment (a *row*, registered through :meth:`track`) has a
 withdrawal horizon
-(:meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizon`)
+(:meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizons`)
 before which it provably cannot fire.  Rows wait in a min-heap keyed by
 ``assigned_at + horizon``, and a sweep looks only at the rows whose key has
 passed.  A horizon depends on the worker's duration history, the task's
@@ -202,23 +202,34 @@ class DynamicAssignmentComponent:
         for row in live:
             self._rearm(row)
 
-    def _arm(self, row: _Row, now: float, threshold: float) -> None:
-        """Compute a pending row's horizon and queue it, or park it."""
+    def _arm_pending(self, now: float, threshold: float) -> None:
+        """Compute the pending rows' horizons and queue them, or park them."""
         profiles = self._profiles
-        if row.worker_id not in profiles:
-            return  # departed; his return re-arms the row
-        if row.ttd <= now - row.assigned_at:
-            return  # closed window: Eq. 2 reports 0.0 untrained, never fires
-        horizon = self._estimator.withdrawal_skip_horizon(
-            profiles.get(row.worker_id), row.ttd, threshold
+        arming: List[_Row] = []
+        for row in self._pending:
+            row.pending = False
+            if not row.live() or row.worker_id not in profiles:
+                continue  # dead, or departed: his return re-arms the row
+            if row.ttd <= now - row.assigned_at:
+                continue  # closed window: Eq. 2 reports 0.0 untrained, never fires
+            arming.append(row)
+        self._pending.clear()
+        if not arming:
+            return
+        horizons = self._estimator.withdrawal_skip_horizons(
+            profiles.table.rows_of([row.worker_id for row in arming]),
+            [row.ttd for row in arming],
+            threshold,
         )
-        if horizon >= row.ttd:
-            return  # the window closes before the row could fire
-        row.horizon = horizon
-        assigned_at = row.assigned_at
-        key = assigned_at + horizon
-        key -= _KEY_MARGIN * (abs(assigned_at) + horizon)
-        heapq.heappush(self._heap, (key, row.seq, row.epoch, row))
+        heap = self._heap
+        for row, horizon in zip(arming, horizons):
+            if horizon >= row.ttd:
+                continue  # the window closes before the row could fire
+            row.horizon = horizon
+            assigned_at = row.assigned_at
+            key = assigned_at + horizon
+            key -= _KEY_MARGIN * (abs(assigned_at) + horizon)
+            heapq.heappush(heap, (key, row.seq, row.epoch, row))
 
     def _compact(self) -> None:
         """Drop dead rows and stale heap entries (cf. ``Engine._compact``)."""
@@ -294,11 +305,7 @@ class DynamicAssignmentComponent:
                         self._rearm(row)
         self._last_now = now
 
-        for row in self._pending:
-            row.pending = False
-            if row.live():
-                self._arm(row, now, threshold)
-        self._pending.clear()
+        self._arm_pending(now, threshold)
 
         heap = self._heap
         profiles = self._profiles
@@ -347,7 +354,7 @@ class DynamicAssignmentComponent:
         estimator = self._estimator
         elapsed = [now - row.assigned_at for row in due]
         probs, trained = estimator.window_probability_batch(
-            [get_profile(row.worker_id) for row in due],
+            self._profiles.table.rows_of([row.worker_id for row in due]),
             np.asarray(elapsed, dtype=np.float64),
             np.asarray([row.ttd for row in due], dtype=np.float64),
         )

@@ -30,6 +30,13 @@ I6  Metric conservation: completed + expired never exceeds received;
     :meth:`MetricsCollector.check_conservation`).
 I7  Metric/pool agreement: received = finished + in-flight (only on
     servers that never adopt migrated tasks; disabled otherwise).
+I8  Worker table agreement: each registered profile's row of the
+    Profiling Component's :class:`~repro.model.worker_table.WorkerTable`
+    equals the profile (flags, observation and assignment counts,
+    location, per-category accuracy), the live rows enumerate the workers
+    in registration order, and the maintained available count is exact.
+    A direct write to a registered profile, bypassing the component,
+    shows up here.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..model.task import TaskPhase
+from ..model.worker_table import profile_mismatches
 from ..sim.engine import Engine
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
@@ -130,6 +138,11 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
                 f"I7: received={server.metrics.received} but "
                 f"finished+in_flight={total}"
             )
+
+    # I8 — the worker table mirrors the registered profiles.
+    problems = profile_mismatches(server.profiling.table, list(server.profiling))
+    if problems:
+        raise InvariantViolation(f"I8: worker table drift: {'; '.join(problems[:3])}")
 
 
 @dataclass

@@ -5,14 +5,24 @@ every registered worker it maintains geographic location, availability
 status, completion times and per-category feedback accuracy.  This is the
 *platform-observable* worker state — the latent ground-truth behaviour lives
 with the simulator (:mod:`repro.model.worker`), never here.
+
+The component is the only writer of a registered worker's state.  Each
+update changes the :class:`~repro.model.worker.WorkerProfile` and the
+worker's row of the columnar :class:`~repro.model.worker_table.WorkerTable`
+together, so batch construction can read the table instead of walking the
+profiles.  A registered profile must not be written directly: the
+invariant audit (I8 in :mod:`repro.platform.invariants`) reports the drift.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
+import numpy as np
+
 from ..model.task import TaskCategory
 from ..model.worker import WorkerProfile
+from ..model.worker_table import WorkerTable
 
 
 class ProfilingComponent:
@@ -20,6 +30,8 @@ class ProfilingComponent:
 
     def __init__(self) -> None:
         self._profiles: Dict[int, WorkerProfile] = {}
+        #: Columnar mirror of the registered profiles (registration order).
+        self.table = WorkerTable()
         #: Chaos hook (:class:`repro.chaos.StaleProfileFault`): maps a raw
         #: ``(worker_id, execution_time)`` observation to the value actually
         #: stored, letting fault injection feed the profiler stale or
@@ -33,6 +45,7 @@ class ProfilingComponent:
         if profile.worker_id in self._profiles:
             raise ValueError(f"worker {profile.worker_id} is already registered")
         self._profiles[profile.worker_id] = profile
+        self.table.append(profile)
         self._changed(profile.worker_id)
 
     def add_profile_hook(self, hook: Callable[[int], None]) -> None:
@@ -61,6 +74,7 @@ class ProfilingComponent:
     def deregister(self, worker_id: int) -> WorkerProfile:
         """Remove a worker (churn); raises ``KeyError`` if unknown."""
         profile = self._profiles.pop(worker_id)
+        self.table.remove(worker_id)
         for hook in self._deregister_hooks:
             hook(worker_id)
         return profile
@@ -78,26 +92,38 @@ class ProfilingComponent:
         return iter(self._profiles.values())
 
     # ------------------------------------------------------------- queries
-    def available_workers(self) -> List[WorkerProfile]:
-        """Workers that are online and not executing a task, in a stable
-        (registration) order so batch construction is deterministic."""
-        return [p for p in self._profiles.values() if p.online and p.available]
+    def available_workers(self) -> np.ndarray:
+        """Table slots of the workers that are online and not executing a
+        task, in registration order so batch construction is deterministic.
+
+        Slots stay valid until the next registration change; resolve them
+        with ``table.rows`` right away.
+        """
+        return self.table.available_slots()
+
+    @property
+    def available_count(self) -> int:
+        """How many workers are online and free (a maintained count)."""
+        return self.table.n_available
 
     def any_available(self) -> bool:
-        """Whether at least one worker is online and free.
-
-        Early-exit form of ``bool(available_workers())`` for the batch
-        trigger guards, which run on every arrival/completion and only need
-        existence, not the list.
-        """
-        return any(p.online and p.available for p in self._profiles.values())
-
-    def busy_workers(self) -> List[WorkerProfile]:
-        return [p for p in self._profiles.values() if p.online and not p.available]
+        """Whether at least one worker is online and free (the batch guard)."""
+        return self.table.n_available > 0
 
     # ------------------------------------------------------------- updates
     def record_assignment(self, worker_id: int, task_id: int) -> None:
         self._profiles[worker_id].assign(task_id)
+        self.table.assign(worker_id)
+
+    def set_online(self, worker_id: int, online: bool) -> None:
+        """A registered worker goes offline (held, departing) or back online."""
+        self._profiles[worker_id].online = online
+        self.table.set_online(worker_id, online)
+
+    def release(self, worker_id: int) -> None:
+        """The worker is free again without returning a result (walk-away)."""
+        self._profiles[worker_id].release()
+        self.table.release(worker_id)
 
     def record_completion(
         self,
@@ -112,6 +138,12 @@ class ProfilingComponent:
             execution_time = self.observation_hook(worker_id, execution_time)
         profile.record_completion(execution_time, category, positive_feedback)
         profile.release()
+        self.table.complete(
+            worker_id,
+            len(profile.execution_times),
+            category,
+            profile.category_stats[category].accuracy,
+        )
         self._changed(worker_id)
 
     def _censor(self, profile: WorkerProfile, elapsed: float) -> None:
@@ -119,6 +151,7 @@ class ProfilingComponent:
         before = len(profile.execution_times)
         profile.record_censored(elapsed)
         if len(profile.execution_times) != before:
+            self.table.set_n_obs(profile.worker_id, before + 1)
             self._changed(profile.worker_id)
 
     def record_withdrawal(
@@ -154,7 +187,7 @@ class ProfilingComponent:
             return
         profile.detach_task()
         if release:
-            profile.release()
+            self.release(worker_id)
 
     def record_expiry(
         self, worker_id: int, task_id: int, elapsed: float, release: bool
@@ -173,13 +206,13 @@ class ProfilingComponent:
         self._censor(profile, elapsed)
         profile.detach_task()
         if release:
-            profile.release()
+            self.release(worker_id)
 
     def release_after_dawdle(self, worker_id: int) -> None:
         """A dawdling worker's sampled duration elapsed; he is free again."""
         profile = self._profiles.get(worker_id)
         if profile is not None and not profile.available and profile.current_task is None:
-            profile.release()
+            self.release(worker_id)
 
     # ------------------------------------------------------------ summary
     def trained_count(self, min_history: int) -> int:

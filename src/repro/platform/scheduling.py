@@ -185,14 +185,14 @@ class SchedulingComponent:
         )
         if retired:
             self._on_retired(retired)
-        workers = self._profiles.available_workers()
+        rows = self._profiles.table.rows(self._profiles.available_workers())
 
         # Host wall time feeds profiling reports only — except under the
         # opt-in MeasuredCost sensitivity model, which deliberately trades
         # determinism for a calibration check.  Default (analytic-cost)
         # runs stay seed-deterministic, hence the DET001 suppressions.
         wall_start = time.perf_counter()  # reprolint: disable=DET001
-        graph, report = self._builder.build(workers, batch, now)
+        graph, report = self._builder.build(rows, batch, now)
         result = self._matcher.match(graph, self._rng)
         result.validate()
         wall = time.perf_counter() - wall_start  # reprolint: disable=DET001
@@ -212,7 +212,7 @@ class SchedulingComponent:
             cost_tasks = len(batch)
             cost_edges = graph.n_edges
         shape = BatchShape(
-            n_workers=len(workers),
+            n_workers=len(rows),
             n_tasks=cost_tasks,
             n_edges=cost_edges,
             cycles=getattr(getattr(self._matcher, "params", None), "cycles", 0),
@@ -226,7 +226,9 @@ class SchedulingComponent:
 
         payload = _PendingBatch(
             started_at=now,
-            workers=workers,
+            # Profiles, not slots: a registration change before publication
+            # may compact the table and move every slot.
+            workers=rows.profiles,
             batch=batch,
             result=result,
             report=report,
@@ -343,7 +345,8 @@ class SchedulingComponent:
 @dataclass
 class _PendingBatch:
     started_at: float
-    workers: List[WorkerProfile]
+    #: object array of the batch's WorkerProfile rows (graph row order)
+    workers: np.ndarray
     batch: List[Task]
     result: MatchingResult
     report: GraphBuildReport

@@ -199,7 +199,7 @@ class RegionServer:
         system").
         """
         profile = self.profiling.get(worker_id)
-        profile.online = False
+        self.profiling.set_online(worker_id, False)
         if profile.current_task is not None:
             task = self.task_management.get(profile.current_task)
             if task.phase is TaskPhase.ASSIGNED and task.assigned_worker == worker_id:
@@ -588,7 +588,7 @@ class REACTServer(RegionServer):
             # The worker walks away without informing the platform (§IV-B):
             # he becomes available for other tasks, but the task stays
             # "assigned" until Eq. 2 or the deadline-expiry pulls it back.
-            self.profiling.get(execution.worker_id).release()
+            self.profiling.release(execution.worker_id)
             self._tracer.instant(
                 "task.abandoned",
                 cat="task",

@@ -127,7 +127,7 @@ class TieredCoordinator:
     ) -> Optional[Tuple[int, int]]:
         best, best_free = None, 0
         for cell in candidates:
-            free = len(self._servers[cell].profiling.available_workers())
+            free = self._servers[cell].profiling.available_count
             if free > best_free:
                 best, best_free = cell, free
         return best

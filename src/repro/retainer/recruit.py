@@ -165,7 +165,7 @@ class RetainerRecruiter:
         ):
             managed.pooled = True
             # Held on retainer: paid to wait, invisible to the matcher.
-            profile.online = False
+            self._server.profiling.set_online(profile.worker_id, False)
             self.stats.retained += 1
             self._tracer.instant(
                 "retainer.hold", cat="retainer", worker_id=profile.worker_id
@@ -189,7 +189,7 @@ class RetainerRecruiter:
         if self.pool is None:
             return
         backlog = self._server.task_management.unassigned_count
-        idle_online = len(self._server.profiling.available_workers())
+        idle_online = self._server.profiling.available_count
         needed = backlog - idle_online - self._pending_releases
         for _ in range(needed):
             self._pending_releases += 1
@@ -199,7 +199,7 @@ class RetainerRecruiter:
     def _on_release(self, worker_id: int, waited: float) -> None:
         self._pending_releases -= 1
         managed = self._managed[worker_id]
-        managed.profile.online = True
+        self._server.profiling.set_online(worker_id, True)
         managed.idle_since = None
         self._tracer.instant(
             "retainer.online", cat="retainer", worker_id=worker_id, waited=waited
@@ -217,7 +217,7 @@ class RetainerRecruiter:
         if managed is None:
             return
         managed.pooled = False
-        managed.profile.online = True
+        self._server.profiling.set_online(worker_id, True)
         managed.idle_since = self._engine.now
         self.stats.walk_ins += 1
         self._obs_walkins.set(self._walkin_count())
@@ -241,7 +241,7 @@ class RetainerRecruiter:
                 # A released worker with nothing left to do goes back on
                 # retainer (and may be handed straight to queued demand).
                 if backlog == 0 and self.pool is not None:
-                    profile.online = False
+                    self._server.profiling.set_online(worker_id, False)
                     self.pool.return_worker(worker_id)
                     self.stats.repooled += 1
                 continue

@@ -94,7 +94,7 @@ class TimelineRecorder:
     def _sample(self, now: float) -> None:
         server = self._server
         metrics = server.metrics
-        available = len(server.profiling.available_workers())
+        available = server.profiling.available_count
         total_online = sum(1 for p in server.profiling if p.online)
         self.timeline.samples.append(
             TimelineSample(

@@ -69,6 +69,7 @@ class TestDriver:
             "eq3_matrix",
             "eq2_sweep",
             "monitor_sweep",
+            "graph_build",
             "endtoend_obs_overhead",
             "scalability_parallel",
         }

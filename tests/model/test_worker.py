@@ -170,52 +170,3 @@ class TestWorkerProfile:
             profile.release()
         assert profile.assignment_count == 3
         assert profile.completed_tasks == 0  # assignments are not completions
-
-
-class TestAccuracyMirror:
-    """The pushed ``accuracy_by_category`` mirror stays in lock-step with
-    ``category_stats`` (the source of truth) — the per-batch Eq. 1 weight
-    matrix reads the mirror directly, so divergence would silently change
-    matching decisions."""
-
-    def test_mirror_tracks_every_completion(self):
-        profile = WorkerProfile(worker_id=1)
-        outcomes = (True, False, True, True, False)
-        for positive in outcomes:
-            profile.record_completion(5.0, TaskCategory.PRICE_CHECK, positive)
-            stats = profile.category_stats[TaskCategory.PRICE_CHECK]
-            assert (
-                profile.accuracy_by_category[TaskCategory.PRICE_CHECK]
-                == stats.accuracy
-            )
-        assert profile.accuracy(TaskCategory.PRICE_CHECK) == 0.6
-
-    def test_constructor_injected_stats_seed_the_mirror(self):
-        stats = CategoryStats(positive=3, finished=4)
-        profile = WorkerProfile(
-            worker_id=1, category_stats={TaskCategory.GENERIC: stats}
-        )
-        assert profile.accuracy_by_category[TaskCategory.GENERIC] == 0.75
-        assert profile.accuracy(TaskCategory.GENERIC) == 0.75
-
-    def test_unknown_category_reads_zero(self):
-        profile = WorkerProfile(worker_id=1)
-        profile.record_completion(5.0, TaskCategory.GENERIC, True)
-        assert profile.accuracy(TaskCategory.ENTERTAINMENT) == 0.0
-
-    def test_weight_matrix_agrees_with_category_stats(self):
-        from repro.core.weights import AccuracyWeight
-        from repro.model.task import Task
-
-        profile = WorkerProfile(worker_id=1)
-        for positive in (True, True, False):
-            profile.record_completion(5.0, TaskCategory.IMAGE_LABELING, positive)
-        task = Task(
-            latitude=0.0,
-            longitude=0.0,
-            deadline=60.0,
-            category=TaskCategory.IMAGE_LABELING,
-        )
-        matrix = AccuracyWeight().matrix([profile], [task])
-        truth = profile.category_stats[TaskCategory.IMAGE_LABELING].accuracy
-        assert matrix[0, 0] == truth == 2.0 / 3.0

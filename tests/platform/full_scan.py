@@ -81,7 +81,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
                 ttd_i = task.absolute_deadline - assigned_at
                 if ttd_i <= elapsed_i:
                     continue
-                horizon = estimator.withdrawal_skip_horizon(profile, ttd_i, threshold)
+                horizon = estimator.withdrawal_skip_horizons([profile], [ttd_i], threshold)[0]
                 cache[task.task_id] = (worker_id, n_obs, assigned_at, horizon, ttd_i)
                 if elapsed_i < horizon:
                     continue

@@ -12,10 +12,9 @@ from .helpers import build_server, dawdler_behavior, submit
 
 
 def _train_profile(server, worker_id, times):
-    """Inject a completion history directly into a worker's profile."""
-    profile = server.profiling.get(worker_id)
+    """Inject a completion history into an idle registered worker's profile."""
     for t in times:
-        profile.record_completion(t, TaskCategory.GENERIC, True)
+        server.profiling.record_completion(worker_id, t, TaskCategory.GENERIC, True)
 
 
 class TestMonitorSweep:
@@ -176,7 +175,8 @@ class TestSweepHardCases:
         profile = server.profiling.get(0)
         # Before the sweep, the closing task's 7 s row is safe: its
         # horizon lies ahead and Eq. 2 is above the threshold.
-        assert server.estimator.withdrawal_skip_horizon(profile, 8.08, 0.1) > 7.0
+        rows = server.profiling.table.rows_of([0])
+        assert server.estimator.withdrawal_skip_horizons(rows, [8.08], 0.1)[0] > 7.0
         assert server.estimator.window_probability(profile, 7.0, 8.08).probability >= 0.1
         assert monitor.sweep(190.0) == 2
         assert [(w.task_id, w.elapsed) for w in monitor.withdrawals] == [

@@ -99,6 +99,21 @@ class TestViolationsDetected:
         with pytest.raises(InvariantViolation, match="I7"):
             check_server_invariants(server)
 
+    def test_i8_direct_profile_write(self):
+        engine, server = build_server(n_workers=3)
+        submit(server, engine, deadline=600.0)
+        engine.run(until=1.0)
+        check_server_invariants(server)
+        server.profiling.get(2).online = False  # bypasses the Profiling Component
+        with pytest.raises(InvariantViolation, match="I8"):
+            check_server_invariants(server)
+
+    def test_i8_checked_without_strict_accounting(self):
+        engine, server = build_server(n_workers=1)
+        server.profiling.get(0).assignment_count += 1
+        with pytest.raises(InvariantViolation, match="I8"):
+            check_server_invariants(server, strict_accounting=False)
+
     def test_i7_disabled_for_adopting_servers(self):
         engine, server = build_server(
             n_workers=1, policy=react_policy(batch_threshold=10)

@@ -32,19 +32,25 @@ class TestMembership:
             component.deregister(1)
 
 
+def _available_ids(component):
+    return component.table.rows(component.available_workers()).worker_ids.tolist()
+
+
 class TestAvailability:
     def test_available_workers_order_stable(self, component):
-        ids = [p.worker_id for p in component.available_workers()]
-        assert ids == [0, 1, 2]
+        assert _available_ids(component) == [0, 1, 2]
 
     def test_assignment_removes_from_available(self, component):
         component.record_assignment(1, task_id=10)
-        assert [p.worker_id for p in component.available_workers()] == [0, 2]
-        assert [p.worker_id for p in component.busy_workers()] == [1]
+        assert _available_ids(component) == [0, 2]
+        assert component.available_count == 2
+        assert not component.get(1).available
 
     def test_offline_excluded(self, component):
-        component.get(0).online = False
-        assert [p.worker_id for p in component.available_workers()] == [1, 2]
+        component.set_online(0, False)
+        assert not component.get(0).online
+        assert _available_ids(component) == [1, 2]
+        assert component.available_count == 2
 
 
 class TestCompletionRecording:

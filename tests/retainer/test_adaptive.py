@@ -170,7 +170,7 @@ class TestAdaptivePoolSizer:
             engine, server, n_supply=6, pool=pool, patience=10_000.0
         )
         recruiter.start(prefill=6)
-        assert server.profiling.available_workers() == []
+        assert len(server.profiling.available_workers()) == 0
         sizer = make_sizer(
             engine, pool, on_evict=recruiter.release_to_walkin
         )

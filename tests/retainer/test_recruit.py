@@ -86,7 +86,7 @@ class TestRetainerHolds:
         assert recruiter.stats.retained == 3
         # Held workers are registered but invisible to the matcher.
         assert len(server.profiling) == 3
-        assert server.profiling.available_workers() == []
+        assert len(server.profiling.available_workers()) == 0
 
     def test_prefill_without_pool_rejected(self):
         engine, server = build_bare_server()

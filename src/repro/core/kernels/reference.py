@@ -1,11 +1,14 @@
 """Seed (reference) implementations of the matching cycle loops.
 
 These are the inner loops exactly as the matchers shipped them before the
-kernels layer existed: per-cycle NumPy scalar indexing on the edge arrays.
-They are deliberately kept verbatim — slow, but the behavioural ground truth
-that the optimised kernels in :mod:`repro.core.kernels.wbgm` must match bit
-for bit (same selected edges, same stats counters, same consumption of the
-pre-drawn random sequences).  Production code never calls them: they are the
+kernels layer existed: per-cycle NumPy scalar indexing on the edge arrays,
+and, for :func:`uniform_match`, the per-task slice walk the uniform matcher
+ran on every graph before complete graphs drew from one shared free-worker
+list.  They are deliberately kept verbatim — slow, but the behavioural
+ground truth that the optimised kernels in :mod:`repro.core.kernels.wbgm`
+and :class:`~repro.core.matching.uniform.UniformMatcher` must match bit for
+bit (same selected edges, same stats counters, same consumption of the
+random sequences).  Production code never calls them: they are the
 oracle of the equivalence suite and the denominator of the perf harness's
 ``speedup_vs_reference``.
 """
@@ -13,7 +16,7 @@ oracle of the equivalence suite and the denominator of the perf harness's
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -175,3 +178,39 @@ def metropolis_match(
         "rejected": rejected,
     }
     return np.flatnonzero(selected), stats
+
+
+def uniform_match(
+    ew: np.ndarray,
+    et: np.ndarray,
+    n_workers: int,
+    n_tasks: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Uniform task-by-task walk as in the seed ``UniformMatcher.match``.
+
+    Argsorts the edges by task, then visits the tasks in ``rng.permutation``
+    order and gives each a uniformly random still-free neighbour, drawn
+    from that task's whole edge slice.  Returns the chosen edge indices,
+    ascending.
+    """
+    order = np.argsort(et, kind="stable")
+    sorted_tasks = et[order]
+    boundaries = np.searchsorted(sorted_tasks, np.arange(n_tasks + 1))
+
+    order_list = order.tolist()
+    owner_list = ew[order].tolist()
+    bounds = boundaries.tolist()
+    worker_free = bytearray(b"\x01") * n_workers
+    chosen: List[int] = []
+    for task in rng.permutation(n_tasks).tolist():
+        start, stop = bounds[task], bounds[task + 1]
+        if start == stop:
+            continue
+        free = [pos for pos in range(start, stop) if worker_free[owner_list[pos]]]
+        if not free:
+            continue
+        pos = free[rng.integers(0, len(free))]
+        worker_free[owner_list[pos]] = 0
+        chosen.append(order_list[pos])
+    return np.asarray(sorted(chosen), dtype=np.int64)

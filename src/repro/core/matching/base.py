@@ -22,6 +22,16 @@ class MatchingError(ValueError):
     """Raised when a produced matching violates the one-to-one constraints."""
 
 
+def has_duplicates(values: np.ndarray) -> bool:
+    """Whether an integer array repeats a value.
+
+    Same verdict as ``len(np.unique(values)) != len(values)``; a set of the
+    listed values skips ``unique``'s sort, which dominates at matching sizes
+    (a few to a few hundred edges per batch).
+    """
+    return len(values) > 1 and len(set(values.tolist())) != len(values)
+
+
 @dataclass(frozen=True)
 class MatchingResult:
     """Outcome of one matcher invocation.
@@ -66,7 +76,7 @@ class MatchingResult:
                 raise MatchingError("task_worker length != graph.n_tasks")
             # A kernel-built matching is duplicate-free by construction.
             return
-        if len(np.unique(idx)) != len(idx):
+        if has_duplicates(idx):
             raise MatchingError("duplicate edge in matching")
 
     # ----------------------------------------------------------- contents
@@ -124,9 +134,9 @@ class MatchingResult:
             return
         workers = self.workers
         tasks = self.tasks
-        if len(np.unique(workers)) != len(workers):
+        if has_duplicates(workers):
             raise MatchingError("a worker appears in two matched edges")
-        if len(np.unique(tasks)) != len(tasks):
+        if has_duplicates(tasks):
             raise MatchingError("a task appears in two matched edges")
 
     @property

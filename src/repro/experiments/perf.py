@@ -39,6 +39,7 @@ from ..core.kernels import reference
 from ..core.matching.base import Matcher
 from ..core.matching.metropolis import MetropolisMatcher, MetropolisParameters
 from ..core.matching.react import ReactMatcher, ReactParameters
+from ..core.matching.uniform import UniformMatcher
 from ..graph.bipartite import BipartiteGraph
 from ..model.task import TaskCategory
 from ..model.worker import WorkerProfile
@@ -121,6 +122,11 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
     :mod:`repro.core.kernels.reference` on the same pre-draws.  The
     reference wall is the denominator of the ``speedup_vs_reference``
     recorded on the production record.
+
+    ``uniform_match`` records the Traditional matcher the same way, on two
+    shapes told apart by ``params["shape"]``: the worst-case full graph and
+    a backlog (few free workers, many queued tasks), where the seed slice
+    walk scans every free worker for every task.
     """
     n = 50 if quick else 200
     cycles = 200 if quick else 1000
@@ -172,6 +178,7 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
                 "n_edges": graph.n_edges,
                 "cycles": cycles,
                 "repeats": repeats,
+                "cpu_count": os.cpu_count(),
             }
             if label == "python":
                 params["speedup_vs_reference"] = reference_wall / wall
@@ -184,6 +191,58 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
                     commit=commit,
                 )
             )
+    backlog = (10, 400) if quick else (20, 2000)
+    for shape, (n_workers, n_tasks) in (("full", (n, n)), ("backlog", backlog)):
+        results.extend(
+            _uniform_records(_bench_graph(n_workers, n_tasks), shape, repeats, commit)
+        )
+    return results
+
+
+def _uniform_records(
+    graph: BipartiteGraph, shape: str, repeats: int, commit: str
+) -> List[BenchResult]:
+    """``UniformMatcher`` against the seed slice walk on one graph."""
+    matcher = UniformMatcher()
+
+    def run_reference() -> None:
+        reference.uniform_match(
+            graph.edge_workers,
+            graph.edge_tasks,
+            graph.n_workers,
+            graph.n_tasks,
+            np.random.default_rng(BENCH_SEED),
+        )
+
+    def run_matcher() -> None:
+        matcher.match(graph, np.random.default_rng(BENCH_SEED))
+
+    reference_wall = _median_wall(run_reference, repeats)
+    matcher_wall = _median_wall(run_matcher, repeats)
+    matched = min(graph.n_workers, graph.n_tasks)
+    results = []
+    for label, wall in (("reference", reference_wall), ("python", matcher_wall)):
+        params: Dict[str, object] = {
+            "matcher": "uniform",
+            "backend": label,
+            "shape": shape,
+            "n_workers": graph.n_workers,
+            "n_tasks": graph.n_tasks,
+            "n_edges": graph.n_edges,
+            "repeats": repeats,
+            "cpu_count": os.cpu_count(),
+        }
+        if label == "python":
+            params["speedup_vs_reference"] = reference_wall / wall
+        results.append(
+            BenchResult(
+                bench="uniform_match",
+                params=params,
+                wall_seconds=wall,
+                throughput=matched / wall,
+                commit=commit,
+            )
+        )
     return results
 
 
@@ -979,19 +1038,21 @@ def write_bench_file(path: Path, results: List[BenchResult]) -> Path:
 
 def format_report(results: List[BenchResult]) -> str:
     lines = [
-        f"{'bench':<22} {'detail':<16} {'wall (ms)':>10} {'throughput':>14} {'speedup':>8}"
+        f"{'bench':<22} {'detail':<18} {'wall (ms)':>10} {'throughput':>14} {'speedup':>8}"
     ]
     for r in results:
         # The detail column disambiguates records sharing a bench name: the
         # kernel label for matcher records, variant/policy for end-to-end.
         detail = str(r.params.get("backend", "-"))
+        if "shape" in r.params:
+            detail = f"{detail}:{r.params['shape']}"
         if "variant" in r.params:
             detail = f"{str(r.params['variant'])[:3]}:{r.params.get('policy', 'all')}"
         speedup = r.params.get("speedup_vs_reference")
         if speedup is None:
             speedup = r.params.get("speedup_vs_pre_pr")
         lines.append(
-            f"{r.bench:<22} {detail:<16} {r.wall_seconds * 1e3:>10.2f} "
+            f"{r.bench:<22} {detail:<18} {r.wall_seconds * 1e3:>10.2f} "
             f"{r.throughput:>14.0f} "
             f"{f'{speedup:.2f}x' if speedup is not None else '-':>8}"
         )

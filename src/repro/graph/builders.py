@@ -145,7 +145,6 @@ class AssignmentGraphBuilder:
             return BipartiteGraph.empty(n_w, n_t), report
         report.candidate_edges = n_w * n_t
 
-        ttd = np.array([task.time_to_deadline(now) for task in tasks], dtype=np.float64)
         # Two distinct notions of "new worker" (§IV-A): the cold-start boost
         # applies to a worker's first z *assignments* ("for the first z
         # assignments of a new worker, we instantiate the edges with all
@@ -156,6 +155,9 @@ class AssignmentGraphBuilder:
         report.cold_start_workers = int(cold_start.sum())
 
         if self.edge_probability_bound > 0.0:
+            ttd = np.array(
+                [task.time_to_deadline(now) for task in tasks], dtype=np.float64
+            )
             # Eq. (3) probabilities; untrained rows come back as 1.0 except
             # for already-expired tasks (columns with ttd <= 0), which stay 0.
             prob = self.estimator.completion_probability_matrix(workers, ttd)

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core.matching.base import MatchingError, MatchingResult, empty_result
+from repro.core.matching.base import (
+    MatchingError,
+    MatchingResult,
+    empty_result,
+    has_duplicates,
+)
 
 
 class TestMatchingResult:
@@ -59,3 +67,21 @@ class TestMatchingResult:
         assert result.size == 0
         assert result.total_weight == 0.0
         result.validate()
+
+
+class TestHasDuplicates:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.int64,
+            st.integers(0, 40),
+            # A narrow range makes repeats common; the wide one covers
+            # values far from zero in both directions.
+            elements=st.one_of(st.integers(-3, 3), st.integers(-(2**62), 2**62)),
+        )
+    )
+    @example(np.empty(0, dtype=np.int64))
+    @example(np.array([7], dtype=np.int64))
+    @example(np.array([7, 7], dtype=np.int64))
+    def test_same_verdict_as_unique(self, values):
+        assert has_duplicates(values) == (len(np.unique(values)) != len(values))

@@ -21,7 +21,11 @@ SCHEMA_KEYS = {"bench", "params", "wall_seconds", "throughput", "commit"}
 class TestMatchingBenchmarks:
     def test_quick_run_schema_and_speedup(self):
         results = run_matching_benchmarks(quick=True)
-        assert {r.bench for r in results} == {"react_match", "metropolis_match"}
+        assert {r.bench for r in results} == {
+            "react_match",
+            "metropolis_match",
+            "uniform_match",
+        }
         for r in results:
             assert set(r.to_dict()) == SCHEMA_KEYS
             assert r.wall_seconds > 0

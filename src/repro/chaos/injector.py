@@ -83,8 +83,9 @@ class FaultInjector:
             "Fault activations performed by the injector",
             labelnames=("kind",),
         )
-        self._obs_active = obs.registry.gauge(
-            "react_chaos_faults_active", "Fault windows currently open"
+        obs.registry.gauge(
+            "react_chaos_faults_active", "Fault windows currently open",
+            source=self._open_windows,
         )
         # Active-fault state; lists/counters so overlapping windows compose.
         self._active_stalls: List[MatcherStallFault] = []
@@ -145,7 +146,6 @@ class FaultInjector:
             FaultLogEntry(time=self.engine.now, kind=fault.kind, action="activate", detail=detail)
         )
         self._obs_activations.labels(kind=fault.kind).inc()
-        self._obs_active.set(self._open_windows())
         self._tracer.instant(
             f"fault.{fault.kind}",
             cat="chaos",
@@ -173,7 +173,6 @@ class FaultInjector:
         self.log.append(
             FaultLogEntry(time=self.engine.now, kind=fault.kind, action="deactivate", detail=detail)
         )
-        self._obs_active.set(self._open_windows())
         self._tracer.instant(
             f"fault.{fault.kind}",
             cat="chaos",

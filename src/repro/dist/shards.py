@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.registry import Sample
 
@@ -130,7 +130,3 @@ def safe_id(*parts: Any) -> str:
     """Join id components into a filesystem-safe shard id."""
     raw = "-".join(str(p) for p in parts)
     return "".join(c if c in _ID_SAFE else "_" for c in raw)
-
-
-def snapshot_key(sample: Sample) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-    return (sample.name, sample.labels)

@@ -594,9 +594,6 @@ class _CountingObservability:
     gauge = counter
     histogram = counter
 
-    def add_collect_hook(self, hook) -> None:
-        pass
-
     # tracer facade
     def set_clock(self, clock) -> None:
         pass

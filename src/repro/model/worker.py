@@ -117,10 +117,6 @@ class WorkerBehavior:
             return ExecutionDraw(duration=float(rng.uniform(floor, self.delay_cap)))
         return ExecutionDraw(duration=float(rng.uniform(self.min_time, self.max_time)))
 
-    def sample_execution_time(self, rng: np.random.Generator) -> float:
-        """Duration-only view of :meth:`sample_outcome` (analysis helper)."""
-        return self.sample_outcome(rng).duration
-
     def quality_for(self, category: Optional[TaskCategory]) -> float:
         """Latent quality on ``category`` tasks (heterogeneous extension).
 

@@ -4,7 +4,10 @@ A deliberately small, dependency-free re-implementation of the Prometheus
 client-library data model, tuned for deterministic simulation telemetry:
 
 * instruments are created once (idempotently) on a :class:`MetricsRegistry`
-  and updated on the hot paths via plain attribute calls;
+  and updated on the hot paths via plain attribute calls — or, when a
+  component already keeps the count itself, created with a ``source``
+  callable that the registry reads at snapshot time (one source of truth,
+  nothing pushed twice);
 * histograms use *fixed* bucket bounds chosen at creation time, so two runs
   of the same seeded simulation produce byte-identical snapshots;
 * :meth:`MetricsRegistry.snapshot` returns samples in a deterministic order
@@ -139,6 +142,33 @@ class Gauge(_Instrument):
         ]
 
 
+class SourcedInstrument(_Instrument):
+    """A counter or gauge whose value is read from ``source()`` when sampled.
+
+    The owning component keeps the count in a plain field; the registry
+    only reads it (at :meth:`MetricsRegistry.snapshot` and
+    :meth:`MetricsRegistry.value`), so the two can never disagree and the
+    hot path pays nothing.  Pushing (``inc``/``set``) is rejected.
+    """
+
+    def __init__(self, kind: str, name: str, help: str, source: Callable[[], float]) -> None:
+        super().__init__(name, help)
+        self.kind = kind
+        self._source = source
+
+    @property
+    def value(self) -> float:
+        return float(self._source())
+
+    def _read_only(self, *args: object) -> None:
+        raise ValueError(f"{self.name} reads its source; it cannot be pushed")
+
+    inc = dec = set = _read_only
+
+    def samples(self) -> List[Sample]:
+        return [Sample(self.name, (), self.value)]
+
+
 class Histogram(_Instrument):
     """Fixed-bucket cumulative histogram (Prometheus ``histogram``).
 
@@ -206,16 +236,27 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, _Instrument] = {}
-        self._collect_hooks: List[Callable[[], None]] = []
 
     # ----------------------------------------------------------- factories
     def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
+        self,
+        name: str,
+        help: str = "",
+        labelnames: Sequence[str] = (),
+        source: Optional[Callable[[], float]] = None,
+    ) -> "Counter | SourcedInstrument":
+        """A counter; with ``source`` it reads ``source()`` when sampled."""
+        return self._get_or_create(Counter, name, help, labelnames, source)
 
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
+    def gauge(
+        self,
+        name: str,
+        help: str = "",
+        labelnames: Sequence[str] = (),
+        source: Optional[Callable[[], float]] = None,
+    ) -> "Gauge | SourcedInstrument":
+        """A gauge; with ``source`` it reads ``source()`` when sampled."""
+        return self._get_or_create(Gauge, name, help, labelnames, source)
 
     def histogram(
         self,
@@ -235,12 +276,28 @@ class MetricsRegistry:
         self._instruments[name] = instrument
         return instrument
 
-    def _get_or_create(self, cls, name: str, help: str, labelnames: Sequence[str]):
+    def _get_or_create(
+        self,
+        cls,
+        name: str,
+        help: str,
+        labelnames: Sequence[str],
+        source: Optional[Callable[[], float]],
+    ):
         existing = self._instruments.get(name)
         if existing is not None:
+            if source is not None or isinstance(existing, SourcedInstrument):
+                # Two owners of one sourced series would silently shadow
+                # each other; a sourced series has exactly one.
+                raise ValueError(f"{name}: a sourced instrument cannot be re-registered")
             self._check_reuse(existing, cls, labelnames)
             return existing
-        instrument = cls(name, help, labelnames)
+        if source is None:
+            instrument = cls(name, help, labelnames)
+        elif labelnames:
+            raise ValueError(f"{name}: a sourced instrument cannot have labels")
+        else:
+            instrument = SourcedInstrument(cls.kind, name, help, source)
         self._instruments[name] = instrument
         return instrument
 
@@ -265,14 +322,8 @@ class MetricsRegistry:
         """Every registered instrument, sorted by name."""
         return [self._instruments[name] for name in sorted(self._instruments)]
 
-    def add_collect_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` before every snapshot (pull-style gauge sync)."""
-        self._collect_hooks.append(hook)
-
     def snapshot(self) -> List[Sample]:
         """All samples in deterministic (name, labels) order."""
-        for hook in self._collect_hooks:
-            hook()
         out: List[Sample] = []
         for instrument in self.instruments():
             out.extend(instrument.samples())
@@ -340,17 +391,14 @@ class NullRegistry:
 
     __slots__ = ()
 
-    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
+    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = (), source=None):
         return NULL_INSTRUMENT
 
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
+    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = (), source=None):
         return NULL_INSTRUMENT
 
     def histogram(self, name, help="", labelnames=(), buckets=DEFAULT_BUCKETS):
         return NULL_INSTRUMENT
-
-    def add_collect_hook(self, hook: Callable[[], None]) -> None:
-        pass
 
     def snapshot(self) -> List[Sample]:
         return []

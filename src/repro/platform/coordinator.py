@@ -76,16 +76,18 @@ class Coordinator:
         self._overload_limit = overload_queue_limit
         self._max_splits_per_submit = max_splits_per_submit
         # Split telemetry only: child servers are built without observability
-        # because several MetricsCollectors binding one registry would fight
-        # over the same counters.  Per-server obs belongs to single-server
-        # drivers.
+        # because each MetricsCollector exposes its counts as sourced series,
+        # which a registry refuses to register twice.  Per-server obs belongs
+        # to single-server drivers.
         obs = resolve(observability)
         self._tracer = obs.tracer
-        self._obs_splits = obs.registry.counter(
-            "react_region_splits_total", "Region splits performed by the coordinator"
+        obs.registry.counter(
+            "react_region_splits_total", "Region splits performed by the coordinator",
+            source=lambda: self._splits,
         )
-        self._obs_regions = obs.registry.gauge(
-            "react_regions", "Regions (= servers) currently managed"
+        obs.registry.gauge(
+            "react_regions", "Regions (= servers) currently managed",
+            source=lambda: len(self._entries),
         )
         self._entries: List[RegionEntry] = []
         self._splits = 0
@@ -94,7 +96,6 @@ class Coordinator:
         self._next_server_id = 0
         for region in regions:
             self._entries.append(self._make_entry(region))
-        self._obs_regions.set(len(self._entries))
 
     def _make_entry(self, region: Region) -> RegionEntry:
         """Build a server for ``region`` under a monotonically unique id.
@@ -250,8 +251,6 @@ class Coordinator:
             new_server.adopt_task(task)
         self._tasks_migrated += len(migrated)
 
-        self._obs_splits.inc()
-        self._obs_regions.set(len(self._entries))
         self._tracer.instant(
             "region.split",
             cat="coordinator",

@@ -112,8 +112,9 @@ class DegradedModeController:
         self._metrics = metrics
         obs = resolve(observability)
         self._tracer = obs.tracer
-        self._obs_state = obs.registry.gauge(
-            "react_degraded_mode", "1 while the fallback matcher is engaged"
+        obs.registry.gauge(
+            "react_degraded_mode", "1 while the fallback matcher is engaged",
+            source=lambda: self.degraded,
         )
         self._primary: Matcher = scheduling.matcher
         self._fallback: Matcher = create_matcher(config.fallback_matcher)
@@ -140,7 +141,6 @@ class DegradedModeController:
         self._engaged_at = self._engine.now
         self._scheduling.set_matcher(self._fallback)
         self._metrics.degraded_mode_switches += 1
-        self._obs_state.set(1)
         self._tracer.instant(
             "degraded.engage",
             cat="resilience",
@@ -151,7 +151,6 @@ class DegradedModeController:
     def _disengage(self) -> None:
         self.degraded = False
         self._scheduling.set_matcher(self._primary)
-        self._obs_state.set(0)
         duration = 0.0
         if self._engaged_at is not None:
             duration = self._engine.now - self._engaged_at

@@ -85,8 +85,9 @@ class SchedulingComponent:
             "Simulated matcher latency charged per published batch",
             buckets=(0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0),
         )
-        self._obs_aborted = obs.registry.counter(
-            "react_batches_aborted_total", "Batches dropped by a blackout suspension"
+        obs.registry.counter(
+            "react_batches_aborted_total", "Batches dropped by a blackout suspension",
+            source=lambda: self.aborted_batches,
         )
         self._obs_queue_depth = obs.registry.gauge(
             "react_unassigned_tasks", "Unassigned-task queue depth after last batch"
@@ -265,7 +266,6 @@ class SchedulingComponent:
             for task in pending.batch:
                 self._tasks.return_unmatched(task)
             self.aborted_batches += 1
-            self._obs_aborted.inc()
             self._tracer.instant(
                 "batch.aborted",
                 cat="scheduler",

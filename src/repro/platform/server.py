@@ -92,18 +92,17 @@ class RegionServer:
         # A departing worker's fit must not linger in the estimator cache
         # (unbounded growth under churn; stale entry if his id is reused).
         self.profiling.add_deregister_hook(self.estimator.evict)
-        # Estimator fit-cache effectiveness, pulled at snapshot time (the
-        # estimator itself keeps plain int counters; see docs/OBSERVABILITY.md).
+        # Estimator fit-cache effectiveness, read from the estimator's plain
+        # int counters at snapshot time (see docs/OBSERVABILITY.md).
         registry = self.obs.registry
-        hits = registry.gauge(
-            "react_fit_cache_hits", "DeadlineEstimator fit-cache hits"
-        )
-        misses = registry.gauge(
-            "react_fit_cache_misses", "DeadlineEstimator fit-cache misses"
-        )
         estimator = self.estimator
-        registry.add_collect_hook(
-            lambda: (hits.set(estimator.cache_hits), misses.set(estimator.cache_misses))
+        registry.gauge(
+            "react_fit_cache_hits", "DeadlineEstimator fit-cache hits",
+            source=lambda: estimator.cache_hits,
+        )
+        registry.gauge(
+            "react_fit_cache_misses", "DeadlineEstimator fit-cache misses",
+            source=lambda: estimator.cache_misses,
         )
 
         # With the probabilistic model off (traditional), edges are never

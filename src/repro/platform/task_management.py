@@ -85,9 +85,6 @@ class TaskManagementComponent:
             + len(self._deferred)
         )
 
-    def unassigned_tasks(self) -> List[Task]:
-        return list(self._unassigned.values())
-
     def assigned_tasks(self) -> List[Task]:
         return list(self._assigned.values())
 
@@ -223,9 +220,6 @@ class TaskManagementComponent:
         for task in extracted:
             del self._unassigned[task.task_id]
         return extracted
-
-    def finished_tasks(self) -> List[Task]:
-        return list(self._finished.values())
 
     def __iter__(self) -> Iterator[Task]:
         yield from self._unassigned.values()

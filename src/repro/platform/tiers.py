@@ -100,9 +100,6 @@ class TieredCoordinator:
         region = self._grid.locate(latitude, longitude)
         return self._cell_of_region[region.region_id]
 
-    def server_at(self, cell: Tuple[int, int]) -> REACTServer:
-        return self._servers[cell]
-
     def add_worker(self, profile: WorkerProfile, behavior: WorkerBehavior) -> None:
         cell = self.cell_for(profile.latitude, profile.longitude)
         self._servers[cell].add_worker(profile, behavior)

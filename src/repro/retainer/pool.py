@@ -72,11 +72,13 @@ class RetainerPool:
         obs = resolve(observability)
         registry = obs.registry
         self._tracer = obs.tracer
-        self._obs_held = registry.gauge(
-            "retainer_pool_held", "Workers currently held idle on retainer"
+        registry.gauge(
+            "retainer_pool_held", "Workers currently held idle on retainer",
+            source=lambda: len(self._held),
         )
-        self._obs_outstanding = registry.gauge(
-            "retainer_pool_outstanding", "Released workers not yet returned"
+        registry.gauge(
+            "retainer_pool_outstanding", "Released workers not yet returned",
+            source=lambda: len(self._outstanding),
         )
         self._obs_latency = registry.histogram(
             "retainer_release_latency_seconds",
@@ -141,7 +143,6 @@ class RetainerPool:
         if worker_id not in self._outstanding:
             raise ValueError(f"worker {worker_id} was not released by this pool")
         self._outstanding.discard(worker_id)
-        self._obs_outstanding.set(len(self._outstanding))
         if self._waiting:
             callback, requested_at = self._waiting.popleft()
             self._dispatch(worker_id, callback, requested_at)
@@ -156,10 +157,8 @@ class RetainerPool:
         """
         if worker_id in self._held:
             self._end_hold(worker_id)
-            self._obs_held.set(len(self._held))
         elif worker_id in self._outstanding:
             self._outstanding.discard(worker_id)
-            self._obs_outstanding.set(len(self._outstanding))
         else:
             raise ValueError(f"worker {worker_id} is not pooled")
 
@@ -189,7 +188,6 @@ class RetainerPool:
         ):
             worker_id = next(reversed(self._held))
             self._end_hold(worker_id)
-            self._obs_held.set(len(self._held))
             evicted += 1
             self._tracer.instant(
                 "retainer.evict", cat="retainer", worker_id=worker_id
@@ -234,7 +232,6 @@ class RetainerPool:
     # ------------------------------------------------------------ internals
     def _hold(self, worker_id: int) -> None:
         self._held[worker_id] = self._engine.now
-        self._obs_held.set(len(self._held))
 
     def _end_hold(self, worker_id: int) -> None:
         self._accrue(worker_id, self._engine.now)
@@ -250,9 +247,7 @@ class RetainerPool:
     ) -> None:
         if worker_id in self._held:
             self._end_hold(worker_id)
-            self._obs_held.set(len(self._held))
         self._outstanding.add(worker_id)
-        self._obs_outstanding.set(len(self._outstanding))
         self._engine.schedule(
             self.release_latency,
             EventKind.CALLBACK,

@@ -98,12 +98,14 @@ class RetainerRecruiter:
         self.stats = RecruiterStats()
         obs = resolve(observability)
         self._tracer = obs.tracer
-        self._obs_walkins = obs.registry.gauge(
-            "marketplace_walkin_workers", "Unretained online marketplace workers"
+        obs.registry.gauge(
+            "marketplace_walkin_workers", "Unretained online marketplace workers",
+            source=self._walkin_count,
         )
-        self._obs_departures = obs.registry.counter(
+        obs.registry.counter(
             "marketplace_patience_departures_total",
             "Walk-in workers who left after idling out their patience",
+            source=lambda: self.stats.patience_departures,
         )
 
     # ----------------------------------------------------------- lifecycle
@@ -173,7 +175,6 @@ class RetainerRecruiter:
         else:
             managed.idle_since = self._engine.now
             self.stats.walk_ins += 1
-            self._obs_walkins.set(self._walkin_count())
         return True
 
     def _on_arrival(self, _payload: object) -> None:
@@ -220,7 +221,6 @@ class RetainerRecruiter:
         self._server.profiling.set_online(worker_id, True)
         managed.idle_since = self._engine.now
         self.stats.walk_ins += 1
-        self._obs_walkins.set(self._walkin_count())
         self._tracer.instant(
             "retainer.evicted_to_walkin", cat="retainer", worker_id=worker_id
         )
@@ -251,13 +251,10 @@ class RetainerRecruiter:
                 departures.append(worker_id)
         for worker_id in departures:
             self._depart(worker_id)
-        if departures:
-            self._obs_walkins.set(self._walkin_count())
 
     def _depart(self, worker_id: int) -> None:
         managed = self._managed.pop(worker_id)
         self.stats.patience_departures += 1
-        self._obs_departures.inc()
         self._tracer.instant(
             "marketplace.departure", cat="retainer", worker_id=worker_id
         )

@@ -117,24 +117,21 @@ class ServiceGateway:
             "Submit-to-answer latency for completed tasks (clock seconds)",
             buckets=LATENCY_BUCKETS,
         )
-        self._completions = self.registry.counter(
-            "service_completed_total", "Answers accepted by the gateway"
+        self.registry.counter(
+            "service_completed_total", "Answers accepted by the gateway",
+            source=lambda: self.completed,
         )
         self._handler_errors = self.registry.counter(
             "service_handler_errors_total",
             "Handler exceptions answered with HTTP 500",
         )
-        self._workers_gauge = self.registry.gauge(
-            "service_workers", "Workers currently registered"
+        self.registry.gauge(
+            "service_workers", "Workers currently registered",
+            source=lambda: len(self._worker_server),
         )
-        self._in_flight_gauge = self.registry.gauge(
-            "service_in_flight", "Tasks admitted and not yet finished"
-        )
-        self.registry.add_collect_hook(
-            lambda: (
-                self._workers_gauge.set(len(self._worker_server)),
-                self._in_flight_gauge.set(self._backlog()),
-            )
+        self.registry.gauge(
+            "service_in_flight", "Tasks admitted and not yet finished",
+            source=self._backlog,
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -403,7 +400,6 @@ class ServiceGateway:
         outcome = server.submit_answer(worker_id, task_id)
         if outcome.completed:
             self.completed += 1
-            self._completions.inc()
             task = server.task_management.get(task_id)
             if task.total_time is not None:
                 self._latency.observe(task.total_time)

@@ -17,6 +17,7 @@ expired counters) whose conservation laws the integration tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -25,6 +26,48 @@ from ..obs.registry import NULL_INSTRUMENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
+
+
+#: (collector field, metric name, registry factory, HELP) of every series
+#: :meth:`MetricsCollector.bind_registry` exports by reading the field.
+REGISTRY_SERIES = (
+    ("received", "react_tasks_received_total", "counter",
+     "Tasks submitted by requesters"),
+    ("assigned", "react_tasks_assigned_total", "counter",
+     "Assignments published (incl. reassignments)"),
+    ("reassignments", "react_task_reassignments_total", "counter",
+     "Assignments beyond each task's first"),
+    ("completed", "react_tasks_completed_total", "counter",
+     "Tasks completed by a worker"),
+    ("completed_on_time", "react_tasks_completed_on_time_total", "counter",
+     "Completions before the deadline"),
+    ("positive_feedbacks", "react_positive_feedbacks_total", "counter",
+     "Completions earning positive feedback"),
+    ("expired_unassigned", "react_tasks_expired_unassigned_total", "counter",
+     "Tasks whose deadline lapsed while still queued"),
+    ("matcher_invocations", "react_matcher_runs_total", "counter",
+     "Matching batches published"),
+    ("matcher_simulated_seconds", "react_matcher_simulated_seconds_total", "counter",
+     "Simulated matcher latency charged across batches"),
+) + tuple(
+    # Counters the platform bumps as bare attributes; exported as gauges
+    # named after the field.
+    (name, f"react_{name}", "gauge", f"MetricsCollector.{name}")
+    for name in (
+        "expiry_returns",
+        "chaos_faults_injected",
+        "chaos_abandonments",
+        "chaos_no_shows",
+        "chaos_corrupted_observations",
+        "matcher_stall_seconds",
+        "blackout_orphaned",
+        "readopted_tasks",
+        "deferred_retries",
+        "reassignment_budget_exhausted",
+        "degraded_mode_switches",
+        "degraded_mode_seconds",
+    )
+)
 
 
 @dataclass
@@ -89,76 +132,24 @@ class MetricsCollector:
     #: (received_so_far, positive_so_far) appended at every completion — Fig. 6.
     feedback_series: List[tuple[int, int]] = field(default_factory=list)
 
-    # Observability instrument handles (repro.obs).  Plain class attributes,
-    # not dataclass fields: without a bound registry every record_* call
-    # lands on the shared no-op instrument, so the unbound hot path costs
-    # one empty method call.  ``bind_registry`` swaps in live instruments.
-    _obs_received = NULL_INSTRUMENT
-    _obs_assigned = NULL_INSTRUMENT
-    _obs_reassignments = NULL_INSTRUMENT
-    _obs_completed = NULL_INSTRUMENT
-    _obs_on_time = NULL_INSTRUMENT
-    _obs_feedback = NULL_INSTRUMENT
-    _obs_expired = NULL_INSTRUMENT
-    _obs_matcher_runs = NULL_INSTRUMENT
-    _obs_matcher_seconds = NULL_INSTRUMENT
+    # Histogram handles (repro.obs).  Plain class attributes, not dataclass
+    # fields: without a bound registry every completion lands on the shared
+    # no-op instrument.  ``bind_registry`` swaps in live histograms.
     _obs_total_time = NULL_INSTRUMENT
     _obs_worker_time = NULL_INSTRUMENT
 
-    #: Counters the platform bumps as bare attributes (no record_* method);
-    #: synced into same-named gauges by a registry collect hook at snapshot
-    #: time, so exported telemetry still matches this collector exactly.
-    ATTRIBUTE_COUNTERS = (
-        "expiry_returns",
-        "chaos_faults_injected",
-        "chaos_abandonments",
-        "chaos_no_shows",
-        "chaos_corrupted_observations",
-        "matcher_stall_seconds",
-        "blackout_orphaned",
-        "readopted_tasks",
-        "deferred_retries",
-        "reassignment_budget_exhausted",
-        "degraded_mode_switches",
-        "degraded_mode_seconds",
-    )
-
     def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Mirror this collector's bookkeeping into a live metrics registry.
+        """Expose this collector's bookkeeping on a metrics registry.
 
-        Counter values are fast-forwarded to the collector's current state,
-        so binding is exact no matter when it happens (in practice the
-        server binds at construction, before any event fires).
+        Every counter and gauge reads its collector field when the registry
+        is sampled, so the export matches the collector exactly whenever
+        binding happens.  Only the two histograms are pushed, because no
+        field holds their buckets.
         """
-        self._obs_received = registry.counter(
-            "react_tasks_received_total", "Tasks submitted by requesters"
-        )
-        self._obs_assigned = registry.counter(
-            "react_tasks_assigned_total", "Assignments published (incl. reassignments)"
-        )
-        self._obs_reassignments = registry.counter(
-            "react_task_reassignments_total", "Assignments beyond each task's first"
-        )
-        self._obs_completed = registry.counter(
-            "react_tasks_completed_total", "Tasks completed by a worker"
-        )
-        self._obs_on_time = registry.counter(
-            "react_tasks_completed_on_time_total", "Completions before the deadline"
-        )
-        self._obs_feedback = registry.counter(
-            "react_positive_feedbacks_total", "Completions earning positive feedback"
-        )
-        self._obs_expired = registry.counter(
-            "react_tasks_expired_unassigned_total",
-            "Tasks whose deadline lapsed while still queued",
-        )
-        self._obs_matcher_runs = registry.counter(
-            "react_matcher_runs_total", "Matching batches published"
-        )
-        self._obs_matcher_seconds = registry.counter(
-            "react_matcher_simulated_seconds_total",
-            "Simulated matcher latency charged across batches",
-        )
+        for field_name, metric, kind, help_text in REGISTRY_SERIES:
+            getattr(registry, kind)(
+                metric, help_text, source=partial(getattr, self, field_name)
+            )
         self._obs_total_time = registry.histogram(
             "react_task_total_time_seconds",
             "Submission-to-completion time of completed tasks",
@@ -167,54 +158,26 @@ class MetricsCollector:
             "react_task_worker_time_seconds",
             "Execution time at the final worker of completed tasks",
         )
-        self._obs_received.inc(self.received)
-        self._obs_assigned.inc(self.assigned)
-        self._obs_reassignments.inc(self.reassignments)
-        self._obs_completed.inc(self.completed)
-        self._obs_on_time.inc(self.completed_on_time)
-        self._obs_feedback.inc(self.positive_feedbacks)
-        self._obs_expired.inc(self.expired_unassigned)
-        self._obs_matcher_runs.inc(self.matcher_invocations)
-        self._obs_matcher_seconds.inc(self.matcher_simulated_seconds)
-
-        gauges = {
-            name: registry.gauge(f"react_{name}", f"MetricsCollector.{name}")
-            for name in self.ATTRIBUTE_COUNTERS
-        }
-
-        def _sync() -> None:
-            for name, gauge in gauges.items():
-                gauge.set(getattr(self, name))
-
-        registry.add_collect_hook(_sync)
 
     # ----------------------------------------------------------- recording
     def record_received(self) -> None:
         self.received += 1
-        self._obs_received.inc()
 
     def record_assignment(self, first: bool) -> None:
         self.assigned += 1
-        self._obs_assigned.inc()
         if not first:
             self.reassignments += 1
-            self._obs_reassignments.inc()
 
     def record_matcher_run(self, simulated_seconds: float) -> None:
         self.matcher_invocations += 1
         self.matcher_simulated_seconds += simulated_seconds
-        self._obs_matcher_runs.inc()
-        self._obs_matcher_seconds.inc(simulated_seconds)
 
     def record_completion(self, outcome: TaskOutcome) -> None:
         self.completed += 1
-        self._obs_completed.inc()
         if outcome.met_deadline:
             self.completed_on_time += 1
-            self._obs_on_time.inc()
         if outcome.positive_feedback:
             self.positive_feedbacks += 1
-            self._obs_feedback.inc()
         if outcome.total_time is not None:
             self._obs_total_time.observe(outcome.total_time)
         if outcome.worker_time is not None:
@@ -226,7 +189,6 @@ class MetricsCollector:
     def record_expired_unassigned(self, outcome: TaskOutcome) -> None:
         """A task whose deadline lapsed while still queued (never completed)."""
         self.expired_unassigned += 1
-        self._obs_expired.inc()
         self.outcomes.append(outcome)
 
     # ------------------------------------------------------------ summary
@@ -250,13 +212,6 @@ class MetricsCollector:
         """Fig. 8: mean submission→completion time, completed tasks."""
         times = [o.total_time for o in self.outcomes if o.total_time is not None]
         return float(np.mean(times)) if times else None
-
-    def worker_time_percentiles(self, qs: tuple[float, ...] = (50, 90, 99)) -> Dict[float, float]:
-        times = [o.worker_time for o in self.outcomes if o.worker_time is not None]
-        if not times:
-            return {}
-        values = np.percentile(times, qs)
-        return dict(zip(qs, (float(v) for v in values)))
 
     def total_time_percentiles(self, qs: tuple[float, ...] = (50, 95, 99)) -> Dict[float, float]:
         """Submission→completion latency percentiles (retainer comparison)."""

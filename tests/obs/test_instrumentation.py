@@ -6,6 +6,8 @@ counters match the run's MetricsCollector exactly, and two identical seeded
 runs produce identical snapshots.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.experiments.chaos import ChaosConfig, run_chaos, standard_schedule
@@ -20,6 +22,7 @@ from repro.platform.cost import ZeroCost
 from repro.platform.policies import react_policy
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.stats.metrics import REGISTRY_SERIES, MetricsCollector
 
 SMALL = EndToEndConfig(
     n_workers=60, arrival_rate=1.0, n_tasks=200, drain_time=200.0
@@ -55,16 +58,6 @@ class TestCountersMatchCollector:
         assert registry.value("react_matcher_simulated_seconds_total") == (
             pytest.approx(metrics.matcher_simulated_seconds)
         )
-
-    def test_attribute_counters_synced_at_snapshot(self, run):
-        obs, metrics = run
-        samples = {
-            s.name: s.value for s in obs.registry.snapshot() if not s.labels
-        }
-        for attr in metrics.ATTRIBUTE_COUNTERS:
-            assert samples[f"react_{attr}"] == pytest.approx(
-                getattr(metrics, attr)
-            ), attr
 
     def test_histogram_counts_match_outcomes(self, run):
         obs, metrics = run
@@ -103,11 +96,48 @@ class TestDeterminism:
         )
 
 
+CHAOS = ChaosConfig(n_workers=30, arrival_rate=0.8, n_tasks=120, drain_time=150.0)
+
+
+class TestFaultedRunMatchesCollector:
+    """Every collector-backed series equals its field on a run that moves
+    them: the faulted chaos run, where the fault and recovery counters the
+    fault-free run leaves at zero are non-zero."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        obs = Observability()
+        original = MetricsCollector.bind_registry
+        with mock.patch.object(
+            MetricsCollector, "bind_registry", autospec=True, side_effect=original
+        ) as bind:
+            run_chaos(
+                react_policy(cycles=200), CHAOS,
+                schedule=standard_schedule(CHAOS), observability=obs,
+            )
+        (metrics, registry), = [call.args for call in bind.call_args_list]
+        assert registry is obs.registry
+        return obs, metrics
+
+    def test_fault_counters_nonzero(self, run):
+        _, metrics = run
+        for attr in (
+            "expiry_returns", "chaos_faults_injected", "chaos_abandonments",
+            "chaos_no_shows", "chaos_corrupted_observations",
+            "blackout_orphaned", "readopted_tasks", "deferred_retries",
+        ):
+            assert getattr(metrics, attr) > 0, attr
+
+    def test_every_collector_series(self, run):
+        obs, metrics = run
+        samples = {s.name: s.value for s in obs.registry.snapshot() if not s.labels}
+        for field_name, metric, _, _ in REGISTRY_SERIES:
+            assert samples[metric] == getattr(metrics, field_name), metric
+
+
 class TestChaosTelemetry:
     def test_fault_events_and_labeled_counter(self):
-        config = ChaosConfig(
-            n_workers=30, arrival_rate=0.8, n_tasks=120, drain_time=150.0
-        )
+        config = CHAOS
         obs = Observability()
         result = run_chaos(
             react_policy(cycles=200),

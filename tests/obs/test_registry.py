@@ -114,16 +114,56 @@ class TestSnapshot:
         names = [name for name, _, _ in build()]
         assert names == sorted(names)
 
-    def test_collect_hook_runs_before_snapshot(self):
+
+
+class TestSourced:
+    def test_value_follows_source(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("synced")
         state = {"value": 7}
-        registry.add_collect_hook(lambda: gauge.set(state["value"]))
-        registry.snapshot()
+        registry.gauge("synced", source=lambda: state["value"])
+        registry.counter("seen_total", source=lambda: state["value"] * 2)
         assert registry.value("synced") == 7
         state["value"] = 9
-        registry.snapshot()
-        assert registry.value("synced") == 9
+        assert [(s.name, s.value) for s in registry.snapshot()] == [
+            ("seen_total", 18.0),
+            ("synced", 9.0),
+        ]
+        assert registry.value("seen_total") == 18
+
+    def test_kind_is_the_requested_one(self):
+        registry = MetricsRegistry()
+        registry.counter("a_total", source=lambda: 1)
+        registry.gauge("b", source=lambda: 1)
+        assert [i.kind for i in registry.instruments()] == ["counter", "gauge"]
+
+    @pytest.mark.parametrize("method", ["inc", "dec", "set"])
+    def test_push_rejected(self, method):
+        gauge = MetricsRegistry().gauge("depth", source=lambda: 3)
+        with pytest.raises(ValueError):
+            getattr(gauge, method)(1)
+
+    def test_reregistration_rejected(self):
+        registry = MetricsRegistry()
+        registry.counter("jobs_total", source=lambda: 1)
+        with pytest.raises(ValueError):
+            registry.counter("jobs_total", source=lambda: 2)
+        with pytest.raises(ValueError):
+            registry.counter("jobs_total")
+
+    def test_source_cannot_shadow_pushed_instrument(self):
+        registry = MetricsRegistry()
+        registry.gauge("depth").set(4)
+        with pytest.raises(ValueError):
+            registry.gauge("depth", source=lambda: 5)
+        assert registry.value("depth") == 4
+
+    def test_labels_rejected(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry().counter("faults_total", labelnames=("kind",), source=lambda: 1)
+
+    def test_null_registry_accepts_source(self):
+        assert NULL_REGISTRY.counter("a_total", source=lambda: 1) is NULL_INSTRUMENT
+        assert NULL_REGISTRY.gauge("b", "help", source=lambda: 1) is NULL_INSTRUMENT
 
 
 class TestMergeSnapshots:

@@ -89,14 +89,6 @@ class TestAverages:
         assert m.average_worker_time() is None
         assert m.expired_unassigned == 1
 
-    def test_percentiles(self):
-        m = MetricsCollector()
-        for i in range(10):
-            m.record_received()
-            m.record_completion(_outcome(i, worker_time=float(i + 1)))
-        p = m.worker_time_percentiles((50,))
-        assert p[50] == pytest.approx(5.5)
-
 
 class TestConservation:
     def test_valid_accounting_passes(self):

@@ -11,10 +11,9 @@ without translation:
   chaos fault activation).
 
 Events live in a bounded ring buffer (``max_events``), so a long run keeps
-the most recent window instead of growing without bound — the same fix the
-engine's raw :class:`~repro.sim.events.EventRecord` list received
-(``Engine(max_records=...)``); this tracer is the preferred, structured
-path for new instrumentation.
+the most recent window instead of growing without bound.  The engine keeps
+no event log of its own; this tracer is the one structured path for run
+instrumentation.
 
 When tracing is disabled the platform holds :data:`NULL_TRACER`, whose
 methods are empty and whose ``span`` returns one shared no-op context

@@ -11,8 +11,9 @@ protocol, fronted by an HTTP/JSON gateway.
 Layers (docs/SERVICE.md):
 
 * :mod:`repro.service.runtime` — :class:`WallClockRuntime`, an asyncio
-  event source satisfying ``EventClock`` (heap + one armed timer, cohort
-  dispatch preserved, optional ``time_scale`` for accelerated tests);
+  event source satisfying ``EventClock`` (one armed timer driving an owned
+  DES :class:`~repro.sim.engine.Engine` through each due instant, optional
+  ``time_scale`` for accelerated tests);
 * :mod:`repro.service.bridge` — :class:`LiveRegionServer`, the REACT
   region server wired for live traffic: worker inboxes and answer
   callbacks replace the simulator's behaviour draws;

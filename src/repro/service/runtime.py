@@ -1,40 +1,45 @@
 """Wall-clock asyncio event source satisfying the :class:`EventClock` protocol.
 
-:class:`WallClockRuntime` is the live-service twin of the DES
-:class:`~repro.sim.engine.Engine`: the same heap of ``(time, priority, seq,
-Event)`` tuples and the same cohort-dispatch semantics, but time advances
-with the asyncio event loop's monotonic clock instead of jumping to the next
-event.  The platform components cannot tell the difference — they see the
-:class:`~repro.sim.clock.EventClock` surface only — which is what lets one
+:class:`WallClockRuntime` is a thin wall-clock driver over one DES
+:class:`~repro.sim.engine.Engine` it owns: the engine holds the ``(time,
+priority, seq)`` heap, cancellation, cohort grouping, preemption and the
+dispatch count, and the runtime decides *when* the engine runs — as the
+asyncio loop's monotonic clock reaches each due instant — instead of jumping
+straight to the next event.  The platform components cannot tell the
+difference — they see the :class:`~repro.sim.clock.EventClock` surface only
+— which is what lets one
 :class:`~repro.platform.scheduling.SchedulingComponent` instance run a
-simulation today and a live gateway tomorrow.
+simulation today and a live gateway tomorrow, through the same dispatcher.
 
 Design notes
 ------------
 
 * **One armed timer.**  Instead of one ``loop.call_at`` per event (which
-  would make ``cancel`` an O(log n) loop-handle dance), the runtime keeps
-  its own heap and arms a single timer for the head.  Scheduling an earlier
-  event re-arms; cancellation just flags the event (lazily skipped), the
-  same strategy the DES engine uses.
-* **Cohorts.**  When the timer fires, every event whose due time has passed
-  is drained in ``(time, priority, seq)`` order and grouped into
-  ``(time, priority)`` cohorts; consecutive same-callback members with a
-  registered cohort handler are delivered as one ``handler(now, events)``
-  call — bit-for-bit the dispatch grouping of ``Engine.run()``.
+  would make ``cancel`` an O(log n) loop-handle dance), the runtime arms a
+  single timer for the engine's head.  Scheduling an earlier event re-arms;
+  cancellation just flags the event (lazily skipped by the engine), and
+  cancelling the last live one releases :meth:`WallClockRuntime.drained`
+  waiters at once.
+* **One dispatch per due instant.**  When the timer fires, the runtime
+  calls ``engine.run(until=head)`` for each due head time in turn, so
+  cohorts, cohort handlers and preemption are the engine's own — the DES
+  and the live path share one dispatcher rather than mirroring it.
 * **Frozen ``now``.**  ``now`` is monotone nondecreasing and *frozen* for
-  the duration of one cohort dispatch, so every member of a cohort observes
-  the same instant — the DES engine gives the same guarantee, and the Eq. 2
-  sweep's batch evaluation depends on it.  Between cohorts the clock is
-  re-read, so a callback loop cannot livelock the loop at one instant.
-* **Sliced draining.**  One timer firing drains due cohorts for at most
-  :data:`DRAIN_SLICE_WALL` wall seconds; if the runtime is still behind it
-  yields the loop one iteration (``call_soon``) and resumes.  Without the
-  slice, a runtime that falls behind real time — self-rescheduling events
-  whose processing outpaces their period under CPU contention — would
-  drain forever inside one callback, starving every socket on the loop:
-  heartbeats and answers stop flowing, so the backlog that caused the
-  lag can never clear, and the loop livelocks at 100% CPU.
+  the duration of one due instant, so every member of a cohort observes the
+  same instant — the DES engine gives the same guarantee, and the Eq. 2
+  sweep's batch evaluation depends on it.  A late instant observes the
+  monotone floor, not its scheduled time: cohort handlers are wrapped at
+  registration so they receive the runtime's ``now``, not the engine's.
+  Between instants the clock is re-read, so a callback loop cannot livelock
+  the loop at one instant.
+* **Sliced draining.**  One timer firing drains due instants for at most
+  :data:`DRAIN_SLICE_WALL` wall seconds (checked between instants); if the
+  runtime is still behind it yields the loop one iteration (``call_soon``)
+  and resumes.  Without the slice, a runtime that falls behind real time —
+  self-rescheduling events whose processing outpaces their period under
+  CPU contention — would drain forever inside one callback, starving every
+  socket on the loop: heartbeats and answers stop flowing, so the backlog
+  that caused the lag can never clear, and the loop livelocks at 100% CPU.
 * **``time_scale``.**  Clock seconds per wall second.  1.0 for real
   serving; the conformance and gateway tests run at 50-500x so a "10
   simulated seconds" scenario finishes in tens of milliseconds of real
@@ -54,15 +59,11 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import heapq
+from typing import Any, Callable, List, Optional
 
 from ..sim.clock import CohortHandler
-from ..sim.engine import SimulationError
+from ..sim.engine import Engine, SimulationError
 from ..sim.events import Event, EventKind
-
-_HeapEntry = Tuple[float, int, int, Event]
 
 #: Wall seconds one timer firing may spend draining before yielding the
 #: loop back to I/O.  Large enough that no sane backlog ever hits it;
@@ -87,17 +88,15 @@ class WallClockRuntime:
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._scale = time_scale
         self._origin = self._loop.time()
-        self._heap: List[_HeapEntry] = []
+        self._engine = Engine()
         self._timer: Optional[asyncio.Handle] = None
         #: Clock time the armed timer targets (inf = no timer armed).
         self._armed_for = math.inf
-        self._cohort_handlers: Dict[Callable[[Event], None], CohortHandler] = {}
         self._dispatching = False
-        #: Clock value every callback in the current cohort observes.
+        #: Clock value every callback in the current instant observes.
         self._frozen: Optional[float] = None
         #: Monotone floor: ``now`` never reads below the last dispatch time.
         self._floor = 0.0
-        self._dispatched = 0
         self._closed = False
         self._idle_waiters: List[asyncio.Future[None]] = []
 
@@ -119,17 +118,17 @@ class WallClockRuntime:
     @property
     def dispatched(self) -> int:
         """Number of events dispatched so far."""
-        return self._dispatched
+        return self._engine.dispatched
 
     @property
     def pending(self) -> int:
         """Queued events, including cancelled ones (cheap)."""
-        return len(self._heap)
+        return self._engine.pending
 
     @property
     def pending_active(self) -> int:
         """Queued events that will actually fire."""
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return self._engine.pending_active
 
     @property
     def time_scale(self) -> float:
@@ -141,10 +140,7 @@ class WallClockRuntime:
 
     def peek_time(self) -> Optional[float]:
         """Clock time of the next non-cancelled event, or None."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        return self._engine.peek_time()
 
     # ------------------------------------------------------------- schedule
     def schedule(
@@ -161,14 +157,7 @@ class WallClockRuntime:
             raise ServiceRuntimeError("runtime is closed")
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(
-            time=self.now + delay,
-            kind=kind,
-            callback=callback,
-            payload=payload,
-            priority=priority,
-        )
-        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
+        event = self._engine.push_at(self.now + delay, kind, callback, payload, priority)
         self._arm()
         return event
 
@@ -191,50 +180,61 @@ class WallClockRuntime:
         """
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
-        if time < self.now:
+        now = self.now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self.now}"
+                f"cannot schedule at t={time} which is before now={now}"
             )
-        event = Event(
-            time=time,
-            kind=kind,
-            callback=callback,
-            payload=payload,
-            priority=priority,
-        )
-        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
+        event = self._engine.push_at(time, kind, callback, payload, priority)
         self._arm()
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (lazily skipped at dispatch)."""
-        event.cancelled = True
+        """Cancel a scheduled event (lazily skipped at dispatch).
+
+        Cancelling the last live event releases :meth:`drained` waiters now,
+        not at the cancelled event's due time.
+        """
+        self._engine.cancel(event)
+        if self._idle_waiters and self._engine.pending_active == 0:
+            self._arm()
 
     # ------------------------------------------------------------- cohorts
     def register_cohort_handler(
         self, callback: Callable[[Event], None], handler: CohortHandler
     ) -> None:
-        """Route cohorts of ``callback`` events through ``handler``."""
-        self._cohort_handlers[callback] = handler
+        """Route cohorts of ``callback`` events through ``handler``.
+
+        The handler receives the runtime's frozen ``now``, which for a late
+        instant is the monotone floor rather than the scheduled time.
+        """
+        self._engine.register_cohort_handler(
+            callback, lambda _time, events: handler(self.now, events)
+        )
 
     def unregister_cohort_handler(self, callback: Callable[[Event], None]) -> None:
-        self._cohort_handlers.pop(callback, None)
+        self._engine.unregister_cohort_handler(callback)
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Drop every pending event and refuse further scheduling."""
         self._closed = True
         self._cancel_timer()
-        self._heap.clear()
+        if self._dispatching:
+            # The engine stops after the running callback; _fire drops the
+            # rest once run() returns.
+            self._engine.stop()
+        else:
+            self._drop_pending()
         self._notify_idle()
 
     async def drained(self) -> None:
-        """Await the instant the heap holds no live events.
+        """Await the instant the engine holds no live events.
 
         Events scheduled *while* waiting extend the wait; a closed runtime
         resolves immediately.
         """
-        if self._closed or self.pending_active == 0:
+        if self._closed or self.peek_time() is None:
             return
         waiter: asyncio.Future[None] = self._loop.create_future()
         self._idle_waiters.append(waiter)
@@ -249,6 +249,10 @@ class WallClockRuntime:
         await asyncio.sleep(clock_seconds / self._scale)
 
     # ------------------------------------------------------------ internals
+    def _drop_pending(self) -> None:
+        for _event in self._engine.drain():
+            pass
+
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
@@ -264,17 +268,14 @@ class WallClockRuntime:
                 waiter.set_result(None)
 
     def _arm(self) -> None:
-        """Point the single timer at the heap's head (no-op mid-dispatch)."""
+        """Point the single timer at the engine's head (no-op mid-dispatch)."""
         if self._dispatching or self._closed:
             return
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
+        head = self._engine.peek_time()
+        if head is None:
             self._cancel_timer()
             self._notify_idle()
             return
-        head = heap[0][0]
         if self._timer is not None and self._armed_for <= head:
             return
         self._cancel_timer()
@@ -285,103 +286,46 @@ class WallClockRuntime:
         )
 
     def _fire(self) -> None:
-        """Timer callback: drain due cohorts for one slice, then re-arm.
+        """Timer callback: run the engine through due instants for one
+        slice, then re-arm.
 
         Draining is bounded to :data:`DRAIN_SLICE_WALL` wall seconds per
-        firing; a runtime still behind after the slice re-queues itself
-        with ``call_soon`` so the loop can service I/O in between — the
-        sockets delivering answers are what shrink the backlog.
+        firing, checked between instants; a runtime still behind after the
+        slice re-queues itself with ``call_soon`` so the loop can service
+        I/O in between — the sockets delivering answers are what shrink the
+        backlog.
         """
         self._timer = None
         self._armed_for = math.inf
-        heap = self._heap
+        engine = self._engine
         slice_end = self._loop.time() + DRAIN_SLICE_WALL
         behind = False
         self._dispatching = True
         try:
-            while heap:
-                wall_now = self._read()
-                if wall_now < self._floor:
-                    wall_now = self._floor
-                key_time, key_priority = heap[0][0], heap[0][1]
-                if key_time > wall_now:
+            while not self._closed:
+                head = engine.peek_time()
+                if head is None or head > max(self._read(), self._floor):
                     break
                 if self._loop.time() >= slice_end:
                     behind = True
                     break
-                cohort: List[Event] = []
-                while heap and heap[0][0] == key_time and heap[0][1] == key_priority:
-                    event = heapq.heappop(heap)[3]
-                    if not event.cancelled:
-                        cohort.append(event)
-                if not cohort:
-                    continue
-                # Every member observes the cohort's due time, exactly as the
-                # DES engine sets `_now = key_time`; the floor keeps `now`
-                # monotone across late-fired cohorts.
-                self._floor = max(self._floor, key_time)
+                # Every callback of the instant observes one frozen `now`:
+                # its due time, or the floor if an outside read already
+                # moved past it, so `now` stays monotone.
+                self._floor = max(self._floor, head)
                 self._frozen = self._floor
                 try:
-                    self._dispatch_cohort(cohort, self._frozen, key_time, key_priority)
+                    engine.run(until=head)
                 finally:
                     self._frozen = None
         finally:
             self._dispatching = False
-        if behind and not self._closed:
+        if self._closed:
+            self._drop_pending()
+            return
+        if behind:
             # -inf keeps _arm from cancelling this handle: any head is later.
             self._armed_for = -math.inf
             self._timer = self._loop.call_soon(self._fire)
             return
         self._arm()
-
-    def _dispatch_cohort(
-        self, cohort: List[Event], now: float, key_time: float, key_priority: int
-    ) -> None:
-        """Walk one cohort in seq order with consecutive-callback batching.
-
-        Mirrors ``Engine._dispatch_cohort``: cancellation is re-checked per
-        member (an earlier member may cancel a later one), and a same-time
-        *higher-priority* event scheduled mid-cohort preempts the remaining
-        members (they re-queue and fire in the next drain iteration).  Only
-        an event at the cohort's own ``key_time`` preempts: an outside
-        ``now`` read can lift the frozen ``now`` past a late cohort, and a
-        later event must not re-queue it forever.
-        """
-        heap = self._heap
-        handlers = self._cohort_handlers
-        index = 0
-        n = len(cohort)
-        while index < n:
-            if heap:
-                head = heap[0]
-                if head[0] == key_time and head[1] < key_priority:
-                    break
-            event = cohort[index]
-            if event.cancelled:
-                index += 1
-                continue
-            handler = handlers.get(event.callback) if handlers else None
-            if handler is None:
-                index += 1
-                self._dispatched += 1
-                event.callback(event)
-                continue
-            batch = [event]
-            scan = index + 1
-            while scan < n:
-                peer = cohort[scan]
-                if peer.callback != event.callback:
-                    break
-                if not peer.cancelled:
-                    batch.append(peer)
-                scan += 1
-            index = scan
-            self._dispatched += len(batch)
-            handler(now, batch)
-        if index < n:
-            # Preempted: the undispatched tail re-queues and the outer drain
-            # loop picks it up after the higher-priority event fires.
-            for event in cohort[index:]:
-                heapq.heappush(
-                    heap, (event.time, event.priority, event.seq, event)
-                )

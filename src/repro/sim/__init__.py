@@ -7,7 +7,7 @@ section 2 for why the substitution preserves the reported behaviour.
 
 from .clock import CohortHandler, EventClock
 from .engine import Engine, SimulationError
-from .events import Event, EventKind, EventRecord
+from .events import Event, EventKind
 from .process import GeneratorProcess, PeriodicProcess
 from .rng import (
     STREAM_ARRIVALS,
@@ -27,7 +27,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "EventKind",
-    "EventRecord",
     "GeneratorProcess",
     "PeriodicProcess",
     "RngRegistry",

@@ -17,12 +17,12 @@ for the same callback that has a registered **cohort handler**
 (:meth:`Engine.register_cohort_handler`) are delivered as one
 ``handler(now, events)`` call instead of N separate callbacks; everything
 else takes the compatibility path (`event.callback(event)` per event), which
-is byte-identical to the sequential engine.  The total dispatch order — and
-therefore the ``trace_sink`` record stream — is exactly the sequential
-``(time, priority, seq)`` order: cohort members keep their seq order, events
-scheduled *by* a cohort carry later sequence numbers so they form follow-up
-cohorts, and a same-time higher-priority event scheduled mid-cohort preempts
-the remaining members just as it would have in the one-at-a-time loop.
+is byte-identical to the sequential engine.  The total dispatch order is
+exactly the sequential ``(time, priority, seq)`` order: cohort members keep
+their seq order, events scheduled *by* a cohort carry later sequence numbers
+so they form follow-up cohorts, and a same-time higher-priority event
+scheduled mid-cohort preempts the remaining members just as it would have in
+the one-at-a-time loop.
 
 Allocation hygiene
 ------------------
@@ -32,16 +32,22 @@ only call sites that drop the returned handle may opt in.  Cancelled events
 routed through :meth:`Engine.cancel` are counted, and when they exceed
 ``compact_fraction`` of a non-trivial heap the heap is rebuilt without them
 (``peek_time``/``pending_active`` stay consistent either way).
+
+Two clocks, one dispatcher
+--------------------------
+The live gateway's :class:`~repro.service.runtime.WallClockRuntime` owns an
+``Engine`` and drives it with ``run(until=head)`` once per due instant; it
+queues events through :meth:`Engine.push_at`, the one entry point that
+places an event at an exact absolute time without delay arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .clock import CohortHandler
-from .events import Event, EventKind, EventPool, EventRecord
+from .events import Event, EventKind, EventPool
 
 __all__ = ["CohortHandler", "Engine", "SimulationError"]
 
@@ -60,38 +66,13 @@ class SimulationError(RuntimeError):
 class Engine:
     """Discrete-event engine with a monotone simulated clock.
 
-    Parameters
-    ----------
-    trace:
-        When true, every dispatched event is appended to :attr:`records`,
-        which integration tests use to assert ordering invariants.
-    max_records:
-        Ring-buffer cap on :attr:`records`.  ``None`` (the default) keeps
-        every record — fine for tests, unbounded for long traced runs; with
-        a cap the oldest records are evicted and counted in
-        :attr:`dropped_records`.  For structured, exportable run telemetry
-        prefer the observability tracer (:mod:`repro.obs`) over this raw
-        record list.
-    trace_sink:
-        Optional callback invoked with every dispatched event's
-        :class:`EventRecord` (independently of ``trace``); this is how the
-        observability layer taps the dispatch stream without growing any
-        buffer here.
-
-    Notes
-    -----
     The engine is single-threaded and deterministic: given the same sequence
     of ``schedule`` calls it dispatches the same events in the same order.
+    Structured run telemetry comes from the observability tracer
+    (:mod:`repro.obs`), not from the engine.
     """
 
-    def __init__(
-        self,
-        trace: bool = False,
-        max_records: Optional[int] = None,
-        trace_sink: Optional[Callable[[EventRecord], None]] = None,
-    ) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1 or None, got {max_records}")
+    def __init__(self) -> None:
         self._heap: List[_HeapEntry] = []
         self._now: float = 0.0
         self._running = False
@@ -99,14 +80,8 @@ class Engine:
         self._dispatching = False
         self._dispatched = 0
         self._cancelled_in_heap = 0
-        self._trace = trace
-        self._max_records = max_records
         self._pool = EventPool()
         self._cohort_handlers: Dict[Callable[[Event], None], CohortHandler] = {}
-        self.records: Deque[EventRecord] = deque(maxlen=max_records)
-        #: Records evicted by the ``max_records`` ring buffer.
-        self.dropped_records = 0
-        self.trace_sink = trace_sink
 
     # ------------------------------------------------------------------ time
     @property
@@ -195,6 +170,30 @@ class Engine:
             time - self._now, kind, callback, payload, priority, transient
         )
 
+    def push_at(
+        self,
+        time: float,
+        kind: EventKind,
+        callback: Callable[[Event], None],
+        payload: Any = None,
+        priority: int = -1,
+    ) -> Event:
+        """Queue ``callback`` at exactly ``time`` (never pooled).
+
+        The seam for a driver that owns the clock: ``schedule_at`` goes
+        through ``now + (time - now)``, which need not round-trip, and two
+        events meant for one literal instant must form one cohort.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time} which is before now={self._now}"
+            )
+        event = Event(
+            time=time, kind=kind, callback=callback, payload=payload, priority=priority
+        )
+        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
+        return event
+
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event and feed the compaction accounting.
 
@@ -216,10 +215,15 @@ class Engine:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries (pool-releasing them)."""
+        """Rebuild the heap without cancelled entries (pool-releasing them).
+
+        In place: ``run`` holds the heap list across callbacks, and a
+        callback's ``cancel`` may land here.
+        """
         release = self._pool.release
+        heap = self._heap
         kept: List[_HeapEntry] = []
-        for entry in self._heap:
+        for entry in heap:
             event = entry[3]
             if event.cancelled:
                 if event.transient:
@@ -227,7 +231,7 @@ class Engine:
             else:
                 kept.append(entry)
         heapq.heapify(kept)
-        self._heap = kept
+        heap[:] = kept
         self._cancelled_in_heap = 0
 
     def stop(self) -> None:
@@ -305,8 +309,6 @@ class Engine:
                     self._now = key_time
                     self._dispatched += 1
                     fired += 1
-                    if self._trace or self.trace_sink is not None:
-                        self._record(event, self._trace, self.trace_sink)
                     handler = handlers.get(event.callback) if handlers else None
                     if handler is None:
                         event.callback(event)
@@ -368,9 +370,6 @@ class Engine:
         that a member scheduled — exactly what the one-at-a-time loop did.
         """
         heap = self._heap
-        trace = self._trace
-        sink = self.trace_sink
-        tracing = trace or sink is not None
         fired = 0
         index = 0
         n = len(cohort)
@@ -397,8 +396,6 @@ class Engine:
                     index += 1
                     self._dispatched += 1
                     fired += 1
-                    if tracing:
-                        self._record(event, trace, sink)
                     event.callback(event)
                     if event.transient:
                         pool_release(event)
@@ -423,9 +420,6 @@ class Engine:
                 index = scan
                 self._dispatched += len(batch)
                 fired += len(batch)
-                if tracing:
-                    for member in batch:
-                        self._record(member, trace, sink)
                 handler(key_time, batch)
                 for member in batch:
                     if member.transient:
@@ -440,28 +434,6 @@ class Engine:
                         heap, (event.time, event.priority, event.seq, event)
                     )
         return fired
-
-    def _record(
-        self,
-        event: Event,
-        trace: bool,
-        sink: Optional[Callable[[EventRecord], None]],
-    ) -> None:
-        record = EventRecord(
-            time=event.time,
-            kind=event.kind,
-            seq=event.seq,
-            payload=event.payload,
-        )
-        if trace:
-            if (
-                self._max_records is not None
-                and len(self.records) == self._max_records
-            ):
-                self.dropped_records += 1
-            self.records.append(record)
-        if sink is not None:
-            sink(record)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None if empty.

@@ -5,10 +5,9 @@ the same components are driven by a deterministic discrete-event simulator.
 Events are totally ordered by ``(time, priority, sequence)`` so that two runs
 with the same seed replay identically, independent of heap tie-breaking.
 
-Everything here is allocation-conscious: :class:`Event` and
-:class:`EventRecord` carry ``__slots__`` (millions of them exist over a long
-run), :class:`EventRecord` defers ``repr(payload)`` until a consumer actually
-reads it, and :class:`EventPool` recycles *transient* events — the fire-once,
+Everything here is allocation-conscious: :class:`Event` carries
+``__slots__`` (millions of them exist over a long run), and
+:class:`EventPool` recycles *transient* events — the fire-once,
 nobody-keeps-a-handle kind — through a free list so the steady-state engine
 loop allocates nothing per event.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 class EventKind(enum.IntEnum):
@@ -178,73 +177,3 @@ class EventPool:
         event.cancelled = True
         if len(self._free) < self.maxsize:
             self._free.append(event)
-
-
-#: Sentinel for "repr not computed yet" — distinct from None, which is the
-#: legitimate repr of a ``None`` payload.
-_UNSET = object()
-
-
-class EventRecord:
-    """Immutable-ish trace record of a dispatched event (for tracing/tests).
-
-    ``payload_repr`` is computed lazily on first access: traced runs with a
-    ``max_records`` ring buffer used to pay ``repr(payload)[:80]`` for every
-    dispatched event even when the record was immediately evicted.  The raw
-    payload reference is dropped as soon as the repr is materialised (or via
-    :meth:`detach_payload`), so records never pin simulation objects.
-    """
-
-    __slots__ = ("time", "kind", "seq", "_payload", "_payload_repr")
-
-    def __init__(
-        self,
-        time: float,
-        kind: EventKind,
-        seq: int,
-        payload_repr: Optional[str] = None,
-        *,
-        payload: Any = None,
-    ) -> None:
-        self.time = time
-        self.kind = kind
-        self.seq = seq
-        if payload_repr is not None:
-            self._payload: Any = None
-            self._payload_repr: Any = payload_repr
-        else:
-            self._payload = payload
-            self._payload_repr = None if payload is None else _UNSET
-
-    @property
-    def payload_repr(self) -> Optional[str]:
-        """``repr(payload)[:80]`` — materialised on first read, then cached."""
-        value = self._payload_repr
-        if value is _UNSET:
-            value = repr(self._payload)[:80]
-            self._payload_repr = value
-            self._payload = None
-        return value  # type: ignore[no-any-return]
-
-    def detach_payload(self) -> None:
-        """Freeze the record: materialise the repr and drop the payload ref."""
-        _ = self.payload_repr
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventRecord):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.kind == other.kind
-            and self.seq == other.seq
-            and self.payload_repr == other.payload_repr
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.kind, self.seq, self.payload_repr))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EventRecord(time={self.time!r}, kind={self.kind!r}, "
-            f"seq={self.seq!r}, payload_repr={self.payload_repr!r})"
-        )

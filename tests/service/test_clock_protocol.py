@@ -17,6 +17,8 @@ exact equality — the DES engine trivially satisfies the same predicate.
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.runtime import WallClockRuntime
 from repro.sim.engine import Engine, SimulationError
@@ -283,3 +285,104 @@ class TestNowSemantics:
             return lambda clock: None
 
         run_scenario(clock_kind, setup)
+
+
+#: Differential grid: clock times GRID_ORIGIN + k * GRID_STEP.  The origin is
+#: 10 wall milliseconds out at TIME_SCALE, so every schedule_at of the setup
+#: lands in the wall runtime's future.
+GRID_ORIGIN = 5.0
+GRID_STEP = 1.0
+GRID = 4
+
+_ACTIONS = st.one_of(
+    st.none(),
+    # Cancel the target-th scheduled event (often a later cohort peer).
+    st.tuples(st.just("cancel"), st.integers(0, 11)),
+    # schedule_at a child `ahead` grid points on (0 = this instant).
+    st.tuples(
+        st.just("chain"),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.sampled_from("abp"),
+    ),
+)
+_SCHEDULES = st.lists(
+    st.tuples(
+        st.integers(0, GRID - 1), st.integers(0, 2), st.sampled_from("abp"), _ACTIONS
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _dispatch_log(clock, schedule):
+    """Schedule ``schedule`` on ``clock``; return (label order, batches).
+
+    Routes ``a`` and ``b`` go through two registered cohort handlers, ``p``
+    is dispatched per event.  Each event runs its action when it fires.
+    """
+    order, batches, handles = [], [], []
+
+    def fire(event):
+        label, slot, action = event.payload
+        order.append(label)
+        if action is None:
+            return
+        if action[0] == "cancel":
+            clock.cancel(handles[action[1] % len(handles)])
+            return
+        _, ahead, priority, route = action
+        child = min(slot + ahead, GRID - 1)
+        clock.schedule_at(
+            GRID_ORIGIN + child * GRID_STEP,
+            EventKind.CALLBACK,
+            callbacks[route],
+            payload=(label + ">", child, None),
+            priority=priority,
+        )
+
+    def batched(route):
+        def member(_event):  # pragma: no cover - routed to the handler
+            raise AssertionError("cohort member dispatched individually")
+
+        def handler(_now, events):
+            batches.append((route, [e.payload[0] for e in events]))
+            for event in events:
+                if not event.cancelled:  # a peer may cancel a later one
+                    fire(event)
+
+        clock.register_cohort_handler(member, handler)
+        return member
+
+    callbacks = {"a": batched("a"), "b": batched("b"), "p": fire}
+    for index, (slot, priority, route, action) in enumerate(schedule):
+        handles.append(
+            clock.schedule_at(
+                GRID_ORIGIN + slot * GRID_STEP,
+                EventKind.CALLBACK,
+                callbacks[route],
+                payload=(f"e{index}", slot, action),
+                priority=priority,
+            )
+        )
+    return order, batches
+
+
+class TestDifferentialDispatch:
+    @settings(max_examples=30, deadline=None)
+    @given(schedule=_SCHEDULES)
+    def test_engine_and_wallclock_dispatch_identically(self, schedule):
+        """One generated schedule, both clocks: the dispatch label order and
+        the cohort-handler batch groupings must be identical."""
+        engine = Engine()
+        expected = _dispatch_log(engine, schedule)
+        engine.run(until=GRID_ORIGIN + GRID * GRID_STEP)
+
+        async def main():
+            runtime = WallClockRuntime(time_scale=TIME_SCALE)
+            log = _dispatch_log(runtime, schedule)
+            await asyncio.wait_for(runtime.drained(), timeout=30.0)
+            runtime.close()
+            return log
+
+        assert asyncio.run(main()) == expected

@@ -61,6 +61,27 @@ class TestLifecycle:
 
         run_async(main())
 
+    def test_close_inside_a_callback_drops_the_rest(self):
+        fired = []
+
+        async def main():
+            runtime = WallClockRuntime(time_scale=SCALE)
+
+            def closer(_event):
+                fired.append("closer")
+                runtime.close()
+
+            runtime.schedule_at(1.0, EventKind.CALLBACK, closer)
+            runtime.schedule_at(1.0, EventKind.CALLBACK, lambda _e: fired.append("peer"))
+            runtime.schedule_at(2.0, EventKind.CALLBACK, lambda _e: fired.append("later"))
+            await runtime.drained()
+            await runtime.run_for(3.0)
+            assert runtime.closed
+            assert runtime.pending == 0
+
+        run_async(main())
+        assert fired == ["closer"]
+
     def test_close_is_idempotent(self):
         async def main():
             runtime = WallClockRuntime(time_scale=SCALE)
@@ -107,6 +128,22 @@ class TestLifecycle:
             assert not waiter.done()
             runtime.close()
             await asyncio.wait_for(waiter, timeout=5.0)
+
+        run_async(main())
+
+    def test_cancelling_the_last_event_releases_drained_waiters(self):
+        """The waiter must not sit out the cancelled event's due time."""
+
+        async def main():
+            runtime = WallClockRuntime(time_scale=1.0)
+            event = runtime.schedule(30.0, EventKind.CALLBACK, lambda _e: None)
+            waiter = asyncio.ensure_future(runtime.drained())
+            await asyncio.sleep(0)
+            assert not waiter.done()
+            runtime.cancel(event)
+            await asyncio.wait_for(waiter, timeout=1.0)
+            assert runtime.pending_active == 0
+            runtime.close()
 
         run_async(main())
 
@@ -179,6 +216,38 @@ class TestLateCohorts:
 
         run_async(main())
         assert fired == ["low", "high"]
+
+    def test_late_cohort_handler_receives_the_frozen_runtime_now(self):
+        """A late cohort's handler sees the runtime's ``now`` — the lifted
+        floor — not the cohort's scheduled time."""
+        import time
+
+        calls = []
+
+        async def main():
+            runtime = WallClockRuntime(time_scale=1000.0)
+
+            def member(_event):  # pragma: no cover - routed to the handler
+                raise AssertionError("cohort handler bypassed")
+
+            def handler(now, events):
+                calls.append((now, runtime.now, [e.payload for e in events]))
+
+            runtime.register_cohort_handler(member, handler)
+            for label in ("a", "b"):
+                runtime.schedule_at(1.0, EventKind.CALLBACK, member, payload=label)
+            time.sleep(0.01)  # 10 clock seconds pass with the loop blocked
+            floor = runtime.now  # lifts the floor past the 1.0 cohort
+            assert floor >= 2.0
+            await asyncio.wait_for(runtime.drained(), 2.0)
+            return floor
+
+        floor = run_async(main())
+        assert len(calls) == 1
+        now, runtime_now, payloads = calls[0]
+        assert payloads == ["a", "b"]
+        assert now == runtime_now
+        assert now >= floor > 1.0
 
 
 class TestSlicedDraining:

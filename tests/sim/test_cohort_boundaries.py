@@ -6,14 +6,14 @@ cancelled events (including mid-cohort budget caps), and stop/resume across
 cohorts reproducing the sequential ``(time, priority, seq)`` dispatch order
 bit for bit.  Also covers the allocation-hygiene pieces the loop leans on:
 ``pending_active``/``peek_time`` consistency, :class:`EventPool` recycling,
-lazy ``EventRecord.payload_repr``, and the no-heap-mutation rule for cohort
-handlers (``drain()`` during dispatch must refuse).
+in-place heap compaction under a running loop, and the no-heap-mutation rule
+for cohort handlers (``drain()`` during dispatch must refuse).
 """
 
 import pytest
 
 from repro.sim.engine import COMPACT_MIN_PENDING, Engine, SimulationError
-from repro.sim.events import EventKind, EventPool, EventRecord
+from repro.sim.events import EventKind, EventPool
 
 
 def _label(fired, name):
@@ -217,6 +217,28 @@ class TestPendingActiveAndPeek:
         assert engine.pending_active == len(keep)
         assert engine.peek_time() == 1.0
 
+    def test_compaction_inside_a_callback_keeps_the_running_heap(self, engine):
+        """A callback's cancel may compact the heap under ``run``: events
+        scheduled afterwards still fire in this run, in time order, once."""
+        fired = []
+        doomed = [
+            engine.schedule(10.0, EventKind.CALLBACK, _label(fired, "doomed"))
+            for _ in range(2 * COMPACT_MIN_PENDING)
+        ]
+
+        def cancel_all(_event):
+            for event in doomed:
+                engine.cancel(event)
+            engine.schedule(1.0, EventKind.CALLBACK, _label(fired, "late"))
+
+        engine.schedule(1.0, EventKind.CALLBACK, cancel_all)
+        engine.schedule(5.0, EventKind.CALLBACK, _label(fired, "mid"))
+        engine.run()
+        assert fired == ["late", "mid"]
+        assert engine.pending == 0
+        engine.run()
+        assert fired == ["late", "mid"]
+
 
 class TestEventPool:
     def test_acquire_reuses_released_events_with_fresh_seq(self):
@@ -256,46 +278,6 @@ class TestEventPool:
         engine.run()
         assert engine.event_pool.reused == 1
         assert engine.event_pool.created == 1
-
-
-class _CountingRepr:
-    def __init__(self):
-        self.calls = 0
-
-    def __repr__(self):
-        self.calls += 1
-        return "x" * 200
-
-
-class TestLazyPayloadRepr:
-    def test_repr_deferred_until_first_access(self):
-        payload = _CountingRepr()
-        record = EventRecord(time=1.0, kind=EventKind.CALLBACK, seq=7, payload=payload)
-        assert payload.calls == 0
-        assert record.payload_repr == "x" * 80
-        assert payload.calls == 1
-        # Cached: a second read neither recomputes nor needs the payload.
-        assert record.payload_repr == "x" * 80
-        assert payload.calls == 1
-
-    def test_access_drops_payload_reference(self):
-        record = EventRecord(
-            time=1.0, kind=EventKind.CALLBACK, seq=7, payload=_CountingRepr()
-        )
-        record.detach_payload()
-        assert record._payload is None
-
-    def test_none_payload_has_none_repr(self):
-        record = EventRecord(time=1.0, kind=EventKind.CALLBACK, seq=7)
-        assert record.payload_repr is None
-
-    def test_explicit_repr_constructor_equivalence(self):
-        lazy = EventRecord(time=1.0, kind=EventKind.CALLBACK, seq=7, payload="p")
-        eager = EventRecord(
-            time=1.0, kind=EventKind.CALLBACK, seq=7, payload_repr=repr("p")
-        )
-        assert lazy == eager
-        assert hash(lazy) == hash(eager)
 
 
 class TestCohortHandlerHeapContract:

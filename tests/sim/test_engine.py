@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.events import EventKind
 
 
@@ -121,40 +121,6 @@ class TestCancellation:
 
 
 class TestTracing:
-    def test_trace_records_dispatches(self):
-        engine = Engine(trace=True)
-        engine.schedule(1.0, EventKind.TASK_ARRIVAL, lambda e: None, payload="t1")
-        engine.schedule(2.0, EventKind.BATCH_TRIGGER, lambda e: None)
-        engine.run()
-        assert [r.kind for r in engine.records] == [
-            EventKind.TASK_ARRIVAL,
-            EventKind.BATCH_TRIGGER,
-        ]
-        assert engine.records[0].payload_repr == "'t1'"
-
-    def test_max_records_caps_trace_buffer(self):
-        engine = Engine(trace=True, max_records=2)
-        for i in range(5):
-            engine.schedule(float(i + 1), EventKind.CALLBACK, lambda e: None)
-        engine.run()
-        assert len(engine.records) == 2
-        assert engine.dropped_records == 3
-        # The ring keeps the most recent window.
-        assert [r.time for r in engine.records] == [4.0, 5.0]
-
-    def test_max_records_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Engine(trace=True, max_records=0)
-
-    def test_trace_sink_receives_records_without_buffering(self):
-        seen = []
-        engine = Engine(trace_sink=seen.append)
-        engine.schedule(1.0, EventKind.TASK_ARRIVAL, lambda e: None)
-        engine.run()
-        assert len(seen) == 1 and seen[0].kind is EventKind.TASK_ARRIVAL
-        # sink-only tracing leaves the in-memory buffer empty
-        assert len(engine.records) == 0
-
     def test_same_time_priority_dispatch_order(self, engine):
         fired = []
         engine.schedule(1.0, EventKind.BATCH_TRIGGER, lambda e: fired.append("batch"))

@@ -9,12 +9,11 @@ versus a flat per-cell deployment where a task may only use its own cell's
 workers.
 """
 
-import numpy as np
-
+from repro.model.region import RegionGrid
 from repro.model.task import Task, TaskCategory
+from repro.platform.coordinator import Coordinator
 from repro.platform.cost import ZeroCost
 from repro.platform.policies import react_policy
-from repro.platform.tiers import TieredCoordinator
 from repro.sim.engine import Engine
 from repro.sim.events import EventKind
 from repro.sim.process import GeneratorProcess
@@ -22,7 +21,7 @@ from repro.sim.rng import STREAM_ARRIVALS, STREAM_TASKS, RngRegistry
 from repro.workload.arrivals import poisson_gaps
 from repro.workload.population import PopulationConfig, generate_population
 
-DEPTH = 2  # 4x4 leaf grid
+SIDE = 4  # 4x4 leaf grid
 WORKERS = 80
 TASKS = 400
 RATE = 0.8
@@ -33,24 +32,23 @@ HOT_CELLS = ((0, 0), (3, 3))
 def _run(escalate_after):
     engine = Engine()
     rng = RngRegistry(seed=55)
-    coordinator = TieredCoordinator(
+    coordinator = Coordinator(
         engine=engine,
         policy=react_policy(batch_threshold=1),
+        regions=list(RegionGrid(0, 1, 0, 1, SIDE, SIDE).regions),
         rng=rng,
-        depth=DEPTH,
         escalate_after=escalate_after,
-        check_interval=2.0,
+        escalation_interval=2.0,
         cost_model=ZeroCost(),
     )
-    side = 2**DEPTH
     placement = rng.stream("placement")
     population = generate_population(
         rng.stream("population"), PopulationConfig(size=WORKERS)
     )
     for i, (profile, behavior) in enumerate(population):
         r, c = HOT_CELLS[i % len(HOT_CELLS)]
-        profile.latitude = float((r + placement.random()) / side)
-        profile.longitude = float((c + placement.random()) / side)
+        profile.latitude = float((r + placement.random()) / SIDE)
+        profile.longitude = float((c + placement.random()) / SIDE)
         coordinator.add_worker(profile, behavior)
 
     task_rng = rng.stream(STREAM_TASKS)
@@ -74,6 +72,7 @@ def _run(escalate_after):
     )
     engine.run(until=TASKS / RATE + 300.0)
     summary = coordinator.aggregate_summary()
+    summary["escalations"] = len(coordinator.escalations)
     coordinator.stop()
     return summary
 

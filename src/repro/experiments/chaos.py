@@ -21,12 +21,7 @@ from ..model.task import reset_task_ids
 from ..obs.runtime import ObservabilityLike
 from ..platform.cost import PaperCalibratedCost
 from ..platform.invariants import InvariantMonitor
-from ..platform.policies import (
-    SchedulingPolicy,
-    greedy_policy,
-    react_policy,
-    traditional_policy,
-)
+from ..platform.policies import SchedulingPolicy
 from ..platform.resilience import ResilienceConfig
 from ..platform.server import REACTServer
 from ..sim.engine import Engine
@@ -36,6 +31,7 @@ from ..sim.rng import STREAM_TASKS, STREAM_WORKER_POPULATION, RngRegistry
 from ..workload.arrivals import deterministic_gaps
 from ..workload.generators import TaskGeneratorConfig, TrafficMonitoringGenerator
 from ..workload.population import PopulationConfig, generate_population
+from .endtoend import BATCH_OVERHEAD_SECONDS, default_policies
 
 logger = logging.getLogger(__name__)
 
@@ -128,7 +124,7 @@ def run_chaos(
         engine=engine,
         policy=policy,
         rng=rng,
-        cost_model=PaperCalibratedCost(batch_overhead=0.1),
+        cost_model=PaperCalibratedCost(batch_overhead=BATCH_OVERHEAD_SECONDS),
         resilience=resilience,
         observability=observability,
     )
@@ -176,10 +172,6 @@ def run_chaos(
             (o.task_id, o.met_deadline, o.completed_at) for o in metrics.outcomes
         ],
     )
-
-
-def default_policies() -> Sequence[SchedulingPolicy]:
-    return (react_policy(cycles=1000), greedy_policy(), traditional_policy())
 
 
 def run_chaos_comparison(

@@ -1,7 +1,7 @@
 """Domain model: tasks, workers, feedback, regions, requesters."""
 
 from .feedback import FeedbackModel, FeedbackOutcome, Rating, positive_rate
-from .region import Region, RegionGrid, RegionTier, build_tiers, haversine_km
+from .region import Region, RegionGrid, haversine_km
 from .requester import Requester
 from .task import Task, TaskCategory, TaskPhase, reset_task_ids
 from .worker import CategoryStats, WorkerBehavior, WorkerProfile
@@ -13,8 +13,6 @@ __all__ = [
     "positive_rate",
     "Region",
     "RegionGrid",
-    "RegionTier",
-    "build_tiers",
     "haversine_km",
     "Requester",
     "Task",

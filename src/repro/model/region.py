@@ -2,16 +2,16 @@
 
 Section III-A: the geographic area is split into non-overlapping regions
 (cf. the homogeneous-region decomposition of Subramaniam et al., RTSS 2006),
-each handled by one REACT server.  Regions can be organised into *tiers* —
-small local areas at the lowest tier up to the whole network at the highest —
-and the paper recommends 500-1000 workers per region.  This module provides:
+each handled by one REACT server; the paper recommends 500-1000 workers per
+region.  This module provides:
 
-* :class:`Region` — an axis-aligned lat/lon rectangle,
-* :class:`RegionGrid` — a uniform grid decomposition with point→region lookup,
-* :class:`RegionTier` / :func:`build_tiers` — coarser tiers built by merging
-  grid cells, and
-* :meth:`RegionGrid.split` — the overload remedy from §V-D ("split the
-  regions so that each of the servers would contain sufficient workers").
+* :class:`Region` — an axis-aligned lat/lon rectangle, with
+  :meth:`Region.split`, the overload remedy from §V-D ("split the regions so
+  that each of the servers would contain sufficient workers"), and
+* :class:`RegionGrid` — a uniform grid decomposition with point→region lookup.
+
+The §III-A tiers (sibling groups of grid cells) and the split policy live in
+:mod:`repro.platform.coordinator`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Region:
     lon_min: float
     lon_max: float
     region_id: int = field(default_factory=lambda: next(_REGION_IDS))
-    tier: int = 0
     #: Whether points exactly on ``lat_max`` / ``lon_max`` belong to this
     #: region.  True by default (global top/right edge semantics); grids and
     #: splits clear the flag on interior edges so no point is double-owned.
@@ -98,13 +97,11 @@ class Region:
             return (
                 Region(
                     self.lat_min, mid, self.lon_min, self.lon_max,
-                    tier=self.tier,
                     closed_lat_max=False,
                     closed_lon_max=self.closed_lon_max,
                 ),
                 Region(
                     mid, self.lat_max, self.lon_min, self.lon_max,
-                    tier=self.tier,
                     closed_lat_max=self.closed_lat_max,
                     closed_lon_max=self.closed_lon_max,
                 ),
@@ -113,13 +110,11 @@ class Region:
         return (
             Region(
                 self.lat_min, self.lat_max, self.lon_min, mid,
-                tier=self.tier,
                 closed_lat_max=self.closed_lat_max,
                 closed_lon_max=False,
             ),
             Region(
                 self.lat_min, self.lat_max, mid, self.lon_max,
-                tier=self.tier,
                 closed_lat_max=self.closed_lat_max,
                 closed_lon_max=self.closed_lon_max,
             ),
@@ -193,50 +188,6 @@ class RegionGrid:
             int((longitude - self.lon_min) / (self.lon_max - self.lon_min) * self.cols),
         )
         return self._regions[r * self.cols + c]
-
-    def split_region(self, region_id: int) -> Tuple[Region, Region]:
-        """Replace one region by its two halves; returns the halves."""
-        for i, region in enumerate(self._regions):
-            if region.region_id == region_id:
-                a, b = region.split()
-                self._regions[i : i + 1] = [a, b]
-                return a, b
-        raise KeyError(f"no region with id {region_id}")
-
-
-@dataclass(frozen=True)
-class RegionTier:
-    """One granularity level of the hierarchical decomposition (§III-A)."""
-
-    level: int
-    regions: Tuple[Region, ...]
-
-
-def build_tiers(
-    lat_min: float,
-    lat_max: float,
-    lon_min: float,
-    lon_max: float,
-    levels: int,
-) -> List[RegionTier]:
-    """Tiered grids: level 0 = whole area, level k = 2^k × 2^k cells."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    tiers: List[RegionTier] = []
-    for level in range(levels):
-        n = 2**level
-        grid = RegionGrid(lat_min, lat_max, lon_min, lon_max, rows=n, cols=n)
-        regions = tuple(
-            Region(
-                g.lat_min, g.lat_max, g.lon_min, g.lon_max,
-                tier=level,
-                closed_lat_max=g.closed_lat_max,
-                closed_lon_max=g.closed_lon_max,
-            )
-            for g in grid
-        )
-        tiers.append(RegionTier(level=level, regions=regions))
-    return tiers
 
 
 def haversine_km(

@@ -1,7 +1,7 @@
 """REACT middleware: the four server components, policies, cost models,
 and the multi-region coordinator."""
 
-from .coordinator import Coordinator
+from .coordinator import Coordinator, EscalationRecord
 from .cost import (
     BatchShape,
     CostModel,
@@ -12,7 +12,6 @@ from .cost import (
 from .dynamic_assignment import DynamicAssignmentComponent, Withdrawal
 from .policies import (
     SchedulingPolicy,
-    default_cost_model,
     greedy_policy,
     metropolis_policy,
     react_policy,
@@ -24,10 +23,10 @@ from .scheduling import BatchRecord, SchedulingComponent
 from .server import REACTServer
 from .task_management import TaskManagementComponent
 from .invariants import InvariantMonitor, InvariantViolation, check_server_invariants
-from .tiers import EscalationRecord, TieredCoordinator
 
 __all__ = [
     "Coordinator",
+    "EscalationRecord",
     "BatchShape",
     "CostModel",
     "MeasuredCost",
@@ -36,7 +35,6 @@ __all__ = [
     "DynamicAssignmentComponent",
     "Withdrawal",
     "SchedulingPolicy",
-    "default_cost_model",
     "greedy_policy",
     "metropolis_policy",
     "react_policy",
@@ -51,6 +49,4 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
     "check_server_invariants",
-    "EscalationRecord",
-    "TieredCoordinator",
 ]

@@ -1,15 +1,26 @@
 """Multi-region coordinator (§III-A spatial decomposition; §V-D remedy).
 
 Routes each worker and task to the REACT server owning its geographic
-region, and implements the overload remedy the paper proposes for its
-scalability limits: "One possible solution for that problem is to split the
-regions so that each of the servers would contain sufficient workers and
-tasks without being overloaded."
+region, and moves queued work between regions in the two ways the paper
+describes:
 
-Splitting re-partitions an overloaded region's *future* arrivals between two
-child servers; workers currently registered are re-routed by their location,
-while in-flight tasks finish on their original server (a live migration
-protocol is out of the paper's scope).
+* **Split** (§V-D): "One possible solution for that problem is to split the
+  regions so that each of the servers would contain sufficient workers and
+  tasks without being overloaded."  Splitting re-partitions an overloaded
+  region's *future* arrivals between two child servers; idle workers and
+  queued tasks located in the new half move with it, while in-flight tasks
+  finish on their original server (a live migration protocol is out of the
+  paper's scope).
+* **Tier escalation** (§III-A): regions are organised into tiers "ranging
+  from small local areas at the lowest tier, to the entire network area at
+  the highest tier".  Regions sharing a cell of the 2×-coarser grid form a
+  sibling group; with ``escalate_after`` set, a periodic sweep hands every
+  queued task that has waited that long (and is not yet expired) to the
+  sibling with the most free workers, then, if the whole group is starved,
+  to the best server network-wide.
+
+Both move only *queued* tasks (never batched or assigned ones), so they
+compose safely with the scheduling machinery.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from ..model.worker import WorkerBehavior, WorkerProfile
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import PLATFORM_TRACK
 from ..sim.clock import EventClock
+from ..sim.events import EventKind
+from ..sim.process import PeriodicProcess
 from ..sim.rng import RngRegistry
 from .cost import CostModel
 from .policies import SchedulingPolicy
@@ -45,10 +58,26 @@ class RegionEntry:
     #: a stream derivation.
     server_id: int
     rng: RngRegistry
+    #: Cell of the 2×-coarser grid holding this region: regions sharing it
+    #: are escalation siblings.  Split children inherit their parent's.
+    group: Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class EscalationRecord:
+    """One queued task handed from one region's server to another's."""
+
+    time: float
+    task_id: int
+    from_server: int
+    to_server: int
+    waited: float
+    network_wide: bool
 
 
 class Coordinator:
-    """Owns the region → server map and the split-on-overload policy."""
+    """Owns the region → server map, the split-on-overload policy and the
+    tier-escalation sweep."""
 
     def __init__(
         self,
@@ -61,6 +90,8 @@ class Coordinator:
         observability: Optional[ObservabilityLike] = None,
         server_factory: Optional[ServerFactory] = None,
         max_splits_per_submit: int = 4,
+        escalate_after: Optional[float] = None,
+        escalation_interval: float = 5.0,
     ) -> None:
         if not regions:
             raise ValueError("at least one region is required")
@@ -68,6 +99,8 @@ class Coordinator:
             raise ValueError("overload_queue_limit must be >= 1")
         if max_splits_per_submit < 1:
             raise ValueError("max_splits_per_submit must be >= 1")
+        if (escalate_after is not None and escalate_after <= 0) or escalation_interval <= 0:
+            raise ValueError("escalate_after and escalation_interval must be positive")
         self._engine = engine
         self._policy = policy
         self._rng = rng
@@ -94,10 +127,30 @@ class Coordinator:
         self._tasks_migrated = 0
         self._workers_migrated = 0
         self._next_server_id = 0
+        # A region's escalation group is the cell of the 2×-coarser grid its
+        # centre falls in, measured from the initial regions' bounding box:
+        # (row // 2, col // 2) on a uniform grid.
+        lat0 = min(region.lat_min for region in regions)
+        lon0 = min(region.lon_min for region in regions)
         for region in regions:
-            self._entries.append(self._make_entry(region))
+            lat, lon = region.center
+            group = (
+                int((lat - lat0) / (2 * (region.lat_max - region.lat_min))),
+                int((lon - lon0) / (2 * (region.lon_max - region.lon_min))),
+            )
+            self._entries.append(self._make_entry(region, group))
+        self._escalate_after = escalate_after
+        self.escalations: List[EscalationRecord] = []
+        self._sweeper: Optional[PeriodicProcess] = None
+        # Armed after the servers are built: the sweep's event sequence
+        # numbers follow theirs, the order the seeded escalation golden pins.
+        if escalate_after is not None:
+            self._sweeper = PeriodicProcess(
+                engine, period=escalation_interval, action=self._escalate,
+                kind=EventKind.CALLBACK,
+            )
 
-    def _make_entry(self, region: Region) -> RegionEntry:
+    def _make_entry(self, region: Region, group: Tuple[int, int]) -> RegionEntry:
         """Build a server for ``region`` under a monotonically unique id.
 
         Servers used to be numbered by list position, so a server created by
@@ -122,7 +175,7 @@ class Coordinator:
             )
         server.start()
         return RegionEntry(
-            region=region, server=server, server_id=server_id, rng=rng
+            region=region, server=server, server_id=server_id, rng=rng, group=group
         )
 
     # ------------------------------------------------------------- routing
@@ -216,13 +269,14 @@ class Coordinator:
         half_keep, half_new = entry.region.split()
         idx = self._entries.index(entry)
         old = entry.server
-        new_entry = self._make_entry(half_new)
+        new_entry = self._make_entry(half_new, entry.group)
         new_server = new_entry.server
         keep_entry = RegionEntry(
             region=half_keep,
             server=old,
             server_id=entry.server_id,
             rng=entry.rng,
+            group=entry.group,
         )
         self._entries[idx : idx + 1] = [keep_entry, new_entry]
         self._splits += 1
@@ -259,6 +313,66 @@ class Coordinator:
             migrated_tasks=len(migrated),
         )
         return keep_entry, new_entry
+
+    # ---------------------------------------------------------- escalation
+    def siblings(self, server_id: int) -> List[int]:
+        """Ids of the other servers in ``server_id``'s sibling group."""
+        group = next(e.group for e in self._entries if e.server_id == server_id)
+        return [
+            e.server_id for e in self._entries
+            if e.group == group and e.server_id != server_id
+        ]
+
+    @staticmethod
+    def _most_free(candidates: List[RegionEntry]) -> Optional[RegionEntry]:
+        """The candidate with the most free workers (first wins ties), or
+        None when no candidate has any."""
+        best, best_free = None, 0
+        for entry in candidates:
+            free = entry.server.profiling.available_count
+            if free > best_free:
+                best, best_free = entry, free
+        return best
+
+    def _escalate(self, now: float) -> None:
+        """One sweep: hand each region's stale queued tasks to the best-
+        staffed sibling, else network-wide, else back to its own queue."""
+        assert self._escalate_after is not None  # armed only when set
+        after = self._escalate_after
+        for entry in self._entries:
+            stale = entry.server.task_management.extract_unassigned(
+                lambda t: (now - t.submitted_at) >= after and not t.is_expired(now)
+            )
+            if not stale:
+                continue
+            others = [e for e in self._entries if e is not entry]
+            target = self._most_free([e for e in others if e.group == entry.group])
+            network_wide = target is None
+            if target is None:
+                target = self._most_free(others)
+            if target is None:
+                for task in stale:
+                    entry.server.adopt_task(task)
+                continue
+            for task in stale:
+                target.server.adopt_task(task)
+                self.escalations.append(
+                    EscalationRecord(
+                        time=now,
+                        task_id=task.task_id,
+                        from_server=entry.server_id,
+                        to_server=target.server_id,
+                        waited=now - task.submitted_at,
+                        network_wide=network_wide,
+                    )
+                )
+
+    def stop(self) -> None:
+        """Stop the escalation sweep and every server."""
+        if self._sweeper is not None:
+            self._sweeper.stop()
+        for server in self.servers:
+            server.stop()
 
     # -------------------------------------------------------------- summary
     def aggregate_summary(self) -> Dict[str, float]:

@@ -21,7 +21,7 @@ from typing import Any, Optional, Tuple
 from ..core.matching.base import Matcher
 from ..core.matching.registry import create_matcher
 from ..core.weights import WeightFunction, make_weight_function
-from .cost import CostModel, PaperCalibratedCost, RetainerCostConfig
+from .cost import RetainerCostConfig
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,3 @@ def metropolis_policy(cycles: int = 1000, **overrides: Any) -> SchedulingPolicy:
         cycles=cycles,
         **overrides,
     )
-
-
-def default_cost_model() -> CostModel:
-    """The paper-calibrated latency model used by all figure experiments."""
-    return PaperCalibratedCost()

@@ -6,7 +6,6 @@ import pytest
 from repro.model.region import (
     Region,
     RegionGrid,
-    build_tiers,
     haversine_km,
     haversine_km_matrix,
 )
@@ -107,15 +106,6 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match="outside"):
             grid.locate(11, 5)
 
-    def test_split_region_replaces_entry(self):
-        grid = RegionGrid(0, 10, 0, 10)
-        original = grid.regions[0]
-        a, b = grid.split_region(original.region_id)
-        assert len(grid) == 2
-        assert a in grid.regions and b in grid.regions
-        with pytest.raises(KeyError):
-            grid.split_region(original.region_id)
-
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
             RegionGrid(0, 10, 0, 10, rows=0)
@@ -138,22 +128,6 @@ class TestRegionGrid:
             owners = [r for r in grid.regions if r.contains(lat, lon)]
             assert len(owners) == 1, (lat, lon, owners)
             assert grid.locate(lat, lon) is owners[0]
-
-
-class TestTiers:
-    def test_tier_sizes_double_per_level(self):
-        tiers = build_tiers(0, 8, 0, 8, levels=3)
-        assert [len(t.regions) for t in tiers] == [1, 4, 16]
-        assert [t.level for t in tiers] == [0, 1, 2]
-
-    def test_lowest_tier_is_whole_area(self):
-        tiers = build_tiers(0, 8, 0, 8, levels=2)
-        whole = tiers[0].regions[0]
-        assert whole.contains(0.1, 0.1) and whole.contains(7.9, 7.9)
-
-    def test_invalid_levels_rejected(self):
-        with pytest.raises(ValueError):
-            build_tiers(0, 1, 0, 1, levels=0)
 
 
 class TestHaversine:

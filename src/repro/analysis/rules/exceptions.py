@@ -1,9 +1,9 @@
 """EXC001 — broad excepts in handler code must re-raise or count.
 
-The event loop (DES engine cohort dispatch) and the live gateway both run
+The event loop (DES engine dispatch) and the live gateway both run
 handler callbacks inside dispatch machinery that must survive a crashing
 handler.  The idiomatic shield is ``except Exception:`` — and the idiomatic
-failure mode is that shield silently eating real bugs: a typo in a cohort
+failure mode is that shield silently eating real bugs: a typo in an event
 handler turns into zero completed tasks and a clean-looking run.
 
 EXC001 accepts the shield but demands an exhaust path: a broad handler
@@ -14,7 +14,7 @@ containing either) must re-raise *or* increment an observability counter
 dashboards even when the process survives them.
 
 Scope is the layers that wrap foreign callables: ``repro.service`` (HTTP
-connections, region-server event handlers), ``repro.sim`` (cohort/event
+connections, region-server event handlers), ``repro.sim`` (event
 dispatch) and ``repro.platform`` (worker-pool callbacks).
 """
 
@@ -78,7 +78,7 @@ class BroadExceptRule(Rule):
     id = "EXC001"
     title = "broad except in dispatch/handler code must re-raise or inc() a counter"
     rationale = (
-        "Event and cohort dispatch wraps foreign handler code, so a broad "
+        "Event dispatch wraps foreign handler code, so a broad "
         "except is legitimate there — but swallowing the exception without "
         "a trace turns handler bugs into silently-missing results.  Either "
         "re-raise after cleanup or increment an obs registry counter "

@@ -736,13 +736,14 @@ def run_parallel_benchmark(quick: bool = False, workers: Optional[int] = None) -
 
 
 # ------------------------------------------------------------- end-to-end
-#: Sequential pre-cohort-engine driver baseline at the default comparison
-#: workload (``EndToEndConfig()`` defaults x ``default_policies()``),
-#: measured back-to-back with the optimized tree on the same host (stash
-#: the working tree, time the old driver, pop, time the new one).  Pinned
-#: here so BENCH_endtoend.json can report ``speedup_vs_pre_pr`` without
-#: re-running the superseded driver on every bench invocation; re-measure
-#: and update when the comparison workload changes.
+#: Sequential driver baseline from before the event-loop and WBGM-kernel
+#: optimisations, at the default comparison workload (``EndToEndConfig()``
+#: defaults x ``default_policies()``), measured back-to-back with the
+#: optimized tree on the same host (stash the working tree, time the old
+#: driver, pop, time the new one).  Pinned here so BENCH_endtoend.json can
+#: report ``speedup_vs_pre_pr`` without re-running the superseded driver on
+#: every bench invocation; re-measure and update when the comparison
+#: workload changes.
 PRE_PR_SEQUENTIAL_THROUGHPUT = 2032.0
 
 PRE_PR_SEQUENTIAL: Dict[str, object] = {

@@ -157,7 +157,6 @@ class DynamicAssignmentComponent:
             period=self._policy.reassign_check_interval,
             action=self.sweep,
             kind=EventKind.REASSIGNMENT_CHECK,
-            cohort_action=self.sweep_cohort,
         )
 
     def stop(self) -> None:
@@ -244,19 +243,6 @@ class DynamicAssignmentComponent:
         self._n_rows = sum(len(rows) for rows in rows_of.values())
 
     # --------------------------------------------------------------- sweep
-    def sweep_cohort(self, now: float, count: int) -> int:
-        """Cohort entry point: ``count`` coincident monitor events, one call.
-
-        Each coincident monitor event still performs its own sweep — a
-        withdrawal inside sweep *k* changes the assigned set that sweep
-        *k + 1* must observe, exactly as the sequential dispatch would — but
-        the sweeps arrive as one batched dispatch.
-        """
-        pulled = 0
-        for _ in range(count):
-            pulled += self.sweep(now)
-        return pulled
-
     def sweep(self, now: float) -> int:
         """Evaluate Eq. (2) for the running tasks that can fire; withdraw the hopeless.
 

@@ -96,9 +96,6 @@ class SchedulingComponent:
             "react_assigned_tasks", "Tasks out with a worker after last batch"
         )
         self._busy = False
-        # Coincident BATCH_COMPLETE events (multi-server setups sharing one
-        # engine, zero-latency cost models) arrive as one batched dispatch.
-        engine.register_cohort_handler(self._publish, self._publish_cohort)
         self.batches: List[BatchRecord] = []
         #: Chaos hook (:class:`repro.chaos.MatcherStallFault`): maps the cost
         #: model's latency to the latency actually charged for this batch.
@@ -162,21 +159,6 @@ class SchedulingComponent:
             return
         self._start_batch()
 
-    def periodic_trigger_cohort(self, now: float, count: int) -> None:
-        """Cohort form of ``count`` coincident periodic triggers.
-
-        One evaluation serves all of them: after a first trigger starts a
-        batch the rest would observe ``busy`` and return; after one empties
-        or retires the queue the rest would observe an empty/unexpired
-        queue.  In the no-worker branch, N sequential triggers would rescan
-        the queue N times — here :meth:`TaskManagementComponent.retire_expired`
-        runs its scan once on behalf of the whole cohort (later scans at the
-        same instant provably retire nothing).
-        """
-        if count <= 0:
-            return
-        self.periodic_trigger(now)
-
     # --------------------------------------------------------------- batch
     def _start_batch(self) -> None:
         self._busy = True
@@ -239,22 +221,8 @@ class SchedulingComponent:
             cycles=int(shape.cycles),
         )
         self._engine.schedule(
-            latency,
-            EventKind.BATCH_COMPLETE,
-            self._publish,
-            payload=payload,
-            transient=True,
+            latency, EventKind.BATCH_COMPLETE, self._publish, payload=payload
         )
-
-    def _publish_cohort(self, now: float, events: List[Event]) -> None:
-        """Cohort handler: publish each coincident pending batch in seq order.
-
-        Publication order matters — an earlier batch's assignments change
-        the worker availability the next batch's commit checks — so the
-        payload array is walked in the exact sequential dispatch order.
-        """
-        for event in events:
-            self._publish(event)
 
     def _publish(self, event: Event) -> None:
         pending: _PendingBatch = event.payload

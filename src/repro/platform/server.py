@@ -166,7 +166,6 @@ class RegionServer:
             period=self.policy.batch_period,
             action=self.scheduling.periodic_trigger,
             kind=EventKind.BATCH_TRIGGER,
-            cohort_action=self.scheduling.periodic_trigger_cohort,
         )
 
     def stop(self) -> None:
@@ -299,7 +298,6 @@ class RegionServer:
                     EventKind.CALLBACK,
                     self._on_running_expiry,
                     payload=(task.task_id, worker.worker_id, task.assignments),
-                    transient=True,
                 )
 
     def _deliver(self, task: Task, worker: WorkerProfile) -> None:
@@ -446,7 +444,6 @@ class RegionServer:
                     EventKind.CALLBACK,
                     self._on_deferred_release,
                     payload=task,
-                    transient=True,
                 )
 
     def _on_deferred_release(self, event: Event) -> None:

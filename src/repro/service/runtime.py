@@ -2,14 +2,13 @@
 
 :class:`WallClockRuntime` is a thin wall-clock driver over one DES
 :class:`~repro.sim.engine.Engine` it owns: the engine holds the ``(time,
-priority, seq)`` heap, cancellation, cohort grouping, preemption and the
-dispatch count, and the runtime decides *when* the engine runs — as the
-asyncio loop's monotonic clock reaches each due instant — instead of jumping
-straight to the next event.  The platform components cannot tell the
-difference — they see the :class:`~repro.sim.clock.EventClock` surface only
-— which is what lets one
-:class:`~repro.platform.scheduling.SchedulingComponent` instance run a
-simulation today and a live gateway tomorrow, through the same dispatcher.
+priority, seq)`` heap, cancellation, dispatch order and the dispatch count,
+and the runtime decides *when* the engine runs — as the asyncio loop's
+monotonic clock reaches each due instant — instead of jumping straight to
+the next event.  The platform components cannot tell the difference — they
+see the :class:`~repro.sim.clock.EventClock` surface only — which is what
+lets one :class:`~repro.platform.scheduling.SchedulingComponent` instance
+run a simulation today and a live gateway tomorrow, through the same loop.
 
 Design notes
 ------------
@@ -20,18 +19,16 @@ Design notes
   cancellation just flags the event (lazily skipped by the engine), and
   cancelling the last live one releases :meth:`WallClockRuntime.drained`
   waiters at once.
-* **One dispatch per due instant.**  When the timer fires, the runtime
-  calls ``engine.run(until=head)`` for each due head time in turn, so
-  cohorts, cohort handlers and preemption are the engine's own — the DES
-  and the live path share one dispatcher rather than mirroring it.
+* **One engine run per due instant.**  When the timer fires, the runtime
+  calls ``engine.run(until=head)`` for each due head time in turn, so the
+  dispatch order is the engine's own — the DES and the live path share one
+  event loop rather than mirroring it.
 * **Frozen ``now``.**  ``now`` is monotone nondecreasing and *frozen* for
-  the duration of one due instant, so every member of a cohort observes the
-  same instant — the DES engine gives the same guarantee, and the Eq. 2
+  the duration of one due instant, so every event of the instant observes
+  the same ``now`` — the DES engine gives the same guarantee, and the Eq. 2
   sweep's batch evaluation depends on it.  A late instant observes the
-  monotone floor, not its scheduled time: cohort handlers are wrapped at
-  registration so they receive the runtime's ``now``, not the engine's.
-  Between instants the clock is re-read, so a callback loop cannot livelock
-  the loop at one instant.
+  monotone floor, not its scheduled time.  Between instants the clock is
+  re-read, so a callback loop cannot livelock the loop at one instant.
 * **Sliced draining.**  One timer firing drains due instants for at most
   :data:`DRAIN_SLICE_WALL` wall seconds (checked between instants); if the
   runtime is still behind it yields the loop one iteration (``call_soon``)
@@ -45,11 +42,6 @@ Design notes
   simulated seconds" scenario finishes in tens of milliseconds of real
   time.  Scaling happens at the clock read, so schedules/deadlines are
   expressed in *clock* seconds everywhere.
-* **``transient`` is accepted but inert.**  The DES engine recycles
-  transient events through an :class:`~repro.sim.events.EventPool`; here
-  event allocation is nowhere near the HTTP stack's cost, so pooled reuse
-  would buy risk (a live callback retaining a recycled event) and no
-  latency.
 
 The runtime never blocks the loop: ``_fire`` runs synchronously (platform
 callbacks are plain functions), then control returns to asyncio.
@@ -61,7 +53,6 @@ import asyncio
 import math
 from typing import Any, Callable, List, Optional
 
-from ..sim.clock import CohortHandler
 from ..sim.engine import Engine, SimulationError
 from ..sim.events import Event, EventKind
 
@@ -150,14 +141,15 @@ class WallClockRuntime:
         callback: Callable[[Event], None],
         payload: Any = None,
         priority: int = -1,
-        transient: bool = False,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` clock seconds from now."""
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = self._engine.push_at(self.now + delay, kind, callback, payload, priority)
+        event = self._engine.schedule_at(
+            self.now + delay, kind, callback, payload, priority
+        )
         self._arm()
         return event
 
@@ -168,15 +160,13 @@ class WallClockRuntime:
         callback: Callable[[Event], None],
         payload: Any = None,
         priority: int = -1,
-        transient: bool = False,
     ) -> Event:
         """Schedule ``callback`` at absolute clock time ``time``.
 
         The event is placed at exactly ``time`` rather than via a delay
         round-trip: wall time advances between two ``now`` reads, so
         ``schedule(time - now, ...)`` would give two events scheduled for
-        the same literal instant slightly different times and split what
-        must be one coincident cohort.
+        the same literal instant slightly different times.
         """
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
@@ -185,7 +175,7 @@ class WallClockRuntime:
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={now}"
             )
-        event = self._engine.push_at(time, kind, callback, payload, priority)
+        event = self._engine.schedule_at(time, kind, callback, payload, priority)
         self._arm()
         return event
 
@@ -198,22 +188,6 @@ class WallClockRuntime:
         self._engine.cancel(event)
         if self._idle_waiters and self._engine.pending_active == 0:
             self._arm()
-
-    # ------------------------------------------------------------- cohorts
-    def register_cohort_handler(
-        self, callback: Callable[[Event], None], handler: CohortHandler
-    ) -> None:
-        """Route cohorts of ``callback`` events through ``handler``.
-
-        The handler receives the runtime's frozen ``now``, which for a late
-        instant is the monotone floor rather than the scheduled time.
-        """
-        self._engine.register_cohort_handler(
-            callback, lambda _time, events: handler(self.now, events)
-        )
-
-    def unregister_cohort_handler(self, callback: Callable[[Event], None]) -> None:
-        self._engine.unregister_cohort_handler(callback)
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

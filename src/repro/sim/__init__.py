@@ -5,7 +5,7 @@ same middleware components in deterministic simulated time.  See DESIGN.md
 section 2 for why the substitution preserves the reported behaviour.
 """
 
-from .clock import CohortHandler, EventClock
+from .clock import EventClock
 from .engine import Engine, SimulationError
 from .events import Event, EventKind
 from .process import GeneratorProcess, PeriodicProcess
@@ -21,7 +21,6 @@ from .rng import (
 )
 
 __all__ = [
-    "CohortHandler",
     "Engine",
     "EventClock",
     "SimulationError",

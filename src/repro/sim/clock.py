@@ -3,9 +3,9 @@
 The REACT middleware components (Profiling, Task Management, Scheduling,
 Dynamic Assignment — :mod:`repro.platform`) and the retainer layer
 (:mod:`repro.retainer`) never depend on *how* time advances; they only
-``schedule`` callbacks, ``cancel`` them, read ``now``, and opt into batched
-cohort dispatch.  :class:`EventClock` names exactly that surface, so the
-same component instances run unmodified on either
+``schedule`` callbacks, ``cancel`` them and read ``now``.
+:class:`EventClock` names exactly that surface, so the same component
+instances run unmodified on either
 
 * the deterministic DES :class:`~repro.sim.engine.Engine`, where ``now`` is
   simulated seconds and ``run()`` drives dispatch, or
@@ -16,33 +16,25 @@ same component instances run unmodified on either
 The protocol is structural (:class:`typing.Protocol`): ``Engine`` satisfies
 it without importing this module at runtime, and the conformance battery in
 ``tests/service/test_clock_protocol.py`` pins the behavioural contract both
-implementations must honour (ordering, cancellation, cohort batching,
-``now`` monotonicity).
+implementations must honour (ordering, cancellation, ``now`` monotonicity).
 
 Contract highlights
 -------------------
-* ``now`` is monotone nondecreasing and constant for the duration of one
-  cohort dispatch (every member of a cohort observes the same instant).
+* ``now`` is monotone nondecreasing and constant per instant (every event
+  due at one time observes the same ``now``).
 * Events fire in ``(time, priority, seq)`` order for events that are queued
   together; ``seq`` is the global scheduling order
   (:class:`~repro.sim.events.Event`).
 * ``cancel(event)`` before dispatch guarantees the callback never runs.
-* ``register_cohort_handler(callback, handler)`` routes coincident
-  same-``(time, priority)`` events bound for ``callback`` through one
-  ``handler(now, events)`` call, in ``seq`` order.
 * ``schedule`` with a negative delay (or ``schedule_at`` in the past) raises
   :class:`~repro.sim.engine.SimulationError`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from .events import Event, EventKind
-
-#: A batched dispatch target: ``handler(now, events)`` receives every
-#: consecutive same-``(time, priority)`` event bound for its callback.
-CohortHandler = Callable[[float, List[Event]], None]
 
 
 @runtime_checkable
@@ -61,7 +53,6 @@ class EventClock(Protocol):
         callback: Callable[[Event], None],
         payload: Any = None,
         priority: int = -1,
-        transient: bool = False,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from ``now``."""
         ...
@@ -73,21 +64,10 @@ class EventClock(Protocol):
         callback: Callable[[Event], None],
         payload: Any = None,
         priority: int = -1,
-        transient: bool = False,
     ) -> Event:
         """Schedule ``callback`` at the absolute clock time ``time``."""
         ...
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event; its callback will never run."""
-        ...
-
-    def register_cohort_handler(
-        self, callback: Callable[[Event], None], handler: CohortHandler
-    ) -> None:
-        """Route cohorts of ``callback`` events through ``handler``."""
-        ...
-
-    def unregister_cohort_handler(self, callback: Callable[[Event], None]) -> None:
-        """Remove a cohort route; ``callback`` reverts to per-event dispatch."""
         ...

@@ -5,11 +5,7 @@ the same components are driven by a deterministic discrete-event simulator.
 Events are totally ordered by ``(time, priority, sequence)`` so that two runs
 with the same seed replay identically, independent of heap tie-breaking.
 
-Everything here is allocation-conscious: :class:`Event` carries
-``__slots__`` (millions of them exist over a long run), and
-:class:`EventPool` recycles *transient* events — the fire-once,
-nobody-keeps-a-handle kind — through a free list so the steady-state engine
-loop allocates nothing per event.
+:class:`Event` carries ``__slots__``: millions of them exist over a long run.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List
+from typing import Any, Callable
 
 
 class EventKind(enum.IntEnum):
@@ -64,11 +60,6 @@ class Event:
     Events compare by ``(time, priority, seq)``.  ``seq`` is a process-global
     monotone counter, so insertion order breaks the remaining ties, which
     keeps the event loop fully deterministic.
-
-    ``transient`` marks an event as pool-recyclable: the engine returns it to
-    its :class:`EventPool` right after dispatch, so holding a reference to a
-    transient event past its callback is a bug.  Only schedule sites that
-    drop the returned handle may opt in.
     """
 
     time: float
@@ -78,7 +69,6 @@ class Event:
     priority: int = field(default=-1)
     seq: int = field(default_factory=lambda: next(_SEQUENCE))
     cancelled: bool = field(default=False, compare=False)
-    transient: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -106,74 +96,3 @@ class Event:
             f"seq={self.seq}{', CANCELLED' if self.cancelled else ''})"
         )
 
-
-def _released_callback(event: "Event") -> None:  # pragma: no cover - defensive
-    raise RuntimeError(
-        "dispatch of a pool-released Event: a transient event handle was "
-        "retained past its callback (schedule with transient=False instead)"
-    )
-
-
-class EventPool:
-    """Free list of recyclable :class:`Event` objects.
-
-    ``acquire`` hands out a fresh-or-recycled event with a *new* sequence
-    number (the total order never sees reuse), ``release`` returns one to the
-    pool and severs its callback/payload references so recycled events cannot
-    keep dead object graphs alive.  The pool is bounded: beyond ``maxsize``
-    released events are simply dropped for the GC.
-    """
-
-    __slots__ = ("_free", "maxsize", "created", "reused")
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 0:
-            raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-        self._free: List[Event] = []
-        self.maxsize = maxsize
-        #: Events constructed because the free list was empty.
-        self.created = 0
-        #: Events handed out from the free list instead of being constructed.
-        self.reused = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(
-        self,
-        time: float,
-        kind: EventKind,
-        callback: Callable[[Event], None],
-        payload: Any = None,
-        priority: int = -1,
-    ) -> Event:
-        """A transient event ready to schedule (recycled when possible)."""
-        free = self._free
-        if free:
-            event = free.pop()
-            self.reused += 1
-            event.time = time
-            event.kind = kind
-            event.callback = callback
-            event.payload = payload
-            event.priority = int(kind) if priority < 0 else priority
-            event.seq = next(_SEQUENCE)
-            event.cancelled = False
-            return event
-        self.created += 1
-        return Event(
-            time=time,
-            kind=kind,
-            callback=callback,
-            payload=payload,
-            priority=priority,
-            transient=True,
-        )
-
-    def release(self, event: Event) -> None:
-        """Return a dispatched (or dead) transient event to the free list."""
-        event.callback = _released_callback
-        event.payload = None
-        event.cancelled = True
-        if len(self._free) < self.maxsize:
-            self._free.append(event)

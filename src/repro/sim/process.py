@@ -5,18 +5,11 @@ events: *periodic* activities (the Dynamic Assignment monitor sweep, periodic
 batch triggers) and *generator-driven* arrival processes (the next arrival
 time depends on a random draw).  Both are provided here so platform code
 stays declarative.
-
-Both helpers schedule their events ``transient=True``: the engine recycles
-each firing through its :class:`~repro.sim.events.EventPool` right after
-dispatch, so a steady periodic tick or a long arrival stream allocates no
-per-event garbage.  That is safe here because the only retained handle
-(:attr:`PeriodicProcess._pending`) is always replaced before the old event is
-released and is only ever cancelled while still queued.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from .clock import EventClock
 from .events import Event, EventKind
@@ -26,15 +19,6 @@ class PeriodicProcess:
     """Fires ``action(now)`` every ``period`` seconds until stopped.
 
     The first firing happens at ``start`` (default: one period from now).
-
-    ``cohort_action``, when given, opts the process into the engine's
-    batched cohort dispatch: N coincident firings of this process's events
-    are delivered as one ``cohort_action(now, n)`` call instead of N
-    ``action(now)`` callbacks.  The cohort action must be equivalent to
-    calling ``action`` n times back-to-back at the same instant — that is
-    the contract the batched-vs-sequential equivalence suite pins.  (A
-    single process keeps at most one event queued, so n > 1 only arises
-    when several processes share one action through the same engine.)
     """
 
     def __init__(
@@ -44,7 +28,6 @@ class PeriodicProcess:
         action: Callable[[float], None],
         kind: EventKind = EventKind.CALLBACK,
         start: Optional[float] = None,
-        cohort_action: Optional[Callable[[float, int], None]] = None,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
@@ -52,13 +35,9 @@ class PeriodicProcess:
         self._period = period
         self._action = action
         self._kind = kind
-        self._cohort_action = cohort_action
         self._stopped = False
-        self._pending: Optional[Event] = None
-        if cohort_action is not None:
-            engine.register_cohort_handler(self._fire, self._fire_cohort)
         first_delay = period if start is None else max(0.0, start - engine.now)
-        self._pending = engine.schedule(first_delay, kind, self._fire, transient=True)
+        self._pending: Optional[Event] = engine.schedule(first_delay, kind, self._fire)
 
     @property
     def period(self) -> float:
@@ -69,30 +48,13 @@ class PeriodicProcess:
             return
         self._action(self._engine.now)
         if not self._stopped:
-            self._pending = self._engine.schedule(
-                self._period, self._kind, self._fire, transient=True
-            )
-
-    def _fire_cohort(self, now: float, events: List[Event]) -> None:
-        """Cohort handler: one batched activation for N coincident firings."""
-        if self._stopped:
-            return
-        assert self._cohort_action is not None  # registered only when set
-        self._cohort_action(now, len(events))
-        for _ in events:
-            if self._stopped:
-                break
-            self._pending = self._engine.schedule(
-                self._period, self._kind, self._fire, transient=True
-            )
+            self._pending = self._engine.schedule(self._period, self._kind, self._fire)
 
     def stop(self) -> None:
         self._stopped = True
         if self._pending is not None:
             self._engine.cancel(self._pending)
             self._pending = None
-        if self._cohort_action is not None:
-            self._engine.unregister_cohort_handler(self._fire)
 
 
 class GeneratorProcess:
@@ -133,9 +95,7 @@ class GeneratorProcess:
             return
         if delay < 0:
             raise ValueError(f"generator produced a negative delay: {delay}")
-        self._engine.schedule(
-            delay, self._kind, self._fire, payload=payload, transient=True
-        )
+        self._engine.schedule(delay, self._kind, self._fire, payload=payload)
 
     def _fire(self, event: Event) -> None:
         if self._stopped:

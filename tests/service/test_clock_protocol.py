@@ -5,13 +5,13 @@ Every scenario here runs verbatim against the DES
 :class:`~repro.service.runtime.WallClockRuntime` (at a high ``time_scale``
 so a few clock seconds are a few wall milliseconds).  This is the contract
 that lets the four platform components run unmodified under either clock:
-dispatch ordering, coincident-event cohorts, cancellation, callback
-chaining, and ``now`` monotonicity must agree.
+dispatch ordering, coincident events, cancellation, callback chaining, and
+``now`` monotonicity must agree.
 
 Wall-clock caveat baked into the assertions: the runtime's ``now`` can run
 *ahead* of an event's scheduled time (a timer can only fire late), so the
-battery asserts ``now >= event.time`` plus cohort-frozen equality, not
-exact equality — the DES engine trivially satisfies the same predicate.
+battery asserts ``now >= event.time`` plus per-instant frozen equality,
+not exact equality — the DES engine trivially satisfies the same predicate.
 """
 
 import asyncio
@@ -156,9 +156,8 @@ class TestCancellation:
                 fired.append("killer")
                 clock.cancel(victim_box[0])
 
-            # Same (time, priority), earlier seq: the killer walks the
-            # cohort first and flags its coincident peer before dispatch
-            # reaches it.
+            # Same (time, priority), earlier seq: the killer fires first
+            # and flags its coincident peer before dispatch reaches it.
             killer_event = clock.schedule_at(2.0, EventKind.CALLBACK, killer)
             victim = clock.schedule_at(
                 2.0, EventKind.CALLBACK, lambda _e: fired.append("victim")
@@ -171,74 +170,6 @@ class TestCancellation:
         assert fired == ["killer"]
 
 
-class TestCohortDispatch:
-    def test_coincident_same_callback_events_batch(self, clock_kind):
-        """N coincident events of one callback reach the handler as one call."""
-        calls = []
-
-        def setup(clock):
-            def member(_event):  # pragma: no cover - replaced by the handler
-                raise AssertionError("cohort member dispatched individually")
-
-            def handler(now, events):
-                calls.append((now, [e.payload for e in events]))
-
-            clock.register_cohort_handler(member, handler)
-            for payload in (1, 2, 3):
-                clock.schedule_at(2.0, EventKind.CALLBACK, member, payload=payload)
-            return lambda clock: None
-
-        run_scenario(clock_kind, setup)
-        assert len(calls) == 1
-        now, payloads = calls[0]
-        assert payloads == [1, 2, 3]
-        assert now >= 2.0
-
-    def test_batching_is_consecutive_only(self, clock_kind):
-        """A different callback interleaved in seq order splits the batch."""
-        calls = []
-        other = []
-
-        def setup(clock):
-            def member(_event):  # pragma: no cover - replaced by the handler
-                raise AssertionError("unreachable")
-
-            def handler(now, events):
-                calls.append([e.payload for e in events])
-
-            clock.register_cohort_handler(member, handler)
-            clock.schedule_at(2.0, EventKind.CALLBACK, member, payload="a1")
-            clock.schedule_at(2.0, EventKind.CALLBACK, member, payload="a2")
-            clock.schedule_at(
-                2.0, EventKind.CALLBACK, lambda _e: other.append("b")
-            )
-            clock.schedule_at(2.0, EventKind.CALLBACK, member, payload="a3")
-            return lambda clock: None
-
-        run_scenario(clock_kind, setup)
-        assert calls == [["a1", "a2"], ["a3"]]
-        assert other == ["b"]
-
-    def test_unregister_restores_individual_dispatch(self, clock_kind):
-        individual = []
-
-        def setup(clock):
-            def member(event):
-                individual.append(event.payload)
-
-            def handler(now, events):  # pragma: no cover - unregistered
-                raise AssertionError("handler should be unregistered")
-
-            clock.register_cohort_handler(member, handler)
-            clock.unregister_cohort_handler(member)
-            clock.schedule_at(2.0, EventKind.CALLBACK, member, payload="x")
-            clock.schedule_at(2.0, EventKind.CALLBACK, member, payload="y")
-            return lambda clock: None
-
-        run_scenario(clock_kind, setup)
-        assert individual == ["x", "y"]
-
-
 class TestNowSemantics:
     def test_now_monotone_and_frozen_per_cohort(self, clock_kind):
         samples = []
@@ -247,7 +178,7 @@ class TestNowSemantics:
             def sample(_event):
                 samples.append(clock.now)
 
-            # Two cohorts of two coincident members each.
+            # Two instants of two coincident events each.
             for t in (1.0, 2.0):
                 clock.schedule_at(t, EventKind.CALLBACK, sample)
                 clock.schedule_at(t, EventKind.CALLBACK, sample)
@@ -257,7 +188,7 @@ class TestNowSemantics:
         assert len(samples) == 4
         # Monotone nondecreasing across all dispatches.
         assert samples == sorted(samples)
-        # Frozen within each coincident cohort: members see the same instant.
+        # Frozen per instant: coincident events see the same ``now``.
         assert samples[0] == samples[1]
         assert samples[2] == samples[3]
         # Never before the scheduled time.
@@ -296,76 +227,54 @@ GRID = 4
 
 _ACTIONS = st.one_of(
     st.none(),
-    # Cancel the target-th scheduled event (often a later cohort peer).
+    # Cancel the target-th scheduled event (often a later coincident peer).
     st.tuples(st.just("cancel"), st.integers(0, 11)),
     # schedule_at a child `ahead` grid points on (0 = this instant).
-    st.tuples(
-        st.just("chain"),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.sampled_from("abp"),
-    ),
+    st.tuples(st.just("chain"), st.integers(0, 2), st.integers(0, 2)),
 )
 _SCHEDULES = st.lists(
-    st.tuples(
-        st.integers(0, GRID - 1), st.integers(0, 2), st.sampled_from("abp"), _ACTIONS
-    ),
+    st.tuples(st.integers(0, GRID - 1), st.integers(0, 2), _ACTIONS),
     min_size=1,
     max_size=12,
 )
 
 
 def _dispatch_log(clock, schedule):
-    """Schedule ``schedule`` on ``clock``; return (label order, batches).
+    """Schedule ``schedule`` on ``clock``; return the dispatch log.
 
-    Routes ``a`` and ``b`` go through two registered cohort handlers, ``p``
-    is dispatched per event.  Each event runs its action when it fires.
+    Each event logs ``(label, clock.now)`` and runs its action when it fires.
     """
-    order, batches, handles = [], [], []
+    log, handles = [], []
 
     def fire(event):
         label, slot, action = event.payload
-        order.append(label)
+        log.append((label, clock.now))
         if action is None:
             return
         if action[0] == "cancel":
             clock.cancel(handles[action[1] % len(handles)])
             return
-        _, ahead, priority, route = action
+        _, ahead, priority = action
         child = min(slot + ahead, GRID - 1)
         clock.schedule_at(
             GRID_ORIGIN + child * GRID_STEP,
             EventKind.CALLBACK,
-            callbacks[route],
+            fire,
             payload=(label + ">", child, None),
             priority=priority,
         )
 
-    def batched(route):
-        def member(_event):  # pragma: no cover - routed to the handler
-            raise AssertionError("cohort member dispatched individually")
-
-        def handler(_now, events):
-            batches.append((route, [e.payload[0] for e in events]))
-            for event in events:
-                if not event.cancelled:  # a peer may cancel a later one
-                    fire(event)
-
-        clock.register_cohort_handler(member, handler)
-        return member
-
-    callbacks = {"a": batched("a"), "b": batched("b"), "p": fire}
-    for index, (slot, priority, route, action) in enumerate(schedule):
+    for index, (slot, priority, action) in enumerate(schedule):
         handles.append(
             clock.schedule_at(
                 GRID_ORIGIN + slot * GRID_STEP,
                 EventKind.CALLBACK,
-                callbacks[route],
+                fire,
                 payload=(f"e{index}", slot, action),
                 priority=priority,
             )
         )
-    return order, batches
+    return log
 
 
 class TestDifferentialDispatch:
@@ -373,7 +282,7 @@ class TestDifferentialDispatch:
     @given(schedule=_SCHEDULES)
     def test_engine_and_wallclock_dispatch_identically(self, schedule):
         """One generated schedule, both clocks: the dispatch label order and
-        the cohort-handler batch groupings must be identical."""
+        the ``now`` each callback observes must be identical."""
         engine = Engine()
         expected = _dispatch_log(engine, schedule)
         engine.run(until=GRID_ORIGIN + GRID * GRID_STEP)

@@ -1,7 +1,7 @@
 """WallClockRuntime unit tests beyond the shared conformance battery.
 
-The cross-clock contract (ordering, cohorts, cancellation, ``now``
-semantics) lives in ``test_clock_protocol.py``; this file covers the
+The cross-clock contract (ordering, coincident events, cancellation,
+``now`` semantics) lives in ``test_clock_protocol.py``; this file covers the
 runtime-only surface: lifecycle (close/drained/run_for), the lazy
 cancellation counters, and constructor validation.
 """
@@ -174,19 +174,6 @@ class TestQueueIntrospection:
 
         run_async(main())
 
-    def test_dispatched_counts_and_transient_is_inert(self):
-        async def main():
-            runtime = WallClockRuntime(time_scale=SCALE)
-            event = runtime.schedule(
-                0.0, EventKind.CALLBACK, lambda _e: None, transient=True
-            )
-            await runtime.drained()
-            assert runtime.dispatched == 1
-            # No pool recycling on the wall clock: the handle stays intact.
-            assert not event.cancelled
-
-        run_async(main())
-
     def test_now_is_monotone_between_reads(self):
         async def main():
             runtime = WallClockRuntime(time_scale=SCALE)
@@ -199,8 +186,8 @@ class TestQueueIntrospection:
 class TestLateCohorts:
     def test_late_cohort_is_not_preempted_by_a_later_event(self):
         """Blocking the loop past both due times, then reading ``now``, lifts
-        the floor past the 1.0 cohort; the later 2.0 event must not preempt
-        it, or the cohort re-queues itself forever."""
+        the floor past the 1.0 instant; the later 2.0 event must not preempt
+        it, or the instant re-queues itself forever."""
         import time
 
         fired = []
@@ -218,8 +205,8 @@ class TestLateCohorts:
         assert fired == ["low", "high"]
 
     def test_late_cohort_handler_receives_the_frozen_runtime_now(self):
-        """A late cohort's handler sees the runtime's ``now`` — the lifted
-        floor — not the cohort's scheduled time."""
+        """Every callback of a late instant reads the runtime's frozen
+        ``now`` — the lifted floor — not the instant's scheduled time."""
         import time
 
         calls = []
@@ -227,27 +214,21 @@ class TestLateCohorts:
         async def main():
             runtime = WallClockRuntime(time_scale=1000.0)
 
-            def member(_event):  # pragma: no cover - routed to the handler
-                raise AssertionError("cohort handler bypassed")
+            def member(event):
+                calls.append((event.payload, runtime.now))
 
-            def handler(now, events):
-                calls.append((now, runtime.now, [e.payload for e in events]))
-
-            runtime.register_cohort_handler(member, handler)
             for label in ("a", "b"):
                 runtime.schedule_at(1.0, EventKind.CALLBACK, member, payload=label)
             time.sleep(0.01)  # 10 clock seconds pass with the loop blocked
-            floor = runtime.now  # lifts the floor past the 1.0 cohort
+            floor = runtime.now  # lifts the floor past the 1.0 instant
             assert floor >= 2.0
             await asyncio.wait_for(runtime.drained(), 2.0)
+            assert runtime.dispatched == 2
             return floor
 
         floor = run_async(main())
-        assert len(calls) == 1
-        now, runtime_now, payloads = calls[0]
-        assert payloads == ["a", "b"]
-        assert now == runtime_now
-        assert now >= floor > 1.0
+        assert [label for label, _now in calls] == ["a", "b"]
+        assert calls[0][1] == calls[1][1] >= floor > 1.0
 
 
 class TestSlicedDraining:

@@ -1,23 +1,25 @@
-"""Boundary semantics of the batched event-cohort engine.
+"""Boundary semantics of the event loop at coincident instants.
 
-Pins the contracts the cohort refactor must preserve: ``until`` inclusivity
-at exactly the head time, ``max_events`` accounting in the presence of
-cancelled events (including mid-cohort budget caps), and stop/resume across
-cohorts reproducing the sequential ``(time, priority, seq)`` dispatch order
-bit for bit.  Also covers the allocation-hygiene pieces the loop leans on:
-``pending_active``/``peek_time`` consistency, :class:`EventPool` recycling,
-in-place heap compaction under a running loop, and the no-heap-mutation rule
-for cohort handlers (``drain()`` during dispatch must refuse).
+Pins the contracts of the plain ``(time, priority, seq)`` loop: ``until``
+inclusivity at exactly the head time, ``max_events`` accounting in the
+presence of cancelled events (including a cap inside a coincident group),
+stop/resume mid-instant reproducing the ``(time, priority, seq)`` dispatch
+order, preemption by a same-time higher-priority event, and the
+cancellation bookkeeping: ``pending_active``/``peek_time`` consistency and
+in-place heap compaction under a running loop.  Test names say *cohort*
+for the events that share one ``(time, priority)``.
 """
 
-import pytest
-
-from repro.sim.engine import COMPACT_MIN_PENDING, Engine, SimulationError
-from repro.sim.events import EventKind, EventPool
+from repro.sim.engine import COMPACT_MIN_PENDING
+from repro.sim.events import EventKind
 
 
 def _label(fired, name):
     return lambda event: fired.append(name)
+
+
+def _record(fired):
+    return lambda event: fired.append(event.payload)
 
 
 class TestUntilBoundary:
@@ -32,21 +34,16 @@ class TestUntilBoundary:
         assert fired == ["at", "after"]
 
     def test_until_equal_to_cohort_time_fires_whole_cohort(self, engine):
-        seen = []
-        handler_calls = []
-
-        def cb(event):  # pragma: no cover - routed through the handler
-            raise AssertionError("cohort handler should intercept")
-
-        engine.register_cohort_handler(
-            cb, lambda now, events: handler_calls.append([e.payload for e in events])
-        )
+        """Every event of the instant at exactly ``until`` fires."""
+        fired = []
         for name in ("x", "y", "z"):
-            engine.schedule(2.0, EventKind.CALLBACK, cb, payload=name)
-        engine.schedule(2.0 + 1e-9, EventKind.CALLBACK, _label(seen, "later"))
+            engine.schedule(2.0, EventKind.CALLBACK, _record(fired), payload=name)
+        engine.schedule(2.0 + 1e-9, EventKind.CALLBACK, _label(fired, "later"))
         engine.run(until=2.0)
-        assert handler_calls == [["x", "y", "z"]]
-        assert seen == [] and engine.now == 2.0
+        assert fired == ["x", "y", "z"]
+        assert engine.now == 2.0
+        engine.run()
+        assert fired == ["x", "y", "z", "later"]
 
     def test_until_past_drained_heap_advances_clock(self, engine):
         engine.schedule(1.0, EventKind.CALLBACK, lambda e: None)
@@ -70,115 +67,89 @@ class TestMaxEventsWithCancellation:
         assert fired == ["e1", "e3", "e4"]
 
     def test_budget_caps_cohort_and_remainder_resumes(self, engine):
-        handler_calls = []
-
-        def cb(event):  # pragma: no cover - routed through the handler
-            raise AssertionError("cohort handler should intercept")
-
-        engine.register_cohort_handler(
-            cb, lambda now, events: handler_calls.append([e.payload for e in events])
-        )
+        """``max_events`` stops inside a coincident group; the rest of the
+        group fires on the next run, in seq order."""
+        fired = []
         for i in range(4):
-            engine.schedule(1.0, EventKind.CALLBACK, cb, payload=i)
+            engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload=i)
         engine.run(max_events=2)
-        assert handler_calls == [[0, 1]]
+        assert fired == [0, 1]
+        assert engine.now == 1.0
         engine.run()
-        assert handler_calls == [[0, 1], [2, 3]]
+        assert fired == [0, 1, 2, 3]
 
     def test_cancelled_cohort_member_skipped_inside_batch(self, engine):
-        """An early member cancelling a later one is honoured mid-cohort."""
-        handler_calls = []
+        """An earlier coincident event cancelling a later one is honoured."""
+        fired = []
         victim = {}
 
         def killer(event):
+            fired.append("killer")
             victim["event"].cancel()
 
-        def cb(event):  # pragma: no cover - routed through the handler
-            raise AssertionError("cohort handler should intercept")
-
-        engine.register_cohort_handler(
-            cb, lambda now, events: handler_calls.append([e.payload for e in events])
-        )
-        # Same (time, priority): killer has seq before the cohort members.
+        # Same (time, priority): the killer has the smallest seq.
         engine.schedule(1.0, EventKind.CALLBACK, killer, priority=7)
-        engine.schedule(1.0, EventKind.CALLBACK, cb, payload="a", priority=7)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="a", priority=7)
         victim["event"] = engine.schedule(
-            1.0, EventKind.CALLBACK, cb, payload="b", priority=7
+            1.0, EventKind.CALLBACK, _record(fired), payload="b", priority=7
         )
-        engine.schedule(1.0, EventKind.CALLBACK, cb, payload="c", priority=7)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="c", priority=7)
         engine.run()
-        assert handler_calls == [["a", "c"]]
+        assert fired == ["killer", "a", "c"]
+        assert engine.dispatched == 3
 
 
 class TestStopResumeAcrossCohorts:
     def test_stop_mid_cohort_resumes_in_sequential_order(self, engine):
+        """``stop()`` mid-instant leaves the rest queued; the next run
+        resumes in ``(time, priority, seq)`` order."""
         fired = []
 
-        def make_stopper(event):
+        def stopper(event):
             fired.append("s")
             engine.stop()
 
-        shared = lambda e: None  # noqa: E731
-        calls = []
-        engine.register_cohort_handler(
-            shared, lambda now, events: calls.append([e.payload for e in events])
-        )
-        engine.schedule(1.0, EventKind.CALLBACK, make_stopper, priority=5)
-        engine.schedule(1.0, EventKind.CALLBACK, shared, payload="a1", priority=5)
-        engine.schedule(1.0, EventKind.CALLBACK, shared, payload="a2", priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="a0", priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, stopper, priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="a1", priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="b", priority=6)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="a2", priority=5)
         engine.run()
-        # stop() fired before the batch: the whole tail went back on the heap.
-        assert fired == ["s"] and calls == []
+        assert fired == ["a0", "s"]
+        assert engine.now == 1.0
         engine.run()
-        # The resumed run re-forms the cohort batch in seq order.
-        assert calls == [["a1", "a2"]]
+        assert fired == ["a0", "s", "a1", "a2", "b"]
 
-    def test_cohort_dispatch_order_matches_sequential(self):
-        """Same schedule, with and without cohort handlers: same label order."""
-
-        def drive(batched: bool):
-            engine = Engine()
-            fired = []
-            shared = lambda e: fired.append(e.payload)  # noqa: E731
-            if batched:
-                engine.register_cohort_handler(
-                    shared,
-                    lambda now, events: fired.extend(e.payload for e in events),
+    def test_cohort_dispatch_order_matches_sequential(self, engine):
+        """Dispatch order is the sorted ``(time, priority, seq)`` order."""
+        fired = []
+        keys = [(1.0, 5), (1.0, 5), (2.0, 0), (1.0, 3), (1.0, 5), (0.5, 9), (1.0, 3)]
+        events = []
+        for i, (time, priority) in enumerate(keys):
+            events.append(
+                engine.schedule(
+                    time, EventKind.CALLBACK, _record(fired), payload=i, priority=priority
                 )
-            other = lambda e: fired.append(e.payload)  # noqa: E731
-            engine.schedule(1.0, EventKind.CALLBACK, shared, payload="a1", priority=5)
-            engine.schedule(1.0, EventKind.CALLBACK, shared, payload="a2", priority=5)
-            engine.schedule(1.0, EventKind.CALLBACK, other, payload="b1", priority=5)
-            engine.schedule(1.0, EventKind.CALLBACK, shared, payload="a3", priority=5)
-            engine.schedule(1.0, EventKind.CALLBACK, other, payload="b2", priority=3)
-            engine.schedule(2.0, EventKind.CALLBACK, shared, payload="a4")
-            engine.run()
-            return fired
-
-        assert drive(batched=True) == drive(batched=False)
+            )
+        engine.run()
+        expected = [e.payload for e in sorted(events, key=lambda e: e.sort_key())]
+        assert fired == expected == [5, 3, 6, 0, 1, 4, 2]
 
     def test_same_time_higher_priority_event_preempts_cohort(self, engine):
-        """A member scheduling a same-time higher-priority event yields to it."""
+        """An event scheduling a same-time higher-priority event yields to
+        it before the rest of its coincident group."""
         fired = []
-        shared = lambda e: None  # noqa: E731
 
-        def handler(now, events):
-            for event in events:
-                fired.append(event.payload)
-                if event.payload == "a1":
-                    engine.schedule(
-                        0.0, EventKind.CALLBACK, _label(fired, "urgent"), priority=0
-                    )
+        def first(event):
+            fired.append("a1")
+            engine.schedule(0.0, EventKind.CALLBACK, _label(fired, "urgent"), priority=0)
+            engine.schedule(0.0, EventKind.CALLBACK, _label(fired, "tail"), priority=5)
 
-        engine.register_cohort_handler(shared, handler)
-        other = lambda e: fired.append(e.payload)  # noqa: E731
-        engine.schedule(1.0, EventKind.CALLBACK, shared, payload="a1", priority=5)
-        engine.schedule(1.0, EventKind.CALLBACK, other, payload="b1", priority=5)
-        engine.schedule(1.0, EventKind.CALLBACK, other, payload="b2", priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, first, priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="b1", priority=5)
+        engine.schedule(1.0, EventKind.CALLBACK, _record(fired), payload="b2", priority=5)
         engine.run()
-        # The handler call is atomic, but the *next* cohort member (b1) must
-        # wait for the urgent event — exactly the sequential order.
-        assert fired == ["a1", "urgent", "b1", "b2"]
+        assert fired == ["a1", "urgent", "b1", "b2", "tail"]
 
 
 class TestPendingActiveAndPeek:
@@ -239,76 +210,27 @@ class TestPendingActiveAndPeek:
         engine.run()
         assert fired == ["late", "mid"]
 
+    def test_cancelling_a_coincident_peer_does_not_skew_compaction(self, engine):
+        """A callback that cancels its coincident peer leaves the cancel
+        count balanced: the peer is popped and skipped, so later cancels
+        alone decide when the heap compacts."""
+        for i in range(40):
+            victim = {}
 
-class TestEventPool:
-    def test_acquire_reuses_released_events_with_fresh_seq(self):
-        pool = EventPool()
-        first = pool.acquire(1.0, EventKind.CALLBACK, lambda e: None)
-        assert pool.created == 1 and first.transient
-        seq = first.seq
-        pool.release(first)
-        second = pool.acquire(2.0, EventKind.CALLBACK, lambda e: None, payload="p")
-        assert second is first
-        assert pool.reused == 1
-        assert second.seq > seq
-        assert not second.cancelled and second.payload == "p"
+            def killer(event, victim=victim):
+                engine.cancel(victim["event"])
 
-    def test_release_severs_payload_and_callback(self):
-        pool = EventPool()
-        event = pool.acquire(1.0, EventKind.CALLBACK, lambda e: None, payload=object())
-        pool.release(event)
-        assert event.payload is None
-        with pytest.raises(RuntimeError, match="pool-released"):
-            event.callback(event)
-
-    def test_maxsize_bounds_free_list(self):
-        pool = EventPool(maxsize=1)
-        a = pool.acquire(1.0, EventKind.CALLBACK, lambda e: None)
-        b = pool.acquire(1.0, EventKind.CALLBACK, lambda e: None)
-        pool.release(a)
-        pool.release(b)
-        assert len(pool) == 1
-
-    def test_engine_recycles_transient_events(self, engine):
-        engine.schedule(1.0, EventKind.CALLBACK, lambda e: None, transient=True)
+            time = float(i + 1)
+            engine.schedule_at(time, EventKind.CALLBACK, killer)
+            victim["event"] = engine.schedule_at(time, EventKind.CALLBACK, _label([], "x"))
         engine.run()
-        assert engine.event_pool.created == 1
-        assert len(engine.event_pool) == 1
-        engine.schedule(1.0, EventKind.CALLBACK, lambda e: None, transient=True)
-        engine.run()
-        assert engine.event_pool.reused == 1
-        assert engine.event_pool.created == 1
-
-
-class TestCohortHandlerHeapContract:
-    def test_drain_during_cohort_dispatch_refuses(self, engine):
-        """Cohort handlers must not structurally mutate the engine heap."""
-        shared = lambda e: None  # noqa: E731
-        caught = {}
-
-        def handler(now, events):
-            try:
-                list(engine.drain())
-            except SimulationError as exc:
-                caught["error"] = exc
-
-        engine.register_cohort_handler(shared, handler)
-        engine.schedule(1.0, EventKind.CALLBACK, shared)
-        engine.schedule(1.0, EventKind.CALLBACK, shared)
-        engine.run()
-        assert "must not mutate" in str(caught["error"])
-
-    def test_drain_during_single_event_handler_refuses(self, engine):
-        shared = lambda e: None  # noqa: E731
-        caught = {}
-
-        def handler(now, events):
-            try:
-                list(engine.drain())
-            except SimulationError as exc:
-                caught["error"] = exc
-
-        engine.register_cohort_handler(shared, handler)
-        engine.schedule(1.0, EventKind.CALLBACK, shared)
-        engine.run()
-        assert "error" in caught
+        assert engine.dispatched == 40 and engine.pending == 0
+        events = [
+            engine.schedule(float(i + 1), EventKind.CALLBACK, lambda e: None)
+            for i in range(100)
+        ]
+        for event in events[:11]:
+            engine.cancel(event)
+        # 11 of 100 cancelled is far below the compaction threshold.
+        assert engine.pending == 100
+        assert engine.pending_active == 89

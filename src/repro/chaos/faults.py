@@ -162,9 +162,6 @@ class FaultSchedule:
         """Simulated time by which every fault window has closed."""
         return max((fault.end for fault in self.faults), default=0.0)
 
-    def of_kind(self, kind: type) -> Tuple[Fault, ...]:
-        return tuple(f for f in self.faults if isinstance(f, kind))
-
     @classmethod
     def standard(
         cls,

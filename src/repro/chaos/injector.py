@@ -4,8 +4,8 @@ The injector schedules one FAULT_INJECTION event per fault activation and
 (for windowed faults) one per deactivation, then perturbs the platform
 through the explicit chaos interfaces the components expose:
 
-* ``server.inject_abandonment`` / ``server.live_execution`` — abandonment
-  waves corrupt in-flight executions;
+* ``server.inject_abandonment`` — abandonment waves corrupt in-flight
+  executions;
 * ``server.execution_hook`` — no-show faults flip fresh assignments;
 * ``profiling.observation_hook`` — stale-profile faults distort what the
   Profiling Component records;
@@ -252,16 +252,6 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------- queries
-    @property
-    def any_active(self) -> bool:
-        return bool(
-            self._active_stalls
-            or self._active_no_shows
-            or self._active_distortions
-            or self._sweep_suspensions
-            or self._blackouts
-        )
-
     def entries(self, kind: Optional[str] = None) -> List[FaultLogEntry]:
         if kind is None:
             return list(self.log)

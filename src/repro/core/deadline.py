@@ -39,7 +39,7 @@ import numpy as np
 from ..model.worker import WorkerProfile
 from ..model.worker_table import WorkerRows, Workers, as_rows
 from ..stats.duration_models import DurationModel, DurationModelFamily, PowerLawFamily
-from ..stats.powerlaw import FitMethod, PowerLawFit
+from ..stats.powerlaw import PowerLawFit
 from .kernels.deadline import powerlaw_ccdf_grid, powerlaw_ccdf_values
 
 
@@ -64,23 +64,22 @@ class DeadlineEstimator:
     min_history:
         The paper's ``z``: minimum completed tasks before the probabilistic
         model activates for a worker (3 in the experiments).
-    fit_method:
-        Which MLE variant estimates α (paper's discrete form by default).
+    family:
+        Duration-model family fitted per worker (the paper's power law with
+        its discrete MLE by default).
     """
 
     def __init__(
         self,
         min_history: int = 3,
-        fit_method: FitMethod = FitMethod.PAPER_DISCRETE,
         family: Optional[DurationModelFamily] = None,
     ) -> None:
         if min_history < 0:
             raise ValueError(f"min_history must be >= 0, got {min_history}")
         self.min_history = min_history
-        self.fit_method = fit_method
         # The distribution family is pluggable (ABL-MODEL ablation); the
         # paper's power law is the default.
-        self.family = family if family is not None else PowerLawFamily(fit_method)
+        self.family = family if family is not None else PowerLawFamily()
         # Fit cache keyed by worker id; worker histories are append-only, so
         # a cached fit stays valid until the completed-task count changes.
         # The batch paths read the power-law parameters from the worker
@@ -323,26 +322,6 @@ class DeadlineEstimator:
             else:
                 horizons.append(_skip_horizon(alpha, k_min, ttd, threshold))
         return horizons
-
-    def should_reassign(
-        self,
-        worker: WorkerProfile,
-        elapsed: float,
-        time_to_deadline: float,
-        threshold: float,
-    ) -> bool:
-        """Reassignment rule: pull the task when Eq. (2) < ``threshold``.
-
-        Untrained workers are never reassigned (the paper: "the first 3
-        tasks in every worker are not going to be reassigned so as to train
-        the system about his performance").
-        """
-        if not (0.0 <= threshold <= 1.0):
-            raise ValueError(f"threshold must be in [0,1], got {threshold}")
-        estimate = self.window_probability(worker, elapsed, time_to_deadline)
-        if not estimate.trained:
-            return False
-        return estimate.probability < threshold
 
 
 def _skip_horizon(alpha: float, k_min: float, time_to_deadline: float, threshold: float) -> float:

@@ -139,14 +139,6 @@ class MatchingResult:
         if has_duplicates(tasks):
             raise MatchingError("a task appears in two matched edges")
 
-    @property
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except MatchingError:
-            return False
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MatchingResult(algorithm={self.algorithm!r}, size={self.size}, "

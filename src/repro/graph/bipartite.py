@@ -107,26 +107,22 @@ class BipartiteGraph:
             object.__setattr__(self, "_derived_cache", cache)
         return cache
 
-    def _csr(self, axis: str) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency over ``axis`` ("worker" or "task").
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency over the tasks.
 
         Returns ``(indptr, order)``: ``order[indptr[v]:indptr[v+1]]`` are
-        the edge indices incident to vertex ``v``, ascending (stable sort
+        the edge indices incident to task ``v``, ascending (stable sort
         preserves edge-array order inside each bucket, matching what the
         old ``np.flatnonzero`` scans returned).
         """
         cache = self._cache()
-        key = f"csr_{axis}"
-        if key not in cache:
-            if axis == "worker":
-                ids, n = self.edge_workers, self.n_workers
-            else:
-                ids, n = self.edge_tasks, self.n_tasks
+        if "csr_task" not in cache:
+            ids, n = self.edge_tasks, self.n_tasks
             order = np.argsort(ids, kind="stable")
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-            cache[key] = (indptr, order)
-        return cache[key]
+            cache["csr_task"] = (indptr, order)
+        return cache["csr_task"]
 
     # ------------------------------------------------------------ queries
     @property
@@ -136,11 +132,6 @@ class BipartiteGraph:
     @property
     def is_empty(self) -> bool:
         return self.n_edges == 0
-
-    @property
-    def max_matching_upper_bound(self) -> int:
-        """Trivial bound on matching cardinality: min(|U|, |V|)."""
-        return min(self.n_workers, self.n_tasks)
 
     def worker_degrees(self) -> np.ndarray:
         cache = self._cache()
@@ -162,15 +153,8 @@ class BipartiteGraph:
         """Edge indices incident to ``task``, ascending."""
         if not 0 <= task < self.n_tasks:
             return np.empty(0, dtype=np.int64)
-        indptr, order = self._csr("task")
+        indptr, order = self._csr()
         return order[indptr[task] : indptr[task + 1]]
-
-    def edges_of_worker(self, worker: int) -> np.ndarray:
-        """Edge indices incident to ``worker``, ascending."""
-        if not 0 <= worker < self.n_workers:
-            return np.empty(0, dtype=np.int64)
-        indptr, order = self._csr("worker")
-        return order[indptr[worker] : indptr[worker + 1]]
 
     def to_dense(self, fill: float = np.nan) -> np.ndarray:
         """(n_workers, n_tasks) weight matrix; absent edges take ``fill``."""

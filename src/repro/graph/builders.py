@@ -64,9 +64,6 @@ class RewardRange:
         if self.low < 0 or self.high < self.low:
             raise ValueError(f"invalid reward range [{self.low}, {self.high}]")
 
-    def accepts(self, reward: float) -> bool:
-        return self.low <= reward <= self.high
-
 
 @dataclass
 class GraphBuildReport:

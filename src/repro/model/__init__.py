@@ -1,8 +1,7 @@
-"""Domain model: tasks, workers, feedback, regions, requesters."""
+"""Domain model: tasks, workers, feedback, regions."""
 
 from .feedback import FeedbackModel, FeedbackOutcome, Rating, positive_rate
 from .region import Region, RegionGrid, haversine_km
-from .requester import Requester
 from .task import Task, TaskCategory, TaskPhase, reset_task_ids
 from .worker import CategoryStats, WorkerBehavior, WorkerProfile
 
@@ -14,7 +13,6 @@ __all__ = [
     "Region",
     "RegionGrid",
     "haversine_km",
-    "Requester",
     "Task",
     "TaskCategory",
     "TaskPhase",

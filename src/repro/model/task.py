@@ -106,19 +106,9 @@ class Task:
         """Wall (simulated) time at which the task expires."""
         return self.submitted_at + self.deadline
 
-    def remaining_time(self, now: float) -> float:
-        """Paper's ``remaining_time``: seconds until expiry (may be < 0)."""
-        return self.absolute_deadline - now
-
     def time_to_deadline(self, now: float) -> float:
         """``TimeToDeadline_ij``: interval from assignment-time ``now`` to expiry."""
         return self.absolute_deadline - now
-
-    def elapsed_since_assignment(self, now: float) -> float:
-        """``t_ij``: time since the current assignment started."""
-        if self.assigned_at is None:
-            raise ValueError(f"task {self.task_id} is not assigned")
-        return now - self.assigned_at
 
     def is_expired(self, now: float) -> bool:
         """Whether the task's deadline has passed at sim time ``now``.

@@ -226,12 +226,6 @@ class WorkerProfile:
         stats = self.category_stats.get(category)
         return 0.0 if stats is None else stats.accuracy
 
-    def overall_accuracy(self) -> float:
-        """Accuracy pooled over all categories."""
-        positive = sum(s.positive for s in self.category_stats.values())
-        finished = sum(s.finished for s in self.category_stats.values())
-        return positive / finished if finished else 0.0
-
     # ------------------------------------------------------- availability
     def assign(self, task_id: int) -> None:
         if not self.available or not self.online:

@@ -12,7 +12,7 @@ empty method call — budgeted by the perf guard in
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from .exporters import (
     write_chrome_trace,
@@ -21,24 +21,25 @@ from .exporters import (
     write_trace_jsonl,
 )
 from .registry import NULL_REGISTRY, MetricsRegistry
-from .trace import DEFAULT_MAX_EVENTS, NULL_TRACER, Tracer
+from .trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.clock import EventClock
 
 
 class Observability:
-    """Live telemetry context: a metrics registry plus a sim-time tracer."""
+    """Live telemetry context: a metrics registry plus a sim-time tracer.
+
+    The tracer keeps the default ring-buffer capacity and reads sim time
+    from the engine that :meth:`bind_engine` attaches; events recorded
+    before that are stamped 0.
+    """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        max_trace_events: Optional[int] = DEFAULT_MAX_EVENTS,
-    ) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock=clock, max_events=max_trace_events)
+        self.tracer = Tracer()
 
     # ------------------------------------------------------------- wiring
     def bind_engine(self, engine: "EventClock") -> "Observability":

@@ -16,8 +16,7 @@ no event log of its own; this tracer is the one structured path for run
 instrumentation.
 
 When tracing is disabled the platform holds :data:`NULL_TRACER`, whose
-methods are empty and whose ``span`` returns one shared no-op context
-manager — the disabled cost of a traced region is two no-op calls.
+methods are empty.
 """
 
 from __future__ import annotations
@@ -82,29 +81,6 @@ class TraceEvent:
             dur=float(payload.get("dur", 0.0)),
             tid=int(payload.get("tid", PLATFORM_TRACK)),
             args=tuple(sorted(payload.get("args", {}).items())),
-        )
-
-
-class _Span:
-    """Context manager recording one ``ph="X"`` event on exit."""
-
-    __slots__ = ("_tracer", "_name", "_cat", "_tid", "_args", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str, cat: str, tid: int, args: dict) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._tid = tid
-        self._args = args
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = self._tracer.now()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.complete(
-            self._name, self._start, cat=self._cat, tid=self._tid, **self._args
         )
 
 
@@ -175,34 +151,12 @@ class Tracer:
             )
         )
 
-    def span(self, name: str, cat: str = "", tid: int = PLATFORM_TRACK, **args: Any) -> _Span:
-        """Context manager spanning a code region in sim time."""
-        return _Span(self, name, cat, tid, args)
-
     # ------------------------------------------------------------- querying
     def __len__(self) -> int:
         return len(self.events)
 
     def by_name(self, name: str) -> List[TraceEvent]:
         return [e for e in self.events if e.name == name]
-
-    def by_category(self, cat: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.cat == cat]
-
-
-class _NullSpan:
-    """Shared reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
@@ -226,16 +180,10 @@ class NullTracer:
     def complete(self, name, start, end=None, cat="", tid=PLATFORM_TRACK, **args) -> None:
         pass
 
-    def span(self, name: str, cat: str = "", tid: int = PLATFORM_TRACK, **args: Any) -> _NullSpan:
-        return _NULL_SPAN
-
     def __len__(self) -> int:
         return 0
 
     def by_name(self, name: str) -> List[TraceEvent]:
-        return []
-
-    def by_category(self, cat: str) -> List[TraceEvent]:
         return []
 
 

@@ -5,7 +5,6 @@ from .coordinator import Coordinator, EscalationRecord
 from .cost import (
     BatchShape,
     CostModel,
-    MeasuredCost,
     PaperCalibratedCost,
     ZeroCost,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "EscalationRecord",
     "BatchShape",
     "CostModel",
-    "MeasuredCost",
     "PaperCalibratedCost",
     "ZeroCost",
     "DynamicAssignmentComponent",

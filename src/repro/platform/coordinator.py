@@ -188,10 +188,6 @@ class Coordinator:
         return [entry.region for entry in self._entries]
 
     @property
-    def server_ids(self) -> List[int]:
-        return [entry.server_id for entry in self._entries]
-
-    @property
     def splits_performed(self) -> int:
         return self._splits
 

@@ -23,13 +23,13 @@ an explicit cost model instead of wall-clock:
     order-of-magnitude placements for the reference algorithms (the paper
     reports no timings for them).
 
-  ``hardware_factor`` rescales everything for slower/faster testbeds and
   ``batch_overhead`` adds a fixed per-invocation cost (RPC, graph
   marshalling).
 
 * :class:`ZeroCost` — instantaneous matching, for pure-algorithm studies.
-* :class:`MeasuredCost` — charges this process's real wall-clock times a
-  scale factor, for sensitivity checks of the calibration itself.
+
+Host wall time never enters a simulated latency, so a seeded run is
+deterministic whatever machine executes it.
 
 The second half of the module is the platform's *economic* ledger
 (:class:`RetainerCostConfig` / :class:`RetainerLedger`): retainer-pool
@@ -100,18 +100,15 @@ def _interp_knots(u: float) -> float:
 class PaperCalibratedCost(CostModel):
     """Analytic latency model calibrated to the paper's Fig. 3."""
 
-    hardware_factor: float = 1.0
     batch_overhead: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.hardware_factor <= 0:
-            raise ValueError(f"hardware_factor must be positive, got {self.hardware_factor}")
         if self.batch_overhead < 0:
             raise ValueError(f"batch_overhead must be non-negative, got {self.batch_overhead}")
 
     def seconds(self, algorithm: str, shape: BatchShape) -> float:
         if shape.n_edges == 0 and algorithm != "uniform":
-            return self.batch_overhead * self.hardware_factor
+            return self.batch_overhead
         if algorithm in ("react", "metropolis"):
             base = _interp_knots(float(shape.cycles) * shape.n_edges)
         elif algorithm == "greedy":
@@ -127,31 +124,7 @@ class PaperCalibratedCost(CostModel):
             base = KAPPA_SORTED_GREEDY * shape.n_edges * math.log2(shape.n_edges + 1)
         else:
             raise KeyError(f"no calibrated cost for algorithm {algorithm!r}")
-        return (base + self.batch_overhead) * self.hardware_factor
-
-
-@dataclass(frozen=True)
-class MeasuredCost(CostModel):
-    """Charges simulated latency = measured wall-clock × ``scale``.
-
-    The platform measures the matcher call with ``time.perf_counter`` and
-    reports it here; useful for checking how sensitive the end-to-end
-    results are to the analytic calibration.
-    """
-
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scale < 0:
-            raise ValueError(f"scale must be non-negative, got {self.scale}")
-
-    def seconds(self, algorithm: str, shape: BatchShape) -> float:
-        raise NotImplementedError(
-            "MeasuredCost is applied by the scheduler via from_measurement()"
-        )
-
-    def from_measurement(self, wall_seconds: float) -> float:
-        return wall_seconds * self.scale
+        return base + self.batch_overhead
 
 
 # =====================================================================

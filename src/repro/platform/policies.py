@@ -15,7 +15,7 @@ experiment harnesses can swap techniques declaratively:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ..core.matching.base import Matcher
@@ -168,10 +168,6 @@ class SchedulingPolicy:
         return make_weight_function(
             self.weight_function_name, **dict(self.weight_params or ())
         )
-
-    def with_overrides(self, **kwargs: Any) -> "SchedulingPolicy":
-        """Derived policy with some fields replaced (ablation helper)."""
-        return replace(self, **kwargs)
 
 
 def react_policy(

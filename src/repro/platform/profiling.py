@@ -155,11 +155,7 @@ class ProfilingComponent:
             self._changed(profile.worker_id)
 
     def record_withdrawal(
-        self,
-        worker_id: int,
-        elapsed: float,
-        release: bool,
-        task_id: Optional[int] = None,
+        self, worker_id: int, task_id: int, elapsed: float, release: bool
     ) -> None:
         """The platform pulled the worker's task after ``elapsed`` seconds.
 
@@ -178,12 +174,11 @@ class ProfilingComponent:
         task — blindly detaching would kick him off the task he is actually
         executing, making him matchable a second time while the newer task
         is still assigned to him (the completion/withdrawal generation-stamp
-        race; see ``tests/chaos/test_generation_stamp_race.py``).  ``None``
-        preserves the legacy unguarded behaviour for direct component use.
+        race; see ``tests/chaos/test_generation_stamp_race.py``).
         """
         profile = self._profiles[worker_id]
         self._censor(profile, elapsed)
-        if task_id is not None and profile.current_task != task_id:
+        if profile.current_task != task_id:
             return
         profile.detach_task()
         if release:

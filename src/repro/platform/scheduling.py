@@ -14,7 +14,6 @@ trigger, and the trigger is re-evaluated as soon as a batch publishes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -28,7 +27,7 @@ from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import SCHEDULER_TRACK
 from ..sim.clock import EventClock
 from ..sim.events import Event, EventKind
-from .cost import BatchShape, CostModel, MeasuredCost
+from .cost import BatchShape, CostModel
 from .policies import SchedulingPolicy
 from .profiling import ProfilingComponent
 from .task_management import TaskManagementComponent
@@ -170,15 +169,9 @@ class SchedulingComponent:
             self._on_retired(retired)
         rows = self._profiles.table.rows(self._profiles.available_workers())
 
-        # Host wall time feeds profiling reports only — except under the
-        # opt-in MeasuredCost sensitivity model, which deliberately trades
-        # determinism for a calibration check.  Default (analytic-cost)
-        # runs stay seed-deterministic, hence the DET001 suppressions.
-        wall_start = time.perf_counter()  # reprolint: disable=DET001
         graph, report = self._builder.build(rows, batch, now)
         result = self._matcher.match(graph, self._rng)
         result.validate()
-        wall = time.perf_counter() - wall_start  # reprolint: disable=DET001
 
         if self._policy.charge_region_graph:
             # The paper's O(V·E) accounting for Greedy: the server maintains
@@ -200,10 +193,7 @@ class SchedulingComponent:
             n_edges=cost_edges,
             cycles=getattr(getattr(self._matcher, "params", None), "cycles", 0),
         )
-        if isinstance(self._cost, MeasuredCost):
-            latency = self._cost.from_measurement(wall)
-        else:
-            latency = self._cost.seconds(self._matcher.name, shape)
+        latency = self._cost.seconds(self._matcher.name, shape)
         if self.latency_hook is not None:
             latency = self.latency_hook(latency)
 

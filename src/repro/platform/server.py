@@ -603,10 +603,6 @@ class REACTServer(RegionServer):
         )
 
     # ----------------------------------------------------- chaos interface
-    def live_execution(self, task_id: int, generation: int) -> Optional[_Execution]:
-        """The in-flight execution for (task, generation), if any."""
-        return self._live.get((task_id, generation))
-
     def inject_abandonment(self, task_id: int) -> bool:
         """Chaos: the worker on ``task_id`` walks away *right now* (§IV-B).
 

@@ -69,10 +69,6 @@ class TaskManagementComponent:
         return len(self._assigned)
 
     @property
-    def finished_count(self) -> int:
-        return len(self._finished)
-
-    @property
     def deferred_count(self) -> int:
         return len(self._deferred)
 

@@ -149,19 +149,6 @@ class RetainerPool:
             return
         self._hold(worker_id)
 
-    def withdraw_worker(self, worker_id: int) -> None:
-        """Remove a worker from the pool for good (churn, end of run).
-
-        Accepts both held and outstanding workers; accrued wages stay on
-        the ledger.
-        """
-        if worker_id in self._held:
-            self._end_hold(worker_id)
-        elif worker_id in self._outstanding:
-            self._outstanding.discard(worker_id)
-        else:
-            raise ValueError(f"worker {worker_id} is not pooled")
-
     def resize(
         self,
         new_capacity: int,

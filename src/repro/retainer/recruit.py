@@ -270,10 +270,6 @@ class RetainerRecruiter:
             if not m.pooled and m.profile.online
         )
 
-    @property
-    def managed_count(self) -> int:
-        return len(self._managed)
-
 
 def charge_task_payments(
     pool: RetainerPool, outcomes: Sequence[Tuple[Optional[int], Optional[float]]]

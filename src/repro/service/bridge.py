@@ -40,6 +40,9 @@ from ..sim.process import PeriodicProcess
 from ..sim.rng import RngRegistry
 from ..stats.metrics import MetricsCollector
 
+#: Seconds between liveness sweeps when a ``liveness_timeout`` is set.
+LIVENESS_INTERVAL = 2.0
+
 
 @dataclass
 class DispatchNotice:
@@ -82,19 +85,15 @@ class LiveRegionServer(RegionServer):
         metrics: Optional[MetricsCollector] = None,
         observability: Optional[ObservabilityLike] = None,
         liveness_timeout: Optional[float] = None,
-        liveness_interval: float = 2.0,
         on_dispatch: Optional[Callable[[DispatchNotice], None]] = None,
     ) -> None:
         if liveness_timeout is not None and liveness_timeout <= 0:
             raise ValueError("liveness_timeout must be positive")
-        if liveness_interval <= 0:
-            raise ValueError("liveness_interval must be positive")
         # Live mode defaults to ZeroCost: the matcher's latency is real wall
         # time here, not a simulated charge.
         cost_model = cost_model if cost_model is not None else ZeroCost()
         super().__init__(clock, policy, rng, cost_model, metrics, observability)
         self._liveness_timeout = liveness_timeout
-        self._liveness_interval = liveness_interval
         self._on_dispatch = on_dispatch
         #: Undelivered assignment per worker (a worker executes one task at
         #: a time, so one slot suffices — a newer dispatch for the same
@@ -110,7 +109,7 @@ class LiveRegionServer(RegionServer):
         if self._liveness_timeout is not None:
             self._liveness_sweep = PeriodicProcess(
                 self.engine,
-                period=self._liveness_interval,
+                period=LIVENESS_INTERVAL,
                 action=self._cull_dead_workers,
             )
 
@@ -132,11 +131,6 @@ class LiveRegionServer(RegionServer):
         self._tracer.instant("worker.registered", cat="service", worker_id=profile.worker_id)
         # Fresh supply may make queued work matchable right away.
         self.scheduling.maybe_trigger()
-
-    register_worker = add_worker
-    #: Explicit deregister or liveness cull: an in-flight task is withdrawn
-    #: and re-queued for reassignment.
-    deregister_worker = RegionServer.remove_worker
 
     def _forget(self, worker_id: int) -> None:
         self._inbox.pop(worker_id, None)
@@ -237,6 +231,6 @@ class LiveRegionServer(RegionServer):
             self._tracer.instant(
                 "worker.liveness_cull", cat="service", worker_id=worker_id
             )
-            self.deregister_worker(worker_id)
+            self.remove_worker(worker_id)
         if dead:
             self.scheduling.maybe_trigger()

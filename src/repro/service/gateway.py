@@ -354,7 +354,7 @@ class ServiceGateway:
             worker_id=worker_id, latitude=latitude, longitude=longitude
         )
         server = self._server_for(latitude, longitude)
-        server.register_worker(profile)
+        server.add_worker(profile)
         self._worker_server[worker_id] = server
         return json_response({"worker_id": worker_id}, status=201)
 
@@ -416,7 +416,7 @@ class ServiceGateway:
             return json_response(
                 {"error": f"unknown worker {worker_id}"}, status=404
             )
-        server.deregister_worker(worker_id)
+        server.remove_worker(worker_id)
         self._worker_server.pop(worker_id, None)
         return json_response({"status": "deregistered"})
 

@@ -44,6 +44,10 @@ class PeriodicProcess:
         return self._period
 
     def _fire(self, event: Event) -> None:
+        # The event has left the heap: a stop() from inside the action must
+        # not cancel it, or the engine would count a cancellation it no
+        # longer holds.
+        self._pending = None
         if self._stopped:
             return
         self._action(self._engine.now)

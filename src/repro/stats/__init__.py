@@ -11,13 +11,7 @@ from .duration_models import (
 from .metrics import MetricsCollector, TaskOutcome
 from .powerlaw import ALPHA_CAP, FitMethod, PowerLawFit, fit_power_law, ks_distance
 from .timeline import Timeline, TimelineRecorder, TimelineSample, summarize_timeline
-from .summaries import (
-    cumulative_fraction,
-    downsample,
-    format_series,
-    format_table,
-    geometric_mean,
-)
+from .summaries import downsample, format_table
 
 __all__ = [
     "DurationModel",
@@ -37,9 +31,6 @@ __all__ = [
     "TimelineRecorder",
     "TimelineSample",
     "summarize_timeline",
-    "cumulative_fraction",
     "downsample",
-    "format_series",
     "format_table",
-    "geometric_mean",
 ]

@@ -96,13 +96,6 @@ class PowerLawFit:
         """``Pr(K < k) = 1 - P(k)``."""
         return np.asarray(1.0 - self.ccdf(k), dtype=np.float64)
 
-    def pdf(self, k: ArrayLike) -> FloatArray:
-        """Normalized density ``(α-1)/k_min (k/k_min)^(-α)`` for k >= k_min."""
-        k_arr = np.asarray(k, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = (self.alpha - 1.0) / self.k_min * np.power(k_arr / self.k_min, -self.alpha)
-        return np.where(k_arr < self.k_min, 0.0, dens)
-
     # --------------------------------------------------------- quantiles
     def quantile(self, q: ArrayLike) -> FloatArray:
         """Inverse CDF: the k with ``Pr(K < k) = q``."""

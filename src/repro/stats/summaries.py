@@ -1,4 +1,4 @@
-"""Series utilities: down-sampling, cumulative transforms, ASCII rendering.
+"""Series utilities: down-sampling and ASCII table rendering.
 
 The experiment harnesses print the same series the paper's figures plot;
 these helpers keep that rendering code out of the platform modules.
@@ -26,11 +26,6 @@ def downsample(series: Sequence[Tuple[float, float]], points: int) -> List[Tuple
     return [series[i] for i in idx]
 
 
-def cumulative_fraction(series: Sequence[Tuple[int, int]]) -> List[Tuple[int, float]]:
-    """Turn (received, count) pairs into (received, count/received)."""
-    return [(x, (y / x if x else 0.0)) for x, y in series]
-
-
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Render a fixed-width ASCII table (no external deps)."""
     str_rows = [[_fmt(cell) for cell in row] for row in rows]
@@ -47,26 +42,7 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_series(
-    name: str, series: Sequence[Tuple[float, float]], points: int = 20
-) -> str:
-    """Render a down-sampled two-column series with a caption line."""
-    sampled = downsample(series, points) if len(series) > points else list(series)
-    body = format_table(["x", name], [(x, y) for x, y in sampled])
-    return f"# series: {name} ({len(series)} samples, showing {len(sampled)})\n{body}"
-
-
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.4g}"
     return str(cell)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; standard for summarising speedup ratios."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))

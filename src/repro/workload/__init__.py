@@ -1,7 +1,7 @@
 """Workload generation: arrival processes, worker populations, task
 generators, and the synthetic CrowdFlower case study."""
 
-from .arrivals import burst_gaps, deterministic_gaps, poisson_gaps
+from .arrivals import deterministic_gaps, poisson_gaps
 from .churn import ChurnProcess, ChurnStats
 from .crowdflower import (
     CaseStudyReport,
@@ -16,19 +16,16 @@ from .generators import (
     TaskGenerator,
     TaskGeneratorConfig,
     TrafficMonitoringGenerator,
-    make_generator,
 )
 from .trace import TaskTrace, TraceRecord, capture_trace, replay_trace
 from .population import (
     PopulationConfig,
     generate_population,
-    population_statistics,
     sample_behavior,
     sample_quality,
 )
 
 __all__ = [
-    "burst_gaps",
     "ChurnProcess",
     "ChurnStats",
     "deterministic_gaps",
@@ -43,14 +40,12 @@ __all__ = [
     "TaskGenerator",
     "TaskGeneratorConfig",
     "TrafficMonitoringGenerator",
-    "make_generator",
     "TaskTrace",
     "TraceRecord",
     "capture_trace",
     "replay_trace",
     "PopulationConfig",
     "generate_population",
-    "population_statistics",
     "sample_behavior",
     "sample_quality",
 ]

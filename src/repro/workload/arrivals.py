@@ -40,32 +40,3 @@ def poisson_gaps(
     while count is None or index < count:
         yield float(rng.exponential(1.0 / rate)), index
         index += 1
-
-
-def burst_gaps(
-    base_rate: float,
-    burst_rate: float,
-    burst_every: float,
-    burst_duration: float,
-    rng: np.random.Generator,
-    count: Optional[int] = None,
-) -> Iterator[tuple[float, int]]:
-    """Poisson arrivals whose rate jumps to ``burst_rate`` periodically.
-
-    Models flash-crowd conditions (the overload regime of §V-D): for
-    ``burst_duration`` seconds out of every ``burst_every``, arrivals come
-    at ``burst_rate`` instead of ``base_rate``.
-    """
-    if base_rate <= 0 or burst_rate <= 0:
-        raise ValueError("rates must be positive")
-    if burst_every <= 0 or not (0 < burst_duration <= burst_every):
-        raise ValueError("need 0 < burst_duration <= burst_every")
-    index = 0
-    clock = 0.0
-    while count is None or index < count:
-        in_burst = (clock % burst_every) < burst_duration
-        rate = burst_rate if in_burst else base_rate
-        gap = float(rng.exponential(1.0 / rate))
-        clock += gap
-        yield gap, index
-        index += 1

@@ -129,9 +129,3 @@ class ChurnProcess:
 
     def stop(self) -> None:
         self._stopped = True
-
-    @property
-    def online_fraction(self) -> float:
-        if not self._states:
-            return 0.0
-        return sum(s.online for s in self._states.values()) / len(self._states)

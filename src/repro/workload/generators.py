@@ -176,22 +176,3 @@ class CategoryMixGenerator(TaskGenerator):
             description=self.describe(lat, lon),
             submitted_at=submitted_at,
         )
-
-
-def make_generator(
-    name: str,
-    rng: np.random.Generator,
-    config: Optional[TaskGeneratorConfig] = None,
-    region: Optional[Region] = None,
-) -> TaskGenerator:
-    """Factory by application name."""
-    kinds = {
-        "generic": TaskGenerator,
-        "traffic": TrafficMonitoringGenerator,
-        "survey": LocationSurveyGenerator,
-        "price-check": PriceCheckGenerator,
-        "poi": PoiSuggestionGenerator,
-    }
-    if name not in kinds:
-        raise KeyError(f"unknown generator {name!r}; known: {sorted(kinds)}")
-    return kinds[name](rng, config, region)

@@ -93,21 +93,3 @@ def generate_population(
         profile = WorkerProfile(worker_id=id_offset + i, latitude=lat, longitude=lon)
         out.append((profile, sample_behavior(rng, config)))
     return out
-
-
-def population_statistics(
-    population: List[Tuple[WorkerProfile, WorkerBehavior]]
-) -> dict:
-    """Marginal checks used by tests and the case-study bench."""
-    if not population:
-        return {"size": 0}
-    qualities = np.array([b.quality for _, b in population])
-    mins = np.array([b.min_time for _, b in population])
-    maxs = np.array([b.max_time for _, b in population])
-    return {
-        "size": len(population),
-        "fraction_quality_above_half": float((qualities > 0.5).mean()),
-        "min_time_range": (float(mins.min()), float(mins.max())),
-        "max_time_range": (float(maxs.min()), float(maxs.max())),
-        "mean_quality": float(qualities.mean()),
-    }

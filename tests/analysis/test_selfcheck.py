@@ -24,6 +24,11 @@ def test_src_repro_lints_clean_baseline_modulo():
     assert new == [], "new reprolint findings:\n" + "\n".join(f.render() for f in new)
 
 
+def test_src_repro_has_no_inline_suppressions():
+    result = lint_paths([SRC], repo_root=REPO_ROOT)
+    assert result.suppressed == [], [f.render() for f in result.suppressed]
+
+
 def test_committed_baseline_has_no_stale_entries():
     baseline_path = REPO_ROOT / DEFAULT_BASELINE_NAME
     assert baseline_path.exists(), "reprolint-baseline.json must be committed"

@@ -58,18 +58,6 @@ def test_current_task_withdrawal_still_releases():
     assert profile.available
 
 
-def test_unguarded_withdrawal_reproduces_the_race():
-    """Legacy ``task_id=None`` path documents the bug the guard fixes."""
-    component, profile = _abandoner_rematched_to_newer_task()
-
-    component.record_withdrawal(7, elapsed=42.0, release=True, task_id=None)
-
-    # The worker was kicked off the task he is actually executing: he is
-    # matchable again while T2 is still assigned to him.
-    assert profile.current_task is None
-    assert profile.available
-
-
 def test_no_double_booking_under_stall_and_abandonment():
     """Integration: the widened race window stays invariant-clean.
 

@@ -9,6 +9,7 @@ from repro.chaos import (
     MatcherStallFault,
     SweepOutageFault,
 )
+from repro.obs import Observability
 from repro.platform.policies import react_policy
 from repro.platform.server import REACTServer
 from repro.sim.engine import Engine
@@ -30,16 +31,23 @@ def test_arm_twice_raises(server):
         injector.arm()
 
 
-def test_any_active_tracks_windows(server):
+def test_active_faults_gauge_tracks_windows():
+    engine = Engine()
+    server = REACTServer(
+        engine=engine, policy=react_policy(), rng=RngRegistry(seed=1),
+        observability=Observability(),
+    )
+    server.start()
     schedule = FaultSchedule(
         faults=(MatcherStallFault(start=5.0, duration=10.0, extra_latency=1.0),)
     )
-    injector = FaultInjector(server.engine, server, schedule).arm()
-    assert not injector.any_active
-    server.engine.run(until=7.0)
-    assert injector.any_active
-    server.engine.run(until=20.0)
-    assert not injector.any_active
+    FaultInjector(engine, server, schedule).arm()
+    registry = server.obs.registry
+    assert registry.value("react_chaos_faults_active") == 0
+    engine.run(until=7.0)
+    assert registry.value("react_chaos_faults_active") == 1
+    engine.run(until=20.0)
+    assert registry.value("react_chaos_faults_active") == 0
 
 
 def test_overlapping_suspensions_are_reference_counted(server):
@@ -79,5 +87,4 @@ def test_entries_filters_by_kind(server):
 
 def test_inject_abandonment_needs_a_live_execution(server):
     assert server.inject_abandonment(task_id=99_999) is False
-    assert server.live_execution(99_999, 1) is None
     assert server.metrics.chaos_abandonments == 0

@@ -58,7 +58,7 @@ class TestFaultSchedule:
         schedule = FaultSchedule.standard()
         assert len(schedule) == len(FAULT_KINDS)
         for fault_type in FAULT_KINDS:
-            assert len(schedule.of_kind(fault_type)) == 1
+            assert sum(isinstance(f, fault_type) for f in schedule) == 1
 
     def test_standard_windows_do_not_overlap(self):
         schedule = FaultSchedule.standard(first_start=50.0, spacing=100.0, window=30.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.deadline import DeadlineEstimator
 from repro.model.task import TaskCategory
 from repro.model.worker import WorkerProfile
+from repro.platform.policies import SchedulingPolicy
 
 
 def _profile(times, worker_id=0):
@@ -106,32 +107,38 @@ class TestEquation2:
 
 
 class TestReassignmentRule:
+    """The sweep pulls a task when Eq. 2 is trained and below the threshold."""
+
     def test_untrained_never_reassigned(self, estimator):
-        assert not estimator.should_reassign(_profile([5.0]), 1000.0, 10.0, 0.1)
+        est = estimator.window_probability(_profile([5.0]), 9.0, 10.0)
+        assert not est.trained
+        assert est.probability == 1.0
 
     def test_fresh_assignment_not_reassigned(self, estimator):
         profile = _profile([5.0, 6.0, 7.0])
-        assert not estimator.should_reassign(profile, 1.0, 60.0, 0.1)
+        assert estimator.window_probability(profile, 1.0, 60.0).probability >= 0.1
 
     def test_overdue_worker_reassigned(self, estimator):
         # Worker typically finishes in 5-7 s; 50 s elapsed with 60 s budget
         # leaves a sliver of probability mass -> reassign at 10%.
         profile = _profile([5.0, 6.0, 7.0])
-        assert estimator.should_reassign(profile, 50.0, 60.0, 0.1)
+        est = estimator.window_probability(profile, 50.0, 60.0)
+        assert est.trained
+        assert est.probability < 0.1
 
     def test_expired_task_left_with_worker(self, estimator):
         """No reassignment once the deadline passed (paper §V-C discussion:
         no other worker could beat it either)."""
         profile = _profile([5.0, 6.0, 7.0])
-        assert not estimator.should_reassign(profile, 70.0, 60.0, 0.1)
+        assert not estimator.window_probability(profile, 70.0, 60.0).trained
 
     def test_threshold_zero_never_fires(self, estimator):
         profile = _profile([5.0, 6.0, 7.0])
-        assert not estimator.should_reassign(profile, 55.0, 60.0, 0.0)
+        assert estimator.window_probability(profile, 55.0, 60.0).probability >= 0.0
 
-    def test_invalid_threshold_rejected(self, estimator):
-        with pytest.raises(ValueError):
-            estimator.should_reassign(_profile([5.0, 6.0, 7.0]), 1.0, 60.0, 1.5)
+    def test_invalid_threshold_rejected(self):
+        with pytest.raises(ValueError, match="reassign_threshold"):
+            SchedulingPolicy(name="bad", reassign_threshold=1.5)
 
     def test_min_history_zero_activates_immediately(self):
         estimator = DeadlineEstimator(min_history=0)

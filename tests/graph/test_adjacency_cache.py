@@ -22,9 +22,6 @@ class TestCsrAdjacency:
         for task in range(graph.n_tasks):
             expected = np.flatnonzero(graph.edge_tasks == task)
             assert np.array_equal(graph.edges_of_task(task), expected)
-        for worker in range(graph.n_workers):
-            expected = np.flatnonzero(graph.edge_workers == worker)
-            assert np.array_equal(graph.edges_of_worker(worker), expected)
 
     def test_indices_ascending(self):
         graph = _random_graph(3, 20, 20, density=0.5)
@@ -36,18 +33,15 @@ class TestCsrAdjacency:
         graph = _random_graph(0, 4, 4, density=1.0)
         for bad in (-1, 4, 100):
             assert graph.edges_of_task(bad).size == 0
-            assert graph.edges_of_worker(bad).size == 0
             assert graph.edges_of_task(bad).dtype == np.int64
 
     def test_empty_graph(self):
         graph = BipartiteGraph.empty(3, 5)
         assert graph.edges_of_task(2).size == 0
-        assert graph.edges_of_worker(0).size == 0
 
     def test_isolated_vertices(self):
         graph = BipartiteGraph.from_edges(4, 4, [(1, 2, 0.5)])
-        assert graph.edges_of_worker(0).size == 0
-        assert np.array_equal(graph.edges_of_worker(1), [0])
+        assert graph.edges_of_task(0).size == 0
         assert np.array_equal(graph.edges_of_task(2), [0])
         assert graph.edges_of_task(3).size == 0
 

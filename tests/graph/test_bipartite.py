@@ -34,7 +34,6 @@ class TestConstruction:
         graph = BipartiteGraph.empty(5, 3)
         assert graph.is_empty
         assert graph.n_edges == 0
-        assert graph.max_matching_upper_bound == 3
 
     def test_full_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
@@ -86,11 +85,6 @@ class TestQueries:
         edges = sparse_graph.edges_of_task(0)
         workers = set(sparse_graph.edge_workers[edges])
         assert workers == {0, 1}
-
-    def test_edges_of_worker(self, sparse_graph):
-        edges = sparse_graph.edges_of_worker(1)
-        tasks = set(sparse_graph.edge_tasks[edges])
-        assert tasks == {0, 2}
 
     def test_to_dense_fill(self, sparse_graph):
         dense = sparse_graph.to_dense(fill=-1.0)

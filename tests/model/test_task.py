@@ -36,10 +36,10 @@ class TestTiming:
         task = make_task(deadline=90, submitted_at=10)
         assert task.absolute_deadline == 100
 
-    def test_remaining_time(self, make_task):
+    def test_time_to_deadline(self, make_task):
         task = make_task(deadline=90, submitted_at=10)
-        assert task.remaining_time(now=40) == 60
-        assert task.remaining_time(now=110) == -10
+        assert task.time_to_deadline(now=40) == 60
+        assert task.time_to_deadline(now=110) == -10
 
     def test_is_expired(self, make_task):
         task = make_task(deadline=90, submitted_at=0)
@@ -58,16 +58,6 @@ class TestTiming:
         task.mark_assigned(3, now=10.0)
         task.mark_completed(now=90.0)
         assert task.met_deadline
-
-    def test_elapsed_requires_assignment(self, make_task):
-        task = make_task()
-        with pytest.raises(ValueError, match="not assigned"):
-            task.elapsed_since_assignment(5.0)
-
-    def test_elapsed_since_assignment(self, make_task):
-        task = make_task()
-        task.mark_assigned(worker_id=7, now=5.0)
-        assert task.elapsed_since_assignment(12.0) == 7.0
 
 
 class TestLifecycle:

@@ -116,7 +116,6 @@ class TestWorkerProfile:
         assert profile.accuracy(TaskCategory.TRAFFIC_MONITORING) == 1.0
         assert profile.accuracy(TaskCategory.PRICE_CHECK) == 0.0
         assert profile.accuracy(TaskCategory.GENERIC) == 0.0
-        assert profile.overall_accuracy() == 0.5
 
     def test_invalid_execution_time_rejected(self):
         with pytest.raises(ValueError):

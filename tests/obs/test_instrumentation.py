@@ -145,7 +145,7 @@ class TestChaosTelemetry:
             schedule=standard_schedule(config),
             observability=obs,
         )
-        chaos_events = obs.tracer.by_category("chaos")
+        chaos_events = [e for e in obs.tracer.events if e.cat == "chaos"]
         assert chaos_events, "fault activations must be traced"
         activations = [
             e for e in chaos_events if dict(e.args).get("action") == "activate"

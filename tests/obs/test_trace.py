@@ -42,14 +42,6 @@ class TestRecording:
         tracer.complete("x", start=5.0, end=1.0)
         assert tracer.events[0].dur == 0.0
 
-    def test_span_context_manager(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("work", cat="test"):
-            clock.now = 3.0
-        (event,) = tracer.events
-        assert event.ph == "X" and event.ts == 0.0 and event.dur == 3.0
-
     def test_set_clock_late_binding(self):
         tracer = Tracer()
         tracer.set_clock(lambda: 42.0)
@@ -61,8 +53,7 @@ class TestRecording:
         tracer.instant("a", cat="one")
         tracer.instant("b", cat="two")
         tracer.instant("a", cat="two")
-        assert len(tracer.by_name("a")) == 2
-        assert len(tracer.by_category("two")) == 2
+        assert [e.cat for e in tracer.by_name("a")] == ["one", "two"]
         assert len(tracer) == 3
 
 
@@ -95,8 +86,6 @@ class TestNullTracer:
     def test_all_methods_are_noops(self):
         NULL_TRACER.instant("x", cat="c", a=1)
         NULL_TRACER.complete("x", start=0.0)
-        with NULL_TRACER.span("x"):
-            pass
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.by_name("x") == []
         assert NULL_TRACER.recorded == 0

@@ -146,7 +146,7 @@ class TestSplitOnOverload:
             coordinator.submit_task(_task(8.0, 8.0, deadline=600.0))
         assert coordinator.splits_performed >= 2
 
-        ids = coordinator.server_ids
+        ids = [entry.server_id for entry in coordinator._entries]
         assert len(ids) == len(set(ids)), ids
 
         lineages = [entry.rng.lineage for entry in coordinator._entries]

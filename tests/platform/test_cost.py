@@ -5,7 +5,6 @@ import pytest
 from repro.platform.cost import (
     KAPPA_GREEDY,
     BatchShape,
-    MeasuredCost,
     PaperCalibratedCost,
     ZeroCost,
 )
@@ -79,14 +78,6 @@ class TestPaperCalibration:
         cost = PaperCalibratedCost(batch_overhead=0.2)
         assert cost.seconds("react", BatchShape(10, 5, 0)) == pytest.approx(0.2)
 
-    def test_hardware_factor_scales(self):
-        base = PaperCalibratedCost()
-        doubled = PaperCalibratedCost(hardware_factor=2.0)
-        shape = self._full_graph_shape()
-        assert doubled.seconds("greedy", shape) == pytest.approx(
-            2 * base.seconds("greedy", shape)
-        )
-
     def test_overhead_added_per_batch(self):
         with_oh = PaperCalibratedCost(batch_overhead=0.5)
         without = PaperCalibratedCost()
@@ -101,8 +92,6 @@ class TestPaperCalibration:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            PaperCalibratedCost(hardware_factor=0)
-        with pytest.raises(ValueError):
             PaperCalibratedCost(batch_overhead=-1)
 
     def test_hungarian_and_sorted_greedy_have_costs(self):
@@ -110,17 +99,3 @@ class TestPaperCalibration:
         shape = self._full_graph_shape()
         assert cost.seconds("hungarian", shape) > 0
         assert cost.seconds("sorted-greedy", shape) > 0
-
-
-class TestMeasuredCost:
-    def test_scales_measurement(self):
-        cost = MeasuredCost(scale=3.0)
-        assert cost.from_measurement(0.5) == 1.5
-
-    def test_seconds_not_directly_usable(self):
-        with pytest.raises(NotImplementedError):
-            MeasuredCost().seconds("react", BatchShape(1, 1, 1))
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            MeasuredCost(scale=-1.0)

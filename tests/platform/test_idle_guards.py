@@ -76,7 +76,7 @@ class TestRetireExpired:
         assert retired == [stale]
         assert stale.phase is TaskPhase.EXPIRED
         assert tm.unassigned_count == 1
-        assert tm.finished_count == 1
+        assert tm.in_flight == 1
         assert tm.get(fresh.task_id) is fresh
 
     def test_noop_when_nothing_expired(self, make_task):

@@ -1,5 +1,7 @@
 """Unit tests for scheduling policies."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.matching.greedy import GreedyMatcher
@@ -60,9 +62,9 @@ class TestFactories:
         assert isinstance(react_policy().build_weight_function(), AccuracyWeight)
         assert isinstance(traditional_policy().build_weight_function(), ConstantWeight)
 
-    def test_with_overrides(self):
+    def test_replace_derives_a_new_policy(self):
         base = react_policy()
-        derived = base.with_overrides(reassign_threshold=0.3)
+        derived = dataclasses.replace(base, reassign_threshold=0.3)
         assert derived.reassign_threshold == 0.3
         assert base.reassign_threshold == 0.1
         assert derived.name == base.name

@@ -75,7 +75,7 @@ class TestCompletionRecording:
 class TestWithdrawal:
     def test_withdrawal_records_censored_observation(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, elapsed=42.0, release=False)
+        component.record_withdrawal(1, task_id=10, elapsed=42.0, release=False)
         profile = component.get(1)
         assert profile.censored_observations == 1
         assert profile.execution_times == [42.0]
@@ -84,7 +84,7 @@ class TestWithdrawal:
 
     def test_withdrawal_with_release(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, elapsed=42.0, release=True)
+        component.record_withdrawal(1, task_id=10, elapsed=42.0, release=True)
         assert component.get(1).available
 
 
@@ -143,13 +143,13 @@ class TestProfileHooks:
 class TestDawdleRelease:
     def test_release_after_dawdle_only_when_detached(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, elapsed=5.0, release=False)
+        component.record_withdrawal(1, task_id=10, elapsed=5.0, release=False)
         component.release_after_dawdle(1)
         assert component.get(1).available
 
     def test_release_after_dawdle_noop_when_on_new_task(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, elapsed=5.0, release=True)
+        component.record_withdrawal(1, task_id=10, elapsed=5.0, release=True)
         component.record_assignment(1, task_id=11)
         component.release_after_dawdle(1)
         assert not component.get(1).available  # still on task 11

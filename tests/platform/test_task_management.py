@@ -53,7 +53,8 @@ class TestBatchCheckout:
         batch, retired = component.checkout_batch(now=50.0, assign_expired=False)
         assert batch == [fresh]
         assert retired == [stale]
-        assert component.finished_count == 1
+        assert component.in_flight == 1  # fresh, checked out
+        assert component.get(stale.task_id) is stale
 
     def test_checkout_retires_at_exact_deadline(self, component, make_task):
         """Boundary convention: TTD == now is expired (same as the Eq. 2
@@ -113,7 +114,8 @@ class TestLifecycle:
     def test_complete(self, component, make_task):
         task = self._assigned_task(component, make_task)
         component.complete(task, now=5.0)
-        assert component.finished_count == 1
+        assert component.in_flight == 0
+        assert component.get(task.task_id) is task
         assert component.assigned_count == 0
         assert task.completed_at == 5.0
 

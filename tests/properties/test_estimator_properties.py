@@ -1,7 +1,6 @@
 """Property tests on the deadline estimator across all duration families."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -69,16 +68,18 @@ class TestEquation2Laws:
         for earlier, later in zip(probs, probs[1:]):
             assert later <= earlier + 1e-9
 
-    @given(times=histories, family=family_names, threshold=st.floats(0.0, 1.0))
+    @given(times=histories, family=family_names)
     @settings(max_examples=60, deadline=None)
-    def test_reassignment_fires_before_deadline_if_ever(self, times, family, threshold):
-        """If should_reassign is ever true it happens strictly before the
-        deadline; at/after the deadline it is always false (paper §V-C)."""
+    def test_reassignment_fires_before_deadline_if_ever(self, times, family):
+        """A pull (trained and Eq. 2 below threshold) can only happen strictly
+        before the deadline; at/after it Eq. 2 is untrained zero (paper §V-C)."""
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
         profile = _profile(times)
         ttd = 100.0
-        assert not estimator.should_reassign(profile, ttd, ttd, threshold)
-        assert not estimator.should_reassign(profile, ttd + 10, ttd, threshold)
+        for elapsed in (ttd, ttd + 10):
+            est = estimator.window_probability(profile, elapsed, ttd)
+            assert not est.trained
+            assert est.probability == 0.0
 
     @given(times=histories, family=family_names)
     @settings(max_examples=40, deadline=None)
@@ -87,9 +88,7 @@ class TestEquation2Laws:
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
         profile = _profile(times)
         elapsed, ttd = 50.0, 90.0
-        fired = [
-            estimator.should_reassign(profile, elapsed, ttd, thr)
-            for thr in (0.0, 0.1, 0.5, 1.0)
-        ]
+        est = estimator.window_probability(profile, elapsed, ttd)
+        fired = [est.trained and est.probability < thr for thr in (0.0, 0.1, 0.5, 1.0)]
         # once it fires at some threshold it fires at every higher one
         assert fired == sorted(fired)

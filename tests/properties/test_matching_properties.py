@@ -71,7 +71,7 @@ class TestUniversalInvariants:
     @settings(max_examples=25, deadline=None)
     def test_matching_within_cardinality_bound(self, matcher, graph, seed):
         result = matcher.match(graph, np.random.default_rng(seed))
-        assert result.size <= graph.max_matching_upper_bound
+        assert result.size <= min(graph.n_workers, graph.n_tasks)
 
 
 class TestStructuralProperties:

@@ -36,16 +36,6 @@ class TestHolding:
         with pytest.raises(ValueError, match="already pooled"):
             pool.add_worker(1)
 
-    def test_withdraw(self):
-        engine = Engine()
-        pool = make_pool(engine, capacity=1)
-        pool.add_worker(1)
-        pool.withdraw_worker(1)
-        assert pool.held_count == 0
-        assert pool.add_worker(2)
-        with pytest.raises(ValueError, match="not pooled"):
-            pool.withdraw_worker(99)
-
 
 class TestReleaseOrdering:
     def test_fifo_release(self):

@@ -42,7 +42,7 @@ def make_task(deadline=60.0):
 
 def register(server, worker_id=1):
     profile = WorkerProfile(worker_id=worker_id, latitude=5.0, longitude=5.0)
-    server.register_worker(profile)
+    server.add_worker(profile)
     return profile
 
 
@@ -134,9 +134,7 @@ class TestWorkerLifecycle:
             server.heartbeat(42)
 
     def test_liveness_cull_deregisters_silent_workers(self):
-        engine, server = build_live_server(
-            liveness_timeout=5.0, liveness_interval=1.0
-        )
+        engine, server = build_live_server(liveness_timeout=5.0)
         register(server)
         engine.run(until=10.0)  # never heartbeats: culled after 5 s
         assert 1 not in server.profiling
@@ -144,9 +142,7 @@ class TestWorkerLifecycle:
             server.heartbeat(1)
 
     def test_heartbeat_keeps_worker_alive(self):
-        engine, server = build_live_server(
-            liveness_timeout=5.0, liveness_interval=1.0
-        )
+        engine, server = build_live_server(liveness_timeout=5.0)
         register(server)
         for t in (3.0, 6.0, 9.0):
             engine.run(until=t)
@@ -195,18 +191,9 @@ class TestConstruction:
                 rng=RngRegistry(seed=1),
                 liveness_timeout=0.0,
             )
-        with pytest.raises(ValueError, match="liveness_interval"):
-            LiveRegionServer(
-                clock=engine,
-                policy=react_policy(),
-                rng=RngRegistry(seed=1),
-                liveness_interval=-1.0,
-            )
 
     def test_stop_disarms_timers(self):
-        engine, server = build_live_server(
-            liveness_timeout=5.0, liveness_interval=1.0
-        )
+        engine, server = build_live_server(liveness_timeout=5.0)
         server.stop()
         engine.run(until=50.0)
         assert engine.pending_active == 0

@@ -36,6 +36,26 @@ class TestPeriodicProcess:
         with pytest.raises(ValueError, match="positive"):
             PeriodicProcess(engine, period=0.0, action=lambda t: None)
 
+    def test_stop_from_within_action_leaves_compaction_accounting_alone(self, engine):
+        """The firing event has already left the heap when the action runs,
+        so a stop() from inside it must not count a cancellation."""
+        procs = []
+
+        def stop_self(index):
+            return lambda now: procs[index].stop()
+
+        for i in range(40):
+            procs.append(PeriodicProcess(engine, period=1.0, action=stop_self(i)))
+        engine.run()
+        assert engine.pending == 0
+
+        events = [engine.schedule(10.0, EventKind.CALLBACK, lambda e: None) for _ in range(100)]
+        for event in events[:11]:
+            engine.cancel(event)
+        # 11 of 100 cancelled is below COMPACT_FRACTION: nothing compacts.
+        assert engine.pending == 100
+        assert engine.pending_active == 89
+
 
 class TestGeneratorProcess:
     def test_delivers_payloads_with_gaps(self, engine):

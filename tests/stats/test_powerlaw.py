@@ -40,13 +40,6 @@ class TestPowerLawFitObject:
         assert fit.ccdf(2.0) == pytest.approx(0.5)
         assert fit.cdf(2.0) == pytest.approx(0.5)
 
-    def test_pdf_zero_below_kmin_and_normalized(self):
-        fit = PowerLawFit(alpha=2.5, k_min=2.0, n_samples=10)
-        assert fit.pdf(1.0) == 0.0
-        xs = np.linspace(2.0, 2000.0, 400_000)
-        integral = np.trapezoid(fit.pdf(xs), xs)
-        assert integral == pytest.approx(1.0, abs=0.01)
-
     def test_quantile_inverts_cdf(self):
         fit = PowerLawFit(alpha=3.0, k_min=1.5, n_samples=10)
         qs = np.array([0.1, 0.5, 0.9])

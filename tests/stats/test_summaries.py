@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.stats.summaries import (
-    cumulative_fraction,
-    downsample,
-    format_series,
-    format_table,
-    geometric_mean,
-)
+from repro.stats.summaries import downsample, format_table
 
 
 class TestDownsample:
@@ -33,14 +27,6 @@ class TestDownsample:
             downsample([(1, 1)], 1)
 
 
-class TestCumulativeFraction:
-    def test_fractions(self):
-        assert cumulative_fraction([(2, 1), (4, 3)]) == [(2, 0.5), (4, 0.75)]
-
-    def test_zero_denominator(self):
-        assert cumulative_fraction([(0, 0)]) == [(0, 0.0)]
-
-
 class TestFormatTable:
     def test_renders_alignment(self):
         table = format_table(["name", "value"], [("a", 1), ("longer", 22)])
@@ -56,24 +42,3 @@ class TestFormatTable:
     def test_float_formatting(self):
         table = format_table(["x"], [(0.123456,)])
         assert "0.1235" in table
-
-
-class TestFormatSeries:
-    def test_includes_caption_and_counts(self):
-        series = [(float(i), float(i)) for i in range(100)]
-        text = format_series("metric", series, points=10)
-        assert "100 samples" in text
-        assert "metric" in text
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload.arrivals import burst_gaps, deterministic_gaps, poisson_gaps
+from repro.workload.arrivals import deterministic_gaps, poisson_gaps
 
 
 class TestDeterministic:
@@ -41,27 +41,3 @@ class TestPoisson:
     def test_invalid_rate(self, rng):
         with pytest.raises(ValueError):
             next(poisson_gaps(rate=-1.0, rng=rng))
-
-
-class TestBurst:
-    def test_burst_rate_higher_during_burst(self, rng):
-        gaps = list(
-            burst_gaps(
-                base_rate=1.0,
-                burst_rate=50.0,
-                burst_every=100.0,
-                burst_duration=10.0,
-                rng=rng,
-                count=3000,
-            )
-        )
-        values = np.array([g for g, _ in gaps])
-        # mixture of fast (0.02 mean) and slow (1.0 mean) gaps
-        assert values.min() < 0.1
-        assert values.max() > 0.5
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            next(burst_gaps(0.0, 1.0, 10.0, 1.0, rng))
-        with pytest.raises(ValueError):
-            next(burst_gaps(1.0, 1.0, 10.0, 20.0, rng))

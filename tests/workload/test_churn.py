@@ -32,11 +32,11 @@ class TestSessions:
         # returns lag departures by at most the currently-offline workers
         assert churn.stats.departures - churn.stats.returns <= 4
 
-    def test_online_fraction_tracks_state(self):
+    def test_online_state_matches_registry(self):
         engine, server, churn = _churned_server(n_workers=10)
         engine.run(until=300.0)
-        online_now = sum(1 for _ in server.profiling)
-        assert churn.online_fraction == pytest.approx(online_now / 10)
+        online = {wid for wid, state in churn._states.items() if state.online}
+        assert online == {profile.worker_id for profile in server.profiling}
 
     def test_departed_worker_leaves_registry(self):
         engine, server, churn = _churned_server(n_workers=1, mean_session=5.0,

@@ -1,6 +1,5 @@
 """Unit tests for task generators."""
 
-import numpy as np
 import pytest
 
 from repro.model.region import Region
@@ -12,7 +11,6 @@ from repro.workload.generators import (
     TaskGenerator,
     TaskGeneratorConfig,
     TrafficMonitoringGenerator,
-    make_generator,
 )
 
 
@@ -75,13 +73,3 @@ class TestFlavours:
     def test_traffic_description_mentions_congestion(self, rng):
         task = TrafficMonitoringGenerator(rng).make()
         assert "congested" in task.description
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name", ["generic", "traffic", "survey", "price-check", "poi"])
-    def test_known_names(self, rng, name):
-        assert make_generator(name, rng).make() is not None
-
-    def test_unknown_name(self, rng):
-        with pytest.raises(KeyError):
-            make_generator("bogus", rng)

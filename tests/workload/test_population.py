@@ -7,7 +7,6 @@ from repro.model.region import Region
 from repro.workload.population import (
     PopulationConfig,
     generate_population,
-    population_statistics,
     sample_behavior,
     sample_quality,
 )
@@ -47,16 +46,16 @@ class TestMarginals:
             assert 1.0 <= b.min_time <= b.max_time <= 20.0
             assert b.delay_cap == 130.0
 
-    def test_population_statistics(self, rng):
+    def test_generated_population_marginals(self, rng):
         pop = generate_population(rng, PopulationConfig(size=2000))
-        stats = population_statistics(pop)
-        assert stats["size"] == 2000
-        assert stats["fraction_quality_above_half"] == pytest.approx(0.7, abs=0.05)
-        lo, hi = stats["min_time_range"]
-        assert lo >= 1.0 and hi <= 20.0
+        assert len(pop) == 2000
+        qualities = np.array([b.quality for _, b in pop])
+        assert (qualities > 0.5).mean() == pytest.approx(0.7, abs=0.05)
+        mins = [b.min_time for _, b in pop]
+        assert min(mins) >= 1.0 and max(mins) <= 20.0
 
-    def test_empty_population_statistics(self):
-        assert population_statistics([]) == {"size": 0}
+    def test_empty_population(self, rng):
+        assert generate_population(rng, PopulationConfig(size=0)) == []
 
 
 class TestGeneration:

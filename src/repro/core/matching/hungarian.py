@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ...graph.bipartite import BipartiteGraph
 from .base import Matcher, MatchingResult, empty_result
@@ -40,6 +39,9 @@ class HungarianMatcher(Matcher):
     ) -> MatchingResult:
         if graph.is_empty:
             return empty_result(graph, self.name)
+        # Imported here so that `import repro`, and every spawned shard worker,
+        # skips SciPy: only this yardstick needs it.
+        from scipy.optimize import linear_sum_assignment
 
         profit = np.full((graph.n_workers, graph.n_tasks), _PHANTOM, dtype=np.float64)
         profit[graph.edge_workers, graph.edge_tasks] = graph.edge_weights

@@ -43,7 +43,6 @@ from .export import (
     export_scalability,
 )
 from .voting import VotingConfig, report_voting, run_voting_comparison
-from .loadtest import LoadtestScenario, format_loadtest, quick_scenario, run_loadtest
 from .matching_bench import run_matching_sweep
 from .perf import run_bench
 from .reporting import (
@@ -329,6 +328,9 @@ def _run_scenario(
 def _run_loadtest(quick: bool, out: Optional[str] = None) -> str:
     # Wall-clock run: boots the repro.service gateway on an ephemeral port
     # and drives it over real HTTP (docs/SERVICE.md).  No --out series.
+    # Imported here: only this command needs asyncio, ssl and repro.service.
+    from .loadtest import LoadtestScenario, format_loadtest, quick_scenario, run_loadtest
+
     scenario = quick_scenario() if quick else LoadtestScenario()
     report, summary = run_loadtest(scenario)
     return format_loadtest(scenario, report, summary)

@@ -105,7 +105,8 @@ class Engine:
         priority: int = -1,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        # ``not >=`` so NaN is rejected too, at no extra comparison.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         event = Event(
             time=self._now + delay,
@@ -130,7 +131,7 @@ class Engine:
         No delay arithmetic: ``now + (time - now)`` need not round-trip, and
         two events meant for one literal instant must share it.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={self._now}"
             )

@@ -71,7 +71,7 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:  # also rejects NaN
             raise ValueError(f"event time must be non-negative, got {self.time}")
         if self.priority < 0:
             self.priority = int(self.kind)

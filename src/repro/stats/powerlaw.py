@@ -26,6 +26,7 @@ graph construction, where Eq. (3) is evaluated for every candidate
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -64,7 +65,7 @@ class PowerLawFit:
             raise ValueError(f"k_min must be positive, got {self.k_min}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha <= 1.0:
             raise ValueError(
@@ -148,20 +149,25 @@ def fit_power_law(
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("cannot fit a power law to an empty sample")
-    if np.any(arr <= 0):
-        raise ValueError("power-law samples must be strictly positive")
     # Narrow the Optional once; everything below works with a plain float
     # (mypy --strict rejects the old reassign-the-parameter pattern, which
     # left `k_min` typed Optional[float] through the arithmetic below).
     if k_min is None:
+        # The default cutoff is the minimum, so the tail is every sample and
+        # positivity is a check on the minimum (``not >`` also rejects NaN).
         cutoff = float(arr.min())
-    elif k_min <= 0:
-        raise ValueError(f"k_min must be positive, got {k_min}")
+        if not cutoff > 0:
+            raise ValueError("power-law samples must be strictly positive")
+        tail = arr
     else:
+        if np.any(arr <= 0):
+            raise ValueError("power-law samples must be strictly positive")
+        if k_min <= 0:
+            raise ValueError(f"k_min must be positive, got {k_min}")
         cutoff = float(k_min)
-    tail = arr[arr >= cutoff]
-    if tail.size == 0:
-        raise ValueError(f"no samples at or above k_min={cutoff}")
+        tail = arr[arr >= cutoff]
+        if tail.size == 0:
+            raise ValueError(f"no samples at or above k_min={cutoff}")
 
     if method is FitMethod.PAPER_DISCRETE:
         shift = cutoff - 0.5

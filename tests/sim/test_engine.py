@@ -38,6 +38,27 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, EventKind.CALLBACK, lambda e: None)
 
+    def test_nan_delay_rejected(self, engine):
+        with pytest.raises(SimulationError, match="past"):
+            engine.schedule(float("nan"), EventKind.CALLBACK, lambda e: None)
+
+    def test_schedule_at_nan_rejected(self, engine):
+        with pytest.raises(SimulationError, match="before now"):
+            engine.schedule_at(float("nan"), EventKind.CALLBACK, lambda e: None)
+
+    def test_nan_time_cannot_break_dispatch_order(self, engine):
+        # A NaN key compares False both ways, so a heap holding one can
+        # dispatch out of time order and leave the clock at NaN.
+        fired = []
+        for t in (1.0, 3.0, float("nan"), 5.0):
+            try:
+                engine.schedule_at(t, EventKind.CALLBACK, lambda e: fired.append(engine.now))
+            except SimulationError:
+                pass
+        engine.run()
+        assert fired == [1.0, 3.0, 5.0]
+        assert engine.now == 5.0
+
     def test_zero_delay_fires_at_current_time(self, engine):
         fired = []
 

@@ -41,6 +41,10 @@ class TestEventValidation:
         with pytest.raises(ValueError, match="non-negative"):
             Event(time=-1.0, kind=EventKind.CALLBACK, callback=_noop)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Event(time=float("nan"), kind=EventKind.CALLBACK, callback=_noop)
+
     def test_default_priority_from_kind(self):
         event = Event(time=0.0, kind=EventKind.BATCH_TRIGGER, callback=_noop)
         assert event.priority == int(EventKind.BATCH_TRIGGER)

@@ -196,7 +196,6 @@ MUTATOR_METHODS = frozenset(
         "clear",
         "complete",
         "deregister",
-        "detach_task",
         "discard",
         "extend",
         "insert",

@@ -80,41 +80,20 @@ class DeadlineEstimator:
         # The distribution family is pluggable (ABL-MODEL ablation); the
         # paper's power law is the default.
         self.family = family if family is not None else PowerLawFamily()
-        # Fit cache keyed by worker id; worker histories are append-only, so
-        # a cached fit stays valid until the completed-task count changes.
-        # The batch paths read the power-law parameters from the worker
-        # table's fit columns instead, refilled from here when stale.
-        self._fit_cache: dict[int, tuple[int, DurationModel]] = {}
-        # Cache effectiveness tallies, exported by the observability layer
-        # (plain ints here — core must not depend on repro.obs).  A miss is
-        # any trained fit_worker call that had to run the MLE; a batch row
-        # whose table fit is current counts as a hit.
+        # Fit tallies, exported by the observability layer (plain ints here
+        # — core must not depend on repro.obs).  A miss is one MLE run by
+        # fit_worker; a batch row whose table fit is current counts as a hit.
         self.cache_hits = 0
         self.cache_misses = 0
 
     # ------------------------------------------------------------- fitting
     def fit_worker(self, worker: WorkerProfile) -> Optional[DurationModel]:
-        """Fitted duration model for the worker, or None while untrained."""
+        """Fit the worker's duration model, or None while he is untrained."""
         n_obs = len(worker.execution_times)
         if n_obs < self.min_history or n_obs == 0:
             return None
-        cached = self._fit_cache.get(worker.worker_id)
-        if cached is not None and cached[0] == n_obs:
-            self.cache_hits += 1
-            return cached[1]
         self.cache_misses += 1
-        fit = self.family.fit(worker.execution_times)
-        self._fit_cache[worker.worker_id] = (n_obs, fit)
-        return fit
-
-    def _current_fit(self, worker: WorkerProfile) -> DurationModel:
-        """A trained worker's fit, already refreshed by :meth:`_fitted_rows`."""
-        entry = self._fit_cache.get(worker.worker_id)
-        if entry is not None and entry[0] == len(worker.execution_times):
-            return entry[1]
-        fit = self.fit_worker(worker)
-        assert fit is not None
-        return fit
+        return self.family.fit(worker.execution_times)
 
     def _fitted_rows(
         self, rows: WorkerRows, wanted: Optional[np.ndarray] = None
@@ -125,9 +104,10 @@ class DeadlineEstimator:
         enough history for a fit.  Only those rows are brought up to date:
         a row whose table fit predates its latest observation is refitted
         through :meth:`fit_worker`, in row order — the same fits at the same
-        points as a per-worker walk.  On trained rows ``alpha``/``k_min``
-        are the current power-law parameters, NaN when the fit is not a
-        power law; on other rows they are meaningless.
+        points as a per-worker walk.  On trained rows the table's ``fit``
+        column holds the current model, and ``alpha``/``k_min`` its
+        power-law parameters, NaN when the fit is not a power law; on other
+        rows they are meaningless.
         """
         table = rows.table
         slots = rows.slots
@@ -143,21 +123,9 @@ class DeadlineEstimator:
             profiles = table.profile
             for slot in slots[stale].tolist():
                 fit = self.fit_worker(profiles[slot])
-                if isinstance(fit, PowerLawFit):
-                    table.set_fit(slot, fit.alpha, fit.k_min)
-                else:
-                    table.set_fit(slot, math.nan, math.nan)
+                assert fit is not None  # a trained row has the history
+                table.set_fit(slot, fit)
         return trained, table.alpha[slots], table.k_min[slots]
-
-    def evict(self, worker_id: int) -> None:
-        """Drop a worker's cached fit (called when he leaves the region).
-
-        Without eviction the cache grows monotonically under churn — every
-        worker who ever completed ``min_history`` tasks stays resident
-        forever.  :class:`~repro.platform.profiling.ProfilingComponent`
-        invokes this from its deregister hook.
-        """
-        self._fit_cache.pop(worker_id, None)
 
     # ------------------------------------------------------------- Eq. (3)
     def completion_probability(
@@ -185,9 +153,10 @@ class DeadlineEstimator:
         table rows (a profile list is tabulated first).  The power-law rows'
         ``alpha`` / ``k_min`` columns are gathered and evaluated as a single
         broadcasted power over the worker × TTD grid; any other fitted
-        family falls back to one vectorized ``ccdf`` call per worker.  Both
-        paths are bit-identical to the scalar :meth:`completion_probability`
-        (NumPy applies the same elementwise ``pow`` either way).
+        family falls back to one vectorized ``ccdf`` call on each such
+        row's ``fit``.  Both paths are bit-identical to the scalar
+        :meth:`completion_probability` (NumPy applies the same elementwise
+        ``pow`` either way).
         """
         rows = as_rows(workers)
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
@@ -197,9 +166,9 @@ class DeadlineEstimator:
         if len(powerlaw):
             out[powerlaw, :] = 1.0 - powerlaw_ccdf_grid(alpha[powerlaw], k_min[powerlaw], ttd)
         if len(powerlaw) != np.count_nonzero(trained):
-            profiles = rows.profiles
+            fits = rows.fits
             for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
-                out[i, :] = 1.0 - self._current_fit(profiles[i]).ccdf(ttd)
+                out[i, :] = 1.0 - fits[i].ccdf(ttd)
         # Expired deadlines can never be met, trained or not.
         out[:, ttd <= 0] = 0.0
         return np.clip(out, 0.0, 1.0)
@@ -275,9 +244,9 @@ class DeadlineEstimator:
             )
             probs[powerlaw] = np.clip(p, 0.0, 1.0)
         if len(powerlaw) != np.count_nonzero(trained):
-            profiles = rows.profiles
+            fits = rows.fits
             for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
-                fit = self._current_fit(profiles[i])
+                fit = fits[i]
                 p = float(fit.ccdf(elapsed[i])) - float(fit.ccdf(ttd[i]))
                 probs[i] = min(max(p, 0.0), 1.0)
         return probs, trained

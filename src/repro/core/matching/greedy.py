@@ -76,28 +76,42 @@ class GreedyMatcher(Matcher):
 
 
 class SortedGreedyMatcher(Matcher):
-    """Global descending-weight sweep, O(E log E) (ablation variant)."""
+    """Global descending-weight sweep, O(E log E) (ablation variant).
+
+    ``threshold`` is the sweep's quality bar: edges below it are never
+    taken.  Here it is 0.0, no bar, since weights are non-negative;
+    :class:`~repro.core.matching.threshold.ThresholdMatcher` is this sweep
+    with a bar.
+    """
 
     name = "sorted-greedy"
+    threshold = 0.0
 
     def match(
         self, graph: BipartiteGraph, rng: Optional[np.random.Generator] = None
     ) -> MatchingResult:
         if graph.is_empty:
             return empty_result(graph, self.name)
-        ew = graph.edge_workers
-        et = graph.edge_tasks
-        order = np.argsort(-graph.edge_weights, kind="stable")
+        wt = graph.edge_weights
+        order = np.argsort(-wt, kind="stable").tolist()
+        # Plain lists, as in GreedyMatcher: same decisions, no NumPy scalars.
+        ew = graph.edge_workers.tolist()
+        et = graph.edge_tasks.tolist()
+        weights = wt.tolist()
+        bar = self.threshold
 
-        worker_free = np.ones(graph.n_workers, dtype=bool)
-        task_free = np.ones(graph.n_tasks, dtype=bool)
+        worker_free = bytearray(b"\x01") * graph.n_workers
+        task_free = bytearray(b"\x01") * graph.n_tasks
         chosen: list[int] = []
         for e in order:
+            if weights[e] < bar:
+                # Descending order: every remaining edge is below the bar.
+                break
             w, t = ew[e], et[e]
             if worker_free[w] and task_free[t]:
-                worker_free[w] = False
-                task_free[t] = False
-                chosen.append(int(e))
+                worker_free[w] = 0
+                task_free[t] = 0
+                chosen.append(e)
 
         return MatchingResult(
             graph=graph,

@@ -16,15 +16,10 @@ no qualified worker in the batch go unassigned rather than to a weak match.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from ...graph.bipartite import BipartiteGraph
-from .base import Matcher, MatchingResult, empty_result
+from .greedy import SortedGreedyMatcher
 
 
-class ThresholdMatcher(Matcher):
+class ThresholdMatcher(SortedGreedyMatcher):
     """Descending-weight sweep over edges at or above a quality bar."""
 
     name = "threshold"
@@ -33,33 +28,3 @@ class ThresholdMatcher(Matcher):
         if not (0.0 <= threshold <= 1.0):
             raise ValueError(f"threshold must be in [0,1], got {threshold}")
         self.threshold = threshold
-
-    def match(
-        self, graph: BipartiteGraph, rng: Optional[np.random.Generator] = None
-    ) -> MatchingResult:
-        if graph.is_empty:
-            return empty_result(graph, self.name)
-        ew = graph.edge_workers
-        et = graph.edge_tasks
-        wt = graph.edge_weights
-        order = np.argsort(-wt, kind="stable")
-
-        worker_free = np.ones(graph.n_workers, dtype=bool)
-        task_free = np.ones(graph.n_tasks, dtype=bool)
-        chosen: list[int] = []
-        for e in order:
-            if wt[e] < self.threshold:
-                # Descending order: every remaining edge is below the bar.
-                break
-            w, t = ew[e], et[e]
-            if worker_free[w] and task_free[t]:
-                worker_free[w] = False
-                task_free[t] = False
-                chosen.append(int(e))
-
-        return MatchingResult(
-            graph=graph,
-            edge_indices=np.asarray(chosen, dtype=np.int64),
-            algorithm=self.name,
-            stats={"tasks_matched": len(chosen)},
-        )

@@ -14,7 +14,6 @@ harnesses quantify each choice:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -34,7 +33,6 @@ class CyclesPoint:
     adaptive: bool
     output_weight: float
     optimal_weight: float
-    wall_seconds: float
 
     @property
     def optimality(self) -> float:
@@ -76,7 +74,12 @@ def ablate_cycles(
     n_workers: int = 300,
     n_tasks: int = 300,
 ) -> AblationResult:
-    """Matching quality/time vs. the cycle budget on one fixed full graph."""
+    """Matching quality vs. the cycle budget on one fixed full graph.
+
+    A point's cost is ``cycles``, the cycles the matcher actually ran (the
+    adaptive rule picks its own); host time would make the report differ
+    from run to run.
+    """
     config = config or AblationConfig()
     rng = np.random.default_rng(config.seed)
     graph = BipartiteGraph.full(rng.random((n_workers, n_tasks)))
@@ -90,16 +93,13 @@ def ablate_cycles(
             adaptive_cycles=adaptive,
         )
         matcher = ReactMatcher(params)
-        start = time.perf_counter()
         matching = matcher.match(graph, np.random.default_rng(config.seed + cycles))
-        wall = time.perf_counter() - start
         result.points.append(
             CyclesPoint(
                 cycles=matching.cycles_used,
                 adaptive=adaptive,
                 output_weight=matching.total_weight,
                 optimal_weight=optimal,
-                wall_seconds=wall,
             )
         )
     return result

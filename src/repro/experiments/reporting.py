@@ -225,11 +225,10 @@ def report_ablation(result: AblationResult) -> str:
                 "adaptive" if p.adaptive else "fixed",
                 f"{p.output_weight:.2f}",
                 f"{p.optimality:.1%}",
-                f"{p.wall_seconds*1e3:.1f}",
             )
             for p in result.points
         ]
-        headers = ["cycles", "mode", "output", "optimality", "wall_ms"]
+        headers = ["cycles", "mode", "output", "optimality"]
     elif isinstance(first, KPoint):
         rows = [
             (p.k_constant, p.cycles, f"{p.output_weight:.2f}", f"{p.optimality:.1%}")

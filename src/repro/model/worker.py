@@ -238,12 +238,3 @@ class WorkerProfile:
         """Worker becomes available again (after completion/dawdle ends)."""
         self.available = True
         self.current_task = None
-
-    def detach_task(self) -> None:
-        """Task pulled back by the Dynamic Assignment Component.
-
-        The worker stays *unavailable* until his sampled finish time: the
-        human is presumed still dawdling on the withdrawn task (DESIGN.md
-        "worker availability after reassignment").
-        """
-        self.current_task = None

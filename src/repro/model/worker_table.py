@@ -10,10 +10,12 @@ them with one fancy index per column instead of a Python loop over
 
 The :class:`~repro.platform.profiling.ProfilingComponent` is the table's
 only writer: each of its updates writes the changed cells of one row in
-O(1).  The fit columns (``alpha``, ``k_min`` and the observation count they
-were fitted at) are the exception — the
-:class:`~repro.core.deadline.DeadlineEstimator` refits stale rows lazily,
-right before it reads them.
+O(1).  The fit columns (the fitted model ``fit``, its power-law ``alpha``
+and ``k_min``, and the observation count it was fitted at) are the
+exception — the :class:`~repro.core.deadline.DeadlineEstimator` refits
+stale rows lazily, right before it reads them.  The row is the only copy
+of a worker's fit: it leaves with his row, and a returning worker is
+refitted from his history.
 
 Slots enumerate in registration order.  A registration appends a row, a
 departure marks its row dead, and compaction squeezes the dead rows out
@@ -32,6 +34,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..stats.duration_models import DurationModel
+from ..stats.powerlaw import PowerLawFit
 from .task import TaskCategory
 from .worker import WorkerProfile
 
@@ -64,6 +68,9 @@ _NUMERIC: Dict[str, Tuple[str, type, int]] = {
     "k_min": ("d", np.float64, 1),
 }
 
+#: Object columns: the row's profile and its fitted duration model.
+_OBJECT = ("profile", "fit")
+
 
 class WorkerTable:
     """Dense per-worker columns, addressed by slot.
@@ -71,7 +78,9 @@ class WorkerTable:
     Columns (NumPy arrays, row = slot): ``worker_id``, ``profile`` (the
     :class:`WorkerProfile` object), ``live``, ``online``, ``available``,
     ``n_obs``, ``assignment_count``, ``latitude``, ``longitude``,
-    ``accuracy`` (slot × category), ``fit_n_obs``, ``alpha`` and ``k_min``.
+    ``accuracy`` (slot × category), ``fit`` (the fitted
+    :class:`~repro.stats.duration_models.DurationModel`, or None),
+    ``fit_n_obs``, ``alpha`` and ``k_min``.
     Slots at or past :attr:`size` hold no worker.
     """
 
@@ -89,6 +98,7 @@ class WorkerTable:
     alpha: np.ndarray
     k_min: np.ndarray
     profile: np.ndarray
+    fit: np.ndarray
     _worker_id: "array[int]"
     _live: "array[int]"
     _online: "array[int]"
@@ -234,15 +244,21 @@ class WorkerTable:
         """Hand the fit columns to ``owner``, clearing another owner's fits."""
         if self.fit_owner is not owner:
             self.fit_owner = owner
+            self.fit[:] = None
             self.fit_n_obs[:] = -1
             self.alpha[:] = math.nan
             self.k_min[:] = math.nan
 
-    def set_fit(self, slot: int, alpha: float, k_min: float) -> None:
+    def set_fit(self, slot: int, fit: DurationModel) -> None:
         """Record the row's fit, made at its current observation count."""
         self._fit_n_obs[slot] = self._n_obs[slot]
-        self._alpha[slot] = alpha
-        self._k_min[slot] = k_min
+        self.fit[slot] = fit
+        if isinstance(fit, PowerLawFit):
+            self._alpha[slot] = fit.alpha
+            self._k_min[slot] = fit.k_min
+        else:
+            self._alpha[slot] = math.nan
+            self._k_min[slot] = math.nan
 
     # ------------------------------------------------------------ internals
     def _allocate(self, capacity: int) -> None:
@@ -257,10 +273,11 @@ class WorkerTable:
                 view[:n] = getattr(self, name)[:n]
             setattr(self, "_" + name, store)
             setattr(self, name, view)
-        profile = np.empty(capacity, dtype=object)
-        if n:
-            profile[:n] = self.profile[:n]
-        self.profile = profile
+        for name in _OBJECT:
+            column = np.empty(capacity, dtype=object)
+            if n:
+                column[:n] = getattr(self, name)[:n]
+            setattr(self, name, column)
         self._clear(n, capacity)
 
     def _clear(self, start: int, stop: int) -> None:
@@ -269,6 +286,7 @@ class WorkerTable:
         self.online[start:stop] = False
         self.available[start:stop] = False
         self.profile[start:stop] = None
+        self.fit[start:stop] = None
         self.accuracy[start:stop] = 0.0
         self.fit_n_obs[start:stop] = -1
         self.alpha[start:stop] = math.nan
@@ -278,7 +296,7 @@ class WorkerTable:
         """Squeeze out dead rows, keeping the live rows' relative order."""
         keep = self.live_slots()
         n = len(keep)
-        for name in (*_NUMERIC, "profile"):
+        for name in (*_NUMERIC, *_OBJECT):
             column = getattr(self, name)
             column[:n] = column[keep]
         self._clear(n, self._size)
@@ -322,6 +340,11 @@ class WorkerRows:
     def profiles(self) -> np.ndarray:
         """The rows' profile objects (an object array, row order)."""
         return self.table.profile[self.slots]
+
+    @property
+    def fits(self) -> np.ndarray:
+        """The rows' fitted duration models (an object array, row order)."""
+        return self.table.fit[self.slots]
 
     def accuracy(self, categories: Sequence[TaskCategory]) -> np.ndarray:
         """(rows × categories) Eq. 1 accuracy; 0.0 where there is no feedback."""

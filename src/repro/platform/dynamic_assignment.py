@@ -261,10 +261,10 @@ class DynamicAssignmentComponent:
         censored observation into the worker's history.  In the rare case
         that the same worker backs *another* assigned task later in the
         order (the silent-abandonment re-match race), that task is
-        re-evaluated in this sweep against the updated profile, whether or
-        not it was due, instead of using the batch value.  A row that was
-        due and not withdrawn stays due: with its profile unchanged, Eq. 2
-        only falls as time passes.
+        re-evaluated in this sweep against his updated table row (a
+        one-row batch call), whether or not it was due, instead of using
+        the batch value.  A row that was due and not withdrawn stays due:
+        with its profile unchanged, Eq. 2 only falls as time passes.
 
         The evaluation counters keep counting every assigned task: a row
         left out *is* an Eq. 2 decision, just one reached without
@@ -336,11 +336,11 @@ class DynamicAssignmentComponent:
 
     def _evaluate(self, now: float, threshold: float, due: List[_Row]) -> int:
         """Apply the rule to the due rows (in sequence order); count withdrawals."""
-        get_profile = self._profiles.get
         estimator = self._estimator
+        table = self._profiles.table
         elapsed = [now - row.assigned_at for row in due]
         probs, trained = estimator.window_probability_batch(
-            self._profiles.table.rows_of([row.worker_id for row in due]),
+            table.rows_of([row.worker_id for row in due]),
             np.asarray(elapsed, dtype=np.float64),
             np.asarray([row.ttd for row in due], dtype=np.float64),
         )
@@ -355,14 +355,16 @@ class DynamicAssignmentComponent:
             worker_id = row.worker_id
             if worker_id in withdrawn_workers:
                 # This worker's history changed earlier in the sweep;
-                # re-evaluate against the updated profile.
+                # re-evaluate against his updated row.
                 elapsed_i = now - row.assigned_at
-                estimate = estimator.window_probability(
-                    get_profile(worker_id), elapsed_i, row.ttd
+                again, again_trained = estimator.window_probability_batch(
+                    table.rows_of([worker_id]),
+                    np.array([elapsed_i], dtype=np.float64),
+                    np.array([row.ttd], dtype=np.float64),
                 )
-                if not estimate.trained or estimate.probability >= threshold:
+                if not again_trained[0] or again[0] >= threshold:
                     continue
-                probability = estimate.probability
+                probability = float(again[0])
             else:
                 if not trained[i] or probs[i] >= threshold:
                     continue
@@ -370,10 +372,7 @@ class DynamicAssignmentComponent:
                 elapsed_i = elapsed[i]
             self._tasks.withdraw(task)
             self._profiles.record_withdrawal(
-                worker_id,
-                elapsed=elapsed_i,
-                release=self._policy.release_on_reassign,
-                task_id=task.task_id,
+                worker_id, elapsed=elapsed_i, task_id=task.task_id
             )
             self.withdrawals.append(
                 Withdrawal(

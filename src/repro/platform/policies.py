@@ -114,12 +114,6 @@ class SchedulingPolicy:
     #: Whether tasks whose deadline lapsed in the queue may still be handed
     #: to workers (True for the traditional baseline) or are retired.
     assign_expired: bool = False
-    #: Release a worker immediately when his task is pulled back (True) or
-    #: keep him marked busy until his sampled finish time (False).  The
-    #: default releases: the platform controls its own availability flag,
-    #: and the worker's censored withdrawal history already steers Eq. 3 /
-    #: Eq. 1 away from him, so freeing the slot does not re-feed dawdlers.
-    release_on_reassign: bool = True
     #: AMT semantics (§II): "If the deadline expires while being executed,
     #: the task returns to the tasks repository as unassigned."  All three
     #: techniques inherit this platform behaviour; it is the only way an

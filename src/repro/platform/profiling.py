@@ -37,7 +37,6 @@ class ProfilingComponent:
         #: stored, letting fault injection feed the profiler stale or
         #: corrupted measurements without touching the true outcome.
         self.observation_hook: Optional[Callable[[int, float], float]] = None
-        self._deregister_hooks: List[Callable[[int], None]] = []
         self._profile_hooks: List[Callable[[int], None]] = []
 
     # ---------------------------------------------------------- membership
@@ -62,21 +61,13 @@ class ProfilingComponent:
         for hook in self._profile_hooks:
             hook(worker_id)
 
-    def add_deregister_hook(self, hook: Callable[[int], None]) -> None:
-        """Subscribe to worker departures (churn / region migration).
-
-        Used to invalidate per-worker caches held elsewhere — notably the
-        :class:`~repro.core.deadline.DeadlineEstimator` fit cache, which
-        would otherwise retain an entry for every worker that ever trained.
-        """
-        self._deregister_hooks.append(hook)
-
     def deregister(self, worker_id: int) -> WorkerProfile:
-        """Remove a worker (churn); raises ``KeyError`` if unknown."""
+        """Remove a worker (churn); raises ``KeyError`` if unknown.
+
+        His table row, and with it his fitted duration model, goes too.
+        """
         profile = self._profiles.pop(worker_id)
         self.table.remove(worker_id)
-        for hook in self._deregister_hooks:
-            hook(worker_id)
         return profile
 
     def get(self, worker_id: int) -> WorkerProfile:
@@ -154,60 +145,44 @@ class ProfilingComponent:
             self.table.set_n_obs(profile.worker_id, before + 1)
             self._changed(profile.worker_id)
 
-    def record_withdrawal(
-        self, worker_id: int, task_id: int, elapsed: float, release: bool
-    ) -> None:
+    def record_withdrawal(self, worker_id: int, task_id: int, elapsed: float) -> None:
         """The platform pulled the worker's task after ``elapsed`` seconds.
 
         The elapsed hold time enters the profile as a *censored* duration
         observation (the worker takes at least that long), so chronic
         dawdlers accumulate a heavy-tailed history and Eq. 3 stops routing
-        tasks to them.  ``release`` follows
-        :attr:`SchedulingPolicy.release_on_reassign`: when False the worker
-        remains unavailable until his sampled finish time (he is presumed
-        still dawdling on the withdrawn task).
+        tasks to them.  The worker is released at once: the platform
+        controls its own availability flag, and his censored history
+        already steers Eq. 3 / Eq. 1 away from him.
 
-        ``task_id`` identifies *which* task was withdrawn.  The worker's
-        availability is only touched when his profile still claims that very
-        task: a worker who silently abandoned it was already released at his
+        ``task_id`` identifies *which* task was withdrawn.  The worker is
+        only released when his profile still claims that very task: a
+        worker who silently abandoned it was already released at his
         sampled walk-away time and may since have been matched to a *newer*
-        task — blindly detaching would kick him off the task he is actually
+        task — blindly releasing would kick him off the task he is actually
         executing, making him matchable a second time while the newer task
         is still assigned to him (the completion/withdrawal generation-stamp
         race; see ``tests/chaos/test_generation_stamp_race.py``).
         """
         profile = self._profiles[worker_id]
         self._censor(profile, elapsed)
-        if profile.current_task != task_id:
-            return
-        profile.detach_task()
-        if release:
+        if profile.current_task == task_id:
             self.release(worker_id)
 
-    def record_expiry(
-        self, worker_id: int, task_id: int, elapsed: float, release: bool
-    ) -> None:
+    def record_expiry(self, worker_id: int, task_id: int, elapsed: float) -> None:
         """The deadline lapsed while ``task_id`` was out with the worker.
 
         Unlike :meth:`record_withdrawal`, the hold time is censored only
         while the worker still claims that task: an abandoner who walked
         away was already released at his walk-away time, and a worker who
         departed is no longer registered — neither has a hold to record.
-        ``release`` follows :attr:`SchedulingPolicy.release_on_reassign`.
+        The worker is released, as on a withdrawal.
         """
         profile = self._profiles.get(worker_id)
         if profile is None or profile.current_task != task_id:
             return
         self._censor(profile, elapsed)
-        profile.detach_task()
-        if release:
-            self.release(worker_id)
-
-    def release_after_dawdle(self, worker_id: int) -> None:
-        """A dawdling worker's sampled duration elapsed; he is free again."""
-        profile = self._profiles.get(worker_id)
-        if profile is not None and not profile.available and profile.current_task is None:
-            self.release(worker_id)
+        self.release(worker_id)
 
     # ------------------------------------------------------------ summary
     def trained_count(self, min_history: int) -> int:

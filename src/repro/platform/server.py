@@ -13,8 +13,9 @@ worker ground truth (:class:`WorkerBehavior`): on assignment it draws the
 worker's *actual* duration and schedules the completion event; the
 components only ever see the outcome, as the real middleware only observes
 what human workers return.  A dawdler whose task was pulled back by Eq. (2)
-still "finishes" at his sampled time — the completion event checks the
-assignment generation stamp and, finding the task gone, merely frees him.
+is released at once and still "finishes" at his sampled time — the
+completion event checks the assignment generation stamp and, finding the
+task gone, discards the result.
 The pull delivery for live workers is ``repro.service.bridge.LiveRegionServer``.
 """
 
@@ -89,11 +90,9 @@ class RegionServer:
             min_history=policy.min_history,
             family=make_family(policy.duration_model),
         )
-        # A departing worker's fit must not linger in the estimator cache
-        # (unbounded growth under churn; stale entry if his id is reused).
-        self.profiling.add_deregister_hook(self.estimator.evict)
-        # Estimator fit-cache effectiveness, read from the estimator's plain
-        # int counters at snapshot time (see docs/OBSERVABILITY.md).
+        # Estimator fit tallies (current worker-table rows, refits), read
+        # from the estimator's plain int counters at snapshot time (see
+        # docs/OBSERVABILITY.md).
         registry = self.obs.registry
         estimator = self.estimator
         registry.gauge(
@@ -202,7 +201,7 @@ class RegionServer:
             task = self.task_management.get(profile.current_task)
             if task.phase is TaskPhase.ASSIGNED and task.assigned_worker == worker_id:
                 self.task_management.withdraw(task)
-                profile.detach_task()
+                self.profiling.release(worker_id)
                 self._tracer.instant(
                     "task.withdrawn",
                     cat="task",
@@ -346,8 +345,10 @@ class RegionServer:
         self.scheduling.maybe_trigger()
 
     def _end_dawdle(self, task_id: int, worker_id: int) -> None:
-        """A stale result: the task left the worker while he dawdled; free him."""
-        self.profiling.release_after_dawdle(worker_id)
+        """A stale result: the task left the worker while he dawdled.
+
+        He was released when the task left him, so only the trace records it.
+        """
         self._tracer.instant(
             "worker.dawdle_end", cat="task", task_id=task_id, worker_id=worker_id
         )
@@ -356,8 +357,8 @@ class RegionServer:
         """AMT semantics: the deadline lapsed while the task was out.
 
         The task returns to the repository as unassigned (§II).  The worker,
-        if he is still registered and nominally on it, keeps dawdling until
-        he finishes; an abandoner has already walked away.
+        if he is still registered and nominally on it, is released; an
+        abandoner has already walked away.
         """
         task_id, worker_id, generation = event.payload
         try:
@@ -377,9 +378,7 @@ class RegionServer:
         self._tracer.instant(
             "task.expiry_return", cat="task", task_id=task_id, worker_id=worker_id
         )
-        self.profiling.record_expiry(
-            worker_id, task_id, elapsed, release=self.policy.release_on_reassign
-        )
+        self.profiling.record_expiry(worker_id, task_id, elapsed)
         self._on_withdraw(task)
 
     def _on_withdraw(self, task: Task) -> None:
@@ -468,10 +467,7 @@ class RegionServer:
             self.task_management.withdraw(task)
             if worker_id is not None and worker_id in self.profiling:
                 self.profiling.record_withdrawal(
-                    worker_id,
-                    elapsed=now - assigned_at,
-                    release=True,
-                    task_id=task.task_id,
+                    worker_id, elapsed=now - assigned_at, task_id=task.task_id
                 )
             orphaned.append(task.task_id)
         self.metrics.blackout_orphaned += len(orphaned)
@@ -577,7 +573,8 @@ class REACTServer(RegionServer):
             or task.assignments != execution.generation
         ):
             # The task was withdrawn (or the worker deregistered) while the
-            # human dawdled; his sampled duration just elapsed.
+            # human dawdled; his sampled duration just elapsed.  He was
+            # released when the task left him.
             self._end_dawdle(execution.task_id, execution.worker_id)
             return
         if execution.abandoned:

@@ -173,8 +173,9 @@ class LiveRegionServer(RegionServer):
         now = self.engine.now
         self._last_seen[worker_id] = now
         if task.phase is not TaskPhase.ASSIGNED or task.assigned_worker != worker_id:
-            # Withdrawn while the worker dawdled: the answer is discarded and
-            # the worker freed — the DES completion event's stale path.
+            # Withdrawn while the worker dawdled: the answer is discarded (he
+            # was released when the task left him) — the DES completion
+            # event's stale path.
             self._end_dawdle(task_id, worker_id)
             self.scheduling.maybe_trigger()
             return AnswerOutcome(status="stale")

@@ -142,7 +142,8 @@ def fit_power_law(
     Raises
     ------
     ValueError
-        On empty input, non-positive samples, or a degenerate history (all
+        On empty input, non-positive or NaN samples, a non-positive or NaN
+        ``k_min``, or a degenerate history (all
         samples equal to ``k_min`` with the continuous method, which drives
         α → ∞; we cap it instead, see :data:`ALPHA_CAP`).
     """
@@ -160,9 +161,10 @@ def fit_power_law(
             raise ValueError("power-law samples must be strictly positive")
         tail = arr
     else:
-        if np.any(arr <= 0):
+        # ``not >`` also rejects NaN, which ``<= 0`` lets through.
+        if not np.all(arr > 0):
             raise ValueError("power-law samples must be strictly positive")
-        if k_min <= 0:
+        if not k_min > 0:
             raise ValueError(f"k_min must be positive, got {k_min}")
         cutoff = float(k_min)
         tail = arr[arr >= cutoff]

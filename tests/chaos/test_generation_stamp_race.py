@@ -4,9 +4,9 @@ The bug: a worker who silently abandons task T1 is released at his sampled
 walk-away time while T1 stays platform-side ASSIGNED (§IV-B semantics).
 If the scheduler then hands him a newer task T2 *before* the Eq. 2 sweep
 (or a blackout orphaning pass) finally withdraws T1, the withdrawal used
-to blindly ``detach_task()`` + ``release()`` — kicking the worker off T2,
-marking him available while T2 is still assigned to him (an I5 violation
-one hop later), and letting the matcher double-book him.
+to blindly ``release()`` him — kicking the worker off T2, marking him
+available while T2 is still assigned to him (an I5 violation one hop
+later), and letting the matcher double-book him.
 
 The fix threads the withdrawn task's id through
 ``ProfilingComponent.record_withdrawal``; the worker's availability is
@@ -38,7 +38,7 @@ def test_stale_withdrawal_leaves_worker_on_newer_task():
     component, profile = _abandoner_rematched_to_newer_task()
 
     # The Eq. 2 sweep finally pulls T1 back and *names* it.
-    component.record_withdrawal(7, elapsed=42.0, release=True, task_id=1)
+    component.record_withdrawal(7, elapsed=42.0, task_id=1)
 
     assert profile.current_task == 2, "withdrawal of T1 must not touch T2"
     assert not profile.available, "worker is still executing T2"
@@ -52,7 +52,7 @@ def test_current_task_withdrawal_still_releases():
     component.register(profile)
     component.record_assignment(3, task_id=9)
 
-    component.record_withdrawal(3, elapsed=10.0, release=True, task_id=9)
+    component.record_withdrawal(3, elapsed=10.0, task_id=9)
 
     assert profile.current_task is None
     assert profile.available

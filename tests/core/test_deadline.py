@@ -7,6 +7,7 @@ from repro.core.deadline import DeadlineEstimator
 from repro.model.task import TaskCategory
 from repro.model.worker import WorkerProfile
 from repro.platform.policies import SchedulingPolicy
+from repro.platform.profiling import ProfilingComponent
 
 
 def _profile(times, worker_id=0):
@@ -36,13 +37,23 @@ class TestTraining:
         assert not est.trained
 
     def test_fit_cache_invalidates_on_new_history(self, estimator):
-        profile = _profile([5.0, 6.0, 20.0])
-        first = estimator.fit_worker(profile)
-        assert estimator.fit_worker(profile) is first  # cached
-        profile.record_completion(50.0, TaskCategory.GENERIC, True)
-        second = estimator.fit_worker(profile)
+        # The worker's table row is the fit cache: current until his
+        # history grows.
+        profiling = ProfilingComponent()
+        profiling.register(_profile([5.0, 6.0, 20.0]))
+        rows = profiling.table.rows_of([0])
+        ttd = np.array([60.0])
+        estimator.completion_probability_matrix(rows, ttd)
+        first = rows.fits[0]
+        estimator.completion_probability_matrix(rows, ttd)
+        assert rows.fits[0] is first  # cached
+        assert (estimator.cache_misses, estimator.cache_hits) == (1, 1)
+        profiling.record_completion(0, 50.0, TaskCategory.GENERIC, True)
+        estimator.completion_probability_matrix(rows, ttd)
+        second = rows.fits[0]
         assert second is not first
         assert second.n_samples == 4
+        assert (estimator.cache_misses, estimator.cache_hits) == (2, 1)
 
 
 class TestEquation3:

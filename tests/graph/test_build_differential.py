@@ -172,7 +172,7 @@ def test_columnar_build_matches_per_worker_walk(case):
             component.record_completion(worker_id, duration, CATEGORIES[0], duration < 20.0)
         else:
             component.record_withdrawal(
-                worker_id, elapsed=duration, release=True, task_id=profile.current_task
+                worker_id, elapsed=duration, task_id=profile.current_task
             )
     assert profile_mismatches(component.table, list(component)) == []
     _assert_same_build(case, component, builder, reference)

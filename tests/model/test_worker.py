@@ -142,14 +142,6 @@ class TestWorkerProfile:
         with pytest.raises(ValueError):
             profile.assign(10)
 
-    def test_detach_keeps_worker_busy(self):
-        """Withdrawal without release: the human is still dawdling."""
-        profile = WorkerProfile(worker_id=1)
-        profile.assign(10)
-        profile.detach_task()
-        assert profile.current_task is None
-        assert not profile.available
-
     def test_censored_observation_recorded(self):
         profile = WorkerProfile(worker_id=1)
         profile.record_censored(42.0)

@@ -13,6 +13,8 @@ from repro.model.worker_table import (
     profile_mismatches,
 )
 from repro.platform.profiling import ProfilingComponent
+from repro.stats.duration_models import EmpiricalFamily
+from repro.stats.powerlaw import PowerLawFit
 
 
 def _component(n):
@@ -161,7 +163,7 @@ class TestDrift:
     def test_censored_observation_reaches_the_row(self, censored):
         component = _component(1)
         component.record_assignment(0, task_id=1)
-        component.record_withdrawal(0, elapsed=censored, release=True, task_id=1)
+        component.record_withdrawal(0, elapsed=censored, task_id=1)
         slot = component.table.slot(0)
         assert component.table.n_obs[slot] == (1 if censored else 0)
         assert _in_sync(component)
@@ -170,8 +172,33 @@ class TestDrift:
 def test_fit_columns_reset_for_a_new_owner():
     table = WorkerTable.from_profiles([WorkerProfile(worker_id=0)])
     table.claim_fits("first")
-    table.set_fit(0, 2.5, 3.0)
+    fit = PowerLawFit(alpha=2.5, k_min=3.0, n_samples=3)
+    table.set_fit(0, fit)
     table.claim_fits("first")
-    assert table.alpha[0] == 2.5
+    assert table.alpha[0] == 2.5 and table.fit[0] is fit
     table.claim_fits("second")
     assert np.isnan(table.alpha[0]) and table.fit_n_obs[0] == -1
+    assert table.fit[0] is None
+
+
+def test_non_power_law_fit_has_nan_parameters():
+    table = WorkerTable.from_profiles([WorkerProfile(worker_id=0)])
+    fit = EmpiricalFamily().fit([4.0, 5.0, 9.0])
+    table.set_fit(0, fit)
+    assert table.fit[0] is fit and table.fit_n_obs[0] == 0
+    assert np.isnan(table.alpha[0]) and np.isnan(table.k_min[0])
+
+
+def test_fit_moves_with_its_row_and_leaves_with_it():
+    table = WorkerTable.from_profiles([WorkerProfile(worker_id=i) for i in range(40)])
+    fits = {i: PowerLawFit(alpha=2.0 + i, k_min=1.0, n_samples=3) for i in range(40)}
+    for i, fit in fits.items():
+        table.set_fit(table.slot(i), fit)
+    for i in range(0, 39):  # dead rows outnumber the live: compaction
+        table.remove(i)
+    assert table.size < 40  # compacted
+    assert table.fit[table.slot(39)] is fits[39]
+    assert table.alpha[table.slot(39)] == 41.0
+    table.append(WorkerProfile(worker_id=0))  # a returning worker: fresh row
+    slot = table.slot(0)
+    assert table.fit[slot] is None and table.fit_n_obs[slot] == -1

@@ -46,6 +46,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
 
         n = len(tasks)
         get_profile = self._profiles.get
+        rows_of = self._profiles.table.rows_of
         estimator = self._estimator
         cache = self._skip_horizon
         if threshold != self._skip_threshold:
@@ -53,7 +54,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
             self._skip_threshold = threshold
         workers_l: List[int] = []
         row_of = [-1] * n
-        eval_profiles = []
+        eval_workers: List[int] = []
         eval_elapsed: List[float] = []
         eval_ttd: List[float] = []
         for idx, task in enumerate(tasks):
@@ -81,18 +82,20 @@ class FullScanMonitor(DynamicAssignmentComponent):
                 ttd_i = task.absolute_deadline - assigned_at
                 if ttd_i <= elapsed_i:
                     continue
-                horizon = estimator.withdrawal_skip_horizons([profile], [ttd_i], threshold)[0]
+                horizon = estimator.withdrawal_skip_horizons(
+                    rows_of([worker_id]), [ttd_i], threshold
+                )[0]
                 cache[task.task_id] = (worker_id, n_obs, assigned_at, horizon, ttd_i)
                 if elapsed_i < horizon:
                     continue
-            row_of[idx] = len(eval_profiles)
-            eval_profiles.append(profile)
+            row_of[idx] = len(eval_workers)
+            eval_workers.append(worker_id)
             eval_elapsed.append(elapsed_i)
             eval_ttd.append(ttd_i)
 
-        if eval_profiles:
+        if eval_workers:
             probs, trained = estimator.window_probability_batch(
-                eval_profiles,
+                rows_of(eval_workers),
                 np.asarray(eval_elapsed, dtype=np.float64),
                 np.asarray(eval_ttd, dtype=np.float64),
             )
@@ -104,6 +107,8 @@ class FullScanMonitor(DynamicAssignmentComponent):
         for idx, task in enumerate(tasks):
             worker_id = workers_l[idx]
             if worker_id in withdrawn_workers:
+                # The scalar Eq. 2 evaluation, an independent check of the
+                # production monitor's one-row table re-evaluation.
                 assigned_at = task.assigned_at
                 assert assigned_at is not None
                 elapsed_i = now - assigned_at
@@ -123,10 +128,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
                 elapsed_i = eval_elapsed[row]
             self._tasks.withdraw(task)
             self._profiles.record_withdrawal(
-                worker_id,
-                elapsed=elapsed_i,
-                release=self._policy.release_on_reassign,
-                task_id=task.task_id,
+                worker_id, elapsed=elapsed_i, task_id=task.task_id
             )
             self.withdrawals.append(
                 Withdrawal(

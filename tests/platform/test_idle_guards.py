@@ -6,8 +6,8 @@ Three related behaviours:
   (mirroring ``maybe_trigger``) but still retires expired queued tasks;
 * :meth:`TaskManagementComponent.retire_expired` implements that retirement
   without a batch checkout;
-* the profiling deregister hook evicts departing workers from the
-  :class:`DeadlineEstimator` fit cache so churn cannot grow it unboundedly.
+* a departing worker's fit leaves with his worker-table row, so churn
+  cannot grow the :class:`DeadlineEstimator`'s fits unboundedly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.model.task import TaskPhase
+from repro.model.task import TaskCategory, TaskPhase
 from repro.platform.policies import react_policy
 
 from .helpers import build_server, submit
@@ -90,44 +90,48 @@ class TestRetireExpired:
 
 class TestFitCacheEviction:
     def _train(self, server, worker_id: int, n: int = 5) -> None:
-        profile = server.profiling.get(worker_id)
         rng = np.random.default_rng(worker_id)
         for t in 2.0 + rng.pareto(2.0, n) * 5.0:
-            from repro.model.task import TaskCategory
+            server.profiling.record_completion(
+                worker_id, float(t), TaskCategory.GENERIC, True
+            )
 
-            profile.record_completion(float(t), TaskCategory.GENERIC, True)
+    def _row_fit(self, server, worker_id: int):
+        rows = server.profiling.table.rows_of([worker_id])
+        server.estimator.completion_probability_matrix(rows, np.array([60.0]))
+        return rows.fits[0]
 
     def test_deregister_evicts_cached_fit(self):
         engine, server = build_server(n_workers=3, start=False)
         self._train(server, 0)
-        fit = server.estimator.fit_worker(server.profiling.get(0))
-        assert fit is not None
-        assert 0 in server.estimator._fit_cache
-        server.profiling.deregister(0)
-        assert 0 not in server.estimator._fit_cache
+        assert self._row_fit(server, 0) is not None
+        profile = server.profiling.deregister(0)
+        with pytest.raises(KeyError):
+            server.profiling.table.slot(0)
+        # A returning worker gets a fresh row and is refitted from his history.
+        misses = server.estimator.cache_misses
+        server.profiling.register(profile)
+        assert server.profiling.table.fit[server.profiling.table.slot(0)] is None
+        assert self._row_fit(server, 0).n_samples == 5
+        assert server.estimator.cache_misses == misses + 1
 
     def test_remove_worker_path_evicts(self):
         engine, server = build_server(n_workers=2, start=True)
         self._train(server, 1)
-        server.estimator.fit_worker(server.profiling.get(1))
-        assert 1 in server.estimator._fit_cache
+        self._row_fit(server, 1)
         server.remove_worker(1)
-        assert 1 not in server.estimator._fit_cache
+        with pytest.raises(KeyError):
+            server.profiling.table.slot(1)
         # The remaining worker's fit is untouched.
         self._train(server, 0)
-        server.estimator.fit_worker(server.profiling.get(0))
-        assert 0 in server.estimator._fit_cache
+        fit = self._row_fit(server, 0)
+        assert self._row_fit(server, 0) is fit
 
     def test_evict_unknown_worker_is_noop(self):
-        engine, server = build_server(n_workers=1, start=False)
-        server.estimator.evict(12345)  # never fitted: must not raise
-
-    def test_hooks_run_for_every_subscriber(self):
-        engine, server = build_server(n_workers=1, start=False)
-        seen = []
-        server.profiling.add_deregister_hook(seen.append)
-        server.profiling.deregister(0)
-        assert seen == [0]
-        with pytest.raises(KeyError):
-            server.profiling.deregister(0)
-        assert seen == [0]  # hooks don't fire for failed deregistration
+        # A worker who never trained has no fit; his departure must not
+        # raise or touch the other rows' fits.
+        engine, server = build_server(n_workers=2, start=False)
+        self._train(server, 0)
+        fit = self._row_fit(server, 0)
+        server.profiling.deregister(1)
+        assert self._row_fit(server, 0) is fit

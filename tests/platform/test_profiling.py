@@ -75,47 +75,47 @@ class TestCompletionRecording:
 class TestWithdrawal:
     def test_withdrawal_records_censored_observation(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, task_id=10, elapsed=42.0, release=False)
+        component.record_withdrawal(1, task_id=10, elapsed=42.0)
         profile = component.get(1)
         assert profile.censored_observations == 1
         assert profile.execution_times == [42.0]
-        assert not profile.available  # still dawdling
         assert profile.current_task is None
 
     def test_withdrawal_with_release(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, task_id=10, elapsed=42.0, release=True)
+        component.record_withdrawal(1, task_id=10, elapsed=42.0)
         assert component.get(1).available
+        assert component.available_count == 3
 
 
 class TestExpiry:
     def test_expiry_censors_and_detaches_the_current_task(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_expiry(1, task_id=10, elapsed=60.0, release=False)
+        component.record_expiry(1, task_id=10, elapsed=60.0)
         profile = component.get(1)
         assert profile.execution_times == [60.0]
         assert profile.censored_observations == 1
         assert profile.current_task is None
-        assert not profile.available  # still dawdling
 
     def test_expiry_with_release(self, component):
         component.record_assignment(1, task_id=10)
-        component.record_expiry(1, task_id=10, elapsed=60.0, release=True)
+        component.record_expiry(1, task_id=10, elapsed=60.0)
         assert component.get(1).available
+        assert component.available_count == 3
 
     def test_expiry_of_a_task_the_worker_no_longer_holds_records_nothing(self, component):
         # He walked away from task 10 and was re-matched to task 11.
         component.record_assignment(1, task_id=10)
         component.get(1).release()
         component.record_assignment(1, task_id=11)
-        component.record_expiry(1, task_id=10, elapsed=60.0, release=True)
+        component.record_expiry(1, task_id=10, elapsed=60.0)
         profile = component.get(1)
         assert profile.execution_times == []
         assert profile.current_task == 11
         assert not profile.available
 
     def test_expiry_for_a_departed_worker_is_a_noop(self, component):
-        component.record_expiry(999, task_id=10, elapsed=60.0, release=True)
+        component.record_expiry(999, task_id=10, elapsed=60.0)
 
 
 class TestProfileHooks:
@@ -126,33 +126,16 @@ class TestProfileHooks:
         component.record_assignment(7, task_id=1)
         component.record_completion(7, 5.0, TaskCategory.GENERIC, True)
         component.record_assignment(7, task_id=2)
-        component.record_withdrawal(7, elapsed=30.0, release=True, task_id=2)
+        component.record_withdrawal(7, elapsed=30.0, task_id=2)
         component.record_assignment(7, task_id=3)
-        component.record_expiry(7, task_id=3, elapsed=40.0, release=True)
+        component.record_expiry(7, task_id=3, elapsed=40.0)
         assert seen == [7, 7, 7, 7]
 
     def test_hook_silent_when_nothing_is_recorded(self, component):
         seen = []
         component.add_profile_hook(seen.append)
         component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, elapsed=0.0, release=True, task_id=10)
-        component.record_expiry(1, task_id=10, elapsed=5.0, release=True)
+        component.record_withdrawal(1, elapsed=0.0, task_id=10)
+        component.record_expiry(1, task_id=10, elapsed=5.0)
         assert seen == []
 
-
-class TestDawdleRelease:
-    def test_release_after_dawdle_only_when_detached(self, component):
-        component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, task_id=10, elapsed=5.0, release=False)
-        component.release_after_dawdle(1)
-        assert component.get(1).available
-
-    def test_release_after_dawdle_noop_when_on_new_task(self, component):
-        component.record_assignment(1, task_id=10)
-        component.record_withdrawal(1, task_id=10, elapsed=5.0, release=True)
-        component.record_assignment(1, task_id=11)
-        component.release_after_dawdle(1)
-        assert not component.get(1).available  # still on task 11
-
-    def test_release_after_dawdle_unknown_worker_noop(self, component):
-        component.release_after_dawdle(999)  # must not raise

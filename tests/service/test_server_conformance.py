@@ -103,27 +103,22 @@ def test_assignment_to_completion(harness):
 
 def test_running_expiry_withdraws_censors_and_requeues(delivery):
     # With assign_expired and no Eq. 3 pruning the returned, now late task is
-    # matchable again; release_on_reassign=False keeps worker 1 busy, so the
-    # requeued task can only go to worker 2.
-    harness = Harness(
-        delivery,
-        assign_expired=True,
-        release_on_reassign=False,
-        use_probabilistic_model=False,
-    )
+    # matchable again.  The expiry releases worker 1, so the requeued task
+    # goes straight back to him, the only worker.
+    harness = Harness(delivery, assign_expired=True, use_probabilistic_model=False)
     slow = harness.add_worker(1, duration=100.0)
     task = harness.submit(deadline=10.0)
-    harness.run(until=1.0)
-    harness.add_worker(2, duration=2.0)
     harness.run(until=11.0)
     assert harness.server.metrics.expiry_returns == 1
     assert slow.censored_observations == 1
-    assert slow.current_task is None and not slow.available
-    assert task.assigned_worker == 2 and task.assignments == 2
+    assert slow.execution_times == [pytest.approx(10.0)]
+    assert task.assigned_worker == 1 and task.assignments == 2
+    assert slow.current_task == task.task_id and not slow.available
     harness.run(until=200.0)
     assert task.phase is TaskPhase.COMPLETED and not task.met_deadline
     assert harness.server.metrics.completed == 1
-    assert slow.available and slow.execution_times == [pytest.approx(10.0)]
+    assert harness.server.metrics.expiry_returns == 1
+    assert slow.available and slow.censored_observations == 1
     harness.server.metrics.check_conservation()
 
 
@@ -145,14 +140,14 @@ def test_departure_mid_task_requeues_for_the_next_worker(harness):
 
 
 def test_stale_completion_frees_without_credit(delivery):
-    harness = Harness(delivery, release_on_reassign=False)
+    harness = Harness(delivery)
     profile = harness.add_worker(1, duration=30.0)
     task = harness.submit(deadline=10.0)
     harness.run(until=20.0)
-    # Withdrawn at the deadline; the worker is presumed still on it.
+    # Withdrawn at the deadline; the worker was released at once.
     assert task.phase is not TaskPhase.ASSIGNED
-    assert profile.current_task is None and not profile.available
-    harness.run(until=40.0)
+    assert profile.current_task is None and profile.available
+    harness.run(until=40.0)  # his result for the withdrawn task arrives at 30
     assert profile.available
     assert profile.execution_times == [pytest.approx(10.0)]  # censored only
     assert harness.server.metrics.completed == 0

@@ -101,6 +101,14 @@ class TestFitting:
         with pytest.raises(ValueError, match="positive"):
             fit_power_law([1.0, -2.0])
 
+    def test_nan_sample_rejected_with_explicit_k_min(self):
+        with pytest.raises(ValueError, match="positive"):
+            fit_power_law([float("nan"), 2.0, 3.0], k_min=1.0)
+
+    def test_nan_k_min_rejected(self):
+        with pytest.raises(ValueError, match="k_min"):
+            fit_power_law([1.0, 2.0, 3.0], k_min=float("nan"))
+
     def test_no_tail_samples_rejected(self):
         with pytest.raises(ValueError, match="k_min"):
             fit_power_law([1.0, 2.0], k_min=5.0)

@@ -184,10 +184,12 @@ class FaultInjector:
     # ------------------------------------------------------- fault actions
     def _strike_wave(self, fault: AbandonmentWave) -> int:
         """Make ``fraction`` of currently-executing workers walk away."""
+        profiling = self.server.profiling
         victims = [
-            profile.current_task
-            for profile in self.server.profiling
-            if profile.online and profile.current_task is not None
+            task_id
+            for profile in profiling
+            if profiling.is_online(profile.worker_id)
+            and (task_id := profiling.current_task(profile.worker_id)) is not None
         ]
         victims.sort()  # registration order varies; task-id order is stable
         count = int(round(fault.fraction * len(victims)))

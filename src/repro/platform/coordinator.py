@@ -280,15 +280,12 @@ class Coordinator:
         # Migrate idle workers located in the new half, with their simulated
         # ground truth (None on a live server).
         for profile in list(old.profiling):
-            if not profile.available or profile.current_task is not None:
+            if old.profiling.current_task(profile.worker_id) is not None:
                 continue
             if not half_new.contains(profile.latitude, profile.longitude):
                 continue
             behavior = old.behavior_of(profile.worker_id)
             old.remove_worker(profile.worker_id)
-            # remove_worker marks the profile offline; revive it for the
-            # new region it now belongs to.
-            profile.online = True
             new_server.add_worker(profile, behavior)
             self._workers_migrated += 1
 

@@ -1,8 +1,8 @@
 """Cross-component runtime invariants.
 
-The four server components share mutable state (tasks, worker profiles)
-through well-defined transitions; a bug in any handler tends to show up as
-a *relationship* violation long before it corrupts a headline metric.
+The four server components share mutable state (tasks, worker profiles,
+worker-table rows) through well-defined transitions; a bug in any handler
+tends to show up as a *relationship* violation long before it corrupts a headline metric.
 :func:`check_server_invariants` audits those relationships on demand and
 :class:`InvariantMonitor` re-audits them on a simulated-time grid, so
 integration tests (and cautious users) can run whole experiments under
@@ -16,15 +16,14 @@ I1  Task pools partition: every task is in exactly one of
     withdrawn tasks parked by the resilience layer's retry backoff; they
     are UNASSIGNED but invisible to the matcher.)
 I2  An ASSIGNED task's worker is registered with the Profiling Component.
-I3  No double *active* booking: at most one ASSIGNED task per worker may be
-    the one his profile currently claims (``current_task``), and a worker
-    claiming a task is never marked available.  (Plain "≤ 1 assigned task
-    per worker" is deliberately NOT an invariant: an abandoner who walks
-    away leaves his task ASSIGNED platform-side — under the traditional
-    policy forever — while the scheduler correctly hands him new work.)
-I4  A profile with ``current_task`` set points at a task that is ASSIGNED
-    to that same worker.
-I5  An *available* profile has no ``current_task``.
+I3  No double *active* booking: no task is the current task (the worker
+    table's ``task`` cell) of two workers.  One cell per worker means he
+    claims at most one task and is never free while he claims one.  (Plain
+    "≤ 1 assigned task per worker" is deliberately NOT an invariant: an
+    abandoner who walks away leaves his task ASSIGNED platform-side —
+    under the traditional policy forever — while the scheduler correctly
+    hands him new work.)
+I4  A worker's current task is ASSIGNED to that same worker.
 I6  Metric conservation: completed + expired never exceeds received;
     on-time <= completed; positive feedback <= completed (delegates to
     :meth:`MetricsCollector.check_conservation`).
@@ -32,11 +31,11 @@ I7  Metric/pool agreement: received = finished + in-flight (only on
     servers that never adopt migrated tasks; disabled otherwise).
 I8  Worker table agreement: each registered profile's row of the
     Profiling Component's :class:`~repro.model.worker_table.WorkerTable`
-    equals the profile (flags, observation and assignment counts,
+    equals the profile's history (observation and assignment counts,
     location, per-category accuracy), the live rows enumerate the workers
-    in registration order, and the maintained available count is exact.
-    A direct write to a registered profile, bypassing the component,
-    shows up here.
+    in registration order, and the maintained free count is exact.  A
+    direct write to a registered profile, bypassing the component, shows
+    up here.
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
                     f"I1: task {task_id} in pool {pool_name} has phase {task.phase}"
                 )
 
-    # I2/I3 — assigned tasks vs. workers.
-    actively_claimed: dict[int, int] = {}
+    # I2 — assigned tasks vs. workers.
     for task in tm.assigned_tasks():
         worker_id = task.assigned_worker
         if worker_id is None:
@@ -93,35 +91,31 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
             raise InvariantViolation(
                 f"I2: task {task.task_id} assigned to unregistered worker {worker_id}"
             )
-        profile = server.profiling.get(worker_id)
-        if profile.current_task == task.task_id:
-            if worker_id in actively_claimed:
-                raise InvariantViolation(
-                    f"I3: worker {worker_id} actively claims tasks "
-                    f"{actively_claimed[worker_id]} and {task.task_id}"
-                )
-            actively_claimed[worker_id] = task.task_id
 
-    # I4/I5 — profile-side consistency.
+    # I3/I4 — each worker's current task.
+    claimed_by: dict[int, int] = {}
     for profile in server.profiling:
-        if profile.current_task is not None:
-            try:
-                task = tm.get(profile.current_task)
-            except KeyError:
-                raise InvariantViolation(
-                    f"I4: worker {profile.worker_id} references unknown task "
-                    f"{profile.current_task}"
-                ) from None
-            if task.phase is not TaskPhase.ASSIGNED or task.assigned_worker != profile.worker_id:
-                raise InvariantViolation(
-                    f"I4: worker {profile.worker_id} claims task {task.task_id} "
-                    f"(phase={task.phase}, assigned_worker={task.assigned_worker})"
-                )
-            if profile.available:
-                raise InvariantViolation(
-                    f"I5: worker {profile.worker_id} is available while on task "
-                    f"{profile.current_task}"
-                )
+        worker_id = profile.worker_id
+        task_id = server.profiling.current_task(worker_id)
+        if task_id is None:
+            continue
+        if task_id in claimed_by:
+            raise InvariantViolation(
+                f"I3: task {task_id} is the current task of workers "
+                f"{claimed_by[task_id]} and {worker_id}"
+            )
+        claimed_by[task_id] = worker_id
+        try:
+            task = tm.get(task_id)
+        except KeyError:
+            raise InvariantViolation(
+                f"I4: worker {worker_id} references unknown task {task_id}"
+            ) from None
+        if task.phase is not TaskPhase.ASSIGNED or task.assigned_worker != worker_id:
+            raise InvariantViolation(
+                f"I4: worker {worker_id} claims task {task_id} "
+                f"(phase={task.phase}, assigned_worker={task.assigned_worker})"
+            )
 
     # I6 — metric self-consistency.
     try:

@@ -245,11 +245,7 @@ class SchedulingComponent:
             # A worker may have gone offline (churn) or left this region
             # (split migration) while the matcher ran; his matched task
             # silently rejoins the queue.
-            if (
-                not worker.online
-                or not worker.available
-                or worker.worker_id not in self._profiles
-            ):
+            if not self._profiles.is_free(worker.worker_id):
                 self._tasks.return_unmatched(task)
                 continue
             self._tasks.commit_assignment(task, worker.worker_id, now)

@@ -58,8 +58,6 @@ class RecruiterStats:
 class _Managed:
     """Recruiter-side state of one recruited worker."""
 
-    profile: WorkerProfile
-    behavior: WorkerBehavior
     #: currently dispatched by the pool (outstanding) — never patience-culled.
     pooled: bool
     #: first sweep time at which the worker was observed idle (walk-ins only).
@@ -158,7 +156,7 @@ class RetainerRecruiter:
         profile, behavior = pair
         self.stats.arrived += 1
         self._server.add_worker(profile, behavior)
-        managed = _Managed(profile=profile, behavior=behavior, pooled=False)
+        managed = _Managed(pooled=False)
         self._managed[profile.worker_id] = managed
         if (
             onto_retainer
@@ -232,8 +230,7 @@ class RetainerRecruiter:
         backlog = self._server.task_management.unassigned_count
         departures: List[int] = []
         for worker_id, managed in self._managed.items():
-            profile = managed.profile
-            if not profile.online or not profile.available or profile.current_task is not None:
+            if not self._server.profiling.is_free(worker_id):
                 # Busy (or still held/dispatching): no idle clock runs.
                 managed.idle_since = None
                 continue
@@ -253,21 +250,21 @@ class RetainerRecruiter:
             self._depart(worker_id)
 
     def _depart(self, worker_id: int) -> None:
-        managed = self._managed.pop(worker_id)
+        del self._managed[worker_id]  # the human left the marketplace
         self.stats.patience_departures += 1
         self._tracer.instant(
             "marketplace.departure", cat="retainer", worker_id=worker_id
         )
         if worker_id in self._server.profiling:
             self._server.remove_worker(worker_id)
-        del managed  # dropped from tracking; the human left the marketplace
 
     # ------------------------------------------------------------ queries
     def _walkin_count(self) -> int:
+        profiling = self._server.profiling
         return sum(
             1
-            for m in self._managed.values()
-            if not m.pooled and m.profile.online
+            for worker_id, m in self._managed.items()
+            if not m.pooled and profiling.is_online(worker_id)
         )
 
 

@@ -21,8 +21,8 @@ Endpoints (all JSON unless noted)::
     POST /workers                    register {worker_id?, latitude?,
                                      longitude?} -> 201 {worker_id}
     POST /workers/<id>/heartbeat     keep-alive -> 200 {assignment: ...|null}
-    POST /workers/<id>/answer        {task_id} -> 200 completed /
-                                     409 stale / 404 unknown
+    POST /workers/<id>/answer        {task_id, generation} -> 200 completed
+                                     / 409 stale / 404 unknown
     POST /workers/<id>/deregister    -> 200
     GET  /healthz                    liveness (always 200 while serving)
     GET  /readyz                     503 once draining, else 200
@@ -394,10 +394,9 @@ class ServiceGateway:
                 {"error": f"unknown worker {worker_id}"}, status=404
             )
         body = self._body_dict(request)
-        if "task_id" not in body:
-            raise BadRequest("answer requires task_id")
-        task_id = _int_value(body["task_id"], "task_id")
-        outcome = server.submit_answer(worker_id, task_id)
+        task_id = _int_value(body.get("task_id"), "task_id")
+        generation = _int_value(body.get("generation"), "generation")
+        outcome = server.submit_answer(worker_id, task_id, generation)
         if outcome.completed:
             self.completed += 1
             task = server.task_management.get(task_id)

@@ -252,12 +252,15 @@ async def run_loadgen(config: LoadgenConfig) -> LoadReport:
                     await asyncio.sleep(config.heartbeat_interval)
                     continue
                 task_id = int(assignment["task_id"])  # type: ignore[index]
+                generation = int(assignment["generation"])  # type: ignore[index]
                 work = float(
                     worker_rng.uniform(config.work_time_min, config.work_time_max)
                 )
                 await asyncio.sleep(work)
                 status, body = await client.request(
-                    "POST", f"/workers/{worker_id}/answer", {"task_id": task_id}
+                    "POST",
+                    f"/workers/{worker_id}/answer",
+                    {"task_id": task_id, "generation": generation},
                 )
                 if status == 200:
                     report.completed += 1

@@ -95,7 +95,8 @@ class TimelineRecorder:
         server = self._server
         metrics = server.metrics
         available = server.profiling.available_count
-        total_online = sum(1 for p in server.profiling if p.online)
+        table = server.profiling.table
+        total_online = int(table.online[: table.size].sum())
         self.timeline.samples.append(
             TimelineSample(
                 time=now,

@@ -104,10 +104,11 @@ class ChurnProcess:
         state: _WorkerChurnState = event.payload
         if not state.online:  # pragma: no cover - defensive
             return
-        if state.profile.current_task is not None:
+        worker_id = state.profile.worker_id
+        if self._server.profiling.current_task(worker_id) is not None:
             self.stats.tasks_disrupted += 1
-        if state.profile.worker_id in self._server.profiling:
-            self._server.remove_worker(state.profile.worker_id)
+        if worker_id in self._server.profiling:
+            self._server.remove_worker(worker_id)
         state.online = False
         self.stats.departures += 1
         self._schedule_return(state)
@@ -119,9 +120,6 @@ class ChurnProcess:
         if state.online:  # pragma: no cover - defensive
             return
         # The same human comes back: profile (and its history) is reused.
-        state.profile.online = True
-        state.profile.available = True
-        state.profile.current_task = None
         self._server.add_worker(state.profile, state.behavior)
         state.online = True
         self.stats.returns += 1

@@ -5,12 +5,12 @@ walk-away time while T1 stays platform-side ASSIGNED (§IV-B semantics).
 If the scheduler then hands him a newer task T2 *before* the Eq. 2 sweep
 (or a blackout orphaning pass) finally withdraws T1, the withdrawal used
 to blindly ``release()`` him — kicking the worker off T2, marking him
-available while T2 is still assigned to him (an I5 violation one hop
-later), and letting the matcher double-book him.
+free while T2 is still assigned to him, and letting the matcher
+double-book him.
 
 The fix threads the withdrawn task's id through
-``ProfilingComponent.record_withdrawal``; the worker's availability is
-only touched when his profile still claims that very task.  Injected
+``ProfilingComponent.record_withdrawal``; the worker is only released
+when his worker-table row still claims that very task.  Injected
 matcher stalls widen the race window (T1 sits ASSIGNED longer while the
 worker is already re-matched), so the integration half of this module
 drives exactly that scenario under a 1-second invariant audit.
@@ -29,7 +29,7 @@ def _abandoner_rematched_to_newer_task() -> tuple[ProfilingComponent, WorkerProf
     profile = WorkerProfile(worker_id=7)
     component.register(profile)
     component.record_assignment(7, task_id=1)
-    profile.release()  # sampled walk-away: freed without returning a result
+    component.release(7)  # sampled walk-away: freed without returning a result
     component.record_assignment(7, task_id=2)
     return component, profile
 
@@ -40,22 +40,21 @@ def test_stale_withdrawal_leaves_worker_on_newer_task():
     # The Eq. 2 sweep finally pulls T1 back and *names* it.
     component.record_withdrawal(7, elapsed=42.0, task_id=1)
 
-    assert profile.current_task == 2, "withdrawal of T1 must not touch T2"
-    assert not profile.available, "worker is still executing T2"
+    assert component.current_task(7) == 2, "withdrawal of T1 must not touch T2"
+    assert not component.is_free(7), "worker is still executing T2"
     assert 42.0 in profile.execution_times, "censored hold is still recorded"
 
 
 def test_current_task_withdrawal_still_releases():
     """The guard only filters *stale* withdrawals, not live ones."""
     component = ProfilingComponent()
-    profile = WorkerProfile(worker_id=3)
-    component.register(profile)
+    component.register(WorkerProfile(worker_id=3))
     component.record_assignment(3, task_id=9)
 
     component.record_withdrawal(3, elapsed=10.0, task_id=9)
 
-    assert profile.current_task is None
-    assert profile.available
+    assert component.current_task(3) is None
+    assert component.is_free(3)
 
 
 def test_no_double_booking_under_stall_and_abandonment():
@@ -64,7 +63,8 @@ def test_no_double_booking_under_stall_and_abandonment():
     A matcher stall keeps withdrawn-but-assigned tasks in flight longer
     while an abandonment wave manufactures exactly the abandon -> re-match
     -> late-withdrawal interleaving; the run's 1-second audit grid checks
-    I1-I7 (including the I3/I5 double-booking invariants) throughout.
+    every invariant (including I3/I4 on each worker's current task)
+    throughout.
     """
     config = ChaosConfig(
         n_workers=30, arrival_rate=0.8, n_tasks=120, drain_time=250.0, seed=31

@@ -124,7 +124,7 @@ def _register(population):
 def _assert_same_build(case, component, builder, reference):
     tasks, now = case["tasks"], case["now"]
     rows = component.table.rows(component.available_workers())
-    profiles = [p for p in component if p.online and p.available]
+    profiles = [p for p in component if component.is_free(p.worker_id)]
     assert rows.profiles.tolist() == profiles  # registration order, returns last
 
     graph, report = builder.build(rows, tasks, now)
@@ -167,12 +167,10 @@ def test_columnar_build_matches_per_worker_walk(case):
 
     # Histories grow between batches: the stale rows must be refitted.
     for worker_id, duration in case["later"]:
-        profile = component.get(worker_id)
-        if profile.current_task is None:
+        task_id = component.current_task(worker_id)
+        if task_id is None:
             component.record_completion(worker_id, duration, CATEGORIES[0], duration < 20.0)
         else:
-            component.record_withdrawal(
-                worker_id, elapsed=duration, task_id=profile.current_task
-            )
+            component.record_withdrawal(worker_id, elapsed=duration, task_id=task_id)
     assert profile_mismatches(component.table, list(component)) == []
     _assert_same_build(case, component, builder, reference)

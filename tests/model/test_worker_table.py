@@ -148,9 +148,15 @@ class TestAvailableCount:
 class TestDrift:
     def test_direct_profile_write_is_reported(self):
         component = _component(2)
-        component.get(1).online = False
+        component.get(1).assignment_count = 5
         problems = profile_mismatches(component.table, list(component))
-        assert any("online" in problem for problem in problems)
+        assert any("assignment_count" in problem for problem in problems)
+
+    def test_free_count_is_recounted_from_the_status_columns(self):
+        component = _component(2)
+        component.table.task[component.table.slot(1)] = 7  # bypasses the writers
+        problems = profile_mismatches(component.table, list(component))
+        assert any("n_available" in problem for problem in problems)
 
     def test_history_written_around_the_component_is_reported(self):
         component = _component(1)

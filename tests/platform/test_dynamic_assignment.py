@@ -129,7 +129,7 @@ def _abandoned_task(server, engine):
     assert server.inject_abandonment(task.task_id)
     engine.run(until=engine.now)
     assert task.phase is TaskPhase.ASSIGNED
-    assert server.profiling.get(0).available
+    assert server.profiling.is_free(0)
     return task
 
 
@@ -205,7 +205,6 @@ class TestSweepHardCases:
         # Nobody to evaluate the row against while he is away.
         assert server.dynamic_assignment.withdrawals == []
         assert task.phase is TaskPhase.ASSIGNED and task.assigned_worker == 0
-        profile.online = True
         server.add_worker(profile, behavior)
         engine.run(until=31.0)
         assert [

@@ -64,22 +64,25 @@ class TestViolationsDetected:
         with pytest.raises(InvariantViolation, match="I2"):
             check_server_invariants(server)
 
+    def test_i3_task_claimed_by_two_workers(self):
+        engine, server = build_server(n_workers=2)
+        task = submit(server, engine, deadline=600.0)
+        engine.run(until=1.0)
+        assert task.assigned_worker == 0
+        _corrupt_task_cell(server, 1, task.task_id)
+        with pytest.raises(InvariantViolation, match="I3"):
+            check_server_invariants(server)
+
     def test_i4_stale_profile_reference(self):
         engine, server = build_server(n_workers=2)
         submit(server, engine, deadline=600.0)
         engine.run(until=1.0)
-        busy = next(p for p in server.profiling if p.current_task is not None)
-        busy.current_task = 9999
+        busy = next(
+            p.worker_id for p in server.profiling
+            if server.profiling.current_task(p.worker_id) is not None
+        )
+        _corrupt_task_cell(server, busy, 9999)
         with pytest.raises(InvariantViolation, match="I4"):
-            check_server_invariants(server)
-
-    def test_i5_available_with_task(self):
-        engine, server = build_server(n_workers=1)
-        submit(server, engine, deadline=600.0)
-        engine.run(until=1.0)
-        profile = server.profiling.get(0)
-        profile.available = True  # corrupt
-        with pytest.raises(InvariantViolation, match="I5"):
             check_server_invariants(server)
 
     def test_i6_metric_corruption(self):
@@ -104,7 +107,7 @@ class TestViolationsDetected:
         submit(server, engine, deadline=600.0)
         engine.run(until=1.0)
         check_server_invariants(server)
-        server.profiling.get(2).online = False  # bypasses the Profiling Component
+        server.profiling.get(2).latitude += 1.0  # bypasses the Profiling Component
         with pytest.raises(InvariantViolation, match="I8"):
             check_server_invariants(server)
 
@@ -138,7 +141,7 @@ class TestMonitor:
         InvariantMonitor(engine, server, period=1.0).start()
         submit(server, engine, deadline=600.0)
         engine.run(until=0.5)
-        server.profiling.get(0).available = True  # corrupt mid-run
+        _corrupt_task_cell(server, 0, 9999)  # mid-run
         with pytest.raises(InvariantViolation):
             engine.run(until=2.0)
 
@@ -147,3 +150,9 @@ class TestMonitor:
         monitor = InvariantMonitor(engine, server).start()
         with pytest.raises(RuntimeError):
             monitor.start()
+
+
+def _corrupt_task_cell(server, worker_id, task_id):
+    """Write a worker's current-task cell around the Profiling Component."""
+    table = server.profiling.table
+    table.task[table.slot(worker_id)] = task_id

@@ -44,11 +44,11 @@ class TestAvailability:
         component.record_assignment(1, task_id=10)
         assert _available_ids(component) == [0, 2]
         assert component.available_count == 2
-        assert not component.get(1).available
+        assert not component.is_free(1)
 
     def test_offline_excluded(self, component):
         component.set_online(0, False)
-        assert not component.get(0).online
+        assert not component.is_online(0) and not component.is_free(0)
         assert _available_ids(component) == [1, 2]
         assert component.available_count == 2
 
@@ -60,7 +60,7 @@ class TestCompletionRecording:
             1, execution_time=5.0, category=TaskCategory.GENERIC, positive_feedback=True
         )
         profile = component.get(1)
-        assert profile.available
+        assert component.is_free(1)
         assert profile.completed_tasks == 1
         assert profile.accuracy(TaskCategory.GENERIC) == 1.0
 
@@ -79,12 +79,12 @@ class TestWithdrawal:
         profile = component.get(1)
         assert profile.censored_observations == 1
         assert profile.execution_times == [42.0]
-        assert profile.current_task is None
+        assert component.current_task(1) is None
 
     def test_withdrawal_with_release(self, component):
         component.record_assignment(1, task_id=10)
         component.record_withdrawal(1, task_id=10, elapsed=42.0)
-        assert component.get(1).available
+        assert component.is_free(1)
         assert component.available_count == 3
 
 
@@ -95,27 +95,42 @@ class TestExpiry:
         profile = component.get(1)
         assert profile.execution_times == [60.0]
         assert profile.censored_observations == 1
-        assert profile.current_task is None
+        assert component.current_task(1) is None
 
     def test_expiry_with_release(self, component):
         component.record_assignment(1, task_id=10)
         component.record_expiry(1, task_id=10, elapsed=60.0)
-        assert component.get(1).available
+        assert component.is_free(1)
         assert component.available_count == 3
 
     def test_expiry_of_a_task_the_worker_no_longer_holds_records_nothing(self, component):
         # He walked away from task 10 and was re-matched to task 11.
         component.record_assignment(1, task_id=10)
-        component.get(1).release()
+        component.release(1)
         component.record_assignment(1, task_id=11)
         component.record_expiry(1, task_id=10, elapsed=60.0)
-        profile = component.get(1)
-        assert profile.execution_times == []
-        assert profile.current_task == 11
-        assert not profile.available
+        assert component.get(1).execution_times == []
+        assert component.current_task(1) == 11
+        assert not component.is_free(1)
 
     def test_expiry_for_a_departed_worker_is_a_noop(self, component):
         component.record_expiry(999, task_id=10, elapsed=60.0)
+
+
+class TestStatusReads:
+    def test_unregistered_worker_is_neither_busy_nor_free(self, component):
+        component.record_assignment(1, task_id=10)
+        component.deregister(1)
+        assert component.current_task(1) is None
+        assert not component.is_free(1) and not component.is_online(1)
+
+    def test_returning_worker_starts_online_and_free(self, component):
+        component.record_assignment(1, task_id=10)
+        component.set_online(1, False)
+        profile = component.deregister(1)
+        component.register(profile)
+        assert component.is_free(1)
+        assert profile.assignment_count == 1  # history outlives the registration
 
 
 class TestProfileHooks:

@@ -101,7 +101,7 @@ class TestDawdlersAndReassignment:
         submit(server, engine, deadline=600.0)
         engine.run(until=40.0)
         # worker walked away at 30 s: free again, task still "assigned"
-        assert server.profiling.get(0).available
+        assert server.profiling.is_free(0)
         assert server.task_management.assigned_count == 1
 
     def test_withdrawal_records_censored_history(self):

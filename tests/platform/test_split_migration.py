@@ -75,7 +75,7 @@ class TestSplitMechanics:
         # the high-latitude worker belongs to the new (upper) half
         assert 1 in new_server.profiling
         assert 0 in original.profiling
-        assert new_server.profiling.get(1).online
+        assert new_server.profiling.is_free(1)
 
     def test_busy_workers_stay_on_old_server(self):
         engine, coordinator = _coordinator(overload_limit=10)
@@ -85,7 +85,7 @@ class TestSplitMechanics:
         coordinator.submit_task(_task(9.0, 5.0))
         original.scheduling.periodic_trigger(engine.now)
         engine.run(until=1.0)  # worker now busy
-        assert not original.profiling.get(1).available
+        assert original.profiling.current_task(1) is not None
         for _ in range(11):
             coordinator.submit_task(_task(1.0, 5.0))
         # the point load cascades (all tasks land in one ever-smaller half),

@@ -64,7 +64,7 @@ class TestDispatchAndAnswer:
         assert server.heartbeat(1) is None
 
         engine.run(until=5.0)
-        outcome = server.submit_answer(1, task.task_id)
+        outcome = server.submit_answer(1, task.task_id, notice.generation)
         assert outcome.completed and outcome.met_deadline
         assert task.phase is TaskPhase.COMPLETED
         assert server.in_flight == 0
@@ -80,7 +80,7 @@ class TestDispatchAndAnswer:
         server.submit_task(first)
         engine.run(until=1.0)
         assert server.heartbeat(1).task_id == first.task_id
-        server.submit_answer(1, first.task_id)
+        server.submit_answer(1, first.task_id, 1)
         # The completion's maybe_trigger matches queued work to the freed
         # worker on the next engine step.
         server.submit_task(second)
@@ -92,22 +92,22 @@ class TestDispatchAndAnswer:
         register(server)
         task = make_task()
         server.submit_task(task)
-        assert server.submit_answer(99, task.task_id).status == "unknown_worker"
-        assert server.submit_answer(1, 10_000_000).status == "unknown_task"
+        assert server.submit_answer(99, task.task_id, 1).status == "unknown_worker"
+        assert server.submit_answer(1, 10_000_000, 1).status == "unknown_task"
 
 
 class TestRunningExpiry:
     def test_expiry_withdraws_and_releases_the_worker(self):
         engine, server = build_live_server()
-        profile = register(server)
+        register(server)
         task = make_task(deadline=2.0)
         server.submit_task(task)
         engine.run(until=1.0)
-        assert profile.current_task == task.task_id
+        assert server.profiling.current_task(1) == task.task_id
         # The worker never polls; the deadline lapses with the task out.
         engine.run(until=10.0)
         assert task.phase is not TaskPhase.ASSIGNED
-        assert profile.current_task is None
+        assert server.profiling.current_task(1) is None
         assert server.metrics.expiry_returns == 1
         # The undelivered notice died with the assignment.
         assert server.heartbeat(1) is None
@@ -121,7 +121,7 @@ class TestRunningExpiry:
         notice = server.heartbeat(1)
         assert notice is not None
         engine.run(until=10.0)  # deadline passes while the worker dawdles
-        outcome = server.submit_answer(1, task.task_id)
+        outcome = server.submit_answer(1, task.task_id, notice.generation)
         assert outcome.status == "stale"
         assert not outcome.completed
         assert server.metrics.summary()["completed"] == 0
@@ -169,7 +169,7 @@ class TestTaskStatus:
         assert status["phase"] in ("unassigned", "assigned")
         assert status["met_deadline"] is None
         engine.run(until=1.0)
-        server.submit_answer(1, task.task_id)
+        server.submit_answer(1, task.task_id, 1)
         status = server.task_status(task.task_id)
         assert status["phase"] == "completed"
         assert status["met_deadline"] is True

@@ -88,7 +88,9 @@ class TestHttpSurface:
                 assert assignment["generation"] == 1
 
                 status, body = await client.request(
-                    "POST", f"/workers/{worker_id}/answer", {"task_id": task_id}
+                    "POST",
+                    f"/workers/{worker_id}/answer",
+                    {"task_id": task_id, "generation": assignment["generation"]},
                 )
                 assert status == 200
                 assert body == {"status": "completed", "met_deadline": True}
@@ -111,6 +113,34 @@ class TestHttpSurface:
                     "POST", f"/workers/{worker_id}/heartbeat"
                 )
                 assert status == 404
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        run_async(main())
+
+    def test_answer_to_an_old_generation_is_stale(self):
+        async def main():
+            gateway = await boot()
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                status, body = await client.request("POST", "/workers", {})
+                worker_id = body["worker_id"]
+                status, body = await client.request(
+                    "POST", "/tasks", {"deadline": 90.0}
+                )
+                task_id = body["task_id"]
+                assignment = await poll_for_assignment(client, worker_id)
+                generation = assignment["generation"]
+                path = f"/workers/{worker_id}/answer"
+                status, body = await client.request(
+                    "POST", path, {"task_id": task_id, "generation": generation - 1}
+                )
+                assert (status, body) == (409, {"status": "stale"})
+                status, body = await client.request(
+                    "POST", path, {"task_id": task_id, "generation": generation}
+                )
+                assert status == 200 and body["status"] == "completed"
             finally:
                 await client.close()
                 await gateway.stop()
@@ -157,6 +187,15 @@ class TestHttpSurface:
                     "POST", "/workers/5/answer", {}
                 )
                 assert status == 400  # answer requires task_id
+                status, body = await client.request(
+                    "POST", "/workers/5/answer", {"task_id": 1}
+                )
+                assert status == 400  # and the generation it answers
+                assert "generation" in body["error"]
+                status, _ = await client.request(
+                    "POST", "/workers/5/answer", {"task_id": 1, "generation": "1"}
+                )
+                assert status == 400
             finally:
                 await client.close()
                 await gateway.stop()

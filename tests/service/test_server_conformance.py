@@ -66,11 +66,19 @@ class Harness:
     def run(self, until):
         self.engine.run(until=until)
 
+    def current_task(self, worker_id):
+        return self.server.profiling.current_task(worker_id)
+
+    def is_free(self, worker_id):
+        return self.server.profiling.is_free(worker_id)
+
     def _answer_later(self, notice):
         def answer(_event):
             if notice.worker_id in self.server.profiling:
                 self.server.heartbeat(notice.worker_id)
-                self.server.submit_answer(notice.worker_id, notice.task_id)
+                self.server.submit_answer(
+                    notice.worker_id, notice.task_id, notice.generation
+                )
 
         delay = self.durations[notice.worker_id]
         self.engine.schedule(delay, EventKind.CALLBACK, answer)
@@ -90,21 +98,22 @@ def test_assignment_to_completion(harness):
     profile = harness.add_worker(1, duration=3.0)
     task = harness.submit(deadline=60.0)
     harness.run(until=1.0)
-    assert task.phase is TaskPhase.ASSIGNED and not profile.available
+    assert task.phase is TaskPhase.ASSIGNED and not harness.is_free(1)
     harness.run(until=30.0)
     assert task.phase is TaskPhase.COMPLETED and task.met_deadline
     metrics = harness.server.metrics
     assert metrics.completed == metrics.completed_on_time == 1
     assert metrics.positive_feedbacks == 1
     assert profile.execution_times == [pytest.approx(3.0)]
-    assert profile.available and profile.current_task is None
+    assert harness.is_free(1) and harness.current_task(1) is None
     metrics.check_conservation()
 
 
 def test_running_expiry_withdraws_censors_and_requeues(delivery):
     # With assign_expired and no Eq. 3 pruning the returned, now late task is
     # matchable again.  The expiry releases worker 1, so the requeued task
-    # goes straight back to him, the only worker.
+    # goes straight back to him, the only worker.  His result for the first
+    # assignment (due at 100) is stale; the second one's lands at 110.
     harness = Harness(delivery, assign_expired=True, use_probabilistic_model=False)
     slow = harness.add_worker(1, duration=100.0)
     task = harness.submit(deadline=10.0)
@@ -113,12 +122,14 @@ def test_running_expiry_withdraws_censors_and_requeues(delivery):
     assert slow.censored_observations == 1
     assert slow.execution_times == [pytest.approx(10.0)]
     assert task.assigned_worker == 1 and task.assignments == 2
-    assert slow.current_task == task.task_id and not slow.available
+    assert harness.current_task(1) == task.task_id and not harness.is_free(1)
     harness.run(until=200.0)
     assert task.phase is TaskPhase.COMPLETED and not task.met_deadline
+    assert task.completed_at == pytest.approx(110.0)
     assert harness.server.metrics.completed == 1
     assert harness.server.metrics.expiry_returns == 1
-    assert slow.available and slow.censored_observations == 1
+    assert harness.is_free(1) and slow.censored_observations == 1
+    assert slow.execution_times == [pytest.approx(10.0), pytest.approx(100.0)]
     harness.server.metrics.check_conservation()
 
 
@@ -146,9 +157,9 @@ def test_stale_completion_frees_without_credit(delivery):
     harness.run(until=20.0)
     # Withdrawn at the deadline; the worker was released at once.
     assert task.phase is not TaskPhase.ASSIGNED
-    assert profile.current_task is None and profile.available
+    assert harness.current_task(1) is None and harness.is_free(1)
     harness.run(until=40.0)  # his result for the withdrawn task arrives at 30
-    assert profile.available
+    assert harness.is_free(1)
     assert profile.execution_times == [pytest.approx(10.0)]  # censored only
     assert harness.server.metrics.completed == 0
     harness.server.metrics.check_conservation()

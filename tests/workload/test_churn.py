@@ -37,6 +37,7 @@ class TestSessions:
         engine.run(until=300.0)
         online = {wid for wid, state in churn._states.items() if state.online}
         assert online == {profile.worker_id for profile in server.profiling}
+        assert all(server.profiling.is_online(wid) for wid in online)
 
     def test_departed_worker_leaves_registry(self):
         engine, server, churn = _churned_server(n_workers=1, mean_session=5.0,

@@ -77,6 +77,11 @@ class TestDriver:
             "endtoend_obs_overhead",
             "scalability_parallel",
         }
+        graph_build = next(r for r in platform if r["bench"] == "graph_build")
+        # The §V-C batch shape: 350 of the 750 registered workers are busy,
+        # so each build reads 400 rows.
+        assert graph_build["params"]["registered"] == 750
+        assert graph_build["params"]["available"] == 400
         parallel = next(
             r for r in platform if r["bench"] == "scalability_parallel"
         )

@@ -10,11 +10,20 @@ CPython speed:
   fancy-index (O(cycles)) and read them from plain lists (~20 ns per access
   versus ~100+ ns for NumPy scalar indexing);
 * a matched edge's endpoints and weight are carried in the per-vertex state
-  (``worker_edge_task``, ``worker_edge_w``, …), so conflict eviction needs
-  no random access into the edge arrays at all;
-* state lives in a ``bytearray`` / plain lists, ``math.exp`` is hoisted to a
-  local, and the per-cycle stream is consumed through one ``zip`` unpack
-  instead of five indexed list reads.
+  (``worker_edge_task``, ``worker_w``, …), so conflict eviction needs no
+  random access into the edge arrays at all;
+* in :func:`wbgm_accept_loop` an unmatched vertex carries the weight
+  :data:`UNMATCHED` (``-1.0``).  Graph weights are finite and non-negative
+  (:class:`~repro.graph.bipartite.BipartiteGraph` rejects anything else),
+  so ``w <= worker_w[wi] or w <= task_w[tj]`` is true exactly when a matched
+  edge at an endpoint weighs at least ``w``: a rejected conflicting
+  addition, or a flip of the matched edge itself (the removal test).  Most
+  cycles of a dense batch are rejections and cost that one test; the
+  selection mask is gone because ``worker_edge[wi] == e`` says whether
+  ``e`` is matched, and ``rejected`` is the cycles nothing accepted;
+* state lives in plain lists (a ``bytearray`` mask for Metropolis),
+  ``math.exp`` is hoisted to a local, and the per-cycle stream is consumed
+  through one ``zip`` unpack instead of five indexed list reads.
 
 ``ndarray.tolist()`` preserves exact float64 values and ``math.exp`` of the
 same double yields the same double, so every comparison sees identical bits;
@@ -39,6 +48,10 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .reference import NO_EDGE
+
+#: Matched-edge weight of an unmatched vertex in :func:`wbgm_accept_loop`;
+#: below every valid (non-negative) edge weight.
+UNMATCHED = -1.0
 
 
 def _matched_indices(worker_edge: list) -> np.ndarray:
@@ -78,58 +91,50 @@ def wbgm_accept_loop(
     )
     exp = math.exp
 
-    selected = bytearray(len(wt))
+    # Matched-edge weight per vertex, UNMATCHED while the vertex is free.
     worker_edge = [NO_EDGE] * n_workers
     worker_edge_task = [NO_EDGE] * n_workers
-    worker_edge_w = [0.0] * n_workers
+    worker_w = [UNMATCHED] * n_workers
     task_edge = [NO_EDGE] * n_tasks
     task_edge_worker = [NO_EDGE] * n_tasks
-    task_edge_w = [0.0] * n_tasks
+    task_w = [UNMATCHED] * n_tasks
 
-    accepted_add = accepted_evict = accepted_remove = rejected = 0
+    accepted_add = accepted_evict = accepted_remove = 0
 
-    for e, wi, tj, w_new, alpha in stream:
-        if selected[e]:
-            # Flip removes edge e: g(x') = g - w_e <= g.
-            if w_new <= 0.0 or alpha <= exp(-w_new * inv_k):
-                selected[e] = 0
+    for e, wi, tj, w, alpha in stream:
+        if w <= worker_w[wi] or w <= task_w[tj]:
+            # A matched edge at either endpoint weighs at least w: a
+            # conflicting addition is rejected, unless e is that edge, in
+            # which case the flip is a removal, g(x') = g - w <= g.
+            if worker_edge[wi] == e and (w <= 0.0 or alpha <= exp(-w * inv_k)):
                 worker_edge[wi] = NO_EDGE
                 task_edge[tj] = NO_EDGE
+                worker_w[wi] = task_w[tj] = UNMATCHED
                 accepted_remove += 1
-            else:
-                rejected += 1
             continue
 
+        # Addition of an unmatched edge that outweighs every matched edge it
+        # collides with (at most two): evict them, or add conflict-free.
         conflict_w = worker_edge[wi]
         conflict_t = task_edge[tj]
         if conflict_w == NO_EDGE and conflict_t == NO_EDGE:
-            # Conflict-free addition: always accept (non-negative weights).
             accepted_add += 1
         else:
-            # Conflict branch: accept only if the new edge outweighs every
-            # matched edge it collides with (at most two, found by lookup).
-            if conflict_w != NO_EDGE and worker_edge_w[wi] >= w_new:
-                rejected += 1
-                continue
-            if conflict_t != NO_EDGE and task_edge_w[tj] >= w_new:
-                rejected += 1
-                continue
             if conflict_w != NO_EDGE:
-                selected[conflict_w] = 0
-                task_edge[worker_edge_task[wi]] = NO_EDGE
-                worker_edge[wi] = NO_EDGE
+                evicted_task = worker_edge_task[wi]
+                task_edge[evicted_task] = NO_EDGE
+                task_w[evicted_task] = UNMATCHED
             if conflict_t != NO_EDGE:
-                selected[conflict_t] = 0
-                worker_edge[task_edge_worker[tj]] = NO_EDGE
-                task_edge[tj] = NO_EDGE
+                evicted_worker = task_edge_worker[tj]
+                worker_edge[evicted_worker] = NO_EDGE
+                worker_w[evicted_worker] = UNMATCHED
             accepted_evict += 1
-        selected[e] = 1
         worker_edge[wi] = e
         worker_edge_task[wi] = tj
-        worker_edge_w[wi] = w_new
+        worker_w[wi] = w
         task_edge[tj] = e
         task_edge_worker[tj] = wi
-        task_edge_w[tj] = w_new
+        task_w[tj] = w
 
     # ``task_edge_worker`` entries are only authoritative while the task's
     # ``task_edge`` slot is occupied (removal leaves them stale on purpose).
@@ -142,7 +147,7 @@ def wbgm_accept_loop(
         "accepted_add": accepted_add,
         "accepted_evict": accepted_evict,
         "accepted_remove": accepted_remove,
-        "rejected": rejected,
+        "rejected": len(picks) - accepted_add - accepted_evict - accepted_remove,
     }
     return _matched_indices(worker_edge), task_assignment, stats
 

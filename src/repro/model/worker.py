@@ -19,11 +19,21 @@ Two views of a worker are deliberately kept separate, mirroring the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Protocol
 
 import numpy as np
 
 from .task import TaskCategory
+
+
+class UniformDraws(Protocol):
+    """Scalar ``random()``/``uniform()`` draws: a plain
+    :class:`numpy.random.Generator`, or the simulator's
+    :class:`~repro.sim.rng.BlockReader` serving the same values in blocks."""
+
+    def random(self) -> float: ...
+
+    def uniform(self, low: float, high: float) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -105,20 +115,22 @@ class WorkerBehavior:
                         f"quality for {category} must be in [0,1], got {q}"
                     )
 
-    def sample_outcome(self, rng: np.random.Generator) -> ExecutionDraw:
+    def sample_outcome(self, rng: UniformDraws) -> ExecutionDraw:
         """Draw one execution outcome.
 
         Nominal path (probability ``1 − delay_probability``):
         Uniform(min_time, max_time), result returned.  Delay path: either a
         slow finish Uniform(max_time, delay_cap), or an abandonment — the
         worker stays occupied until ``delay_cap`` and returns nothing.
+        Only ``random``/``uniform`` draws, so a
+        :class:`~repro.sim.rng.BlockReader` serves the same values.
         """
         if rng.random() < self.delay_probability:
             if rng.random() < self.abandon_probability:
                 return ExecutionDraw(duration=self.delay_cap, abandoned=True)
             floor = self.max_time if self.delay_floor is None else self.delay_floor
-            return ExecutionDraw(duration=float(rng.uniform(floor, self.delay_cap)))
-        return ExecutionDraw(duration=float(rng.uniform(self.min_time, self.max_time)))
+            return ExecutionDraw(duration=rng.uniform(floor, self.delay_cap))
+        return ExecutionDraw(duration=rng.uniform(self.min_time, self.max_time))
 
     def quality_for(self, category: Optional[TaskCategory]) -> float:
         """Latent quality on ``category`` tasks (heterogeneous extension).

@@ -34,7 +34,13 @@ from ..obs.trace import worker_track
 from ..sim.clock import EventClock
 from ..sim.events import Event, EventKind
 from ..sim.process import PeriodicProcess
-from ..sim.rng import STREAM_FEEDBACK, STREAM_MATCHER, STREAM_WORKER_BEHAVIOR, RngRegistry
+from ..sim.rng import (
+    STREAM_FEEDBACK,
+    STREAM_MATCHER,
+    STREAM_WORKER_BEHAVIOR,
+    BlockReader,
+    RngRegistry,
+)
 from ..stats.duration_models import make_family
 from ..stats.metrics import MetricsCollector, TaskOutcome
 from .cost import CostModel, PaperCalibratedCost
@@ -58,6 +64,10 @@ class _Execution:
     #: handle on the scheduled TASK_COMPLETION event, so chaos injection can
     #: cancel the sampled finish and replace it (mass-abandonment waves)
     completion_event: Optional[Event] = None
+    #: instant of the running expiry left unarmed because the sampled finish
+    #: comes first; armed there if chaos turns the execution into an
+    #: abandonment, which keeps the task ASSIGNED past that finish
+    skipped_expiry_at: Optional[float] = None
 
 
 class RegionServer:
@@ -284,23 +294,39 @@ class RegionServer:
             generation=task.assignments,
         )
         self.dynamic_assignment.track(task)
-        self._deliver(task, worker)
+        finish = self._deliver(task, worker)
         # AMT expiry semantics: if the deadline passes while the task is
         # still out with this worker, the platform pulls it back.  Only
         # armed when the deadline is still ahead — a task knowingly handed
-        # out late (traditional's assign_expired) runs to completion.
+        # out late (traditional's assign_expired) runs to completion — and
+        # when the delivery's known finish does not come first: a result
+        # that lands before the deadline leaves the expiry nothing to do.
+        # At equality the expiry is armed; event priority orders the two.
         if self.policy.expire_running_tasks:
-            remaining = task.absolute_deadline - self.engine.now
+            now = self.engine.now
+            remaining = task.absolute_deadline - now
             if remaining > 0:
-                self.engine.schedule(
-                    remaining,
-                    EventKind.CALLBACK,
-                    self._on_running_expiry,
-                    payload=(task.task_id, worker.worker_id, task.assignments),
-                )
+                expiry = (task.task_id, worker.worker_id, task.assignments)
+                if finish is None or finish >= remaining:
+                    self.engine.schedule(
+                        remaining, EventKind.CALLBACK, self._on_running_expiry,
+                        payload=expiry,
+                    )
+                else:
+                    self._skip_running_expiry(now + remaining, expiry)
 
-    def _deliver(self, task: Task, worker: WorkerProfile) -> None:
-        """Delivery hook: route a published assignment to its worker."""
+    def _deliver(self, task: Task, worker: WorkerProfile) -> Optional[float]:
+        """Delivery hook: route a published assignment to its worker.
+
+        Returns the delay until the worker's result lands, when the delivery
+        knows it; None when it does not (the result may never come).
+        """
+        raise NotImplementedError
+
+    def _skip_running_expiry(self, at: float, expiry: Tuple[int, int, int]) -> None:
+        """Delivery hook: the running expiry ``(task_id, worker_id,
+        generation)`` due at ``at`` was not armed, because the finish
+        :meth:`_deliver` returned comes first."""
         raise NotImplementedError
 
     def _record_completion(
@@ -511,7 +537,9 @@ class REACTServer(RegionServer):
             reward_ranges, resilience, budget,
         )
         self._behaviors: Dict[int, WorkerBehavior] = {}
-        self._behavior_rng = rng.stream(STREAM_WORKER_BEHAVIOR)
+        # Outcome draws are all random/uniform and this server is the
+        # stream's only consumer, so they are read a block at a time.
+        self._behavior_rng = BlockReader(rng.stream(STREAM_WORKER_BEHAVIOR))
         self._feedback = FeedbackModel(rng.stream(STREAM_FEEDBACK))
         #: live executions keyed by (task_id, generation stamp); a task can
         #: have two live executions at once (an abandoner's stale draw plus
@@ -542,8 +570,12 @@ class REACTServer(RegionServer):
         self._behaviors.pop(worker_id, None)
 
     # ------------------------------------------------------------- delivery
-    def _deliver(self, task: Task, worker: WorkerProfile) -> None:
-        """Draw the worker's true outcome and schedule its completion."""
+    def _deliver(self, task: Task, worker: WorkerProfile) -> Optional[float]:
+        """Draw the worker's true outcome and schedule its completion.
+
+        Returns the drawn duration once ``execution_hook`` has had its say,
+        or None for an abandonment: no result will land.
+        """
         behavior = self._behaviors[worker.worker_id]
         draw = behavior.sample_outcome(self._behavior_rng)
         execution = _Execution(
@@ -562,6 +594,11 @@ class REACTServer(RegionServer):
             payload=execution,
         )
         self._live[(execution.task_id, execution.generation)] = execution
+        return None if execution.abandoned else execution.duration
+
+    def _skip_running_expiry(self, at: float, expiry: Tuple[int, int, int]) -> None:
+        task_id, _worker_id, generation = expiry
+        self._live[(task_id, generation)].skipped_expiry_at = at
 
     def _on_completion(self, event: Event) -> None:
         execution: _Execution = event.payload
@@ -623,5 +660,15 @@ class REACTServer(RegionServer):
         execution.completion_event = self.engine.schedule(
             0.0, EventKind.TASK_COMPLETION, self._on_completion, payload=execution
         )
+        if execution.skipped_expiry_at is not None:
+            # No result will land now, so the deadline must pull it back:
+            # arm the skipped expiry at the instant it would have had.
+            self.engine.schedule_at(
+                execution.skipped_expiry_at,
+                EventKind.CALLBACK,
+                self._on_running_expiry,
+                payload=(task_id, execution.worker_id, execution.generation),
+            )
+            execution.skipped_expiry_at = None
         self.metrics.chaos_abandonments += 1
         return True

@@ -200,8 +200,11 @@ class LiveRegionServer(RegionServer):
         return self.task_management.in_flight
 
     # ------------------------------------------------------------- delivery
-    def _deliver(self, task: Task, worker: WorkerProfile) -> None:
-        """Park a dispatch notice for the worker's next heartbeat."""
+    def _deliver(self, task: Task, worker: WorkerProfile) -> Optional[float]:
+        """Park a dispatch notice for the worker's next heartbeat.
+
+        Returns None: when a live worker answers is not known in advance.
+        """
         notice = DispatchNotice(
             task_id=task.task_id,
             worker_id=worker.worker_id,
@@ -214,6 +217,7 @@ class LiveRegionServer(RegionServer):
         self._inbox[worker.worker_id] = notice
         if self._on_dispatch is not None:
             self._on_dispatch(notice)
+        return None
 
     # ------------------------------------------------------------- liveness
     def _cull_dead_workers(self, now: float) -> None:

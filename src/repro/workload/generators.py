@@ -6,6 +6,11 @@ Each generator produces :class:`~repro.model.task.Task` objects with the
 tasks pay less than $0.10, §II).  Domain flavours set the category, the
 coordinates and a human-readable description like the paper's examples
 ("Is road A highly congested?").
+
+Every draw a generator makes is ``random``/``uniform``, so it reads its
+stream through a :class:`~repro.sim.rng.BlockReader`: the same values as
+scalar ``Generator`` calls, a block at a time.  A generator therefore owns
+its stream; nothing else may draw from the generator it was given.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from ..model.region import Region
 from ..model.task import Task, TaskCategory
+from ..sim.rng import BlockReader
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,10 @@ class TaskGeneratorConfig:
 
 
 class TaskGenerator:
-    """Base generator: random deadline, reward and in-region location."""
+    """Base generator: random deadline, reward and in-region location.
+
+    ``rng`` becomes this generator's own stream (see the module docstring).
+    """
 
     category = TaskCategory.GENERIC
 
@@ -46,7 +55,7 @@ class TaskGenerator:
         config: Optional[TaskGeneratorConfig] = None,
         region: Optional[Region] = None,
     ) -> None:
-        self._rng = rng
+        self._rng = BlockReader(rng)
         self._config = config or TaskGeneratorConfig()
         self._region = region
 
@@ -54,8 +63,8 @@ class TaskGenerator:
         if self._region is None:
             return 0.0, 0.0
         return (
-            float(self._rng.uniform(self._region.lat_min, self._region.lat_max)),
-            float(self._rng.uniform(self._region.lon_min, self._region.lon_max)),
+            self._rng.uniform(self._region.lat_min, self._region.lat_max),
+            self._rng.uniform(self._region.lon_min, self._region.lon_max),
         )
 
     def describe(self, lat: float, lon: float) -> str:
@@ -67,8 +76,8 @@ class TaskGenerator:
         return Task(
             latitude=lat,
             longitude=lon,
-            deadline=float(self._rng.uniform(cfg.deadline_low, cfg.deadline_high)),
-            reward=float(self._rng.uniform(cfg.reward_low, cfg.reward_high)),
+            deadline=self._rng.uniform(cfg.deadline_low, cfg.deadline_high),
+            reward=self._rng.uniform(cfg.reward_low, cfg.reward_high),
             category=self.category,
             description=self.describe(lat, lon),
             submitted_at=submitted_at,
@@ -152,7 +161,7 @@ class CategoryMixGenerator(TaskGenerator):
         self._weights = list(weights) if weights is not None else None
 
     def _draw_category(self) -> TaskCategory:
-        u = float(self._rng.random())
+        u = self._rng.random()
         if self._weights is None:
             idx = min(int(u * len(self._categories)), len(self._categories) - 1)
             return self._categories[idx]
@@ -170,8 +179,8 @@ class CategoryMixGenerator(TaskGenerator):
         return Task(
             latitude=lat,
             longitude=lon,
-            deadline=float(self._rng.uniform(cfg.deadline_low, cfg.deadline_high)),
-            reward=float(self._rng.uniform(cfg.reward_low, cfg.reward_high)),
+            deadline=self._rng.uniform(cfg.deadline_low, cfg.deadline_high),
+            reward=self._rng.uniform(cfg.reward_low, cfg.reward_high),
             category=category,
             description=self.describe(lat, lon),
             submitted_at=submitted_at,

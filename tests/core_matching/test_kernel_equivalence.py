@@ -31,10 +31,26 @@ from repro.model.task import TaskCategory
 from repro.stats.duration_models import EmpiricalFamily
 
 
-def _edge_arrays(seed: int, n_workers: int, n_tasks: int, zero_frac: float):
-    """Full bipartite edge arrays with a sprinkling of zero weights."""
+#: Tie-heavy weight levels.  The kernels compare weights with ``<=`` and
+#: ``>=``, and continuous draws only tie at the zero sprinkle, so these
+#: levels make distinct edges of equal weight collide at shared vertices.
+TIE_LEVELS = (0.0, 0.25, 0.5, 1.0)
+#: Weight draws for the hypothesis classes: continuous, or tie-heavy levels.
+WEIGHT_LEVELS = st.sampled_from([None, TIE_LEVELS])
+
+
+def _edge_arrays(
+    seed: int, n_workers: int, n_tasks: int, zero_frac: float, levels=None
+):
+    """Full bipartite edge arrays with a sprinkling of zero weights.
+
+    ``levels`` draws every weight from that finite set instead of [0, 1).
+    """
     rng = np.random.default_rng(seed)
-    weights = rng.random((n_workers, n_tasks))
+    if levels is None:
+        weights = rng.random((n_workers, n_tasks))
+    else:
+        weights = rng.choice(np.asarray(levels), size=(n_workers, n_tasks))
     weights[rng.random((n_workers, n_tasks)) < zero_frac] = 0.0
     ew = np.repeat(np.arange(n_workers), n_tasks).astype(np.int64)
     et = np.tile(np.arange(n_tasks), n_workers).astype(np.int64)
@@ -95,13 +111,14 @@ class TestKernelBitEquivalence:
         cycles=st.integers(0, 1500),
         k_constant=st.sampled_from([0.05, 0.5, 5.0]),
         zero_frac=st.sampled_from([0.0, 0.1]),
+        levels=WEIGHT_LEVELS,
     )
     def test_matches_reference(
-        self, algorithm, seed, n_workers, n_tasks, cycles, k_constant, zero_frac
+        self, algorithm, seed, n_workers, n_tasks, cycles, k_constant, zero_frac, levels
     ):
         """Selected edges and stats, the contract both algorithms share."""
         kernel, oracle = _algorithms(kernels)[algorithm]
-        ew, et, wt = _edge_arrays(seed, n_workers, n_tasks, zero_frac)
+        ew, et, wt = _edge_arrays(seed, n_workers, n_tasks, zero_frac, levels)
         picks, alphas = _draws(seed ^ 0x5EED, len(wt), cycles)
         args = (ew, et, wt, n_workers, n_tasks, picks, alphas, 1.0 / k_constant)
         got, want = kernel(*args), oracle(*args)
@@ -135,12 +152,13 @@ class TestWbgmAcceptLoop:
         cycles=st.integers(0, 1500),
         k_constant=st.sampled_from([0.05, 0.5, 5.0]),
         zero_frac=st.sampled_from([0.0, 0.1]),
+        levels=WEIGHT_LEVELS,
     )
     def test_matches_reference(
-        self, impl, seed, n_workers, n_tasks, cycles, k_constant, zero_frac
+        self, impl, seed, n_workers, n_tasks, cycles, k_constant, zero_frac, levels
     ):
         """Edges, dense row, stats and int64 dtypes against the oracle."""
-        ew, et, wt = _edge_arrays(seed, n_workers, n_tasks, zero_frac)
+        ew, et, wt = _edge_arrays(seed, n_workers, n_tasks, zero_frac, levels)
         picks, alphas = _draws(seed ^ 0x5EED, len(wt), cycles)
         args = (ew, et, wt, n_workers, n_tasks, picks, alphas, 1.0 / k_constant)
         _assert_identical(impl.wbgm_accept_loop(*args), _reference_wbgm(*args))

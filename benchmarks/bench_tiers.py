@@ -9,6 +9,8 @@ versus a flat per-cell deployment where a task may only use its own cell's
 workers.
 """
 
+import dataclasses
+
 from repro.model.region import RegionGrid
 from repro.model.task import Task, TaskCategory
 from repro.platform.coordinator import Coordinator
@@ -47,8 +49,9 @@ def _run(escalate_after):
     )
     for i, (profile, behavior) in enumerate(population):
         r, c = HOT_CELLS[i % len(HOT_CELLS)]
-        profile.latitude = float((r + placement.random()) / SIDE)
-        profile.longitude = float((c + placement.random()) / SIDE)
+        latitude = float((r + placement.random()) / SIDE)
+        longitude = float((c + placement.random()) / SIDE)
+        profile = dataclasses.replace(profile, latitude=latitude, longitude=longitude)
         coordinator.add_worker(profile, behavior)
 
     task_rng = rng.stream(STREAM_TASKS)

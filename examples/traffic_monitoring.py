@@ -15,6 +15,8 @@ geographic workload.
 Run:  python examples/traffic_monitoring.py
 """
 
+import dataclasses
+
 from repro.model.region import RegionGrid
 from repro.model.task import Task, TaskCategory
 from repro.platform.coordinator import Coordinator
@@ -55,8 +57,9 @@ def run_city(policy, label: str) -> dict:
     )
     scatter = rng.stream("scatter")
     for profile, behavior in population:
-        profile.latitude = float(scatter.uniform(CITY["lat_min"], CITY["lat_max"]))
-        profile.longitude = float(scatter.uniform(CITY["lon_min"], CITY["lon_max"]))
+        latitude = float(scatter.uniform(CITY["lat_min"], CITY["lat_max"]))
+        longitude = float(scatter.uniform(CITY["lon_min"], CITY["lon_max"]))
+        profile = dataclasses.replace(profile, latitude=latitude, longitude=longitude)
         coordinator.add_worker(profile, behavior)
 
     # Poisson stream of congestion queries at random city locations.

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from ..model.task import Task
-from ..model.worker import WorkerProfile
 from ..obs.runtime import NULL_OBS
 from ..obs.trace import CHAOS_TRACK
 from ..sim.engine import Engine
@@ -187,9 +186,9 @@ class FaultInjector:
         profiling = self.server.profiling
         victims = [
             task_id
-            for profile in profiling
-            if profiling.is_online(profile.worker_id)
-            and (task_id := profiling.current_task(profile.worker_id)) is not None
+            for worker_id in profiling
+            if profiling.is_online(worker_id)
+            and (task_id := profiling.current_task(worker_id)) is not None
         ]
         victims.sort()  # registration order varies; task-id order is stable
         count = int(round(fault.fraction * len(victims)))
@@ -221,7 +220,7 @@ class FaultInjector:
 
     # --------------------------------------------------------------- hooks
     def _execution_hook(
-        self, execution: "_Execution", task: Task, worker: WorkerProfile
+        self, execution: "_Execution", task: Task, worker_id: int
     ) -> None:
         for fault in self._active_no_shows:
             if execution.abandoned:

@@ -36,8 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..model.worker import WorkerProfile
-from ..model.worker_table import WorkerRows, Workers, as_rows
+from ..model.worker_table import WorkerRows
 from ..stats.duration_models import DurationModel, DurationModelFamily, PowerLawFamily
 from ..stats.powerlaw import PowerLawFit
 from .kernels.deadline import powerlaw_ccdf_grid, powerlaw_ccdf_values
@@ -87,13 +86,14 @@ class DeadlineEstimator:
         self.cache_misses = 0
 
     # ------------------------------------------------------------- fitting
-    def fit_worker(self, worker: WorkerProfile) -> Optional[DurationModel]:
-        """Fit the worker's duration model, or None while he is untrained."""
-        n_obs = len(worker.execution_times)
+    def fit_worker(self, execution_times: Sequence[float]) -> Optional[DurationModel]:
+        """Fit a worker's duration model to his observed durations, or
+        None while he is untrained."""
+        n_obs = len(execution_times)
         if n_obs < self.min_history or n_obs == 0:
             return None
         self.cache_misses += 1
-        return self.family.fit(worker.execution_times)
+        return self.family.fit(execution_times)
 
     def _fitted_rows(
         self, rows: WorkerRows, wanted: Optional[np.ndarray] = None
@@ -120,21 +120,22 @@ class DeadlineEstimator:
         n_stale = int(np.count_nonzero(stale))
         self.cache_hits += int(np.count_nonzero(trained)) - n_stale
         if n_stale:
-            profiles = table.profile
+            histories = table.execution_times
             for slot in slots[stale].tolist():
-                fit = self.fit_worker(profiles[slot])
+                fit = self.fit_worker(histories[slot])
                 assert fit is not None  # a trained row has the history
                 table.set_fit(slot, fit)
         return trained, table.alpha[slots], table.k_min[slots]
 
     # ------------------------------------------------------------- Eq. (3)
     def completion_probability(
-        self, worker: WorkerProfile, time_to_deadline: float
+        self, execution_times: Sequence[float], time_to_deadline: float
     ) -> DeadlineEstimate:
-        """Eq. (3): Pr(ExecTime < TimeToDeadline) for a fresh assignment."""
+        """Eq. (3): Pr(ExecTime < TimeToDeadline) for a fresh assignment of
+        a worker with history ``execution_times``."""
         if time_to_deadline <= 0:
             return DeadlineEstimate(probability=0.0, fit=None, trained=False)
-        fit = self.fit_worker(worker)
+        fit = self.fit_worker(execution_times)
         if fit is None:
             # Untrained worker: the paper instantiates all edges for the
             # first z assignments, i.e. treats completion as certain.
@@ -144,13 +145,12 @@ class DeadlineEstimator:
 
     def completion_probability_matrix(
         self,
-        workers: Workers,
+        workers: WorkerRows,
         time_to_deadline: np.ndarray,
     ) -> np.ndarray:
         """Vectorized Eq. (3): (len(workers), len(ttd)) probabilities.
 
-        This is the graph-construction hot path.  ``workers`` are worker
-        table rows (a profile list is tabulated first).  The power-law rows'
+        This is the graph-construction hot path.  The power-law rows'
         ``alpha`` / ``k_min`` columns are gathered and evaluated as a single
         broadcasted power over the worker × TTD grid; any other fitted
         family falls back to one vectorized ``ccdf`` call on each such
@@ -158,15 +158,14 @@ class DeadlineEstimator:
         :meth:`completion_probability` (NumPy applies the same elementwise
         ``pow`` either way).
         """
-        rows = as_rows(workers)
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
-        out = np.ones((len(rows), len(ttd)), dtype=np.float64)
-        trained, alpha, k_min = self._fitted_rows(rows)
+        out = np.ones((len(workers), len(ttd)), dtype=np.float64)
+        trained, alpha, k_min = self._fitted_rows(workers)
         powerlaw = np.flatnonzero(trained & ~np.isnan(alpha))
         if len(powerlaw):
             out[powerlaw, :] = 1.0 - powerlaw_ccdf_grid(alpha[powerlaw], k_min[powerlaw], ttd)
         if len(powerlaw) != np.count_nonzero(trained):
-            fits = rows.fits
+            fits = workers.fits
             for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
                 out[i, :] = 1.0 - fits[i].ccdf(ttd)
         # Expired deadlines can never be met, trained or not.
@@ -176,11 +175,12 @@ class DeadlineEstimator:
     # ------------------------------------------------------------- Eq. (2)
     def window_probability(
         self,
-        worker: WorkerProfile,
+        execution_times: Sequence[float],
         elapsed: float,
         time_to_deadline: float,
     ) -> DeadlineEstimate:
-        """Eq. (2): Pr(t < ExecTime < TimeToDeadline) mid-execution.
+        """Eq. (2): Pr(t < ExecTime < TimeToDeadline) mid-execution, for a
+        worker with history ``execution_times``.
 
         ``elapsed`` is ``t_ij`` (seconds since assignment); ``time_to_deadline``
         is measured from the *assignment* instant, so the window is
@@ -191,7 +191,7 @@ class DeadlineEstimator:
         if time_to_deadline <= elapsed:
             # Deadline already inside the elapsed window: no chance left.
             return DeadlineEstimate(probability=0.0, fit=None, trained=False)
-        fit = self.fit_worker(worker)
+        fit = self.fit_worker(execution_times)
         if fit is None:
             return DeadlineEstimate(probability=1.0, fit=None, trained=False)
         # 1 - (P(TTD) + (1 - P(t))) = P(t) - P(TTD); clamp guards the tiny
@@ -201,7 +201,7 @@ class DeadlineEstimator:
 
     def window_probability_batch(
         self,
-        workers: Workers,
+        workers: WorkerRows,
         elapsed: np.ndarray,
         time_to_deadline: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -210,7 +210,6 @@ class DeadlineEstimator:
         ``workers[i]`` has been executing for ``elapsed[i]`` seconds against
         window ``time_to_deadline[i]``; this is the Dynamic Assignment sweep
         shape — the due assigned tasks evaluated in one batch call.
-        ``workers`` are worker table rows (a profile list is tabulated).
 
         Returns ``(probabilities, trained)``.  Rows with ``trained`` False
         (untrained worker, or window already closed) carry the same
@@ -219,10 +218,9 @@ class DeadlineEstimator:
         ``alpha`` / ``k_min`` columns, bit-identically to the scalar path.
         Closed windows need no fit, so their rows are never refitted.
         """
-        rows = as_rows(workers)
         elapsed = np.asarray(elapsed, dtype=np.float64)
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
-        n = len(rows)
+        n = len(workers)
         if elapsed.shape != (n,) or ttd.shape != (n,):
             raise ValueError(
                 f"elapsed/time_to_deadline must be ({n},) arrays, "
@@ -234,7 +232,7 @@ class DeadlineEstimator:
         probs = np.ones(n, dtype=np.float64)
         closed = ttd <= elapsed
         probs[closed] = 0.0
-        trained, alpha, k_min = self._fitted_rows(rows, ~closed)
+        trained, alpha, k_min = self._fitted_rows(workers, ~closed)
         powerlaw = np.flatnonzero(trained & ~np.isnan(alpha))
         if len(powerlaw):
             a = alpha[powerlaw]
@@ -244,7 +242,7 @@ class DeadlineEstimator:
             )
             probs[powerlaw] = np.clip(p, 0.0, 1.0)
         if len(powerlaw) != np.count_nonzero(trained):
-            fits = rows.fits
+            fits = workers.fits
             for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
                 fit = fits[i]
                 p = float(fit.ccdf(elapsed[i])) - float(fit.ccdf(ttd[i]))
@@ -253,7 +251,7 @@ class DeadlineEstimator:
 
     def withdrawal_skip_horizons(
         self,
-        workers: Workers,
+        workers: WorkerRows,
         time_to_deadline: Sequence[float],
         threshold: float,
     ) -> List[float]:
@@ -279,7 +277,7 @@ class DeadlineEstimator:
         does not cover.  The fit parameters come from the gathered table
         columns; the arithmetic is scalar, row by row.
         """
-        trained, alpha_col, k_min_col = self._fitted_rows(as_rows(workers))
+        trained, alpha_col, k_min_col = self._fitted_rows(workers)
         horizons: List[float] = []
         for ttd, is_trained, alpha, k_min in zip(
             time_to_deadline, trained.tolist(), alpha_col.tolist(), k_min_col.tolist()

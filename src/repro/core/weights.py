@@ -22,14 +22,13 @@ import numpy as np
 from ..model.region import haversine_km, haversine_km_matrix
 from ..model.task import Task
 from ..model.worker import WorkerProfile
-from ..model.worker_table import Workers, as_rows
+from ..model.worker_table import WorkerRows
 
 
-def _pairwise_km(workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+def _pairwise_km(workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
     """(workers × tasks) great-circle distance matrix, one broadcast call."""
-    rows = as_rows(workers)
-    wlat = rows.latitude
-    wlon = rows.longitude
+    wlat = workers.latitude
+    wlon = workers.longitude
     tlat = np.array([t.latitude for t in tasks], dtype=np.float64)
     tlon = np.array([t.longitude for t in tasks], dtype=np.float64)
     return haversine_km_matrix(
@@ -49,11 +48,12 @@ class WeightFunction(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+    def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
         """(len(workers), len(tasks)) array of weights in [0, 1]."""
 
-    def single(self, worker: WorkerProfile, task: Task) -> float:
-        return float(self.matrix([worker], [task])[0, 0])
+    def single(self, worker: WorkerRows, task: Task) -> float:
+        """The weight of one worker (a one-row ``worker``) for ``task``."""
+        return float(self.matrix(worker, [task])[0, 0])
 
 
 class AccuracyWeight(WeightFunction):
@@ -67,9 +67,9 @@ class AccuracyWeight(WeightFunction):
 
     name = "accuracy"
 
-    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+    def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
         # One gather of the table's accuracy column per task category.
-        return as_rows(workers).accuracy([task.category for task in tasks])
+        return workers.accuracy([task.category for task in tasks])
 
 
 class DistanceWeight(WeightFunction):
@@ -88,7 +88,7 @@ class DistanceWeight(WeightFunction):
             raise ValueError(f"max_km must be positive, got {max_km}")
         self.max_km = max_km
 
-    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+    def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
         km = _pairwise_km(workers, tasks)
         return np.maximum(0.0, 1.0 - km / self.max_km)
 
@@ -131,7 +131,7 @@ class TravelTimeWeight(WeightFunction):
         self.speed_kmh = speed_kmh
         self.horizon_s = horizon_s
 
-    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+    def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
         km = _pairwise_km(workers, tasks)
         travel_s = km / self.speed_kmh * 3600.0
         return np.clip(1.0 - travel_s / self.horizon_s, 0.0, 1.0)
@@ -149,11 +149,10 @@ class HybridWeight(WeightFunction):
         self._accuracy = AccuracyWeight()
         self._distance = DistanceWeight(max_km=max_km)
 
-    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
-        rows = as_rows(workers)
-        return self.beta * self._accuracy.matrix(rows, tasks) + (
+    def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
+        return self.beta * self._accuracy.matrix(workers, tasks) + (
             1.0 - self.beta
-        ) * self._distance.matrix(rows, tasks)
+        ) * self._distance.matrix(workers, tasks)
 
 
 class ConstantWeight(WeightFunction):
@@ -166,7 +165,7 @@ class ConstantWeight(WeightFunction):
             raise ValueError(f"value must be in [0,1], got {value}")
         self.value = value
 
-    def matrix(self, workers: Workers, tasks: Sequence[Task]) -> np.ndarray:
+    def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
         return np.full((len(workers), len(tasks)), self.value, dtype=np.float64)
 
 

@@ -2,7 +2,7 @@
 
 Runs each scheduling technique twice on the *same* seeded workload — once
 fault-free and once under a :class:`~repro.chaos.FaultSchedule` — with the
-cross-component invariants (I1-I4, I6-I8) re-audited every simulated second, and
+cross-component invariants (I1-I4, I6, I7) re-audited every simulated second, and
 reports how gracefully each technique degrades.  This is the executable
 form of the paper's central robustness claim: REACT keeps meeting soft
 deadlines when workers dawdle, abandon, churn and the middleware itself
@@ -202,7 +202,7 @@ def report_chaos(results: Dict[str, Dict[str, ChaosRunResult]]) -> str:
     """Text report: per-policy degradation under the fault schedule."""
     lines = [
         "# Chaos: on-time ratio under injected faults vs. fault-free twin",
-        "# (same seed; invariants I1-I4, I6-I8 audited every simulated second)",
+        "# (same seed; invariants I1-I4, I6, I7 audited every simulated second)",
         f"{'policy':<14}{'clean':>9}{'faulted':>9}{'delta':>9}"
         f"{'audits':>9}{'faults':>8}{'degraded':>10}",
     ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import statistics
 import subprocess
@@ -54,6 +55,11 @@ logger = logging.getLogger(__name__)
 
 #: RNG seed shared by every bench so runs are comparable across commits.
 BENCH_SEED = 20130521  # IPDPS 2013 vintage
+
+#: Shortest timed sample of :func:`_median_wall`: a faster call runs back to
+#: back within one sample, so timer resolution and a single scheduler
+#: preemption are spread over many calls.
+MIN_SAMPLE_S = 0.05
 
 
 @dataclass
@@ -91,19 +97,23 @@ def git_commit(repo_root: Optional[Path] = None) -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def _median_wall(run: Callable[[], None], repeats: int) -> float:
-    """Median wall-clock of ``repeats`` runs, after one untimed warmup.
+def _median_wall(run: Callable[[], None], repeats: int) -> Tuple[float, int]:
+    """Median wall per call over ``repeats`` samples, and the calls per sample.
 
-    The warmup absorbs one-time costs that are not the steady-state rate we
-    want to track: lazy adjacency-cache builds and cold CPU caches.
+    A warmup call absorbs one-time costs (lazy adjacency-cache builds, cold
+    CPU caches), and its wall sizes the samples: each runs enough
+    back-to-back calls to last at least :data:`MIN_SAMPLE_S`.
     """
+    start = time.perf_counter()
     run()
+    calls = max(1, math.ceil(MIN_SAMPLE_S / max(time.perf_counter() - start, 1e-9)))
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        run()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+        for _ in range(calls):
+            run()
+        samples.append((time.perf_counter() - start) / calls)
+    return statistics.median(samples), calls
 
 
 def _bench_graph(n_workers: int, n_tasks: int) -> BipartiteGraph:
@@ -167,9 +177,12 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
         def run_matcher() -> None:
             matcher.match(graph, np.random.default_rng(BENCH_SEED))
 
-        reference_wall = _median_wall(run_reference, repeats)
-        matcher_wall = _median_wall(run_matcher, repeats)
-        for label, wall in (("reference", reference_wall), ("python", matcher_wall)):
+        reference_wall, reference_calls = _median_wall(run_reference, repeats)
+        matcher_wall, matcher_calls = _median_wall(run_matcher, repeats)
+        for label, wall, calls in (
+            ("reference", reference_wall, reference_calls),
+            ("python", matcher_wall, matcher_calls),
+        ):
             params: Dict[str, object] = {
                 "matcher": name,
                 "backend": label,
@@ -178,6 +191,7 @@ def run_matching_benchmarks(quick: bool = False) -> List[BenchResult]:
                 "n_edges": graph.n_edges,
                 "cycles": cycles,
                 "repeats": repeats,
+                "calls_per_sample": calls,
                 "cpu_count": os.cpu_count(),
             }
             if label == "python":
@@ -217,11 +231,14 @@ def _uniform_records(
     def run_matcher() -> None:
         matcher.match(graph, np.random.default_rng(BENCH_SEED))
 
-    reference_wall = _median_wall(run_reference, repeats)
-    matcher_wall = _median_wall(run_matcher, repeats)
+    reference_wall, reference_calls = _median_wall(run_reference, repeats)
+    matcher_wall, matcher_calls = _median_wall(run_matcher, repeats)
     matched = min(graph.n_workers, graph.n_tasks)
     results = []
-    for label, wall in (("reference", reference_wall), ("python", matcher_wall)):
+    for label, wall, calls in (
+        ("reference", reference_wall, reference_calls),
+        ("python", matcher_wall, matcher_calls),
+    ):
         params: Dict[str, object] = {
             "matcher": "uniform",
             "backend": label,
@@ -230,6 +247,7 @@ def _uniform_records(
             "n_tasks": graph.n_tasks,
             "n_edges": graph.n_edges,
             "repeats": repeats,
+            "calls_per_sample": calls,
             "cpu_count": os.cpu_count(),
         }
         if label == "python":
@@ -247,20 +265,18 @@ def _uniform_records(
 
 
 # ------------------------------------------------------------------ platform
-def _trained_workers(
+def _trained_profiling(
     count: int, history: int, floor: float = 5.0, scale: float = 20.0
-) -> List[WorkerProfile]:
-    """Workers with heavy-tailed histories, as the estimator sees them."""
+) -> "ProfilingComponent":
+    """Registered workers with heavy-tailed histories, as the estimator sees them."""
     rng = np.random.default_rng(BENCH_SEED)
-    workers = []
+    profiling = _registered([WorkerProfile(worker_id=i) for i in range(count)])
     for worker_id in range(count):
-        profile = WorkerProfile(worker_id=worker_id)
         for duration in floor + rng.pareto(2.5, size=history) * scale:
-            profile.record_completion(
-                float(duration), TaskCategory.GENERIC, positive_feedback=True
+            profiling.record_completion(
+                worker_id, float(duration), TaskCategory.GENERIC, positive_feedback=True
             )
-        workers.append(profile)
-    return workers
+    return profiling
 
 
 def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
@@ -281,7 +297,7 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         graph = BipartiteGraph.full(dense).prune_below(0.25)
         graph.edges_of_task(0)
 
-    wall = _median_wall(build, repeats)
+    wall, _ = _median_wall(build, repeats)
     results.append(
         BenchResult(
             bench="graph_build_prune",
@@ -299,12 +315,16 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
     from ..model.task import Task
 
     geo_rng = np.random.default_rng(BENCH_SEED)
-    geo_workers = []
-    for worker_id in range(n):
-        profile = WorkerProfile(worker_id=worker_id)
-        profile.latitude = float(geo_rng.uniform(38.0, 38.2))
-        profile.longitude = float(geo_rng.uniform(23.6, 23.8))
-        geo_workers.append(profile)
+    geo_workers = [
+        WorkerProfile(
+            worker_id,
+            float(geo_rng.uniform(38.0, 38.2)),
+            float(geo_rng.uniform(23.6, 23.8)),
+        )
+        for worker_id in range(n)
+    ]
+    geo_profiling = _registered(geo_workers)
+    geo_rows = geo_profiling.table.rows(geo_profiling.available_workers())
     geo_tasks = [
         Task(
             latitude=float(geo_rng.uniform(38.0, 38.2)),
@@ -314,10 +334,10 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         for _ in range(n)
     ]
     weight = DistanceWeight(max_km=10.0)
-    scalar_wall = _median_wall(
+    scalar_wall, _ = _median_wall(
         lambda: weight.matrix_scalar(geo_workers, geo_tasks), repeats
     )
-    wall = _median_wall(lambda: weight.matrix(geo_workers, geo_tasks), repeats)
+    wall, _ = _median_wall(lambda: weight.matrix(geo_rows, geo_tasks), repeats)
     results.append(
         BenchResult(
             bench="distance_weight",
@@ -338,14 +358,14 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
     # the builder calls it.  Fits are warmed first so the record tracks
     # evaluation throughput, not one-off fitting cost.
     estimator = DeadlineEstimator(min_history=3)
-    profiling = _registered(_trained_workers(n_workers, history))
+    profiling = _trained_profiling(n_workers, history)
     workers = profiling.table.rows(profiling.available_workers())
     ttd = np.linspace(1.0, 300.0, n_ttd)
 
     def eq3() -> None:
         estimator.completion_probability_matrix(workers, ttd)
 
-    wall = _median_wall(eq3, repeats)
+    wall, _ = _median_wall(eq3, repeats)
     results.append(
         BenchResult(
             bench="eq3_matrix",
@@ -375,7 +395,7 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         for _ in range(iters):
             estimator.window_probability_batch(workers, elapsed, windows)
 
-    wall = _median_wall(eq2, repeats)
+    wall, _ = _median_wall(eq2, repeats)
     results.append(
         BenchResult(
             bench="eq2_sweep",
@@ -413,7 +433,7 @@ def _graph_build_bench(quick: bool, commit: str) -> BenchResult:
     deadlines: the batch shape of the §V-C REACT run (~400 available
     workers × 9 tasks).  One iteration is what ``_start_batch`` does before
     matching: gather the available slots, build the Eq. 3-pruned, Eq. 1
-    weighted graph, and resolve the rows' profiles.  The untimed warmup run
+    weighted graph, and list the rows' worker ids.  The untimed warmup run
     makes the fits.
     """
     from ..core.weights import AccuracyWeight
@@ -422,15 +442,14 @@ def _graph_build_bench(quick: bool, commit: str) -> BenchResult:
 
     rng = np.random.default_rng(BENCH_SEED)
     registered = 750
-    workers = []
+    profiling = _registered([WorkerProfile(worker_id=i) for i in range(registered)])
     for worker_id in range(registered):
-        profile = WorkerProfile(worker_id=worker_id)
         for duration in 2.0 + rng.pareto(2.0, size=int(rng.integers(0, 31))) * 5.0:
             positive = bool(rng.random() < 0.7)
-            profile.record_completion(float(duration), TaskCategory.GENERIC, positive)
-        profile.assignment_count = len(profile.execution_times)
-        workers.append(profile)
-    profiling = _registered(workers)
+            profiling.record_assignment(worker_id, task_id=0)
+            profiling.record_completion(
+                worker_id, float(duration), TaskCategory.GENERIC, positive
+            )
     for worker_id in rng.choice(registered, size=350, replace=False).tolist():
         profiling.record_assignment(worker_id, task_id=worker_id)
     tasks = [
@@ -445,9 +464,9 @@ def _graph_build_bench(quick: bool, commit: str) -> BenchResult:
         for _ in range(iters):
             rows = profiling.table.rows(profiling.available_workers())
             builder.build(rows, tasks, now=5.0)
-            rows.profiles
+            rows.worker_ids.tolist()
 
-    wall = _median_wall(build, repeats) / iters
+    wall = _median_wall(build, repeats)[0] / iters
     available = len(profiling.available_workers())  # the rows each build reads
     return BenchResult(
         bench="graph_build",
@@ -474,13 +493,12 @@ def _watched_rows(n_rows: int) -> "DynamicAssignmentComponent":
     from ..model.task import Task
     from ..platform.dynamic_assignment import DynamicAssignmentComponent
     from ..platform.policies import react_policy
-    from ..platform.profiling import ProfilingComponent
     from ..platform.task_management import TaskManagementComponent
     from ..sim.engine import Engine
 
     policy = react_policy()
     tasks = TaskManagementComponent()
-    profiling = ProfilingComponent()
+    profiling = _trained_profiling(n_rows, history=30, floor=30.0, scale=60.0)
     monitor = DynamicAssignmentComponent(
         Engine(),
         policy,
@@ -489,8 +507,6 @@ def _watched_rows(n_rows: int) -> "DynamicAssignmentComponent":
         DeadlineEstimator(min_history=policy.min_history),
         on_withdraw=lambda task: None,
     )
-    for profile in _trained_workers(n_rows, history=30, floor=30.0, scale=60.0):
-        profiling.register(profile)
     assigned_at = np.sort(np.random.default_rng(BENCH_SEED).uniform(0.0, 60.0, n_rows))
     for worker_id, at in enumerate(assigned_at.tolist()):
         task = Task(latitude=0.0, longitude=0.0, deadline=300.0, submitted_at=at)
@@ -642,7 +658,7 @@ def run_overhead_benchmark(quick: bool = False) -> BenchResult:
     policy = react_policy(cycles=200)
     repeats = 2 if quick else 3
 
-    disabled_wall = _median_wall(lambda: run_endtoend(policy, config), repeats)
+    disabled_wall, _ = _median_wall(lambda: run_endtoend(policy, config), repeats)
 
     counting = _CountingObservability()
     start = time.perf_counter()
@@ -809,7 +825,7 @@ def run_endtoend_throughput(
         def run(policy: Any = policy) -> None:
             sequential_runs[policy.name] = run_endtoend(policy, config)
 
-        wall = _median_wall(run, repeats)
+        wall, _ = _median_wall(run, repeats)
         walls[policy.name] = wall
         done = int(sequential_runs[policy.name].summary["completed"])
         results.append(
@@ -866,7 +882,7 @@ def run_endtoend_throughput(
                 config, policies=policies, parallel=shards
             )
 
-        wall = _median_wall(run_sharded, repeats)
+        wall, _ = _median_wall(run_sharded, repeats)
         sharded = box["run"]
         for name, seq in sequential_runs.items():
             if sharded.results[name].summary != seq.summary:

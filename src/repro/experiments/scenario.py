@@ -17,7 +17,7 @@ and placement, identical budgets.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..model.task import reset_task_ids
@@ -170,8 +170,10 @@ def run_scenario(
         config.specialist,
     )
     for profile, behavior in population:
-        profile.latitude, profile.longitude = sampler.worker_location()
-        coordinator.add_worker(profile, behavior)
+        latitude, longitude = sampler.worker_location()
+        coordinator.add_worker(
+            replace(profile, latitude=latitude, longitude=longitude), behavior
+        )
 
     generator = CategoryMixGenerator(
         rng.stream(STREAM_TASKS),

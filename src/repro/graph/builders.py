@@ -31,7 +31,7 @@ import numpy as np
 from ..core.deadline import DeadlineEstimator
 from ..core.weights import WeightFunction
 from ..model.task import Task
-from ..model.worker_table import Workers, as_rows
+from ..model.worker_table import WorkerRows
 from .bipartite import BipartiteGraph
 
 #: Weight granted to cold-start (untrained) workers' edges.
@@ -125,18 +125,16 @@ class AssignmentGraphBuilder:
 
     def build(
         self,
-        workers: Workers,
+        workers: WorkerRows,
         tasks: Sequence[Task],
         now: float,
     ) -> Tuple[BipartiteGraph, GraphBuildReport]:
         """Construct the pruned, weighted graph at simulated time ``now``.
 
-        ``workers`` are worker table rows (a profile list is tabulated
-        first).  Worker index ``i`` in the returned graph corresponds to
-        ``workers[i]``, task index ``j`` to ``tasks[j]``.
+        Worker index ``i`` in the returned graph corresponds to row ``i``
+        of ``workers``, task index ``j`` to ``tasks[j]``.
         """
         report = GraphBuildReport()
-        workers = as_rows(workers)
         n_w, n_t = len(workers), len(tasks)
         if n_w == 0 or n_t == 0:
             return BipartiteGraph.empty(n_w, n_t), report
@@ -146,7 +144,7 @@ class AssignmentGraphBuilder:
         # applies to a worker's first z *assignments* ("for the first z
         # assignments of a new worker, we instantiate the edges with all
         # available tasks and we assign the maximum value"), while the Eq. 3
-        # probability model activates once the profile holds enough duration
+        # probability model activates once the row holds enough duration
         # observations (handled inside the estimator).
         cold_start = workers.assignment_count < self.estimator.min_history
         report.cold_start_workers = int(cold_start.sum())

@@ -3,7 +3,7 @@
 from .feedback import FeedbackModel, FeedbackOutcome, Rating, positive_rate
 from .region import Region, RegionGrid, haversine_km
 from .task import Task, TaskCategory, TaskPhase, reset_task_ids
-from .worker import CategoryStats, WorkerBehavior, WorkerProfile
+from .worker import WorkerBehavior, WorkerProfile
 
 __all__ = [
     "FeedbackModel",
@@ -17,7 +17,6 @@ __all__ = [
     "TaskCategory",
     "TaskPhase",
     "reset_task_ids",
-    "CategoryStats",
     "WorkerBehavior",
     "WorkerProfile",
 ]

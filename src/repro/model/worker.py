@@ -7,19 +7,18 @@ Two views of a worker are deliberately kept separate, mirroring the paper:
   50% probability of dawdling (stretching the execution up to 130 s), and a
   latent answer quality ``q`` (the CrowdFlower "trust"; 70% of workers have
   q > 0.5).  The platform never reads these fields.
-* :class:`WorkerProfile` — what the Profiling Component *observes* and
-  keeps across registrations: completion times and positive/negative
-  feedback per category.  A registered worker's status (online, and the
-  task he executes) lives in his
-  :class:`~repro.model.worker_table.WorkerTable` row instead.  Everything
-  REACT decides (Eq. 1 weights, Eq. 2/3 probabilities) derives from these
+* :class:`WorkerProfile` — the worker's immutable identity: id and
+  location.  What the Profiling Component *observes* (status, completion
+  times, positive/negative feedback per category) lives in the worker's
+  :class:`~repro.model.worker_table.WorkerTable` row.  Everything REACT
+  decides (Eq. 1 weights, Eq. 2/3 probabilities) derives from these
   observations only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Protocol
+from dataclasses import dataclass
+from typing import Mapping, Optional, Protocol
 
 import numpy as np
 
@@ -160,81 +159,22 @@ class WorkerBehavior:
         return bool(rng.random() < self.quality_for(category))
 
 
-@dataclass
-class CategoryStats:
-    """Per-category feedback tallies used by the Eq. 1 weight."""
-
-    positive: int = 0
-    finished: int = 0
-
-    def record(self, positive: bool) -> None:
-        self.finished += 1
-        if positive:
-            self.positive += 1
-
-    @property
-    def accuracy(self) -> float:
-        """``Σ PositiveTask / Σ FinishedTask`` — zero before any history."""
-        if self.finished == 0:
-            return 0.0
-        return self.positive / self.finished
-
-
-@dataclass
+@dataclass(frozen=True)
 class WorkerProfile:
-    """Platform-observable worker record (the Profiling Component's).
+    """A worker's identity as the platform sees it: id and location.
 
-    Holds what outlives a registration: the worker's id, location,
-    completed-task execution times (``ExecTime_ih`` history feeding the
-    power-law estimator) and per-category feedback statistics (feeding the
-    Eq. 1 weight).
+    Immutable; what the Profiling Component observes of the worker
+    (status, completion times, feedback) lives in his
+    :class:`~repro.model.worker_table.WorkerTable` row.  The location is
+    range-checked as a :class:`~repro.model.task.Task`'s is.
     """
 
     worker_id: int
     latitude: float = 0.0
     longitude: float = 0.0
-    #: observed task durations: completions plus *censored* observations
-    #: (when a task is withdrawn after ``t`` seconds, the platform has
-    #: observed that this worker holds tasks at least ``t`` seconds — the
-    #: only signal it will ever get about a chronic dawdler).
-    execution_times: List[float] = field(default_factory=list)
-    category_stats: Dict[TaskCategory, CategoryStats] = field(default_factory=dict)
-    #: total tasks ever handed to this worker (drives the cold-start rule:
-    #: "for the first z *assignments* of a new worker ...", §IV-A).
-    assignment_count: int = 0
-    #: how many of ``execution_times`` are censored withdrawal observations
-    censored_observations: int = 0
 
-    # ------------------------------------------------------------ history
-    @property
-    def completed_tasks(self) -> int:
-        """Number of duration observations (completed + censored)."""
-        return len(self.execution_times)
-
-    def record_completion(
-        self, execution_time: float, category: TaskCategory, positive_feedback: bool
-    ) -> None:
-        """Record a finished task: duration + requester feedback."""
-        if execution_time <= 0:
-            raise ValueError(f"execution_time must be positive, got {execution_time}")
-        self.execution_times.append(float(execution_time))
-        stats = self.category_stats.setdefault(category, CategoryStats())
-        stats.record(positive_feedback)
-
-    def record_censored(self, elapsed: float) -> None:
-        """Record a withdrawal as a censored duration observation.
-
-        The worker held the task ``elapsed`` seconds without delivering; the
-        true duration is at least that.  Folding the lower bound into the
-        history is what lets the Eq. 3 pruning eventually stop feeding tasks
-        to workers who never complete anything.
-        """
-        if elapsed <= 0:
-            return
-        self.execution_times.append(float(elapsed))
-        self.censored_observations += 1
-
-    def accuracy(self, category: TaskCategory) -> float:
-        """Observed accuracy for ``category`` (Eq. 1 numerator/denominator)."""
-        stats = self.category_stats.get(category)
-        return 0.0 if stats is None else stats.accuracy
+    def __post_init__(self) -> None:
+        if not (-90.0 <= self.latitude <= 90.0):
+            raise ValueError(f"latitude out of range: {self.latitude}")
+        if not (-180.0 <= self.longitude <= 180.0):
+            raise ValueError(f"longitude out of range: {self.longitude}")

@@ -1,23 +1,24 @@
 """Columnar worker state: one dense row per registered worker.
 
-Every REACT batch reads the same few fields of every available worker —
-his status, the observation and assignment counts behind the cold-start
-rule and Eq. 3, the Eq. 1 accuracy for the batch's categories,
-the location for a distance weight, and the worker's fitted duration model.
-:class:`WorkerTable` keeps those fields as NumPy columns so a batch gathers
-them with one fancy index per column instead of a Python loop over
-:class:`~repro.model.worker.WorkerProfile` objects.
+The row is the Profiling Component's whole record of a worker (§III-A):
+his location, status (``online``, and the ``task`` he executes),
+completion times (``execution_times``, one Python list per row, and its
+length ``n_obs``), assignment count, and per-category ``positive`` and
+``finished`` feedback counts with the Eq. 1 ``accuracy`` they give.
+Every REACT batch reads the same few of these fields of every available
+worker, so :class:`WorkerTable` keeps them as NumPy columns and a batch
+gathers them with one fancy index per column.
 
 The :class:`~repro.platform.profiling.ProfilingComponent` is the table's
 only writer: each of its updates writes the changed cells of one row in
-O(1).  The row is the only record of a worker's status (``online``, and
-the ``task`` he executes): a new row starts online and free.  The fit
-columns (the fitted model ``fit``, its power-law ``alpha`` and ``k_min``,
-and the observation count it was fitted at) are the exception — the
+O(1).  A new row starts online and free, with an empty history or with
+the :class:`WorkerHistory` a departing row handed over (a churn return,
+a split migration).  The fit columns (the fitted model ``fit``, its
+power-law ``alpha`` and ``k_min``, and the observation count it was
+fitted at) are the exception — the
 :class:`~repro.core.deadline.DeadlineEstimator` refits stale rows
-lazily, right before it reads them.  The row is the only copy
-of a worker's fit: it leaves with his row, and a returning worker is
-refitted from his history.
+lazily, right before it reads them.  A fit leaves with its row, and a
+returning worker is refitted from his history.
 
 Slots enumerate in registration order.  A registration appends a row, a
 departure marks its row dead, and compaction squeezes the dead rows out
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +64,10 @@ _NUMERIC: Dict[str, Tuple[str, type, int]] = {
     "assignment_count": ("q", np.int64, 1),
     "latitude": ("d", np.float64, 1),
     "longitude": ("d", np.float64, 1),
+    #: Per-category feedback counts, and the Eq. 1 accuracy they give
+    #: (0.0 where ``finished`` is 0).
+    "positive": ("q", np.int64, _N_CATEGORIES),
+    "finished": ("q", np.int64, _N_CATEGORIES),
     "accuracy": ("d", np.float64, _N_CATEGORIES),
     #: Observation count the fit was made at; -1 when there is none.
     "fit_n_obs": ("q", np.int64, 1),
@@ -71,20 +76,40 @@ _NUMERIC: Dict[str, Tuple[str, type, int]] = {
     "k_min": ("d", np.float64, 1),
 }
 
-#: Object columns: the row's profile and its fitted duration model.
-_OBJECT = ("profile", "fit")
+#: Object columns: the row's observed durations and its fitted duration model.
+_OBJECT = ("execution_times", "fit")
+
+#: Per-category counts of a worker with no feedback yet.
+_NO_COUNTS = array("q", [0] * _N_CATEGORIES)
+
+
+class WorkerHistory(NamedTuple):
+    """A row's history, as a departing row hands it to the row that continues it.
+
+    ``execution_times`` is the row's own list, handed over, not copied;
+    ``positive`` and ``finished`` hold one count per category, in
+    :data:`CATEGORY_INDEX` order.
+    """
+
+    execution_times: List[float]
+    assignment_count: int
+    positive: "array[int]"
+    finished: "array[int]"
 
 
 class WorkerTable:
     """Dense per-worker columns, addressed by slot.
 
-    Columns (NumPy arrays, row = slot): ``worker_id``, ``profile`` (the
-    :class:`WorkerProfile` object), ``live``, ``online``, ``task``,
-    ``n_obs``, ``assignment_count``, ``latitude``, ``longitude``,
-    ``accuracy`` (slot × category), ``fit`` (the fitted
+    Columns (NumPy arrays, row = slot): ``worker_id``, ``live``,
+    ``online``, ``task``, ``execution_times`` (a list of the observed
+    durations: completions and censored holds), ``n_obs`` (its length),
+    ``assignment_count``, ``latitude``, ``longitude``, ``positive``,
+    ``finished`` and ``accuracy`` (slot × category), ``fit`` (the fitted
     :class:`~repro.stats.duration_models.DurationModel`, or None),
     ``fit_n_obs``, ``alpha`` and ``k_min``.
-    Slots at or past :attr:`size` hold no worker.
+    Slots at or past :attr:`size` hold no worker.  Membership, ``len``
+    and iteration (worker ids, in registration order) cover the
+    registered workers.
     """
 
     # Set by _allocate: each numeric column and its Python ``array`` store.
@@ -96,11 +121,13 @@ class WorkerTable:
     assignment_count: np.ndarray
     latitude: np.ndarray
     longitude: np.ndarray
+    positive: np.ndarray
+    finished: np.ndarray
     accuracy: np.ndarray
     fit_n_obs: np.ndarray
     alpha: np.ndarray
     k_min: np.ndarray
-    profile: np.ndarray
+    execution_times: np.ndarray
     fit: np.ndarray
     _worker_id: "array[int]"
     _live: "array[int]"
@@ -110,6 +137,8 @@ class WorkerTable:
     _assignment_count: "array[int]"
     _latitude: "array[float]"
     _longitude: "array[float]"
+    _positive: "array[int]"
+    _finished: "array[int]"
     _accuracy: "array[float]"
     _fit_n_obs: "array[int]"
     _alpha: "array[float]"
@@ -125,20 +154,16 @@ class WorkerTable:
         self.fit_owner: Optional[object] = None
         self._allocate(max(int(capacity), 1))
 
-    @classmethod
-    def from_profiles(cls, profiles: Iterable[WorkerProfile]) -> "WorkerTable":
-        """A standalone table holding one row per profile, in order.
-
-        For evaluating ad-hoc profile lists; a repeated worker id gets one
-        row per occurrence.
-        """
-        ordered = list(profiles)
-        table = cls(capacity=len(ordered))
-        for profile in ordered:
-            table.append(profile)
-        return table
-
     # ---------------------------------------------------------------- rows
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
+    def __contains__(self, worker_id: object) -> bool:
+        return worker_id in self._slot_of
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slot_of)
+
     @property
     def size(self) -> int:
         """Slots in use, dead rows included; every slot is below this."""
@@ -182,39 +207,75 @@ class WorkerTable:
         """Slots of every registered worker, in registration order."""
         return self.live[: self._size].nonzero()[0]
 
+    def profiles(self) -> List[WorkerProfile]:
+        """The registered workers' identities, in registration order."""
+        live = self.live_slots()
+        return [
+            WorkerProfile(*row)
+            for row in zip(
+                self.worker_id[live].tolist(),
+                self.latitude[live].tolist(),
+                self.longitude[live].tolist(),
+            )
+        ]
+
+    def history(self, worker_id: int) -> WorkerHistory:
+        """The worker's history; ``execution_times`` is the row's own list."""
+        slot = self._slot_of[worker_id]
+        base = slot * _N_CATEGORIES
+        return WorkerHistory(
+            self.execution_times[slot],
+            self._assignment_count[slot],
+            self._positive[base : base + _N_CATEGORIES],
+            self._finished[base : base + _N_CATEGORIES],
+        )
+
     # ------------------------------------------------------------- writers
-    def append(self, profile: WorkerProfile) -> int:
-        """Add an online, free row snapshotting ``profile``; returns its slot."""
+    def append(self, profile: WorkerProfile, history: Optional[WorkerHistory] = None) -> int:
+        """Add an online, free row for ``profile``; returns its slot.
+
+        The row continues ``history`` (taking over its list), or starts
+        empty.
+        """
         slot = self._size
-        if slot == len(self.profile):
+        if slot == len(self.fit):
             self._allocate(2 * slot)
         self._size = slot + 1
         worker_id = profile.worker_id
         self._slot_of[worker_id] = slot
         self._worker_id[slot] = worker_id
-        self.profile[slot] = profile
         self._live[slot] = True
         self._online[slot] = True
         self._task[slot] = -1
         self.n_available += 1
-        self._n_obs[slot] = len(profile.execution_times)
-        self._assignment_count[slot] = profile.assignment_count
         self._latitude[slot] = profile.latitude
         self._longitude[slot] = profile.longitude
-        if profile.category_stats:
-            base = slot * _N_CATEGORIES
-            for category, stats in profile.category_stats.items():
-                self._accuracy[base + CATEGORY_INDEX[category]] = stats.accuracy
+        if history is None:
+            history = WorkerHistory([], 0, _NO_COUNTS, _NO_COUNTS)
+        self.execution_times[slot] = history.execution_times
+        self._n_obs[slot] = len(history.execution_times)
+        self._assignment_count[slot] = history.assignment_count
+        base = slot * _N_CATEGORIES
+        self._positive[base : base + _N_CATEGORIES] = history.positive
+        self._finished[base : base + _N_CATEGORIES] = history.finished
+        for column, finished in enumerate(history.finished):
+            if finished:
+                self._accuracy[base + column] = history.positive[column] / finished
         return slot
 
-    def remove(self, worker_id: int) -> None:
-        """Mark ``worker_id``'s row dead; compacts once dead rows dominate."""
+    def remove(self, worker_id: int) -> WorkerHistory:
+        """Mark ``worker_id``'s row dead and hand over its history.
+
+        Compacts once dead rows dominate.
+        """
+        history = self.history(worker_id)
         self.set_online(worker_id, False)  # keeps the dead row out of the free set
         slot = self._slot_of.pop(worker_id)
         self._live[slot] = False
         self._dead += 1
         if self._dead >= _MIN_DEAD and self._dead > self._size - self._dead:
             self._compact()
+        return history
 
     def set_online(self, worker_id: int, online: bool) -> None:
         slot = self._slot_of[worker_id]
@@ -247,16 +308,29 @@ class WorkerTable:
         self._assignment_count[slot] += 1
 
     def complete(
-        self, worker_id: int, n_obs: int, category: TaskCategory, accuracy: float
+        self, worker_id: int, execution_time: float, category: TaskCategory, positive: bool
     ) -> None:
-        """The worker finished a task: his history grew and he is free."""
+        """The worker finished a task in ``execution_time``: his history
+        grew by the duration and one ``category`` feedback, and he is free."""
         slot = self._slot_of[worker_id]
-        self._n_obs[slot] = n_obs
-        self._accuracy[slot * _N_CATEGORIES + CATEGORY_INDEX[category]] = accuracy
+        times = self.execution_times[slot]
+        times.append(execution_time)
+        self._n_obs[slot] = len(times)
+        cell = slot * _N_CATEGORIES + CATEGORY_INDEX[category]
+        finished = self._finished[cell] + 1
+        self._finished[cell] = finished
+        if positive:
+            self._positive[cell] += 1
+        # Python int division: Σ PositiveTask / Σ FinishedTask, exactly.
+        self._accuracy[cell] = self._positive[cell] / finished
         self.release(worker_id)
 
-    def set_n_obs(self, worker_id: int, n_obs: int) -> None:
-        self._n_obs[self._slot_of[worker_id]] = n_obs
+    def censor(self, worker_id: int, elapsed: float) -> None:
+        """The worker held a task ``elapsed`` seconds without a result."""
+        slot = self._slot_of[worker_id]
+        times = self.execution_times[slot]
+        times.append(elapsed)
+        self._n_obs[slot] = len(times)
 
     # --------------------------------------------------------- fit columns
     def claim_fits(self, owner: object) -> None:
@@ -304,8 +378,10 @@ class WorkerTable:
         self.live[start:stop] = False
         self.online[start:stop] = False
         self.task[start:stop] = -1
-        self.profile[start:stop] = None
+        self.execution_times[start:stop] = None
         self.fit[start:stop] = None
+        self.positive[start:stop] = 0
+        self.finished[start:stop] = 0
         self.accuracy[start:stop] = 0.0
         self.fit_n_obs[start:stop] = -1
         self.alpha[start:stop] = math.nan
@@ -356,11 +432,6 @@ class WorkerRows:
         return self.table.longitude[self.slots]
 
     @property
-    def profiles(self) -> np.ndarray:
-        """The rows' profile objects (an object array, row order)."""
-        return self.table.profile[self.slots]
-
-    @property
     def fits(self) -> np.ndarray:
         """The rows' fitted duration models (an object array, row order)."""
         return self.table.fit[self.slots]
@@ -369,62 +440,3 @@ class WorkerRows:
         """(rows × categories) Eq. 1 accuracy; 0.0 where there is no feedback."""
         columns = [CATEGORY_INDEX[category] for category in categories]
         return self.table.accuracy[self.slots][:, columns]
-
-
-#: What the batch evaluators accept: table rows, or plain profiles.
-Workers = Union[WorkerRows, Sequence[WorkerProfile]]
-
-
-def as_rows(workers: Workers) -> WorkerRows:
-    """``workers`` as table rows; a profile list gets a standalone table."""
-    if isinstance(workers, WorkerRows):
-        return workers
-    table = WorkerTable.from_profiles(workers)
-    return table.rows(np.arange(table.size, dtype=np.int64))
-
-
-def profile_mismatches(table: WorkerTable, profiles: List[WorkerProfile]) -> List[str]:
-    """Where ``table`` disagrees with the registered ``profiles`` (in order).
-
-    Empty when every profile has a live row whose history columns equal
-    it, the live rows enumerate the profiles in the given (registration)
-    order, and the maintained free count matches the status columns.  Used
-    by the runtime invariant audit.
-    """
-    problems: List[str] = []
-    live = table.live_slots()
-    order = table.worker_id[live].tolist()
-    expected = [profile.worker_id for profile in profiles]
-    if order != expected:
-        problems.append(f"row order {order} != registration order {expected}")
-    n_available = len(table.available_slots())
-    if table.n_available != n_available:
-        problems.append(f"n_available={table.n_available} but {n_available} are free")
-    for profile in profiles:
-        slot = table._slot_of.get(profile.worker_id)
-        if slot is None or table.profile[slot] is not profile:
-            problems.append(f"worker {profile.worker_id} has no row")
-            continue
-        accuracy = [0.0] * len(CATEGORY_INDEX)
-        for category, stats in profile.category_stats.items():
-            accuracy[CATEGORY_INDEX[category]] = stats.accuracy
-        row = {
-            "n_obs": int(table.n_obs[slot]),
-            "assignment_count": int(table.assignment_count[slot]),
-            "latitude": float(table.latitude[slot]),
-            "longitude": float(table.longitude[slot]),
-            "accuracy": table.accuracy[slot].tolist(),
-        }
-        truth = {
-            "n_obs": len(profile.execution_times),
-            "assignment_count": profile.assignment_count,
-            "latitude": profile.latitude,
-            "longitude": profile.longitude,
-            "accuracy": accuracy,
-        }
-        for field, value in truth.items():
-            if row[field] != value:
-                problems.append(
-                    f"worker {profile.worker_id}: {field} row={row[field]} profile={value}"
-                )
-    return problems

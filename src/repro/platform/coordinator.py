@@ -277,16 +277,16 @@ class Coordinator:
         self._entries[idx : idx + 1] = [keep_entry, new_entry]
         self._splits += 1
 
-        # Migrate idle workers located in the new half, with their simulated
-        # ground truth (None on a live server).
-        for profile in list(old.profiling):
+        # Migrate idle workers located in the new half, with their history
+        # and simulated ground truth (None on a live server).
+        for profile in old.profiling.table.profiles():
             if old.profiling.current_task(profile.worker_id) is not None:
                 continue
             if not half_new.contains(profile.latitude, profile.longitude):
                 continue
             behavior = old.behavior_of(profile.worker_id)
-            old.remove_worker(profile.worker_id)
-            new_server.add_worker(profile, behavior)
+            history = old.remove_worker(profile.worker_id)
+            new_server.add_worker(profile, behavior, history)
             self._workers_migrated += 1
 
         # Migrate the queued tasks belonging to the new half — this is the

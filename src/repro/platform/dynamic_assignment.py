@@ -264,7 +264,7 @@ class DynamicAssignmentComponent:
         re-evaluated in this sweep against his updated table row (a
         one-row batch call), whether or not it was due, instead of using
         the batch value.  A row that was due and not withdrawn stays due:
-        with its profile unchanged, Eq. 2 only falls as time passes.
+        with its history unchanged, Eq. 2 only falls as time passes.
 
         The evaluation counters keep counting every assigned task: a row
         left out *is* an Eq. 2 decision, just one reached without

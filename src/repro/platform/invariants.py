@@ -1,7 +1,7 @@
 """Cross-component runtime invariants.
 
-The four server components share mutable state (tasks, worker profiles,
-worker-table rows) through well-defined transitions; a bug in any handler
+The four server components share mutable state (tasks, worker-table
+rows) through well-defined transitions; a bug in any handler
 tends to show up as a *relationship* violation long before it corrupts a headline metric.
 :func:`check_server_invariants` audits those relationships on demand and
 :class:`InvariantMonitor` re-audits them on a simulated-time grid, so
@@ -18,24 +18,22 @@ I1  Task pools partition: every task is in exactly one of
 I2  An ASSIGNED task's worker is registered with the Profiling Component.
 I3  No double *active* booking: no task is the current task (the worker
     table's ``task`` cell) of two workers.  One cell per worker means he
-    claims at most one task and is never free while he claims one.  (Plain
-    "≤ 1 assigned task per worker" is deliberately NOT an invariant: an
-    abandoner who walks away leaves his task ASSIGNED platform-side —
-    under the traditional policy forever — while the scheduler correctly
-    hands him new work.)
+    claims at most one task and is never free while he claims one.  The
+    table's maintained free count equals a recount of its status columns.
+    (Plain "≤ 1 assigned task per worker" is deliberately NOT an
+    invariant: an abandoner who walks away leaves his task ASSIGNED
+    platform-side — under the traditional policy forever — while the
+    scheduler correctly hands him new work.)
 I4  A worker's current task is ASSIGNED to that same worker.
 I6  Metric conservation: completed + expired never exceeds received;
     on-time <= completed; positive feedback <= completed (delegates to
     :meth:`MetricsCollector.check_conservation`).
 I7  Metric/pool agreement: received = finished + in-flight (only on
     servers that never adopt migrated tasks; disabled otherwise).
-I8  Worker table agreement: each registered profile's row of the
-    Profiling Component's :class:`~repro.model.worker_table.WorkerTable`
-    equals the profile's history (observation and assignment counts,
-    location, per-category accuracy), the live rows enumerate the workers
-    in registration order, and the maintained free count is exact.  A
-    direct write to a registered profile, bypassing the component, shows
-    up here.
+
+I5 and I8 hold by construction and are not checked: a worker's status
+is one ``task`` cell (I5, a free worker claims no task), and his row is
+his only record (I8, profiles agreeing with their rows).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..model.task import TaskPhase
-from ..model.worker_table import profile_mismatches
 from ..sim.engine import Engine
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
@@ -92,12 +89,14 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
                 f"I2: task {task.task_id} assigned to unregistered worker {worker_id}"
             )
 
-    # I3/I4 — each worker's current task.
+    # I3/I4 — each worker's current task, and the free count.
+    profiling = server.profiling
     claimed_by: dict[int, int] = {}
-    for profile in server.profiling:
-        worker_id = profile.worker_id
-        task_id = server.profiling.current_task(worker_id)
+    n_free = 0
+    for worker_id in profiling:
+        task_id = profiling.current_task(worker_id)
         if task_id is None:
+            n_free += profiling.is_online(worker_id)
             continue
         if task_id in claimed_by:
             raise InvariantViolation(
@@ -117,6 +116,11 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
                 f"(phase={task.phase}, assigned_worker={task.assigned_worker})"
             )
 
+    if profiling.available_count != n_free:
+        raise InvariantViolation(
+            f"I3: n_available={profiling.available_count} but {n_free} are free"
+        )
+
     # I6 — metric self-consistency.
     try:
         server.metrics.check_conservation()
@@ -132,11 +136,6 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
                 f"I7: received={server.metrics.received} but "
                 f"finished+in_flight={total}"
             )
-
-    # I8 — the worker table mirrors the registered profiles.
-    problems = profile_mismatches(server.profiling.table, list(server.profiling))
-    if problems:
-        raise InvariantViolation(f"I8: worker table drift: {'; '.join(problems[:3])}")
 
 
 @dataclass

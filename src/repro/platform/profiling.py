@@ -6,32 +6,31 @@ status, completion times and per-category feedback accuracy.  This is the
 *platform-observable* worker state — the latent ground-truth behaviour lives
 with the simulator (:mod:`repro.model.worker`), never here.
 
-The component is the only writer of a registered worker's state.  His
-status (online, current task) lives only in his row of the columnar
-:class:`~repro.model.worker_table.WorkerTable`; each history update writes
-the :class:`~repro.model.worker.WorkerProfile` and the row together, so
-batch construction can read the table instead of walking the profiles.  A
-registered profile must not be written directly: the invariant audit (I8
-in :mod:`repro.platform.invariants`) reports the drift.
+The component is the only writer of a registered worker's state, which
+lives in one place: his row of the columnar
+:class:`~repro.model.worker_table.WorkerTable` (status, history and
+location; the :class:`~repro.model.worker.WorkerProfile` it was registered
+with is an immutable identity).  A departing worker's history is handed
+back as a :class:`~repro.model.worker_table.WorkerHistory`, so a churn
+return or a split migration can continue it in a new row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
 from ..model.task import TaskCategory
 from ..model.worker import WorkerProfile
-from ..model.worker_table import WorkerTable
+from ..model.worker_table import WorkerHistory, WorkerTable
 
 
 class ProfilingComponent:
-    """Registry of worker profiles for one REACT server's region."""
+    """Registry of the workers of one REACT server's region."""
 
     def __init__(self) -> None:
-        self._profiles: Dict[int, WorkerProfile] = {}
-        #: Columnar mirror of the registered profiles (registration order).
+        #: One row per registered worker, in registration order.
         self.table = WorkerTable()
         #: Chaos hook (:class:`repro.chaos.StaleProfileFault`): maps a raw
         #: ``(worker_id, execution_time)`` observation to the value actually
@@ -41,12 +40,14 @@ class ProfilingComponent:
         self._profile_hooks: List[Callable[[int], None]] = []
 
     # ---------------------------------------------------------- membership
-    def register(self, profile: WorkerProfile) -> None:
-        """Register a worker; he starts online and free."""
-        if profile.worker_id in self._profiles:
+    def register(
+        self, profile: WorkerProfile, history: Optional[WorkerHistory] = None
+    ) -> None:
+        """Register a worker, continuing ``history`` if given; he starts
+        online and free."""
+        if profile.worker_id in self.table:
             raise ValueError(f"worker {profile.worker_id} is already registered")
-        self._profiles[profile.worker_id] = profile
-        self.table.append(profile)
+        self.table.append(profile, history)
         self._changed(profile.worker_id)
 
     def add_profile_hook(self, hook: Callable[[int], None]) -> None:
@@ -63,26 +64,23 @@ class ProfilingComponent:
         for hook in self._profile_hooks:
             hook(worker_id)
 
-    def deregister(self, worker_id: int) -> WorkerProfile:
+    def deregister(self, worker_id: int) -> WorkerHistory:
         """Remove a worker (churn); raises ``KeyError`` if unknown.
 
-        His table row, and with it his fitted duration model, goes too.
+        His table row, and with it his fitted duration model, goes; his
+        history is returned.
         """
-        profile = self._profiles.pop(worker_id)
-        self.table.remove(worker_id)
-        return profile
-
-    def get(self, worker_id: int) -> WorkerProfile:
-        return self._profiles[worker_id]
+        return self.table.remove(worker_id)
 
     def __contains__(self, worker_id: int) -> bool:
-        return worker_id in self._profiles
+        return worker_id in self.table
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return len(self.table)
 
-    def __iter__(self) -> Iterator[WorkerProfile]:
-        return iter(self._profiles.values())
+    def __iter__(self) -> Iterator[int]:
+        """Registered worker ids, in registration order."""
+        return iter(self.table)
 
     # ------------------------------------------------------------- queries
     def available_workers(self) -> np.ndarray:
@@ -120,7 +118,6 @@ class ProfilingComponent:
         """The worker took ``task_id``; raises ``ValueError`` unless he is
         online and free."""
         self.table.assign(worker_id, task_id)
-        self._profiles[worker_id].assignment_count += 1
 
     def set_online(self, worker_id: int, online: bool) -> None:
         """A registered worker goes offline (held, departing) or back online."""
@@ -138,30 +135,23 @@ class ProfilingComponent:
         positive_feedback: bool,
     ) -> None:
         """Store a finished task's stats and free the worker."""
-        profile = self._profiles[worker_id]
         if self.observation_hook is not None:
             execution_time = self.observation_hook(worker_id, execution_time)
-        profile.record_completion(execution_time, category, positive_feedback)
-        self.table.complete(
-            worker_id,
-            len(profile.execution_times),
-            category,
-            profile.category_stats[category].accuracy,
-        )
+        if execution_time <= 0:
+            raise ValueError(f"execution_time must be positive, got {execution_time}")
+        self.table.complete(worker_id, float(execution_time), category, positive_feedback)
         self._changed(worker_id)
 
-    def _censor(self, profile: WorkerProfile, elapsed: float) -> None:
+    def _censor(self, worker_id: int, elapsed: float) -> None:
         """Fold a censored hold time into the history (a no-op for ``elapsed <= 0``)."""
-        before = len(profile.execution_times)
-        profile.record_censored(elapsed)
-        if len(profile.execution_times) != before:
-            self.table.set_n_obs(profile.worker_id, before + 1)
-            self._changed(profile.worker_id)
+        if elapsed > 0:
+            self.table.censor(worker_id, float(elapsed))
+            self._changed(worker_id)
 
     def record_withdrawal(self, worker_id: int, task_id: int, elapsed: float) -> None:
         """The platform pulled the worker's task after ``elapsed`` seconds.
 
-        The elapsed hold time enters the profile as a *censored* duration
+        The elapsed hold time enters the history as a *censored* duration
         observation (the worker takes at least that long), so chronic
         dawdlers accumulate a heavy-tailed history and Eq. 3 stops routing
         tasks to them.  The worker is released at once: the platform
@@ -177,7 +167,7 @@ class ProfilingComponent:
         is still assigned to him (the completion/withdrawal generation-stamp
         race; see ``tests/chaos/test_generation_stamp_race.py``).
         """
-        self._censor(self._profiles[worker_id], elapsed)
+        self._censor(worker_id, elapsed)
         if self.current_task(worker_id) == task_id:
             self.release(worker_id)
 
@@ -192,9 +182,10 @@ class ProfilingComponent:
         """
         if self.current_task(worker_id) != task_id:
             return
-        self._censor(self._profiles[worker_id], elapsed)
+        self._censor(worker_id, elapsed)
         self.release(worker_id)
 
     # ------------------------------------------------------------ summary
     def trained_count(self, min_history: int) -> int:
-        return sum(1 for p in self._profiles.values() if p.completed_tasks >= min_history)
+        table = self.table
+        return int(np.count_nonzero(table.n_obs[table.live_slots()] >= min_history))

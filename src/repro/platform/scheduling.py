@@ -22,7 +22,6 @@ import numpy as np
 from ..core.matching.base import Matcher, MatchingResult
 from ..graph.builders import AssignmentGraphBuilder, GraphBuildReport
 from ..model.task import Task
-from ..model.worker import WorkerProfile
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import SCHEDULER_TRACK
 from ..sim.clock import EventClock
@@ -61,7 +60,7 @@ class SchedulingComponent:
         matcher: Matcher,
         cost_model: CostModel,
         matcher_rng: np.random.Generator,
-        on_assign: Callable[[Task, WorkerProfile], None],
+        on_assign: Callable[[Task, int], None],
         on_retired: Callable[[List[Task]], None],
         on_batch: Optional[Callable[[BatchRecord], None]] = None,
         observability: Optional[ObservabilityLike] = None,
@@ -199,9 +198,9 @@ class SchedulingComponent:
 
         payload = _PendingBatch(
             started_at=now,
-            # Profiles, not slots: a registration change before publication
+            # Ids, not slots: a registration change before publication
             # may compact the table and move every slot.
-            workers=rows.profiles,
+            workers=rows.worker_ids.tolist(),
             batch=batch,
             result=result,
             report=report,
@@ -241,17 +240,17 @@ class SchedulingComponent:
             if worker_idx < 0:
                 self._tasks.return_unmatched(task)
                 continue
-            worker = pending.workers[worker_idx]
+            worker_id = pending.workers[worker_idx]
             # A worker may have gone offline (churn) or left this region
             # (split migration) while the matcher ran; his matched task
             # silently rejoins the queue.
-            if not self._profiles.is_free(worker.worker_id):
+            if not self._profiles.is_free(worker_id):
                 self._tasks.return_unmatched(task)
                 continue
-            self._tasks.commit_assignment(task, worker.worker_id, now)
-            self._profiles.record_assignment(worker.worker_id, task.task_id)
+            self._tasks.commit_assignment(task, worker_id, now)
+            self._profiles.record_assignment(worker_id, task.task_id)
             matched += 1
-            self._on_assign(task, worker)
+            self._on_assign(task, worker_id)
 
         record = BatchRecord(
             started_at=pending.started_at,
@@ -299,8 +298,8 @@ class SchedulingComponent:
 @dataclass
 class _PendingBatch:
     started_at: float
-    #: object array of the batch's WorkerProfile rows (graph row order)
-    workers: np.ndarray
+    #: the batch's worker ids (graph row order)
+    workers: List[int]
     batch: List[Task]
     result: MatchingResult
     report: GraphBuildReport

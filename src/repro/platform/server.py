@@ -29,6 +29,7 @@ from ..graph.builders import AssignmentGraphBuilder, BudgetGate, RewardRange
 from ..model.feedback import FeedbackModel
 from ..model.task import Task, TaskPhase
 from ..model.worker import WorkerBehavior, WorkerProfile
+from ..model.worker_table import WorkerHistory
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import worker_track
 from ..sim.clock import EventClock
@@ -188,22 +189,28 @@ class RegionServer:
 
     # -------------------------------------------------------------- workers
     def add_worker(
-        self, profile: WorkerProfile, behavior: Optional[WorkerBehavior] = None
+        self,
+        profile: WorkerProfile,
+        behavior: Optional[WorkerBehavior] = None,
+        history: Optional[WorkerHistory] = None,
     ) -> None:
-        """Register a worker; ``behavior`` is the delivery's business."""
-        self.profiling.register(profile)
+        """Register a worker, continuing ``history`` (the record
+        :meth:`remove_worker` returned) if given; ``behavior`` is the
+        delivery's business."""
+        self.profiling.register(profile, history)
 
     def behavior_of(self, worker_id: int) -> Optional[WorkerBehavior]:
         """The simulated ground truth of a worker; None without one."""
         return None
 
-    def remove_worker(self, worker_id: int) -> None:
+    def remove_worker(self, worker_id: int) -> WorkerHistory:
         """Worker churn: an online worker leaves the region.
 
         A task he was executing is withdrawn and re-queued (the paper's
         Dynamic Assignment Component "is able to deal with changes in the
         worker set ... by reassigning the tasks when workers abandon the
-        system").
+        system").  Returns his history, for a caller that registers him
+        again.
         """
         task_id = self.profiling.current_task(worker_id)
         self.profiling.set_online(worker_id, False)
@@ -220,8 +227,9 @@ class RegionServer:
                     reason="worker_departed",
                 )
                 self._on_withdraw(task)
-        self.profiling.deregister(worker_id)
+        history = self.profiling.deregister(worker_id)
         self._forget(worker_id)
+        return history
 
     def _forget(self, worker_id: int) -> None:
         """Delivery hook: drop per-worker delivery state of a departed worker."""
@@ -283,18 +291,18 @@ class RegionServer:
         )
 
     # ------------------------------------------------------------ callbacks
-    def _on_assign(self, task: Task, worker: WorkerProfile) -> None:
+    def _on_assign(self, task: Task, worker_id: int) -> None:
         """Assignment published: watch it, hand it to the delivery, arm its expiry."""
         self.metrics.record_assignment(first=task.assignments == 1)
         self._tracer.instant(
             "task.assigned",
             cat="task",
             task_id=task.task_id,
-            worker_id=worker.worker_id,
+            worker_id=worker_id,
             generation=task.assignments,
         )
         self.dynamic_assignment.track(task)
-        finish = self._deliver(task, worker)
+        finish = self._deliver(task, worker_id)
         # AMT expiry semantics: if the deadline passes while the task is
         # still out with this worker, the platform pulls it back.  Only
         # armed when the deadline is still ahead — a task knowingly handed
@@ -306,7 +314,7 @@ class RegionServer:
             now = self.engine.now
             remaining = task.absolute_deadline - now
             if remaining > 0:
-                expiry = (task.task_id, worker.worker_id, task.assignments)
+                expiry = (task.task_id, worker_id, task.assignments)
                 if finish is None or finish >= remaining:
                     self.engine.schedule(
                         remaining, EventKind.CALLBACK, self._on_running_expiry,
@@ -315,7 +323,7 @@ class RegionServer:
                 else:
                     self._skip_running_expiry(now + remaining, expiry)
 
-    def _deliver(self, task: Task, worker: WorkerProfile) -> Optional[float]:
+    def _deliver(self, task: Task, worker_id: int) -> Optional[float]:
         """Delivery hook: route a published assignment to its worker.
 
         Returns the delay until the worker's result lands, when the delivery
@@ -548,19 +556,22 @@ class REACTServer(RegionServer):
         #: chaos hook (:class:`repro.chaos.NoShowFault`): may mutate each
         #: freshly drawn execution before its events are scheduled
         self.execution_hook: Optional[
-            Callable[[_Execution, Task, WorkerProfile], None]
+            Callable[[_Execution, Task, int], None]
         ] = None
 
     # -------------------------------------------------------------- workers
     def add_worker(
-        self, profile: WorkerProfile, behavior: Optional[WorkerBehavior] = None
+        self,
+        profile: WorkerProfile,
+        behavior: Optional[WorkerBehavior] = None,
+        history: Optional[WorkerHistory] = None,
     ) -> None:
         if behavior is None:
             raise ValueError(
                 "REACTServer simulates worker outcomes and requires a "
                 "WorkerBehavior; live workers belong on a LiveRegionServer"
             )
-        super().add_worker(profile)
+        super().add_worker(profile, history=history)
         self._behaviors[profile.worker_id] = behavior
 
     def behavior_of(self, worker_id: int) -> Optional[WorkerBehavior]:
@@ -570,23 +581,23 @@ class REACTServer(RegionServer):
         self._behaviors.pop(worker_id, None)
 
     # ------------------------------------------------------------- delivery
-    def _deliver(self, task: Task, worker: WorkerProfile) -> Optional[float]:
+    def _deliver(self, task: Task, worker_id: int) -> Optional[float]:
         """Draw the worker's true outcome and schedule its completion.
 
         Returns the drawn duration once ``execution_hook`` has had its say,
         or None for an abandonment: no result will land.
         """
-        behavior = self._behaviors[worker.worker_id]
+        behavior = self._behaviors[worker_id]
         draw = behavior.sample_outcome(self._behavior_rng)
         execution = _Execution(
             task_id=task.task_id,
-            worker_id=worker.worker_id,
+            worker_id=worker_id,
             generation=task.assignments,
             duration=draw.duration,
             abandoned=draw.abandoned,
         )
         if self.execution_hook is not None:
-            self.execution_hook(execution, task, worker)
+            self.execution_hook(execution, task, worker_id)
         execution.completion_event = self.engine.schedule(
             execution.duration,
             EventKind.TASK_COMPLETION,

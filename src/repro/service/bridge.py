@@ -33,6 +33,7 @@ from typing import Callable, Dict, Optional
 
 from ..model.task import Task
 from ..model.worker import WorkerProfile
+from ..model.worker_table import WorkerHistory
 from ..obs.runtime import ObservabilityLike
 from ..platform.cost import CostModel, ZeroCost
 from ..platform.policies import SchedulingPolicy
@@ -122,13 +123,19 @@ class LiveRegionServer(RegionServer):
             self._liveness_sweep = None
 
     # -------------------------------------------------------------- workers
-    def add_worker(self, profile: WorkerProfile, behavior: object = None) -> None:
-        """A live worker connects (HTTP register).
+    def add_worker(
+        self,
+        profile: WorkerProfile,
+        behavior: object = None,
+        history: Optional[WorkerHistory] = None,
+    ) -> None:
+        """A live worker connects (HTTP register), or a split migrates one
+        here with his ``history``.
 
         ``behavior`` is accepted and ignored: live workers have no simulated
         ground truth.
         """
-        self.profiling.register(profile)
+        self.profiling.register(profile, history)
         self._last_seen[profile.worker_id] = self.engine.now
         self._tracer.instant("worker.registered", cat="service", worker_id=profile.worker_id)
         # Fresh supply may make queued work matchable right away.
@@ -200,21 +207,21 @@ class LiveRegionServer(RegionServer):
         return self.task_management.in_flight
 
     # ------------------------------------------------------------- delivery
-    def _deliver(self, task: Task, worker: WorkerProfile) -> Optional[float]:
+    def _deliver(self, task: Task, worker_id: int) -> Optional[float]:
         """Park a dispatch notice for the worker's next heartbeat.
 
         Returns None: when a live worker answers is not known in advance.
         """
         notice = DispatchNotice(
             task_id=task.task_id,
-            worker_id=worker.worker_id,
+            worker_id=worker_id,
             generation=task.assignments,
             category=task.category.value,
             reward=task.reward,
             deadline_at=task.absolute_deadline,
             assigned_at=self.engine.now,
         )
-        self._inbox[worker.worker_id] = notice
+        self._inbox[worker_id] = notice
         if self._on_dispatch is not None:
             self._on_dispatch(notice)
         return None

@@ -320,6 +320,7 @@ class ServiceGateway:
             )
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
+        self._server_for(latitude, longitude)  # 400 outside every region
         self.coordinator.submit_task(task)
         return json_response(
             {"task_id": task.task_id, "status": "admitted"}, status=201
@@ -350,16 +351,19 @@ class ServiceGateway:
                 {"error": f"worker {worker_id} already registered"}, status=409
             )
         latitude, longitude = self._coords(body)
-        profile = WorkerProfile(
-            worker_id=worker_id, latitude=latitude, longitude=longitude
-        )
+        try:
+            profile = WorkerProfile(
+                worker_id=worker_id, latitude=latitude, longitude=longitude
+            )
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from exc
         server = self._server_for(latitude, longitude)
         server.add_worker(profile)
         self._worker_server[worker_id] = server
         return json_response({"worker_id": worker_id}, status=201)
 
     def _server_of(self, worker_id: int) -> Optional[LiveRegionServer]:
-        """The server currently holding ``worker_id``'s profile.
+        """The server currently holding ``worker_id``'s row.
 
         A region split can migrate an idle worker to a child server behind
         the gateway's back; the cached route is re-validated against the
@@ -420,8 +424,13 @@ class ServiceGateway:
         return json_response({"status": "deregistered"})
 
     def _server_for(self, latitude: float, longitude: float) -> LiveRegionServer:
+        """The server owning the point; a point outside every region is a 400."""
         assert self.coordinator is not None
-        return cast(LiveRegionServer, self.coordinator.server_for(latitude, longitude))
+        try:
+            server = self.coordinator.server_for(latitude, longitude)
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from exc
+        return cast(LiveRegionServer, server)
 
 
 def _int_segment(segment: str, label: str) -> int:

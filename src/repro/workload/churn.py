@@ -11,7 +11,8 @@ alternates between online *sessions* (exponential, mean
 ``mean_session_s``) and offline *absences* (exponential, mean
 ``mean_absence_s``).  Going offline uses the server's churn path — a task
 the worker held is withdrawn and re-queued; coming back online re-registers
-the same profile (history intact, as a returning worker would have).
+the same profile with the history he left with, as a returning worker
+would have it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from ..model.worker import WorkerBehavior, WorkerProfile
+from ..model.worker_table import WorkerHistory
 from ..sim.clock import EventClock
 from ..sim.events import Event, EventKind
 
@@ -41,6 +43,8 @@ class _WorkerChurnState:
     profile: WorkerProfile
     behavior: Optional[WorkerBehavior]
     online: bool = True
+    #: what the server observed of him, kept while he is away
+    history: Optional[WorkerHistory] = None
 
 
 class ChurnProcess:
@@ -75,7 +79,7 @@ class ChurnProcess:
 
     def track_all_workers(self) -> None:
         """Start churn cycles for every worker currently on the server."""
-        for profile in list(self._server.profiling):
+        for profile in self._server.profiling.table.profiles():
             self.track(profile, self._server.behavior_of(profile.worker_id))
 
     def track(self, profile: WorkerProfile, behavior: Optional[WorkerBehavior]) -> None:
@@ -108,7 +112,7 @@ class ChurnProcess:
         if self._server.profiling.current_task(worker_id) is not None:
             self.stats.tasks_disrupted += 1
         if worker_id in self._server.profiling:
-            self._server.remove_worker(worker_id)
+            state.history = self._server.remove_worker(worker_id)
         state.online = False
         self.stats.departures += 1
         self._schedule_return(state)
@@ -119,8 +123,8 @@ class ChurnProcess:
         state: _WorkerChurnState = event.payload
         if state.online:  # pragma: no cover - defensive
             return
-        # The same human comes back: profile (and its history) is reused.
-        self._server.add_worker(state.profile, state.behavior)
+        # The same human comes back, and his row continues his history.
+        self._server.add_worker(state.profile, state.behavior, state.history)
         state.online = True
         self.stats.returns += 1
         self._schedule_departure(state)

@@ -1,6 +1,6 @@
 """Per-fault-kind regression suite.
 
-For every fault kind, an audited REACT run (invariants I1-I4, I6-I8 re-checked
+For every fault kind, an audited REACT run (invariants I1-I4, I6, I7 re-checked
 every simulated second) under a single injected fault must
 
 a) replay bit-identically from the same seeds,

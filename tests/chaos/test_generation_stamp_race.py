@@ -23,26 +23,27 @@ from repro.platform.policies import react_policy
 from repro.platform.profiling import ProfilingComponent
 
 
-def _abandoner_rematched_to_newer_task() -> tuple[ProfilingComponent, WorkerProfile]:
+def _abandoner_rematched_to_newer_task() -> ProfilingComponent:
     """Worker 7: abandoned T1 (still ASSIGNED platform-side), now on T2."""
     component = ProfilingComponent()
-    profile = WorkerProfile(worker_id=7)
-    component.register(profile)
+    component.register(WorkerProfile(worker_id=7))
     component.record_assignment(7, task_id=1)
     component.release(7)  # sampled walk-away: freed without returning a result
     component.record_assignment(7, task_id=2)
-    return component, profile
+    return component
 
 
 def test_stale_withdrawal_leaves_worker_on_newer_task():
-    component, profile = _abandoner_rematched_to_newer_task()
+    component = _abandoner_rematched_to_newer_task()
 
     # The Eq. 2 sweep finally pulls T1 back and *names* it.
     component.record_withdrawal(7, elapsed=42.0, task_id=1)
 
     assert component.current_task(7) == 2, "withdrawal of T1 must not touch T2"
     assert not component.is_free(7), "worker is still executing T2"
-    assert 42.0 in profile.execution_times, "censored hold is still recorded"
+    assert 42.0 in component.table.history(7).execution_times, (
+        "censored hold is still recorded"
+    )
 
 
 def test_current_task_withdrawal_still_releases():

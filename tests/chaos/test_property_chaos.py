@@ -2,7 +2,7 @@
 
 Hypothesis generates arbitrary (bounded) fault schedules — overlapping
 windows, repeated kinds, extreme parameters — and the whole workload runs
-under a 1-second invariant audit grid.  Any I1-I4, I6-I8 violation or metric
+under a 1-second invariant audit grid.  Any I1-I4, I6, I7 violation or metric
 conservation failure raises mid-run and Hypothesis shrinks the schedule to
 a minimal reproduction; the ``note`` output prints the exact schedule and
 seeds so the failure replays deterministically.
@@ -78,7 +78,7 @@ def test_random_fault_schedules_hold_every_invariant(faults, injector_seed):
     schedule = FaultSchedule(faults=tuple(faults), seed=injector_seed)
     note(f"workload seed={CONFIG.seed} schedule={schedule!r}")
 
-    # The run audits I1-I4, I6-I8 every simulated second and checks metric
+    # The run audits I1-I4, I6, I7 every simulated second and checks metric
     # conservation at the end; any violation raises and Hypothesis shrinks.
     result = run_chaos(react_policy(cycles=200), CONFIG, schedule=schedule)
 

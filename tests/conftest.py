@@ -7,7 +7,6 @@ import pytest
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.model.task import Task, TaskCategory, reset_task_ids
-from repro.model.worker import WorkerBehavior, WorkerProfile
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -69,22 +68,5 @@ def make_task():
             category=category,
             submitted_at=submitted_at,
         )
-
-    return _make
-
-
-@pytest.fixture
-def make_worker():
-    def _make(
-        worker_id: int = 0,
-        history: list[float] | None = None,
-        quality: float = 0.8,
-    ) -> tuple[WorkerProfile, WorkerBehavior]:
-        profile = WorkerProfile(worker_id=worker_id)
-        if history:
-            for t in history:
-                profile.record_completion(t, TaskCategory.GENERIC, True)
-        behavior = WorkerBehavior(min_time=2.0, max_time=10.0, quality=quality)
-        return profile, behavior
 
     return _make

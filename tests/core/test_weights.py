@@ -13,17 +13,27 @@ from repro.core.weights import (
 )
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
+from repro.platform.profiling import ProfilingComponent
 
 
 def _task(category=TaskCategory.GENERIC, lat=0.0, lon=0.0):
     return Task(latitude=lat, longitude=lon, deadline=60.0, category=category)
 
 
+def _rows(*workers):
+    """Table rows of ``(profile, records)`` workers, in order; each record
+    ``(category, positive)`` is one finished task."""
+    profiling = ProfilingComponent()
+    for profile, records in workers:
+        profiling.register(profile)
+        for category, positive in records:
+            profiling.record_completion(profile.worker_id, 5.0, category, positive)
+    return profiling.table.rows_of([profile.worker_id for profile, _ in workers])
+
+
 def _worker(worker_id=0, lat=0.0, lon=0.0, records=()):
-    profile = WorkerProfile(worker_id=worker_id, latitude=lat, longitude=lon)
-    for category, positive in records:
-        profile.record_completion(5.0, category, positive)
-    return profile
+    """One worker's table row."""
+    return _rows((WorkerProfile(worker_id, lat, lon), records))
 
 
 class TestAccuracyWeight:
@@ -49,10 +59,10 @@ class TestAccuracyWeight:
         assert AccuracyWeight().single(_worker(), _task()) == 0.0
 
     def test_matrix_shape_and_values(self):
-        workers = [
-            _worker(0, records=[(TaskCategory.GENERIC, True)]),
-            _worker(1, records=[(TaskCategory.GENERIC, False)]),
-        ]
+        workers = _rows(
+            (WorkerProfile(0), [(TaskCategory.GENERIC, True)]),
+            (WorkerProfile(1), [(TaskCategory.GENERIC, False)]),
+        )
         tasks = [_task(), _task(TaskCategory.PRICE_CHECK)]
         matrix = AccuracyWeight().matrix(workers, tasks)
         assert matrix.shape == (2, 2)
@@ -64,7 +74,7 @@ class TestAccuracyWeight:
         """Multiple tasks in the same category share one lookup column."""
         worker = _worker(records=[(TaskCategory.GENERIC, True)])
         tasks = [_task(), _task(), _task(TaskCategory.PRICE_CHECK)]
-        matrix = AccuracyWeight().matrix([worker], tasks)
+        matrix = AccuracyWeight().matrix(worker, tasks)
         assert list(matrix[0]) == [1.0, 1.0, 0.0]
 
 
@@ -91,9 +101,8 @@ class TestDistanceWeight:
     def test_matrix_bit_equal_to_scalar_oracle(self):
         """The broadcast path must reproduce the per-cell path bit-for-bit."""
         rng = np.random.default_rng(99)
-        workers = [
-            _worker(i, lat=float(rng.uniform(38.0, 38.2)),
-                    lon=float(rng.uniform(23.6, 23.8)))
+        profiles = [
+            WorkerProfile(i, float(rng.uniform(38.0, 38.2)), float(rng.uniform(23.6, 23.8)))
             for i in range(17)
         ]
         tasks = [
@@ -102,8 +111,9 @@ class TestDistanceWeight:
             for _ in range(23)
         ]
         fn = DistanceWeight(max_km=10.0)
-        assert np.array_equal(fn.matrix(workers, tasks),
-                              fn.matrix_scalar(workers, tasks))
+        rows = _rows(*[(profile, ()) for profile in profiles])
+        assert np.array_equal(fn.matrix(rows, tasks),
+                              fn.matrix_scalar(profiles, tasks))
 
 
 class TestTravelTimeWeight:
@@ -156,7 +166,8 @@ class TestHybridWeight:
 
 class TestConstantWeight:
     def test_fills_matrix(self):
-        matrix = ConstantWeight(0.7).matrix([_worker(0), _worker(1)], [_task()])
+        workers = _rows((WorkerProfile(0), ()), (WorkerProfile(1), ()))
+        matrix = ConstantWeight(0.7).matrix(workers, [_task()])
         assert np.all(matrix == 0.7)
 
     def test_invalid_value(self):

@@ -26,8 +26,9 @@ from repro.core.kernels import reference
 from repro.core.matching.metropolis import MetropolisMatcher, MetropolisParameters
 from repro.core.matching.react import ReactMatcher, ReactParameters
 from repro.graph.bipartite import BipartiteGraph
-from repro.model.worker import WorkerProfile
 from repro.model.task import TaskCategory
+from repro.model.worker import WorkerProfile
+from repro.platform.profiling import ProfilingComponent
 from repro.stats.duration_models import EmpiricalFamily
 
 
@@ -240,57 +241,61 @@ class TestMatcherEquivalence:
         assert rng_matcher.bit_generator.state == rng_oracle.bit_generator.state
 
 
-def _trained_worker(worker_id: int, history, seed: int = 0) -> WorkerProfile:
-    profile = WorkerProfile(worker_id=worker_id)
-    for t in history:
-        profile.record_completion(float(t), TaskCategory.GENERIC, True)
-    return profile
+def _rows(histories, repeat=1):
+    """Table rows holding ``histories`` (one worker each), recorded through
+    the Profiling Component; the rows repeat ``repeat`` times in order."""
+    profiling = ProfilingComponent()
+    for worker_id, times in enumerate(histories):
+        profiling.register(WorkerProfile(worker_id=worker_id))
+        for t in times:
+            profiling.record_completion(worker_id, float(t), TaskCategory.GENERIC, True)
+    return profiling.table.rows_of(list(range(len(histories))) * repeat)
 
 
 class TestDeadlineBatchEquivalence:
     """Vectorized Eq. (2)/(3) paths against the scalar implementations."""
 
-    def _workers(self):
+    def _histories(self):
         rng = np.random.default_rng(5)
-        workers = [
-            _trained_worker(0, 5.0 + rng.pareto(2.0, 20) * 30.0),  # power law
-            _trained_worker(1, []),  # untrained
-            _trained_worker(2, [10.0, 10.0, 10.0, 10.0]),  # degenerate (alpha cap)
-            _trained_worker(3, 1.0 + rng.pareto(1.2, 50) * 5.0),  # heavy tail
+        return [
+            (5.0 + rng.pareto(2.0, 20) * 30.0).tolist(),  # power law
+            [],  # untrained
+            [10.0, 10.0, 10.0, 10.0],  # degenerate (alpha cap)
+            (1.0 + rng.pareto(1.2, 50) * 5.0).tolist(),  # heavy tail
         ]
-        return workers
 
     def test_eq3_matrix_matches_scalar(self):
         estimator = DeadlineEstimator(min_history=3)
-        workers = self._workers()
+        histories = self._histories()
         ttd = np.array([-5.0, 0.0, 1.0, 7.5, 40.0, 1e6])
-        matrix = estimator.completion_probability_matrix(workers, ttd)
-        assert matrix.shape == (len(workers), len(ttd))
-        for i, worker in enumerate(workers):
+        matrix = estimator.completion_probability_matrix(_rows(histories), ttd)
+        assert matrix.shape == (len(histories), len(ttd))
+        for i, history in enumerate(histories):
             for j, t in enumerate(ttd):
-                scalar = estimator.completion_probability(worker, float(t))
+                scalar = estimator.completion_probability(history, float(t))
                 assert matrix[i, j] == scalar.probability
 
     def test_eq3_matrix_empirical_family_matches_scalar(self):
         estimator = DeadlineEstimator(min_history=3, family=EmpiricalFamily())
-        workers = self._workers()
+        histories = self._histories()
         ttd = np.array([0.5, 12.0, 80.0])
-        matrix = estimator.completion_probability_matrix(workers, ttd)
-        for i, worker in enumerate(workers):
+        matrix = estimator.completion_probability_matrix(_rows(histories), ttd)
+        for i, history in enumerate(histories):
             for j, t in enumerate(ttd):
                 assert matrix[i, j] == estimator.completion_probability(
-                    worker, float(t)
+                    history, float(t)
                 ).probability
 
     def test_eq2_batch_matches_scalar(self):
         estimator = DeadlineEstimator(min_history=3)
-        workers = self._workers() * 3  # repeated workers share cached fits
+        histories = self._histories() * 3  # repeated rows share cached fits
         rng = np.random.default_rng(8)
-        elapsed = rng.uniform(0.0, 30.0, size=len(workers))
-        ttd = elapsed + rng.uniform(-5.0, 60.0, size=len(workers))  # some closed
-        probs, trained = estimator.window_probability_batch(workers, elapsed, ttd)
-        for i, worker in enumerate(workers):
-            scalar = estimator.window_probability(worker, float(elapsed[i]), float(ttd[i]))
+        elapsed = rng.uniform(0.0, 30.0, size=len(histories))
+        ttd = elapsed + rng.uniform(-5.0, 60.0, size=len(histories))  # some closed
+        rows = _rows(self._histories(), repeat=3)
+        probs, trained = estimator.window_probability_batch(rows, elapsed, ttd)
+        for i, history in enumerate(histories):
+            scalar = estimator.window_probability(history, float(elapsed[i]), float(ttd[i]))
             assert probs[i] == scalar.probability
             assert trained[i] == scalar.trained
 
@@ -298,16 +303,16 @@ class TestDeadlineBatchEquivalence:
         estimator = DeadlineEstimator()
         with pytest.raises(ValueError, match="arrays"):
             estimator.window_probability_batch(
-                self._workers(), np.zeros(2), np.zeros(4)
+                _rows(self._histories()), np.zeros(2), np.zeros(4)
             )
         with pytest.raises(ValueError, match="non-negative"):
             estimator.window_probability_batch(
-                self._workers()[:1], np.array([-1.0]), np.array([5.0])
+                _rows(self._histories()[:1]), np.array([-1.0]), np.array([5.0])
             )
 
     def test_empty_batch(self):
         probs, trained = DeadlineEstimator().window_probability_batch(
-            [], np.empty(0), np.empty(0)
+            _rows([]), np.empty(0), np.empty(0)
         )
         assert probs.shape == (0,)
         assert trained.shape == (0,)

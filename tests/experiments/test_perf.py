@@ -30,6 +30,8 @@ class TestMatchingBenchmarks:
             assert set(r.to_dict()) == SCHEMA_KEYS
             assert r.wall_seconds > 0
             assert r.throughput > 0
+            # sub-millisecond calls are timed in back-to-back batches
+            assert r.params["calls_per_sample"] >= 1
             if r.params["backend"] == "reference":
                 assert "speedup_vs_reference" not in r.params
             else:

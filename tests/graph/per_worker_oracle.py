@@ -1,17 +1,19 @@
-"""Reference graph build: a Python walk over every worker profile.
+"""Reference graph build: a Python walk over every worker.
 
 Test oracle for :class:`repro.graph.builders.AssignmentGraphBuilder`.  This
 is the builder as it was before the columnar worker table: the Eq. 3
 parameter gather, the Eq. 1 accuracy lookups, the worker locations, the
-cold-start rule and the reward ranges are all read one
-:class:`~repro.model.worker.WorkerProfile` at a time.  The production
-builder must produce a bit-identical keep mask, weight matrix and
-:class:`~repro.graph.builders.GraphBuildReport` for the same profiles.
+cold-start rule and the reward ranges are all read one :class:`Worker` at
+a time.  A :class:`Worker` is the oracle's own record of what the
+Profiling Component was told, kept apart from the worker table.  The
+production builder must produce a bit-identical keep mask, weight matrix
+and :class:`~repro.graph.builders.GraphBuildReport` for the same workers.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,13 +28,35 @@ from repro.core.weights import (
 )
 from repro.graph.builders import MAX_WEIGHT, AssignmentGraphBuilder, GraphBuildReport
 from repro.model.region import haversine_km_matrix
-from repro.model.task import Task
-from repro.model.worker import WorkerProfile
+from repro.model.task import Task, TaskCategory
 from repro.stats.powerlaw import PowerLawFit
 
 
+@dataclass
+class Worker:
+    """One worker's identity and §III-A history, as the oracle tracks it."""
+
+    worker_id: int
+    latitude: float
+    longitude: float
+    execution_times: List[float] = field(default_factory=list)
+    assignment_count: int = 0
+    #: category -> [positive, finished]
+    feedback: Dict[TaskCategory, List[int]] = field(default_factory=dict)
+
+    def complete(self, duration: float, category: TaskCategory, positive: bool) -> None:
+        self.execution_times.append(duration)
+        counts = self.feedback.setdefault(category, [0, 0])
+        counts[0] += positive
+        counts[1] += 1
+
+    def accuracy(self, category: TaskCategory) -> float:
+        positive, finished = self.feedback.get(category, (0, 0))
+        return 0.0 if finished == 0 else positive / finished
+
+
 def eq3_matrix(
-    estimator: DeadlineEstimator, workers: Sequence[WorkerProfile], ttd: np.ndarray
+    estimator: DeadlineEstimator, workers: Sequence[Worker], ttd: np.ndarray
 ) -> np.ndarray:
     """Eq. 3 over the worker × TTD grid, one fit lookup per worker."""
     out = np.empty((len(workers), len(ttd)), dtype=np.float64)
@@ -40,7 +64,7 @@ def eq3_matrix(
     alpha: List[float] = []
     k_min: List[float] = []
     for i, worker in enumerate(workers):
-        fit = estimator.fit_worker(worker)
+        fit = estimator.fit_worker(worker.execution_times)
         if fit is None:
             out[i, :] = 1.0
         elif isinstance(fit, PowerLawFit):
@@ -57,7 +81,7 @@ def eq3_matrix(
     return np.clip(out, 0.0, 1.0)
 
 
-def _accuracy(workers: Sequence[WorkerProfile], tasks: Sequence[Task]) -> np.ndarray:
+def _accuracy(workers: Sequence[Worker], tasks: Sequence[Task]) -> np.ndarray:
     out = np.empty((len(workers), len(tasks)), dtype=np.float64)
     categories: dict = {}
     for j, task in enumerate(tasks):
@@ -69,7 +93,7 @@ def _accuracy(workers: Sequence[WorkerProfile], tasks: Sequence[Task]) -> np.nda
 
 
 def _distance(
-    workers: Sequence[WorkerProfile], tasks: Sequence[Task], max_km: float
+    workers: Sequence[Worker], tasks: Sequence[Task], max_km: float
 ) -> np.ndarray:
     wlat = np.array([w.latitude for w in workers], dtype=np.float64)
     wlon = np.array([w.longitude for w in workers], dtype=np.float64)
@@ -80,9 +104,9 @@ def _distance(
 
 
 def weight_matrix(
-    function: WeightFunction, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
+    function: WeightFunction, workers: Sequence[Worker], tasks: Sequence[Task]
 ) -> np.ndarray:
-    """The weight functions the builder tests use, one profile at a time."""
+    """The weight functions the builder tests use, one worker at a time."""
     if isinstance(function, AccuracyWeight):
         return _accuracy(workers, tasks)
     if isinstance(function, DistanceWeight):
@@ -99,7 +123,7 @@ def weight_matrix(
 def build(
     builder: AssignmentGraphBuilder,
     estimator: DeadlineEstimator,
-    workers: Sequence[WorkerProfile],
+    workers: Sequence[Worker],
     tasks: Sequence[Task],
     now: float,
 ) -> Tuple[np.ndarray, np.ndarray, GraphBuildReport]:

@@ -2,8 +2,9 @@
 
 Hypothesis draws a worker population, registers it with a
 :class:`~repro.platform.profiling.ProfilingComponent` (some workers busy,
-offline, or departed and returned), and builds the batch graph twice: once
-through the worker table, as the Scheduling Component does, and once with
+offline, or departed and returned) while the oracle keeps its own record
+of each worker, and builds the batch graph twice: once through the worker
+table, as the Scheduling Component does, and once with
 :mod:`tests.graph.per_worker_oracle`.  The keep mask, the weights, the Eq. 3
 matrix and the :class:`~repro.graph.builders.GraphBuildReport` must be
 bit-identical, before and after the histories grow.
@@ -21,7 +22,6 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import AssignmentGraphBuilder, RewardRange
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
-from repro.model.worker_table import profile_mismatches
 from repro.platform.profiling import ProfilingComponent
 from repro.stats.duration_models import EmpiricalFamily, LogNormalFamily
 
@@ -44,16 +44,15 @@ feedback = st.tuples(durations, st.sampled_from(CATEGORIES), st.booleans())
 
 @st.composite
 def workers(draw, worker_id):
-    profile = WorkerProfile(
+    worker = oracle.Worker(
         worker_id=worker_id,
         latitude=draw(st.floats(37.95, 38.05)),
         longitude=draw(st.floats(23.65, 23.75)),
     )
-    for duration, category, positive in draw(st.lists(feedback, max_size=8)):
-        profile.record_completion(duration, category, positive)
-    profile.assignment_count = draw(st.integers(0, 5))
+    history = draw(st.lists(feedback, max_size=8))
+    assignments = draw(st.integers(0, 5))
     state = draw(st.sampled_from(("free", "free", "busy", "offline", "returned")))
-    return profile, state
+    return worker, history, assignments, state
 
 
 @st.composite
@@ -108,29 +107,47 @@ class _Budget:
 
 
 def _register(population):
+    """The population registered with a Profiling Component, with each
+    write mirrored in the oracle's :class:`~per_worker_oracle.Worker`."""
     component = ProfilingComponent()
-    for profile, _state in population:
+    for worker, history, assignments, _state in population:
+        worker_id = worker.worker_id
+        profile = WorkerProfile(worker_id, worker.latitude, worker.longitude)
         component.register(profile)
-    for profile, state in population:
+        for duration, category, positive in history:
+            component.record_completion(worker_id, duration, category, positive)
+            worker.complete(duration, category, positive)
+        for _ in range(assignments):
+            component.record_assignment(worker_id, task_id=0)
+            component.release(worker_id)
+        worker.assignment_count = assignments
+    for worker, _history, _assignments, state in population:
+        worker_id = worker.worker_id
         if state == "busy":
-            component.record_assignment(profile.worker_id, task_id=10_000 + profile.worker_id)
+            component.record_assignment(worker_id, task_id=10_000 + worker_id)
+            worker.assignment_count += 1
         elif state == "offline":
-            component.set_online(profile.worker_id, False)
+            component.set_online(worker_id, False)
         elif state == "returned":
-            component.register(component.deregister(profile.worker_id))
+            history = component.deregister(worker_id)
+            component.register(
+                WorkerProfile(worker_id, worker.latitude, worker.longitude), history
+            )
     return component
 
 
 def _assert_same_build(case, component, builder, reference):
     tasks, now = case["tasks"], case["now"]
     rows = component.table.rows(component.available_workers())
-    profiles = [p for p in component if component.is_free(p.worker_id)]
-    assert rows.profiles.tolist() == profiles  # registration order, returns last
+    by_id = {worker.worker_id: worker for worker, *_ in case["population"]}
+    free = [by_id[w] for w in component if component.is_free(w)]
+    # registration order, returns last
+    assert rows.worker_ids.tolist() == [worker.worker_id for worker in free]
 
     graph, report = builder.build(rows, tasks, now)
-    keep, weights, expected = oracle.build(builder, reference, profiles, tasks, now)
+    keep, weights, expected = oracle.build(builder, reference, free, tasks, now)
     assert report == expected
-    if not profiles:
+    if not free:
         assert graph.n_edges == 0
         return
     want = BipartiteGraph.from_dense(weights, mask=keep)
@@ -139,11 +156,11 @@ def _assert_same_build(case, component, builder, reference):
     assert graph.edge_weights.tobytes() == want.edge_weights.tobytes()
 
     plain = builder.weight_function.matrix(rows, tasks)
-    expected_weights = oracle.weight_matrix(builder.weight_function, profiles, tasks)
+    expected_weights = oracle.weight_matrix(builder.weight_function, free, tasks)
     assert plain.tobytes() == expected_weights.tobytes()
     ttd = np.array([task.time_to_deadline(now) for task in tasks], dtype=np.float64)
     eq3 = builder.estimator.completion_probability_matrix(rows, ttd)
-    assert eq3.tobytes() == oracle.eq3_matrix(reference, profiles, ttd).tobytes()
+    assert eq3.tobytes() == oracle.eq3_matrix(reference, free, ttd).tobytes()
 
 
 @given(case=batches())
@@ -166,11 +183,13 @@ def test_columnar_build_matches_per_worker_walk(case):
     _assert_same_build(case, component, builder, reference)
 
     # Histories grow between batches: the stale rows must be refitted.
+    workers = [worker for worker, *_ in case["population"]]
     for worker_id, duration in case["later"]:
         task_id = component.current_task(worker_id)
         if task_id is None:
             component.record_completion(worker_id, duration, CATEGORIES[0], duration < 20.0)
+            workers[worker_id].complete(duration, CATEGORIES[0], duration < 20.0)
         else:
             component.record_withdrawal(worker_id, elapsed=duration, task_id=task_id)
-    assert profile_mismatches(component.table, list(component)) == []
+            workers[worker_id].execution_times.append(duration)  # censored
     _assert_same_build(case, component, builder, reference)

@@ -1,6 +1,6 @@
 """End-to-end runs under continuous invariant auditing.
 
-Every simulated second, every cross-component invariant (I1-I4, I6-I8) is
+Every simulated second, every cross-component invariant (I1-I4, I6, I7) is
 re-checked while the full workload — dawdlers, abandoners, Eq. 2 rescues,
 expiry pull-backs, matcher latency — plays out.  This is the strongest
 correctness statement the suite makes about the platform's state machine.

@@ -1,11 +1,13 @@
 """Unit tests for worker behaviour and profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.model.task import TaskCategory
-from repro.model.worker import CategoryStats, WorkerBehavior, WorkerProfile
-from repro.model.worker_table import WorkerTable
+from repro.model.worker import WorkerBehavior, WorkerProfile
+from repro.model.worker_table import CATEGORY_INDEX, WorkerTable
 from repro.platform.profiling import ProfilingComponent
 
 
@@ -93,44 +95,65 @@ class TestSampling:
 
 
 class TestCategoryStats:
+    """The per-category feedback counts behind Eq. 1, kept in the row."""
+
     def test_accuracy_empty_is_zero(self):
-        assert CategoryStats().accuracy == 0.0
+        component = _registered(WorkerProfile(worker_id=1))
+        assert all(_accuracy(component, 1, category) == 0.0 for category in TaskCategory)
 
     def test_accuracy_ratio(self):
-        stats = CategoryStats()
+        component = _registered(WorkerProfile(worker_id=1))
         for positive in (True, True, False, True):
-            stats.record(positive)
-        assert stats.accuracy == 0.75
+            component.record_completion(1, 5.0, TaskCategory.GENERIC, positive)
+        history = component.table.history(1)
+        column = CATEGORY_INDEX[TaskCategory.GENERIC]
+        assert (history.positive[column], history.finished[column]) == (3, 4)
+        assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.75
 
 
 class TestWorkerProfile:
+    def test_profile_is_an_immutable_identity(self):
+        profile = WorkerProfile(worker_id=1, latitude=38.0, longitude=23.7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.latitude = 0.0  # type: ignore[misc]
+
+    @pytest.mark.parametrize(
+        "latitude, longitude",
+        [(float("nan"), 0.0), (91.0, 0.0), (0.0, float("nan")), (0.0, -181.0)],
+    )
+    def test_location_is_range_checked(self, latitude, longitude):
+        with pytest.raises(ValueError, match="out of range"):
+            WorkerProfile(worker_id=1, latitude=latitude, longitude=longitude)
+
     def test_record_completion_updates_history(self):
-        profile = WorkerProfile(worker_id=1)
-        profile.record_completion(5.0, TaskCategory.GENERIC, True)
-        profile.record_completion(7.0, TaskCategory.GENERIC, False)
-        assert profile.completed_tasks == 2
-        assert profile.accuracy(TaskCategory.GENERIC) == 0.5
+        component = _registered(WorkerProfile(worker_id=1))
+        component.record_completion(1, 5.0, TaskCategory.GENERIC, True)
+        component.record_completion(1, 7.0, TaskCategory.GENERIC, False)
+        assert component.table.history(1).execution_times == [5.0, 7.0]
+        assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.5
 
     def test_accuracy_is_per_category(self):
-        profile = WorkerProfile(worker_id=1)
-        profile.record_completion(5.0, TaskCategory.TRAFFIC_MONITORING, True)
-        profile.record_completion(5.0, TaskCategory.PRICE_CHECK, False)
-        assert profile.accuracy(TaskCategory.TRAFFIC_MONITORING) == 1.0
-        assert profile.accuracy(TaskCategory.PRICE_CHECK) == 0.0
-        assert profile.accuracy(TaskCategory.GENERIC) == 0.0
+        component = _registered(WorkerProfile(worker_id=1))
+        component.record_completion(1, 5.0, TaskCategory.TRAFFIC_MONITORING, True)
+        component.record_completion(1, 5.0, TaskCategory.PRICE_CHECK, False)
+        assert _accuracy(component, 1, TaskCategory.TRAFFIC_MONITORING) == 1.0
+        assert _accuracy(component, 1, TaskCategory.PRICE_CHECK) == 0.0
+        assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.0
 
     def test_invalid_execution_time_rejected(self):
+        component = _registered(WorkerProfile(worker_id=1))
         with pytest.raises(ValueError):
-            WorkerProfile(worker_id=1).record_completion(0.0, TaskCategory.GENERIC, True)
+            component.record_completion(1, 0.0, TaskCategory.GENERIC, True)
+        assert component.table.history(1).execution_times == []
 
     def test_assign_release_cycle(self):
-        """A registered worker's status lives in his table row; the profile
-        keeps the assignment count."""
+        """A registered worker's status and assignment count live in his
+        table row."""
         component = _registered(WorkerProfile(worker_id=1))
         component.record_assignment(1, task_id=10)
         assert not component.is_free(1)
         assert component.current_task(1) == 10
-        assert component.get(1).assignment_count == 1
+        assert component.table.history(1).assignment_count == 1
         component.release(1)
         assert component.is_free(1)
         assert component.current_task(1) is None
@@ -141,10 +164,10 @@ class TestWorkerProfile:
         with pytest.raises(ValueError, match="not available"):
             component.record_assignment(1, task_id=11)
         assert component.current_task(1) == 10
-        assert component.get(1).assignment_count == 1
+        assert component.table.history(1).assignment_count == 1
 
     def test_offline_worker_cannot_be_assigned(self):
-        table = WorkerTable.from_profiles([WorkerProfile(worker_id=1)])
+        table = _table(WorkerProfile(worker_id=1))
         table.set_online(1, False)
         with pytest.raises(ValueError, match="not available"):
             table.assign(1, 10)
@@ -152,34 +175,47 @@ class TestWorkerProfile:
 
     def test_negative_task_id_rejected(self):
         """A negative task cell means free, so it cannot name a task."""
-        table = WorkerTable.from_profiles([WorkerProfile(worker_id=1)])
+        table = _table(WorkerProfile(worker_id=1))
         with pytest.raises(ValueError, match="negative"):
             table.assign(1, -2)
         assert table.is_free(1) and table.current_task(1) is None
         assert table.assignment_count[0] == 0 and table.n_available == 1
 
     def test_censored_observation_recorded(self):
-        profile = WorkerProfile(worker_id=1)
-        profile.record_censored(42.0)
-        assert profile.completed_tasks == 1
-        assert profile.censored_observations == 1
-        assert profile.execution_times == [42.0]
+        component = _registered(WorkerProfile(worker_id=1))
+        component.record_assignment(1, task_id=10)
+        component.record_withdrawal(1, task_id=10, elapsed=42.0)
+        assert component.table.history(1).execution_times == [42.0]
+        assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.0  # no feedback
 
     def test_censored_zero_elapsed_ignored(self):
-        profile = WorkerProfile(worker_id=1)
-        profile.record_censored(0.0)
-        assert profile.completed_tasks == 0
+        component = _registered(WorkerProfile(worker_id=1))
+        component.record_assignment(1, task_id=10)
+        component.record_withdrawal(1, task_id=10, elapsed=0.0)
+        assert component.table.history(1).execution_times == []
 
     def test_assignment_count_tracks_all_assignments(self):
         component = _registered(WorkerProfile(worker_id=1))
         for task in (10, 11, 12):
             component.record_assignment(1, task)
             component.release(1)
-        assert component.get(1).assignment_count == 3
-        assert component.get(1).completed_tasks == 0  # assignments are not completions
+        history = component.table.history(1)
+        assert history.assignment_count == 3
+        assert history.execution_times == []  # assignments are not completions
 
 
 def _registered(profile):
     component = ProfilingComponent()
     component.register(profile)
     return component
+
+
+def _table(profile):
+    table = WorkerTable()
+    table.append(profile)
+    return table
+
+
+def _accuracy(component, worker_id, category):
+    table = component.table
+    return table.accuracy[table.slot(worker_id), CATEGORY_INDEX[category]]

@@ -1,20 +1,20 @@
 """Unit tests for the columnar worker table and its single writer."""
 
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.core.weights import AccuracyWeight
 from repro.model.task import Task, TaskCategory
-from repro.model.worker import CategoryStats, WorkerProfile
-from repro.model.worker_table import (
-    CATEGORY_INDEX,
-    WorkerTable,
-    as_rows,
-    profile_mismatches,
-)
+from repro.model.worker import WorkerProfile
+from repro.model.worker_table import CATEGORY_INDEX, WorkerHistory, WorkerTable
+from repro.platform.invariants import InvariantViolation, check_server_invariants
 from repro.platform.profiling import ProfilingComponent
 from repro.stats.duration_models import EmpiricalFamily
 from repro.stats.powerlaw import PowerLawFit
+
+from ..platform.helpers import build_server
 
 
 def _component(n):
@@ -28,92 +28,111 @@ def _ids(component):
     return component.table.rows(component.available_workers()).worker_ids.tolist()
 
 
-def _in_sync(component):
-    return profile_mismatches(component.table, list(component)) == []
+def _table(*worker_ids):
+    table = WorkerTable()
+    for worker_id in worker_ids:
+        table.append(WorkerProfile(worker_id=worker_id))
+    return table
+
+
+def _free_count_is_exact(component):
+    return component.available_count == len(component.available_workers())
 
 
 class TestAccuracyColumn:
-    """The accuracy column stays in lock-step with ``category_stats`` (the
-    source of truth): the per-batch Eq. 1 weight matrix reads the column, so
-    divergence would silently change matching decisions."""
+    """The accuracy column is ``positive / finished`` of the row's counts,
+    the Python division Eq. 1 defines: the per-batch weight matrix reads
+    the column, so a different rounding would change matching decisions."""
 
     def test_column_tracks_every_completion(self):
         component = _component(2)
         column = CATEGORY_INDEX[TaskCategory.PRICE_CHECK]
-        for positive in (True, False, True, True, False):
+        positives = 0
+        for finished, positive in enumerate((True, False, True, True, False), start=1):
+            positives += positive
             component.record_assignment(1, task_id=1)
             component.record_completion(1, 5.0, TaskCategory.PRICE_CHECK, positive)
-            stats = component.get(1).category_stats[TaskCategory.PRICE_CHECK]
             slot = component.table.slot(1)
-            assert component.table.accuracy[slot, column] == stats.accuracy
-        assert component.get(1).accuracy(TaskCategory.PRICE_CHECK) == 0.6
-        assert _in_sync(component)
+            assert component.table.accuracy[slot, column] == positives / finished
+        assert component.table.accuracy[component.table.slot(1), column] == 0.6
 
     def test_constructor_injected_stats_seed_the_row(self):
-        stats = CategoryStats(positive=3, finished=4)
-        profile = WorkerProfile(worker_id=1, category_stats={TaskCategory.GENERIC: stats})
-        table = WorkerTable.from_profiles([profile])
+        counts = array("q", [0] * len(CATEGORY_INDEX))
+        positive, finished = counts[:], counts[:]
+        positive[CATEGORY_INDEX[TaskCategory.GENERIC]] = 3
+        finished[CATEGORY_INDEX[TaskCategory.GENERIC]] = 4
+        table = WorkerTable()
+        table.append(WorkerProfile(worker_id=1), WorkerHistory([], 0, positive, finished))
         assert table.accuracy[0, CATEGORY_INDEX[TaskCategory.GENERIC]] == 0.75
-        assert profile.accuracy(TaskCategory.GENERIC) == 0.75
+        assert table.accuracy[0].sum() == 0.75  # no other category has feedback
 
     def test_unknown_category_reads_zero(self):
-        profile = WorkerProfile(worker_id=1)
-        profile.record_completion(5.0, TaskCategory.GENERIC, True)
-        assert profile.accuracy(TaskCategory.ENTERTAINMENT) == 0.0
-        rows = as_rows([profile])
+        component = _component(2)
+        component.record_completion(1, 5.0, TaskCategory.GENERIC, True)
+        rows = component.table.rows_of([1])
         assert rows.accuracy([TaskCategory.ENTERTAINMENT, TaskCategory.GENERIC]).tolist() == [
             [0.0, 1.0]
         ]
 
     def test_weight_matrix_agrees_with_category_stats(self):
-        profile = WorkerProfile(worker_id=1)
+        component = _component(2)
         for positive in (True, True, False):
-            profile.record_completion(5.0, TaskCategory.IMAGE_LABELING, positive)
+            component.record_completion(1, 5.0, TaskCategory.IMAGE_LABELING, positive)
         task = Task(
             latitude=0.0,
             longitude=0.0,
             deadline=60.0,
             category=TaskCategory.IMAGE_LABELING,
         )
-        matrix = AccuracyWeight().matrix([profile], [task])
-        truth = profile.category_stats[TaskCategory.IMAGE_LABELING].accuracy
-        assert matrix[0, 0] == truth == 2.0 / 3.0
+        matrix = AccuracyWeight().matrix(component.table.rows_of([1]), [task])
+        assert matrix[0, 0] == 2.0 / 3.0
 
 
 class TestSlotOrder:
     def test_returning_worker_is_last(self):
         component = _component(4)
-        profile = component.deregister(1)
-        component.register(profile)
+        component.record_completion(1, 5.0, TaskCategory.GENERIC, True)
+        history = component.deregister(1)
+        component.register(WorkerProfile(worker_id=1), history)
         assert _ids(component) == [0, 2, 3, 1]
-        assert _in_sync(component)
+        assert list(component) == [0, 2, 3, 1]
+        assert component.table.history(1).execution_times == [5.0]
 
     def test_compaction_keeps_registration_order(self):
         component = _component(100)
-        departed = [component.deregister(w) for w in range(0, 100, 3)]
-        departed += [component.deregister(w) for w in range(1, 100, 3)]
+        for worker_id in range(100):
+            component.record_completion(worker_id, float(worker_id + 1), TaskCategory.GENERIC, True)
+        departed = [(w, component.deregister(w)) for w in range(0, 100, 3)]
+        departed += [(w, component.deregister(w)) for w in range(1, 100, 3)]
         assert component.table.size < 100  # dead rows were squeezed out
-        for profile in departed[::2]:
-            component.register(profile)
-        expected = list(range(2, 100, 3)) + [p.worker_id for p in departed[::2]]
+        for worker_id, history in departed[::2]:
+            component.register(WorkerProfile(worker_id=worker_id), history)
+        expected = list(range(2, 100, 3)) + [w for w, _ in departed[::2]]
         assert _ids(component) == expected
-        assert [p.worker_id for p in component] == expected
-        assert _in_sync(component)
+        assert list(component) == expected
+        # every row still holds its own worker's history
+        assert all(
+            component.table.history(w).execution_times == [float(w + 1)] for w in expected
+        )
+        assert _free_count_is_exact(component)
 
     def test_growth_keeps_rows(self):
         component = ProfilingComponent()
         for worker_id in range(200):
-            profile = WorkerProfile(worker_id=worker_id, latitude=float(worker_id))
+            profile = WorkerProfile(worker_id=worker_id, latitude=float(worker_id % 90))
             component.register(profile)
+            component.record_completion(worker_id, 1.0 + worker_id, TaskCategory.GENERIC, True)
         rows = component.table.rows(component.available_workers())
-        assert rows.latitude.tolist() == [float(w) for w in range(200)]
-        assert _in_sync(component)
+        assert rows.latitude.tolist() == [float(w % 90) for w in range(200)]
+        assert component.table.profiles()[199] == WorkerProfile(199, 19.0, 0.0)
+        assert component.table.history(0).execution_times == [1.0]
+        assert component.table.history(199).execution_times == [200.0]
 
     def test_repeated_profiles_get_one_row_each(self):
-        profile = WorkerProfile(worker_id=3)
-        rows = as_rows([profile, profile])
+        table = _table(3)
+        rows = table.rows([0, 0])
         assert rows.worker_ids.tolist() == [3, 3]
-        assert rows.profiles.tolist() == [profile, profile]
+        assert rows.accuracy([TaskCategory.GENERIC]).tolist() == [[0.0], [0.0]]
 
 
 class TestAvailableCount:
@@ -131,7 +150,7 @@ class TestAvailableCount:
         assert component.available_count == 2
         component.deregister(0)
         assert component.available_count == 1
-        assert _in_sync(component)
+        assert _free_count_is_exact(component)
 
     def test_offline_busy_worker_counts_once_back(self):
         component = _component(1)
@@ -139,31 +158,19 @@ class TestAvailableCount:
         component.set_online(0, False)
         component.record_completion(0, 4.0, TaskCategory.GENERIC, True)
         assert component.available_count == 0  # free, but still offline
-        assert _in_sync(component)
+        assert _free_count_is_exact(component)
         component.set_online(0, True)
         assert component.available_count == 1
-        assert _in_sync(component)
+        assert _free_count_is_exact(component)
 
 
 class TestDrift:
-    def test_direct_profile_write_is_reported(self):
-        component = _component(2)
-        component.get(1).assignment_count = 5
-        problems = profile_mismatches(component.table, list(component))
-        assert any("assignment_count" in problem for problem in problems)
-
     def test_free_count_is_recounted_from_the_status_columns(self):
-        component = _component(2)
-        component.table.task[component.table.slot(1)] = 7  # bypasses the writers
-        problems = profile_mismatches(component.table, list(component))
-        assert any("n_available" in problem for problem in problems)
-
-    def test_history_written_around_the_component_is_reported(self):
-        component = _component(1)
-        component.get(0).record_completion(3.0, TaskCategory.GENERIC, True)
-        problems = profile_mismatches(component.table, list(component))
-        assert any("n_obs" in problem for problem in problems)
-        assert any("accuracy" in problem for problem in problems)
+        _engine, server = build_server(n_workers=2)
+        table = server.profiling.table
+        table.online[table.slot(1)] = False  # bypasses the writers
+        with pytest.raises(InvariantViolation, match="n_available"):
+            check_server_invariants(server)
 
     @pytest.mark.parametrize("censored", [0.0, 12.5])
     def test_censored_observation_reaches_the_row(self, censored):
@@ -172,11 +179,12 @@ class TestDrift:
         component.record_withdrawal(0, elapsed=censored, task_id=1)
         slot = component.table.slot(0)
         assert component.table.n_obs[slot] == (1 if censored else 0)
-        assert _in_sync(component)
+        assert component.table.history(0).execution_times == ([12.5] if censored else [])
+        assert _free_count_is_exact(component)
 
 
 def test_fit_columns_reset_for_a_new_owner():
-    table = WorkerTable.from_profiles([WorkerProfile(worker_id=0)])
+    table = _table(0)
     table.claim_fits("first")
     fit = PowerLawFit(alpha=2.5, k_min=3.0, n_samples=3)
     table.set_fit(0, fit)
@@ -188,7 +196,7 @@ def test_fit_columns_reset_for_a_new_owner():
 
 
 def test_non_power_law_fit_has_nan_parameters():
-    table = WorkerTable.from_profiles([WorkerProfile(worker_id=0)])
+    table = _table(0)
     fit = EmpiricalFamily().fit([4.0, 5.0, 9.0])
     table.set_fit(0, fit)
     assert table.fit[0] is fit and table.fit_n_obs[0] == 0
@@ -196,7 +204,7 @@ def test_non_power_law_fit_has_nan_parameters():
 
 
 def test_fit_moves_with_its_row_and_leaves_with_it():
-    table = WorkerTable.from_profiles([WorkerProfile(worker_id=i) for i in range(40)])
+    table = _table(*range(40))
     fits = {i: PowerLawFit(alpha=2.0 + i, k_min=1.0, n_samples=3) for i in range(40)}
     for i, fit in fits.items():
         table.set_fit(table.slot(i), fit)

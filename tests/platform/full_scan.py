@@ -45,7 +45,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
             raise ValueError(f"threshold must be in [0,1], got {threshold}")
 
         n = len(tasks)
-        get_profile = self._profiles.get
+        history_of = self._profiles.table.history
         rows_of = self._profiles.table.rows_of
         estimator = self._estimator
         cache = self._skip_horizon
@@ -63,11 +63,10 @@ class FullScanMonitor(DynamicAssignmentComponent):
             assert worker_id is not None and assigned_at is not None
             workers_l.append(worker_id)
             try:
-                profile = get_profile(worker_id)
+                n_obs = len(history_of(worker_id).execution_times)
             except KeyError:
                 continue
             elapsed_i = now - assigned_at
-            n_obs = len(profile.execution_times)
             entry = cache.get(task.task_id)
             if (
                 entry is not None
@@ -113,7 +112,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
                 assert assigned_at is not None
                 elapsed_i = now - assigned_at
                 estimate = estimator.window_probability(
-                    get_profile(worker_id),
+                    history_of(worker_id).execution_times,
                     elapsed_i,
                     task.absolute_deadline - assigned_at,
                 )

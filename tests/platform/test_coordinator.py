@@ -200,7 +200,7 @@ class TestSplitOnOverload:
         assert coordinator.splits_performed >= 1
         owners = [
             server for server in coordinator.servers
-            if any(p.worker_id == 0 for p in server.profiling)
+            if 0 in server.profiling
         ]
         assert len(owners) == 1
         # The square splits on the latitude midline (5.0), which belongs to

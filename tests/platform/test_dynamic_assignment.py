@@ -12,9 +12,13 @@ from .helpers import build_server, dawdler_behavior, submit
 
 
 def _train_profile(server, worker_id, times):
-    """Inject a completion history into an idle registered worker's profile."""
+    """Inject a completion history into an idle registered worker's row."""
     for t in times:
         server.profiling.record_completion(worker_id, t, TaskCategory.GENERIC, True)
+
+
+def _history(server, worker_id):
+    return server.profiling.table.history(worker_id).execution_times
 
 
 class TestMonitorSweep:
@@ -144,19 +148,20 @@ class TestSweepHardCases:
         newer = submit(server, engine, deadline=300.0)
         engine.run(until=engine.now)
         assert newer.assigned_worker == 0
-        profile = server.profiling.get(0)
+        before = list(_history(server, 0))
         # Against the pre-sweep history both rows sit under the threshold ...
-        assert server.estimator.window_probability(profile, 10.0, 300.0).probability < 0.1
+        assert server.estimator.window_probability(before, 10.0, 300.0).probability < 0.1
         assert monitor.sweep(10.0) == 1
         assert [w.task_id for w in monitor.withdrawals] == [abandoned.task_id]
         # ... but the abandoned task's censored 10 s hold joins the history
-        # first, and the newer task is judged against that updated profile.
-        assert 10.0 in profile.execution_times
-        assert server.estimator.window_probability(profile, 10.0, 300.0).probability >= 0.1
+        # first, and the newer task is judged against that updated history.
+        after = _history(server, 0)
+        assert after == before + [10.0]
+        assert server.estimator.window_probability(after, 10.0, 300.0).probability >= 0.1
         assert newer.phase is TaskPhase.ASSIGNED
 
     def test_withdrawal_can_also_pull_a_later_task_that_was_not_due(self):
-        """The updated profile may push a row that was safe under the threshold."""
+        """The updated history may push a row that was safe under the threshold."""
         engine, server = build_server(
             n_workers=1,
             behavior=dawdler_behavior(delay_cap=250.0),
@@ -172,12 +177,12 @@ class TestSweepHardCases:
         closing = submit(server, engine, deadline=8.08)
         engine.run(until=183.0)
         assert closing.assigned_worker == 0
-        profile = server.profiling.get(0)
+        history = list(_history(server, 0))
         # Before the sweep, the closing task's 7 s row is safe: its
         # horizon lies ahead and Eq. 2 is above the threshold.
         rows = server.profiling.table.rows_of([0])
         assert server.estimator.withdrawal_skip_horizons(rows, [8.08], 0.1)[0] > 7.0
-        assert server.estimator.window_probability(profile, 7.0, 8.08).probability >= 0.1
+        assert server.estimator.window_probability(history, 7.0, 8.08).probability >= 0.1
         assert monitor.sweep(190.0) == 2
         assert [(w.task_id, w.elapsed) for w in monitor.withdrawals] == [
             (abandoned.task_id, 190.0),
@@ -198,14 +203,13 @@ class TestSweepHardCases:
     def test_worker_returning_with_the_same_id_gets_his_rows_evaluated(self):
         engine, server = _one_dawdler()
         task = _abandoned_task(server, engine)
-        profile = server.profiling.get(0)
         behavior = server.behavior_of(0)
-        server.remove_worker(0)
+        history = server.remove_worker(0)
         engine.run(until=30.5)
         # Nobody to evaluate the row against while he is away.
         assert server.dynamic_assignment.withdrawals == []
         assert task.phase is TaskPhase.ASSIGNED and task.assigned_worker == 0
-        server.add_worker(profile, behavior)
+        server.add_worker(WorkerProfile(worker_id=0), behavior, history)
         engine.run(until=31.0)
         assert [
             (w.time, w.task_id, w.worker_id) for w in server.dynamic_assignment.withdrawals
@@ -234,9 +238,7 @@ class TestSweepHardCases:
         assert monitor.sweep(5.0) == 0  # under the crossing time
         assert monitor.sweep(500.0) == 0  # window closed: never withdrawn
         assert monitor.sweep(40.0) == 1  # an earlier instant: the window is open
-        expected = server.estimator.window_probability(
-            WorkerProfile(worker_id=0, execution_times=[3.0, 4.0, 5.0]), 40.0, 90.0
-        ).probability
+        expected = server.estimator.window_probability([3.0, 4.0, 5.0], 40.0, 90.0).probability
         assert monitor.withdrawals == [Withdrawal(40.0, task.task_id, 0, 40.0, expected)]
 
 

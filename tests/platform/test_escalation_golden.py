@@ -12,6 +12,7 @@ Regenerate after an intentional behaviour change with:
     PYTHONPATH=src python tests/platform/test_escalation_golden.py
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -59,8 +60,9 @@ def _run(escalate_after):
     )
     for i, (profile, behavior) in enumerate(population):
         r, c = HOT_CELLS[i % len(HOT_CELLS)]
-        profile.latitude = float((r + placement.random()) / SIDE)
-        profile.longitude = float((c + placement.random()) / SIDE)
+        latitude = float((r + placement.random()) / SIDE)
+        longitude = float((c + placement.random()) / SIDE)
+        profile = dataclasses.replace(profile, latitude=latitude, longitude=longitude)
         coordinator.add_worker(profile, behavior)
 
     task_rng = rng.stream(STREAM_TASKS)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.model.task import TaskCategory, TaskPhase
+from repro.model.worker import WorkerProfile
 from repro.platform.policies import react_policy
 
 from .helpers import build_server, submit
@@ -105,12 +106,12 @@ class TestFitCacheEviction:
         engine, server = build_server(n_workers=3, start=False)
         self._train(server, 0)
         assert self._row_fit(server, 0) is not None
-        profile = server.profiling.deregister(0)
+        history = server.profiling.deregister(0)
         with pytest.raises(KeyError):
             server.profiling.table.slot(0)
         # A returning worker gets a fresh row and is refitted from his history.
         misses = server.estimator.cache_misses
-        server.profiling.register(profile)
+        server.profiling.register(WorkerProfile(worker_id=0), history)
         assert server.profiling.table.fit[server.profiling.table.slot(0)] is None
         assert self._row_fit(server, 0).n_samples == 5
         assert server.estimator.cache_misses == misses + 1

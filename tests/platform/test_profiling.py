@@ -19,7 +19,7 @@ class TestMembership:
     def test_register_and_lookup(self, component):
         assert len(component) == 3
         assert 1 in component
-        assert component.get(1).worker_id == 1
+        assert list(component) == [0, 1, 2]
 
     def test_duplicate_registration_rejected(self, component):
         with pytest.raises(ValueError, match="already registered"):
@@ -59,10 +59,10 @@ class TestCompletionRecording:
         component.record_completion(
             1, execution_time=5.0, category=TaskCategory.GENERIC, positive_feedback=True
         )
-        profile = component.get(1)
+        history = component.table.history(1)
         assert component.is_free(1)
-        assert profile.completed_tasks == 1
-        assert profile.accuracy(TaskCategory.GENERIC) == 1.0
+        assert history.execution_times == [5.0]
+        assert component.table.rows_of([1]).accuracy([TaskCategory.GENERIC])[0, 0] == 1.0
 
     def test_trained_count(self, component):
         for _ in range(3):
@@ -76,9 +76,9 @@ class TestWithdrawal:
     def test_withdrawal_records_censored_observation(self, component):
         component.record_assignment(1, task_id=10)
         component.record_withdrawal(1, task_id=10, elapsed=42.0)
-        profile = component.get(1)
-        assert profile.censored_observations == 1
-        assert profile.execution_times == [42.0]
+        history = component.table.history(1)
+        assert history.execution_times == [42.0]
+        assert sum(history.finished) == 0  # censored: no feedback
         assert component.current_task(1) is None
 
     def test_withdrawal_with_release(self, component):
@@ -92,9 +92,9 @@ class TestExpiry:
     def test_expiry_censors_and_detaches_the_current_task(self, component):
         component.record_assignment(1, task_id=10)
         component.record_expiry(1, task_id=10, elapsed=60.0)
-        profile = component.get(1)
-        assert profile.execution_times == [60.0]
-        assert profile.censored_observations == 1
+        history = component.table.history(1)
+        assert history.execution_times == [60.0]
+        assert sum(history.finished) == 0  # censored: no feedback
         assert component.current_task(1) is None
 
     def test_expiry_with_release(self, component):
@@ -109,7 +109,7 @@ class TestExpiry:
         component.release(1)
         component.record_assignment(1, task_id=11)
         component.record_expiry(1, task_id=10, elapsed=60.0)
-        assert component.get(1).execution_times == []
+        assert component.table.history(1).execution_times == []
         assert component.current_task(1) == 11
         assert not component.is_free(1)
 
@@ -127,10 +127,10 @@ class TestStatusReads:
     def test_returning_worker_starts_online_and_free(self, component):
         component.record_assignment(1, task_id=10)
         component.set_online(1, False)
-        profile = component.deregister(1)
-        component.register(profile)
+        history = component.deregister(1)
+        component.register(WorkerProfile(worker_id=1), history)
         assert component.is_free(1)
-        assert profile.assignment_count == 1  # history outlives the registration
+        assert component.table.history(1).assignment_count == 1  # history carried over
 
 
 class TestProfileHooks:

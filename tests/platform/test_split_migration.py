@@ -1,9 +1,10 @@
 """Tests for region splitting with worker/task migration (§V-D remedy)."""
 
+import numpy as np
 import pytest
 
 from repro.model.region import Region
-from repro.model.task import Task, TaskPhase
+from repro.model.task import Task, TaskCategory, TaskPhase
 from repro.model.worker import WorkerProfile
 from repro.platform.coordinator import Coordinator
 from repro.platform.cost import PaperCalibratedCost, ZeroCost
@@ -135,6 +136,47 @@ class TestSplitMechanics:
             coordinator.submit_task(_task(1.0, 5.0))
         assert coordinator.splits_performed >= 1
         engine.run(until=300.0)  # publish fires; must not raise
+
+
+def test_migrated_worker_keeps_history():
+    """A split moves an idle worker's whole row to the child server: his
+    observations, assignment count and accuracy come along, and the child's
+    estimator refits him from them (one fit miss)."""
+    engine, coordinator = _coordinator(overload_limit=3)
+    original = coordinator.servers[0]
+    coordinator.add_worker(
+        WorkerProfile(worker_id=1, latitude=9.0, longitude=5.0), reliable_behavior()
+    )
+    for duration, positive in ((3.0, True), (4.0, False), (6.0, True), (5.0, True)):
+        original.profiling.record_assignment(1, task_id=0)
+        original.profiling.record_completion(1, duration, TaskCategory.GENERIC, positive)
+    ttd = np.array([5.0, 60.0])
+    before_rows = original.profiling.table.rows_of([1])
+    before_eq3 = original.estimator.completion_probability_matrix(before_rows, ttd)
+    before = original.profiling.table.history(1)
+    before_times = list(before.execution_times)
+    before_accuracy = before_rows.accuracy(list(TaskCategory)).tolist()
+
+    for lat in (2.0, 8.0, 2.0, 8.0, 2.0):
+        coordinator.submit_task(_task(lat, 5.0))
+    assert coordinator.splits_performed >= 1
+    child = next(s for s in coordinator.servers if 1 in s.profiling)
+    assert child is not original and 1 not in original.profiling
+
+    after = child.profiling.table.history(1)
+    rows = child.profiling.table.rows_of([1])
+    assert after.execution_times == before_times
+    assert int(rows.table.n_obs[rows.slots[0]]) == len(before_times) == 4
+    assert after.assignment_count == before.assignment_count == 4
+    assert list(after.positive) == list(before.positive)
+    assert list(after.finished) == list(before.finished)
+    assert rows.accuracy(list(TaskCategory)).tolist() == before_accuracy
+    assert child.profiling.is_free(1)
+    # The fit stayed with the old row; the child refits from the history.
+    assert child.estimator.cache_misses == 0
+    eq3 = child.estimator.completion_probability_matrix(rows, ttd)
+    assert child.estimator.cache_misses == 1
+    assert eq3.tobytes() == before_eq3.tobytes()
 
 
 class TestAggregateAverages:

@@ -5,8 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deadline import DeadlineEstimator
-from repro.model.task import TaskCategory
-from repro.model.worker import WorkerProfile
 from repro.stats.duration_models import make_family
 
 histories = st.lists(
@@ -17,19 +15,12 @@ histories = st.lists(
 family_names = st.sampled_from(["power-law", "empirical", "lognormal"])
 
 
-def _profile(times):
-    profile = WorkerProfile(worker_id=0)
-    for t in times:
-        profile.record_completion(t, TaskCategory.GENERIC, True)
-    return profile
-
-
 class TestEquation3Laws:
     @given(times=histories, family=family_names, ttd=st.floats(0.1, 500.0))
     @settings(max_examples=80, deadline=None)
     def test_probability_in_unit_interval(self, times, family, ttd):
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
-        est = estimator.completion_probability(_profile(times), ttd)
+        est = estimator.completion_probability(times, ttd)
         assert 0.0 <= est.probability <= 1.0
         assert est.trained
 
@@ -44,9 +35,9 @@ class TestEquation3Laws:
         """Eq. 3 must be monotone in the deadline for every family."""
         assume(a < b)
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
-        profile = _profile(times)
-        short = estimator.completion_probability(profile, a).probability
-        long = estimator.completion_probability(profile, b).probability
+        history = times
+        short = estimator.completion_probability(history, a).probability
+        long = estimator.completion_probability(history, b).probability
         assert long >= short - 1e-9
 
 
@@ -60,9 +51,9 @@ class TestEquation2Laws:
     def test_window_monotone_in_elapsed(self, times, family, ttd):
         """Eq. 2 can only shrink as time passes, for every family."""
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
-        profile = _profile(times)
+        history = times
         probs = [
-            estimator.window_probability(profile, t, ttd).probability
+            estimator.window_probability(history, t, ttd).probability
             for t in np.linspace(0.0, ttd * 0.99, 6)
         ]
         for earlier, later in zip(probs, probs[1:]):
@@ -74,10 +65,10 @@ class TestEquation2Laws:
         """A pull (trained and Eq. 2 below threshold) can only happen strictly
         before the deadline; at/after it Eq. 2 is untrained zero (paper §V-C)."""
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
-        profile = _profile(times)
+        history = times
         ttd = 100.0
         for elapsed in (ttd, ttd + 10):
-            est = estimator.window_probability(profile, elapsed, ttd)
+            est = estimator.window_probability(history, elapsed, ttd)
             assert not est.trained
             assert est.probability == 0.0
 
@@ -86,9 +77,9 @@ class TestEquation2Laws:
     def test_threshold_monotonicity(self, times, family):
         """A higher threshold can only make reassignment more eager."""
         estimator = DeadlineEstimator(min_history=3, family=make_family(family))
-        profile = _profile(times)
+        history = times
         elapsed, ttd = 50.0, 90.0
-        est = estimator.window_probability(profile, elapsed, ttd)
+        est = estimator.window_probability(history, elapsed, ttd)
         fired = [est.trained and est.probability < thr for thr in (0.0, 0.1, 0.5, 1.0)]
         # once it fires at some threshold it fires at every higher one
         assert fired == sorted(fired)

@@ -10,6 +10,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import AssignmentGraphBuilder
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
+from repro.platform.profiling import ProfilingComponent
 
 
 @st.composite
@@ -64,6 +65,21 @@ def worker_histories(draw):
     return histories
 
 
+def _rows(histories, min_assignments=0):
+    """Table rows of workers with ``histories``, recorded through the
+    Profiling Component; each was assigned once per duration, and at least
+    ``min_assignments`` times."""
+    profiling = ProfilingComponent()
+    for worker_id, times in enumerate(histories):
+        profiling.register(WorkerProfile(worker_id=worker_id))
+        for _ in range(max(min_assignments, len(times))):
+            profiling.record_assignment(worker_id, task_id=0)
+            profiling.release(worker_id)
+        for t in times:
+            profiling.record_completion(worker_id, t, TaskCategory.GENERIC, True)
+    return profiling.table.rows_of(range(len(histories)))
+
+
 class TestBuilderLaws:
     @given(
         histories=worker_histories(),
@@ -73,13 +89,7 @@ class TestBuilderLaws:
     )
     @settings(max_examples=60, deadline=None)
     def test_builder_output_always_consistent(self, histories, n_tasks, deadline, bound):
-        workers = []
-        for i, times in enumerate(histories):
-            profile = WorkerProfile(worker_id=i)
-            for t in times:
-                profile.record_completion(t, TaskCategory.GENERIC, True)
-            profile.assignment_count = len(times)
-            workers.append(profile)
+        workers = _rows(histories)
         tasks = [
             Task(latitude=0, longitude=0, deadline=deadline, submitted_at=0.0)
             for _ in range(n_tasks)
@@ -97,11 +107,11 @@ class TestBuilderLaws:
         assert report.kept_edges + report.pruned_by_probability >= 0
         assert graph.n_edges <= len(workers) * n_tasks
         # cold-start workers always fully connected (deadline > 0 here)
-        cold = [w for w in workers if w.assignment_count < 3]
-        if cold:
+        cold = np.flatnonzero(workers.assignment_count < 3)
+        if len(cold):
             degrees = graph.worker_degrees()
             for w in cold:
-                assert degrees[w.worker_id] == n_tasks
+                assert degrees[w] == n_tasks
 
     @given(
         histories=worker_histories(),
@@ -110,13 +120,7 @@ class TestBuilderLaws:
     )
     @settings(max_examples=40, deadline=None)
     def test_higher_bound_prunes_more(self, histories, bound_low, bound_high):
-        workers = []
-        for i, times in enumerate(histories):
-            profile = WorkerProfile(worker_id=i)
-            for t in times:
-                profile.record_completion(t, TaskCategory.GENERIC, True)
-            profile.assignment_count = max(3, len(times))  # no cold-start boost
-            workers.append(profile)
+        workers = _rows(histories, min_assignments=3)  # no cold-start boost
         tasks = [Task(latitude=0, longitude=0, deadline=60.0, submitted_at=0.0)]
 
         def edges_at(bound):

@@ -113,6 +113,18 @@ class TestHttpSurface:
                     "POST", f"/workers/{worker_id}/heartbeat"
                 )
                 assert status == 404
+                # A re-registration starts a fresh row: the history of the
+                # completed task is not revived.
+                status, body = await client.request(
+                    "POST", "/workers", {"worker_id": worker_id}
+                )
+                assert status == 201
+                (server,) = [
+                    s for s in gateway.coordinator.servers if worker_id in s.profiling
+                ]
+                history = server.profiling.table.history(worker_id)
+                assert history.execution_times == []
+                assert history.assignment_count == 0 and sum(history.finished) == 0
             finally:
                 await client.close()
                 await gateway.stop()
@@ -174,6 +186,18 @@ class TestHttpSurface:
                     "POST", "/tasks", {"latitude": "x", "longitude": 1.0}
                 )
                 assert status == 400
+                # In range, but outside every region.
+                status, body = await client.request(
+                    "POST", "/tasks", {"latitude": 80.0, "longitude": 170.0}
+                )
+                assert status == 400 and "outside every region" in body["error"]
+                for coords in (
+                    {"latitude": "nan", "longitude": 1.0},
+                    {"latitude": 91.0, "longitude": 1.0},
+                    {"latitude": 80.0, "longitude": 170.0},
+                ):
+                    status, body = await client.request("POST", "/workers", coords)
+                    assert status == 400, (coords, body)
 
                 status, body = await client.request(
                     "POST", "/workers", {"worker_id": 5}
@@ -196,6 +220,8 @@ class TestHttpSurface:
                     "POST", "/workers/5/answer", {"task_id": 1, "generation": "1"}
                 )
                 assert status == 400
+                status, text = await client.request("GET", "/metrics")
+                assert b"service_handler_errors_total 0" in text
             finally:
                 await client.close()
                 await gateway.stop()

@@ -51,9 +51,7 @@ class Harness:
             min_time=duration, max_time=duration, quality=1.0,
             delay_probability=0.0, delay_cap=duration,
         )
-        profile = WorkerProfile(worker_id=worker_id)
-        self.server.add_worker(profile, behavior)
-        return profile
+        self.server.add_worker(WorkerProfile(worker_id=worker_id), behavior)
 
     def submit(self, deadline):
         task = Task(
@@ -71,6 +69,14 @@ class Harness:
 
     def is_free(self, worker_id):
         return self.server.profiling.is_free(worker_id)
+
+    def history(self, worker_id):
+        return self.server.profiling.table.history(worker_id)
+
+    def censored(self, worker_id):
+        """Observations without feedback: the censored holds."""
+        history = self.history(worker_id)
+        return len(history.execution_times) - sum(history.finished)
 
     def _answer_later(self, notice):
         def answer(_event):
@@ -95,7 +101,7 @@ def delivery(request):
 
 
 def test_assignment_to_completion(harness):
-    profile = harness.add_worker(1, duration=3.0)
+    harness.add_worker(1, duration=3.0)
     task = harness.submit(deadline=60.0)
     harness.run(until=1.0)
     assert task.phase is TaskPhase.ASSIGNED and not harness.is_free(1)
@@ -104,7 +110,7 @@ def test_assignment_to_completion(harness):
     metrics = harness.server.metrics
     assert metrics.completed == metrics.completed_on_time == 1
     assert metrics.positive_feedbacks == 1
-    assert profile.execution_times == [pytest.approx(3.0)]
+    assert harness.history(1).execution_times == [pytest.approx(3.0)]
     assert harness.is_free(1) and harness.current_task(1) is None
     metrics.check_conservation()
 
@@ -115,12 +121,12 @@ def test_running_expiry_withdraws_censors_and_requeues(delivery):
     # goes straight back to him, the only worker.  His result for the first
     # assignment (due at 100) is stale; the second one's lands at 110.
     harness = Harness(delivery, assign_expired=True, use_probabilistic_model=False)
-    slow = harness.add_worker(1, duration=100.0)
+    harness.add_worker(1, duration=100.0)
     task = harness.submit(deadline=10.0)
     harness.run(until=11.0)
     assert harness.server.metrics.expiry_returns == 1
-    assert slow.censored_observations == 1
-    assert slow.execution_times == [pytest.approx(10.0)]
+    assert harness.censored(1) == 1
+    assert harness.history(1).execution_times == [pytest.approx(10.0)]
     assert task.assigned_worker == 1 and task.assignments == 2
     assert harness.current_task(1) == task.task_id and not harness.is_free(1)
     harness.run(until=200.0)
@@ -128,8 +134,10 @@ def test_running_expiry_withdraws_censors_and_requeues(delivery):
     assert task.completed_at == pytest.approx(110.0)
     assert harness.server.metrics.completed == 1
     assert harness.server.metrics.expiry_returns == 1
-    assert harness.is_free(1) and slow.censored_observations == 1
-    assert slow.execution_times == [pytest.approx(10.0), pytest.approx(100.0)]
+    assert harness.is_free(1) and harness.censored(1) == 1
+    assert harness.history(1).execution_times == [
+        pytest.approx(10.0), pytest.approx(100.0)
+    ]
     harness.server.metrics.check_conservation()
 
 
@@ -152,7 +160,7 @@ def test_departure_mid_task_requeues_for_the_next_worker(harness):
 
 def test_stale_completion_frees_without_credit(delivery):
     harness = Harness(delivery)
-    profile = harness.add_worker(1, duration=30.0)
+    harness.add_worker(1, duration=30.0)
     task = harness.submit(deadline=10.0)
     harness.run(until=20.0)
     # Withdrawn at the deadline; the worker was released at once.
@@ -160,7 +168,8 @@ def test_stale_completion_frees_without_credit(delivery):
     assert harness.current_task(1) is None and harness.is_free(1)
     harness.run(until=40.0)  # his result for the withdrawn task arrives at 30
     assert harness.is_free(1)
-    assert profile.execution_times == [pytest.approx(10.0)]  # censored only
+    assert harness.history(1).execution_times == [pytest.approx(10.0)]
+    assert harness.censored(1) == 1  # censored only
     assert harness.server.metrics.completed == 0
     harness.server.metrics.check_conservation()
 

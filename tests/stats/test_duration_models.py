@@ -96,15 +96,15 @@ class TestFactory:
 
 
 class TestEstimatorIntegration:
-    def test_estimator_with_empirical_family(self, make_worker):
+    def test_estimator_with_empirical_family(self):
         from repro.core.deadline import DeadlineEstimator
 
-        profile, _ = make_worker(history=[5.0, 6.0, 7.0])
+        history = [5.0, 6.0, 7.0]
         estimator = DeadlineEstimator(min_history=3, family=EmpiricalFamily(0.0))
         # all history <= 7: a 10 s deadline is "certain" empirically
-        assert estimator.completion_probability(profile, 10.0).probability == 1.0
+        assert estimator.completion_probability(history, 10.0).probability == 1.0
         # and a 4 s deadline keeps Pr(D < 4) = 0 (all samples >= 5)
-        assert estimator.completion_probability(profile, 4.0).probability == 0.0
+        assert estimator.completion_probability(history, 4.0).probability == 0.0
 
     def test_policy_rejects_unknown_model(self):
         from repro.platform.policies import react_policy

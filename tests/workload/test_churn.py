@@ -3,6 +3,7 @@
 import pytest
 
 from repro.model.task import TaskPhase
+from repro.model.worker import WorkerProfile
 from repro.workload.churn import ChurnProcess
 
 from ..platform.helpers import build_server, reliable_behavior, submit
@@ -36,7 +37,7 @@ class TestSessions:
         engine, server, churn = _churned_server(n_workers=10)
         engine.run(until=300.0)
         online = {wid for wid, state in churn._states.items() if state.online}
-        assert online == {profile.worker_id for profile in server.profiling}
+        assert online == set(server.profiling)
         assert all(server.profiling.is_online(wid) for wid in online)
 
     def test_departed_worker_leaves_registry(self):
@@ -53,12 +54,14 @@ class TestSessions:
         task = submit(server, engine, deadline=300.0)
         engine.run(until=30.0)
         assert server.metrics.completed == 1
-        history_before = list(server.profiling.get(0).execution_times)
+        history_before = list(server.profiling.table.history(0).execution_times)
+        assert history_before
         engine.run(until=400.0)
+        assert churn.stats.returns >= 1
         if 0 in server.profiling:  # worker is back online
-            assert server.profiling.get(0).execution_times[: len(history_before)] == (
-                history_before
-            )
+            row = server.profiling.table.history(0)
+            assert row.execution_times[: len(history_before)] == history_before
+            assert row.assignment_count >= 1
 
     def test_tasks_disrupted_by_departure_requeue(self):
         # one slow worker, frequent departures: his running task must be
@@ -78,9 +81,8 @@ class TestSessions:
 
     def test_double_tracking_rejected(self):
         engine, server, churn = _churned_server(n_workers=1)
-        profile = server.profiling.get(0)
         with pytest.raises(ValueError, match="already tracked"):
-            churn.track(profile, server._behaviors[0])
+            churn.track(WorkerProfile(worker_id=0), server._behaviors[0])
 
     def test_invalid_means_rejected(self):
         import numpy as np

@@ -51,12 +51,13 @@ class MatchingResult:
     task_worker:
         Optional dense ``int64`` array of length ``graph.n_tasks`` mapping
         task index → matched worker index (``-1`` unmatched), produced
-        in-kernel by :func:`repro.core.kernels.wbgm_accept_loop`.  When a
-        kernel supplies it, the mapping is one-to-one *by construction*
-        (the kernel's per-vertex index state admits at most one edge per
-        worker and per task), so :meth:`validate` and the ``__post_init__``
-        duplicate check become O(1) and :meth:`task_assignment` needs no
-        per-edge scan.
+        in-kernel by :func:`repro.core.kernels.wbgm_accept_loop` or by
+        :class:`~repro.core.matching.greedy.GreedyMatcher`'s row scan.
+        When a matcher supplies it, the mapping is one-to-one *by
+        construction* (the matcher's per-vertex state admits at most one
+        edge per worker and per task), so :meth:`validate` and the
+        ``__post_init__`` duplicate check become O(1) and
+        :meth:`task_assignment` needs no per-edge scan.
     """
 
     graph: BipartiteGraph
@@ -74,7 +75,7 @@ class MatchingResult:
         if self.task_worker is not None:
             if len(self.task_worker) != self.graph.n_tasks:
                 raise MatchingError("task_worker length != graph.n_tasks")
-            # A kernel-built matching is duplicate-free by construction.
+            # A matcher-built row is duplicate-free by construction.
             return
         if has_duplicates(idx):
             raise MatchingError("duplicate edge in matching")
@@ -112,7 +113,7 @@ class MatchingResult:
     def task_assignment_dense(self) -> np.ndarray:
         """Dense task index → worker index array (``-1`` = unmatched).
 
-        Returns the kernel-precomputed :attr:`task_worker` row when present;
+        Returns the matcher-precomputed :attr:`task_worker` row when present;
         otherwise derives it once from the matched edges.
         """
         if self.task_worker is not None:
@@ -127,7 +128,7 @@ class MatchingResult:
 
         Checks the two §III-C constraint families: each worker in at most
         one selected edge, each task in at most one selected edge.  A
-        kernel-supplied :attr:`task_worker` row certifies both families by
+        matcher-supplied :attr:`task_worker` row certifies both families by
         construction, so the uniqueness scans are skipped.
         """
         if self.task_worker is not None:

@@ -13,7 +13,8 @@ Two implementations are provided:
   in index order; each takes its best still-free worker.  Output quality is
   near-optimal on full graphs (Fig. 4) but the O(V·E) cost is what melts
   down in Figs. 5/9 — that cost is reproduced in simulated time by
-  :mod:`repro.platform.cost`.
+  :mod:`repro.platform.cost`, so the host computes the same choices with
+  one ``argmax`` per task row of a dense task × worker weight view.
 * :class:`SortedGreedyMatcher` — an ablation variant: globally sort edges by
   descending weight and sweep once, O(E log E).  Not in the paper; included
   to quantify how much of Greedy's pain is the naive scan.
@@ -30,7 +31,20 @@ from .base import Matcher, MatchingResult, empty_result
 
 
 class GreedyMatcher(Matcher):
-    """Per-task highest-weight-edge selection (the paper's Greedy)."""
+    """Per-task highest-weight-edge selection (the paper's Greedy).
+
+    Each task, in index order, takes its highest-weight edge to a worker
+    no earlier task took; a tie goes to the lowest edge index.  The scan
+    runs over a dense ``(n_tasks, n_workers)`` view of the edge list, with
+    ``-1.0`` where there is no edge (below every valid weight, since
+    :class:`BipartiteGraph` rejects negative ones): one ``argmax`` per task
+    row, after which the taken worker's column is set to ``-1.0``.  Memory
+    is O(n_tasks·n_workers): 8 bytes per cell for the weights plus 1 to 8
+    for the edge index.  For
+    :class:`~repro.graph.builders.AssignmentGraphBuilder` graphs that is
+    less than the two float64 weight matrices and the keep mask its
+    ``build`` allocates for the same cells.
+    """
 
     name = "greedy"
 
@@ -41,37 +55,44 @@ class GreedyMatcher(Matcher):
             return empty_result(graph, self.name)
         ew = graph.edge_workers
         et = graph.edge_tasks
-        wt = graph.edge_weights
+        weight = np.full((graph.n_tasks, graph.n_workers), -1.0)
+        weight[et, ew] = graph.edge_weights
+        # Edge index per (task, worker); read only where an edge exists.
+        edge_dtype = np.min_scalar_type(graph.n_edges)
+        edge = np.empty((graph.n_tasks, graph.n_workers), dtype=edge_dtype)
+        edge[et, ew] = np.arange(graph.n_edges, dtype=edge_dtype)
 
-        # Group edge indices by task once (sorted by task, then by weight
-        # descending within the task) so each task's scan is a slice walk.
-        # The algorithmic outcome is identical to the paper's linear scan:
-        # each task takes its maximum-weight edge among free workers.
-        order = np.lexsort((-wt, et))
-        sorted_tasks = et[order]
-        boundaries = np.searchsorted(sorted_tasks, np.arange(graph.n_tasks + 1))
-
-        # Plain-list walk (NumPy scalar indexing costs ~100 ns per access,
-        # which dominated this loop; same decisions, same output order).
-        order_list = order.tolist()
-        owner_list = ew[order].tolist()
-        bounds = boundaries.tolist()
-        worker_free = bytearray(b"\x01") * graph.n_workers
+        # ``argmax`` breaks a tie by the lowest worker index.  That is the
+        # lowest edge index when the edges are listed worker-major with
+        # tasks ascending (``from_dense`` order, so every builder graph);
+        # in any other order a tied row is resolved by edge index.
+        worker_major = bool(
+            np.all((ew[1:] > ew[:-1]) | ((ew[1:] == ew[:-1]) & (et[1:] > et[:-1])))
+        )
+        takeable = int(np.count_nonzero(np.bincount(ew, minlength=graph.n_workers)))
+        task_worker = np.full(graph.n_tasks, -1, dtype=np.int64)
         chosen: list[int] = []
-        for task in range(graph.n_tasks):
-            start, stop = bounds[task], bounds[task + 1]
-            for pos in range(start, stop):
-                wi = owner_list[pos]
-                if worker_free[wi]:
-                    worker_free[wi] = 0
-                    chosen.append(order_list[pos])
-                    break
+        for task in np.flatnonzero(np.bincount(et, minlength=graph.n_tasks)).tolist():
+            row = weight[task]
+            worker = int(row.argmax())
+            best = row[worker]
+            if best < 0:
+                continue
+            if not worker_major:
+                tied = np.flatnonzero(row == best)
+                worker = int(tied[edge[task, tied].argmin()])
+            weight[:, worker] = -1.0
+            task_worker[task] = worker
+            chosen.append(int(edge[task, worker]))
+            if len(chosen) == takeable:
+                break
 
         return MatchingResult(
             graph=graph,
             edge_indices=np.asarray(chosen, dtype=np.int64),
             algorithm=self.name,
             stats={"tasks_matched": len(chosen)},
+            task_worker=task_worker,
         )
 
 

@@ -231,7 +231,7 @@ class SchedulingComponent:
             )
             self._busy = False
             return
-        # Dense task -> worker row (kernel-precomputed for REACT batches):
+        # Dense task -> worker row (precomputed for REACT and Greedy batches):
         # one list index per task instead of a dict build + lookup.
         assignment = pending.result.task_assignment_dense().tolist()
         matched = 0

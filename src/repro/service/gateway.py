@@ -285,18 +285,6 @@ class ServiceGateway:
         assert self._admission is not None and self.coordinator is not None
         if not self._ready:
             return json_response({"error": "draining"}, status=503)
-        decision = self._admission.check()
-        if not decision.admitted:
-            retry_after = round(decision.retry_after, 3)
-            return json_response(
-                {
-                    "error": "overloaded",
-                    "reason": decision.reason,
-                    "retry_after": retry_after,
-                },
-                status=429,
-                headers={"Retry-After": f"{retry_after:g}"},
-            )
         body = self._body_dict(request)
         try:
             deadline = float(body.get("deadline", self.config.default_deadline))  # type: ignore[arg-type]
@@ -321,6 +309,19 @@ class ServiceGateway:
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
         self._server_for(latitude, longitude)  # 400 outside every region
+        # The token is taken last, so a malformed submission never spends one.
+        decision = self._admission.check()
+        if not decision.admitted:
+            retry_after = round(decision.retry_after, 3)
+            return json_response(
+                {
+                    "error": "overloaded",
+                    "reason": decision.reason,
+                    "retry_after": retry_after,
+                },
+                status=429,
+                headers={"Retry-After": f"{retry_after:g}"},
+            )
         self.coordinator.submit_task(task)
         return json_response(
             {"task_id": task.task_id, "status": "admitted"}, status=201

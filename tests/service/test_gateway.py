@@ -297,6 +297,34 @@ class TestBackpressure:
 
         run_async(main())
 
+    def test_malformed_submissions_spend_no_admission_token(self):
+        async def main():
+            config = GatewayConfig(
+                time_scale=1.0,
+                admission=AdmissionConfig(rate=0.01, burst=2, max_in_flight=100),
+            )
+            gateway = await boot(config)
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                for _ in range(2):
+                    status, _ = await client.request("POST", "/tasks", {"deadline": -5})
+                    assert status == 400
+                status, _ = await client.request(
+                    "POST", "/tasks", {"latitude": 80.0, "longitude": 170.0}
+                )
+                assert status == 400  # outside every region
+                for _ in range(2):
+                    status, _ = await client.request("POST", "/tasks", {})
+                    assert status == 201
+                status, body = await client.request("POST", "/tasks", {})
+                assert status == 429
+                assert body["reason"] == "rate"
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        run_async(main())
+
     def test_backlog_bound_returns_429(self):
         async def main():
             config = GatewayConfig(

@@ -20,8 +20,8 @@ from repro.core.weights import AccuracyWeight
 from repro.graph.builders import AssignmentGraphBuilder, RewardRange
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerBehavior, WorkerProfile
+from repro.model.worker_table import WorkerTable
 from repro.platform.policies import react_policy
-from repro.platform.profiling import ProfilingComponent
 from repro.platform.server import REACTServer
 from repro.sim.engine import Engine
 from repro.sim.events import EventKind
@@ -34,13 +34,13 @@ CHEAP, PREMIUM = 0.02, 0.15
 
 def graph_level_demo() -> None:
     """Show the filter acting inside graph construction."""
-    profiling = ProfilingComponent()
+    profiling = WorkerTable()
     for i in range(4):
         profiling.register(WorkerProfile(worker_id=i))
         for _ in range(5):  # no cold-start boost; weights from history
-            profiling.record_assignment(i, task_id=0)
-            profiling.record_completion(i, 3.0, TaskCategory.GENERIC, True)
-    workers = profiling.table.rows(profiling.available_workers())
+            profiling.assign(i, task_id=0)
+            profiling.complete(i, 3.0, TaskCategory.GENERIC, True)
+    workers = profiling.rows(profiling.available_slots())
     ranges = {
         0: RewardRange(low=0.10),          # premium only
         1: RewardRange(low=0.10),

@@ -30,6 +30,7 @@ Fault taxonomy (see docs/CHAOS.md for the full matrix):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -44,9 +45,9 @@ class Fault:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.start < 0:
+        if not self.start >= 0:
             raise ValueError(f"fault start must be >= 0, got {self.start}")
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise ValueError(f"fault duration must be >= 0, got {self.duration}")
 
     @property
@@ -85,7 +86,7 @@ class NoShowFault(Fault):
         super().__post_init__()
         if not (0.0 <= self.probability <= 1.0):
             raise ValueError(f"probability must be in [0,1], got {self.probability}")
-        if self.hold_time <= 0:
+        if not self.hold_time > 0:
             raise ValueError(f"hold_time must be positive, got {self.hold_time}")
 
 
@@ -99,8 +100,8 @@ class StaleProfileFault(Fault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.distortion <= 0:
-            raise ValueError(f"distortion must be positive, got {self.distortion}")
+        if not 0 < self.distortion < math.inf:
+            raise ValueError(f"distortion must be finite and positive, got {self.distortion}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,10 @@ class MatcherStallFault(Fault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.extra_latency <= 0:
-            raise ValueError(f"extra_latency must be positive, got {self.extra_latency}")
+        if not 0 < self.extra_latency < math.inf:
+            raise ValueError(
+                f"extra_latency must be finite and positive, got {self.extra_latency}"
+            )
 
 
 @dataclass(frozen=True)

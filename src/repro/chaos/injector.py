@@ -8,7 +8,7 @@ through the explicit chaos interfaces the components expose:
   executions;
 * ``server.execution_hook`` — no-show faults flip fresh assignments;
 * ``profiling.observation_hook`` — stale-profile faults distort what the
-  Profiling Component records;
+  worker table (the Profiling Component) records;
 * ``scheduling.latency_hook`` — matcher stalls inflate batch latency;
 * ``dynamic_assignment.suspended`` / ``scheduling.suspended`` +
   ``server.orphan_assigned_tasks`` — sweep outages and blackouts.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -513,8 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.retainer_size is not None and args.retainer_size < 1:
         parser.error("--retainer-size must be >= 1")
-    if args.retainer_cost is not None and args.retainer_cost < 0:
-        parser.error("--retainer-cost must be non-negative")
+    if args.retainer_cost is not None and not 0 <= args.retainer_cost < math.inf:
+        parser.error("--retainer-cost must be finite and non-negative")
     for target in targets:
         kwargs: Dict[str, object] = {}
         if target in TRACEABLE:

@@ -44,12 +44,12 @@ from ..core.matching.uniform import UniformMatcher
 from ..graph.bipartite import BipartiteGraph
 from ..model.task import TaskCategory
 from ..model.worker import WorkerProfile
+from ..model.worker_table import WorkerTable
 from ..obs.registry import NULL_INSTRUMENT
 from ..obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:
     from ..platform.dynamic_assignment import DynamicAssignmentComponent
-    from ..platform.profiling import ProfilingComponent
 
 logger = logging.getLogger(__name__)
 
@@ -267,13 +267,13 @@ def _uniform_records(
 # ------------------------------------------------------------------ platform
 def _trained_profiling(
     count: int, history: int, floor: float = 5.0, scale: float = 20.0
-) -> "ProfilingComponent":
+) -> WorkerTable:
     """Registered workers with heavy-tailed histories, as the estimator sees them."""
     rng = np.random.default_rng(BENCH_SEED)
     profiling = _registered([WorkerProfile(worker_id=i) for i in range(count)])
     for worker_id in range(count):
         for duration in floor + rng.pareto(2.5, size=history) * scale:
-            profiling.record_completion(
+            profiling.complete(
                 worker_id, float(duration), TaskCategory.GENERIC, positive_feedback=True
             )
     return profiling
@@ -324,7 +324,7 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
         for worker_id in range(n)
     ]
     geo_profiling = _registered(geo_workers)
-    geo_rows = geo_profiling.table.rows(geo_profiling.available_workers())
+    geo_rows = geo_profiling.rows(geo_profiling.available_slots())
     geo_tasks = [
         Task(
             latitude=float(geo_rng.uniform(38.0, 38.2)),
@@ -359,7 +359,7 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
     # evaluation throughput, not one-off fitting cost.
     estimator = DeadlineEstimator(min_history=3)
     profiling = _trained_profiling(n_workers, history)
-    workers = profiling.table.rows(profiling.available_workers())
+    workers = profiling.rows(profiling.available_slots())
     ttd = np.linspace(1.0, 300.0, n_ttd)
 
     def eq3() -> None:
@@ -415,11 +415,9 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
     return results
 
 
-def _registered(workers: List[WorkerProfile]) -> "ProfilingComponent":
-    """A Profiling Component with ``workers`` registered, all available."""
-    from ..platform.profiling import ProfilingComponent
-
-    profiling = ProfilingComponent()
+def _registered(workers: List[WorkerProfile]) -> WorkerTable:
+    """A worker table with ``workers`` registered, all available."""
+    profiling = WorkerTable()
     for profile in workers:
         profiling.register(profile)
     return profiling
@@ -446,12 +444,10 @@ def _graph_build_bench(quick: bool, commit: str) -> BenchResult:
     for worker_id in range(registered):
         for duration in 2.0 + rng.pareto(2.0, size=int(rng.integers(0, 31))) * 5.0:
             positive = bool(rng.random() < 0.7)
-            profiling.record_assignment(worker_id, task_id=0)
-            profiling.record_completion(
-                worker_id, float(duration), TaskCategory.GENERIC, positive
-            )
+            profiling.assign(worker_id, task_id=0)
+            profiling.complete(worker_id, float(duration), TaskCategory.GENERIC, positive)
     for worker_id in rng.choice(registered, size=350, replace=False).tolist():
-        profiling.record_assignment(worker_id, task_id=worker_id)
+        profiling.assign(worker_id, task_id=worker_id)
     tasks = [
         Task(latitude=0.0, longitude=0.0, deadline=float(deadline), submitted_at=0.0)
         for deadline in rng.uniform(60.0, 120.0, size=9)
@@ -462,12 +458,12 @@ def _graph_build_bench(quick: bool, commit: str) -> BenchResult:
 
     def build() -> None:
         for _ in range(iters):
-            rows = profiling.table.rows(profiling.available_workers())
+            rows = profiling.rows(profiling.available_slots())
             builder.build(rows, tasks, now=5.0)
             rows.worker_ids.tolist()
 
     wall = _median_wall(build, repeats)[0] / iters
-    available = len(profiling.available_workers())  # the rows each build reads
+    available = profiling.n_available  # the rows each build reads
     return BenchResult(
         bench="graph_build",
         params={
@@ -513,7 +509,7 @@ def _watched_rows(n_rows: int) -> "DynamicAssignmentComponent":
         tasks.add_task(task)
         tasks.checkout_batch(at, assign_expired=True)
         tasks.commit_assignment(task, worker_id, at)
-        profiling.record_assignment(worker_id, task.task_id)
+        profiling.assign(worker_id, task.task_id)
         monitor.track(task)
     return monitor
 

@@ -1,19 +1,21 @@
-"""Columnar worker state: one dense row per registered worker.
+"""The Profiling Component (§III-A): one dense row per registered worker.
 
-The row is the Profiling Component's whole record of a worker (§III-A):
-his location, status (``online``, and the ``task`` he executes),
-completion times (``execution_times``, one Python list per row, and its
-length ``n_obs``), assignment count, and per-category ``positive`` and
-``finished`` feedback counts with the Eq. 1 ``accuracy`` they give.
-Every REACT batch reads the same few of these fields of every available
-worker, so :class:`WorkerTable` keeps them as NumPy columns and a batch
-gathers them with one fancy index per column.
+"Responsible to keep track of the workers' information and statistics":
+a row is the platform's whole record of a worker — his location, status
+(``online``, and the ``task`` he executes), completion times
+(``execution_times``, one Python list per row, and its length ``n_obs``),
+assignment count, and per-category ``positive`` and ``finished`` feedback
+counts with the Eq. 1 ``accuracy`` they give.  This is the
+*platform-observable* worker state; the latent ground-truth behaviour
+lives with the simulator (:mod:`repro.model.worker`), never here.  Every
+REACT batch reads the same few of these fields of every available worker,
+so :class:`WorkerTable` keeps them as NumPy columns and a batch gathers
+them with one fancy index per column.
 
-The :class:`~repro.platform.profiling.ProfilingComponent` is the table's
-only writer: each of its updates writes the changed cells of one row in
-O(1).  A new row starts online and free, with an empty history or with
-the :class:`WorkerHistory` a departing row handed over (a churn return,
-a split migration).  The fit columns (the fitted model ``fit``, its
+Each update writes the changed cells of one row in O(1).  A new row
+starts online and free, with an empty history or with the
+:class:`WorkerHistory` a departing row handed over (a churn return, a
+split migration).  The fit columns (the fitted model ``fit``, its
 power-law ``alpha`` and ``k_min``, and the observation count it was
 fitted at) are the exception — the
 :class:`~repro.core.deadline.DeadlineEstimator` refits stale rows
@@ -33,7 +35,18 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -98,7 +111,7 @@ class WorkerHistory(NamedTuple):
 
 
 class WorkerTable:
-    """Dense per-worker columns, addressed by slot.
+    """The registered workers of one REACT server's region, one row (slot) each.
 
     Columns (NumPy arrays, row = slot): ``worker_id``, ``live``,
     ``online``, ``task``, ``execution_times`` (a list of the observed
@@ -152,6 +165,12 @@ class WorkerTable:
         self.n_available = 0
         #: The estimator whose fits the fit columns hold (see :meth:`claim_fits`).
         self.fit_owner: Optional[object] = None
+        #: Chaos hook (:class:`repro.chaos.StaleProfileFault`): maps a raw
+        #: ``(worker_id, execution_time)`` observation to the value actually
+        #: stored, letting fault injection feed the profiler stale or
+        #: corrupted measurements without touching the true outcome.
+        self.observation_hook: Optional[Callable[[int, float], float]] = None
+        self._profile_hooks: List[Callable[[int], None]] = []
         self._allocate(max(int(capacity), 1))
 
     # ---------------------------------------------------------------- rows
@@ -182,7 +201,12 @@ class WorkerTable:
         return self.rows([slot_of[worker_id] for worker_id in worker_ids])
 
     def available_slots(self) -> np.ndarray:
-        """Slots of the online, free workers, in registration order."""
+        """Slots of the online, free workers, in registration order (so
+        batch construction is deterministic).
+
+        Slots stay valid until the next registration change; resolve them
+        with :meth:`rows` right away.
+        """
         n = self._size
         return (self.online[:n] & (self.task[:n] < 0)).nonzero()[0]
 
@@ -206,6 +230,10 @@ class WorkerTable:
     def live_slots(self) -> np.ndarray:
         """Slots of every registered worker, in registration order."""
         return self.live[: self._size].nonzero()[0]
+
+    def trained_count(self, min_history: int) -> int:
+        """How many registered workers have at least ``min_history`` observations."""
+        return int(np.count_nonzero(self.n_obs[self.live_slots()] >= min_history))
 
     def profiles(self) -> List[WorkerProfile]:
         """The registered workers' identities, in registration order."""
@@ -231,17 +259,19 @@ class WorkerTable:
         )
 
     # ------------------------------------------------------------- writers
-    def append(self, profile: WorkerProfile, history: Optional[WorkerHistory] = None) -> int:
-        """Add an online, free row for ``profile``; returns its slot.
+    def register(self, profile: WorkerProfile, history: Optional[WorkerHistory] = None) -> None:
+        """Add an online, free row for ``profile``.
 
         The row continues ``history`` (taking over its list), or starts
-        empty.
+        empty.  Raises ``ValueError`` if the worker is already registered.
         """
+        worker_id = profile.worker_id
+        if worker_id in self._slot_of:
+            raise ValueError(f"worker {worker_id} is already registered")
         slot = self._size
         if slot == len(self.fit):
             self._allocate(2 * slot)
         self._size = slot + 1
-        worker_id = profile.worker_id
         self._slot_of[worker_id] = slot
         self._worker_id[slot] = worker_id
         self._live[slot] = True
@@ -261,12 +291,27 @@ class WorkerTable:
         for column, finished in enumerate(history.finished):
             if finished:
                 self._accuracy[base + column] = history.positive[column] / finished
-        return slot
+        self._changed(worker_id)
 
-    def remove(self, worker_id: int) -> WorkerHistory:
-        """Mark ``worker_id``'s row dead and hand over its history.
+    def add_profile_hook(self, hook: Callable[[int], None]) -> None:
+        """Subscribe to a worker (re-)registering or his history growing.
 
-        Compacts once dead rows dominate.
+        Only this table's writers store duration observations, so the hook
+        sees every change to the input of a worker's duration fit.  The
+        Eq. 2 monitor uses it to recompute the withdrawal horizons of the
+        worker's assigned tasks (a churn worker may return with his history).
+        """
+        self._profile_hooks.append(hook)
+
+    def _changed(self, worker_id: int) -> None:
+        for hook in self._profile_hooks:
+            hook(worker_id)
+
+    def deregister(self, worker_id: int) -> WorkerHistory:
+        """Remove a worker (churn); raises ``KeyError`` if unknown.
+
+        His row, and with it his fitted duration model, goes dead; his
+        history is returned.  Compacts once dead rows dominate.
         """
         history = self.history(worker_id)
         self.set_online(worker_id, False)  # keeps the dead row out of the free set
@@ -278,6 +323,7 @@ class WorkerTable:
         return history
 
     def set_online(self, worker_id: int, online: bool) -> None:
+        """A registered worker goes offline (held, departing) or back online."""
         slot = self._slot_of[worker_id]
         if self._online[slot] != online:
             self._online[slot] = online
@@ -285,7 +331,7 @@ class WorkerTable:
                 self.n_available += 1 if online else -1
 
     def release(self, worker_id: int) -> None:
-        """The worker is free again."""
+        """The worker is free again without returning a result (walk-away)."""
         slot = self._slot_of[worker_id]
         if self._task[slot] >= 0:
             self._task[slot] = -1
@@ -308,29 +354,83 @@ class WorkerTable:
         self._assignment_count[slot] += 1
 
     def complete(
-        self, worker_id: int, execution_time: float, category: TaskCategory, positive: bool
+        self,
+        worker_id: int,
+        execution_time: float,
+        category: TaskCategory,
+        positive_feedback: bool,
     ) -> None:
         """The worker finished a task in ``execution_time``: his history
-        grew by the duration and one ``category`` feedback, and he is free."""
+        grew by the duration and one ``category`` feedback, and he is free.
+
+        The :attr:`observation_hook` sees the duration first; raises
+        ``ValueError`` unless what it stores is finite and positive.
+        """
+        if self.observation_hook is not None:
+            execution_time = self.observation_hook(worker_id, execution_time)
+        if not 0.0 < execution_time < math.inf:
+            raise ValueError(
+                f"execution_time must be finite and positive, got {execution_time}"
+            )
         slot = self._slot_of[worker_id]
         times = self.execution_times[slot]
-        times.append(execution_time)
+        times.append(float(execution_time))
         self._n_obs[slot] = len(times)
         cell = slot * _N_CATEGORIES + CATEGORY_INDEX[category]
         finished = self._finished[cell] + 1
         self._finished[cell] = finished
-        if positive:
+        if positive_feedback:
             self._positive[cell] += 1
         # Python int division: Σ PositiveTask / Σ FinishedTask, exactly.
         self._accuracy[cell] = self._positive[cell] / finished
         self.release(worker_id)
+        self._changed(worker_id)
 
-    def censor(self, worker_id: int, elapsed: float) -> None:
-        """The worker held a task ``elapsed`` seconds without a result."""
-        slot = self._slot_of[worker_id]
-        times = self.execution_times[slot]
-        times.append(elapsed)
-        self._n_obs[slot] = len(times)
+    def _censor(self, worker_id: int, elapsed: float) -> None:
+        """Fold a censored hold time into the history (a no-op for ``elapsed <= 0``)."""
+        if elapsed > 0:
+            slot = self._slot_of[worker_id]
+            times = self.execution_times[slot]
+            times.append(float(elapsed))
+            self._n_obs[slot] = len(times)
+            self._changed(worker_id)
+
+    def record_withdrawal(self, worker_id: int, task_id: int, elapsed: float) -> None:
+        """The platform pulled the worker's task after ``elapsed`` seconds.
+
+        The elapsed hold time enters the history as a *censored* duration
+        observation (the worker takes at least that long), so chronic
+        dawdlers accumulate a heavy-tailed history and Eq. 3 stops routing
+        tasks to them.  The worker is released at once: the platform
+        controls its own availability flag, and his censored history
+        already steers Eq. 3 / Eq. 1 away from him.
+
+        ``task_id`` identifies *which* task was withdrawn.  The worker is
+        only released when his row still claims that very task: a
+        worker who silently abandoned it was already released at his
+        sampled walk-away time and may since have been matched to a *newer*
+        task — blindly releasing would kick him off the task he is actually
+        executing, making him matchable a second time while the newer task
+        is still assigned to him (the completion/withdrawal generation-stamp
+        race; see ``tests/chaos/test_generation_stamp_race.py``).
+        """
+        self._censor(worker_id, elapsed)
+        if self.current_task(worker_id) == task_id:
+            self.release(worker_id)
+
+    def record_expiry(self, worker_id: int, task_id: int, elapsed: float) -> None:
+        """The deadline lapsed while ``task_id`` was out with the worker.
+
+        Unlike :meth:`record_withdrawal`, the hold time is censored only
+        while the worker still claims that task: an abandoner who walked
+        away was already released at his walk-away time, and a worker who
+        departed is no longer registered — neither has a hold to record.
+        The worker is released, as on a withdrawal.
+        """
+        if self.current_task(worker_id) != task_id:
+            return
+        self._censor(worker_id, elapsed)
+        self.release(worker_id)
 
     # --------------------------------------------------------- fit columns
     def claim_fits(self, owner: object) -> None:
@@ -374,7 +474,7 @@ class WorkerTable:
         self._clear(n, capacity)
 
     def _clear(self, start: int, stop: int) -> None:
-        """Reset unused slots to what :meth:`append` does not write."""
+        """Reset unused slots to what :meth:`register` does not write."""
         self.live[start:stop] = False
         self.online[start:stop] = False
         self.task[start:stop] = -1

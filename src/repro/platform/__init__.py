@@ -16,7 +16,6 @@ from .policies import (
     react_policy,
     traditional_policy,
 )
-from .profiling import ProfilingComponent
 from .resilience import DegradedModeController, ResilienceConfig
 from .scheduling import BatchRecord, SchedulingComponent
 from .server import REACTServer
@@ -37,7 +36,6 @@ __all__ = [
     "metropolis_policy",
     "react_policy",
     "traditional_policy",
-    "ProfilingComponent",
     "DegradedModeController",
     "ResilienceConfig",
     "BatchRecord",

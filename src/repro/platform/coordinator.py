@@ -279,7 +279,7 @@ class Coordinator:
 
         # Migrate idle workers located in the new half, with their history
         # and simulated ground truth (None on a live server).
-        for profile in old.profiling.table.profiles():
+        for profile in old.profiling.profiles():
             if old.profiling.current_task(profile.worker_id) is not None:
                 continue
             if not half_new.contains(profile.latitude, profile.longitude):
@@ -322,7 +322,7 @@ class Coordinator:
         None when no candidate has any."""
         best, best_free = None, 0
         for entry in candidates:
-            free = entry.server.profiling.available_count
+            free = entry.server.profiling.n_available
             if free > best_free:
                 best, best_free = entry, free
         return best

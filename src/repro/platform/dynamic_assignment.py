@@ -22,8 +22,9 @@ before which it provably cannot fire.  Rows wait in a min-heap keyed by
 passed.  A horizon depends on the worker's duration history, the task's
 window and the threshold.  So a row is re-armed, meaning its horizon is
 recomputed at the next sweep, whenever one of those may have moved: the
-Profiling Component reports each history growth and each (re-)registration,
-and a threshold change or a sweep at an earlier instant re-arms every row.
+:class:`~repro.model.worker_table.WorkerTable` (the Profiling Component)
+reports each history growth and each (re-)registration, and a threshold
+change or a sweep at an earlier instant re-arms every row.
 Rows that cannot fire until such an event are parked off the heap: an
 untrained worker (infinite horizon), a horizon past the window, a closed
 window, or a departed worker.
@@ -40,13 +41,13 @@ import numpy as np
 
 from ..core.deadline import DeadlineEstimator
 from ..model.task import Task, TaskPhase
+from ..model.worker_table import WorkerTable
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import MONITOR_TRACK
 from ..sim.clock import EventClock
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
 from .policies import SchedulingPolicy
-from .profiling import ProfilingComponent
 from .task_management import TaskManagementComponent
 
 #: Relative margin taken off each heap key, far above the rounding of
@@ -102,7 +103,7 @@ class DynamicAssignmentComponent:
         engine: EventClock,
         policy: SchedulingPolicy,
         task_management: TaskManagementComponent,
-        profiling: ProfilingComponent,
+        profiling: WorkerTable,
         estimator: DeadlineEstimator,
         on_withdraw: Callable[[Task], None],
         observability: Optional[ObservabilityLike] = None,
@@ -216,7 +217,7 @@ class DynamicAssignmentComponent:
         if not arming:
             return
         horizons = self._estimator.withdrawal_skip_horizons(
-            profiles.table.rows_of([row.worker_id for row in arming]),
+            profiles.rows_of([row.worker_id for row in arming]),
             [row.ttd for row in arming],
             threshold,
         )
@@ -337,7 +338,7 @@ class DynamicAssignmentComponent:
     def _evaluate(self, now: float, threshold: float, due: List[_Row]) -> int:
         """Apply the rule to the due rows (in sequence order); count withdrawals."""
         estimator = self._estimator
-        table = self._profiles.table
+        table = self._profiles
         elapsed = [now - row.assigned_at for row in due]
         probs, trained = estimator.window_probability_batch(
             table.rows_of([row.worker_id for row in due]),

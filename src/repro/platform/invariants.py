@@ -116,9 +116,9 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
                 f"(phase={task.phase}, assigned_worker={task.assigned_worker})"
             )
 
-    if profiling.available_count != n_free:
+    if profiling.n_available != n_free:
         raise InvariantViolation(
-            f"I3: n_available={profiling.available_count} but {n_free} are free"
+            f"I3: n_available={profiling.n_available} but {n_free} are free"
         )
 
     # I6 — metric self-consistency.

@@ -56,17 +56,17 @@ class RetainerSpec:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"retainer size must be >= 1, got {self.size}")
-        if self.wage_per_second < 0 or self.task_payment < 0:
+        if not (self.wage_per_second >= 0 and self.task_payment >= 0):
             raise ValueError("retainer payments must be non-negative")
-        if self.release_latency < 0:
+        if not self.release_latency >= 0:
             raise ValueError("release_latency must be non-negative")
-        if self.sweep_interval <= 0:
+        if not self.sweep_interval > 0:
             raise ValueError("sweep_interval must be positive")
         if self.adaptive and self.wage_per_second <= 0:
             raise ValueError("adaptive sizing requires wage_per_second > 0")
-        if self.adaptive_interval <= 0:
+        if not self.adaptive_interval > 0:
             raise ValueError("adaptive_interval must be positive")
-        if self.wait_cost_per_second < 0:
+        if not self.wait_cost_per_second >= 0:
             raise ValueError("wait_cost_per_second must be non-negative")
 
     def cost_config(self) -> RetainerCostConfig:

@@ -22,13 +22,13 @@ import numpy as np
 from ..core.matching.base import Matcher, MatchingResult
 from ..graph.builders import AssignmentGraphBuilder, GraphBuildReport
 from ..model.task import Task
+from ..model.worker_table import WorkerTable
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import SCHEDULER_TRACK
 from ..sim.clock import EventClock
 from ..sim.events import Event, EventKind
 from .cost import BatchShape, CostModel
 from .policies import SchedulingPolicy
-from .profiling import ProfilingComponent
 from .task_management import TaskManagementComponent
 
 
@@ -55,7 +55,7 @@ class SchedulingComponent:
         engine: EventClock,
         policy: SchedulingPolicy,
         task_management: TaskManagementComponent,
-        profiling: ProfilingComponent,
+        profiling: WorkerTable,
         builder: AssignmentGraphBuilder,
         matcher: Matcher,
         cost_model: CostModel,
@@ -133,7 +133,7 @@ class SchedulingComponent:
             return False
         if self._tasks.unassigned_count < self._policy.batch_threshold:
             return False
-        if not self._profiles.any_available():
+        if not self._profiles.n_available:
             return False
         self._start_batch()
         return True
@@ -149,7 +149,7 @@ class SchedulingComponent:
         """
         if self._busy or self.suspended or self._tasks.unassigned_count == 0:
             return
-        if not self._profiles.any_available():
+        if not self._profiles.n_available:
             if not self._policy.assign_expired:
                 retired = self._tasks.retire_expired(now)
                 if retired:
@@ -166,7 +166,7 @@ class SchedulingComponent:
         )
         if retired:
             self._on_retired(retired)
-        rows = self._profiles.table.rows(self._profiles.available_workers())
+        rows = self._profiles.rows(self._profiles.available_slots())
 
         graph, report = self._builder.build(rows, batch, now)
         result = self._matcher.match(graph, self._rng)
@@ -248,7 +248,7 @@ class SchedulingComponent:
                 self._tasks.return_unmatched(task)
                 continue
             self._tasks.commit_assignment(task, worker_id, now)
-            self._profiles.record_assignment(worker_id, task.task_id)
+            self._profiles.assign(worker_id, task.task_id)
             matched += 1
             self._on_assign(task, worker_id)
 

@@ -1,6 +1,7 @@
 """REACT region server (§III-A, Figure 1).
 
-:class:`RegionServer` wires the four components — Profiling, Task
+:class:`RegionServer` wires the four components — Profiling (the
+:class:`~repro.model.worker_table.WorkerTable` held as ``profiling``), Task
 Management, Scheduling, Dynamic Assignment — to an
 :class:`~repro.sim.clock.EventClock` for one region, and owns everything
 that does not depend on how work reaches a worker.  A subclass is a
@@ -29,7 +30,7 @@ from ..graph.builders import AssignmentGraphBuilder, BudgetGate, RewardRange
 from ..model.feedback import FeedbackModel
 from ..model.task import Task, TaskPhase
 from ..model.worker import WorkerBehavior, WorkerProfile
-from ..model.worker_table import WorkerHistory
+from ..model.worker_table import WorkerHistory, WorkerTable
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import worker_track
 from ..sim.clock import EventClock
@@ -47,7 +48,6 @@ from ..stats.metrics import MetricsCollector, TaskOutcome
 from .cost import CostModel, PaperCalibratedCost
 from .dynamic_assignment import DynamicAssignmentComponent
 from .policies import SchedulingPolicy
-from .profiling import ProfilingComponent
 from .resilience import DegradedModeController, ResilienceConfig
 from .scheduling import BatchRecord, SchedulingComponent
 from .task_management import TaskManagementComponent
@@ -95,7 +95,7 @@ class RegionServer:
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.metrics.bind_registry(self.obs.registry)
 
-        self.profiling = ProfilingComponent()
+        self.profiling = WorkerTable()
         self.task_management = TaskManagementComponent(budget=budget)
         self.estimator = DeadlineEstimator(
             min_history=policy.min_history,
@@ -353,7 +353,7 @@ class RegionServer:
             worker_id=worker_id,
             on_time=on_time,
         )
-        self.profiling.record_completion(
+        self.profiling.complete(
             worker_id,
             execution_time=duration,
             category=task.category,

@@ -188,7 +188,7 @@ class RetainerRecruiter:
         if self.pool is None:
             return
         backlog = self._server.task_management.unassigned_count
-        idle_online = self._server.profiling.available_count
+        idle_online = self._server.profiling.n_available
         needed = backlog - idle_online - self._pending_releases
         for _ in range(needed):
             self._pending_releases += 1

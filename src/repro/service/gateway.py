@@ -347,7 +347,7 @@ class ServiceGateway:
         else:
             worker_id = _int_value(raw_id, "worker_id")
             self._next_worker_id = max(self._next_worker_id, worker_id + 1)
-        if worker_id in self._worker_server:
+        if self._server_of(worker_id) is not None:
             return json_response(
                 {"error": f"worker {worker_id} already registered"}, status=409
             )
@@ -368,7 +368,7 @@ class ServiceGateway:
 
         A region split can migrate an idle worker to a child server behind
         the gateway's back; the cached route is re-validated against the
-        profiling component and repaired by scanning the (few) servers.
+        server's worker table and repaired by scanning the (few) servers.
         """
         server = self._worker_server.get(worker_id)
         if server is not None and worker_id in server.profiling:

@@ -94,8 +94,8 @@ class TimelineRecorder:
     def _sample(self, now: float) -> None:
         server = self._server
         metrics = server.metrics
-        available = server.profiling.available_count
-        table = server.profiling.table
+        table = server.profiling
+        available = table.n_available
         total_online = int(table.online[: table.size].sum())
         self.timeline.samples.append(
             TimelineSample(
@@ -104,7 +104,7 @@ class TimelineRecorder:
                 executing=server.task_management.assigned_count,
                 busy_workers=total_online - available,
                 available_workers=available,
-                trained_workers=server.profiling.trained_count(
+                trained_workers=table.trained_count(
                     server.policy.min_history
                 ),
                 completed=metrics.completed,

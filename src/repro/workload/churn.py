@@ -79,7 +79,7 @@ class ChurnProcess:
 
     def track_all_workers(self) -> None:
         """Start churn cycles for every worker currently on the server."""
-        for profile in self._server.profiling.table.profiles():
+        for profile in self._server.profiling.profiles():
             self.track(profile, self._server.behavior_of(profile.worker_id))
 
     def track(self, profile: WorkerProfile, behavior: Optional[WorkerBehavior]) -> None:

@@ -9,7 +9,7 @@ free while T2 is still assigned to him, and letting the matcher
 double-book him.
 
 The fix threads the withdrawn task's id through
-``ProfilingComponent.record_withdrawal``; the worker is only released
+``WorkerTable.record_withdrawal``; the worker is only released
 when his worker-table row still claims that very task.  Injected
 matcher stalls widen the race window (T1 sits ASSIGNED longer while the
 worker is already re-matched), so the integration half of this module
@@ -19,17 +19,17 @@ drives exactly that scenario under a 1-second invariant audit.
 from repro.chaos import AbandonmentWave, FaultSchedule, MatcherStallFault
 from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.model.worker import WorkerProfile
+from repro.model.worker_table import WorkerTable
 from repro.platform.policies import react_policy
-from repro.platform.profiling import ProfilingComponent
 
 
-def _abandoner_rematched_to_newer_task() -> ProfilingComponent:
+def _abandoner_rematched_to_newer_task() -> WorkerTable:
     """Worker 7: abandoned T1 (still ASSIGNED platform-side), now on T2."""
-    component = ProfilingComponent()
+    component = WorkerTable()
     component.register(WorkerProfile(worker_id=7))
-    component.record_assignment(7, task_id=1)
+    component.assign(7, task_id=1)
     component.release(7)  # sampled walk-away: freed without returning a result
-    component.record_assignment(7, task_id=2)
+    component.assign(7, task_id=2)
     return component
 
 
@@ -41,16 +41,16 @@ def test_stale_withdrawal_leaves_worker_on_newer_task():
 
     assert component.current_task(7) == 2, "withdrawal of T1 must not touch T2"
     assert not component.is_free(7), "worker is still executing T2"
-    assert 42.0 in component.table.history(7).execution_times, (
+    assert 42.0 in component.history(7).execution_times, (
         "censored hold is still recorded"
     )
 
 
 def test_current_task_withdrawal_still_releases():
     """The guard only filters *stale* withdrawals, not live ones."""
-    component = ProfilingComponent()
+    component = WorkerTable()
     component.register(WorkerProfile(worker_id=3))
-    component.record_assignment(3, task_id=9)
+    component.assign(3, task_id=9)
 
     component.record_withdrawal(3, elapsed=10.0, task_id=9)
 

@@ -1,5 +1,7 @@
 """Unit tests: fault dataclasses, schedules, and the resilience knobs."""
 
+import math
+
 import pytest
 
 from repro.chaos import (
@@ -43,6 +45,22 @@ class TestFaults:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    @pytest.mark.parametrize(
+        "fault, field, value",
+        [
+            (AbandonmentWave, "start", math.nan),
+            (BlackoutFault, "duration", math.nan),
+            (NoShowFault, "hold_time", math.nan),
+            (StaleProfileFault, "distortion", math.nan),
+            (StaleProfileFault, "distortion", math.inf),
+            (MatcherStallFault, "extra_latency", math.nan),
+            (MatcherStallFault, "extra_latency", math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, fault, field, value):
+        with pytest.raises(ValueError, match=field):
+            fault(**{"start": 0.0, field: value})
 
     def test_faults_are_values(self):
         """Frozen dataclasses: equal by content, usable as dict keys."""

@@ -6,19 +6,19 @@ import pytest
 from repro.core.deadline import DeadlineEstimator
 from repro.model.task import TaskCategory
 from repro.model.worker import WorkerProfile
+from repro.model.worker_table import WorkerTable
 from repro.platform.policies import SchedulingPolicy
-from repro.platform.profiling import ProfilingComponent
 
 
 def _rows(*histories):
     """Worker-table rows holding ``histories`` (one worker each), recorded
     through the Profiling Component."""
-    profiling = ProfilingComponent()
+    profiling = WorkerTable()
     for worker_id, times in enumerate(histories):
         profiling.register(WorkerProfile(worker_id=worker_id))
         for t in times:
-            profiling.record_completion(worker_id, t, TaskCategory.GENERIC, True)
-    return profiling.table.rows_of(range(len(histories)))
+            profiling.complete(worker_id, t, TaskCategory.GENERIC, True)
+    return profiling.rows_of(range(len(histories)))
 
 
 @pytest.fixture
@@ -43,18 +43,18 @@ class TestTraining:
     def test_fit_cache_invalidates_on_new_history(self, estimator):
         # The worker's table row is the fit cache: current until his
         # history grows.
-        profiling = ProfilingComponent()
+        profiling = WorkerTable()
         profiling.register(WorkerProfile(worker_id=0))
         for t in (5.0, 6.0, 20.0):
-            profiling.record_completion(0, t, TaskCategory.GENERIC, True)
-        rows = profiling.table.rows_of([0])
+            profiling.complete(0, t, TaskCategory.GENERIC, True)
+        rows = profiling.rows_of([0])
         ttd = np.array([60.0])
         estimator.completion_probability_matrix(rows, ttd)
         first = rows.fits[0]
         estimator.completion_probability_matrix(rows, ttd)
         assert rows.fits[0] is first  # cached
         assert (estimator.cache_misses, estimator.cache_hits) == (1, 1)
-        profiling.record_completion(0, 50.0, TaskCategory.GENERIC, True)
+        profiling.complete(0, 50.0, TaskCategory.GENERIC, True)
         estimator.completion_probability_matrix(rows, ttd)
         second = rows.fits[0]
         assert second is not first

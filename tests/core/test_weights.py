@@ -13,7 +13,7 @@ from repro.core.weights import (
 )
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
-from repro.platform.profiling import ProfilingComponent
+from repro.model.worker_table import WorkerTable
 
 
 def _task(category=TaskCategory.GENERIC, lat=0.0, lon=0.0):
@@ -23,12 +23,12 @@ def _task(category=TaskCategory.GENERIC, lat=0.0, lon=0.0):
 def _rows(*workers):
     """Table rows of ``(profile, records)`` workers, in order; each record
     ``(category, positive)`` is one finished task."""
-    profiling = ProfilingComponent()
+    profiling = WorkerTable()
     for profile, records in workers:
         profiling.register(profile)
         for category, positive in records:
-            profiling.record_completion(profile.worker_id, 5.0, category, positive)
-    return profiling.table.rows_of([profile.worker_id for profile, _ in workers])
+            profiling.complete(profile.worker_id, 5.0, category, positive)
+    return profiling.rows_of([profile.worker_id for profile, _ in workers])
 
 
 def _worker(worker_id=0, lat=0.0, lon=0.0, records=()):

@@ -28,7 +28,7 @@ from repro.core.matching.react import ReactMatcher, ReactParameters
 from repro.graph.bipartite import BipartiteGraph
 from repro.model.task import TaskCategory
 from repro.model.worker import WorkerProfile
-from repro.platform.profiling import ProfilingComponent
+from repro.model.worker_table import WorkerTable
 from repro.stats.duration_models import EmpiricalFamily
 
 
@@ -244,12 +244,12 @@ class TestMatcherEquivalence:
 def _rows(histories, repeat=1):
     """Table rows holding ``histories`` (one worker each), recorded through
     the Profiling Component; the rows repeat ``repeat`` times in order."""
-    profiling = ProfilingComponent()
+    profiling = WorkerTable()
     for worker_id, times in enumerate(histories):
         profiling.register(WorkerProfile(worker_id=worker_id))
         for t in times:
-            profiling.record_completion(worker_id, float(t), TaskCategory.GENERIC, True)
-    return profiling.table.rows_of(list(range(len(histories))) * repeat)
+            profiling.complete(worker_id, float(t), TaskCategory.GENERIC, True)
+    return profiling.rows_of(list(range(len(histories))) * repeat)
 
 
 class TestDeadlineBatchEquivalence:

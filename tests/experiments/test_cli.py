@@ -36,6 +36,12 @@ class TestDispatch:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-1"])
+    def test_retainer_cost_must_be_finite_and_non_negative(self, cost, capsys):
+        with pytest.raises(SystemExit):
+            main(["endtoend", "--quick", "--retainer-size", "20", "--retainer-cost", cost])
+        assert "--retainer-cost must be finite and non-negative" in capsys.readouterr().err
+
     def test_scenario_quick(self, capsys):
         assert main(["scenario", "--quick"]) == 0
         out = capsys.readouterr().out

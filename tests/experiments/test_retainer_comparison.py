@@ -168,6 +168,21 @@ class TestModeValidation:
         with pytest.raises(ValueError, match="non-negative"):
             RetainerSpec(wage_per_second=-0.01)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "wage_per_second",
+            "task_payment",
+            "release_latency",
+            "sweep_interval",
+            "adaptive_interval",
+            "wait_cost_per_second",
+        ],
+    )
+    def test_retainer_spec_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            RetainerSpec(**{field: float("nan")})
+
     def test_policy_factory_defaults(self):
         policy = react_retainer_policy()
         assert policy.name == "react_retainer"

@@ -1,7 +1,7 @@
 """Differential oracle: the columnar graph build against the per-worker walk.
 
 Hypothesis draws a worker population, registers it with a
-:class:`~repro.platform.profiling.ProfilingComponent` (some workers busy,
+:class:`~repro.model.worker_table.WorkerTable` (some workers busy,
 offline, or departed and returned) while the oracle keeps its own record
 of each worker, and builds the batch graph twice: once through the worker
 table, as the Scheduling Component does, and once with
@@ -22,7 +22,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import AssignmentGraphBuilder, RewardRange
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
-from repro.platform.profiling import ProfilingComponent
+from repro.model.worker_table import WorkerTable
 from repro.stats.duration_models import EmpiricalFamily, LogNormalFamily
 
 from . import per_worker_oracle as oracle
@@ -109,22 +109,22 @@ class _Budget:
 def _register(population):
     """The population registered with a Profiling Component, with each
     write mirrored in the oracle's :class:`~per_worker_oracle.Worker`."""
-    component = ProfilingComponent()
+    component = WorkerTable()
     for worker, history, assignments, _state in population:
         worker_id = worker.worker_id
         profile = WorkerProfile(worker_id, worker.latitude, worker.longitude)
         component.register(profile)
         for duration, category, positive in history:
-            component.record_completion(worker_id, duration, category, positive)
+            component.complete(worker_id, duration, category, positive)
             worker.complete(duration, category, positive)
         for _ in range(assignments):
-            component.record_assignment(worker_id, task_id=0)
+            component.assign(worker_id, task_id=0)
             component.release(worker_id)
         worker.assignment_count = assignments
     for worker, _history, _assignments, state in population:
         worker_id = worker.worker_id
         if state == "busy":
-            component.record_assignment(worker_id, task_id=10_000 + worker_id)
+            component.assign(worker_id, task_id=10_000 + worker_id)
             worker.assignment_count += 1
         elif state == "offline":
             component.set_online(worker_id, False)
@@ -138,7 +138,7 @@ def _register(population):
 
 def _assert_same_build(case, component, builder, reference):
     tasks, now = case["tasks"], case["now"]
-    rows = component.table.rows(component.available_workers())
+    rows = component.rows(component.available_slots())
     by_id = {worker.worker_id: worker for worker, *_ in case["population"]}
     free = [by_id[w] for w in component if component.is_free(w)]
     # registration order, returns last
@@ -187,7 +187,7 @@ def test_columnar_build_matches_per_worker_walk(case):
     for worker_id, duration in case["later"]:
         task_id = component.current_task(worker_id)
         if task_id is None:
-            component.record_completion(worker_id, duration, CATEGORIES[0], duration < 20.0)
+            component.complete(worker_id, duration, CATEGORIES[0], duration < 20.0)
             workers[worker_id].complete(duration, CATEGORIES[0], duration < 20.0)
         else:
             component.record_withdrawal(worker_id, elapsed=duration, task_id=task_id)

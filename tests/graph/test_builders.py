@@ -9,7 +9,7 @@ from repro.core.weights import AccuracyWeight, ConstantWeight
 from repro.graph.builders import MAX_WEIGHT, AssignmentGraphBuilder, RewardRange
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
-from repro.platform.profiling import ProfilingComponent
+from repro.model.worker_table import WorkerTable
 
 
 def _worker(worker_id, times=(), accuracy_positive=0, assignments=None):
@@ -21,15 +21,15 @@ def _worker(worker_id, times=(), accuracy_positive=0, assignments=None):
 
 def _rows(*workers):
     """The workers' table rows, recorded through the Profiling Component."""
-    profiling = ProfilingComponent()
+    profiling = WorkerTable()
     for worker_id, times, positives, assignments in workers:
         profiling.register(WorkerProfile(worker_id=worker_id))
         for i, t in enumerate(times):
-            profiling.record_completion(worker_id, t, TaskCategory.GENERIC, i < positives)
+            profiling.complete(worker_id, t, TaskCategory.GENERIC, i < positives)
         for _ in range(assignments):
-            profiling.record_assignment(worker_id, task_id=0)
+            profiling.assign(worker_id, task_id=0)
             profiling.release(worker_id)
-    return profiling.table.rows_of([worker[0] for worker in workers])
+    return profiling.rows_of([worker[0] for worker in workers])
 
 
 def _task(deadline=90.0, submitted_at=0.0, reward=0.05):

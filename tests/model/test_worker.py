@@ -8,7 +8,6 @@ import pytest
 from repro.model.task import TaskCategory
 from repro.model.worker import WorkerBehavior, WorkerProfile
 from repro.model.worker_table import CATEGORY_INDEX, WorkerTable
-from repro.platform.profiling import ProfilingComponent
 
 
 class TestWorkerBehaviorValidation:
@@ -104,8 +103,8 @@ class TestCategoryStats:
     def test_accuracy_ratio(self):
         component = _registered(WorkerProfile(worker_id=1))
         for positive in (True, True, False, True):
-            component.record_completion(1, 5.0, TaskCategory.GENERIC, positive)
-        history = component.table.history(1)
+            component.complete(1, 5.0, TaskCategory.GENERIC, positive)
+        history = component.history(1)
         column = CATEGORY_INDEX[TaskCategory.GENERIC]
         assert (history.positive[column], history.finished[column]) == (3, 4)
         assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.75
@@ -127,15 +126,15 @@ class TestWorkerProfile:
 
     def test_record_completion_updates_history(self):
         component = _registered(WorkerProfile(worker_id=1))
-        component.record_completion(1, 5.0, TaskCategory.GENERIC, True)
-        component.record_completion(1, 7.0, TaskCategory.GENERIC, False)
-        assert component.table.history(1).execution_times == [5.0, 7.0]
+        component.complete(1, 5.0, TaskCategory.GENERIC, True)
+        component.complete(1, 7.0, TaskCategory.GENERIC, False)
+        assert component.history(1).execution_times == [5.0, 7.0]
         assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.5
 
     def test_accuracy_is_per_category(self):
         component = _registered(WorkerProfile(worker_id=1))
-        component.record_completion(1, 5.0, TaskCategory.TRAFFIC_MONITORING, True)
-        component.record_completion(1, 5.0, TaskCategory.PRICE_CHECK, False)
+        component.complete(1, 5.0, TaskCategory.TRAFFIC_MONITORING, True)
+        component.complete(1, 5.0, TaskCategory.PRICE_CHECK, False)
         assert _accuracy(component, 1, TaskCategory.TRAFFIC_MONITORING) == 1.0
         assert _accuracy(component, 1, TaskCategory.PRICE_CHECK) == 0.0
         assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.0
@@ -143,31 +142,31 @@ class TestWorkerProfile:
     def test_invalid_execution_time_rejected(self):
         component = _registered(WorkerProfile(worker_id=1))
         with pytest.raises(ValueError):
-            component.record_completion(1, 0.0, TaskCategory.GENERIC, True)
-        assert component.table.history(1).execution_times == []
+            component.complete(1, 0.0, TaskCategory.GENERIC, True)
+        assert component.history(1).execution_times == []
 
     def test_assign_release_cycle(self):
         """A registered worker's status and assignment count live in his
         table row."""
         component = _registered(WorkerProfile(worker_id=1))
-        component.record_assignment(1, task_id=10)
+        component.assign(1, task_id=10)
         assert not component.is_free(1)
         assert component.current_task(1) == 10
-        assert component.table.history(1).assignment_count == 1
+        assert component.history(1).assignment_count == 1
         component.release(1)
         assert component.is_free(1)
         assert component.current_task(1) is None
 
     def test_double_assign_rejected(self):
         component = _registered(WorkerProfile(worker_id=1))
-        component.record_assignment(1, task_id=10)
+        component.assign(1, task_id=10)
         with pytest.raises(ValueError, match="not available"):
-            component.record_assignment(1, task_id=11)
+            component.assign(1, task_id=11)
         assert component.current_task(1) == 10
-        assert component.table.history(1).assignment_count == 1
+        assert component.history(1).assignment_count == 1
 
     def test_offline_worker_cannot_be_assigned(self):
-        table = _table(WorkerProfile(worker_id=1))
+        table = _registered(WorkerProfile(worker_id=1))
         table.set_online(1, False)
         with pytest.raises(ValueError, match="not available"):
             table.assign(1, 10)
@@ -175,7 +174,7 @@ class TestWorkerProfile:
 
     def test_negative_task_id_rejected(self):
         """A negative task cell means free, so it cannot name a task."""
-        table = _table(WorkerProfile(worker_id=1))
+        table = _registered(WorkerProfile(worker_id=1))
         with pytest.raises(ValueError, match="negative"):
             table.assign(1, -2)
         assert table.is_free(1) and table.current_task(1) is None
@@ -183,39 +182,32 @@ class TestWorkerProfile:
 
     def test_censored_observation_recorded(self):
         component = _registered(WorkerProfile(worker_id=1))
-        component.record_assignment(1, task_id=10)
+        component.assign(1, task_id=10)
         component.record_withdrawal(1, task_id=10, elapsed=42.0)
-        assert component.table.history(1).execution_times == [42.0]
+        assert component.history(1).execution_times == [42.0]
         assert _accuracy(component, 1, TaskCategory.GENERIC) == 0.0  # no feedback
 
     def test_censored_zero_elapsed_ignored(self):
         component = _registered(WorkerProfile(worker_id=1))
-        component.record_assignment(1, task_id=10)
+        component.assign(1, task_id=10)
         component.record_withdrawal(1, task_id=10, elapsed=0.0)
-        assert component.table.history(1).execution_times == []
+        assert component.history(1).execution_times == []
 
     def test_assignment_count_tracks_all_assignments(self):
         component = _registered(WorkerProfile(worker_id=1))
         for task in (10, 11, 12):
-            component.record_assignment(1, task)
+            component.assign(1, task)
             component.release(1)
-        history = component.table.history(1)
+        history = component.history(1)
         assert history.assignment_count == 3
         assert history.execution_times == []  # assignments are not completions
 
 
 def _registered(profile):
-    component = ProfilingComponent()
+    component = WorkerTable()
     component.register(profile)
     return component
 
 
-def _table(profile):
-    table = WorkerTable()
-    table.append(profile)
-    return table
-
-
-def _accuracy(component, worker_id, category):
-    table = component.table
+def _accuracy(table, worker_id, category):
     return table.accuracy[table.slot(worker_id), CATEGORY_INDEX[category]]

@@ -45,8 +45,8 @@ class FullScanMonitor(DynamicAssignmentComponent):
             raise ValueError(f"threshold must be in [0,1], got {threshold}")
 
         n = len(tasks)
-        history_of = self._profiles.table.history
-        rows_of = self._profiles.table.rows_of
+        history_of = self._profiles.history
+        rows_of = self._profiles.rows_of
         estimator = self._estimator
         cache = self._skip_horizon
         if threshold != self._skip_threshold:

@@ -14,11 +14,11 @@ from .helpers import build_server, dawdler_behavior, submit
 def _train_profile(server, worker_id, times):
     """Inject a completion history into an idle registered worker's row."""
     for t in times:
-        server.profiling.record_completion(worker_id, t, TaskCategory.GENERIC, True)
+        server.profiling.complete(worker_id, t, TaskCategory.GENERIC, True)
 
 
 def _history(server, worker_id):
-    return server.profiling.table.history(worker_id).execution_times
+    return server.profiling.history(worker_id).execution_times
 
 
 class TestMonitorSweep:
@@ -180,7 +180,7 @@ class TestSweepHardCases:
         history = list(_history(server, 0))
         # Before the sweep, the closing task's 7 s row is safe: its
         # horizon lies ahead and Eq. 2 is above the threshold.
-        rows = server.profiling.table.rows_of([0])
+        rows = server.profiling.rows_of([0])
         assert server.estimator.withdrawal_skip_horizons(rows, [8.08], 0.1)[0] > 7.0
         assert server.estimator.window_probability(history, 7.0, 8.08).probability >= 0.1
         assert monitor.sweep(190.0) == 2

@@ -93,12 +93,12 @@ class TestFitCacheEviction:
     def _train(self, server, worker_id: int, n: int = 5) -> None:
         rng = np.random.default_rng(worker_id)
         for t in 2.0 + rng.pareto(2.0, n) * 5.0:
-            server.profiling.record_completion(
+            server.profiling.complete(
                 worker_id, float(t), TaskCategory.GENERIC, True
             )
 
     def _row_fit(self, server, worker_id: int):
-        rows = server.profiling.table.rows_of([worker_id])
+        rows = server.profiling.rows_of([worker_id])
         server.estimator.completion_probability_matrix(rows, np.array([60.0]))
         return rows.fits[0]
 
@@ -108,11 +108,11 @@ class TestFitCacheEviction:
         assert self._row_fit(server, 0) is not None
         history = server.profiling.deregister(0)
         with pytest.raises(KeyError):
-            server.profiling.table.slot(0)
+            server.profiling.slot(0)
         # A returning worker gets a fresh row and is refitted from his history.
         misses = server.estimator.cache_misses
         server.profiling.register(WorkerProfile(worker_id=0), history)
-        assert server.profiling.table.fit[server.profiling.table.slot(0)] is None
+        assert server.profiling.fit[server.profiling.slot(0)] is None
         assert self._row_fit(server, 0).n_samples == 5
         assert server.estimator.cache_misses == misses + 1
 
@@ -122,7 +122,7 @@ class TestFitCacheEviction:
         self._row_fit(server, 1)
         server.remove_worker(1)
         with pytest.raises(KeyError):
-            server.profiling.table.slot(1)
+            server.profiling.slot(1)
         # The remaining worker's fit is untouched.
         self._train(server, 0)
         fit = self._row_fit(server, 0)

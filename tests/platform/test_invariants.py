@@ -138,6 +138,6 @@ class TestMonitor:
 
 
 def _corrupt_task_cell(server, worker_id, task_id):
-    """Write a worker's current-task cell around the Profiling Component."""
-    table = server.profiling.table
+    """Write a worker's current-task cell around the worker table's writers."""
+    table = server.profiling
     table.task[table.slot(worker_id)] = task_id

@@ -26,7 +26,7 @@ class TestHappyPath:
         engine, server = build_server(n_workers=1)
         submit(server, engine)
         engine.run(until=30.0)
-        times = server.profiling.table.history(0).execution_times
+        times = server.profiling.history(0).execution_times
         assert len(times) == 1
         assert 2.0 <= times[0] <= 4.0
 
@@ -111,7 +111,7 @@ class TestDawdlersAndReassignment:
         submit(server, engine, deadline=40.0)
         engine.run(until=100.0)
         # no result ever came back, so every observation is a censored hold
-        history = server.profiling.table.history(0)
+        history = server.profiling.history(0)
         assert len(history.execution_times) >= 1
         assert sum(history.finished) == 0
 

@@ -148,12 +148,12 @@ def test_migrated_worker_keeps_history():
         WorkerProfile(worker_id=1, latitude=9.0, longitude=5.0), reliable_behavior()
     )
     for duration, positive in ((3.0, True), (4.0, False), (6.0, True), (5.0, True)):
-        original.profiling.record_assignment(1, task_id=0)
-        original.profiling.record_completion(1, duration, TaskCategory.GENERIC, positive)
+        original.profiling.assign(1, task_id=0)
+        original.profiling.complete(1, duration, TaskCategory.GENERIC, positive)
     ttd = np.array([5.0, 60.0])
-    before_rows = original.profiling.table.rows_of([1])
+    before_rows = original.profiling.rows_of([1])
     before_eq3 = original.estimator.completion_probability_matrix(before_rows, ttd)
-    before = original.profiling.table.history(1)
+    before = original.profiling.history(1)
     before_times = list(before.execution_times)
     before_accuracy = before_rows.accuracy(list(TaskCategory)).tolist()
 
@@ -163,8 +163,8 @@ def test_migrated_worker_keeps_history():
     child = next(s for s in coordinator.servers if 1 in s.profiling)
     assert child is not original and 1 not in original.profiling
 
-    after = child.profiling.table.history(1)
-    rows = child.profiling.table.rows_of([1])
+    after = child.profiling.history(1)
+    rows = child.profiling.rows_of([1])
     assert after.execution_times == before_times
     assert int(rows.table.n_obs[rows.slots[0]]) == len(before_times) == 4
     assert after.assignment_count == before.assignment_count == 4

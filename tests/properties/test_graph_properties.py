@@ -10,7 +10,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import AssignmentGraphBuilder
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
-from repro.platform.profiling import ProfilingComponent
+from repro.model.worker_table import WorkerTable
 
 
 @st.composite
@@ -69,15 +69,15 @@ def _rows(histories, min_assignments=0):
     """Table rows of workers with ``histories``, recorded through the
     Profiling Component; each was assigned once per duration, and at least
     ``min_assignments`` times."""
-    profiling = ProfilingComponent()
+    profiling = WorkerTable()
     for worker_id, times in enumerate(histories):
         profiling.register(WorkerProfile(worker_id=worker_id))
         for _ in range(max(min_assignments, len(times))):
-            profiling.record_assignment(worker_id, task_id=0)
+            profiling.assign(worker_id, task_id=0)
             profiling.release(worker_id)
         for t in times:
-            profiling.record_completion(worker_id, t, TaskCategory.GENERIC, True)
-    return profiling.table.rows_of(range(len(histories)))
+            profiling.complete(worker_id, t, TaskCategory.GENERIC, True)
+    return profiling.rows_of(range(len(histories)))
 
 
 class TestBuilderLaws:

@@ -170,7 +170,7 @@ class TestAdaptivePoolSizer:
             engine, server, n_supply=6, pool=pool, patience=10_000.0
         )
         recruiter.start(prefill=6)
-        assert len(server.profiling.available_workers()) == 0
+        assert len(server.profiling.available_slots()) == 0
         sizer = make_sizer(
             engine, pool, on_evict=recruiter.release_to_walkin
         )
@@ -182,7 +182,7 @@ class TestAdaptivePoolSizer:
         assert sizer.evictions > 0
         assert recruiter.stats.walk_ins == sizer.evictions
         # Evicted humans are online walk-ins now, visible to the matcher.
-        assert len(server.profiling.available_workers()) == sizer.evictions
+        assert len(server.profiling.available_slots()) == sizer.evictions
 
     def test_validation(self):
         engine = Engine()

@@ -86,7 +86,7 @@ class TestRetainerHolds:
         assert recruiter.stats.retained == 3
         # Held workers are registered but invisible to the matcher.
         assert len(server.profiling) == 3
-        assert len(server.profiling.available_workers()) == 0
+        assert len(server.profiling.available_slots()) == 0
 
     def test_prefill_without_pool_rejected(self):
         engine, server = build_bare_server()
@@ -105,7 +105,7 @@ class TestRetainerHolds:
         assert pool.held_count == 2
         assert recruiter.stats.retained == 2
         assert recruiter.stats.walk_ins == 2
-        assert len(server.profiling.available_workers()) == 2
+        assert len(server.profiling.available_slots()) == 2
 
 
 class TestDemandRelease:

@@ -122,7 +122,7 @@ class TestHttpSurface:
                 (server,) = [
                     s for s in gateway.coordinator.servers if worker_id in s.profiling
                 ]
-                history = server.profiling.table.history(worker_id)
+                history = server.profiling.history(worker_id)
                 assert history.execution_times == []
                 assert history.assignment_count == 0 and sum(history.finished) == 0
             finally:
@@ -222,6 +222,29 @@ class TestHttpSurface:
                 assert status == 400
                 status, text = await client.request("GET", "/metrics")
                 assert b"service_handler_errors_total 0" in text
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        run_async(main())
+
+    def test_worker_culled_for_inactivity_can_register_again(self):
+        async def main():
+            gateway = await boot(GatewayConfig(time_scale=500.0, liveness_timeout=5.0))
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                status, _ = await client.request("POST", "/workers", {"worker_id": 7})
+                assert status == 201
+                for _ in range(200):  # no heartbeats: the liveness sweep culls him
+                    await asyncio.sleep(0.02)
+                    if not any(7 in server.profiling for server in gateway.servers):
+                        break
+                else:
+                    raise AssertionError("worker 7 was never culled")
+                status, body = await client.request("POST", "/workers", {"worker_id": 7})
+                assert status == 201, body
+                status, _ = await client.request("POST", "/workers/7/heartbeat")
+                assert status == 200
             finally:
                 await client.close()
                 await gateway.stop()

@@ -71,7 +71,7 @@ class Harness:
         return self.server.profiling.is_free(worker_id)
 
     def history(self, worker_id):
-        return self.server.profiling.table.history(worker_id)
+        return self.server.profiling.history(worker_id)
 
     def censored(self, worker_id):
         """Observations without feedback: the censored holds."""

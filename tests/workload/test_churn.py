@@ -54,12 +54,12 @@ class TestSessions:
         task = submit(server, engine, deadline=300.0)
         engine.run(until=30.0)
         assert server.metrics.completed == 1
-        history_before = list(server.profiling.table.history(0).execution_times)
+        history_before = list(server.profiling.history(0).execution_times)
         assert history_before
         engine.run(until=400.0)
         assert churn.stats.returns >= 1
         if 0 in server.profiling:  # worker is back online
-            row = server.profiling.table.history(0)
+            row = server.profiling.history(0)
             assert row.execution_times[: len(history_before)] == history_before
             assert row.assignment_count >= 1
 

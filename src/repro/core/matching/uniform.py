@@ -18,9 +18,9 @@ paths honour it.  On a complete graph in ``from_dense``'s worker-major edge
 order (every Traditional batch: a zero Eq. 3 bound keeps every edge), each
 task's free-neighbour list is the same ascending list of free workers, so
 the tasks draw from one shared list and the walk stops when it empties.
-Any other graph (reward ranges, budget gate, ``min_weight``, hand-built
-edge lists) walks each task's edge slice, and stops once every worker that
-has an edge is taken.  :func:`repro.core.kernels.reference.uniform_match`
+Any other graph (reward ranges, budget gate, hand-built edge lists)
+walks each task's edge slice, and stops once every worker that has an edge
+is taken.  :func:`repro.core.kernels.reference.uniform_match`
 keeps the slice walk as it ran on every graph; the equivalence tests pin
 both paths against it.
 """

@@ -17,21 +17,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..chaos import FaultInjector, FaultLogEntry, FaultSchedule
-from ..model.task import reset_task_ids
 from ..obs.runtime import ObservabilityLike
-from ..platform.cost import PaperCalibratedCost
 from ..platform.invariants import InvariantMonitor
 from ..platform.policies import SchedulingPolicy
 from ..platform.resilience import ResilienceConfig
-from ..platform.server import REACTServer
-from ..sim.engine import Engine
-from ..sim.events import EventKind
-from ..sim.process import GeneratorProcess
-from ..sim.rng import STREAM_TASKS, STREAM_WORKER_POPULATION, RngRegistry
-from ..workload.arrivals import deterministic_gaps
-from ..workload.generators import TaskGeneratorConfig, TrafficMonitoringGenerator
-from ..workload.population import PopulationConfig, generate_population
-from .endtoend import BATCH_OVERHEAD_SECONDS, default_policies
+from .config import EndToEndConfig
+from .endtoend import arm_arrivals, assemble_run, default_policies
 
 logger = logging.getLogger(__name__)
 
@@ -61,14 +52,21 @@ class ChaosConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1 or self.n_tasks < 1:
-            raise ValueError("n_workers and n_tasks must be >= 1")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if self.drain_time < 0:
-            raise ValueError("drain_time must be non-negative")
+        self.endtoend_config()  # validates the workload fields
         if self.invariant_period <= 0:
             raise ValueError("invariant_period must be positive")
+
+    def endtoend_config(self) -> EndToEndConfig:
+        """The §V-C single-region workload every chaos run faces."""
+        return EndToEndConfig(
+            n_workers=self.n_workers,
+            arrival_rate=self.arrival_rate,
+            n_tasks=self.n_tasks,
+            seed=self.seed,
+            drain_time=self.drain_time,
+            deadline_low=self.deadline_low,
+            deadline_high=self.deadline_high,
+        )
 
     @property
     def arrival_horizon(self) -> float:
@@ -116,21 +114,12 @@ def run_chaos(
         "chaos: policy=%s seed=%d faulted=%s",
         policy.name, config.seed, schedule is not None,
     )
-    reset_task_ids()
-    engine = Engine()
-    rng = RngRegistry(seed=config.seed)
+    workload = config.endtoend_config()
     resilience = config.resilience if policy.use_probabilistic_model else None
-    server = REACTServer(
-        engine=engine,
-        policy=policy,
-        rng=rng,
-        cost_model=PaperCalibratedCost(batch_overhead=BATCH_OVERHEAD_SECONDS),
-        resilience=resilience,
-        observability=observability,
+    engine, rng, server, crowd = assemble_run(
+        policy, workload, observability, resilience
     )
-    for profile, behavior in generate_population(
-        rng.stream(STREAM_WORKER_POPULATION), PopulationConfig(size=config.n_workers)
-    ):
+    for profile, behavior in crowd:
         server.add_worker(profile, behavior)
     server.start()
 
@@ -139,22 +128,7 @@ def run_chaos(
     if schedule is not None:
         injector = FaultInjector(engine, server, schedule).arm()
 
-    generator = TrafficMonitoringGenerator(
-        rng.stream(STREAM_TASKS),
-        TaskGeneratorConfig(
-            deadline_low=config.deadline_low, deadline_high=config.deadline_high
-        ),
-    )
-
-    def submit(_payload: object) -> None:
-        server.submit_task(generator.make(submitted_at=engine.now))
-
-    GeneratorProcess(
-        engine,
-        deterministic_gaps(config.arrival_rate, config.n_tasks),
-        submit,
-        kind=EventKind.TASK_ARRIVAL,
-    )
+    arm_arrivals(engine, rng, workload, server.submit_task)
     engine.run(until=config.horizon(schedule))
     monitor.stop()
     server.stop()

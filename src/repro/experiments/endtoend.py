@@ -4,16 +4,18 @@ Builds one region server under the given policy, feeds it the §V-C
 workload, and returns the series/summaries the paper's Figures 5-8 plot.
 The comparison entry point runs REACT, Greedy and Traditional under the
 *same* seed so all three face an identical arrival trace and worker
-population.
+population.  The chaos and voting experiments reuse that seeded run
+through :func:`assemble_run` and :func:`arm_arrivals`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..model.task import reset_task_ids
+from ..model.task import Task, reset_task_ids
+from ..model.worker import WorkerBehavior, WorkerProfile
 from ..obs.runtime import ObservabilityLike
 from ..platform.cost import CostModel, PaperCalibratedCost, ZeroCost
 from ..platform.policies import (
@@ -24,6 +26,7 @@ from ..platform.policies import (
     react_retainer_policy,
     traditional_policy,
 )
+from ..platform.resilience import ResilienceConfig
 from ..platform.server import REACTServer
 from ..retainer.adaptive import AdaptivePoolSizer, EwmaRateEstimator
 from ..retainer.pool import RetainerPool
@@ -106,6 +109,62 @@ def _cost_model(config: EndToEndConfig) -> CostModel:
     return ZeroCost()
 
 
+def assemble_run(
+    policy: SchedulingPolicy,
+    config: EndToEndConfig,
+    observability: Optional[ObservabilityLike] = None,
+    resilience: Optional[ResilienceConfig] = None,
+) -> Tuple[Engine, RngRegistry, REACTServer, List[Tuple[WorkerProfile, WorkerBehavior]]]:
+    """The seeded single-region run every §V-C-based experiment starts from.
+
+    Resets the task ids and builds the engine, the ``config.seed`` registry
+    and the server under the config's cost model, then draws the crowd.  The
+    crowd is returned unregistered: the classic setup adds it at t = 0,
+    marketplace mode hands it to the recruiter as supply.
+    """
+    reset_task_ids()
+    engine = Engine()
+    rng = RngRegistry(seed=config.seed)
+    server = REACTServer(
+        engine=engine,
+        policy=policy,
+        rng=rng,
+        cost_model=_cost_model(config),
+        resilience=resilience,
+        observability=observability,
+    )
+    crowd = generate_population(
+        rng.stream(STREAM_WORKER_POPULATION),
+        PopulationConfig(size=config.n_workers),
+    )
+    return engine, rng, server, crowd
+
+
+def arm_arrivals(
+    engine: Engine,
+    rng: RngRegistry,
+    config: EndToEndConfig,
+    submit: Callable[[Task], None],
+) -> None:
+    """Schedule the config's traffic-monitoring arrivals; each task goes to
+    ``submit`` at its arrival time."""
+    generator = TrafficMonitoringGenerator(
+        rng.stream(STREAM_TASKS),
+        TaskGeneratorConfig(
+            deadline_low=config.deadline_low, deadline_high=config.deadline_high
+        ),
+    )
+    if config.arrival_process == "poisson":
+        gaps = poisson_gaps(config.arrival_rate, rng.stream(STREAM_ARRIVALS), config.n_tasks)
+    else:
+        gaps = deterministic_gaps(config.arrival_rate, config.n_tasks)
+
+    def on_arrival(_payload: object) -> None:
+        submit(generator.make(submitted_at=engine.now))
+
+    GeneratorProcess(engine, gaps, on_arrival, kind=EventKind.TASK_ARRIVAL)
+
+
 def run_endtoend(
     policy: SchedulingPolicy,
     config: EndToEndConfig,
@@ -125,21 +184,7 @@ def run_endtoend(
             f"policy {policy.name!r} has a retainer but the config is not in "
             "marketplace mode; set EndToEndConfig.worker_arrival_rate"
         )
-    reset_task_ids()
-    engine = Engine()
-    rng = RngRegistry(seed=config.seed)
-
-    server = REACTServer(
-        engine=engine,
-        policy=policy,
-        rng=rng,
-        cost_model=_cost_model(config),
-        observability=observability,
-    )
-    population = generate_population(
-        rng.stream(STREAM_WORKER_POPULATION),
-        PopulationConfig(size=config.n_workers),
-    )
+    engine, rng, server, population = assemble_run(policy, config, observability)
 
     pool: Optional[RetainerPool] = None
     recruiter: Optional[RetainerRecruiter] = None
@@ -200,26 +245,14 @@ def run_endtoend(
         )
         churn.track_all_workers()
 
-    generator = TrafficMonitoringGenerator(
-        rng.stream(STREAM_TASKS),
-        TaskGeneratorConfig(
-            deadline_low=config.deadline_low, deadline_high=config.deadline_high
-        ),
-    )
-    if config.arrival_process == "poisson":
-        gaps = poisson_gaps(config.arrival_rate, rng.stream(STREAM_ARRIVALS), config.n_tasks)
-    else:
-        gaps = deterministic_gaps(config.arrival_rate, config.n_tasks)
-
-    def on_arrival(_payload: object) -> None:
-        server.submit_task(generator.make(submitted_at=engine.now))
+    def submit(task: Task) -> None:
+        server.submit_task(task)
         if sizer is not None:
             sizer.observe_arrival()
         if recruiter is not None:
             recruiter.notify_demand()
 
-    GeneratorProcess(engine, gaps, on_arrival, kind=EventKind.TASK_ARRIVAL)
-
+    arm_arrivals(engine, rng, config, submit)
     engine.run(until=config.horizon)
     if churn is not None:
         churn.stop()

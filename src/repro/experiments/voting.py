@@ -26,17 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..model.task import Task, reset_task_ids
-from ..platform.cost import ZeroCost
+from ..model.task import Task
 from ..platform.policies import SchedulingPolicy, react_policy, traditional_policy
-from ..platform.server import REACTServer
-from ..sim.engine import Engine
-from ..sim.events import EventKind
-from ..sim.process import GeneratorProcess
-from ..sim.rng import STREAM_TASKS, STREAM_WORKER_POPULATION, RngRegistry
-from ..workload.arrivals import deterministic_gaps
-from ..workload.generators import TaskGeneratorConfig, TrafficMonitoringGenerator
-from ..workload.population import PopulationConfig, generate_population
+from .config import EndToEndConfig
+from .endtoend import arm_arrivals, assemble_run
 
 
 @dataclass(frozen=True)
@@ -57,18 +50,22 @@ class VotingConfig:
     drain_time: float = 400.0
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1 or self.n_tasks < 1:
-            raise ValueError("n_workers and n_tasks must be >= 1")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
+        self.endtoend_config()  # validates the workload fields
         if not self.replication_levels or min(self.replication_levels) < 1:
             raise ValueError("replication levels must be >= 1")
         if any(r % 2 == 0 for r in self.replication_levels):
             raise ValueError("replication levels must be odd (majority vote)")
 
-    @property
-    def horizon(self) -> float:
-        return self.n_tasks / self.arrival_rate + self.drain_time
+    def endtoend_config(self) -> EndToEndConfig:
+        """The §V-C single-region workload, without the matcher cost model."""
+        return EndToEndConfig(
+            n_workers=self.n_workers,
+            arrival_rate=self.arrival_rate,
+            n_tasks=self.n_tasks,
+            seed=self.seed,
+            drain_time=self.drain_time,
+            cost_model="zero",
+        )
 
 
 @dataclass(frozen=True)
@@ -98,29 +95,19 @@ def _run(
     replication: int,
     label: str,
 ) -> VotingPoint:
-    reset_task_ids()
-    engine = Engine()
-    rng = RngRegistry(seed=config.seed)
-    server = REACTServer(
-        engine=engine, policy=policy, rng=rng, cost_model=ZeroCost()
-    )
-    for profile, behavior in generate_population(
-        rng.stream(STREAM_WORKER_POPULATION), PopulationConfig(size=config.n_workers)
-    ):
+    workload = config.endtoend_config()
+    engine, rng, server, crowd = assemble_run(policy, workload)
+    for profile, behavior in crowd:
         server.add_worker(profile, behavior)
     server.start()
 
-    generator = TrafficMonitoringGenerator(
-        rng.stream(STREAM_TASKS), TaskGeneratorConfig()
-    )
     clone_to_logical: Dict[int, int] = {}
     logical_count = 0
 
-    def on_arrival(_payload) -> None:
+    def submit(template: Task) -> None:
         nonlocal logical_count
         logical = logical_count
         logical_count += 1
-        template = generator.make(submitted_at=engine.now)
         for _ in range(replication):
             clone = Task(
                 latitude=template.latitude,
@@ -134,13 +121,8 @@ def _run(
             clone_to_logical[clone.task_id] = logical
             server.submit_task(clone)
 
-    GeneratorProcess(
-        engine,
-        deterministic_gaps(config.arrival_rate, config.n_tasks),
-        on_arrival,
-        kind=EventKind.TASK_ARRIVAL,
-    )
-    engine.run(until=config.horizon)
+    arm_arrivals(engine, rng, workload, submit)
+    engine.run(until=workload.horizon)
     server.stop()
 
     # Aggregate clone outcomes per logical task.  The requester votes over

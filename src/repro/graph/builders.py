@@ -14,7 +14,8 @@ between the region's available workers and its unassigned tasks:
 4. **Optional reward-range filtering** (§III-C extension): an edge is not
    instantiated when the task's reward falls outside the worker's declared
    acceptable range.
-5. **Optional low-weight pruning** (§IV-A suggestion) to shrink the graph.
+5. **Optional budget gate**: a task whose requester cannot fund its reward
+   gets no edges.
 
 The whole construction is vectorized over the worker table's columns: one
 weight-matrix call, one Eq. (3) probability-matrix call, boolean masks, then
@@ -23,7 +24,7 @@ a single ``from_dense``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -73,10 +74,8 @@ class GraphBuildReport:
     pruned_by_probability: int = 0
     pruned_by_reward: int = 0
     pruned_by_budget: int = 0
-    pruned_by_weight: int = 0
     cold_start_workers: int = 0
     kept_edges: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
 
 class AssignmentGraphBuilder:
@@ -91,8 +90,6 @@ class AssignmentGraphBuilder:
     edge_probability_bound:
         The "application-defined lower bound" on Eq. (3) under which edges
         are pruned.
-    min_weight:
-        When set, additionally prune trained-worker edges below this weight.
     reward_ranges:
         Optional worker_id → :class:`RewardRange` map enabling the §III-C
         pricing extension.
@@ -106,7 +103,6 @@ class AssignmentGraphBuilder:
         weight_function: WeightFunction,
         estimator: DeadlineEstimator,
         edge_probability_bound: float = 0.1,
-        min_weight: Optional[float] = None,
         reward_ranges: Optional[Dict[int, RewardRange]] = None,
         budget: Optional[BudgetGate] = None,
     ) -> None:
@@ -114,12 +110,9 @@ class AssignmentGraphBuilder:
             raise ValueError(
                 f"edge_probability_bound must be in [0,1], got {edge_probability_bound}"
             )
-        if min_weight is not None and not (0.0 <= min_weight <= 1.0):
-            raise ValueError(f"min_weight must be in [0,1], got {min_weight}")
         self.weight_function = weight_function
         self.estimator = estimator
         self.edge_probability_bound = edge_probability_bound
-        self.min_weight = min_weight
         self.reward_ranges = reward_ranges or {}
         self.budget = budget
 
@@ -200,15 +193,6 @@ class AssignmentGraphBuilder:
                 dropped = int((keep & ~funded[None, :]).sum())
                 report.pruned_by_budget = dropped
                 keep &= funded[None, :]
-
-        # Low-weight pruning (established workers only — cold-start edges
-        # are the training mechanism and must survive).
-        if self.min_weight is not None:
-            heavy = weights >= self.min_weight
-            heavy |= cold_start[:, None]
-            dropped = int((keep & ~heavy).sum())
-            report.pruned_by_weight = dropped
-            keep &= heavy
 
         graph = BipartiteGraph.from_dense(weights, mask=keep)
         report.kept_edges = graph.n_edges

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -91,14 +92,18 @@ class Task:
     assignments: int = 0
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if not 0.0 < self.deadline < math.inf:
+            raise ValueError(
+                f"deadline must be positive and finite, got {self.deadline}"
+            )
         if not (-90.0 <= self.latitude <= 90.0):
             raise ValueError(f"latitude out of range: {self.latitude}")
         if not (-180.0 <= self.longitude <= 180.0):
             raise ValueError(f"longitude out of range: {self.longitude}")
-        if self.reward < 0:
-            raise ValueError(f"reward must be non-negative, got {self.reward}")
+        if not 0.0 <= self.reward < math.inf:
+            raise ValueError(
+                f"reward must be non-negative and finite, got {self.reward}"
+            )
 
     # ------------------------------------------------------------ timing
     @property

@@ -90,7 +90,7 @@ class LiveRegionServer(RegionServer):
         liveness_timeout: Optional[float] = None,
         on_dispatch: Optional[Callable[[DispatchNotice], None]] = None,
     ) -> None:
-        if liveness_timeout is not None and liveness_timeout <= 0:
+        if liveness_timeout is not None and not liveness_timeout > 0:
             raise ValueError("liveness_timeout must be positive")
         # Live mode defaults to ZeroCost: the matcher's latency is real wall
         # time here, not a simulated charge.

@@ -104,8 +104,6 @@ class ServiceGateway:
         self.coordinator: Optional[Coordinator] = None
         self.port: Optional[int] = None
         self.host: Optional[str] = None
-        self._servers: List[LiveRegionServer] = []
-        self._worker_server: Dict[int, LiveRegionServer] = {}
         self._httpd: Optional[HttpServer] = None
         self._admission: Optional[AdmissionController] = None
         self._ready = False
@@ -127,7 +125,7 @@ class ServiceGateway:
         )
         self.registry.gauge(
             "service_workers", "Workers currently registered",
-            source=lambda: len(self._worker_server),
+            source=lambda: sum(len(server.profiling) for server in self.servers),
         )
         self.registry.gauge(
             "service_in_flight", "Tasks admitted and not yet finished",
@@ -181,7 +179,7 @@ class ServiceGateway:
             if asyncio.get_running_loop().time() >= deadline:
                 break
             await asyncio.sleep(0.02)
-        for server in self._servers:
+        for server in self.servers:
             server.stop()
         if self.runtime is not None:
             self.runtime.close()
@@ -194,7 +192,10 @@ class ServiceGateway:
 
     @property
     def servers(self) -> List[LiveRegionServer]:
-        return list(self._servers)
+        """The coordinator's servers (none before :meth:`start`)."""
+        if self.coordinator is None:
+            return []
+        return cast(List[LiveRegionServer], self.coordinator.servers)
 
     def summary(self) -> Dict[str, float]:
         """Aggregate middleware summary across the live servers."""
@@ -209,18 +210,16 @@ class ServiceGateway:
         rng: RngRegistry,
         cost_model: Optional[CostModel],
     ) -> LiveRegionServer:
-        server = LiveRegionServer(
+        return LiveRegionServer(
             clock=clock,
             policy=policy,
             rng=rng,
             cost_model=cost_model if cost_model is not None else ZeroCost(),
             liveness_timeout=self.config.liveness_timeout,
         )
-        self._servers.append(server)
-        return server
 
     def _backlog(self) -> int:
-        return sum(server.in_flight for server in self._servers)
+        return sum(server.in_flight for server in self.servers)
 
     def _next_location(self) -> tuple:
         """Round-robin region centers for clients that omit coordinates."""
@@ -329,7 +328,7 @@ class ServiceGateway:
 
     def _task_status(self, segment: str) -> HttpResponse:
         task_id = _int_segment(segment, "task id")
-        for server in self._servers:
+        for server in self.servers:
             try:
                 return json_response(server.task_status(task_id))
             except KeyError:
@@ -360,25 +359,18 @@ class ServiceGateway:
             raise BadRequest(str(exc)) from exc
         server = self._server_for(latitude, longitude)
         server.add_worker(profile)
-        self._worker_server[worker_id] = server
         return json_response({"worker_id": worker_id}, status=201)
 
     def _server_of(self, worker_id: int) -> Optional[LiveRegionServer]:
-        """The server currently holding ``worker_id``'s row.
+        """The server whose worker table holds ``worker_id``, if any.
 
-        A region split can migrate an idle worker to a child server behind
-        the gateway's back; the cached route is re-validated against the
-        server's worker table and repaired by scanning the (few) servers.
+        The tables are the one record of who is where: a region split can
+        move an idle worker to a child server and a liveness sweep can cull
+        a silent one, so the gateway keeps no route of its own to go stale.
         """
-        server = self._worker_server.get(worker_id)
-        if server is not None and worker_id in server.profiling:
-            return server
-        for candidate in self._servers:
-            if worker_id in candidate.profiling:
-                self._worker_server[worker_id] = candidate
-                return candidate
-        # Gone everywhere (liveness cull or deregister): drop the stale route.
-        self._worker_server.pop(worker_id, None)
+        for server in self.servers:
+            if worker_id in server.profiling:
+                return server
         return None
 
     def _heartbeat(self, worker_id: int) -> HttpResponse:
@@ -421,7 +413,6 @@ class ServiceGateway:
                 {"error": f"unknown worker {worker_id}"}, status=404
             )
         server.remove_worker(worker_id)
-        self._worker_server.pop(worker_id, None)
         return json_response({"status": "deregistered"})
 
     def _server_for(self, latitude: float, longitude: float) -> LiveRegionServer:

@@ -74,7 +74,7 @@ class WallClockRuntime:
         loop: Optional[asyncio.AbstractEventLoop] = None,
         time_scale: float = 1.0,
     ) -> None:
-        if time_scale <= 0:
+        if not time_scale > 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._scale = time_scale

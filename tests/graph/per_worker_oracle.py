@@ -170,10 +170,5 @@ def build(
             report.pruned_by_budget = int((keep & ~funded[None, :]).sum())
             keep &= funded[None, :]
 
-    if builder.min_weight is not None:
-        heavy = (weights >= builder.min_weight) | cold_start[:, None]
-        report.pruned_by_weight = int((keep & ~heavy).sum())
-        keep &= heavy
-
     report.kept_edges = int(keep.sum())
     return keep, weights, report

@@ -93,7 +93,6 @@ def batches(draw):
         family=draw(st.sampled_from(sorted(FAMILIES))),
         weight=draw(st.sampled_from(sorted(WEIGHTS))),
         bound=draw(st.sampled_from((0.0, 0.1, 0.5, 0.9))),
-        min_weight=draw(st.none() | st.sampled_from((0.2, 0.6))),
         later=draw(st.lists(st.tuples(st.integers(0, n_workers - 1), durations), max_size=6)),
     )
 
@@ -175,7 +174,6 @@ def test_columnar_build_matches_per_worker_walk(case):
         weight_function=WEIGHTS[case["weight"]](),
         estimator=estimator(),
         edge_probability_bound=case["bound"],
-        min_weight=case["min_weight"],
         reward_ranges=case["ranges"],
         budget=None if case["funded"] is None else _Budget(case["tasks"], case["funded"]),
     )

@@ -153,32 +153,6 @@ class TestRewardFiltering:
             RewardRange(low=0.5, high=0.1)
 
 
-class TestMinWeightPruning:
-    def test_low_quality_edges_pruned(self):
-        builder = AssignmentGraphBuilder(
-            weight_function=AccuracyWeight(),
-            estimator=DeadlineEstimator(min_history=3),
-            edge_probability_bound=0.0,
-            min_weight=0.5,
-        )
-        bad = _worker(0, times=(5.0, 6.0, 7.0), accuracy_positive=0)
-        good = _worker(1, times=(5.0, 6.0, 7.0), accuracy_positive=3)
-        graph, report = builder.build(_rows(bad, good), [_task()], now=0.0)
-        assert graph.n_edges == 1
-        assert graph.edge_workers[0] == 1
-        assert report.pruned_by_weight == 1
-
-    def test_cold_start_survives_min_weight(self):
-        builder = AssignmentGraphBuilder(
-            weight_function=AccuracyWeight(),
-            estimator=DeadlineEstimator(min_history=3),
-            min_weight=0.5,
-        )
-        cold = _worker(0, assignments=0)
-        graph, _ = builder.build(_rows(cold), [_task()], now=0.0)
-        assert graph.n_edges == 1
-
-
 class TestEmptyInputs:
     def test_no_workers(self, builder):
         graph, report = builder.build(_rows(), [_task()], now=0.0)

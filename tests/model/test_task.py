@@ -16,10 +16,15 @@ class TestConstruction:
         a, b = make_task(), make_task()
         assert a.task_id != b.task_id
 
-    @pytest.mark.parametrize("deadline", [0.0, -5.0])
+    @pytest.mark.parametrize("deadline", [0.0, -5.0, float("nan"), float("inf")])
     def test_invalid_deadline(self, deadline):
         with pytest.raises(ValueError, match="deadline"):
             Task(latitude=0, longitude=0, deadline=deadline)
+
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf")])
+    def test_non_finite_reward_rejected(self, reward):
+        with pytest.raises(ValueError, match="reward"):
+            Task(latitude=0, longitude=0, deadline=60, reward=reward)
 
     @pytest.mark.parametrize("lat,lon", [(91, 0), (-91, 0), (0, 181), (0, -181)])
     def test_invalid_coordinates(self, lat, lon):

@@ -192,6 +192,15 @@ class TestConstruction:
                 liveness_timeout=0.0,
             )
 
+    def test_nan_liveness_timeout_rejected(self):
+        with pytest.raises(ValueError, match="liveness_timeout"):
+            LiveRegionServer(
+                clock=Engine(),
+                policy=react_policy(),
+                rng=RngRegistry(seed=1),
+                liveness_timeout=float("nan"),
+            )
+
     def test_stop_disarms_timers(self):
         engine, server = build_live_server(liveness_timeout=5.0)
         server.stop()

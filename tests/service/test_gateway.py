@@ -252,6 +252,30 @@ class TestHttpSurface:
         run_async(main())
 
 
+    def test_culled_worker_leaves_the_workers_gauge(self):
+        async def main():
+            gateway = await boot(GatewayConfig(time_scale=500.0, liveness_timeout=5.0))
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                status, _ = await client.request("POST", "/workers", {"worker_id": 7})
+                assert status == 201
+                _, text = await client.request("GET", "/metrics")
+                assert b"\nservice_workers 1\n" in text
+                for _ in range(200):  # no heartbeats: the liveness sweep culls him
+                    await asyncio.sleep(0.02)
+                    if not any(7 in server.profiling for server in gateway.servers):
+                        break
+                else:
+                    raise AssertionError("worker 7 was never culled")
+                _, text = await client.request("GET", "/metrics")
+                assert b"\nservice_workers 0\n" in text
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        run_async(main())
+
+
 class TestHandlerErrorCounter:
     def test_handler_crash_increments_counter_and_returns_500(self):
         from repro.service.httpd import HttpServer
@@ -342,6 +366,39 @@ class TestBackpressure:
                 status, body = await client.request("POST", "/tasks", {})
                 assert status == 429
                 assert body["reason"] == "rate"
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        run_async(main())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"deadline": "nan"},
+            {"deadline": float("nan")},
+            {"deadline": "inf"},
+            {"deadline": 60, "reward": "nan"},
+            {"deadline": 60, "reward": float("inf")},
+        ],
+        ids=["deadline-nan-string", "deadline-nan", "deadline-inf-string",
+             "reward-nan-string", "reward-inf"],
+    )
+    def test_non_finite_deadline_or_reward_is_a_400_and_spends_no_token(self, body):
+        async def main():
+            config = GatewayConfig(
+                time_scale=1.0,
+                admission=AdmissionConfig(rate=0.01, burst=1, max_in_flight=100),
+            )
+            gateway = await boot(config)
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                status, reply = await client.request("POST", "/tasks", body)
+                assert status == 400, reply
+                status, _ = await client.request("POST", "/tasks", {})
+                assert status == 201
+                status, _ = await client.request("POST", "/tasks", {})
+                assert status == 429
             finally:
                 await client.close()
                 await gateway.stop()

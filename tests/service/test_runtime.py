@@ -24,7 +24,7 @@ def run_async(coro):
 class TestConstruction:
     def test_time_scale_validated(self):
         async def main():
-            for bad in (0.0, -1.0):
+            for bad in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="time_scale"):
                     WallClockRuntime(time_scale=bad)
 

@@ -24,6 +24,7 @@ perturbs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -60,7 +61,12 @@ class FaultLogEntry:
 
 
 class FaultInjector:
-    """Executes a :class:`FaultSchedule` against one REACT server."""
+    """Executes a :class:`FaultSchedule` against one REACT server.
+
+    Once armed, the server owns the injector through the hooks it installs,
+    and the injector refers back to the server weakly: a caller may drop
+    the injector after :meth:`arm`, and the run stays free of cycles.
+    """
 
     def __init__(
         self,
@@ -69,7 +75,7 @@ class FaultInjector:
         schedule: FaultSchedule,
     ) -> None:
         self.engine = engine
-        self.server = server
+        self._server = weakref.ref(server)
         self.schedule = schedule
         self._rng = np.random.default_rng(np.random.SeedSequence(schedule.seed))
         self.log: List[FaultLogEntry] = []
@@ -93,6 +99,13 @@ class FaultInjector:
         self._sweep_suspensions = 0
         self._blackouts = 0
         self._orphans: Dict[BlackoutFault, List[int]] = {}
+
+    @property
+    def server(self) -> "REACTServer":
+        server = self._server()
+        if server is None:
+            raise ReferenceError("the injector's server is gone")
+        return server
 
     # ------------------------------------------------------------- arming
     def arm(self) -> "FaultInjector":

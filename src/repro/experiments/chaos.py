@@ -53,7 +53,7 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         self.endtoend_config()  # validates the workload fields
-        if self.invariant_period <= 0:
+        if not self.invariant_period > 0:
             raise ValueError("invariant_period must be positive")
 
     def endtoend_config(self) -> EndToEndConfig:
@@ -116,36 +116,36 @@ def run_chaos(
     )
     workload = config.endtoend_config()
     resilience = config.resilience if policy.use_probabilistic_model else None
-    engine, rng, server, crowd = assemble_run(
-        policy, workload, observability, resilience
-    )
-    for profile, behavior in crowd:
-        server.add_worker(profile, behavior)
-    server.start()
+    with assemble_run(policy, workload, observability, resilience) as (
+        engine, rng, server, crowd
+    ):
+        for profile, behavior in crowd:
+            server.add_worker(profile, behavior)
+        server.start()
 
-    monitor = InvariantMonitor(engine, server, period=config.invariant_period).start()
-    injector: Optional[FaultInjector] = None
-    if schedule is not None:
-        injector = FaultInjector(engine, server, schedule).arm()
+        monitor = InvariantMonitor(engine, server, period=config.invariant_period).start()
+        injector: Optional[FaultInjector] = None
+        if schedule is not None:
+            injector = FaultInjector(engine, server, schedule).arm()
 
-    arm_arrivals(engine, rng, workload, server.submit_task)
-    engine.run(until=config.horizon(schedule))
-    monitor.stop()
-    server.stop()
-    server.metrics.check_conservation()
+        arm_arrivals(engine, rng, workload, server.submit_task)
+        engine.run(until=config.horizon(schedule))
+        monitor.stop()
+        server.stop()
+        server.metrics.check_conservation()
 
-    metrics = server.metrics
-    return ChaosRunResult(
-        policy_name=policy.name,
-        faulted=schedule is not None,
-        summary=server.drain_and_summary(),
-        on_time_fraction=metrics.on_time_fraction,
-        invariant_audits=monitor.audits,
-        fault_log=list(injector.log) if injector is not None else [],
-        outcomes=[
-            (o.task_id, o.met_deadline, o.completed_at) for o in metrics.outcomes
-        ],
-    )
+        metrics = server.metrics
+        return ChaosRunResult(
+            policy_name=policy.name,
+            faulted=schedule is not None,
+            summary=server.drain_and_summary(),
+            on_time_fraction=metrics.on_time_fraction,
+            invariant_audits=monitor.audits,
+            fault_log=list(injector.log) if injector is not None else [],
+            outcomes=[
+                (o.task_id, o.met_deadline, o.completed_at) for o in metrics.outcomes
+            ],
+        )
 
 
 def run_chaos_comparison(

@@ -7,6 +7,7 @@ values used for each regenerated figure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -75,27 +76,29 @@ class EndToEndConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1 or self.n_tasks < 1:
             raise ValueError("n_workers and n_tasks must be >= 1")
-        if self.arrival_rate <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison,
+        # and a NaN run length never ends.
+        if not self.arrival_rate > 0:
             raise ValueError("arrival_rate must be positive")
         if self.arrival_process not in ("poisson", "deterministic"):
             raise ValueError(f"unknown arrival process {self.arrival_process!r}")
         if self.cost_model not in ("paper", "zero"):
             raise ValueError(f"unknown cost model {self.cost_model!r}")
-        if self.drain_time < 0:
-            raise ValueError("drain_time must be non-negative")
-        if self.churn_mean_session is not None and self.churn_mean_session <= 0:
+        if not 0 <= self.drain_time < math.inf:
+            raise ValueError("drain_time must be non-negative and finite")
+        if self.churn_mean_session is not None and not self.churn_mean_session > 0:
             raise ValueError("churn_mean_session must be positive")
-        if self.churn_mean_absence <= 0:
+        if not self.churn_mean_absence > 0:
             raise ValueError("churn_mean_absence must be positive")
         if self.worker_arrival_rate is not None:
-            if self.worker_arrival_rate <= 0:
+            if not self.worker_arrival_rate > 0:
                 raise ValueError("worker_arrival_rate must be positive")
             if self.churn_mean_session is not None:
                 raise ValueError(
                     "marketplace mode and churn are mutually exclusive "
                     "(patience departures replace the churn process)"
                 )
-        if self.worker_patience <= 0:
+        if not self.worker_patience > 0:
             raise ValueError("worker_patience must be positive")
 
     @property

@@ -11,8 +11,9 @@ through :func:`assemble_run` and :func:`arm_arrivals`.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.task import Task, reset_task_ids
 from ..model.worker import WorkerBehavior, WorkerProfile
@@ -109,18 +110,26 @@ def _cost_model(config: EndToEndConfig) -> CostModel:
     return ZeroCost()
 
 
+@contextmanager
 def assemble_run(
     policy: SchedulingPolicy,
     config: EndToEndConfig,
     observability: Optional[ObservabilityLike] = None,
     resilience: Optional[ResilienceConfig] = None,
-) -> Tuple[Engine, RngRegistry, REACTServer, List[Tuple[WorkerProfile, WorkerBehavior]]]:
+) -> Iterator[
+    Tuple[Engine, RngRegistry, REACTServer, List[Tuple[WorkerProfile, WorkerBehavior]]]
+]:
     """The seeded single-region run every §V-C-based experiment starts from.
 
     Resets the task ids and builds the engine, the ``config.seed`` registry
     and the server under the config's cost model, then draws the crowd.  The
-    crowd is returned unregistered: the classic setup adds it at t = 0,
+    crowd is yielded unregistered: the classic setup adds it at t = 0,
     marketplace mode hands it to the recruiter as supply.
+
+    The run ends with the ``with`` block: the engine's pending events are
+    dropped then, because they hold callbacks into the server, which holds
+    the engine.  The run's objects are then freed by reference counting as
+    soon as the caller lets go of them (DESIGN.md, "Ownership").
     """
     reset_task_ids()
     engine = Engine()
@@ -137,7 +146,10 @@ def assemble_run(
         rng.stream(STREAM_WORKER_POPULATION),
         PopulationConfig(size=config.n_workers),
     )
-    return engine, rng, server, crowd
+    try:
+        yield engine, rng, server, crowd
+    finally:
+        engine.drain()
 
 
 def arm_arrivals(
@@ -184,110 +196,109 @@ def run_endtoend(
             f"policy {policy.name!r} has a retainer but the config is not in "
             "marketplace mode; set EndToEndConfig.worker_arrival_rate"
         )
-    engine, rng, server, population = assemble_run(policy, config, observability)
-
-    pool: Optional[RetainerPool] = None
-    recruiter: Optional[RetainerRecruiter] = None
-    sizer: Optional[AdaptivePoolSizer] = None
-    if config.worker_arrival_rate is not None:
-        # Marketplace mode: the crowd arrives over time; a retainer policy
-        # banks arrivals into a paid pool, an on-demand policy lets them
-        # browse (and leave after `worker_patience` idle seconds).
-        spec = policy.retainer
-        if spec is not None:
-            pool = RetainerPool(
+    with assemble_run(policy, config, observability) as (engine, rng, server, population):
+        pool: Optional[RetainerPool] = None
+        recruiter: Optional[RetainerRecruiter] = None
+        sizer: Optional[AdaptivePoolSizer] = None
+        if config.worker_arrival_rate is not None:
+            # Marketplace mode: the crowd arrives over time; a retainer policy
+            # banks arrivals into a paid pool, an on-demand policy lets them
+            # browse (and leave after `worker_patience` idle seconds).
+            spec = policy.retainer
+            if spec is not None:
+                pool = RetainerPool(
+                    engine,
+                    capacity=spec.size,
+                    cost=spec.cost_config(),
+                    release_latency=spec.release_latency,
+                    observability=observability,
+                )
+            recruiter = RetainerRecruiter(
                 engine,
-                capacity=spec.size,
-                cost=spec.cost_config(),
-                release_latency=spec.release_latency,
+                server,
+                supply=population,
+                gaps=poisson_gaps(
+                    config.worker_arrival_rate, rng.stream(STREAM_WORKER_ARRIVALS)
+                ),
+                patience=config.worker_patience,
+                pool=pool,
+                sweep_interval=spec.sweep_interval if spec is not None else 1.0,
                 observability=observability,
             )
-        recruiter = RetainerRecruiter(
-            engine,
-            server,
-            supply=population,
-            gaps=poisson_gaps(
-                config.worker_arrival_rate, rng.stream(STREAM_WORKER_ARRIVALS)
-            ),
-            patience=config.worker_patience,
-            pool=pool,
-            sweep_interval=spec.sweep_interval if spec is not None else 1.0,
-            observability=observability,
-        )
-        if spec is not None and spec.adaptive and pool is not None:
-            # Live arrival-rate tracking -> periodic c* retunes (ROADMAP:
-            # "couple the closed forms back into the simulation").
-            sizer = AdaptivePoolSizer(
-                engine,
-                pool,
-                EwmaRateEstimator(),
-                wage_per_second=spec.wage_per_second,
-                wait_cost_per_second=spec.wait_cost_per_second,
-                interval=spec.adaptive_interval,
-                metrics=server.metrics,
-                on_evict=recruiter.release_to_walkin,
-            )
-    else:
-        for profile, behavior in population:
-            server.add_worker(profile, behavior)
-    server.start()
-    if recruiter is not None:
-        recruiter.start(prefill=policy.retainer.size if policy.retainer else 0)
-
-    churn: Optional[ChurnProcess] = None
-    if config.churn_mean_session is not None:
-        churn = ChurnProcess(
-            engine,
-            server,
-            rng=rng.stream(STREAM_CHURN),
-            mean_session_s=config.churn_mean_session,
-            mean_absence_s=config.churn_mean_absence,
-        )
-        churn.track_all_workers()
-
-    def submit(task: Task) -> None:
-        server.submit_task(task)
-        if sizer is not None:
-            sizer.observe_arrival()
+            if spec is not None and spec.adaptive and pool is not None:
+                # Live arrival-rate tracking -> periodic c* retunes (ROADMAP:
+                # "couple the closed forms back into the simulation").
+                sizer = AdaptivePoolSizer(
+                    engine,
+                    pool,
+                    EwmaRateEstimator(),
+                    wage_per_second=spec.wage_per_second,
+                    wait_cost_per_second=spec.wait_cost_per_second,
+                    interval=spec.adaptive_interval,
+                    metrics=server.metrics,
+                    on_evict=recruiter.release_to_walkin,
+                )
+        else:
+            for profile, behavior in population:
+                server.add_worker(profile, behavior)
+        server.start()
         if recruiter is not None:
-            recruiter.notify_demand()
+            recruiter.start(prefill=policy.retainer.size if policy.retainer else 0)
 
-    arm_arrivals(engine, rng, config, submit)
-    engine.run(until=config.horizon)
-    if churn is not None:
-        churn.stop()
-    if sizer is not None:
-        sizer.stop()
-    if recruiter is not None:
-        recruiter.stop()
-    server.stop()
-    server.metrics.check_conservation()
+        churn: Optional[ChurnProcess] = None
+        if config.churn_mean_session is not None:
+            churn = ChurnProcess(
+                engine,
+                server,
+                rng=rng.stream(STREAM_CHURN),
+                mean_session_s=config.churn_mean_session,
+                mean_absence_s=config.churn_mean_absence,
+            )
+            churn.track_all_workers()
 
-    metrics = server.metrics
-    retainer_stats: Optional[RetainerRunStats] = None
-    if recruiter is not None:
-        retainer_stats = _settle_retainer(policy, metrics, pool, recruiter)
-    logger.info(
-        "endtoend: policy=%s done received=%d completed=%d on_time=%d",
-        policy.name, metrics.received, metrics.completed, metrics.completed_on_time,
-    )
-    return EndToEndResult(
-        policy_name=policy.name,
-        config=config,
-        summary=server.drain_and_summary(),
-        deadline_series=list(metrics.deadline_series),
-        feedback_series=list(metrics.feedback_series),
-        avg_worker_time=metrics.average_worker_time(),
-        avg_total_time=metrics.average_total_time(),
-        withdrawals=len(server.dynamic_assignment.withdrawals),
-        batches=len(server.scheduling.batches),
-        max_batch_tasks=max(
-            (b.n_tasks for b in server.scheduling.batches), default=0
-        ),
-        metrics=metrics,
-        p95_total_time=metrics.total_time_percentiles().get(95),
-        retainer=retainer_stats,
-    )
+        def submit(task: Task) -> None:
+            server.submit_task(task)
+            if sizer is not None:
+                sizer.observe_arrival()
+            if recruiter is not None:
+                recruiter.notify_demand()
+
+        arm_arrivals(engine, rng, config, submit)
+        engine.run(until=config.horizon)
+        if churn is not None:
+            churn.stop()
+        if sizer is not None:
+            sizer.stop()
+        if recruiter is not None:
+            recruiter.stop()
+        server.stop()
+        server.metrics.check_conservation()
+
+        metrics = server.metrics
+        retainer_stats: Optional[RetainerRunStats] = None
+        if recruiter is not None:
+            retainer_stats = _settle_retainer(policy, metrics, pool, recruiter)
+        logger.info(
+            "endtoend: policy=%s done received=%d completed=%d on_time=%d",
+            policy.name, metrics.received, metrics.completed, metrics.completed_on_time,
+        )
+        return EndToEndResult(
+            policy_name=policy.name,
+            config=config,
+            summary=server.drain_and_summary(),
+            deadline_series=list(metrics.deadline_series),
+            feedback_series=list(metrics.feedback_series),
+            avg_worker_time=metrics.average_worker_time(),
+            avg_total_time=metrics.average_total_time(),
+            withdrawals=len(server.dynamic_assignment.withdrawals),
+            batches=len(server.scheduling.batches),
+            max_batch_tasks=max(
+                (b.n_tasks for b in server.scheduling.batches), default=0
+            ),
+            metrics=metrics,
+            p95_total_time=metrics.total_time_percentiles().get(95),
+            retainer=retainer_stats,
+        )
 
 
 def _settle_retainer(

@@ -96,34 +96,34 @@ def _run(
     label: str,
 ) -> VotingPoint:
     workload = config.endtoend_config()
-    engine, rng, server, crowd = assemble_run(policy, workload)
-    for profile, behavior in crowd:
-        server.add_worker(profile, behavior)
-    server.start()
+    with assemble_run(policy, workload) as (engine, rng, server, crowd):
+        for profile, behavior in crowd:
+            server.add_worker(profile, behavior)
+        server.start()
 
-    clone_to_logical: Dict[int, int] = {}
-    logical_count = 0
+        clone_to_logical: Dict[int, int] = {}
+        logical_count = 0
 
-    def submit(template: Task) -> None:
-        nonlocal logical_count
-        logical = logical_count
-        logical_count += 1
-        for _ in range(replication):
-            clone = Task(
-                latitude=template.latitude,
-                longitude=template.longitude,
-                deadline=template.deadline,
-                reward=template.reward,
-                category=template.category,
-                description=template.description,
-                submitted_at=engine.now,
-            )
-            clone_to_logical[clone.task_id] = logical
-            server.submit_task(clone)
+        def submit(template: Task) -> None:
+            nonlocal logical_count
+            logical = logical_count
+            logical_count += 1
+            for _ in range(replication):
+                clone = Task(
+                    latitude=template.latitude,
+                    longitude=template.longitude,
+                    deadline=template.deadline,
+                    reward=template.reward,
+                    category=template.category,
+                    description=template.description,
+                    submitted_at=engine.now,
+                )
+                clone_to_logical[clone.task_id] = logical
+                server.submit_task(clone)
 
-    arm_arrivals(engine, rng, workload, submit)
-    engine.run(until=workload.horizon)
-    server.stop()
+        arm_arrivals(engine, rng, workload, submit)
+        engine.run(until=workload.horizon)
+        server.stop()
 
     # Aggregate clone outcomes per logical task.  The requester votes over
     # the answers that arrived *by the deadline*: success requires at least

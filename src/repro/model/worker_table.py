@@ -300,6 +300,10 @@ class WorkerTable:
         sees every change to the input of a worker's duration fit.  The
         Eq. 2 monitor uses it to recompute the withdrawal horizons of the
         worker's assigned tasks (a churn worker may return with his history).
+
+        The table holds ``hook`` strongly.  A subscriber that also holds the
+        table passes a :func:`~repro.sim.weak.weak_method`, so the two form
+        no reference cycle.
         """
         self._profile_hooks.append(hook)
 

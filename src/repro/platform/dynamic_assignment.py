@@ -47,6 +47,7 @@ from ..obs.trace import MONITOR_TRACK
 from ..sim.clock import EventClock
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
+from ..sim.weak import weak_method
 from .policies import SchedulingPolicy
 from .task_management import TaskManagementComponent
 
@@ -145,7 +146,7 @@ class DynamicAssignmentComponent:
         self._threshold: Optional[float] = None
         self._last_now = -math.inf
         if self._enabled:
-            profiling.add_profile_hook(self._rearm_worker)
+            profiling.add_profile_hook(weak_method(self._rearm_worker))
 
     def start(self) -> None:
         """Begin the periodic sweep (no-op when the model is disabled)."""

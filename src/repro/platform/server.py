@@ -43,6 +43,7 @@ from ..sim.rng import (
     BlockReader,
     RngRegistry,
 )
+from ..sim.weak import weak_method
 from ..stats.duration_models import make_family
 from ..stats.metrics import MetricsCollector, TaskOutcome
 from .cost import CostModel, PaperCalibratedCost
@@ -63,7 +64,9 @@ class _Execution:
     duration: float
     abandoned: bool = False
     #: handle on the scheduled TASK_COMPLETION event, so chaos injection can
-    #: cancel the sampled finish and replace it (mass-abandonment waves)
+    #: cancel the sampled finish and replace it (mass-abandonment waves);
+    #: the event carries the ``_live`` key, not this record, so the two
+    #: never form a cycle
     completion_event: Optional[Event] = None
     #: instant of the running expiry left unarmed because the sampled finish
     #: comes first; armed there if chaos turns the execution into an
@@ -134,9 +137,11 @@ class RegionServer:
             matcher=policy.build_matcher(),
             cost_model=cost_model,
             matcher_rng=rng.stream(STREAM_MATCHER),
-            on_assign=self._on_assign,
-            on_retired=self._on_retired,
-            on_batch=self._on_batch,
+            # Child -> owner callbacks are weak (repro.sim.weak): the
+            # server owns its components, not the other way round.
+            on_assign=weak_method(self._on_assign),
+            on_retired=weak_method(self._on_retired),
+            on_batch=weak_method(self._on_batch),
             observability=self.obs,
         )
         self.degraded_mode: Optional[DegradedModeController] = None
@@ -154,7 +159,7 @@ class RegionServer:
             task_management=self.task_management,
             profiling=self.profiling,
             estimator=self.estimator,
-            on_withdraw=self._on_withdraw,
+            on_withdraw=weak_method(self._on_withdraw),
             observability=self.obs,
         )
         self._batch_timer: Optional[PeriodicProcess] = None
@@ -553,6 +558,9 @@ class REACTServer(RegionServer):
         #: have two live executions at once (an abandoner's stale draw plus
         #: the replacement worker's), hence the generation in the key
         self._live: Dict[Tuple[int, int], _Execution] = {}
+        #: the completion events' callback: weak, because an execution in
+        #: ``_live`` holds its event, which must not hold the server
+        self._complete = weak_method(self._on_completion)
         #: chaos hook (:class:`repro.chaos.NoShowFault`): may mutate each
         #: freshly drawn execution before its events are scheduled
         self.execution_hook: Optional[
@@ -598,13 +606,11 @@ class REACTServer(RegionServer):
         )
         if self.execution_hook is not None:
             self.execution_hook(execution, task, worker_id)
+        key = (execution.task_id, execution.generation)
         execution.completion_event = self.engine.schedule(
-            execution.duration,
-            EventKind.TASK_COMPLETION,
-            self._on_completion,
-            payload=execution,
+            execution.duration, EventKind.TASK_COMPLETION, self._complete, payload=key
         )
-        self._live[(execution.task_id, execution.generation)] = execution
+        self._live[key] = execution
         return None if execution.abandoned else execution.duration
 
     def _skip_running_expiry(self, at: float, expiry: Tuple[int, int, int]) -> None:
@@ -612,8 +618,7 @@ class REACTServer(RegionServer):
         self._live[(task_id, generation)].skipped_expiry_at = at
 
     def _on_completion(self, event: Event) -> None:
-        execution: _Execution = event.payload
-        self._live.pop((execution.task_id, execution.generation), None)
+        execution = self._live.pop(event.payload)
         task = self._current_assignment(
             execution.task_id, execution.worker_id, execution.generation
         )
@@ -669,7 +674,8 @@ class REACTServer(RegionServer):
             self.engine.cancel(execution.completion_event)
         execution.abandoned = True
         execution.completion_event = self.engine.schedule(
-            0.0, EventKind.TASK_COMPLETION, self._on_completion, payload=execution
+            0.0, EventKind.TASK_COMPLETION, self._complete,
+            payload=(task_id, execution.generation),
         )
         if execution.skipped_expiry_at is not None:
             # No result will land now, so the deadline must pull it back:

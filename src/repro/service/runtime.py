@@ -199,7 +199,7 @@ class WallClockRuntime:
             # rest once run() returns.
             self._engine.stop()
         else:
-            self._drop_pending()
+            self._engine.drain()
         self._notify_idle()
 
     async def drained(self) -> None:
@@ -223,10 +223,6 @@ class WallClockRuntime:
         await asyncio.sleep(clock_seconds / self._scale)
 
     # ------------------------------------------------------------ internals
-    def _drop_pending(self) -> None:
-        for _event in self._engine.drain():
-            pass
-
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
@@ -295,7 +291,7 @@ class WallClockRuntime:
         finally:
             self._dispatching = False
         if self._closed:
-            self._drop_pending()
+            self._engine.drain()
             return
         if behind:
             # -inf keeps _arm from cancelling this handle: any head is later.

@@ -29,7 +29,8 @@ exactly the absolute time it is given.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+import math
+from typing import Any, Callable, List, Optional, Tuple
 
 from .events import Event, EventKind
 
@@ -188,6 +189,10 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None and math.isnan(until):
+            # NaN compares False with every event time: the loop would
+            # never stop at the horizon.
+            raise SimulationError("cannot run until NaN")
         self._running = True
         self._stopped = False
         fired = 0
@@ -234,10 +239,15 @@ class Engine:
                 self._cancelled_in_heap -= 1
         return heap[0][0] if heap else None
 
-    def drain(self) -> Iterator[Event]:
-        """Remove and yield all pending events (testing helper)."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if not event.cancelled:
-                yield event
+    def drain(self) -> List[Event]:
+        """Remove every pending event; return the live ones in firing order.
+
+        The owner of a finished run calls this: a pending event's callback
+        points into the components that hold this engine, so until the heap
+        is emptied the run's object graph is cyclic.
+        """
+        heap = self._heap
+        live = [entry[3] for entry in sorted(heap) if not entry[3].cancelled]
+        heap.clear()
         self._cancelled_in_heap = 0
+        return live

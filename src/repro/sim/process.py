@@ -29,7 +29,7 @@ class PeriodicProcess:
         kind: EventKind = EventKind.CALLBACK,
         start: Optional[float] = None,
     ) -> None:
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise ValueError(f"period must be positive, got {period}")
         self._engine = engine
         self._period = period

@@ -1,7 +1,10 @@
 """Unit tests for experiment configurations."""
 
+import math
+
 import pytest
 
+from repro.experiments.chaos import ChaosConfig
 from repro.experiments.config import (
     AblationConfig,
     EndToEndConfig,
@@ -45,11 +48,27 @@ class TestEndToEndConfig:
             dict(arrival_process="weird"),
             dict(cost_model="quantum"),
             dict(drain_time=-1.0),
+            # NaN passes ``x < 0`` and ``x <= 0``, and a NaN or infinite
+            # horizon never lets the simulation stop.
+            dict(drain_time=math.nan),
+            dict(drain_time=math.inf),
+            dict(arrival_rate=math.nan),
+            dict(churn_mean_session=math.nan),
+            dict(churn_mean_absence=math.nan),
+            dict(worker_arrival_rate=math.nan),
+            dict(worker_patience=math.nan),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EndToEndConfig(**kwargs)
+
+
+class TestChaosConfig:
+    @pytest.mark.parametrize("period", [0.0, math.nan])
+    def test_invariant_period_must_be_positive(self, period):
+        with pytest.raises(ValueError, match="invariant_period"):
+            ChaosConfig(invariant_period=period)
 
 
 class TestScalabilityConfig:

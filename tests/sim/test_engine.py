@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import SimulationError
@@ -123,6 +125,15 @@ class TestRunControl:
 
         engine.schedule(1.0, EventKind.CALLBACK, reenter)
         engine.run()
+
+    def test_nan_until_rejected(self, engine):
+        """A NaN horizon compares False with every event time, so a run
+        with a periodic process would never stop."""
+        fired = []
+        engine.schedule(1.0, EventKind.CALLBACK, fired.append)
+        with pytest.raises(SimulationError, match="NaN"):
+            engine.run(until=math.nan)
+        assert fired == []
 
 
 class TestCancellation:

@@ -1,5 +1,7 @@
 """Unit tests for periodic and generator-driven processes."""
 
+import math
+
 import pytest
 
 from repro.sim.events import EventKind
@@ -35,6 +37,10 @@ class TestPeriodicProcess:
     def test_invalid_period_rejected(self, engine):
         with pytest.raises(ValueError, match="positive"):
             PeriodicProcess(engine, period=0.0, action=lambda t: None)
+
+    def test_nan_period_rejected(self, engine):
+        with pytest.raises(ValueError, match="positive"):
+            PeriodicProcess(engine, period=math.nan, action=lambda t: None)
 
     def test_stop_from_within_action_leaves_compaction_accounting_alone(self, engine):
         """The firing event has already left the heap when the action runs,

@@ -62,7 +62,7 @@ def graph_level_demo() -> None:
     print(f"  candidate edges:        {report.candidate_edges}")
     print(f"  pruned by reward range: {report.pruned_by_reward}")
     print(f"  edges kept:             {report.kept_edges}")
-    cheap_edges = graph.edges_of_task(0)
+    cheap_edges = np.flatnonzero(graph.edge_tasks == 0)
     print(f"  workers connected to the $%.2f task: "
           % CHEAP + str(sorted(graph.edge_workers[cheap_edges].tolist())))
 

@@ -280,7 +280,7 @@ def _trained_profiling(
 
 
 def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
-    """Graph build/prune and Eq. 2 / Eq. 3 batch-evaluation throughput."""
+    """Graph build and Eq. 2 / Eq. 3 batch-evaluation throughput."""
     n = 100 if quick else 400
     n_workers = 50 if quick else 200
     n_ttd = 64 if quick else 256
@@ -288,25 +288,6 @@ def run_platform_benchmarks(quick: bool = False) -> List[BenchResult]:
     repeats = 3 if quick else 5
     commit = git_commit()
     results: List[BenchResult] = []
-
-    # Graph construction + pruning: from_dense validation, the trusted
-    # pruning path, and one adjacency query to force the CSR build.
-    dense = np.random.default_rng(BENCH_SEED).random((n, n))
-
-    def build() -> None:
-        graph = BipartiteGraph.full(dense).prune_below(0.25)
-        graph.edges_of_task(0)
-
-    wall, _ = _median_wall(build, repeats)
-    results.append(
-        BenchResult(
-            bench="graph_build_prune",
-            params={"n_workers": n, "n_tasks": n, "n_edges": n * n, "repeats": repeats},
-            wall_seconds=wall,
-            throughput=n * n / wall,
-            commit=commit,
-        )
-    )
 
     # Spatial weight matrix: broadcast haversine vs. the per-cell scalar
     # oracle it replaced (DistanceWeight.matrix_scalar).  Same seeded geo

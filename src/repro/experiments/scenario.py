@@ -197,11 +197,14 @@ def run_scenario(
         arrivals += 1
         coordinator.submit_task(task)
 
-    GeneratorProcess(engine, gaps, on_arrival, kind=EventKind.TASK_ARRIVAL)
-
-    engine.run(until=config.horizon)
-    for server in coordinator.servers:
-        server.stop()
+    # Ending the run empties the engine: its pending events hold callbacks
+    # into the servers, which hold the engine.
+    try:
+        GeneratorProcess(engine, gaps, on_arrival, kind=EventKind.TASK_ARRIVAL)
+        engine.run(until=config.horizon)
+    finally:
+        coordinator.stop()
+        engine.drain()
     summary = coordinator.aggregate_summary()
     # Conservation only balances at the coordinator: a migrated task is
     # *received* on its original server but finishes on its adopter, so the

@@ -79,11 +79,10 @@ class BipartiteGraph:
     ) -> "BipartiteGraph":
         """Construct without re-running the O(E) validation scans.
 
-        Internal fast path for derivations that provably preserve every
-        invariant — e.g. pruning, which takes a subset of already-validated
-        edge arrays.  Callers must pass contiguous arrays of the canonical
-        dtypes (boolean/fancy indexing of validated arrays yields exactly
-        that).
+        Internal fast path for :meth:`from_dense`, whose edge arrays meet
+        every invariant but non-negativity by construction.  Callers must
+        pass contiguous arrays of the canonical dtypes (``np.nonzero`` and
+        fancy indexing yield exactly that).
         """
         graph = object.__new__(cls)
         object.__setattr__(graph, "n_workers", n_workers)
@@ -93,37 +92,6 @@ class BipartiteGraph:
         object.__setattr__(graph, "edge_weights", edge_weights)
         return graph
 
-    # ------------------------------------------------------- lazy adjacency
-    def _cache(self) -> dict:
-        """Per-instance cache for derived structures (lazy, never pickled).
-
-        Created on first use so both construction paths (validated and
-        trusted) share it; the graph's edge arrays are immutable, so cached
-        derivations stay valid for the instance's lifetime.
-        """
-        cache = self.__dict__.get("_derived_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_derived_cache", cache)
-        return cache
-
-    def _csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency over the tasks.
-
-        Returns ``(indptr, order)``: ``order[indptr[v]:indptr[v+1]]`` are
-        the edge indices incident to task ``v``, ascending (stable sort
-        preserves edge-array order inside each bucket, matching what the
-        old ``np.flatnonzero`` scans returned).
-        """
-        cache = self._cache()
-        if "csr_task" not in cache:
-            ids, n = self.edge_tasks, self.n_tasks
-            order = np.argsort(ids, kind="stable")
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-            cache["csr_task"] = (indptr, order)
-        return cache["csr_task"]
-
     # ------------------------------------------------------------ queries
     @property
     def n_edges(self) -> int:
@@ -132,29 +100,6 @@ class BipartiteGraph:
     @property
     def is_empty(self) -> bool:
         return self.n_edges == 0
-
-    def worker_degrees(self) -> np.ndarray:
-        cache = self._cache()
-        if "worker_degrees" not in cache:
-            cache["worker_degrees"] = np.bincount(
-                self.edge_workers, minlength=self.n_workers
-            )
-        return cache["worker_degrees"].copy()
-
-    def task_degrees(self) -> np.ndarray:
-        cache = self._cache()
-        if "task_degrees" not in cache:
-            cache["task_degrees"] = np.bincount(
-                self.edge_tasks, minlength=self.n_tasks
-            )
-        return cache["task_degrees"].copy()
-
-    def edges_of_task(self, task: int) -> np.ndarray:
-        """Edge indices incident to ``task``, ascending."""
-        if not 0 <= task < self.n_tasks:
-            return np.empty(0, dtype=np.int64)
-        indptr, order = self._csr()
-        return order[indptr[task] : indptr[task + 1]]
 
     def to_dense(self, fill: float = np.nan) -> np.ndarray:
         """(n_workers, n_tasks) weight matrix; absent edges take ``fill``."""
@@ -235,29 +180,6 @@ class BipartiteGraph:
     @classmethod
     def empty(cls, n_workers: int, n_tasks: int) -> "BipartiteGraph":
         return cls.from_edges(n_workers, n_tasks, [])
-
-    # ------------------------------------------------------------- editing
-    def with_pruned_edges(self, keep: np.ndarray) -> "BipartiteGraph":
-        """Copy with only the edges selected by boolean mask ``keep``."""
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self.n_edges,):
-            raise ValueError("keep mask must have one entry per edge")
-        # A subset of validated edges cannot violate any invariant (index
-        # ranges, finiteness, non-negativity, pair uniqueness), so skip the
-        # O(E) re-validation scans via the trusted constructor.
-        return BipartiteGraph._trusted(
-            n_workers=self.n_workers,
-            n_tasks=self.n_tasks,
-            edge_workers=self.edge_workers[keep],
-            edge_tasks=self.edge_tasks[keep],
-            edge_weights=self.edge_weights[keep],
-        )
-
-    def prune_below(self, min_weight: float) -> "BipartiteGraph":
-        """Drop low-weight edges (§IV-A: "low weighted edges could be pruned
-        to reduce the graph's size since they would imply a task assignment
-        with worker of a low quality")."""
-        return self.with_pruned_edges(self.edge_weights >= min_weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -37,6 +37,7 @@ from ..sim.clock import EventClock
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
 from ..sim.rng import RngRegistry
+from ..sim.weak import weak_method
 from .cost import CostModel
 from .policies import SchedulingPolicy
 from .server import REACTServer, RegionServer
@@ -146,7 +147,7 @@ class Coordinator:
         # numbers follow theirs, the order the seeded escalation golden pins.
         if escalate_after is not None:
             self._sweeper = PeriodicProcess(
-                engine, period=escalation_interval, action=self._escalate,
+                engine, period=escalation_interval, action=weak_method(self._escalate),
                 kind=EventKind.CALLBACK,
             )
 

@@ -157,7 +157,7 @@ class DynamicAssignmentComponent:
         self._process = PeriodicProcess(
             self._engine,
             period=self._policy.reassign_check_interval,
-            action=self.sweep,
+            action=weak_method(self.sweep),
             kind=EventKind.REASSIGNMENT_CHECK,
         )
 
@@ -233,7 +233,7 @@ class DynamicAssignmentComponent:
             heapq.heappush(heap, (key, row.seq, row.epoch, row))
 
     def _compact(self) -> None:
-        """Drop dead rows and stale heap entries (cf. ``Engine._compact``)."""
+        """Drop dead rows and stale heap entries."""
         self._heap = [e for e in self._heap if e[2] == e[3].epoch and e[3].live()]
         heapq.heapify(self._heap)
         rows_of: Dict[int, List[_Row]] = {}

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..sim.clock import EventClock
 from ..sim.process import PeriodicProcess
+from ..sim.weak import weak_method
 from .analytic import optimal_pool_size
 from .pool import RetainerPool
 
@@ -123,7 +124,9 @@ class AdaptivePoolSizer:
         self._max_c = max_capacity
         self.retunes: List[RetuneRecord] = []
         self.evictions = 0
-        self._process = PeriodicProcess(engine, period=interval, action=self.retune)
+        self._process = PeriodicProcess(
+            engine, period=interval, action=weak_method(self.retune)
+        )
 
     def stop(self) -> None:
         self._process.stop()

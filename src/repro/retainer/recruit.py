@@ -34,6 +34,7 @@ from ..obs.runtime import ObservabilityLike, resolve
 from ..sim.clock import EventClock
 from ..sim.events import EventKind
 from ..sim.process import GeneratorProcess, PeriodicProcess
+from ..sim.weak import weak_method
 from .pool import RetainerPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -125,7 +126,7 @@ class RetainerRecruiter:
         self._sweeper = PeriodicProcess(
             self._engine,
             period=self._sweep_interval,
-            action=self._sweep,
+            action=weak_method(self._sweep),
             kind=EventKind.CALLBACK,
         )
 

@@ -41,6 +41,7 @@ from ..platform.server import RegionServer
 from ..sim.clock import EventClock
 from ..sim.process import PeriodicProcess
 from ..sim.rng import RngRegistry
+from ..sim.weak import weak_method
 from ..stats.metrics import MetricsCollector
 
 #: Seconds between liveness sweeps when a ``liveness_timeout`` is set.
@@ -113,7 +114,7 @@ class LiveRegionServer(RegionServer):
             self._liveness_sweep = PeriodicProcess(
                 self.engine,
                 period=LIVENESS_INTERVAL,
-                action=self._cull_dead_workers,
+                action=weak_method(self._cull_dead_workers),
             )
 
     def stop(self) -> None:

@@ -2,7 +2,7 @@
 
 :class:`WallClockRuntime` is a thin wall-clock driver over one DES
 :class:`~repro.sim.engine.Engine` it owns: the engine holds the ``(time,
-priority, seq)`` heap, cancellation, dispatch order and the dispatch count,
+kind, seq)`` heap, cancellation, dispatch order and the dispatch count,
 and the runtime decides *when* the engine runs — as the asyncio loop's
 monotonic clock reaches each due instant — instead of jumping straight to
 the next event.  The platform components cannot tell the difference — they
@@ -140,16 +140,13 @@ class WallClockRuntime:
         kind: EventKind,
         callback: Callable[[Event], None],
         payload: Any = None,
-        priority: int = -1,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` clock seconds from now."""
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = self._engine.schedule_at(
-            self.now + delay, kind, callback, payload, priority
-        )
+        event = self._engine.schedule_at(self.now + delay, kind, callback, payload)
         self._arm()
         return event
 
@@ -159,7 +156,6 @@ class WallClockRuntime:
         kind: EventKind,
         callback: Callable[[Event], None],
         payload: Any = None,
-        priority: int = -1,
     ) -> Event:
         """Schedule ``callback`` at absolute clock time ``time``.
 
@@ -175,7 +171,7 @@ class WallClockRuntime:
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={now}"
             )
-        event = self._engine.schedule_at(time, kind, callback, payload, priority)
+        event = self._engine.schedule_at(time, kind, callback, payload)
         self._arm()
         return event
 

@@ -22,9 +22,9 @@ Contract highlights
 -------------------
 * ``now`` is monotone nondecreasing and constant per instant (every event
   due at one time observes the same ``now``).
-* Events fire in ``(time, priority, seq)`` order for events that are queued
-  together; ``seq`` is the global scheduling order
-  (:class:`~repro.sim.events.Event`).
+* Events fire in ``(time, kind, seq)`` order for events that are queued
+  together: the :class:`~repro.sim.events.EventKind` value is the priority
+  of same-time events, and ``seq`` is the order they were scheduled in.
 * ``cancel(event)`` before dispatch guarantees the callback never runs.
 * ``schedule`` with a negative delay (or ``schedule_at`` in the past) raises
   :class:`~repro.sim.engine.SimulationError`.
@@ -52,7 +52,6 @@ class EventClock(Protocol):
         kind: EventKind,
         callback: Callable[[Event], None],
         payload: Any = None,
-        priority: int = -1,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from ``now``."""
         ...
@@ -63,7 +62,6 @@ class EventClock(Protocol):
         kind: EventKind,
         callback: Callable[[Event], None],
         payload: Any = None,
-        priority: int = -1,
     ) -> Event:
         """Schedule ``callback`` at the absolute clock time ``time``."""
         ...

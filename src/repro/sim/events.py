@@ -2,17 +2,14 @@
 
 The REACT middleware in the paper runs on PlanetLab in wall-clock time; here
 the same components are driven by a deterministic discrete-event simulator.
-Events are totally ordered by ``(time, priority, sequence)`` so that two runs
-with the same seed replay identically, independent of heap tie-breaking.
-
-:class:`Event` carries ``__slots__``: millions of them exist over a long run.
+The engine orders events by ``(time, kind, seq)`` in its heap entries, so
+that two runs with the same seed replay identically; the :class:`Event`
+itself is only the handle a caller keeps to cancel it.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
@@ -42,57 +39,22 @@ class EventKind(enum.IntEnum):
     BATCH_COMPLETE = 6
     #: Generic user callback (examples / tests).
     CALLBACK = 7
-    #: End-of-simulation sentinel.
-    STOP = 8
     #: Chaos fault activation/deactivation (:mod:`repro.chaos`).  Lowest
     #: priority on purpose: a fault striking at time t observes the state
     #: *after* every ordinary event of that instant has been processed.
     FAULT_INJECTION = 9
 
 
-_SEQUENCE = itertools.count()
-
-
-@dataclass(order=False, slots=True)
 class Event:
-    """A scheduled occurrence in simulated time.
+    """A scheduled callback: what :meth:`~repro.sim.engine.Engine.schedule`
+    returns and :meth:`~repro.sim.engine.Engine.cancel` takes."""
 
-    Events compare by ``(time, priority, seq)``.  ``seq`` is a process-global
-    monotone counter, so insertion order breaks the remaining ties, which
-    keeps the event loop fully deterministic.
-    """
+    __slots__ = ("time", "callback", "payload", "cancelled")
 
-    time: float
-    kind: EventKind
-    callback: Callable[["Event"], None]
-    payload: Any = None
-    priority: int = field(default=-1)
-    seq: int = field(default_factory=lambda: next(_SEQUENCE))
-    cancelled: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.time >= 0:  # also rejects NaN
-            raise ValueError(f"event time must be non-negative, got {self.time}")
-        if self.priority < 0:
-            self.priority = int(self.kind)
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; the engine skips it when popped.
-
-        Prefer :meth:`~repro.sim.engine.Engine.cancel` when an engine handle
-        is around — it additionally feeds the heap-compaction accounting.
-        """
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(t={self.time:.3f}, kind={self.kind.name}, "
-            f"seq={self.seq}{', CANCELLED' if self.cancelled else ''})"
-        )
-
+    def __init__(
+        self, time: float, callback: Callable[["Event"], None], payload: Any = None
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.payload = payload
+        self.cancelled = False

@@ -44,9 +44,8 @@ class PeriodicProcess:
         return self._period
 
     def _fire(self, event: Event) -> None:
-        # The event has left the heap: a stop() from inside the action must
-        # not cancel it, or the engine would count a cancellation it no
-        # longer holds.
+        # The event has left the heap; holding it would keep this process
+        # reachable from its own callback.
         self._pending = None
         if self._stopped:
             return

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Dict, List
 from ..sim.engine import Engine
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
+from ..sim.weak import weak_method
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..platform.server import REACTServer
@@ -87,8 +88,8 @@ class TimelineRecorder:
         self._server = server
         self.timeline = Timeline()
         self._process = PeriodicProcess(
-            engine, period=period, action=self._sample, kind=EventKind.CALLBACK,
-            start=engine.now,
+            engine, period=period, action=weak_method(self._sample),
+            kind=EventKind.CALLBACK, start=engine.now,
         )
 
     def _sample(self, now: float) -> None:

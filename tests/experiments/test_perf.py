@@ -70,7 +70,6 @@ class TestDriver:
         assert "speedup_vs_pre_pr" not in aggregate["params"]
         platform = json.loads((tmp_path / "BENCH_platform.json").read_text())
         assert {r["bench"] for r in platform} == {
-            "graph_build_prune",
             "distance_weight",
             "eq3_matrix",
             "eq2_sweep",

@@ -23,6 +23,7 @@ import pytest
 from repro.experiments.chaos import ChaosConfig, run_chaos, standard_schedule
 from repro.experiments.config import EndToEndConfig
 from repro.experiments.endtoend import arm_arrivals, assemble_run, run_endtoend
+from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.experiments.voting import VotingConfig, run_voting_comparison
 from repro.obs import Observability
 from repro.platform.policies import greedy_policy, react_policy, traditional_policy
@@ -38,11 +39,14 @@ TINY = EndToEndConfig(n_workers=20, arrival_rate=3.0, n_tasks=150, drain_time=10
 VOTING = VotingConfig(
     n_workers=20, arrival_rate=0.4, n_tasks=60, replication_levels=(1, 3), seed=3
 )
+#: the CLI's ``scenario --quick`` configuration
+SCENARIO = ScenarioConfig(n_tasks=150, n_workers=50, horizon=150.0, requester_budget=0.3)
 
 
-def _cut_mid_execution():
+def _cut_mid_execution(stop=True):
     """A run that ends while executions are out: their completion events
-    never fire, yet the executions hold them."""
+    never fire, yet the executions hold them.  Without ``stop`` the
+    periodic batch trigger and Eq. 2 sweep are still armed at the end."""
     config = EndToEndConfig(
         n_workers=30, arrival_rate=3.0, n_tasks=300, drain_time=0.0, seed=1
     )
@@ -52,7 +56,8 @@ def _cut_mid_execution():
         server.start()
         arm_arrivals(engine, rng, config, server.submit_task)
         engine.run(until=config.horizon)
-        server.stop()
+        if stop:
+            server.stop()
         assert server._live, "the run must end with executions in flight"
 
 
@@ -69,6 +74,8 @@ RUNS = {
     ),
     "voting": lambda: run_voting_comparison(VOTING),
     "cut_mid_execution": _cut_mid_execution,
+    "cut_without_stop": lambda: _cut_mid_execution(stop=False),
+    "scenario": lambda: run_scenario(react_policy(), SCENARIO),
 }
 
 

@@ -77,34 +77,7 @@ class TestValidation:
 
 
 class TestQueries:
-    def test_degrees(self, sparse_graph):
-        assert list(sparse_graph.worker_degrees()) == [2, 2, 1]
-        assert list(sparse_graph.task_degrees()) == [2, 1, 2]
-
-    def test_edges_of_task(self, sparse_graph):
-        edges = sparse_graph.edges_of_task(0)
-        workers = set(sparse_graph.edge_workers[edges])
-        assert workers == {0, 1}
-
     def test_to_dense_fill(self, sparse_graph):
         dense = sparse_graph.to_dense(fill=-1.0)
         assert dense[0, 0] == 0.9
         assert dense[2, 0] == -1.0
-
-
-class TestPruning:
-    def test_prune_below(self, sparse_graph):
-        pruned = sparse_graph.prune_below(0.7)
-        assert pruned.n_edges == 3
-        assert pruned.edge_weights.min() >= 0.7
-        # original untouched
-        assert sparse_graph.n_edges == 5
-
-    def test_with_pruned_edges_mask(self, sparse_graph):
-        keep = sparse_graph.edge_weights > 0.85
-        pruned = sparse_graph.with_pruned_edges(keep)
-        assert pruned.n_edges == 1
-
-    def test_prune_mask_shape_checked(self, sparse_graph):
-        with pytest.raises(ValueError):
-            sparse_graph.with_pruned_edges(np.array([True, False]))

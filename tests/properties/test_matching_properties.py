@@ -86,7 +86,7 @@ class TestStructuralProperties:
         for task in range(graph.n_tasks):
             if task in matched_tasks:
                 continue
-            incident = graph.edges_of_task(task)
+            incident = np.flatnonzero(graph.edge_tasks == task)
             # every neighbouring worker must be taken (otherwise greedy
             # would have matched this task)
             neighbours = set(graph.edge_workers[incident].tolist())
@@ -96,7 +96,14 @@ class TestStructuralProperties:
     @settings(max_examples=40, deadline=None)
     def test_pruning_never_improves_optimum(self, graph, threshold):
         optimal = HungarianMatcher().match(graph).total_weight
-        pruned = graph.prune_below(threshold)
+        keep = graph.edge_weights >= threshold
+        pruned = BipartiteGraph(
+            graph.n_workers,
+            graph.n_tasks,
+            graph.edge_workers[keep],
+            graph.edge_tasks[keep],
+            graph.edge_weights[keep],
+        )
         pruned_optimal = HungarianMatcher().match(pruned).total_weight
         assert pruned_optimal <= optimal + 1e-9
 

@@ -90,20 +90,15 @@ class TestOrdering:
         assert fired == ["first", "second", "third"]
 
     def test_priority_orders_coincident_events(self, clock_kind):
-        """Lower non-negative priority dispatches first at one instant.
-
-        (A *negative* priority is the sentinel for "use the kind's own
-        priority" — ``Event.__post_init__`` rewrites it to ``int(kind)`` —
-        so explicit ordering must use non-negative values.)
-        """
+        """The kind with the lower value dispatches first at one instant."""
         fired = []
 
         def setup(clock):
             clock.schedule_at(
-                2.0, EventKind.CALLBACK, lambda _e: fired.append("low"), priority=9
+                2.0, EventKind.FAULT_INJECTION, lambda _e: fired.append("low")
             )
             clock.schedule_at(
-                2.0, EventKind.CALLBACK, lambda _e: fired.append("high"), priority=1
+                2.0, EventKind.WORKER_ARRIVAL, lambda _e: fired.append("high")
             )
             return lambda clock: None
 
@@ -156,14 +151,13 @@ class TestCancellation:
                 fired.append("killer")
                 clock.cancel(victim_box[0])
 
-            # Same (time, priority), earlier seq: the killer fires first
+            # Same (time, kind), scheduled first: the killer fires first
             # and flags its coincident peer before dispatch reaches it.
-            killer_event = clock.schedule_at(2.0, EventKind.CALLBACK, killer)
+            clock.schedule_at(2.0, EventKind.CALLBACK, killer)
             victim = clock.schedule_at(
                 2.0, EventKind.CALLBACK, lambda _e: fired.append("victim")
             )
             victim_box.append(victim)
-            assert killer_event.seq < victim.seq
             return lambda clock: None
 
         run_scenario(clock_kind, setup)
@@ -225,15 +219,18 @@ GRID_ORIGIN = 5.0
 GRID_STEP = 1.0
 GRID = 4
 
+_KINDS = st.sampled_from(
+    [EventKind.TASK_COMPLETION, EventKind.TASK_ARRIVAL, EventKind.CALLBACK]
+)
 _ACTIONS = st.one_of(
     st.none(),
     # Cancel the target-th scheduled event (often a later coincident peer).
     st.tuples(st.just("cancel"), st.integers(0, 11)),
     # schedule_at a child `ahead` grid points on (0 = this instant).
-    st.tuples(st.just("chain"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("chain"), st.integers(0, 2), _KINDS),
 )
 _SCHEDULES = st.lists(
-    st.tuples(st.integers(0, GRID - 1), st.integers(0, 2), _ACTIONS),
+    st.tuples(st.integers(0, GRID - 1), _KINDS, _ACTIONS),
     min_size=1,
     max_size=12,
 )
@@ -254,24 +251,16 @@ def _dispatch_log(clock, schedule):
         if action[0] == "cancel":
             clock.cancel(handles[action[1] % len(handles)])
             return
-        _, ahead, priority = action
+        _, ahead, kind = action
         child = min(slot + ahead, GRID - 1)
         clock.schedule_at(
-            GRID_ORIGIN + child * GRID_STEP,
-            EventKind.CALLBACK,
-            fire,
-            payload=(label + ">", child, None),
-            priority=priority,
+            GRID_ORIGIN + child * GRID_STEP, kind, fire, payload=(label + ">", child, None)
         )
 
-    for index, (slot, priority, action) in enumerate(schedule):
+    for index, (slot, kind, action) in enumerate(schedule):
         handles.append(
             clock.schedule_at(
-                GRID_ORIGIN + slot * GRID_STEP,
-                EventKind.CALLBACK,
-                fire,
-                payload=(f"e{index}", slot, action),
-                priority=priority,
+                GRID_ORIGIN + slot * GRID_STEP, kind, fire, payload=(f"e{index}", slot, action)
             )
         )
     return log

@@ -194,9 +194,12 @@ class TestLateCohorts:
 
         async def main():
             runtime = WallClockRuntime(time_scale=1000.0)
-            for label, at, priority in (("low", 1.0, 5), ("high", 2.0, 0)):
+            for label, at, kind in (
+                ("low", 1.0, EventKind.BATCH_TRIGGER),
+                ("high", 2.0, EventKind.TASK_COMPLETION),
+            ):
                 callback = (lambda lab: lambda _e: fired.append(lab))(label)
-                runtime.schedule_at(at, EventKind.CALLBACK, callback, priority=priority)
+                runtime.schedule_at(at, kind, callback)
             time.sleep(0.01)  # 10 clock seconds pass with the loop blocked
             assert runtime.now >= 2.0
             await asyncio.wait_for(runtime.drained(), 2.0)

@@ -99,13 +99,6 @@ class TestRunControl:
         assert end == 10.0
         assert engine.now == 10.0
 
-    def test_max_events_bounds_dispatch(self, engine):
-        for i in range(10):
-            engine.schedule(float(i + 1), EventKind.CALLBACK, lambda e: None)
-        engine.run(max_events=4)
-        assert engine.dispatched == 4
-        assert engine.pending == 6
-
     def test_stop_halts_loop(self, engine):
         fired = []
 
@@ -140,7 +133,7 @@ class TestCancellation:
     def test_cancelled_event_skipped(self, engine):
         fired = []
         event = engine.schedule(1.0, EventKind.CALLBACK, lambda e: fired.append(1))
-        event.cancel()
+        engine.cancel(event)
         engine.run()
         assert fired == []
         assert engine.dispatched == 0
@@ -148,7 +141,7 @@ class TestCancellation:
     def test_peek_time_skips_cancelled(self, engine):
         first = engine.schedule(1.0, EventKind.CALLBACK, lambda e: None)
         engine.schedule(2.0, EventKind.CALLBACK, lambda e: None)
-        first.cancel()
+        engine.cancel(first)
         assert engine.peek_time() == 2.0
 
 
@@ -164,9 +157,15 @@ class TestTracing:
 
 class TestDrain:
     def test_drain_yields_pending_non_cancelled(self, engine):
-        keep = engine.schedule(1.0, EventKind.CALLBACK, lambda e: None)
-        drop = engine.schedule(2.0, EventKind.CALLBACK, lambda e: None)
-        drop.cancel()
-        drained = list(engine.drain())
-        assert drained == [keep]
+        fired = []
+        keep = engine.schedule(1.0, EventKind.CALLBACK, fired.append, payload=object())
+        drop = engine.schedule(2.0, EventKind.CALLBACK, fired.append)
+        engine.cancel(drop)
+        assert engine.drain() == 1
         assert engine.pending == 0
+        # A dropped event is disarmed: its callback no longer reaches the
+        # caller and its payload is released.
+        keep.callback(keep)
+        assert fired == [] and keep.payload is None
+        engine.run()
+        assert engine.dispatched == 0

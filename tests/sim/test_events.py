@@ -1,60 +1,42 @@
-"""Unit tests for event primitives."""
+"""Unit tests for event primitives: the order the engine gives them and
+the handle it returns."""
 
-import pytest
-
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind
 
 
-def _noop(event):
-    pass
+def _fired_order(engine, specs):
+    """Schedule ``(time, kind, label)`` specs in order; return the labels
+    in the order they fire."""
+    fired = []
+    for time, kind, label in specs:
+        engine.schedule_at(time, kind, lambda e: fired.append(e.payload), payload=label)
+    engine.run()
+    return fired
 
 
 class TestEventOrdering:
-    def test_orders_by_time(self):
-        early = Event(time=1.0, kind=EventKind.CALLBACK, callback=_noop)
-        late = Event(time=2.0, kind=EventKind.CALLBACK, callback=_noop)
-        assert early < late
-        assert not late < early
+    def test_orders_by_time(self, engine):
+        specs = [(2.0, EventKind.CALLBACK, "late"), (1.0, EventKind.CALLBACK, "early")]
+        assert _fired_order(engine, specs) == ["early", "late"]
 
-    def test_priority_breaks_time_ties(self):
-        completion = Event(time=5.0, kind=EventKind.TASK_COMPLETION, callback=_noop)
-        arrival = Event(time=5.0, kind=EventKind.TASK_ARRIVAL, callback=_noop)
-        batch = Event(time=5.0, kind=EventKind.BATCH_TRIGGER, callback=_noop)
-        assert completion < arrival < batch
+    def test_priority_breaks_time_ties(self, engine):
+        specs = [
+            (5.0, EventKind.BATCH_TRIGGER, "batch"),
+            (5.0, EventKind.TASK_ARRIVAL, "arrival"),
+            (5.0, EventKind.TASK_COMPLETION, "completion"),
+        ]
+        assert _fired_order(engine, specs) == ["completion", "arrival", "batch"]
 
-    def test_sequence_breaks_full_ties(self):
-        first = Event(time=5.0, kind=EventKind.CALLBACK, callback=_noop)
-        second = Event(time=5.0, kind=EventKind.CALLBACK, callback=_noop)
-        assert first < second
-        assert first.seq < second.seq
-
-    def test_explicit_priority_overrides_kind(self):
-        urgent = Event(
-            time=5.0, kind=EventKind.CALLBACK, callback=_noop, priority=0
-        )
-        normal = Event(time=5.0, kind=EventKind.TASK_COMPLETION, callback=_noop)
-        assert urgent.sort_key() < normal.sort_key()
-
-
-class TestEventValidation:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Event(time=-1.0, kind=EventKind.CALLBACK, callback=_noop)
-
-    def test_nan_time_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Event(time=float("nan"), kind=EventKind.CALLBACK, callback=_noop)
-
-    def test_default_priority_from_kind(self):
-        event = Event(time=0.0, kind=EventKind.BATCH_TRIGGER, callback=_noop)
-        assert event.priority == int(EventKind.BATCH_TRIGGER)
+    def test_sequence_breaks_full_ties(self, engine):
+        specs = [(5.0, EventKind.CALLBACK, "first"), (5.0, EventKind.CALLBACK, "second")]
+        assert _fired_order(engine, specs) == ["first", "second"]
 
 
 class TestCancellation:
-    def test_cancel_sets_flag(self):
-        event = Event(time=0.0, kind=EventKind.CALLBACK, callback=_noop)
+    def test_cancel_sets_flag(self, engine):
+        event = engine.schedule(1.0, EventKind.CALLBACK, lambda e: None)
         assert not event.cancelled
-        event.cancel()
+        engine.cancel(event)
         assert event.cancelled
 
 

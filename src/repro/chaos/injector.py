@@ -6,7 +6,8 @@ through the explicit chaos interfaces the components expose:
 
 * ``server.inject_abandonment`` — abandonment waves corrupt in-flight
   executions;
-* ``server.execution_hook`` — no-show faults flip fresh assignments;
+* ``server.execution_hook`` — no-show faults flip fresh assignments (the
+  hook gets each new :class:`~repro.platform.task_management.Assignment`);
 * ``profiling.observation_hook`` — stale-profile faults distort what the
   worker table (the Profiling Component) records;
 * ``scheduling.latency_hook`` — matcher stalls inflate batch latency;
@@ -30,9 +31,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..model.task import Task
 from ..obs.runtime import NULL_OBS
 from ..obs.trace import CHAOS_TRACK
+from ..platform.task_management import Assignment
 from ..sim.engine import Engine
 from ..sim.events import Event, EventKind
 from .faults import (
@@ -47,7 +48,7 @@ from .faults import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..platform.server import REACTServer, _Execution
+    from ..platform.server import REACTServer
 
 
 @dataclass(frozen=True)
@@ -232,15 +233,13 @@ class FaultInjector:
         self.server.scheduling.suspended = self._blackouts > 0
 
     # --------------------------------------------------------------- hooks
-    def _execution_hook(
-        self, execution: "_Execution", task: Task, worker_id: int
-    ) -> None:
+    def _execution_hook(self, assignment: Assignment) -> None:
         for fault in self._active_no_shows:
-            if execution.abandoned:
+            if assignment.abandoned:
                 break
             if self._rng.random() < fault.probability:
-                execution.abandoned = True
-                execution.duration = fault.hold_time
+                assignment.abandoned = True
+                assignment.duration = fault.hold_time
                 self.server.metrics.chaos_no_shows += 1
 
     def _observation_hook(self, worker_id: int, execution_time: float) -> float:

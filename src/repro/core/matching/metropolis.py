@@ -19,6 +19,7 @@ one, so at equal cycles REACT reaches higher output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,8 +40,9 @@ class MetropolisParameters:
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise ValueError(f"cycles must be non-negative, got {self.cycles}")
-        if self.k_constant <= 0:
-            raise ValueError(f"K must be positive, got {self.k_constant}")
+        # ``0 < x < inf`` is False for NaN too.
+        if not 0 < self.k_constant < math.inf:
+            raise ValueError(f"K must be positive and finite, got {self.k_constant}")
 
 
 class MetropolisMatcher(Matcher):

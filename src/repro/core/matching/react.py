@@ -70,11 +70,12 @@ class ReactParameters:
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise ValueError(f"cycles must be non-negative, got {self.cycles}")
-        if self.k_constant <= 0:
-            raise ValueError(f"K must be positive, got {self.k_constant}")
-        if self.adaptive_factor <= 0:
+        # ``0 < x < inf`` is False for NaN too.
+        if not 0 < self.k_constant < math.inf:
+            raise ValueError(f"K must be positive and finite, got {self.k_constant}")
+        if not 0 < self.adaptive_factor < math.inf:
             raise ValueError(
-                f"adaptive_factor must be positive, got {self.adaptive_factor}"
+                f"adaptive_factor must be positive and finite, got {self.adaptive_factor}"
             )
 
     def budget_for(self, n_edges: int) -> int:

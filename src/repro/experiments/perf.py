@@ -489,9 +489,9 @@ def _watched_rows(n_rows: int) -> "DynamicAssignmentComponent":
         task = Task(latitude=0.0, longitude=0.0, deadline=300.0, submitted_at=at)
         tasks.add_task(task)
         tasks.checkout_batch(at, assign_expired=True)
-        tasks.commit_assignment(task, worker_id, at)
+        assignment = tasks.commit_assignment(task, worker_id, at)
         profiling.assign(worker_id, task.task_id)
-        monitor.track(task)
+        monitor.track(assignment)
     return monitor
 
 

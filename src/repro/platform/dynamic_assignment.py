@@ -1,6 +1,6 @@
 """Dynamic Assignment Component (§III-A, §IV-B).
 
-Once per ``reassign_check_interval`` the monitor evaluates Eq. (2) — the
+Once per :data:`CHECK_INTERVAL` the monitor evaluates Eq. (2) — the
 probability that the current worker finishes inside the remaining window,
 given that ``t_ij`` seconds have already elapsed — against the worker's
 power-law profile.  When the probability drops below the policy threshold
@@ -14,7 +14,9 @@ beat the deadline either, so reassignment would only waste a second slot.
 
 The monitor is event-driven rather than a scan of every assigned task.
 Eq. (2) under a power-law fit is nonincreasing in the elapsed time, so each
-published assignment (a *row*, registered through :meth:`track`) has a
+published assignment (a *row*: the
+:class:`~repro.platform.task_management.Assignment` record, registered
+through :meth:`track`) has a
 withdrawal horizon
 (:meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizons`)
 before which it provably cannot fire.  Rows wait in a min-heap keyed by
@@ -40,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.deadline import DeadlineEstimator
-from ..model.task import Task, TaskPhase
+from ..model.task import Task
 from ..model.worker_table import WorkerTable
 from ..obs.runtime import ObservabilityLike, resolve
 from ..obs.trace import MONITOR_TRACK
@@ -49,8 +51,10 @@ from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
 from ..sim.weak import weak_method
 from .policies import SchedulingPolicy
-from .task_management import TaskManagementComponent
+from .task_management import Assignment, TaskManagementComponent
 
+#: Simulated seconds between two Eq. 2 sweeps.
+CHECK_INTERVAL = 1.0
 #: Relative margin taken off each heap key, far above the rounding of
 #: ``assigned_at + horizon`` versus ``now - assigned_at >= horizon``: a row
 #: is popped no later than it is due, and the exact test decides.
@@ -68,32 +72,7 @@ class Withdrawal:
     probability: float
 
 
-class _Row:
-    """One published assignment under watch."""
-
-    __slots__ = ("seq", "task", "worker_id", "generation", "assigned_at", "ttd",
-                 "horizon", "epoch", "pending")
-
-    def __init__(self, seq: int, task: Task, worker_id: int, assigned_at: float) -> None:
-        self.seq = seq
-        self.task = task
-        self.worker_id = worker_id
-        self.generation = task.assignments
-        self.assigned_at = assigned_at
-        # TimeToDeadline_ij is anchored at the assignment instant.
-        self.ttd = task.absolute_deadline - assigned_at
-        self.horizon = math.inf
-        #: bumped on every re-arm; heap entries of older epochs are stale
-        self.epoch = 0
-        self.pending = True
-
-    def live(self) -> bool:
-        """Whether the task is still out on this very assignment."""
-        task = self.task
-        return task.phase is TaskPhase.ASSIGNED and task.assignments == self.generation
-
-
-_Entry = Tuple[float, int, int, _Row]
+_Entry = Tuple[float, int, int, Assignment]
 
 
 class DynamicAssignmentComponent:
@@ -136,11 +115,11 @@ class DynamicAssignmentComponent:
         # monitor, and tracking is a no-op.
         self._enabled = policy.use_probabilistic_model
         #: rows whose horizon must be (re)computed at the next sweep
-        self._pending: List[_Row] = []
+        self._pending: List[Assignment] = []
         #: (key, seq, epoch, row) for rows that can fire inside their window
         self._heap: List[_Entry] = []
         #: every tracked row by worker, for re-arming; dead rows pruned lazily
-        self._rows_of: Dict[int, List[_Row]] = {}
+        self._rows_of: Dict[int, List[Assignment]] = {}
         self._n_rows = 0
         #: the threshold the armed horizons embed, and the last sweep instant
         self._threshold: Optional[float] = None
@@ -156,7 +135,7 @@ class DynamicAssignmentComponent:
             raise RuntimeError("monitor already started")
         self._process = PeriodicProcess(
             self._engine,
-            period=self._policy.reassign_check_interval,
+            period=CHECK_INTERVAL,
             action=weak_method(self.sweep),
             kind=EventKind.REASSIGNMENT_CHECK,
         )
@@ -167,23 +146,19 @@ class DynamicAssignmentComponent:
             self._process = None
 
     # ---------------------------------------------------------------- rows
-    def track(self, task: Task) -> None:
+    def track(self, row: Assignment) -> None:
         """Watch an assignment the Task Management Component just committed."""
         if not self._enabled:
             return
-        worker_id = task.assigned_worker
-        assigned_at = task.assigned_at
-        assert worker_id is not None and assigned_at is not None
-        row = _Row(self._tasks.assignment_seq, task, worker_id, assigned_at)
         self._pending.append(row)
-        rows = self._rows_of.get(worker_id)
+        rows = self._rows_of.get(row.worker_id)
         if rows is None:
-            self._rows_of[worker_id] = [row]
+            self._rows_of[row.worker_id] = [row]
         else:
             rows.append(row)
         self._n_rows += 1
 
-    def _rearm(self, row: _Row) -> None:
+    def _rearm(self, row: Assignment) -> None:
         row.epoch += 1
         if not row.pending:
             row.pending = True
@@ -206,7 +181,7 @@ class DynamicAssignmentComponent:
     def _arm_pending(self, now: float, threshold: float) -> None:
         """Compute the pending rows' horizons and queue them, or park them."""
         profiles = self._profiles
-        arming: List[_Row] = []
+        arming: List[Assignment] = []
         for row in self._pending:
             row.pending = False
             if not row.live() or row.worker_id not in profiles:
@@ -236,7 +211,7 @@ class DynamicAssignmentComponent:
         """Drop dead rows and stale heap entries."""
         self._heap = [e for e in self._heap if e[2] == e[3].epoch and e[3].live()]
         heapq.heapify(self._heap)
-        rows_of: Dict[int, List[_Row]] = {}
+        rows_of: Dict[int, List[Assignment]] = {}
         for worker_id, rows in self._rows_of.items():
             live = [row for row in rows if row.live()]
             if live:
@@ -298,7 +273,7 @@ class DynamicAssignmentComponent:
         heap = self._heap
         profiles = self._profiles
         popped: List[_Entry] = []
-        due: List[_Row] = []
+        due: List[Assignment] = []
         while heap and heap[0][0] <= now:
             entry = heapq.heappop(heap)
             row = entry[3]
@@ -336,7 +311,7 @@ class DynamicAssignmentComponent:
         )
         return pulled
 
-    def _evaluate(self, now: float, threshold: float, due: List[_Row]) -> int:
+    def _evaluate(self, now: float, threshold: float, due: List[Assignment]) -> int:
         """Apply the rule to the due rows (in sequence order); count withdrawals."""
         estimator = self._estimator
         table = self._profiles

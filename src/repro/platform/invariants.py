@@ -38,6 +38,7 @@ his only record (I8, profiles agreeing with their rows).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -62,7 +63,7 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
     pools = {
         "unassigned": (tm._unassigned, (TaskPhase.UNASSIGNED,)),
         "in_batch": (tm._in_batch, (TaskPhase.UNASSIGNED,)),
-        "assigned": (tm._assigned, (TaskPhase.ASSIGNED,)),
+        "assigned": ({t.task_id: t for t in tm.assigned_tasks()}, (TaskPhase.ASSIGNED,)),
         "deferred": (tm._deferred, (TaskPhase.UNASSIGNED,)),
         "finished": (tm._finished, (TaskPhase.COMPLETED, TaskPhase.EXPIRED)),
     }
@@ -140,24 +141,29 @@ def check_server_invariants(server: "RegionServer", strict_accounting: bool = Tr
 
 @dataclass
 class InvariantMonitor:
-    """Re-audits a server every ``period`` simulated seconds."""
+    """Re-audits a server every ``period`` simulated seconds.
+
+    Its process holds it (an unreferenced monitor still audits); it holds
+    the process weakly, so a run that never calls :meth:`stop` has no cycle.
+    """
 
     engine: Engine
     server: "RegionServer"
     period: float = 1.0
     strict_accounting: bool = True
     audits: int = 0
-    _process: Optional[PeriodicProcess] = None
+    _process: Optional["weakref.ref[PeriodicProcess]"] = None
 
     def start(self) -> "InvariantMonitor":
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self._process is not None:
             raise RuntimeError("monitor already started")
-        self._process = PeriodicProcess(
+        process = PeriodicProcess(
             self.engine, period=self.period, action=self._audit,
             kind=EventKind.CALLBACK,
         )
+        self._process = weakref.ref(process)
         return self
 
     def _audit(self, now: float) -> None:
@@ -165,6 +171,7 @@ class InvariantMonitor:
         check_server_invariants(self.server, strict_accounting=self.strict_accounting)
 
     def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
-            self._process = None
+        process = self._process() if self._process is not None else None
+        if process is not None:
+            process.stop()
+        self._process = None

@@ -100,8 +100,6 @@ class SchedulingPolicy:
     edge_probability_bound: float = 0.1
     #: Eq. 2 threshold under which a running task is pulled back (10%).
     reassign_threshold: float = 0.1
-    #: Period of the Dynamic Assignment Component's monitor sweep.
-    reassign_check_interval: float = 1.0
     #: Completed tasks required before the model activates for a worker (z).
     min_history: int = 3
     #: Duration-distribution family for Eqs. 2-3: "power-law" (the paper's
@@ -140,8 +138,6 @@ class SchedulingPolicy:
             raise ValueError("edge_probability_bound must be in [0,1]")
         if not (0.0 <= self.reassign_threshold <= 1.0):
             raise ValueError("reassign_threshold must be in [0,1]")
-        if self.reassign_check_interval <= 0:
-            raise ValueError("reassign_check_interval must be positive")
         if self.min_history < 0:
             raise ValueError("min_history must be >= 0")
         if self.duration_model not in ("power-law", "empirical", "lognormal"):

@@ -29,7 +29,7 @@ from ..sim.clock import EventClock
 from ..sim.events import Event, EventKind
 from .cost import BatchShape, CostModel
 from .policies import SchedulingPolicy
-from .task_management import TaskManagementComponent
+from .task_management import Assignment, TaskManagementComponent
 
 
 @dataclass
@@ -60,7 +60,7 @@ class SchedulingComponent:
         matcher: Matcher,
         cost_model: CostModel,
         matcher_rng: np.random.Generator,
-        on_assign: Callable[[Task, int], None],
+        on_assign: Callable[[Assignment], None],
         on_retired: Callable[[List[Task]], None],
         on_batch: Optional[Callable[[BatchRecord], None]] = None,
         observability: Optional[ObservabilityLike] = None,
@@ -233,10 +233,10 @@ class SchedulingComponent:
             return
         # Dense task -> worker row (precomputed for REACT and Greedy batches):
         # one list index per task instead of a dict build + lookup.
-        assignment = pending.result.task_assignment_dense().tolist()
+        dense = pending.result.task_assignment_dense().tolist()
         matched = 0
         for j, task in enumerate(pending.batch):
-            worker_idx = assignment[j]
+            worker_idx = dense[j]
             if worker_idx < 0:
                 self._tasks.return_unmatched(task)
                 continue
@@ -247,10 +247,10 @@ class SchedulingComponent:
             if not self._profiles.is_free(worker_id):
                 self._tasks.return_unmatched(task)
                 continue
-            self._tasks.commit_assignment(task, worker_id, now)
+            assignment = self._tasks.commit_assignment(task, worker_id, now)
             self._profiles.assign(worker_id, task.task_id)
             matched += 1
-            self._on_assign(task, worker_id)
+            self._on_assign(assignment)
 
         record = BatchRecord(
             started_at=pending.started_at,

@@ -15,15 +15,14 @@ worker's *actual* duration and schedules the completion event; the
 components only ever see the outcome, as the real middleware only observes
 what human workers return.  A dawdler whose task was pulled back by Eq. (2)
 is released at once and still "finishes" at his sampled time — the
-completion event checks the assignment generation stamp and, finding the
-task gone, discards the result.
+completion event carries the :class:`~.task_management.Assignment` record
+and, finding it no longer live, discards the result.
 The pull delivery for live workers is ``repro.service.bridge.LiveRegionServer``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.deadline import DeadlineEstimator
 from ..graph.builders import AssignmentGraphBuilder, BudgetGate, RewardRange
@@ -51,27 +50,7 @@ from .dynamic_assignment import DynamicAssignmentComponent
 from .policies import SchedulingPolicy
 from .resilience import DegradedModeController, ResilienceConfig
 from .scheduling import BatchRecord, SchedulingComponent
-from .task_management import TaskManagementComponent
-
-
-@dataclass
-class _Execution:
-    """Simulator-side record of one in-flight worker execution."""
-
-    task_id: int
-    worker_id: int
-    generation: int  # task.assignments stamp at scheduling time
-    duration: float
-    abandoned: bool = False
-    #: handle on the scheduled TASK_COMPLETION event, so chaos injection can
-    #: cancel the sampled finish and replace it (mass-abandonment waves);
-    #: the event carries the ``_live`` key, not this record, so the two
-    #: never form a cycle
-    completion_event: Optional[Event] = None
-    #: instant of the running expiry left unarmed because the sampled finish
-    #: comes first; armed there if chaos turns the execution into an
-    #: abandonment, which keeps the task ASSIGNED past that finish
-    skipped_expiry_at: Optional[float] = None
+from .task_management import Assignment, TaskManagementComponent
 
 
 class RegionServer:
@@ -220,8 +199,9 @@ class RegionServer:
         task_id = self.profiling.current_task(worker_id)
         self.profiling.set_online(worker_id, False)
         if task_id is not None:
-            task = self.task_management.get(task_id)
-            if task.phase is TaskPhase.ASSIGNED and task.assigned_worker == worker_id:
+            assignment = self.task_management.assignment(task_id)
+            if assignment is not None and assignment.worker_id == worker_id:
+                task = assignment.task
                 self.task_management.withdraw(task)
                 self.profiling.release(worker_id)
                 self._tracer.instant(
@@ -296,18 +276,19 @@ class RegionServer:
         )
 
     # ------------------------------------------------------------ callbacks
-    def _on_assign(self, task: Task, worker_id: int) -> None:
+    def _on_assign(self, assignment: Assignment) -> None:
         """Assignment published: watch it, hand it to the delivery, arm its expiry."""
-        self.metrics.record_assignment(first=task.assignments == 1)
+        task = assignment.task
+        self.metrics.record_assignment(first=assignment.generation == 1)
         self._tracer.instant(
             "task.assigned",
             cat="task",
             task_id=task.task_id,
-            worker_id=worker_id,
-            generation=task.assignments,
+            worker_id=assignment.worker_id,
+            generation=assignment.generation,
         )
-        self.dynamic_assignment.track(task)
-        finish = self._deliver(task, worker_id)
+        self.dynamic_assignment.track(assignment)
+        finish = self._deliver(assignment)
         # AMT expiry semantics: if the deadline passes while the task is
         # still out with this worker, the platform pulls it back.  Only
         # armed when the deadline is still ahead — a task knowingly handed
@@ -319,27 +300,20 @@ class RegionServer:
             now = self.engine.now
             remaining = task.absolute_deadline - now
             if remaining > 0:
-                expiry = (task.task_id, worker_id, task.assignments)
                 if finish is None or finish >= remaining:
                     self.engine.schedule(
                         remaining, EventKind.CALLBACK, self._on_running_expiry,
-                        payload=expiry,
+                        payload=assignment,
                     )
                 else:
-                    self._skip_running_expiry(now + remaining, expiry)
+                    assignment.skipped_expiry_at = now + remaining
 
-    def _deliver(self, task: Task, worker_id: int) -> Optional[float]:
+    def _deliver(self, assignment: Assignment) -> Optional[float]:
         """Delivery hook: route a published assignment to its worker.
 
         Returns the delay until the worker's result lands, when the delivery
         knows it; None when it does not (the result may never come).
         """
-        raise NotImplementedError
-
-    def _skip_running_expiry(self, at: float, expiry: Tuple[int, int, int]) -> None:
-        """Delivery hook: the running expiry ``(task_id, worker_id,
-        generation)`` due at ``at`` was not armed, because the finish
-        :meth:`_deliver` returned comes first."""
         raise NotImplementedError
 
     def _record_completion(
@@ -383,17 +357,6 @@ class RegionServer:
         # A completion frees a worker; queued tasks may now be matchable.
         self.scheduling.maybe_trigger()
 
-    def _current_assignment(self, task_id: int, worker_id: int, generation: int) -> Optional[Task]:
-        """``task_id`` if it is still out with ``worker_id`` under the
-        assignment stamped ``generation``; None once it was withdrawn,
-        finished or handed out again."""
-        try:
-            task = self.task_management.get(task_id)
-        except KeyError:
-            return None
-        current = task.phase is TaskPhase.ASSIGNED and task.assigned_worker == worker_id
-        return task if current and task.assignments == generation else None
-
     def _end_dawdle(self, task_id: int, worker_id: int) -> None:
         """A stale result: the task left the worker while he dawdled.
 
@@ -410,18 +373,17 @@ class RegionServer:
         if he is still registered and nominally on it, is released; an
         abandoner has already walked away.
         """
-        task_id, worker_id, generation = event.payload
-        task = self._current_assignment(task_id, worker_id, generation)
-        if task is None:
+        assignment: Assignment = event.payload
+        if not assignment.live():
             return
-        assigned_at = task.assigned_at if task.assigned_at is not None else self.engine.now
-        elapsed = self.engine.now - assigned_at
+        task, worker_id = assignment.task, assignment.worker_id
+        elapsed = self.engine.now - assignment.assigned_at
         self.task_management.withdraw(task)
         self.metrics.expiry_returns += 1
         self._tracer.instant(
-            "task.expiry_return", cat="task", task_id=task_id, worker_id=worker_id
+            "task.expiry_return", cat="task", task_id=task.task_id, worker_id=worker_id
         )
-        self.profiling.record_expiry(worker_id, task_id, elapsed)
+        self.profiling.record_expiry(worker_id, task.task_id, elapsed)
         self._on_withdraw(task)
 
     def _on_withdraw(self, task: Task) -> None:
@@ -499,7 +461,7 @@ class RegionServer:
         Every assigned task is pulled back into the unassigned pool (from
         which recovery re-adopts it) and its worker — if he still claims it
         — is detached and freed; his pending completion becomes a stale
-        dawdle via the usual generation/phase check.  Returns the orphaned
+        dawdle, because its record is no longer live.  Returns the orphaned
         task ids.
         """
         now = self.engine.now
@@ -554,18 +516,13 @@ class REACTServer(RegionServer):
         # stream's only consumer, so they are read a block at a time.
         self._behavior_rng = BlockReader(rng.stream(STREAM_WORKER_BEHAVIOR))
         self._feedback = FeedbackModel(rng.stream(STREAM_FEEDBACK))
-        #: live executions keyed by (task_id, generation stamp); a task can
-        #: have two live executions at once (an abandoner's stale draw plus
-        #: the replacement worker's), hence the generation in the key
-        self._live: Dict[Tuple[int, int], _Execution] = {}
-        #: the completion events' callback: weak, because an execution in
-        #: ``_live`` holds its event, which must not hold the server
+        #: the completion events' callback: weak, because a record in the
+        #: assigned pool holds its event, which must not hold the server
         self._complete = weak_method(self._on_completion)
-        #: chaos hook (:class:`repro.chaos.NoShowFault`): may mutate each
-        #: freshly drawn execution before its events are scheduled
-        self.execution_hook: Optional[
-            Callable[[_Execution, Task, int], None]
-        ] = None
+        #: chaos hook (:class:`repro.chaos.NoShowFault`): may change each
+        #: fresh assignment's drawn ``duration`` and ``abandoned`` before its
+        #: events are scheduled
+        self.execution_hook: Optional[Callable[[Assignment], None]] = None
 
     # -------------------------------------------------------------- workers
     def add_worker(
@@ -589,66 +546,52 @@ class REACTServer(RegionServer):
         self._behaviors.pop(worker_id, None)
 
     # ------------------------------------------------------------- delivery
-    def _deliver(self, task: Task, worker_id: int) -> Optional[float]:
+    def _deliver(self, assignment: Assignment) -> Optional[float]:
         """Draw the worker's true outcome and schedule its completion.
 
         Returns the drawn duration once ``execution_hook`` has had its say,
         or None for an abandonment: no result will land.
         """
-        behavior = self._behaviors[worker_id]
-        draw = behavior.sample_outcome(self._behavior_rng)
-        execution = _Execution(
-            task_id=task.task_id,
-            worker_id=worker_id,
-            generation=task.assignments,
-            duration=draw.duration,
-            abandoned=draw.abandoned,
-        )
+        draw = self._behaviors[assignment.worker_id].sample_outcome(self._behavior_rng)
+        assignment.duration = draw.duration
+        assignment.abandoned = draw.abandoned
         if self.execution_hook is not None:
-            self.execution_hook(execution, task, worker_id)
-        key = (execution.task_id, execution.generation)
-        execution.completion_event = self.engine.schedule(
-            execution.duration, EventKind.TASK_COMPLETION, self._complete, payload=key
+            self.execution_hook(assignment)
+        assignment.completion_event = self.engine.schedule(
+            assignment.duration, EventKind.TASK_COMPLETION, self._complete,
+            payload=assignment,
         )
-        self._live[key] = execution
-        return None if execution.abandoned else execution.duration
-
-    def _skip_running_expiry(self, at: float, expiry: Tuple[int, int, int]) -> None:
-        task_id, _worker_id, generation = expiry
-        self._live[(task_id, generation)].skipped_expiry_at = at
+        return None if assignment.abandoned else assignment.duration
 
     def _on_completion(self, event: Event) -> None:
-        execution = self._live.pop(event.payload)
-        task = self._current_assignment(
-            execution.task_id, execution.worker_id, execution.generation
-        )
-        if task is None:
+        assignment: Assignment = event.payload
+        assignment.completion_event = None
+        task, worker_id = assignment.task, assignment.worker_id
+        if not assignment.live():
             # The task was withdrawn (or the worker deregistered) while the
             # human dawdled; his sampled duration just elapsed.  He was
             # released when the task left him.
-            self._end_dawdle(execution.task_id, execution.worker_id)
+            self._end_dawdle(task.task_id, worker_id)
             return
-        if execution.abandoned:
+        if assignment.abandoned:
             # The worker walks away without informing the platform (§IV-B):
             # he becomes available for other tasks, but the task stays
             # "assigned" until Eq. 2 or the deadline-expiry pulls it back.
-            self.profiling.release(execution.worker_id)
+            self.profiling.release(worker_id)
             self._tracer.instant(
                 "task.abandoned",
                 cat="task",
-                task_id=execution.task_id,
-                worker_id=execution.worker_id,
+                task_id=task.task_id,
+                worker_id=worker_id,
             )
             return
         self.task_management.complete(task, self.engine.now)
         feedback = self._feedback.judge(
-            self._behaviors[execution.worker_id],
+            self._behaviors[worker_id],
             task.met_deadline,
             category=task.category,
         )
-        self._record_completion(
-            task, execution.worker_id, execution.duration, feedback.positive
-        )
+        self._record_completion(task, worker_id, assignment.duration, feedback.positive)
 
     # ----------------------------------------------------- chaos interface
     def inject_abandonment(self, task_id: int) -> bool:
@@ -659,33 +602,25 @@ class REACTServer(RegionServer):
         task stays ASSIGNED until Eq. 2 or the deadline expiry rescues it —
         exactly the paper's silent-abandonment semantics, just at an
         injected instant.  Returns False when the task has no live
-        current-generation execution to corrupt.
+        current assignment whose completion is still pending.
         """
-        try:
-            task = self.task_management.get(task_id)
-        except KeyError:
+        assignment = self.task_management.assignment(task_id)
+        if assignment is None or assignment.completion_event is None:
             return False
-        if task.phase is not TaskPhase.ASSIGNED:
-            return False
-        execution = self._live.get((task_id, task.assignments))
-        if execution is None:
-            return False
-        if execution.completion_event is not None:
-            self.engine.cancel(execution.completion_event)
-        execution.abandoned = True
-        execution.completion_event = self.engine.schedule(
-            0.0, EventKind.TASK_COMPLETION, self._complete,
-            payload=(task_id, execution.generation),
+        self.engine.cancel(assignment.completion_event)
+        assignment.abandoned = True
+        assignment.completion_event = self.engine.schedule(
+            0.0, EventKind.TASK_COMPLETION, self._complete, payload=assignment
         )
-        if execution.skipped_expiry_at is not None:
+        if assignment.skipped_expiry_at is not None:
             # No result will land now, so the deadline must pull it back:
             # arm the skipped expiry at the instant it would have had.
             self.engine.schedule_at(
-                execution.skipped_expiry_at,
+                assignment.skipped_expiry_at,
                 EventKind.CALLBACK,
                 self._on_running_expiry,
-                payload=(task_id, execution.worker_id, execution.generation),
+                payload=assignment,
             )
-            execution.skipped_expiry_at = None
+            assignment.skipped_expiry_at = None
         self.metrics.chaos_abandonments += 1
         return True

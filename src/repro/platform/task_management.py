@@ -4,15 +4,67 @@
 REACT platform": remaining time until expiry, current assignment and elapsed
 time.  Concretely it owns the three task pools — unassigned (the matcher's
 input), assigned (the Eq. 2 monitor's input) and finished — and the
-transitions between them.
+transitions between them.  Each hand-out of a task to a worker is one
+:class:`Assignment` record, which the assigned pool holds while it is
+current.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..graph.builders import BudgetGate
 from ..model.task import Task, TaskPhase
+from ..sim.events import Event
+
+
+class Assignment:
+    """One hand-out of a task to a worker, from commit until it ends.
+
+    :meth:`TaskManagementComponent.commit_assignment` creates it; the
+    server's delivery, its running expiry and the Eq. 2 monitor all keep
+    this record and ask :meth:`live` whether the hand-out is still current.
+    The task's ``assignments`` count at commit is the record's
+    ``generation``; a withdrawal, a completion or a newer hand-out of the
+    task makes every older record stale.
+    """
+
+    __slots__ = (
+        "task", "worker_id", "generation", "assigned_at", "seq",
+        # the push delivery's drawn outcome and pending completion
+        "duration", "abandoned", "completion_event", "skipped_expiry_at",
+        # the Eq. 2 monitor's row state
+        "ttd", "horizon", "epoch", "pending",
+    )
+
+    def __init__(self, task: Task, worker_id: int, assigned_at: float, seq: int) -> None:
+        self.task = task
+        self.worker_id = worker_id
+        self.generation = task.assignments
+        self.assigned_at = assigned_at
+        #: commit order; the assigned pool iterates in increasing ``seq``
+        self.seq = seq
+        self.duration = 0.0
+        self.abandoned = False
+        #: the pending TASK_COMPLETION event, whose payload is this record:
+        #: cleared when it fires (and the payload by ``Engine.drain``), so
+        #: the pair never outlives the run as a cycle
+        self.completion_event: Optional[Event] = None
+        #: instant of a running expiry left unarmed because the drawn finish
+        #: comes first; a chaos abandonment arms it there
+        self.skipped_expiry_at: Optional[float] = None
+        #: TimeToDeadline_ij, anchored at the assignment instant
+        self.ttd = task.absolute_deadline - assigned_at
+        self.horizon = math.inf
+        #: bumped on every re-arm; heap entries of older epochs are stale
+        self.epoch = 0
+        self.pending = True
+
+    def live(self) -> bool:
+        """Whether the task is still out on this very hand-out."""
+        task = self.task
+        return task.phase is TaskPhase.ASSIGNED and task.assignments == self.generation
 
 
 class TaskManagementComponent:
@@ -21,7 +73,8 @@ class TaskManagementComponent:
     def __init__(self, budget: Optional[BudgetGate] = None) -> None:
         # Insertion-ordered dicts double as FIFO queues with O(1) removal.
         self._unassigned: Dict[int, Task] = {}
-        self._assigned: Dict[int, Task] = {}
+        #: the current hand-out of each assigned task
+        self._assigned: Dict[int, Assignment] = {}
         self._finished: Dict[int, Task] = {}
         #: tasks currently locked inside a running matching batch
         self._in_batch: Dict[int, Task] = {}
@@ -33,9 +86,7 @@ class TaskManagementComponent:
         self._budget = budget
         #: tasks shed at intake because the requester's budget ran dry
         self.shed_by_budget = 0
-        #: sequence number of the latest committed assignment; the assigned
-        #: pool iterates in increasing order of the value each task got
-        self.assignment_seq = 0
+        self._commits = 0
 
     # -------------------------------------------------------------- intake
     def add_task(self, task: Task) -> bool:
@@ -82,16 +133,17 @@ class TaskManagementComponent:
         )
 
     def assigned_tasks(self) -> List[Task]:
-        return list(self._assigned.values())
+        return [assignment.task for assignment in self._assigned.values()]
+
+    def assignment(self, task_id: int) -> Optional[Assignment]:
+        """The current hand-out of ``task_id``; None unless it is assigned."""
+        return self._assigned.get(task_id)
 
     def get(self, task_id: int) -> Task:
-        for pool in (
-            self._unassigned,
-            self._assigned,
-            self._in_batch,
-            self._deferred,
-            self._finished,
-        ):
+        assignment = self._assigned.get(task_id)
+        if assignment is not None:
+            return assignment.task
+        for pool in (self._unassigned, self._in_batch, self._deferred, self._finished):
             if task_id in pool:
                 return pool[task_id]
         raise KeyError(f"unknown task {task_id}")
@@ -141,14 +193,16 @@ class TaskManagementComponent:
             self._finished[task.task_id] = task
         return retired
 
-    def commit_assignment(self, task: Task, worker_id: int, now: float) -> None:
-        """A batch result assigned ``task`` to ``worker_id``."""
+    def commit_assignment(self, task: Task, worker_id: int, now: float) -> Assignment:
+        """A batch result assigned ``task`` to ``worker_id``; returns the hand-out."""
         if task.task_id not in self._in_batch:
             raise ValueError(f"task {task.task_id} is not checked out")
         del self._in_batch[task.task_id]
         task.mark_assigned(worker_id, now)
-        self._assigned[task.task_id] = task
-        self.assignment_seq += 1
+        self._commits += 1
+        assignment = Assignment(task, worker_id, now, self._commits)
+        self._assigned[task.task_id] = assignment
+        return assignment
 
     def return_unmatched(self, task: Task) -> None:
         """A batch result left ``task`` unmatched; it rejoins the queue."""
@@ -220,6 +274,6 @@ class TaskManagementComponent:
     def __iter__(self) -> Iterator[Task]:
         yield from self._unassigned.values()
         yield from self._in_batch.values()
-        yield from self._assigned.values()
+        yield from self.assigned_tasks()
         yield from self._deferred.values()
         yield from self._finished.values()

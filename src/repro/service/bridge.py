@@ -5,13 +5,14 @@ lifecycle, departures, submit/adopt, running expiry, Eq. 2 withdrawals and
 the summary.  :class:`LiveRegionServer` adds only what pull delivery needs:
 
 * An assignment parks a :class:`DispatchNotice` in the worker's inbox,
-  handed out on the next heartbeat only if (phase, worker, generation) still
-  match (AMT-style: the middleware never calls the worker, the worker polls).
+  handed out on the next heartbeat only if its
+  :class:`~repro.platform.task_management.Assignment` record is still live
+  (AMT-style: the middleware never calls the worker, the worker polls).
 * A result arrives via :meth:`LiveRegionServer.submit_answer` with the
-  generation of the notice it answers, checked on (phase, worker,
-  generation): an answer to an assignment that was withdrawn — even if the
-  task was since handed to the same worker again — gets ``stale`` back and
-  is not credited.
+  task id and generation of the notice it answers, checked against the
+  task's current assignment: an answer to an assignment that was withdrawn
+  — even if the task was since handed to the same worker again — gets
+  ``stale`` back and is not credited.
 * Positive feedback is ``met_deadline``: a service must not draw feedback
   coins from the experiment RNG streams.
 * Liveness culling replaces simulated churn; a departure also drops the
@@ -29,15 +30,15 @@ one on the wall-clock runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from ..model.task import Task
 from ..model.worker import WorkerProfile
 from ..model.worker_table import WorkerHistory
 from ..obs.runtime import ObservabilityLike
 from ..platform.cost import CostModel, ZeroCost
 from ..platform.policies import SchedulingPolicy
 from ..platform.server import RegionServer
+from ..platform.task_management import Assignment
 from ..sim.clock import EventClock
 from ..sim.process import PeriodicProcess
 from ..sim.rng import RngRegistry
@@ -102,7 +103,7 @@ class LiveRegionServer(RegionServer):
         #: Undelivered assignment per worker (a worker executes one task at
         #: a time, so one slot suffices — a newer dispatch for the same
         #: worker cannot occur while the old one is live).
-        self._inbox: Dict[int, DispatchNotice] = {}
+        self._inbox: Dict[int, Tuple[Assignment, DispatchNotice]] = {}
         self._last_seen: Dict[int, float] = {}
         self._liveness_sweep: Optional[PeriodicProcess] = None
 
@@ -155,14 +156,13 @@ class LiveRegionServer(RegionServer):
         if worker_id not in self.profiling:
             raise KeyError(worker_id)
         self._last_seen[worker_id] = self.engine.now
-        notice = self._inbox.pop(worker_id, None)
-        if notice is None:
+        parked = self._inbox.pop(worker_id, None)
+        if parked is None:
             return None
+        assignment, notice = parked
         # Deliver only if the assignment is still current: Eq. 2 or expiry
         # may have withdrawn it between publication and this poll.
-        if self._current_assignment(notice.task_id, worker_id, notice.generation) is None:
-            return None
-        return notice
+        return notice if assignment.live() else None
 
     def submit_answer(self, worker_id: int, task_id: int, generation: int) -> AnswerOutcome:
         """Answer callback: the worker returns a result for the assignment
@@ -175,18 +175,22 @@ class LiveRegionServer(RegionServer):
             return AnswerOutcome(status="unknown_task")
         now = self.engine.now
         self._last_seen[worker_id] = now
-        task = self._current_assignment(task_id, worker_id, generation)
-        if task is None:
+        assignment = self.task_management.assignment(task_id)
+        if (
+            assignment is None
+            or assignment.worker_id != worker_id
+            or assignment.generation != generation
+        ):
             # Withdrawn while the worker dawdled: the answer is discarded (he
             # was released when the task left him) — the DES completion
             # event's stale path.
             self._end_dawdle(task_id, worker_id)
             self.scheduling.maybe_trigger()
             return AnswerOutcome(status="stale")
-        assigned_at = task.assigned_at if task.assigned_at is not None else now
+        task = assignment.task
         self.task_management.complete(task, now)
         on_time = task.met_deadline
-        self._record_completion(task, worker_id, now - assigned_at, on_time)
+        self._record_completion(task, worker_id, now - assignment.assigned_at, on_time)
         return AnswerOutcome(status="completed", met_deadline=on_time)
 
     # ---------------------------------------------------------------- tasks
@@ -208,21 +212,22 @@ class LiveRegionServer(RegionServer):
         return self.task_management.in_flight
 
     # ------------------------------------------------------------- delivery
-    def _deliver(self, task: Task, worker_id: int) -> Optional[float]:
+    def _deliver(self, assignment: Assignment) -> Optional[float]:
         """Park a dispatch notice for the worker's next heartbeat.
 
         Returns None: when a live worker answers is not known in advance.
         """
+        task = assignment.task
         notice = DispatchNotice(
             task_id=task.task_id,
-            worker_id=worker_id,
-            generation=task.assignments,
+            worker_id=assignment.worker_id,
+            generation=assignment.generation,
             category=task.category.value,
             reward=task.reward,
             deadline_at=task.absolute_deadline,
-            assigned_at=self.engine.now,
+            assigned_at=assignment.assigned_at,
         )
-        self._inbox[worker_id] = notice
+        self._inbox[assignment.worker_id] = (assignment, notice)
         if self._on_dispatch is not None:
             self._on_dispatch(notice)
         return None

@@ -1,5 +1,7 @@
 """Unit tests for the Metropolis matching baseline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,22 @@ class TestParameters:
             MetropolisParameters(cycles=-1)
         with pytest.raises(ValueError):
             MetropolisParameters(k_constant=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: MetropolisParameters(k_constant=x),
+            lambda x: ReactParameters(k_constant=x),
+            lambda x: ReactParameters(adaptive_cycles=True, adaptive_factor=x),
+        ],
+        ids=["metropolis_k", "react_k", "react_adaptive_factor"],
+    )
+    def test_non_finite_rejected_at_construction(self, make, value):
+        """A NaN K would otherwise match silently and a NaN adaptive factor
+        fail only at the first ``match``."""
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
 
 
 class TestCorrectness:

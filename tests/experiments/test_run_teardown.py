@@ -26,6 +26,7 @@ from repro.experiments.endtoend import arm_arrivals, assemble_run, run_endtoend
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.experiments.voting import VotingConfig, run_voting_comparison
 from repro.obs import Observability
+from repro.platform.invariants import InvariantMonitor
 from repro.platform.policies import greedy_policy, react_policy, traditional_policy
 
 SMALL = EndToEndConfig(n_workers=30, arrival_rate=3.0, n_tasks=300, drain_time=100.0, seed=1)
@@ -45,7 +46,7 @@ SCENARIO = ScenarioConfig(n_tasks=150, n_workers=50, horizon=150.0, requester_bu
 
 def _cut_mid_execution(stop=True):
     """A run that ends while executions are out: their completion events
-    never fire, yet the executions hold them.  Without ``stop`` the
+    never fire, yet the assignment records hold them.  Without ``stop`` the
     periodic batch trigger and Eq. 2 sweep are still armed at the end."""
     config = EndToEndConfig(
         n_workers=30, arrival_rate=3.0, n_tasks=300, drain_time=0.0, seed=1
@@ -58,7 +59,23 @@ def _cut_mid_execution(stop=True):
         engine.run(until=config.horizon)
         if stop:
             server.stop()
-        assert server._live, "the run must end with executions in flight"
+        assert any(
+            assignment.completion_event is not None
+            for assignment in server.task_management._assigned.values()
+        ), "the run must end with executions in flight"
+
+
+def _audited_without_monitor_stop():
+    """An audited run whose invariant monitor is never stopped: only its
+    periodic process and the engine refer to it at the end."""
+    with assemble_run(react_policy(), SMALL) as (engine, rng, server, crowd):
+        for profile, behavior in crowd:
+            server.add_worker(profile, behavior)
+        server.start()
+        InvariantMonitor(engine, server).start()
+        arm_arrivals(engine, rng, SMALL, server.submit_task)
+        engine.run(until=SMALL.horizon)
+        server.stop()
 
 
 RUNS = {
@@ -75,6 +92,7 @@ RUNS = {
     "voting": lambda: run_voting_comparison(VOTING),
     "cut_mid_execution": _cut_mid_execution,
     "cut_without_stop": lambda: _cut_mid_execution(stop=False),
+    "audited_without_monitor_stop": _audited_without_monitor_stop,
     "scenario": lambda: run_scenario(react_policy(), SCENARIO),
 }
 

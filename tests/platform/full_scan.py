@@ -16,10 +16,10 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.model.task import Task
 from repro.obs.trace import MONITOR_TRACK
 from repro.platform import server as server_module
 from repro.platform.dynamic_assignment import DynamicAssignmentComponent, Withdrawal
+from repro.platform.task_management import Assignment
 
 
 class FullScanMonitor(DynamicAssignmentComponent):
@@ -31,7 +31,7 @@ class FullScanMonitor(DynamicAssignmentComponent):
         self._skip_horizon: dict[int, tuple[int, int, float, float, float]] = {}
         self._skip_threshold: Optional[float] = None
 
-    def track(self, task: Task) -> None:
+    def track(self, assignment: Assignment) -> None:
         """The full scan reads the assigned pool; it keeps no row index."""
 
     def sweep(self, now: float) -> int:

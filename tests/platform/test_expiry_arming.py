@@ -26,12 +26,20 @@ from .helpers import (
 
 
 def _armed(engine, server):
-    """Payloads of the queued, uncancelled running-expiry events."""
+    """Assignment records of the queued, uncancelled running-expiry events."""
     return [
         entry[3].payload
         for entry in engine._heap
         if entry[3].callback == server._on_running_expiry and not entry[3].cancelled
     ]
+
+
+def _current(server, task):
+    """The task's current assignment record, as a one-item list."""
+    assignment = server.task_management.assignment(task.task_id)
+    assert assignment is not None and assignment.live()
+    assert (assignment.worker_id, assignment.generation) == (0, 1)
+    return [assignment]
 
 
 def _assigned(behavior, deadline, policy=None, hook=None):
@@ -47,27 +55,27 @@ def _assigned(behavior, deadline, policy=None, hook=None):
 class TestPushDelivery:
     def test_abandoned_draw_arms(self):
         engine, server, task = _assigned(abandoner_behavior(delay_cap=30.0), 600.0)
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)
 
     def test_duration_beyond_deadline_arms(self):
         # A dawdler draws ~129-130 s against a 60 s deadline.
         engine, server, task = _assigned(dawdler_behavior(delay_cap=130.0), 60.0)
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)
 
     def test_duration_equal_to_remaining_arms(self):
-        def finish_at_deadline(execution, task, worker):
-            execution.duration = task.absolute_deadline - task.assigned_at
+        def finish_at_deadline(assignment):
+            assignment.duration = assignment.task.absolute_deadline - assignment.assigned_at
 
         engine, server, task = _assigned(
             reliable_behavior(), 60.0, hook=finish_at_deadline
         )
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)
 
     def test_duration_before_deadline_skips(self):
         engine, server, task = _assigned(reliable_behavior(), 90.0)
         assert _armed(engine, server) == []
-        execution = server._live[(task.task_id, 1)]
-        assert execution.skipped_expiry_at == task.absolute_deadline
+        assignment = server.task_management.assignment(task.task_id)
+        assert assignment.skipped_expiry_at == task.absolute_deadline
         engine.run(until=200.0)
         assert task.phase is TaskPhase.COMPLETED
         assert server.metrics.expiry_returns == 0
@@ -75,12 +83,12 @@ class TestPushDelivery:
     def test_decided_after_execution_hook(self):
         """A hook that turns a fast draw into a no-show gets the expiry."""
 
-        def no_show(execution, task, worker):
-            execution.abandoned = True
-            execution.duration = 1.0
+        def no_show(assignment):
+            assignment.abandoned = True
+            assignment.duration = 1.0
 
         engine, server, task = _assigned(reliable_behavior(), 90.0, hook=no_show)
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)
 
     def test_traditional_never_arms(self):
         engine, server, _ = _assigned(
@@ -103,7 +111,7 @@ class TestPullDelivery:
         task = submit(server, engine, deadline=90.0)
         engine.run(until=0.5)
         assert task.phase is TaskPhase.ASSIGNED
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)
 
 
 class TestInjectedAbandonment:
@@ -118,7 +126,7 @@ class TestInjectedAbandonment:
         engine.run(until=5.0)
         before = server.metrics.expiry_returns
         assert server.inject_abandonment(task.task_id)
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)
         engine.run(until=task.absolute_deadline - 1e-6)
         assert task.phase is TaskPhase.ASSIGNED
         assert server.metrics.expiry_returns == before
@@ -129,4 +137,4 @@ class TestInjectedAbandonment:
     def test_armed_expiry_not_doubled(self):
         engine, server, task = _assigned(dawdler_behavior(delay_cap=130.0), 60.0)
         assert server.inject_abandonment(task.task_id)
-        assert _armed(engine, server) == [(task.task_id, 0, 1)]
+        assert _armed(engine, server) == _current(server, task)

@@ -5,17 +5,12 @@ Thin wrapper over :mod:`repro.experiments.perf` so the harness can be run
 without installing the package::
 
     python benchmarks/perf/run.py [--quick] [--out DIR]
-    python benchmarks/perf/run.py --endtoend-only [--parallel N]
-    python benchmarks/perf/run.py --endtoend-only --check BENCH_endtoend.json
 
 Writes ``BENCH_matching.json``, ``BENCH_platform.json`` and
-``BENCH_endtoend.json`` to the repo root (or ``--out DIR``) and prints the
+``BENCH_service.json`` to the repo root (or ``--out DIR``) and prints the
 throughput table.  Compare the JSON files across commits to catch
-regressions; see docs/PERFORMANCE.md.
-
-``--check BASELINE`` re-runs the end-to-end throughput suite and exits
-non-zero when any sequential-variant rate falls more than ``--tolerance``
-(default 20%) below the committed baseline — the CI regression guard.
+regressions; see docs/PERFORMANCE.md.  The end-to-end run is gated by
+``gate_e2e.py`` in this directory.
 """
 
 from __future__ import annotations
@@ -27,14 +22,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.perf import (  # noqa: E402
-    check_endtoend_regression,
-    format_report,
-    repo_root,
-    run_bench,
-    run_endtoend_throughput,
-    write_bench_file,
-)
+from repro.experiments.perf import run_bench  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -45,59 +33,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None, metavar="DIR", help="directory for BENCH_*.json"
     )
-    parser.add_argument(
-        "--endtoend-only",
-        action="store_true",
-        help="run only the end-to-end throughput suite (BENCH_endtoend.json)",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for the parallel end-to-end variant "
-        "(default: one shard per policy; 0 disables the variant)",
-    )
-    parser.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare fresh end-to-end throughput against this committed "
-        "BENCH_endtoend.json and exit 1 on regression (implies "
-        "--endtoend-only)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed fractional throughput drop for --check (default 0.2)",
-    )
     args = parser.parse_args(argv)
-
-    if args.check or args.endtoend_only:
-        out_dir = repo_root() if args.out is None else Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results = run_endtoend_throughput(
-            quick=args.quick, parallel=args.parallel
-        )
-        print(format_report(results))
-        print(f"# wrote {write_bench_file(out_dir / 'BENCH_endtoend.json', results)}")
-        if args.check:
-            failures = check_endtoend_regression(
-                results, Path(args.check), tolerance=args.tolerance
-            )
-            if failures:
-                for failure in failures:
-                    print(f"REGRESSION: {failure}", file=sys.stderr)
-                return 1
-            print(f"# throughput within {args.tolerance:.0%} of {args.check}")
-        return 0
-
-    print(
-        run_bench(
-            quick=args.quick, out_dir=args.out, endtoend_parallel=args.parallel
-        )
-    )
+    print(run_bench(quick=args.quick, out_dir=args.out))
     return 0
 
 

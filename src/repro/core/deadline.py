@@ -39,7 +39,7 @@ import numpy as np
 from ..model.worker_table import WorkerRows
 from ..stats.duration_models import DurationModel, DurationModelFamily, PowerLawFamily
 from ..stats.powerlaw import PowerLawFit
-from .kernels.deadline import powerlaw_ccdf_grid, powerlaw_ccdf_values
+from .kernels.deadline import powerlaw_ccdf_values
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,9 @@ class DeadlineEstimator:
         trained, alpha, k_min = self._fitted_rows(workers)
         powerlaw = np.flatnonzero(trained & ~np.isnan(alpha))
         if len(powerlaw):
-            out[powerlaw, :] = 1.0 - powerlaw_ccdf_grid(alpha[powerlaw], k_min[powerlaw], ttd)
+            out[powerlaw, :] = 1.0 - powerlaw_ccdf_values(
+                alpha[powerlaw, None], k_min[powerlaw, None], ttd[None, :]
+            )
         if len(powerlaw) != np.count_nonzero(trained):
             fits = workers.fits
             for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():

@@ -28,12 +28,11 @@ bit.
 
 from __future__ import annotations
 
-from .deadline import powerlaw_ccdf_grid, powerlaw_ccdf_values
+from .deadline import powerlaw_ccdf_values
 from .wbgm import metropolis_match, wbgm_accept_loop
 
 __all__ = [
     "metropolis_match",
     "wbgm_accept_loop",
-    "powerlaw_ccdf_grid",
     "powerlaw_ccdf_values",
 ]

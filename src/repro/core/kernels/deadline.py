@@ -1,11 +1,11 @@
-"""Batched power-law CCDF kernels for the Eq. (2)/(3) hot paths.
+"""Batched power-law CCDF kernel for the Eq. (2)/(3) hot paths.
 
 :class:`~repro.stats.powerlaw.PowerLawFit.ccdf` evaluates one fitted worker
 at a time.  Graph construction (Eq. 3) needs the whole worker × deadline
 grid and the reassignment sweep (Eq. 2) needs one probability per assigned
-task; both previously looped over workers in Python.  These helpers stack
-the per-worker parameters (``alpha``, ``k_min``) into arrays and evaluate a
-single broadcasted ``np.power``.
+task; both previously looped over workers in Python.  One helper serves
+both: it takes the per-worker parameters (``alpha``, ``k_min``) as arrays
+and evaluates a single broadcasted ``np.power``.
 
 Elementwise the computation is identical to the scalar path —
 ``(k / k_min) ** (1 - alpha)``, head values (``k <= k_min``) forced to 1,
@@ -18,32 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def powerlaw_ccdf_grid(
-    alpha: np.ndarray, k_min: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """CCDF grid for many fits over a shared horizon vector.
-
-    Parameters are ``(W,)`` arrays of per-worker fit parameters and a
-    ``(T,)`` horizon vector; the result is the ``(W, T)`` matrix with
-    ``out[i, j] = P_i(k_j)``.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    k_min = np.asarray(k_min, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.power(k[None, :] / k_min[:, None], 1.0 - alpha[:, None])
-    out = np.where(k[None, :] <= k_min[:, None], 1.0, out)
-    return np.clip(out, 0.0, 1.0)
-
-
 def powerlaw_ccdf_values(
     alpha: np.ndarray, k_min: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
     """Pointwise CCDF: fit ``i`` evaluated at its own horizon ``k[i]``.
 
-    All three arguments are ``(N,)`` arrays; the result is ``(N,)`` with
-    ``out[i] = P_i(k_i)``.  This is the Eq. (2) sweep shape: one assigned
-    task per row, each with its own worker fit and elapsed/deadline horizon.
+    With ``(N,)`` arrays the result is ``(N,)`` with ``out[i] = P_i(k_i)``:
+    the Eq. (2) sweep shape, one assigned task per row, each with its own
+    worker fit and elapsed/deadline horizon.  The arguments broadcast, so
+    ``(W, 1)`` parameters over a ``(1, T)`` horizon give the Eq. (3)
+    worker × deadline grid ``out[i, j] = P_i(k_j)``.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     k_min = np.asarray(k_min, dtype=np.float64)

@@ -5,7 +5,7 @@ from .greedy import GreedyMatcher, SortedGreedyMatcher
 from .hungarian import HungarianMatcher
 from .metropolis import MetropolisMatcher, MetropolisParameters
 from .react import ReactMatcher, ReactParameters
-from .registry import available_matchers, create_matcher, register
+from .registry import available_matchers, create_matcher
 from .uniform import UniformMatcher
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "ReactParameters",
     "available_matchers",
     "create_matcher",
-    "register",
     "UniformMatcher",
 ]

@@ -1,8 +1,8 @@
-"""Name → matcher factory registry.
+"""Name → matcher factory table.
 
 Experiment configs refer to matchers by name ("react", "greedy", ...); the
-registry turns those names into configured instances so the harnesses stay
-declarative.
+table turns those names into configured instances so the harnesses stay
+declarative.  It is fixed: a new matcher is added here.
 """
 
 from __future__ import annotations
@@ -15,17 +15,19 @@ from .hungarian import HungarianMatcher
 from .metropolis import MetropolisMatcher, MetropolisParameters
 from .react import ReactMatcher, ReactParameters
 from .threshold import ThresholdMatcher
+from .uniform import UniformMatcher
 
 MatcherFactory = Callable[..., Matcher]
 
-_REGISTRY: Dict[str, MatcherFactory] = {}
-
-
-def register(name: str, factory: MatcherFactory) -> None:
-    """Register a matcher factory; re-registering a name is an error."""
-    if name in _REGISTRY:
-        raise ValueError(f"matcher {name!r} is already registered")
-    _REGISTRY[name] = factory
+_FACTORIES: Dict[str, MatcherFactory] = {
+    "react": ReactMatcher,
+    "metropolis": MetropolisMatcher,
+    "greedy": GreedyMatcher,
+    "sorted-greedy": SortedGreedyMatcher,
+    "hungarian": HungarianMatcher,
+    "threshold": ThresholdMatcher,
+    "uniform": UniformMatcher,
+}
 
 
 def create_matcher(
@@ -35,14 +37,14 @@ def create_matcher(
     k_constant: Optional[float] = None,
     adaptive_cycles: bool = False,
 ) -> Matcher:
-    """Instantiate a matcher by registry name.
+    """Instantiate a matcher by name.
 
     ``cycles`` / ``k_constant`` apply to the randomized matchers and are
     rejected (rather than silently ignored) for deterministic ones.
     """
-    if name not in _REGISTRY:
+    if name not in _FACTORIES:
         raise KeyError(
-            f"unknown matcher {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown matcher {name!r}; known: {sorted(_FACTORIES)}"
         )
     randomized = name in ("react", "metropolis")
     if not randomized and (cycles is not None or k_constant is not None or adaptive_cycles):
@@ -60,23 +62,9 @@ def create_matcher(
             k_constant=0.05 if k_constant is None else k_constant,
         )
         return MetropolisMatcher(params)
-    return _REGISTRY[name]()
+    return _FACTORIES[name]()
 
 
 def available_matchers() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(_FACTORIES)
 
-
-# Built-in registrations.
-register("react", ReactMatcher)
-register("metropolis", MetropolisMatcher)
-register("greedy", GreedyMatcher)
-register("sorted-greedy", SortedGreedyMatcher)
-register("hungarian", HungarianMatcher)
-register("threshold", ThresholdMatcher)
-
-# UniformMatcher registers here too, imported late to avoid a cycle in
-# postponed-annotation evaluation order.
-from .uniform import UniformMatcher  # noqa: E402
-
-register("uniform", UniformMatcher)

@@ -17,7 +17,9 @@ bench-specific rate (cycles/s for matchers, edges/s for graph build,
 cells/s or rows/s for the deadline evaluators).
 
 Usage: ``python -m repro.experiments bench [--quick]`` or the thin driver
-``benchmarks/perf/run.py``.
+``benchmarks/perf/run.py``.  The end-to-end §V-C run is not timed here:
+``benchmarks/e2e`` is its benchmark, and ``benchmarks/perf/gate_e2e.py``
+compares it with a base commit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -666,292 +668,6 @@ def run_overhead_benchmark(quick: bool = False) -> BenchResult:
     )
 
 
-# -------------------------------------------------------------- parallelism
-def run_parallel_benchmark(quick: bool = False, workers: Optional[int] = None) -> BenchResult:
-    """1-vs-N-worker wall-clock on the sharded scalability sweep.
-
-    Times :func:`repro.dist.run_scalability_sharded` at ``parallel=1`` and
-    ``parallel=workers`` on the same sweep and records the speedup.  The
-    speedup is hardware-bound — ``os.cpu_count`` is recorded in the params
-    because a 1-core runner cannot show one regardless of shard count
-    (shards then time-slice a single core and the pool only adds spawn and
-    pickling overhead).
-    """
-    from ..dist import run_scalability_sharded
-    from .config import ScalabilityConfig
-
-    if workers is None:
-        workers = 2 if quick else 4
-    config = (
-        ScalabilityConfig(
-            worker_sizes=(50, 100),
-            rates=(0.75, 1.5),
-            duration=200.0,
-            drain_time=200.0,
-        )
-        if quick
-        else ScalabilityConfig(
-            worker_sizes=(50, 100, 200),
-            rates=(0.75, 1.5, 3.0),
-            duration=300.0,
-            drain_time=300.0,
-        )
-    )
-
-    start = time.perf_counter()
-    serial = run_scalability_sharded(config, parallel=1)
-    serial_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = run_scalability_sharded(config, parallel=workers)
-    parallel_wall = time.perf_counter() - start
-
-    if serial.results.points != sharded.results.points:
-        raise RuntimeError("parallel sweep diverged from serial sweep")
-
-    speedup = serial_wall / parallel_wall if parallel_wall > 0 else 0.0
-    logger.info(
-        "parallel bench: serial=%.2fs parallel(%d)=%.2fs speedup=%.2fx (cpus=%s)",
-        serial_wall, workers, parallel_wall, speedup, os.cpu_count(),
-    )
-    return BenchResult(
-        bench="scalability_parallel",
-        params={
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "shards": sharded.shard_count,
-            "serial_wall_seconds": serial_wall,
-            "speedup_vs_serial": speedup,
-        },
-        wall_seconds=parallel_wall,
-        throughput=sharded.shard_count / parallel_wall if parallel_wall > 0 else 0.0,
-        commit=git_commit(),
-    )
-
-
-# ------------------------------------------------------------- end-to-end
-#: Sequential driver baseline from before the event-loop and WBGM-kernel
-#: optimisations, at the default comparison workload (``EndToEndConfig()``
-#: defaults x ``default_policies()``), measured back-to-back with the
-#: optimized tree on the same host (stash the working tree, time the old
-#: driver, pop, time the new one).  Pinned here so BENCH_endtoend.json can
-#: report ``speedup_vs_pre_pr`` without re-running the superseded driver on
-#: every bench invocation; re-measure and update when the comparison
-#: workload changes.
-PRE_PR_SEQUENTIAL_THROUGHPUT = 2032.0
-
-PRE_PR_SEQUENTIAL: Dict[str, object] = {
-    "commit": "b00b4832c94cfd39483e7a16aaaa19d29aa3ad3c",
-    "wall_seconds": 7.68,
-    "completed": 15601,
-    "throughput": PRE_PR_SEQUENTIAL_THROUGHPUT,
-}
-
-
-def run_endtoend_throughput(
-    quick: bool = False, parallel: Optional[int] = None
-) -> List[BenchResult]:
-    """Simulated task-completions/sec on the fixed seeded §V-C workload.
-
-    Two variants over the same deterministic workload (``EndToEndConfig()``
-    defaults, seed 42, the §V-C comparison policies):
-
-    * ``sequential`` — ``run_endtoend`` per policy, one after another, the
-      way ``python -m repro.experiments endtoend`` drives the comparison.
-      One record per policy plus an aggregate whose ``throughput`` is total
-      completed tasks over total wall time.
-    * ``parallel`` — the same comparison through
-      :func:`repro.dist.run_comparison_sharded` with one shard per policy
-      (``parallel=0`` skips it).  The per-policy runs are independent, so
-      on a host with at least one core per policy the comparison's wall
-      collapses to the slowest single policy; a 1-core runner time-slices
-      the shards and shows ~1x regardless, which is why ``cpu_count`` is
-      recorded next to the speedup.
-
-    Full (non-quick) records carry ``speedup_vs_pre_pr`` against
-    :data:`PRE_PR_SEQUENTIAL`, plus a ``projected_parallel_speedup_vs_pre_pr``
-    derived from the measured per-policy walls (total completions over the
-    slowest policy's wall) — the number the parallel variant converges to
-    once every shard has its own core.
-    """
-    from ..dist import run_comparison_sharded
-    from .config import EndToEndConfig
-    from .endtoend import default_policies, run_endtoend
-
-    config = (
-        EndToEndConfig(
-            n_workers=60, arrival_rate=1.5, n_tasks=150, drain_time=150.0
-        )
-        if quick
-        else EndToEndConfig()
-    )
-    policies = list(default_policies())
-    repeats = 1 if quick else 3
-    commit = git_commit()
-    workload: Dict[str, object] = {
-        "n_workers": config.n_workers,
-        "n_tasks": config.n_tasks,
-        "repeats": repeats,
-    }
-    results: List[BenchResult] = []
-
-    walls: Dict[str, float] = {}
-    sequential_runs: Dict[str, Any] = {}
-    for policy in policies:
-
-        def run(policy: Any = policy) -> None:
-            sequential_runs[policy.name] = run_endtoend(policy, config)
-
-        wall, _ = _median_wall(run, repeats)
-        walls[policy.name] = wall
-        done = int(sequential_runs[policy.name].summary["completed"])
-        results.append(
-            BenchResult(
-                bench="endtoend_throughput",
-                params={
-                    "variant": "sequential",
-                    "policy": policy.name,
-                    "completed": done,
-                    **workload,
-                },
-                wall_seconds=wall,
-                throughput=done / wall,
-                commit=commit,
-            )
-        )
-
-    total_wall = sum(walls.values())
-    total_done = sum(
-        int(r.summary["completed"]) for r in sequential_runs.values()
-    )
-    agg_params: Dict[str, object] = {
-        "variant": "sequential",
-        "policy": "all",
-        "policies": [p.name for p in policies],
-        "completed": total_done,
-        "cpu_count": os.cpu_count(),
-        **workload,
-    }
-    if not quick:
-        agg_params["pre_pr"] = dict(PRE_PR_SEQUENTIAL)
-        agg_params["speedup_vs_pre_pr"] = (
-            total_done / total_wall
-        ) / PRE_PR_SEQUENTIAL_THROUGHPUT
-        agg_params["projected_parallel_speedup_vs_pre_pr"] = (
-            total_done / max(walls.values())
-        ) / PRE_PR_SEQUENTIAL_THROUGHPUT
-    results.append(
-        BenchResult(
-            bench="endtoend_throughput",
-            params=agg_params,
-            wall_seconds=total_wall,
-            throughput=total_done / total_wall,
-            commit=commit,
-        )
-    )
-
-    shards = len(policies) if parallel is None else parallel
-    if shards > 0:
-        box: Dict[str, Any] = {}
-
-        def run_sharded() -> None:
-            box["run"] = run_comparison_sharded(
-                config, policies=policies, parallel=shards
-            )
-
-        wall, _ = _median_wall(run_sharded, repeats)
-        sharded = box["run"]
-        for name, seq in sequential_runs.items():
-            if sharded.results[name].summary != seq.summary:
-                raise RuntimeError(
-                    f"sharded comparison diverged from sequential for {name}"
-                )
-        params: Dict[str, object] = {
-            "variant": "parallel",
-            "policy": "all",
-            "shards": sharded.shard_count,
-            "completed": total_done,
-            "cpu_count": os.cpu_count(),
-            "speedup_vs_sequential": total_wall / wall if wall > 0 else 0.0,
-            **workload,
-        }
-        if not quick:
-            params["speedup_vs_pre_pr"] = (
-                total_done / wall
-            ) / PRE_PR_SEQUENTIAL_THROUGHPUT
-        results.append(
-            BenchResult(
-                bench="endtoend_throughput",
-                params=params,
-                wall_seconds=wall,
-                throughput=total_done / wall,
-                commit=commit,
-            )
-        )
-    logger.info(
-        "endtoend bench: sequential %.2fs (%.0f completions/s)",
-        total_wall, total_done / total_wall,
-    )
-    return results
-
-
-def check_endtoend_regression(
-    results: List[BenchResult],
-    baseline_path: Path,
-    tolerance: float = 0.2,
-) -> List[str]:
-    """Gate fresh end-to-end throughput against a committed baseline.
-
-    Matches sequential-variant records on (policy, workload) and
-    returns one failure string per match whose throughput fell more than
-    ``tolerance`` below the committed number.  Parallel-variant records are
-    informational only — their rate is a function of the measuring host's
-    core count, not of the code.  When *nothing* matches (workload drift
-    between the run and the baseline) a single failure is returned so the
-    gate cannot pass vacuously.
-    """
-    records = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-
-    def key(params: Dict[str, object]) -> tuple:
-        return (
-            params.get("policy"),
-            params.get("n_workers"),
-            params.get("n_tasks"),
-        )
-
-    baseline = {
-        key(r["params"]): r
-        for r in records
-        if r.get("bench") == "endtoend_throughput"
-        and r["params"].get("variant") == "sequential"
-    }
-    failures: List[str] = []
-    compared = 0
-    for r in results:
-        if r.bench != "endtoend_throughput":
-            continue
-        if r.params.get("variant") != "sequential":
-            continue
-        base = baseline.get(key(r.params))
-        if base is None:
-            continue
-        compared += 1
-        floor = float(base["throughput"]) * (1.0 - tolerance)
-        if r.throughput < floor:
-            failures.append(
-                f"endtoend_throughput[{r.params.get('policy')}]: "
-                f"{r.throughput:.0f} completions/s is more than "
-                f"{tolerance:.0%} below the committed "
-                f"{float(base['throughput']):.0f}/s"
-            )
-    if compared == 0:
-        failures.append(
-            f"no records comparable to {baseline_path} "
-            "(workload mismatch between run and baseline?)"
-        )
-    return failures
-
-
 # -------------------------------------------------------------------- service
 def run_service_benchmark(quick: bool = False) -> BenchResult:
     """Live-gateway round-trip throughput over real HTTP (docs/SERVICE.md).
@@ -1034,15 +750,11 @@ def format_report(results: List[BenchResult]) -> str:
     ]
     for r in results:
         # The detail column disambiguates records sharing a bench name: the
-        # kernel label for matcher records, variant/policy for end-to-end.
+        # kernel label and graph shape of the matcher records.
         detail = str(r.params.get("backend", "-"))
         if "shape" in r.params:
             detail = f"{detail}:{r.params['shape']}"
-        if "variant" in r.params:
-            detail = f"{str(r.params['variant'])[:3]}:{r.params.get('policy', 'all')}"
         speedup = r.params.get("speedup_vs_reference")
-        if speedup is None:
-            speedup = r.params.get("speedup_vs_pre_pr")
         lines.append(
             f"{r.bench:<22} {detail:<18} {r.wall_seconds * 1e3:>10.2f} "
             f"{r.throughput:>14.0f} "
@@ -1051,11 +763,7 @@ def format_report(results: List[BenchResult]) -> str:
     return "\n".join(lines)
 
 
-def run_bench(
-    quick: bool = False,
-    out_dir: Optional[Path] = None,
-    endtoend_parallel: Optional[int] = None,
-) -> str:
+def run_bench(quick: bool = False, out_dir: Optional[Path] = None) -> str:
     """Run every bench, write BENCH_*.json, return the text report."""
     out_dir = repo_root() if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1064,21 +772,16 @@ def run_bench(
     logger.info("bench: platform suite")
     platform = run_platform_benchmarks(quick)
     platform.append(run_overhead_benchmark(quick))
-    logger.info("bench: parallel sweep")
-    platform.append(run_parallel_benchmark(quick))
-    logger.info("bench: end-to-end throughput")
-    endtoend = run_endtoend_throughput(quick, parallel=endtoend_parallel)
     logger.info("bench: service gateway")
     service = [run_service_benchmark(quick)]
     written = [
         write_bench_file(out_dir / "BENCH_matching.json", matching),
         write_bench_file(out_dir / "BENCH_platform.json", platform),
-        write_bench_file(out_dir / "BENCH_endtoend.json", endtoend),
         write_bench_file(out_dir / "BENCH_service.json", service),
     ]
     report = [
         "# Perf micro-benchmarks" + (" (--quick)" if quick else ""),
-        format_report(matching + platform + endtoend + service),
+        format_report(matching + platform + service),
     ]
     report.extend(f"# wrote {p}" for p in written)
     return "\n".join(report)

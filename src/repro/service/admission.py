@@ -21,6 +21,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -81,13 +82,18 @@ class AdmissionConfig:
     backlog_retry_after: float = 1.0
 
     def __post_init__(self) -> None:
+        # ``0 < x < inf`` is False for NaN too.  A NaN rate would refill the
+        # bucket to ``burst`` on every call, so it would admit everything.
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if self.max_in_flight < 1:
             raise ValueError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
             )
-        if self.backlog_retry_after <= 0:
+        if not 0 < self.backlog_retry_after < math.inf:
             raise ValueError(
-                f"backlog_retry_after must be positive, got {self.backlog_retry_after}"
+                "backlog_retry_after must be positive and finite, "
+                f"got {self.backlog_retry_after}"
             )
 
 

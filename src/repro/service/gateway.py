@@ -37,6 +37,7 @@ draws behaviour outcomes — deadline hits are whatever the wall clock says.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, cast
 
@@ -87,6 +88,14 @@ class GatewayConfig:
     seed: int = 20130521
     #: Wall-second budget for the drain phase of :meth:`ServiceGateway.stop`.
     drain_timeout: float = 10.0
+
+    def __post_init__(self) -> None:
+        # A NaN deadline never compares as reached: stop() would wait for
+        # the backlog forever.
+        if not 0 <= self.drain_timeout < math.inf:
+            raise ValueError(
+                f"drain_timeout must be >= 0 and finite, got {self.drain_timeout}"
+            )
 
 
 class ServiceGateway:

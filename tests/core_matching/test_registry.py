@@ -1,11 +1,11 @@
-"""Unit tests for the matcher registry."""
+"""Unit tests for the matcher name table."""
 
 import pytest
 
 from repro.core.matching.greedy import GreedyMatcher
 from repro.core.matching.metropolis import MetropolisMatcher
 from repro.core.matching.react import ReactMatcher
-from repro.core.matching.registry import available_matchers, create_matcher, register
+from repro.core.matching.registry import available_matchers, create_matcher
 
 
 class TestCreate:
@@ -41,21 +41,3 @@ class TestCreate:
         with pytest.raises(KeyError, match="unknown matcher"):
             create_matcher("quantum")
 
-
-class TestRegister:
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register("react", ReactMatcher)
-
-    def test_custom_registration(self):
-        class Custom(GreedyMatcher):
-            name = "custom-test-matcher"
-
-        register("custom-test-matcher", Custom)
-        try:
-            assert isinstance(create_matcher("custom-test-matcher"), Custom)
-        finally:
-            # keep the global registry clean for other tests
-            from repro.core.matching import registry
-
-            del registry._REGISTRY["custom-test-matcher"]

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
 from repro.experiments.cli import COMMANDS
 from repro.experiments.perf import (
     BenchResult,
-    check_endtoend_regression,
     format_report,
     run_bench,
     run_matching_benchmarks,
-    write_bench_file,
 )
 
 SCHEMA_KEYS = {"bench", "params", "wall_seconds", "throughput", "commit"}
@@ -40,34 +39,19 @@ class TestMatchingBenchmarks:
 
 class TestDriver:
     def test_run_bench_writes_json_files(self, tmp_path):
-        # endtoend_parallel=0 skips the sharded variant: the multiprocessing
-        # spawn adds ~10 s of pure overhead on a 1-core test runner and the
-        # variant's mechanics are covered by tests/dist.
-        report = run_bench(quick=True, out_dir=tmp_path, endtoend_parallel=0)
+        report = run_bench(quick=True, out_dir=tmp_path)
         for name in (
             "BENCH_matching.json",
             "BENCH_platform.json",
-            "BENCH_endtoend.json",
+            "BENCH_service.json",
         ):
             payload = json.loads((tmp_path / name).read_text())
             assert isinstance(payload, list) and payload
             for record in payload:
                 assert set(record) == SCHEMA_KEYS
             assert name in report
-        endtoend = json.loads((tmp_path / "BENCH_endtoend.json").read_text())
-        assert all(r["bench"] == "endtoend_throughput" for r in endtoend)
-        by_policy = {r["params"]["policy"]: r for r in endtoend}
-        assert set(by_policy) == {"react", "greedy", "traditional", "all"}
-        aggregate = by_policy["all"]
-        assert aggregate["params"]["variant"] == "sequential"
-        assert aggregate["params"]["completed"] == sum(
-            by_policy[p]["params"]["completed"]
-            for p in ("react", "greedy", "traditional")
-        )
-        assert aggregate["throughput"] > 0
-        # Quick runs use a non-comparable workload, so they must not carry
-        # the committed pre-PR speedup numbers.
-        assert "speedup_vs_pre_pr" not in aggregate["params"]
+        # The end-to-end run is benchmarks/e2e's; no harness here times it.
+        assert not (tmp_path / "BENCH_endtoend.json").exists()
         platform = json.loads((tmp_path / "BENCH_platform.json").read_text())
         assert {r["bench"] for r in platform} == {
             "distance_weight",
@@ -76,20 +60,12 @@ class TestDriver:
             "monitor_sweep",
             "graph_build",
             "endtoend_obs_overhead",
-            "scalability_parallel",
         }
         graph_build = next(r for r in platform if r["bench"] == "graph_build")
         # The §V-C batch shape: 350 of the 750 registered workers are busy,
         # so each build reads 400 rows.
         assert graph_build["params"]["registered"] == 750
         assert graph_build["params"]["available"] == 400
-        parallel = next(
-            r for r in platform if r["bench"] == "scalability_parallel"
-        )
-        # Speedup is hardware-bound (1-core CI cannot show one), so the
-        # schema records cpu_count alongside it instead of asserting a ratio.
-        assert parallel["params"]["cpu_count"] is not None
-        assert parallel["params"]["speedup_vs_serial"] > 0
 
     def test_format_report_handles_missing_backend(self):
         text = format_report(
@@ -101,77 +77,105 @@ class TestDriver:
         assert "bench" in COMMANDS
 
 
-def _endtoend_record(policy, throughput, variant="sequential"):
-    return BenchResult(
-        bench="endtoend_throughput",
-        params={
-            "variant": variant,
-            "policy": policy,
-            "n_workers": 750,
-            "n_tasks": 8371,
-        },
-        wall_seconds=1.0,
-        throughput=throughput,
+
+
+def _load_gate():
+    path = Path(__file__).parents[2] / "benchmarks" / "perf" / "gate_e2e.py"
+    spec = importlib.util.spec_from_file_location("gate_e2e", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = _load_gate()
+SPEC = json.loads((Path(__file__).parents[2] / "BENCHMARK.json").read_text())
+WORKLOADS = [entry["name"] for entry in SPEC["workloads"]]
+BASE_METRICS = {"completions_per_ref_s": 5000.0, "peak_rss_mb": 80.0, "setup_s": 0.4}
+
+
+def _line(correct=True, skip=(), **changes):
+    """A fabricated ``run.py`` result line: every workload at BASE_METRICS.
+
+    ``changes`` maps ``<workload>__<metric>`` to a new value.
+    """
+    workloads = {}
+    for name in WORKLOADS:
+        if name in skip:
+            continue
+        metrics = {}
+        for metric, value in BASE_METRICS.items():
+            value = changes.get(f"{name}__{metric}", value)
+            metrics[metric] = {"value": value, "unit": "-"}
+        workloads[name] = {
+            "correct": correct,
+            "attempted": 3,
+            "failed": 0 if correct else 1,
+            "metrics": metrics if correct else {},
+        }
+    return json.dumps({"workloads": workloads})
+
+
+def _compare(head_lines, base_lines=None, spec=SPEC):
+    base_lines = base_lines or [_line()] * gate.PAIRS
+    return gate.compare(
+        spec,
+        [gate.last_json(f"noise\n{line}\n") for line in base_lines],
+        [gate.last_json(line) for line in head_lines],
     )
 
 
-class TestEndtoendRegressionCheck:
-    """The CI gate: fresh sequential rates vs the committed baseline."""
+class TestGateE2E:
+    """benchmarks/perf/gate_e2e.py: medians of both sides against the bounds."""
 
-    def _baseline(self, tmp_path, throughput=1000.0):
-        path = tmp_path / "BENCH_endtoend.json"
-        write_bench_file(path, [_endtoend_record("react", throughput)])
-        return path
-
-    def test_within_tolerance_passes(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        fresh = [_endtoend_record("react", 850.0)]  # -15% < 20% tolerance
-        assert check_endtoend_regression(fresh, baseline, tolerance=0.2) == []
-
-    def test_regression_fails(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        fresh = [_endtoend_record("react", 700.0)]  # -30%
-        failures = check_endtoend_regression(fresh, baseline, tolerance=0.2)
-        assert len(failures) == 1
-        assert "react" in failures[0]
-
-    def test_parallel_variant_is_informational(self, tmp_path):
-        # Parallel rates depend on the host's core count, not the code, so
-        # only sequential records gate — but a baseline with *no* matching
-        # sequential record must fail rather than pass vacuously.
-        baseline = self._baseline(tmp_path)
-        sequential_ok = _endtoend_record("react", 990.0)
-        parallel_slow = _endtoend_record("all", 10.0, variant="parallel")
-        assert (
-            check_endtoend_regression(
-                [sequential_ok, parallel_slow], baseline, tolerance=0.2
-            )
-            == []
+    def test_within_bound_passes(self):
+        # -15% throughput and +9% memory sit inside the 20% and 10% bounds.
+        lines, failures = _compare(
+            [_line(vc_comparison__completions_per_ref_s=4250.0,
+                   churn_crowd__peak_rss_mb=87.2)] * gate.PAIRS
         )
-        assert check_endtoend_regression([parallel_slow], baseline) != []
+        assert failures == []
+        assert len(lines) == 1 + len(WORKLOADS) * len(SPEC["end_to_end"])
 
-    def test_workload_mismatch_fails_loudly(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        fresh = [_endtoend_record("react", 5000.0)]
-        fresh[0].params["n_workers"] = 60  # a --quick run
-        failures = check_endtoend_regression(fresh, baseline)
+    def test_beyond_bound_fails_naming_workload_and_metric(self):
+        slow = _line(vc_sharded__completions_per_ref_s=3500.0)  # -30%
+        fat = _line(churn_crowd__peak_rss_mb=90.0)  # +12.5%
+        _, failures = _compare([slow, slow, slow, fat, fat])
         assert len(failures) == 1
-        assert "comparable" in failures[0]
+        assert failures[0].startswith("vc_sharded completions_per_ref_s")
+        _, failures = _compare([fat, fat, fat, slow, slow])
+        assert len(failures) == 1
+        assert failures[0].startswith("churn_crowd peak_rss_mb")
 
-    def test_committed_baseline_is_comparable(self):
-        # Fresh records carry no ``backend`` label while the committed
-        # baseline does; the gate must still compare them (it reports a
-        # failure when it compares nothing).
-        baseline = Path(__file__).parents[2] / "BENCH_endtoend.json"
-        fresh = [
-            BenchResult(
-                bench=r["bench"],
-                params={k: v for k, v in r["params"].items() if k != "backend"},
-                wall_seconds=r["wall_seconds"],
-                throughput=r["throughput"],
-            )
-            for r in json.loads(baseline.read_text(encoding="utf-8"))
-            if r["params"].get("variant") == "sequential"
-        ]
-        assert fresh
-        assert check_endtoend_regression(fresh, baseline) == []
+    def test_direction_comes_from_better(self):
+        # Higher memory passes once BENCHMARK.json says higher is better.
+        fat = [_line(vc_comparison__peak_rss_mb=120.0)] * gate.PAIRS
+        assert _compare(fat)[1] != []
+        flipped = json.loads(json.dumps(SPEC))
+        for entry in flipped["end_to_end"]:
+            entry["better"] = "higher" if entry["better"] == "lower" else "lower"
+        assert _compare(fat, spec=flipped)[1] == []
+        # ... and lower throughput then passes while higher fails.
+        faster = [_line(vc_comparison__completions_per_ref_s=9000.0)] * gate.PAIRS
+        assert _compare(faster)[1] == []
+        assert _compare(faster, spec=flipped)[1] != []
+
+    def test_incorrect_run_fails(self):
+        head = [_line()] * (gate.PAIRS - 1) + [_line(correct=False)]
+        _, failures = _compare(head)
+        assert failures and all("is incorrect" in f for f in failures)
+        _, failures = _compare([_line()] * gate.PAIRS, base_lines=[_line(correct=False)])
+        assert failures and failures[0].startswith("base run 1")
+        _, failures = _compare(["Traceback (most recent call last):"])
+        assert failures == ["head run 1: no result line"]
+
+    def test_missing_workload_fails(self):
+        _, failures = _compare([_line(skip=("churn_crowd",))] * gate.PAIRS)
+        assert failures and all("churn_crowd has no result" in f for f in failures)
+        assert _compare([])[1] == ["no runs to compare"]
+
+    def test_setup_s_is_printed_but_never_fails(self):
+        slow_setup = [_line(vc_comparison__setup_s=4.0)] * gate.PAIRS  # +900%
+        lines, failures = _compare(slow_setup)
+        assert failures == []
+        row = next(l for l in lines if l.startswith("vc_comparison") and "setup_s" in l)
+        assert row.endswith("not gated") and "+900.00%" in row

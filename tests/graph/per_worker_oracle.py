@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.deadline import DeadlineEstimator
-from repro.core.kernels.deadline import powerlaw_ccdf_grid
+from repro.core.kernels.deadline import powerlaw_ccdf_values
 from repro.core.weights import (
     AccuracyWeight,
     ConstantWeight,
@@ -74,8 +74,10 @@ def eq3_matrix(
         else:
             out[i, :] = 1.0 - fit.ccdf(ttd)
     if rows:
-        out[rows, :] = 1.0 - powerlaw_ccdf_grid(
-            np.asarray(alpha, dtype=np.float64), np.asarray(k_min, dtype=np.float64), ttd
+        out[rows, :] = 1.0 - powerlaw_ccdf_values(
+            np.asarray(alpha, dtype=np.float64)[:, None],
+            np.asarray(k_min, dtype=np.float64)[:, None],
+            ttd[None, :],
         )
     out[:, ttd <= 0] = 0.0
     return np.clip(out, 0.0, 1.0)

@@ -57,6 +57,13 @@ class TestAdmissionConfig:
         with pytest.raises(ValueError, match="backlog_retry_after"):
             AdmissionConfig(backlog_retry_after=0.0)
 
+    @pytest.mark.parametrize("field", ["rate", "backlog_retry_after"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rates_must_be_positive_and_finite(self, field, value):
+        # A NaN rate turned the token bucket off: it admitted every request.
+        with pytest.raises(ValueError, match=field):
+            AdmissionConfig(**{field: value})
+
 
 def make_controller(config, backlog, registry=None):
     engine = Engine()

@@ -513,3 +513,13 @@ class TestLifecycle:
                     await probe.close()
 
         run_async(main())
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+    def test_drain_timeout_must_be_finite_and_non_negative(self, timeout):
+        # A NaN or infinite budget never expires, so stop() would hang
+        # while a task is queued.
+        with pytest.raises(ValueError, match="drain_timeout"):
+            GatewayConfig(drain_timeout=timeout)
+
+    def test_zero_drain_timeout_is_allowed(self):
+        assert GatewayConfig(drain_timeout=0.0).drain_timeout == 0.0

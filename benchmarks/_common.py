@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.dist import run_comparison_sharded, run_scalability_sharded
 from repro.experiments.config import (
     EndToEndConfig,
     MatchingSweepConfig,
     ScalabilityConfig,
 )
-from repro.experiments.endtoend import run_comparison
 from repro.experiments.matching_bench import run_matching_sweep
-from repro.experiments.scalability import run_scalability
 
 #: Full paper-scale Figs. 5-8 workload (§V-C).
 ENDTOEND_CONFIG = EndToEndConfig()
@@ -50,7 +49,7 @@ SCALABILITY_CONFIG = ScalabilityConfig()
 @lru_cache(maxsize=1)
 def endtoend_results():
     """One shared Figs. 5-8 comparison run (REACT / Greedy / Traditional)."""
-    return run_comparison(ENDTOEND_CONFIG)
+    return run_comparison_sharded(ENDTOEND_CONFIG).results
 
 
 @lru_cache(maxsize=1)
@@ -62,4 +61,4 @@ def matching_results():
 @lru_cache(maxsize=1)
 def scalability_results():
     """One shared Figs. 9-10 sweep."""
-    return run_scalability(SCALABILITY_CONFIG)
+    return run_scalability_sharded(SCALABILITY_CONFIG).results

@@ -6,9 +6,9 @@ Paper sweep: {100, 250, 500, 750, 1000} workers at {1.5, 3.125, 6.25,
 essentially flat.
 """
 
+from repro.dist import run_scalability_sharded
 from repro.experiments.config import ScalabilityConfig
 from repro.experiments.reporting import report_fig9
-from repro.experiments.scalability import run_scalability
 from repro.platform.policies import react_policy
 
 from _common import scalability_results
@@ -20,13 +20,13 @@ TIMING_SWEEP = ScalabilityConfig(
 
 
 def test_fig9_sweep_timing(benchmark):
-    result = benchmark.pedantic(
-        run_scalability,
+    run = benchmark.pedantic(
+        run_scalability_sharded,
         args=(TIMING_SWEEP, [react_policy()]),
         rounds=1,
         iterations=1,
     )
-    assert len(result.points) == 1
+    assert len(run.results.points) == 1
 
 
 def test_fig9_report_and_shape(benchmark):

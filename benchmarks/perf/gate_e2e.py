@@ -15,6 +15,11 @@ this checkout's ``BENCHMARK.json``.
 ``setup_s`` is printed but not gated: over 5 pairs its medians moved by up
 to 31% with no change to set-up, above its 25% bound.
 
+A metric within its bound reads ``unresolved`` instead of ``ok`` when the
+base runs' interquartile range, as a fraction of their median, exceeds the
+bound: the host was too noisy for the comparison to tell a regression of
+that size.  It does not fail the gate.
+
 The gate uses only the standard library and imports nothing from either
 checkout: each side's ``run.py`` imports ``repro`` from its own ``src``.
 """
@@ -103,12 +108,20 @@ def incorrect_runs(side: str, results: List[Result], workloads: List[str]) -> Li
     return failures
 
 
-def median(results: List[Result], workload: str, metric: str) -> float:
-    return statistics.median(
+def values(results: List[Result], workload: str, metric: str) -> List[float]:
+    return [
         result["workloads"][workload]["metrics"][metric]["value"]
         for result in results
         if result is not None
-    )
+    ]
+
+
+def spread(samples: List[float]) -> float:
+    """Interquartile range as a fraction of the median; 0 below 2 samples."""
+    if len(samples) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return (q3 - q1) / abs(statistics.median(samples))
 
 
 def compare(
@@ -123,12 +136,15 @@ def compare(
         return [], failures or ["no runs to compare"]
     lines = [
         f"{'workload':<14} {'metric':<22} {'base':>12} {'head':>12} "
-        f"{'worse_by':>8} {'bound':>6} verdict"
+        f"{'worse_by':>8} {'bound':>6} {'spread':>7} verdict"
     ]
     for name in workloads:
         for entry in spec["end_to_end"]:
             metric, bound = entry["name"], entry["bound"]
-            before, after = median(base, name, metric), median(head, name, metric)
+            base_values = values(base, name, metric)
+            before = statistics.median(base_values)
+            after = statistics.median(values(head, name, metric))
+            noise = spread(base_values)
             change = (after - before) / before
             worse_by = change if entry["better"] == "lower" else -change
             if metric in UNGATED:
@@ -139,11 +155,13 @@ def compare(
                     f"{name} {metric}: {after:.6g} is {worse_by:.1%} worse than "
                     f"the base's {before:.6g} (bound {bound:.0%})"
                 )
+            elif noise > bound:
+                verdict = "unresolved"
             else:
                 verdict = "ok"
             lines.append(
                 f"{name:<14} {metric:<22} {before:>12.6g} {after:>12.6g} "
-                f"{worse_by:>+8.2%} {bound:>6.0%} {verdict}"
+                f"{worse_by:>+8.2%} {bound:>6.0%} {noise:>7.1%} {verdict}"
             )
     return lines, failures
 
@@ -165,8 +183,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("\n".join(lines))
     for failure in failures:
         print(f"REGRESSION: {failure}")
+    unresolved = sum(line.endswith(" unresolved") for line in lines)
     if not failures:
-        print(f"# every gated metric within its bound of the base ({PAIRS} pairs)")
+        print(
+            f"# every gated metric within its bound of the base ({PAIRS} pairs)"
+            + (f"; {unresolved} unresolved (base spread above the bound)"
+               if unresolved else "")
+        )
     return 1 if failures else 0
 
 

@@ -9,17 +9,21 @@ figure of the paper's evaluation.
 
 Quick start::
 
-    from repro import EndToEndConfig, run_comparison
+    from repro import EndToEndConfig, run_comparison_sharded
 
-    results = run_comparison(EndToEndConfig(n_workers=150,
-                                            arrival_rate=1.875,
-                                            n_tasks=1000))
+    config = EndToEndConfig(n_workers=150, arrival_rate=1.875, n_tasks=1000)
+    results = run_comparison_sharded(config).results
     for name, run in results.items():
         print(name, run.summary["on_time_fraction"])
+
+``run_comparison_sharded(config, parallel=N)`` fans the policies over N
+worker processes with byte-identical results.
 
 See README.md for the architecture overview and DESIGN.md / EXPERIMENTS.md
 for the per-figure reproduction index.
 """
+
+from typing import Any
 
 from .chaos import FaultInjector, FaultSchedule
 from .core.deadline import DeadlineEstimator
@@ -39,9 +43,8 @@ from .experiments.config import (
     MatchingSweepConfig,
     ScalabilityConfig,
 )
-from .experiments.endtoend import run_comparison, run_endtoend
+from .experiments.endtoend import run_endtoend
 from .experiments.matching_bench import run_matching_sweep
-from .experiments.scalability import run_scalability
 from .graph.bipartite import BipartiteGraph
 from .model.task import Task, TaskCategory
 from .model.worker import WorkerBehavior, WorkerProfile
@@ -58,6 +61,20 @@ from .sim.rng import RngRegistry
 from .stats.powerlaw import PowerLawFit, fit_power_law
 
 __version__ = "1.0.0"
+
+#: The multi-policy runners live in :mod:`repro.dist`, which loads hashlib
+#: and multiprocessing; they are imported on first use, so ``import repro``
+#: stays as light as the single-run API.
+_DIST_EXPORTS = ("run_comparison_sharded", "run_scalability_sharded")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _DIST_EXPORTS:
+        from . import dist
+
+        return getattr(dist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DeadlineEstimator",
@@ -78,10 +95,10 @@ __all__ = [
     "EndToEndConfig",
     "MatchingSweepConfig",
     "ScalabilityConfig",
-    "run_comparison",
+    "run_comparison_sharded",
     "run_endtoend",
     "run_matching_sweep",
-    "run_scalability",
+    "run_scalability_sharded",
     "BipartiteGraph",
     "Task",
     "TaskCategory",

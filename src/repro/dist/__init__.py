@@ -1,24 +1,24 @@
-"""Sharded parallel execution for experiment workloads (docs/SCALING.md).
+"""Sharded execution for the multi-policy experiments (docs/SCALING.md).
 
-The package fans hermetic simulation shards — per-policy end-to-end runs,
-chaos twins, scalability sweep cells, seeded repetitions — across a
-``spawn``-context process pool, checkpoints each finished shard, and
-merges the outcomes back into the exact objects the sequential drivers
-return.
+The package is the one runner of the §V-C comparison, the chaos twins, the
+scenario pack and the Figs. 9-10 sweep: it compiles each into hermetic
+simulation shards, runs them inline or across a ``spawn``-context process
+pool, checkpoints each finished shard, and merges the outcomes in spec
+order.
 
 Determinism contract: for a given config and seed, the merged results and
-merged metrics snapshot are bit-identical for every ``parallel`` value
-(including 1) and across kill-and-resume runs.  The contract holds because
-each shard builds its own engine and ``RngRegistry`` from the config seed
-(nothing leaks between shards), and the merge stage reassembles outcomes
-in canonical spec order regardless of completion order.
+every file a shard exports are bit-identical for every ``parallel`` value
+and across kill-and-resume runs; ``parallel=1`` (inline, one shard after
+the other) is the reference.  The contract holds because each shard builds
+its own engine and ``RngRegistry`` from the config seed (nothing leaks
+between shards), and the merge stage reassembles outcomes in canonical
+spec order regardless of completion order.
 """
 
 from .drivers import (
     ShardedRun,
     run_chaos_sharded,
     run_comparison_sharded,
-    run_endtoend_repetitions,
     run_scalability_sharded,
     run_scenario_sharded,
 )
@@ -28,15 +28,8 @@ from .executor import (
     load_checkpoint,
     write_checkpoint,
 )
-from .merge import (
-    merge_chaos,
-    merge_endtoend,
-    merge_metrics,
-    merge_scalability,
-    merged_snapshot,
-)
+from .merge import merge_chaos, merge_endtoend, merge_scalability
 from .shards import (
-    MetricsSnapshot,
     ShardOutcome,
     ShardSpec,
     TelemetrySpec,
@@ -47,7 +40,6 @@ from .worker import run_shard
 
 __all__ = [
     "ExecutionReport",
-    "MetricsSnapshot",
     "ShardOutcome",
     "ShardSpec",
     "ShardedRun",
@@ -57,12 +49,9 @@ __all__ = [
     "load_checkpoint",
     "merge_chaos",
     "merge_endtoend",
-    "merge_metrics",
     "merge_scalability",
-    "merged_snapshot",
     "run_chaos_sharded",
     "run_comparison_sharded",
-    "run_endtoend_repetitions",
     "run_scalability_sharded",
     "run_scenario_sharded",
     "run_shard",

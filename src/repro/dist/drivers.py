@@ -1,22 +1,19 @@
-"""Sharded counterparts of the sequential experiment drivers.
+"""The multi-policy experiment drivers: the §V-C comparison, chaos twins,
+the scenario pack and the Figs. 9-10 sweep.
 
 Each driver compiles its workload into :class:`~repro.dist.shards.ShardSpec`
 lists, hands them to :func:`~repro.dist.executor.execute_shards`, and
-merges the outcomes back into the exact object the sequential driver
-returns — ``run_comparison_sharded(parallel=1)`` and
-``run_comparison(...)`` are interchangeable by construction, and any
-``parallel`` value produces the same bytes (the determinism contract in
-docs/SCALING.md).
+merges the outcomes (in spec order) into the result the reports and
+exporters read.  ``parallel=1`` runs every shard inline, one after the
+other, and is the reference: any ``parallel`` value produces the same bytes
+(the determinism contract in docs/SCALING.md).
 
-Repetition sweeps (:func:`run_endtoend_repetitions`) seed each repetition
-via :func:`repro.sim.rng.spawn_seeds` — ``SeedSequence.spawn`` keying, not
-arithmetic on the root seed — so repetitions are statistically independent
-and the first ``k`` of them never change when more are added.
+``execute_shards`` and the merge functions are looked up as module globals
+when a driver is called, so a profiler can wrap them here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -30,28 +27,21 @@ from ..experiments.scalability import evaluate_point
 from ..experiments.scenario import ScenarioConfig, run_scenario
 from ..platform.policies import SchedulingPolicy
 from ..scenarios.baselines import scenario_policies
-from ..sim.rng import spawn_seeds
 from .executor import execute_shards
-from .merge import merge_chaos, merge_endtoend, merge_scalability, merged_snapshot
-from .shards import MetricsSnapshot, ShardOutcome, ShardSpec, TelemetrySpec, safe_id
+from .merge import merge_chaos, merge_endtoend, merge_scalability
+from .shards import ShardOutcome, ShardSpec, TelemetrySpec, safe_id
 
 PathLike = Union[str, Path]
 
 
 @dataclass
 class ShardedRun:
-    """A merged sharded experiment: results + fleet telemetry + resume info."""
+    """A merged sharded experiment: results, exported files, resume counts."""
 
     results: Any
-    outcomes: List[ShardOutcome] = field(default_factory=list)
-    snapshot: Optional[MetricsSnapshot] = None
     written: List[str] = field(default_factory=list)
     computed: int = 0
     resumed: int = 0
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.outcomes)
 
 
 def _execute(
@@ -67,8 +57,6 @@ def _execute(
         written.extend(outcome.written)
     return ShardedRun(
         results=merge(report.outcomes),
-        outcomes=report.outcomes,
-        snapshot=merged_snapshot(report.outcomes),
         written=written,
         computed=report.computed,
         resumed=report.resumed,
@@ -102,7 +90,7 @@ def _policy_specs(
     variants: Sequence[Variant] = (("", {}),),
 ) -> List[ShardSpec]:
     """One ``runner(policy=..., **kwargs, **extra)`` shard per policy and
-    variant, in policy-major order (the sequential drivers' order).
+    variant, in policy-major order.
 
     A named variant suffixes the shard id and the telemetry label
     (``"<policy>.<variant>"``); the unnamed one labels by policy name.
@@ -130,7 +118,11 @@ def run_comparison_sharded(
     checkpoint_dir: Optional[PathLike] = None,
     telemetry: Optional[TelemetrySpec] = None,
 ) -> ShardedRun:
-    """Sharded ``run_comparison``: one shard per policy, same seed each."""
+    """The §V-C comparison: one ``run_endtoend`` shard per policy, same seed.
+
+    ``results`` maps policy name to :class:`EndToEndResult`, in policy
+    order; the default policies are REACT, Greedy and Traditional.
+    """
     specs = _policy_specs(
         "endtoend", run_endtoend, _policies(policies), {"config": config}, telemetry
     )
@@ -144,11 +136,11 @@ def run_scenario_sharded(
     checkpoint_dir: Optional[PathLike] = None,
     telemetry: Optional[TelemetrySpec] = None,
 ) -> ShardedRun:
-    """Sharded ``run_scenario_comparison``: one shard per policy, same seed.
+    """The scenario pack: one ``run_scenario`` shard per policy, same seed.
 
     Each shard runs the full multi-region scenario hermetically (fresh
     engine, fresh RNG registry, task-id reset), so the merged dict is
-    byte-identical to the sequential driver's for any ``parallel``.
+    byte-identical for any ``parallel``.
     """
     specs = _policy_specs(
         "scenario",
@@ -168,8 +160,9 @@ def run_chaos_sharded(
     checkpoint_dir: Optional[PathLike] = None,
     telemetry: Optional[TelemetrySpec] = None,
 ) -> ShardedRun:
-    """Sharded ``run_chaos_comparison``: clean + faulted twin per policy.
+    """Clean + faulted ``run_chaos`` twin per policy, same seed.
 
+    ``results`` is ``{policy: {"clean": ..., "faulted": ...}}``.
     Fault-injected runs shard exactly like clean ones — the schedule is a
     frozen dataclass that pickles into the worker, where the injector
     replays it deterministically.
@@ -193,7 +186,11 @@ def run_scalability_sharded(
     parallel: int = 1,
     checkpoint_dir: Optional[PathLike] = None,
 ) -> ShardedRun:
-    """Sharded Figs. 9-10 sweep: one shard per (size point, technique)."""
+    """The Figs. 9-10 sweep: one shard per (size point, technique).
+
+    Points come back point-major, techniques in policy order, all
+    techniques sharing the seed at each point.
+    """
     config = config or ScalabilityConfig()
     specs: List[ShardSpec] = []
     for workers, rate, n_tasks in config.points():
@@ -213,35 +210,4 @@ def run_scalability_sharded(
             )
     return _execute(
         specs, partial(merge_scalability, config), parallel, checkpoint_dir
-    )
-
-
-def run_endtoend_repetitions(
-    policy: SchedulingPolicy,
-    config: EndToEndConfig,
-    repetitions: int,
-    parallel: int = 1,
-    checkpoint_dir: Optional[PathLike] = None,
-) -> ShardedRun:
-    """``repetitions`` independent runs of one policy, spawn-seeded.
-
-    Repetition ``i`` replaces ``config.seed`` with the ``i``-th
-    ``SeedSequence.spawn`` child of the root seed; results come back in
-    repetition order.
-    """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    seeds = spawn_seeds(config.seed, repetitions)
-    specs = _policy_specs(
-        "endtoend",
-        run_endtoend,
-        [policy],
-        {},
-        variants=[
-            (f"rep{index}", {"config": dataclasses.replace(config, seed=seed)})
-            for index, seed in enumerate(seeds)
-        ],
-    )
-    return _execute(
-        specs, lambda outcomes: [o.result for o in outcomes], parallel, checkpoint_dir
     )

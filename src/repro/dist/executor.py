@@ -41,7 +41,7 @@ from .worker import run_shard
 logger = logging.getLogger(__name__)
 
 #: Checkpoint payload format version; bump on incompatible layout changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A :class:`ShardSpec` is a picklable, self-contained description of one
 hermetic simulation — an end-to-end policy run, one chaos twin, one
-scalability sweep cell, or one seeded repetition: a module-level runner
+scenario-pack run, or one scalability sweep cell: a module-level runner
 plus the keyword arguments to call it with.  Every driver in
 :mod:`repro.dist.drivers` compiles its workload down to a list of specs;
 :mod:`repro.dist.executor` runs them (in-process or across a process
@@ -20,8 +20,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
-
-from ..obs.registry import Sample
 
 
 @dataclass(frozen=True)
@@ -64,23 +62,11 @@ class ShardSpec:
 
 
 @dataclass
-class MetricsSnapshot:
-    """A shard's metrics registry, frozen into plain samples for transport."""
-
-    label: str
-    samples: List[Sample] = field(default_factory=list)
-    #: instrument name → kind ("counter" / "gauge" / "histogram"), so the
-    #: merge stage can render or re-export the aggregate faithfully.
-    kinds: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class ShardOutcome:
-    """What one shard sends back: the result plus optional telemetry."""
+    """What one shard sends back: its result and the files it exported."""
 
     shard_id: str
     result: Any
-    snapshot: Optional[MetricsSnapshot] = None
     #: exporter files written by the worker (absolute path strings).
     written: List[str] = field(default_factory=list)
     #: True when the executor restored this outcome from a checkpoint

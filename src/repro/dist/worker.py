@@ -2,24 +2,23 @@
 
 :func:`run_shard` is a module-level function so it pickles across the
 ``spawn`` boundary of a :class:`concurrent.futures.ProcessPoolExecutor`.
-It calls the spec's runner — an experiment entry point that re-creates
-the same hermetic simulation the sequential driver would have run: fresh
-engine, fresh ``RngRegistry`` seeded from the shard's config, task-id
-counter reset inside the entry point — so a shard's result is
-bit-identical whether it runs inline, in a pool, or on a different day.
+It calls the spec's runner — an experiment entry point that builds a
+hermetic simulation: fresh engine, fresh ``RngRegistry`` seeded from the
+shard's config, task-id counter reset inside the entry point — so a
+shard's result is bit-identical whether it runs inline, in a pool, or on a
+different day.
 
 Telemetry is worker-owned: when the spec carries an enabled
 :class:`~repro.dist.shards.TelemetrySpec`, the worker builds its own
-``Observability``, passes it to the runner, exports the trace/metrics
-files itself (the exporters are deterministic in the run), and ships the
-registry back as a plain-sample :class:`~repro.dist.shards.MetricsSnapshot`
-for the merge stage.
+``Observability``, passes it to the runner and exports the trace/metrics
+files itself (the exporters are deterministic in the run); the outcome
+carries only the paths it wrote.
 """
 
 from __future__ import annotations
 
 from ..obs.runtime import Observability
-from .shards import MetricsSnapshot, ShardOutcome, ShardSpec
+from .shards import ShardOutcome, ShardSpec
 
 
 def run_shard(spec: ShardSpec) -> ShardOutcome:
@@ -38,14 +37,7 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
             metrics_dir=telemetry.metrics_dir,
         )
     ]
-    snapshot = MetricsSnapshot(
-        label=spec.label,
-        samples=obs.registry.snapshot(),
-        kinds={inst.name: inst.kind for inst in obs.registry.instruments()},
-    )
-    return ShardOutcome(
-        shard_id=spec.shard_id, result=result, snapshot=snapshot, written=written
-    )
+    return ShardOutcome(shard_id=spec.shard_id, result=result, written=written)
 
 
 __all__ = ["run_shard"]

@@ -16,7 +16,7 @@ from .config import (
     MatchingSweepConfig,
     ScalabilityConfig,
 )
-from .endtoend import EndToEndResult, default_policies, run_comparison, run_endtoend
+from .endtoend import EndToEndResult, default_policies, run_endtoend
 from .export import (
     export_endtoend,
     export_matching_sweep,
@@ -24,7 +24,7 @@ from .export import (
     export_timeline,
 )
 from .matching_bench import MatchingPoint, MatchingSweepResult, run_matching_sweep
-from .scalability import ScalabilityPoint, ScalabilityResult, run_scalability
+from .scalability import ScalabilityPoint, ScalabilityResult
 from .voting import (
     VotingConfig,
     VotingPoint,
@@ -52,7 +52,6 @@ __all__ = [
     "export_scalability",
     "export_timeline",
     "default_policies",
-    "run_comparison",
     "run_endtoend",
     "MatchingPoint",
     "MatchingSweepResult",
@@ -64,5 +63,4 @@ __all__ = [
     "VotingResult",
     "report_voting",
     "run_voting_comparison",
-    "run_scalability",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..chaos import FaultInjector, FaultLogEntry, FaultSchedule
 from ..obs.runtime import ObservabilityLike
@@ -22,7 +22,7 @@ from ..platform.invariants import InvariantMonitor
 from ..platform.policies import SchedulingPolicy
 from ..platform.resilience import ResilienceConfig
 from .config import EndToEndConfig
-from .endtoend import arm_arrivals, assemble_run, default_policies
+from .endtoend import arm_arrivals, assemble_run
 
 logger = logging.getLogger(__name__)
 
@@ -146,30 +146,6 @@ def run_chaos(
                 (o.task_id, o.met_deadline, o.completed_at) for o in metrics.outcomes
             ],
         )
-
-
-def run_chaos_comparison(
-    config: ChaosConfig,
-    schedule: Optional[FaultSchedule] = None,
-    policies: Optional[Sequence[SchedulingPolicy]] = None,
-) -> Dict[str, Dict[str, ChaosRunResult]]:
-    """Faulted + fault-free twin runs for every policy, same seed.
-
-    Returns ``{policy: {"faulted": ..., "clean": ...}}``.  The sequential
-    reference for :func:`repro.dist.run_chaos_sharded`, which the CLI runs
-    (and which adds per-run telemetry).
-    """
-    if schedule is None:
-        schedule = standard_schedule(config)
-    results: Dict[str, Dict[str, ChaosRunResult]] = {}
-    for policy in policies if policies is not None else default_policies():
-        if policy.name in results:
-            raise ValueError(f"duplicate policy name {policy.name!r}")
-        results[policy.name] = {
-            "clean": run_chaos(policy, config, schedule=None),
-            "faulted": run_chaos(policy, config, schedule=schedule),
-        }
-    return results
 
 
 def report_chaos(results: Dict[str, Dict[str, ChaosRunResult]]) -> str:

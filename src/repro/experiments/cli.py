@@ -36,7 +36,7 @@ from .ablations import ablate_cycles, ablate_k_constant, ablate_threshold, ablat
 from .chaos import ChaosConfig, report_chaos, standard_schedule
 from ..platform.policies import RetainerSpec
 from .config import EndToEndConfig, MatchingSweepConfig, ScalabilityConfig
-from .endtoend import retainer_policies, run_comparison
+from .endtoend import retainer_policies
 from .export import (
     export_endtoend,
     export_matching_sweep,
@@ -140,7 +140,7 @@ def _run_fig4(quick: bool, out: Optional[str] = None) -> str:
 
 
 def _endtoend_report(quick: bool, out: Optional[str], report) -> str:
-    results = run_comparison(_endtoend_config(quick))
+    results = run_comparison_sharded(_endtoend_config(quick)).results
     note = _maybe_export(out, export_endtoend, results, out or "")
     return report(results) + ("\n" + note if note else "")
 
@@ -379,7 +379,8 @@ TRACEABLE = ("endtoend", "chaos")
 
 #: Commands that run as repro.dist shards: inline by default, over a process
 #: pool with --parallel N, checkpointed with --resume (docs/SCALING.md).
-#: fig9/fig10 are the scalability sweep.
+#: fig9/fig10 are the scalability sweep.  fig5-fig8 run the same endtoend
+#: shards, always inline.
 PARALLEL_COMMANDS = ("endtoend", "chaos", "fig9", "fig10", "scenario")
 
 #: Commands that understand --retainer-size / --retainer-cost

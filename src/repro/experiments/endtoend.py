@@ -2,9 +2,9 @@
 
 Builds one region server under the given policy, feeds it the §V-C
 workload, and returns the series/summaries the paper's Figures 5-8 plot.
-The comparison entry point runs REACT, Greedy and Traditional under the
-*same* seed so all three face an identical arrival trace and worker
-population.  The chaos and voting experiments reuse that seeded run
+:func:`repro.dist.run_comparison_sharded` runs REACT, Greedy and
+Traditional through :func:`run_endtoend` under the *same* seed, so all
+three face an identical arrival trace and worker population.  The chaos and voting experiments reuse that seeded run
 through :func:`assemble_run` and :func:`arm_arrivals`.
 """
 
@@ -364,20 +364,3 @@ def retainer_policies(spec: Optional[RetainerSpec] = None) -> Sequence[Schedulin
     differs.
     """
     return (react_policy(cycles=1000), react_retainer_policy(retainer=spec))
-
-
-def run_comparison(
-    config: EndToEndConfig,
-    policies: Optional[Sequence[SchedulingPolicy]] = None,
-) -> Dict[str, EndToEndResult]:
-    """Run every policy on the same seeded workload; keyed by policy name.
-
-    The sequential reference for :func:`repro.dist.run_comparison_sharded`,
-    which the CLI runs (and which adds per-run telemetry).
-    """
-    results: Dict[str, EndToEndResult] = {}
-    for policy in policies if policies is not None else default_policies():
-        if policy.name in results:
-            raise ValueError(f"duplicate policy name {policy.name!r}")
-        results[policy.name] = run_endtoend(policy, config)
-    return results

@@ -3,20 +3,18 @@
 Runs the §V-C end-to-end scenario at each (worker-count, arrival-rate)
 point of the paper's sweep and reports, per technique, the fraction of
 tasks finished before their deadline (Fig. 9) and the fraction earning
-positive feedback (Fig. 10).
+positive feedback (Fig. 10).  :func:`repro.dist.run_scalability_sharded`
+drives the sweep, one :func:`evaluate_point` shard per cell.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..platform.policies import SchedulingPolicy
 from .config import ScalabilityConfig
-from .endtoend import default_policies, run_endtoend
-
-logger = logging.getLogger(__name__)
+from .endtoend import run_endtoend
 
 
 @dataclass(frozen=True)
@@ -57,12 +55,7 @@ def evaluate_point(
     n_tasks: int,
     policy: SchedulingPolicy,
 ) -> ScalabilityPoint:
-    """One (technique, size) cell of the sweep — hermetic, so shardable.
-
-    :mod:`repro.dist` fans these cells out across worker processes; keeping
-    the cell evaluation here guarantees the sharded sweep computes exactly
-    what the sequential one does.
-    """
+    """One (technique, size) cell of the sweep — hermetic, so shardable."""
     point_config = config.endtoend_config(workers, rate, n_tasks)
     run = run_endtoend(policy, point_config)
     summary = run.summary
@@ -78,21 +71,3 @@ def evaluate_point(
         reassignments=int(summary["reassignments"]),
         expired_unassigned=int(summary["expired_unassigned"]),
     )
-
-
-def run_scalability(
-    config: Optional[ScalabilityConfig] = None,
-    policies: Optional[Sequence[SchedulingPolicy]] = None,
-) -> ScalabilityResult:
-    """Run the full sweep; all techniques share the seed at each point."""
-    config = config or ScalabilityConfig()
-    result = ScalabilityResult(config=config)
-    for workers, rate, n_tasks in config.points():
-        logger.info(
-            "scalability: point workers=%d rate=%.2f tasks=%d", workers, rate, n_tasks
-        )
-        for policy in policies if policies is not None else default_policies():
-            result.points.append(
-                evaluate_point(config, workers, rate, n_tasks, policy)
-            )
-    return result

@@ -8,9 +8,9 @@ multi-region :class:`~repro.platform.coordinator.Coordinator`, so region
 splits, cross-region task migration and budget load shedding actually
 execute instead of sitting behind unit tests.
 
-The comparison entry point runs REACT/Metropolis/Greedy plus the two
-related-work baselines (:func:`repro.scenarios.baselines.scenario_policies`)
-under the same seed: identical arrival trace, identical worker population
+:func:`repro.dist.run_scenario_sharded` runs REACT/Metropolis/Greedy plus
+the two related-work baselines
+(:func:`repro.scenarios.baselines.scenario_policies`) under the same seed: identical arrival trace, identical worker population
 and placement, identical budgets.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..model.task import reset_task_ids
 from ..obs.runtime import ObservabilityLike
@@ -26,7 +26,6 @@ from ..platform.coordinator import Coordinator
 from ..platform.cost import PaperCalibratedCost
 from ..platform.policies import SchedulingPolicy
 from ..platform.server import REACTServer
-from ..scenarios.baselines import scenario_policies
 from ..scenarios.budget import BudgetLedger
 from ..scenarios.heterogeneous import SpecialistConfig, specialize_population
 from ..scenarios.spatial import SpatialConfig, SpatialSampler
@@ -232,23 +231,6 @@ def run_scenario(
         shed_by_budget=shed,
         budget=ledger.summary(),
     )
-
-
-def run_scenario_comparison(
-    config: ScenarioConfig,
-    policies: Optional[Sequence[SchedulingPolicy]] = None,
-) -> Dict[str, ScenarioResult]:
-    """Run every policy on the same seeded scenario; keyed by policy name.
-
-    The sequential reference for :func:`repro.dist.run_scenario_sharded`,
-    which the CLI runs.
-    """
-    results: Dict[str, ScenarioResult] = {}
-    for policy in policies if policies is not None else scenario_policies():
-        if policy.name in results:
-            raise ValueError(f"duplicate policy name {policy.name!r}")
-        results[policy.name] = run_scenario(policy, config)
-    return results
 
 
 def report_scenario(results: Dict[str, ScenarioResult]) -> str:

@@ -337,30 +337,6 @@ class MetricsRegistry:
         return leaf.value  # type: ignore[attr-defined]
 
 
-def merge_snapshots(snapshots: Iterable[Sequence[Sample]]) -> List[Sample]:
-    """Fold per-shard registry snapshots into one aggregate sample list.
-
-    Series are matched by ``(name, labels)`` and their values summed —
-    correct for counters and histogram ``_bucket``/``_sum``/``_count``
-    series outright, and for gauges under the shard model (each shard owns
-    a disjoint slice of the work, so e.g. per-shard ``react_regions``
-    gauges add up to the fleet total).
-
-    Output order is first-seen across the input snapshots.  Because every
-    shard's registry emits its samples in the deterministic
-    :meth:`MetricsRegistry.snapshot` order, feeding shards in canonical
-    (shard-id) order reproduces the exact sample order of an equivalent
-    single-process run — the property the :mod:`repro.dist` determinism
-    contract relies on.
-    """
-    merged: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
-    for snapshot in snapshots:
-        for sample in snapshot:
-            key = (sample.name, sample.labels)
-            merged[key] = merged.get(key, 0.0) + sample.value
-    return [Sample(name, labels, value) for (name, labels), value in merged.items()]
-
-
 # --------------------------------------------------------------- null objects
 class NullInstrument:
     """Shared no-op stand-in for every instrument type when obs is off."""

@@ -95,22 +95,27 @@ async def serve(config: GatewayConfig) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = GatewayConfig(
-        host=args.host,
-        port=args.port,
-        rows=args.rows,
-        cols=args.cols,
-        admission=AdmissionConfig(
-            rate=args.admission_rate,
-            burst=args.admission_burst,
-            max_in_flight=args.max_in_flight,
-        ),
-        liveness_timeout=args.liveness_timeout,
-        time_scale=args.time_scale,
-        seed=args.seed,
-        drain_timeout=args.drain_timeout,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = GatewayConfig(
+            host=args.host,
+            port=args.port,
+            rows=args.rows,
+            cols=args.cols,
+            admission=AdmissionConfig(
+                rate=args.admission_rate,
+                burst=args.admission_burst,
+                max_in_flight=args.max_in_flight,
+            ),
+            liveness_timeout=args.liveness_timeout,
+            time_scale=args.time_scale,
+            seed=args.seed,
+            drain_timeout=args.drain_timeout,
+        )
+    except ValueError as exc:
+        # A bad flag value is a usage error: one line and exit 2.
+        parser.error(str(exc))
     return asyncio.run(serve(config))
 
 

@@ -10,12 +10,8 @@ rather than collapse, and the paper's technique ordering — REACT >= Greedy
 import pytest
 
 from repro.chaos import FAULT_KINDS
-from repro.experiments.chaos import (
-    ChaosConfig,
-    report_chaos,
-    run_chaos_comparison,
-    standard_schedule,
-)
+from repro.dist import run_chaos_sharded
+from repro.experiments.chaos import ChaosConfig, report_chaos, standard_schedule
 
 CONFIG = ChaosConfig(
     n_workers=60, arrival_rate=1.0, n_tasks=300, drain_time=300.0, seed=17
@@ -24,7 +20,7 @@ CONFIG = ChaosConfig(
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_chaos_comparison(CONFIG, schedule=standard_schedule(CONFIG))
+    return run_chaos_sharded(CONFIG, schedule=standard_schedule(CONFIG)).results
 
 
 class TestAllFaultsEndToEnd:

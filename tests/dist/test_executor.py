@@ -105,6 +105,21 @@ class TestCheckpointing:
         (tmp_path / f"{spec.shard_id}.pkl").write_bytes(pickle.dumps(payload))
         assert load_checkpoint(tmp_path, spec) is None
 
+    def test_version_2_checkpoint_recomputed(self, tmp_path):
+        """Version 2 outcomes carried a metrics snapshot that version 3
+        dropped; a version-2 checkpoint for the same spec is recomputed,
+        never merged."""
+        spec = _specs("a")[0]
+        old = ShardOutcome(spec.shard_id, "stale")
+        old.snapshot = None  # the field version 2 pickled
+        payload = {"version": 2, "fingerprint": fingerprint(spec), "outcome": old}
+        (tmp_path / f"{spec.shard_id}.pkl").write_bytes(pickle.dumps(payload))
+
+        report = execute_shards([spec], checkpoint_dir=tmp_path)
+        assert report.computed == 1 and report.resumed == 0
+        assert report.outcomes[0].result == "a"
+        assert not report.outcomes[0].from_checkpoint
+
     def test_checkpoint_naming_removed_module_ignored(self, tmp_path, monkeypatch):
         """A checkpoint pickled by older code can name a module that no
         longer exists; loading it must recompute, not crash."""

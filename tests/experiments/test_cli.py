@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.experiments.cli import COMMANDS, _endtoend_config, main
-from repro.experiments.endtoend import run_comparison
-from repro.experiments.export import export_endtoend
+from repro.experiments.cli import COMMANDS, main
 
 
 class TestDispatch:
@@ -70,7 +68,8 @@ def _file_map(root):
 
 class TestDefaultPathIsSequentialReference:
     """The default (no ``--parallel``) run writes exactly what a pooled run
-    and, for ``endtoend``, the sequential ``run_comparison`` driver write."""
+    writes and, for ``endtoend``, what the inline ``fig5`` command exports:
+    the figure commands and ``endtoend`` share one runner."""
 
     @pytest.mark.parametrize("cmd", ["endtoend", "chaos"])
     def test_default_equals_parallel_and_sequential(self, cmd, tmp_path, capsys):
@@ -90,7 +89,8 @@ class TestDefaultPathIsSequentialReference:
 
         if cmd == "endtoend":
             reference = tmp_path / "reference"
-            export_endtoend(run_comparison(_endtoend_config(True)), reference)
+            assert main(["fig5", "--quick", "--out", str(reference)]) == 0
+            capsys.readouterr()
             exported = _file_map(reference)
             assert exported
             assert exported == {name: files[name] for name in exported}

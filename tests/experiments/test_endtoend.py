@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments.config import EndToEndConfig
-from repro.experiments.endtoend import default_policies, run_comparison, run_endtoend
+from repro.dist import run_comparison_sharded
+from repro.experiments.endtoend import default_policies, run_endtoend
 from repro.platform.policies import react_policy, traditional_policy
 
 SMALL = EndToEndConfig(
@@ -13,7 +14,7 @@ SMALL = EndToEndConfig(
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_comparison(SMALL)
+    return run_comparison_sharded(SMALL).results
 
 
 class TestSingleRun:
@@ -73,10 +74,10 @@ class TestComparison:
 
     def test_duplicate_policy_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            run_comparison(SMALL, [react_policy(), react_policy()])
+            run_comparison_sharded(SMALL, [react_policy(), react_policy()])
 
     def test_custom_policy_list(self):
-        results = run_comparison(SMALL, [traditional_policy()])
+        results = run_comparison_sharded(SMALL, [traditional_policy()]).results
         assert set(results) == {"traditional"}
 
 

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from repro.dist import run_comparison_sharded, run_scalability_sharded
 from repro.experiments.config import EndToEndConfig, MatchingSweepConfig, ScalabilityConfig
-from repro.experiments.endtoend import run_comparison
 from repro.experiments.export import (
     export_endtoend,
     export_matching_sweep,
@@ -14,15 +14,14 @@ from repro.experiments.export import (
     export_timeline,
 )
 from repro.experiments.matching_bench import run_matching_sweep
-from repro.experiments.scalability import run_scalability
 from repro.stats.timeline import Timeline, TimelineSample
 
 
 @pytest.fixture(scope="module")
 def tiny_comparison():
-    return run_comparison(
+    return run_comparison_sharded(
         EndToEndConfig(n_workers=20, arrival_rate=0.3, n_tasks=40, drain_time=300)
-    )
+    ).results
 
 
 class TestMatchingExport:
@@ -65,10 +64,10 @@ class TestEndToEndExport:
 
 class TestScalabilityExport:
     def test_round_trip(self, tmp_path):
-        result = run_scalability(
+        result = run_scalability_sharded(
             ScalabilityConfig(worker_sizes=(10,), rates=(0.2,), duration=50.0,
                               drain_time=200.0)
-        )
+        ).results
         path = export_scalability(result, tmp_path / "fig9_10.csv")
         with path.open() as fh:
             rows = list(csv.DictReader(fh))

@@ -179,3 +179,29 @@ class TestGateE2E:
         assert failures == []
         row = next(l for l in lines if l.startswith("vc_comparison") and "setup_s" in l)
         assert row.endswith("not gated") and "+900.00%" in row
+
+    def test_noisy_base_reads_unresolved_not_ok(self):
+        # Base throughput quartiles 3500 and 6500 around a 5000 median: a
+        # 60% spread, above the 20% bound, so "within bound" shows nothing.
+        noisy = [
+            _line(vc_comparison__completions_per_ref_s=value)
+            for value in (3000.0, 4000.0, 5000.0, 6000.0, 7000.0)
+        ]
+
+        def verdicts(head):
+            lines, failures = _compare(head, base_lines=noisy)
+            return failures, {
+                tuple(line.split()[:2]): line.split()[-1] for line in lines[1:]
+            }
+
+        failures, rows = verdicts([_line()] * gate.PAIRS)
+        assert failures == []
+        assert rows[("vc_comparison", "completions_per_ref_s")] == "unresolved"
+        assert rows[("vc_comparison", "peak_rss_mb")] == "ok"
+        assert rows[("vc_sharded", "completions_per_ref_s")] == "ok"
+        # The FAIL rule is unchanged: beyond the bound still fails.
+        failures, rows = verdicts(
+            [_line(vc_comparison__completions_per_ref_s=3500.0)] * gate.PAIRS
+        )
+        assert rows[("vc_comparison", "completions_per_ref_s")] == "FAIL"
+        assert failures and failures[0].startswith("vc_comparison completions_per_ref_s")

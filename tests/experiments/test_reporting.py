@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dist import run_comparison_sharded, run_scalability_sharded
 from repro.experiments.ablations import ablate_cycles, ablate_k_constant
 from repro.experiments.config import (
     AblationConfig,
@@ -9,7 +10,6 @@ from repro.experiments.config import (
     MatchingSweepConfig,
     ScalabilityConfig,
 )
-from repro.experiments.endtoend import run_comparison
 from repro.experiments.matching_bench import run_matching_sweep
 from repro.experiments.reporting import (
     report_ablation,
@@ -22,7 +22,6 @@ from repro.experiments.reporting import (
     report_fig9,
     report_fig10,
 )
-from repro.experiments.scalability import run_scalability
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +33,16 @@ def sweep():
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_comparison(
+    return run_comparison_sharded(
         EndToEndConfig(n_workers=30, arrival_rate=0.4, n_tasks=80, drain_time=300)
-    )
+    ).results
 
 
 @pytest.fixture(scope="module")
 def scalability():
-    return run_scalability(
+    return run_scalability_sharded(
         ScalabilityConfig(worker_sizes=(20,), rates=(0.3,), duration=100.0, drain_time=200.0)
-    )
+    ).results
 
 
 class TestMatchingReports:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.dist import run_scalability_sharded
 from repro.experiments.config import ScalabilityConfig
-from repro.experiments.scalability import run_scalability
 
 SMALL_SWEEP = ScalabilityConfig(
     worker_sizes=(30, 80),
@@ -16,7 +16,7 @@ SMALL_SWEEP = ScalabilityConfig(
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scalability(SMALL_SWEEP)
+    return run_scalability_sharded(SMALL_SWEEP).results
 
 
 class TestStructure:

@@ -9,7 +9,6 @@ from repro.experiments.scenario import (
     ScenarioConfig,
     report_scenario,
     run_scenario,
-    run_scenario_comparison,
 )
 from repro.platform.policies import greedy_policy, react_policy
 from repro.scenarios.baselines import scenario_policies
@@ -83,7 +82,7 @@ class TestRunScenario:
 
 class TestComparison:
     def test_all_five_policies_run(self):
-        results = run_scenario_comparison(SMALL)
+        results = run_scenario_sharded(SMALL).results
         assert list(results) == [
             "react", "metropolis", "greedy", "greedy_spatial", "ratio"
         ]
@@ -93,12 +92,12 @@ class TestComparison:
     def test_duplicate_policy_rejected(self):
         policy = react_policy(weight_function_name="hybrid")
         with pytest.raises(ValueError, match="duplicate"):
-            run_scenario_comparison(SMALL, policies=[policy, policy])
+            run_scenario_sharded(SMALL, policies=[policy, policy])
 
     def test_report_contains_greppable_footer(self):
-        results = run_scenario_comparison(
+        results = run_scenario_sharded(
             SMALL, policies=[react_policy(weight_function_name="hybrid")]
-        )
+        ).results
         report = report_scenario(results)
         assert "total splits performed:" in report
         assert "react" in report
@@ -106,10 +105,11 @@ class TestComparison:
 
 class TestSharded:
     def test_parallel_2_equals_sequential(self):
+        # parallel=1 runs the shards inline, one after the other.
         policies = scenario_policies()[:3]
-        sequential = run_scenario_comparison(SMALL, policies=policies)
+        sequential = run_scenario_sharded(SMALL, policies=policies, parallel=1)
         sharded = run_scenario_sharded(SMALL, policies=policies, parallel=2)
-        assert sharded.results == sequential
+        assert sharded.results == sequential.results
 
     def test_resume_from_checkpoint(self, tmp_path):
         policies = scenario_policies()[:2]
@@ -126,4 +126,4 @@ class TestSharded:
     def test_duplicate_policy_rejected(self):
         policy = react_policy(weight_function_name="hybrid")
         with pytest.raises(ValueError, match="duplicate"):
-            run_scenario_sharded(SMALL, policies=[policy, policy])
+            run_scenario_sharded(SMALL, policies=[policy, policy], parallel=2)

@@ -1,6 +1,6 @@
 """Golden pin of the default scenario pack (budgets x hot regions x task mix).
 
-``run_scenario_comparison(ScenarioConfig())`` is tuned so every policy trips
+``run_scenario_sharded(ScenarioConfig())`` is tuned so every policy trips
 region splits, cross-region task migration and budget shedding.  A split
 hands the idle workers located in the new half to the new server, so this
 file pins the split-migration path end to end: per policy, the summary, the
@@ -14,7 +14,8 @@ Regenerate after an intentional behaviour change with:
 import json
 from pathlib import Path
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario_comparison
+from repro.dist import run_scenario_sharded
+from repro.experiments.scenario import ScenarioConfig
 
 GOLDEN = Path(__file__).parent / "goldens" / "scenario_default.json"
 
@@ -29,7 +30,7 @@ def _run():
             "shed_by_budget": result.shed_by_budget,
             "budget": result.budget,
         }
-        for name, result in run_scenario_comparison(ScenarioConfig()).items()
+        for name, result in run_scenario_sharded(ScenarioConfig()).results.items()
     }
 
 

@@ -19,7 +19,8 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.experiments.chaos import ChaosConfig, run_chaos_comparison
+from repro.dist import run_chaos_sharded
+from repro.experiments.chaos import ChaosConfig
 from repro.experiments.voting import VotingConfig, run_voting_comparison
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -37,9 +38,9 @@ def _voting():
 
 
 def _chaos():
-    results = run_chaos_comparison(
+    results = run_chaos_sharded(
         ChaosConfig(n_workers=30, arrival_rate=0.8, n_tasks=120, drain_time=150.0)
-    )
+    ).results
     return {
         name: {
             twin: {

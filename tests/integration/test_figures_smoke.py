@@ -8,14 +8,13 @@ the full harness.
 
 import pytest
 
+from repro.dist import run_comparison_sharded, run_scalability_sharded
 from repro.experiments.config import (
     EndToEndConfig,
     MatchingSweepConfig,
     ScalabilityConfig,
 )
-from repro.experiments.endtoend import run_comparison
 from repro.experiments.matching_bench import run_matching_sweep
-from repro.experiments.scalability import run_scalability
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +28,9 @@ def matching():
 
 @pytest.fixture(scope="module")
 def endtoend():
-    return run_comparison(
+    return run_comparison_sharded(
         EndToEndConfig(n_workers=120, arrival_rate=1.5, n_tasks=900, drain_time=400, seed=4)
-    )
+    ).results
 
 
 class TestFig3Shape:
@@ -98,7 +97,7 @@ class TestFig5To8Shapes:
 class TestFig9Fig10Shape:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_scalability(
+        return run_scalability_sharded(
             ScalabilityConfig(
                 worker_sizes=(40, 120),
                 rates=(0.5, 1.5),
@@ -106,7 +105,7 @@ class TestFig9Fig10Shape:
                 drain_time=300.0,
                 seed=6,
             )
-        )
+        ).results
 
     def test_react_beats_traditional_everywhere(self, sweep):
         for r, t in zip(sweep.series("react"), sweep.series("traditional")):

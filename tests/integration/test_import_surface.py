@@ -2,7 +2,8 @@
 
 SciPy backs only the Hungarian optimum (Fig. 4's yardstick) and the
 lognormal ablation, and asyncio only the ``loadtest`` service stack, so
-neither may be pulled in by importing the package or its CLI.  Every case
+neither may be pulled in by importing the package or its CLI; the package
+root also defers ``repro.dist`` (hashlib, multiprocessing).  Every case
 runs in a fresh subprocess: ``sys.modules`` of the test process has long
 since seen both.
 """
@@ -56,14 +57,30 @@ def test_cli_import_loads_neither_scipy_nor_asyncio():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_import_defers_the_sharded_runners():
+    # repro.dist loads hashlib and multiprocessing; the root package
+    # exports its runners but imports them on first use.
+    result = _run(
+        """
+        import sys
+        import repro
+        print("repro.dist" in sys.modules, "hashlib" in sys.modules)
+        from repro import run_comparison_sharded
+        print("repro.dist" in sys.modules)
+        """
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["False", "False", "True"]
+
+
 def test_comparison_runs_without_scipy():
     result = _run(
         BLOCK_SCIPY
         + """
-from repro import EndToEndConfig, run_comparison
+from repro import EndToEndConfig, run_comparison_sharded
 
 config = EndToEndConfig(n_workers=30, arrival_rate=0.5, n_tasks=60, drain_time=200, seed=5)
-results = run_comparison(config)
+results = run_comparison_sharded(config).results
 print(sorted(results))
 assert all(r.summary["completed"] > 0 for r in results.values())
 assert "scipy" not in sys.modules

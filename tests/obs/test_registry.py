@@ -7,8 +7,6 @@ from repro.obs.registry import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     MetricsRegistry,
-    Sample,
-    merge_snapshots,
 )
 
 
@@ -164,52 +162,6 @@ class TestSourced:
     def test_null_registry_accepts_source(self):
         assert NULL_REGISTRY.counter("a_total", source=lambda: 1) is NULL_INSTRUMENT
         assert NULL_REGISTRY.gauge("b", "help", source=lambda: 1) is NULL_INSTRUMENT
-
-
-class TestMergeSnapshots:
-    def _registry(self, inc_a: float, observe: float) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        registry.counter("a_total").inc(inc_a)
-        registry.gauge("load").set(inc_a)
-        registry.histogram("lat_seconds", buckets=(1.0, 5.0)).observe(observe)
-        return registry
-
-    def test_sums_matching_series(self):
-        merged = merge_snapshots(
-            [self._registry(2, 0.5).snapshot(), self._registry(3, 4.0).snapshot()]
-        )
-        by_key = {(s.name, s.labels): s.value for s in merged}
-        assert by_key[("a_total", ())] == 5
-        assert by_key[("load", ())] == 5
-        assert by_key[("lat_seconds_count", ())] == 2
-        assert by_key[("lat_seconds_sum", ())] == pytest.approx(4.5)
-        assert by_key[("lat_seconds_bucket", (("le", "1"),))] == 1
-        assert by_key[("lat_seconds_bucket", (("le", "+Inf"),))] == 2
-
-    def test_preserves_first_seen_order(self):
-        """Identical-schema shards merge in registry snapshot order — the
-        property repro.dist relies on for byte-identical merged exports."""
-        snap_a = self._registry(1, 0.5).snapshot()
-        snap_b = self._registry(1, 0.5).snapshot()
-        merged = merge_snapshots([snap_a, snap_b])
-        assert [(s.name, s.labels) for s in merged] == [
-            (s.name, s.labels) for s in snap_a
-        ]
-
-    def test_disjoint_series_are_appended(self):
-        merged = merge_snapshots(
-            [
-                [Sample("only_a", (), 1.0)],
-                [Sample("only_b", (("k", "v"),), 2.0)],
-            ]
-        )
-        assert merged == [
-            Sample("only_a", (), 1.0),
-            Sample("only_b", (("k", "v"),), 2.0),
-        ]
-
-    def test_empty_input(self):
-        assert merge_snapshots([]) == []
 
 
 class TestNullObjects:

@@ -15,6 +15,7 @@ import asyncio
 import pytest
 
 from repro.platform.policies import react_policy
+from repro.service.__main__ import main as service_main
 from repro.service.admission import AdmissionConfig
 from repro.service.gateway import GatewayConfig, ServiceGateway
 from repro.service.loadgen import AsyncHttpClient, LoadgenConfig, run_loadgen
@@ -523,3 +524,23 @@ class TestLifecycle:
 
     def test_zero_drain_timeout_is_allowed(self):
         assert GatewayConfig(drain_timeout=0.0).drain_timeout == 0.0
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--admission-rate", "nan"], "rate"),
+            (["--admission-rate", "0"], "rate"),
+            (["--drain-timeout", "-1"], "drain_timeout"),
+            (["--drain-timeout", "nan"], "drain_timeout"),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, argv, field, capsys):
+        # The config check runs before anything binds a socket.
+        with pytest.raises(SystemExit) as exit_info:
+            service_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert "Traceback" not in err

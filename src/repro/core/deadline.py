@@ -150,29 +150,29 @@ class DeadlineEstimator:
     ) -> np.ndarray:
         """Vectorized Eq. (3): (len(workers), len(ttd)) probabilities.
 
-        This is the graph-construction hot path.  The power-law rows'
-        ``alpha`` / ``k_min`` columns are gathered and evaluated as a single
-        broadcasted power over the worker × TTD grid; any other fitted
-        family falls back to one vectorized ``ccdf`` call on each such
-        row's ``fit``.  Both paths are bit-identical to the scalar
-        :meth:`completion_probability` (NumPy applies the same elementwise
-        ``pow`` either way).
+        This is the graph-construction hot path.  The rows' ``alpha`` /
+        ``k_min`` columns are gathered and evaluated as a single
+        broadcasted power over the worker × TTD grid; rows of any other
+        fitted family are then overwritten by one vectorized ``ccdf`` call
+        on each such row's ``fit``, and untrained rows by a zero CCDF.  The
+        result is bit-identical to the scalar :meth:`completion_probability`
+        (NumPy applies the same elementwise ``pow`` either way).  The grid
+        is the only W×T float buffer: the CCDF is written, turned into
+        ``1 − CCDF`` and clipped in place.
         """
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
-        out = np.ones((len(workers), len(ttd)), dtype=np.float64)
         trained, alpha, k_min = self._fitted_rows(workers)
-        powerlaw = np.flatnonzero(trained & ~np.isnan(alpha))
-        if len(powerlaw):
-            out[powerlaw, :] = 1.0 - powerlaw_ccdf_values(
-                alpha[powerlaw, None], k_min[powerlaw, None], ttd[None, :]
-            )
-        if len(powerlaw) != np.count_nonzero(trained):
+        out = powerlaw_ccdf_values(alpha[:, None], k_min[:, None], ttd[None, :])
+        out[~trained] = 0.0
+        other = trained & np.isnan(alpha)
+        if other.any():
             fits = workers.fits
-            for i in np.flatnonzero(trained & np.isnan(alpha)).tolist():
-                out[i, :] = 1.0 - fits[i].ccdf(ttd)
+            for i in np.flatnonzero(other).tolist():
+                out[i, :] = fits[i].ccdf(ttd)
+        np.subtract(1.0, out, out=out)
         # Expired deadlines can never be met, trained or not.
         out[:, ttd <= 0] = 0.0
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     # ------------------------------------------------------------- Eq. (2)
     def window_probability(

@@ -32,7 +32,11 @@ def powerlaw_ccdf_values(
     alpha = np.asarray(alpha, dtype=np.float64)
     k_min = np.asarray(k_min, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
+    # One result-sized buffer carries every step, so the Eq. 3 grid costs
+    # one W×T matrix (plus the W×T head mask) rather than one per step.
+    out = np.empty(np.broadcast_shapes(alpha.shape, k_min.shape, k.shape))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.power(k / k_min, 1.0 - alpha)
-    out = np.where(k <= k_min, 1.0, out)
-    return np.clip(out, 0.0, 1.0)
+        np.divide(k, k_min, out=out)
+        np.power(out, 1.0 - alpha, out=out)
+    np.copyto(out, 1.0, where=k <= k_min)
+    return np.clip(out, 0.0, 1.0, out=out)

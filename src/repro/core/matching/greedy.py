@@ -38,12 +38,16 @@ class GreedyMatcher(Matcher):
     runs over a dense ``(n_tasks, n_workers)`` view of the edge list, with
     ``-1.0`` where there is no edge (below every valid weight, since
     :class:`BipartiteGraph` rejects negative ones): one ``argmax`` per task
-    row, after which the taken worker's column is set to ``-1.0``.  Memory
-    is O(n_tasks·n_workers): 8 bytes per cell for the weights plus 1 to 8
-    for the edge index.  For
-    :class:`~repro.graph.builders.AssignmentGraphBuilder` graphs that is
-    less than the two float64 weight matrices and the keep mask its
-    ``build`` allocates for the same cells.
+    row, after which the taken worker's column is set to ``-1.0``.
+
+    Memory is one float64 per cell, the view itself, on a graph whose edges
+    are listed worker-major with tasks ascending (``from_dense`` order, so
+    every :class:`~repro.graph.builders.AssignmentGraphBuilder` graph).
+    There ``argmax``'s lowest-worker tie rule is the lowest-edge-index rule,
+    and the chosen edges' indices are looked up in the sorted edge list
+    once the view is freed.  A graph in any other order also holds a
+    ``(n_tasks, n_workers)`` edge-index matrix (1 to 8 bytes per cell) to
+    resolve tied rows.
     """
 
     name = "greedy"
@@ -55,45 +59,73 @@ class GreedyMatcher(Matcher):
             return empty_result(graph, self.name)
         ew = graph.edge_workers
         et = graph.edge_tasks
-        weight = np.full((graph.n_tasks, graph.n_workers), -1.0)
-        weight[et, ew] = graph.edge_weights
-        # Edge index per (task, worker); read only where an edge exists.
-        edge_dtype = np.min_scalar_type(graph.n_edges)
-        edge = np.empty((graph.n_tasks, graph.n_workers), dtype=edge_dtype)
-        edge[et, ew] = np.arange(graph.n_edges, dtype=edge_dtype)
-
+        n_tasks = graph.n_tasks
         # ``argmax`` breaks a tie by the lowest worker index.  That is the
         # lowest edge index when the edges are listed worker-major with
-        # tasks ascending (``from_dense`` order, so every builder graph);
-        # in any other order a tied row is resolved by edge index.
+        # tasks ascending; in any other order a tied row is resolved by
+        # edge index, read from a matrix of them.
         worker_major = bool(
             np.all((ew[1:] > ew[:-1]) | ((ew[1:] == ew[:-1]) & (et[1:] > et[:-1])))
         )
-        takeable = int(np.count_nonzero(np.bincount(ew, minlength=graph.n_workers)))
-        task_worker = np.full(graph.n_tasks, -1, dtype=np.int64)
-        chosen: list[int] = []
-        for task in np.flatnonzero(np.bincount(et, minlength=graph.n_tasks)).tolist():
-            row = weight[task]
-            worker = int(row.argmax())
-            best = row[worker]
-            if best < 0:
-                continue
-            if not worker_major:
-                tied = np.flatnonzero(row == best)
-                worker = int(tied[edge[task, tied].argmin()])
-            weight[:, worker] = -1.0
-            task_worker[task] = worker
-            chosen.append(int(edge[task, worker]))
-            if len(chosen) == takeable:
-                break
+        edge = None
+        if not worker_major:
+            # Edge index per (task, worker); read only where an edge exists.
+            edge_dtype = np.min_scalar_type(graph.n_edges)
+            edge = np.empty((n_tasks, graph.n_workers), dtype=edge_dtype)
+            edge[et, ew] = np.arange(graph.n_edges, dtype=edge_dtype)
+        task_worker = _scan_rows(graph, edge)
 
+        # Tasks were taken in index order, so that is the edges' order too.
+        tasks = np.flatnonzero(task_worker >= 0)
+        workers = task_worker[tasks]
+        if edge is None:
+            # Worker-major edges sort by ``worker * n_tasks + task``.
+            keys = ew * n_tasks
+            keys += et
+            chosen = np.searchsorted(keys, workers * n_tasks + tasks)
+        else:
+            chosen = edge[tasks, workers]
         return MatchingResult(
             graph=graph,
-            edge_indices=np.asarray(chosen, dtype=np.int64),
+            edge_indices=chosen,
             algorithm=self.name,
             stats={"tasks_matched": len(chosen)},
             task_worker=task_worker,
         )
+
+
+def _scan_rows(graph: BipartiteGraph, edge: Optional[np.ndarray]) -> np.ndarray:
+    """:class:`GreedyMatcher`'s row scan: the dense task → worker row.
+
+    The dense weight view lives only inside this call, so it is freed
+    before the caller looks up the chosen edges.  ``edge`` is the
+    edge-index matrix that resolves tied rows, or None when ``argmax``'s
+    own tie rule already picks the lowest edge index.
+    """
+    ew = graph.edge_workers
+    et = graph.edge_tasks
+    # Counted first: ``bincount`` takes an edge-sized buffer of its own.
+    takeable = int(np.count_nonzero(np.bincount(ew, minlength=graph.n_workers)))
+    tasks = np.flatnonzero(np.bincount(et, minlength=graph.n_tasks)).tolist()
+    weight = np.full((graph.n_tasks, graph.n_workers), -1.0)
+    weight[et, ew] = graph.edge_weights
+    task_worker = np.full(graph.n_tasks, -1, dtype=np.int64)
+    matched = 0
+    for task in tasks:
+        row = weight[task]
+        worker = int(row.argmax())
+        best = row[worker]
+        if best < 0:
+            continue
+        if edge is not None:
+            tied = np.flatnonzero(row == best)
+            worker = int(tied[edge[task, tied].argmin()])
+        weight[:, worker] = -1.0
+        task_worker[task] = worker
+        matched += 1
+        if matched == takeable:
+            break
+    return task_worker
 
 
 class SortedGreedyMatcher(Matcher):

@@ -49,7 +49,12 @@ class WeightFunction(abc.ABC):
 
     @abc.abstractmethod
     def matrix(self, workers: WorkerRows, tasks: Sequence[Task]) -> np.ndarray:
-        """(len(workers), len(tasks)) array of weights in [0, 1]."""
+        """(len(workers), len(tasks)) array of weights in [0, 1].
+
+        The array is the caller's: it must be freshly allocated and shared
+        with no other object, because the graph builder overwrites the
+        cold-start rows in place.
+        """
 
     def single(self, worker: WorkerRows, task: Task) -> float:
         """The weight of one worker (a one-row ``worker``) for ``task``."""

@@ -19,7 +19,9 @@ between the region's available workers and its unassigned tasks:
 
 The whole construction is vectorized over the worker table's columns: one
 weight-matrix call, one Eq. (3) probability-matrix call, boolean masks, then
-a single ``from_dense``.
+a single ``from_dense``.  At most one W×T float matrix is alive at a time:
+the Eq. (3) grid is thresholded into the keep mask before the weight matrix
+exists, and the cold-start override writes into the weight matrix itself.
 """
 
 from __future__ import annotations
@@ -148,8 +150,12 @@ class AssignmentGraphBuilder:
             )
             # Eq. (3) probabilities; untrained rows come back as 1.0 except
             # for already-expired tasks (columns with ttd <= 0), which stay 0.
-            prob = self.estimator.completion_probability_matrix(workers, ttd)
-            keep = prob >= self.edge_probability_bound
+            # Thresholded at once: the W×T float grid is freed before the
+            # weight matrix is built.
+            keep = (
+                self.estimator.completion_probability_matrix(workers, ttd)
+                >= self.edge_probability_bound
+            )
             # Cold-start workers connect to every (non-expired) task
             # regardless of the probability bound.
             keep |= cold_start[:, None] & (ttd > 0)[None, :]
@@ -169,7 +175,8 @@ class AssignmentGraphBuilder:
                 f"weight function returned shape {weights.shape}, "
                 f"expected {(n_w, n_t)}"
             )
-        weights = np.where(~cold_start[:, None], weights, MAX_WEIGHT)
+        # In place: ``WeightFunction.matrix`` hands over a fresh array.
+        weights[cold_start] = MAX_WEIGHT
 
         # Reward-range filtering (edges "not instantiated" per §III-C).
         if self.reward_ranges:

@@ -291,6 +291,10 @@ class SchedulingComponent:
         # unmatchable backlog + a near-zero-latency matcher would spin
         # forever at the same simulated instant.
         new_arrivals = self._tasks.unassigned_count > (len(pending.batch) - matched)
+        # The published batch (its graph and matching) must be garbage
+        # before the next one builds, or two batches' arrays peak together.
+        event.payload = None
+        del pending
         if matched > 0 or new_arrivals:
             self.maybe_trigger()
 

@@ -86,6 +86,8 @@ class AdmissionConfig:
         # bucket to ``burst`` on every call, so it would admit everything.
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        if self.burst < 1:
+            raise ValueError(f"burst must be >= 1, got {self.burst}")
         if self.max_in_flight < 1:
             raise ValueError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"

@@ -90,6 +90,21 @@ class GatewayConfig:
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
+        # Checked here, not where the components read them, so a bad value
+        # fails before anything binds a socket (``main`` reports it as a
+        # usage error).  ``0 < x < inf`` is False for NaN too.
+        for name in ("rows", "cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.time_scale < math.inf:
+            raise ValueError(
+                f"time_scale must be positive and finite, got {self.time_scale}"
+            )
+        if self.liveness_timeout is not None and not 0 < self.liveness_timeout < math.inf:
+            raise ValueError(
+                "liveness_timeout must be positive and finite (or None), "
+                f"got {self.liveness_timeout}"
+            )
         # A NaN deadline never compares as reached: stop() would wait for
         # the backlog forever.
         if not 0 <= self.drain_timeout < math.inf:
@@ -134,7 +149,7 @@ class ServiceGateway:
         )
         self.registry.gauge(
             "service_workers", "Workers currently registered",
-            source=lambda: sum(len(server.profiling) for server in self.servers),
+            source=self._workers,
         )
         self.registry.gauge(
             "service_in_flight", "Tasks admitted and not yet finished",
@@ -179,12 +194,14 @@ class ServiceGateway:
         """Graceful drain: unready, wait for in-flight work, then tear down.
 
         ``/readyz`` flips to 503 immediately (load balancers stop routing);
-        submits are refused while registered workers keep answering.  After
-        ``drain_timeout`` wall seconds any remaining work is abandoned.
+        submits and registrations are refused while registered workers keep
+        answering.  The wait ends when the backlog is empty, when no worker
+        is left to take or answer it, or after ``drain_timeout`` wall
+        seconds; any remaining work is abandoned.
         """
         self._ready = False
         deadline = asyncio.get_running_loop().time() + self.config.drain_timeout
-        while self._backlog() > 0:
+        while self._backlog() > 0 and self._workers():
             if asyncio.get_running_loop().time() >= deadline:
                 break
             await asyncio.sleep(0.02)
@@ -229,6 +246,9 @@ class ServiceGateway:
 
     def _backlog(self) -> int:
         return sum(server.in_flight for server in self.servers)
+
+    def _workers(self) -> int:
+        return sum(len(server.profiling) for server in self.servers)
 
     def _next_location(self) -> tuple:
         """Round-robin region centers for clients that omit coordinates."""

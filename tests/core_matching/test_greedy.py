@@ -60,9 +60,10 @@ class TestGreedy:
     def test_backlog_batch_allocation_stays_small(self):
         # The shape of the largest seed-42 §V-C Greedy batch: 460 tasks ×
         # 831 workers, ~90% of the cells kept, a cold-start block at
-        # MAX_WEIGHT.  One match holds a dense weight view and an edge-index
-        # view (~4.6 MB together) and peaks near 7 MB; a sort of the 344k
-        # edges plus per-edge Python lists peaked above 28 MB.
+        # MAX_WEIGHT.  One match holds a dense weight view (~3.1 MB) and
+        # peaks there; with an edge-index view beside it the peak was near
+        # 7 MB, and a sort of the 344k edges plus per-edge Python lists
+        # peaked above 28 MB.
         rng = np.random.default_rng(3)
         weights = rng.random((831, 460))
         weights[:120] = 1.0

@@ -109,6 +109,36 @@ class TestGreedyMatchesOracle:
         for order in ("worker-major", "shuffled", "reversed", "task-major"):
             assert_same_matching(graph_from_matrix(weights, keep, order, rng))
 
+    def test_one_swap_from_worker_major_order_with_ties(self):
+        # One adjacent swap in a builder-ordered edge list is enough to make
+        # argmax's lowest-worker tie rule wrong: the matcher must see the
+        # order is not worker-major and break ties by edge index.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            weights = rng.choice(TIE_LEVELS, size=(6, 9))
+            dense = BipartiteGraph.from_dense(weights, mask=rng.random((6, 9)) < 0.8)
+            perm = np.arange(dense.n_edges)
+            swap = rng.integers(dense.n_edges - 1)
+            perm[[swap, swap + 1]] = perm[[swap + 1, swap]]
+            assert_same_matching(
+                BipartiteGraph(
+                    dense.n_workers,
+                    dense.n_tasks,
+                    dense.edge_workers[perm],
+                    dense.edge_tasks[perm],
+                    dense.edge_weights[perm],
+                )
+            )
+        # All weights tied and the first two edges swapped: task 0's tie
+        # goes to worker 1, listed first, not to worker 0.
+        dense = BipartiteGraph.from_dense(np.full((3, 3), MAX_WEIGHT))
+        perm = np.array([3, 0, 1, 2, 4, 5, 6, 7, 8])
+        swapped = BipartiteGraph(
+            3, 3, dense.edge_workers[perm], dense.edge_tasks[perm], dense.edge_weights[perm]
+        )
+        assert_same_matching(swapped)
+        assert GreedyMatcher().match(swapped).task_assignment() == {0: 1, 1: 0, 2: 2}
+
     def test_tie_goes_to_the_lowest_edge_index(self):
         # Worker 1's edge is listed first, so task 0 takes worker 1 even
         # though argmax over the row alone would pick worker 0.

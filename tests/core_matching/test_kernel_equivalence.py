@@ -29,7 +29,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.model.task import TaskCategory
 from repro.model.worker import WorkerProfile
 from repro.model.worker_table import WorkerTable
-from repro.stats.duration_models import EmpiricalFamily
+from repro.stats.duration_models import EmpiricalFamily, LogNormalFamily
 
 
 #: Tie-heavy weight levels.  The kernels compare weights with ``<=`` and
@@ -278,13 +278,64 @@ class TestDeadlineBatchEquivalence:
     def test_eq3_matrix_empirical_family_matches_scalar(self):
         estimator = DeadlineEstimator(min_history=3, family=EmpiricalFamily())
         histories = self._histories()
-        ttd = np.array([0.5, 12.0, 80.0])
+        ttd = np.array([-3.0, 0.0, 0.5, 12.0, 80.0])
         matrix = estimator.completion_probability_matrix(_rows(histories), ttd)
         for i, history in enumerate(histories):
             for j, t in enumerate(ttd):
                 assert matrix[i, j] == estimator.completion_probability(
                     history, float(t)
                 ).probability
+
+    def test_eq3_matrix_at_k_min_and_past_the_deadline(self):
+        # The head boundary (ttd == k_min, where the CCDF is pinned at 1,
+        # and the next float up) and expired columns (ttd <= 0), beside an
+        # untrained row.
+        estimator = DeadlineEstimator(min_history=3)
+        histories = self._histories()
+        k_mins = [estimator.fit_worker(h).k_min for h in histories if len(h) >= 3]
+        ttd = np.array(
+            [*k_mins, *np.nextafter(k_mins, np.inf), 0.0, -0.0, -3.0, -np.inf]
+        )
+        matrix = estimator.completion_probability_matrix(_rows(histories), ttd)
+        for i, history in enumerate(histories):
+            for j, t in enumerate(ttd):
+                scalar = estimator.completion_probability(history, float(t))
+                assert matrix[i, j] == scalar.probability
+
+    def test_eq3_matrix_lognormal_family_matches_scalar(self):
+        # Every trained row is overwritten by its own fit's ccdf; the
+        # untrained row stays certain except past the deadline.
+        estimator = DeadlineEstimator(min_history=3, family=LogNormalFamily())
+        histories = self._histories()
+        ttd = np.array([-3.0, 0.0, 5.0, 10.0, 80.0])
+        matrix = estimator.completion_probability_matrix(_rows(histories), ttd)
+        for i, history in enumerate(histories):
+            for j, t in enumerate(ttd):
+                assert matrix[i, j] == estimator.completion_probability(
+                    history, float(t)
+                ).probability
+
+    def test_ccdf_kernel_matches_the_stepwise_formula(self):
+        # The kernel computes in one buffer; the formula it replaced made a
+        # new array per step.  Same values, NaN and the head included.
+        def stepwise(alpha, k_min, k):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                out = np.power(k / k_min, 1.0 - alpha)
+            out = np.where(k <= k_min, 1.0, out)
+            return np.clip(out, 0.0, 1.0)
+
+        rng = np.random.default_rng(13)
+        alpha = np.concatenate([rng.uniform(1.01, 4.0, 20), [np.nan, 1.0, 0.5]])
+        k_min = np.concatenate([rng.uniform(0.5, 30.0, 20), [5.0, 5.0, 5.0]])
+        k = np.concatenate(
+            [k_min[:5], rng.uniform(-10.0, 200.0, 30), [0.0, -0.0, np.inf, np.nan]]
+        )
+        grid = kernels.powerlaw_ccdf_values(alpha[:, None], k_min[:, None], k[None, :])
+        want = stepwise(alpha[:, None], k_min[:, None], k[None, :])
+        assert grid.tobytes() == want.tobytes()
+        n = len(alpha)
+        point = kernels.powerlaw_ccdf_values(alpha, k_min, k[:n])
+        assert point.tobytes() == stepwise(alpha, k_min, k[:n]).tobytes()
 
     def test_eq2_batch_matches_scalar(self):
         estimator = DeadlineEstimator(min_history=3)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.deadline import DeadlineEstimator
 from repro.core.weights import AccuracyWeight, DistanceWeight, HybridWeight
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import AssignmentGraphBuilder, RewardRange
+from repro.graph.builders import MAX_WEIGHT, AssignmentGraphBuilder, RewardRange
 from repro.model.task import Task, TaskCategory
 from repro.model.worker import WorkerProfile
 from repro.model.worker_table import WorkerTable
@@ -191,3 +191,78 @@ def test_columnar_build_matches_per_worker_walk(case):
             component.record_withdrawal(worker_id, elapsed=duration, task_id=task_id)
             workers[worker_id].execution_times.append(duration)  # censored
     _assert_same_build(case, component, builder, reference)
+
+
+class _HoledAccuracy(AccuracyWeight):
+    """Eq. 1 with NaN holes: a weight function may leave cells undefined."""
+
+    @staticmethod
+    def holes(shape):
+        holes = np.zeros(shape, dtype=bool)
+        holes[::2, ::3] = True
+        return holes
+
+    def matrix(self, workers, tasks):
+        out = super().matrix(workers, tasks)
+        out[self.holes(out.shape)] = np.nan
+        return out
+
+
+def test_nan_weights_drop_out_except_in_cold_start_rows():
+    # A NaN weight never becomes an edge, except in a cold-start row, whose
+    # weights are all overwritten with MAX_WEIGHT first.  Cold rows with
+    # and without an Eq. 3 fit, trained rows, and expired columns.
+    rng = np.random.default_rng(4)
+    population = []
+    for worker_id in range(9):
+        history = [
+            (float(d), CATEGORIES[i % 3], bool(i % 2))
+            for i, d in enumerate(5.0 + rng.pareto(2.0, 6) * 10.0)
+        ]
+        kind = worker_id % 3  # 0: cold with a fit, 1: cold without, 2: trained
+        assignments = {0: 1, 1: 0, 2: len(history)}[kind]
+        population.append(
+            (
+                oracle.Worker(worker_id, 38.0, 23.7),
+                [] if kind == 1 else history,
+                assignments,
+                "free",
+            )
+        )
+    tasks = [
+        Task(
+            latitude=38.0,
+            longitude=23.7,
+            deadline=float(deadline),
+            submitted_at=0.0,
+            category=CATEGORIES[j % 3],
+        )
+        for j, deadline in enumerate([5.0, 20.0, *rng.uniform(21.0, 120.0, 8)])
+    ]
+    now = 20.0
+    component = _register(population)
+    builder = AssignmentGraphBuilder(
+        weight_function=_HoledAccuracy(),
+        estimator=DeadlineEstimator(3),
+        edge_probability_bound=0.1,
+    )
+    graph, report = builder.build(component.rows(component.available_slots()), tasks, now)
+
+    free = [worker for worker, *_ in population]
+    keep, weights, expected = oracle.build(builder, DeadlineEstimator(3), free, tasks, now)
+    cold = np.array([worker.assignment_count < 3 for worker in free])
+    holes = _HoledAccuracy.holes(weights.shape)
+    weights[holes & ~cold[:, None]] = np.nan
+    want = BipartiteGraph.from_dense(weights, mask=keep)
+    expected.kept_edges = want.n_edges
+    assert report == expected
+    assert graph.edge_workers.tobytes() == want.edge_workers.tobytes()
+    assert graph.edge_tasks.tobytes() == want.edge_tasks.tobytes()
+    assert graph.edge_weights.tobytes() == want.edge_weights.tobytes()
+    # The case reaches what it is about: holes dropped from trained rows,
+    # holes in cold rows kept at MAX_WEIGHT, and expired columns.
+    assert want.n_edges < int(keep.sum())
+    in_cold_hole = holes[graph.edge_workers, graph.edge_tasks] & cold[graph.edge_workers]
+    assert in_cold_hole.any()
+    assert np.all(graph.edge_weights[in_cold_hole] == MAX_WEIGHT)
+    assert not np.isin([0, 1], graph.edge_tasks).any()  # ttd < 0 and ttd == 0

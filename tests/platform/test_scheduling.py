@@ -1,10 +1,12 @@
 """Unit tests for the Scheduling Component (batching, latency, publication)."""
 
+import weakref
+
 import pytest
 
 from repro.model.task import TaskPhase
 from repro.platform.cost import PaperCalibratedCost
-from repro.platform.policies import react_policy
+from repro.platform.policies import greedy_policy, react_policy
 
 from .helpers import build_server, reliable_behavior, submit
 
@@ -101,6 +103,49 @@ class TestSimulatedLatency:
         engine.run(until=5.0)
         assert server.metrics.matcher_invocations == 1
         assert server.metrics.matcher_simulated_seconds == pytest.approx(1.0, abs=0.01)
+
+
+class TestChainedBatchMemory:
+    def test_published_graph_is_dead_when_the_next_build_starts(self):
+        # Tasks arrive while every Greedy batch is matching, so most
+        # batches chain straight from the previous one's publication.  The
+        # published batch's graph must be freed by then, or two batches'
+        # arrays are alive at once.
+        engine, server = build_server(
+            n_workers=6,
+            cost_model=PaperCalibratedCost(batch_overhead=1.0),
+            policy=greedy_policy(batch_period=1000.0),
+        )
+        scheduling = server.scheduling
+        publishing = [False]
+        publish = scheduling._publish
+
+        def traced_publish(event):
+            publishing[0] = True
+            try:
+                publish(event)
+            finally:
+                publishing[0] = False
+
+        builder = scheduling._builder
+        build = builder.build
+        previous = [lambda: None]
+        starts = []  # (chained from a publication, previous graph alive)
+
+        def traced_build(rows, tasks, now):
+            starts.append((publishing[0], previous[0]() is not None))
+            graph, report = build(rows, tasks, now)
+            previous[0] = weakref.ref(graph)
+            return graph, report
+
+        scheduling._publish = traced_publish
+        builder.build = traced_build
+        for _ in range(60):
+            submit(server, engine)
+            engine.run(until=engine.now + 0.4)
+        engine.run(until=engine.now + 20.0)
+        assert sum(chained for chained, _ in starts) >= 10
+        assert not any(alive for _, alive in starts)
 
 
 class TestExpiredRetirement:

@@ -56,6 +56,9 @@ class TestAdmissionConfig:
             AdmissionConfig(max_in_flight=0)
         with pytest.raises(ValueError, match="backlog_retry_after"):
             AdmissionConfig(backlog_retry_after=0.0)
+        # The token bucket rejects it too, but only once the gateway starts.
+        with pytest.raises(ValueError, match="burst must be >= 1"):
+            AdmissionConfig(burst=0)
 
     @pytest.mark.parametrize("field", ["rate", "backlog_retry_after"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])

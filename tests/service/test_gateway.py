@@ -488,11 +488,15 @@ class TestLifecycle:
 
     def test_drain_unreadies_then_closes_the_listener(self):
         async def main():
-            config = GatewayConfig(time_scale=50.0, drain_timeout=0.5)
+            config = GatewayConfig(
+                time_scale=50.0, drain_timeout=0.5, liveness_timeout=None
+            )
             gateway = await boot(config)
             client = AsyncHttpClient(gateway.host, gateway.port)
-            # One in-flight task with no workers keeps the backlog > 0, so
-            # stop() sits in its drain loop until drain_timeout expires.
+            # A registered worker that never answers and one in-flight task
+            # keep stop() in its drain loop until drain_timeout expires.
+            status, _ = await client.request("POST", "/workers", {})
+            assert status == 201
             status, _ = await client.request("POST", "/tasks", {})
             assert status == 201
             stopper = asyncio.ensure_future(gateway.stop())
@@ -515,6 +519,52 @@ class TestLifecycle:
 
         run_async(main())
 
+    def test_drain_ends_at_once_with_no_worker_registered(self):
+        # Nobody can take or answer the queued task, so waiting out the
+        # ten-second budget would only delay shutdown.  (The task's hour
+        # is 72 wall seconds at this scale: it cannot expire meanwhile.)
+        async def main():
+            gateway = await boot(GatewayConfig(time_scale=50.0, drain_timeout=10.0))
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                status, _ = await client.request("POST", "/tasks", {"deadline": 3600})
+                assert status == 201
+            finally:
+                await client.close()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await gateway.stop()
+            assert gateway._backlog() == 1
+            return loop.time() - started
+
+        assert run_async(main()) < 2.0
+
+    def test_drain_ends_when_the_last_worker_leaves(self):
+        async def main():
+            config = GatewayConfig(
+                time_scale=50.0, drain_timeout=10.0, liveness_timeout=None
+            )
+            gateway = await boot(config)
+            client = AsyncHttpClient(gateway.host, gateway.port)
+            try:
+                status, body = await client.request("POST", "/workers", {})
+                assert status == 201
+                worker_id = body["worker_id"]
+                status, _ = await client.request("POST", "/tasks", {"deadline": 3600})
+                assert status == 201
+                stopper = asyncio.ensure_future(gateway.stop())
+                await asyncio.sleep(0.2)
+                assert not stopper.done()  # a worker could still answer
+                status, _ = await client.request(
+                    "POST", f"/workers/{worker_id}/deregister"
+                )
+                assert status == 200
+                await asyncio.wait_for(stopper, timeout=2.0)
+            finally:
+                await client.close()
+
+        run_async(main())
+
     @pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
     def test_drain_timeout_must_be_finite_and_non_negative(self, timeout):
         # A NaN or infinite budget never expires, so stop() would hang
@@ -525,6 +575,24 @@ class TestLifecycle:
     def test_zero_drain_timeout_is_allowed(self):
         assert GatewayConfig(drain_timeout=0.0).drain_timeout == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_scale", 0.0),
+            ("time_scale", -1.0),
+            ("time_scale", float("nan")),
+            ("time_scale", float("inf")),
+            ("liveness_timeout", 0.0),
+            ("liveness_timeout", float("nan")),
+            ("liveness_timeout", float("inf")),
+            ("rows", 0),
+            ("cols", 0),
+        ],
+    )
+    def test_clock_liveness_and_grid_are_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            GatewayConfig(**{field: value})
+
 
 class TestCommandLine:
     @pytest.mark.parametrize(
@@ -534,6 +602,11 @@ class TestCommandLine:
             (["--admission-rate", "0"], "rate"),
             (["--drain-timeout", "-1"], "drain_timeout"),
             (["--drain-timeout", "nan"], "drain_timeout"),
+            (["--admission-burst", "0"], "burst"),
+            (["--time-scale", "0"], "time_scale"),
+            (["--time-scale", "nan"], "time_scale"),
+            (["--liveness-timeout", "nan"], "liveness_timeout"),
+            (["--rows", "0"], "rows"),
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, field, capsys):
